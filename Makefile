@@ -5,7 +5,7 @@ GO ?= go
 # are much slower and run via `make bench-all`.
 KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkMulBlocked|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)'
 
-.PHONY: build test race vet bench bench-all check gradcheck fuzz golden-update \
+.PHONY: build test race vet bench bench-all bench-test check gradcheck fuzz golden-update \
 	serve loadgen serve-bench serve-smoke resume-smoke crash-smoke bench-pr4 \
 	quant-smoke bench-pr6 cluster-smoke bench-pr7 ab-smoke drift-smoke bench-pr9 \
 	chaos-smoke
@@ -29,9 +29,18 @@ vet:
 # before-numbers, which a fresh run cannot reproduce).
 bench:
 	$(GO) test -run '^$$' -bench $(KERNEL_BENCH) -benchmem -benchtime=1x -count=1 . ./internal/core | tee bench_kernels.txt
+	@# One cold call says little about a 1 ms scan: repeat the J = 131 072
+	@# top-N runs (f64/f32/int8, single request and batch of 8) 200 times.
+	$(GO) test -run '^$$' -bench 'BenchmarkTopN(Scratch|Batch)/j128k' -benchmem -benchtime=200x -count=1 ./internal/core | tee -a bench_kernels.txt
 
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=1x -count=1 .
+
+# The benchmark module's own tests (smoke of every workload at 1/200 scale,
+# goldens, BENCHMARK.json kept in step). bench/ has its own go.mod, so
+# `go test ./...` at the root never reaches them.
+bench-test:
+	$(GO) -C bench test ./...
 
 # The differential correctness harness (internal/check): every loss head, nn
 # layer and gradient-trained baseline swept by the central-difference gradient
@@ -251,4 +260,4 @@ bench-pr4:
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve(WarmStart|Retrain)' \
 		-benchmem -benchtime=3x -count=1 .
 
-check: build vet test race gradcheck fuzz
+check: build vet test bench-test race gradcheck fuzz

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"fmt"
+	"sync"
 )
 
 // LFBCA (Wang et al., SIGSPATIAL 2013) is the location-friendship
@@ -28,6 +29,7 @@ type LFBCA struct {
 
 	numUsers, numPOIs int
 	adj               [][]weightedEdge
+	cacheMu           sync.Mutex // Score runs under eval's parallel ranking workers
 	cache             map[int][]float64
 	fit               bool
 }
@@ -107,7 +109,10 @@ func (l *LFBCA) Fit(ctx *Context) error {
 
 // ppr runs the power iteration for one user and caches the result.
 func (l *LFBCA) ppr(i int) []float64 {
-	if v, ok := l.cache[i]; ok {
+	l.cacheMu.Lock()
+	v, ok := l.cache[i]
+	l.cacheMu.Unlock()
+	if ok {
 		return v
 	}
 	n := len(l.adj)
@@ -138,7 +143,9 @@ func (l *LFBCA) ppr(i int) []float64 {
 		}
 		p, next = next, p
 	}
+	l.cacheMu.Lock()
 	l.cache[i] = p
+	l.cacheMu.Unlock()
 	return p
 }
 

@@ -7,6 +7,7 @@ package check
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"tcss/internal/core"
@@ -113,8 +114,9 @@ func fuzzModel(seed uint64, i, j, k, rank int) *core.Model {
 
 // FuzzScoreSlabVsPredict asserts the scoring identities on random models:
 // the slab GEMM kernel and the candidate gather must agree with pointwise
-// Predict, the whole-data loss must be identical at any worker count,
-// non-negative, and produce finite gradients.
+// Predict, the top-N scan must equal a full sort of the candidate gather, the
+// whole-data loss must be identical at any worker count, non-negative, and
+// produce finite gradients.
 func FuzzScoreSlabVsPredict(f *testing.F) {
 	f.Add(uint64(1), uint8(5), uint8(6), uint8(3), uint8(2))
 	f.Add(uint64(42), uint8(2), uint8(9), uint8(4), uint8(5))
@@ -152,6 +154,48 @@ func FuzzScoreSlabVsPredict(f *testing.F) {
 			want := m.Predict(i, j, k)
 			if math.Abs(out[idx]-want) > 1e-12*(1+math.Abs(want)) {
 				t.Fatalf("ScoreCandidates[%d] = %g, Predict(%d,%d,%d) = %g", idx, out[idx], i, j, k, want)
+			}
+		}
+
+		// TopNScratch ≡ "score every POI, sort by (score desc, id asc), drop
+		// the skipped", bit for bit, in every storage mode: the threshold-first
+		// scan may never change which POIs are returned or their scores.
+		var skip []int
+		for j := 0; j < J; j++ {
+			if rng.intn(3) == 0 {
+				skip = append(skip, j)
+			}
+		}
+		n := rng.intn(J+2) + 1
+		everyPOI := make([]int, J)
+		for j := range everyPOI {
+			everyPOI[j] = j
+		}
+		for _, mode := range []core.StorageMode{core.StorageFloat64, core.StorageFloat32, core.StorageInt8} {
+			cm, err := m.ToStorage(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scores := make([]float64, J)
+			cm.ScoreCandidates(i, k, everyPOI, scores)
+			var want []core.Recommendation
+			for j, p := 0, 0; j < J; j++ {
+				if p < len(skip) && skip[p] == j {
+					p++
+					continue
+				}
+				want = append(want, core.Recommendation{POI: j, Score: scores[j]})
+			}
+			sort.SliceStable(want, func(a, b int) bool { return want[a].Score > want[b].Score })
+			want = want[:min(n, len(want))]
+			got := cm.TopNScratch(i, k, n, skip, core.NewRecScratch(cm))
+			if len(got) != len(want) {
+				t.Fatalf("%v TopNScratch returned %d POIs, reference %d", mode, len(got), len(want))
+			}
+			for r := range want {
+				if got[r] != want[r] {
+					t.Fatalf("%v TopNScratch rank %d = %+v, reference %+v", mode, r, got[r], want[r])
+				}
 			}
 		}
 

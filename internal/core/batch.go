@@ -2,14 +2,15 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"tcss/internal/mat"
 )
 
 // BatchReq is one recommendation request inside a coalesced batch: the top-N
 // POIs for (User, T), excluding the POIs in Skip. Skip must be sorted
-// ascending (SideInfo.OwnPOIs is — BuildSideInfo sorts it); out-of-range
-// entries are ignored, matching TopNScratch.
+// ascending (SideInfo.OwnPOIs is — BuildSideInfo sorts it) and the scan
+// panics if it is not; out-of-range and duplicate entries are ignored.
 type BatchReq struct {
 	User int
 	T    int
@@ -79,10 +80,16 @@ func (m *Model) buildWeights(i, k int, w, rowbuf []float64) {
 	}
 }
 
-// batchScanSlab is TopNBatch's scoring loop, generic over the factor slab
-// element type (float64, float32, int8 — widened to float64 by the mat
-// kernels). scales is the per-row dequantization scale slab (int8 mode) or
-// nil.
+// scanSlab is the one top-N scan behind TopNScratch (a batch of one) and
+// TopNBatch, generic over the factor slab element type (float64, float32,
+// int8 — widened to float64 lane by lane). scales is the per-row
+// dequantization scale slab (int8 mode) or nil.
+//
+// The scan is threshold-first: a row's score is compared with the request's
+// heap minimum, held in a local, before anything else is asked about the row.
+// All but a handful of rows per request lose that one compare; only the
+// survivors reach topKHeap.admit (skip list, zero-out filter, heap). That is
+// exact, not approximate — see topKHeap.threshold.
 //
 // Two levels of batching, both invisible to per-request results:
 //
@@ -90,20 +97,17 @@ func (m *Model) buildWeights(i, k int, w, rowbuf []float64) {
 //     memory once and served to every request from cache.
 //   - Within a tile, active requests are processed four at a time through
 //     mat.Dot4, which loads each row element once for all four lanes —
-//     register reuse only a batched caller can have. Each lane accumulates
-//     in exactly the Dot*Unrolled order, and within a tile every request
-//     still visits j ascending with the same heap semantics, so results are
-//     bit-identical to the unbatched TopNScratch path.
+//     register reuse only a batched caller can have. The remaining zero to
+//     three requests (all of a batch of one) take the single-lane loop, whose
+//     dot is written out in place because no Go function holding that loop
+//     fits the inlining budget. Every lane of either loop accumulates in
+//     exactly mat.DotWiden's order, and every request visits j ascending with
+//     the same heap semantics, so results do not depend on batch composition.
 //
-// Skip/filter exclusions are applied at offer time: a quad lane's dot for an
-// excluded row is computed and discarded, which is cheaper than breaking the
-// group (skip lists are short — a user's own POIs). The zero-out ablation
-// filter can exclude arbitrarily many rows, so a model carrying one takes
-// the scalar path. Skip lists are sorted; each request's cursor (s.ptr)
-// moves monotonically across tiles, O(Σ|Skip|) cursor work total.
-func batchScanSlab[E mat.Elem](m *Model, reqs []BatchReq, s *BatchScratch, slab []E, scales []float64) {
+// Skip lists are sorted; each request's cursor (s.ptr) moves monotonically
+// across tiles, and only on admitted rows.
+func scanSlab[E mat.Elem](m *Model, reqs []BatchReq, s *BatchScratch, slab []E, scales []float64) {
 	r := m.Rank
-	filter := m.ZeroOutFilter
 	act := s.act[:0]
 	for b := range reqs {
 		if reqs[b].N > 0 {
@@ -111,84 +115,82 @@ func batchScanSlab[E mat.Elem](m *Model, reqs []BatchReq, s *BatchScratch, slab 
 		}
 	}
 	s.act = act
+	zf := func(b int) []bool {
+		if m.ZeroOutFilter == nil {
+			return nil
+		}
+		return m.ZeroOutFilter[reqs[b].User]
+	}
 	tile := batchTileJ(r)
 	for j0 := 0; j0 < m.J; j0 += tile {
 		j1 := min(j0+tile, m.J)
 		g := 0
-		if filter == nil {
-			for ; g+4 <= len(act); g += 4 {
-				q0, q1, q2, q3 := act[g], act[g+1], act[g+2], act[g+3]
-				w0 := s.w[q0*r : q0*r+r]
-				w1 := s.w[q1*r : q1*r+r]
-				w2 := s.w[q2*r : q2*r+r]
-				w3 := s.w[q3*r : q3*r+r]
-				h0, h1, h2, h3 := &s.heaps[q0], &s.heaps[q1], &s.heaps[q2], &s.heaps[q3]
-				n0, n1, n2, n3 := reqs[q0].N, reqs[q1].N, reqs[q2].N, reqs[q3].N
-				sk0, sk1, sk2, sk3 := reqs[q0].Skip, reqs[q1].Skip, reqs[q2].Skip, reqs[q3].Skip
-				p0, p1, p2, p3 := s.ptr[q0], s.ptr[q1], s.ptr[q2], s.ptr[q3]
-				for j := j0; j < j1; j++ {
-					d0, d1, d2, d3 := mat.Dot4(w0, w1, w2, w3, slab[j*r:(j+1)*r])
-					if scales != nil {
-						sc := scales[j]
-						d0, d1, d2, d3 = sc*d0, sc*d1, sc*d2, sc*d3
-					}
-					for p0 < len(sk0) && sk0[p0] < j {
-						p0++
-					}
-					if p0 >= len(sk0) || sk0[p0] != j {
-						h0.offer(j, d0, n0)
-					}
-					for p1 < len(sk1) && sk1[p1] < j {
-						p1++
-					}
-					if p1 >= len(sk1) || sk1[p1] != j {
-						h1.offer(j, d1, n1)
-					}
-					for p2 < len(sk2) && sk2[p2] < j {
-						p2++
-					}
-					if p2 >= len(sk2) || sk2[p2] != j {
-						h2.offer(j, d2, n2)
-					}
-					for p3 < len(sk3) && sk3[p3] < j {
-						p3++
-					}
-					if p3 >= len(sk3) || sk3[p3] != j {
-						h3.offer(j, d3, n3)
-					}
+		for ; g+4 <= len(act); g += 4 {
+			q0, q1, q2, q3 := act[g], act[g+1], act[g+2], act[g+3]
+			w0 := s.w[q0*r : q0*r+r]
+			w1 := s.w[q1*r : q1*r+r]
+			w2 := s.w[q2*r : q2*r+r]
+			w3 := s.w[q3*r : q3*r+r]
+			h0, h1, h2, h3 := &s.heaps[q0], &s.heaps[q1], &s.heaps[q2], &s.heaps[q3]
+			n0, n1, n2, n3 := reqs[q0].N, reqs[q1].N, reqs[q2].N, reqs[q3].N
+			sk0, sk1, sk2, sk3 := reqs[q0].Skip, reqs[q1].Skip, reqs[q2].Skip, reqs[q3].Skip
+			z0, z1, z2, z3 := zf(q0), zf(q1), zf(q2), zf(q3)
+			p0, p1, p2, p3 := s.ptr[q0], s.ptr[q1], s.ptr[q2], s.ptr[q3]
+			t0, t1, t2, t3 := h0.threshold(n0), h1.threshold(n1), h2.threshold(n2), h3.threshold(n3)
+			for j := j0; j < j1; j++ {
+				d0, d1, d2, d3 := mat.Dot4(w0, w1, w2, w3, slab[j*r:(j+1)*r])
+				if scales != nil {
+					sc := scales[j]
+					d0, d1, d2, d3 = sc*d0, sc*d1, sc*d2, sc*d3
 				}
-				s.ptr[q0], s.ptr[q1], s.ptr[q2], s.ptr[q3] = p0, p1, p2, p3
+				if !(d0 <= t0) {
+					p0, t0 = h0.admit(j, d0, n0, sk0, p0, z0)
+				}
+				if !(d1 <= t1) {
+					p1, t1 = h1.admit(j, d1, n1, sk1, p1, z1)
+				}
+				if !(d2 <= t2) {
+					p2, t2 = h2.admit(j, d2, n2, sk2, p2, z2)
+				}
+				if !(d3 <= t3) {
+					p3, t3 = h3.admit(j, d3, n3, sk3, p3, z3)
+				}
 			}
+			s.ptr[q0], s.ptr[q1], s.ptr[q2], s.ptr[q3] = p0, p1, p2, p3
 		}
 		for ; g < len(act); g++ {
 			b := act[g]
-			rq := &reqs[b]
-			w := s.w[b*r : b*r+r]
-			h := &s.heaps[b]
-			sk, p := rq.Skip, s.ptr[b]
-			var zf []bool
-			if filter != nil {
-				zf = filter[rq.User]
-			}
-			for j := j0; j < j1; j++ {
-				for p < len(sk) && sk[p] < j {
-					p++
-				}
-				if p < len(sk) && sk[p] == j {
-					continue
-				}
-				if zf != nil && !zf[j] {
-					continue
-				}
-				d := mat.DotWiden(w, slab[j*r:(j+1)*r])
-				if scales != nil {
-					d = scales[j] * d
-				}
-				h.offer(j, d, rq.N)
-			}
-			s.ptr[b] = p
+			s.ptr[b] = scanLane(s.w[b*r:b*r+r], slab, scales, j0, j1, &s.heaps[b], reqs[b].N, reqs[b].Skip, s.ptr[b], zf(b))
 		}
 	}
+}
+
+// scanLane scores rows j0..j1-1 of slab against one weight vector.
+func scanLane[E mat.Elem](w []float64, slab []E, scales []float64, j0, j1 int, h *topKHeap, n int, skip []int, p int, zf []bool) int {
+	r := len(w)
+	thr := h.threshold(n)
+	for j := j0; j < j1; j++ {
+		row := slab[j*r : j*r+r]
+		var s0, s1, s2, s3 float64
+		t := 0
+		for ; t+4 <= r; t += 4 {
+			s0 += w[t] * float64(row[t])
+			s1 += w[t+1] * float64(row[t+1])
+			s2 += w[t+2] * float64(row[t+2])
+			s3 += w[t+3] * float64(row[t+3])
+		}
+		for ; t < r; t++ {
+			s0 += w[t] * float64(row[t])
+		}
+		d := (s0 + s1) + (s2 + s3)
+		if scales != nil {
+			d = scales[j] * d
+		}
+		if !(d <= thr) {
+			p, thr = h.admit(j, d, n, skip, p, zf)
+		}
+	}
+	return p
 }
 
 // batchTileJ is the POI-axis tile width of TopNBatch: enough rows that the
@@ -204,29 +206,19 @@ func batchTileJ(rank int) int {
 	return t
 }
 
-// TopNBatch answers a batch of top-N requests in one pass over the POI factor
-// slab: the outer loop streams each U2 row once and the inner loop scores it
-// for every request, so a batch of B requests reads the slab once instead of
-// B times — the memory-bandwidth win that motivates request coalescing
-// (BENCH_PR1's blocked GEMM beats the rowwise path for the same reason).
-//
-// Per request the candidate order, scoring kernel, and heap semantics are
-// exactly TopNScratch's, so out[b] is bit-identical to
-// m.TopNScratch(reqs[b].User, reqs[b].T, reqs[b].N, reqs[b].Skip, …) in every
-// storage mode. Requests may mix users, time slices, N, and skip lists; each
-// Skip must be sorted ascending. A request with N <= 0 yields a nil entry.
-func (m *Model) TopNBatch(reqs []BatchReq, s *BatchScratch) [][]Recommendation {
+// scan runs reqs against m into s.heaps: it validates every request (caller
+// names the entry point in the panic messages), builds the per-request
+// weights, and dispatches the one generic scan on the storage mode's slab.
+func (m *Model) scan(caller string, reqs []BatchReq, s *BatchScratch) {
 	for _, rq := range reqs {
 		if rq.User < 0 || rq.User >= m.I || rq.T < 0 || rq.T >= m.K {
-			panic(fmt.Sprintf("core: TopNBatch (user=%d, t=%d) out of model range %dx%d", rq.User, rq.T, m.I, m.K))
+			panic(fmt.Sprintf("core: %s (user=%d, t=%d) out of model range %dx%d", caller, rq.User, rq.T, m.I, m.K))
+		}
+		if !sort.IntsAreSorted(rq.Skip) {
+			panic(fmt.Sprintf("core: %s skip list for user %d is not sorted ascending; sort it or go through Model.TopN", caller, rq.User))
 		}
 	}
-	B := len(reqs)
-	out := make([][]Recommendation, B)
-	if B == 0 {
-		return out
-	}
-	s.ensure(m, B)
+	s.ensure(m, len(reqs))
 	for b, rq := range reqs {
 		s.ptr[b] = 0
 		s.heaps[b].pois = s.heaps[b].pois[:0]
@@ -235,31 +227,33 @@ func (m *Model) TopNBatch(reqs []BatchReq, s *BatchScratch) [][]Recommendation {
 			m.buildWeights(rq.User, rq.T, s.w[b*m.Rank:(b+1)*m.Rank], s.row)
 		}
 	}
-
 	switch m.Mode {
 	case StorageFloat32:
-		batchScanSlab(m, reqs, s, m.Compact.U2f, nil)
+		scanSlab(m, reqs, s, m.Compact.U2f, nil)
 	case StorageInt8:
-		batchScanSlab(m, reqs, s, m.Compact.U2q, m.Compact.S2)
+		scanSlab(m, reqs, s, m.Compact.U2q, m.Compact.S2)
 	default:
-		batchScanSlab(m, reqs, s, m.U2.Data, nil)
+		scanSlab(m, reqs, s, m.U2.Data, nil)
 	}
+}
 
+// TopNBatch answers a batch of top-N requests in one pass over the POI factor
+// slab: each slab tile is read from memory once and scored for every request
+// while it is cache-resident, so a batch of B requests reads the slab once
+// instead of B times.
+//
+// Per request the candidate order, arithmetic and heap semantics are exactly
+// TopNScratch's — it is the same scan — so out[b] is bit-identical to
+// m.TopNScratch(reqs[b].User, reqs[b].T, reqs[b].N, reqs[b].Skip, …) in every
+// storage mode. Requests may mix users, time slices, N, and skip lists; an
+// unsorted Skip panics. A request with N <= 0 yields a nil entry.
+func (m *Model) TopNBatch(reqs []BatchReq, s *BatchScratch) [][]Recommendation {
+	out := make([][]Recommendation, len(reqs))
+	m.scan("TopNBatch", reqs, s)
 	for b := range reqs {
-		if reqs[b].N <= 0 {
-			continue
+		if reqs[b].N > 0 {
+			out[b] = s.heaps[b].drain()
 		}
-		h := &s.heaps[b]
-		res := make([]Recommendation, len(h.pois))
-		for len(h.pois) > 0 {
-			last := len(h.pois) - 1
-			res[last] = Recommendation{POI: h.pois[0], Score: h.scores[0]}
-			h.swap(0, last)
-			h.pois = h.pois[:last]
-			h.scores = h.scores[:last]
-			h.down(0)
-		}
-		out[b] = res
 	}
 	return out
 }

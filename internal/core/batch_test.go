@@ -146,4 +146,22 @@ func BenchmarkTopNBatch(b *testing.B) {
 			}
 		})
 	}
+	// The bench module's core.topn_batch8_ms_per_req.j128k shape; ns/req is
+	// comparable with BenchmarkTopNScratch/j128k's ns/op.
+	models := scanBenchModels(b)
+	for _, mode := range scanBenchModes {
+		m := models[mode]
+		b.Run("j128k/"+mode.String(), func(b *testing.B) {
+			reqs := make([]BatchReq, 8)
+			s := NewBatchScratch(m, len(reqs))
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				for i := range reqs {
+					reqs[i] = BatchReq{User: (n*8 + i) * 7 % m.I, T: (n + i) % m.K, N: N}
+				}
+				m.TopNBatch(reqs, s)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/req")
+		})
+	}
 }

@@ -152,18 +152,9 @@ func (m *Model) ScoreCandidates(i, k int, js []int, out []float64) {
 	if len(out) < len(js) {
 		panic(fmt.Sprintf("core: ScoreCandidates out length %d for %d candidates", len(out), len(js)))
 	}
-	w := make([]float64, m.Rank)
-	var u1, u3 []float64
-	if m.Mode == StorageFloat64 {
-		u1, u3 = m.U1.Row(i), m.U3.Row(k)
-	} else {
-		buf := make([]float64, 2*m.Rank)
-		u1 = m.u1Row(i, buf[:m.Rank])
-		u3 = m.u3Row(k, buf[m.Rank:])
-	}
-	for t := range w {
-		w[t] = m.H[t] * u1[t] * u3[t]
-	}
+	buf := make([]float64, 3*m.Rank)
+	w := buf[:m.Rank]
+	m.buildWeights(i, k, w, buf[m.Rank:])
 	filter := m.ZeroOutFilter
 	r := m.Rank
 	for n, j := range js {
@@ -173,9 +164,9 @@ func (m *Model) ScoreCandidates(i, k int, js []int, out []float64) {
 		}
 		switch m.Mode {
 		case StorageFloat32:
-			out[n] = mat.DotF32Unrolled(w, m.Compact.U2f[j*r:(j+1)*r])
+			out[n] = mat.DotWiden(w, m.Compact.U2f[j*r:(j+1)*r])
 		case StorageInt8:
-			out[n] = m.Compact.S2[j] * mat.DotI8Unrolled(w, m.Compact.U2q[j*r:(j+1)*r])
+			out[n] = m.Compact.S2[j] * mat.DotWiden(w, m.Compact.U2q[j*r:(j+1)*r])
 		default:
 			out[n] = mat.DotUnrolled(w, m.U2.Row(j))
 		}

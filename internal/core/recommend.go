@@ -1,33 +1,20 @@
 package core
 
 import (
-	"fmt"
+	"math"
 	"sort"
-
-	"tcss/internal/mat"
 )
 
 // RecScratch holds the reusable buffers of the allocation-free top-N
-// recommendation path: the factored scoring weights w = h ⊙ U1ᵢ ⊙ U3ₖ, a
-// generation-stamped skip bitmap over POIs, and the bounded top-K heap. One
-// scratch serves any number of sequential TopNScratch calls on models of the
-// same shape; buffers grow on demand, so a scratch can also be shared across
+// recommendation path: a BatchScratch sized for one request plus that
+// request's slot. One scratch serves any number of sequential TopNScratch
+// calls; buffers grow on demand, so a scratch can also be shared across
 // models (e.g. successive serving snapshots) as long as calls do not overlap.
 // A RecScratch must not be used concurrently; give each worker its own (the
 // serving layer pools them with sync.Pool).
 type RecScratch struct {
-	w []float64 // Rank: factored per-(user,time) scoring weights
-
-	// row holds two Rank-length dequantization buffers for the compact
-	// storage modes (u1 and u3 rows widened to float64); unused at float64.
-	row []float64
-
-	// Skip bitmap with generation stamps: skipStamp[j] == stamp marks POI j
-	// excluded for the current call, so clearing is O(1) instead of O(J).
-	skipStamp []uint64
-	stamp     uint64
-
-	heap topKHeap
+	batch BatchScratch
+	req   [1]BatchReq
 }
 
 // NewRecScratch allocates buffers sized for m. Passing nil is allowed; the
@@ -35,30 +22,9 @@ type RecScratch struct {
 func NewRecScratch(m *Model) *RecScratch {
 	s := &RecScratch{}
 	if m != nil {
-		s.ensure(m)
+		s.batch.ensure(m, 1)
 	}
 	return s
-}
-
-func (s *RecScratch) ensure(m *Model) {
-	if len(s.w) < m.Rank {
-		s.w = make([]float64, m.Rank)
-	}
-	if m.Mode != StorageFloat64 && len(s.row) < 2*m.Rank {
-		s.row = make([]float64, 2*m.Rank)
-	}
-	if len(s.skipStamp) < m.J {
-		s.skipStamp = make([]uint64, m.J)
-		s.stamp = 0
-	}
-}
-
-// weights fills s.w with the factored per-(user,time) scoring weights
-// w = h ⊙ U1ᵢ ⊙ U3ₖ (see Model.buildWeights, the shared implementation).
-func (s *RecScratch) weights(m *Model, i, k int) []float64 {
-	w := s.w[:m.Rank]
-	m.buildWeights(i, k, w, s.row)
-	return w
 }
 
 // topKHeap is a bounded min-heap over (score, POI) pairs whose root is the
@@ -132,83 +98,67 @@ func (h *topKHeap) offer(poi int, score float64, capacity int) {
 	}
 }
 
+// threshold returns the value thr for which a scan visiting POIs in ascending
+// id order may drop every row scoring d with d <= thr without asking offer:
+// the retained minimum once the heap holds n candidates (a later, larger id
+// with an equal score loses the tie-break, a lower score loses outright), and
+// NaN before that — no d satisfies d <= NaN, so every row is offered while
+// there is room. A NaN score also fails the test and reaches offer, which
+// stays the only arbiter of what enters the heap.
+func (h *topKHeap) threshold(n int) float64 {
+	if len(h.pois) < n {
+		return math.NaN()
+	}
+	return h.scores[0]
+}
+
+// admit is the scan's rare path for a row the threshold could not reject: it
+// offers POI j with score d unless j is excluded by the sorted skip list
+// (cursor p, advanced monotonically) or the zero-out filter row zf (nil for
+// none). It returns the cursor and the heap's threshold after the offer.
+func (h *topKHeap) admit(j int, d float64, n int, skip []int, p int, zf []bool) (int, float64) {
+	for p < len(skip) && skip[p] < j {
+		p++
+	}
+	if (p == len(skip) || skip[p] != j) && (zf == nil || zf[j]) {
+		h.offer(j, d, n)
+	}
+	return p, h.threshold(n)
+}
+
+// drain empties the heap worst-first into a new slice ordered best-first.
+func (h *topKHeap) drain() []Recommendation {
+	out := make([]Recommendation, len(h.pois))
+	for len(h.pois) > 0 {
+		last := len(h.pois) - 1
+		out[last] = Recommendation{POI: h.pois[0], Score: h.scores[0]}
+		h.swap(0, last)
+		h.pois = h.pois[:last]
+		h.scores = h.scores[:last]
+		h.down(0)
+	}
+	return out
+}
+
 // TopNScratch returns the n highest-scoring POIs for user i at time unit k,
 // excluding the POIs listed in skip, reusing s's buffers so steady-state calls
 // allocate only the returned slice. It is the scoring kernel behind both
-// Model.TopN and the serving layer's recommend handler: the per-(user,time)
-// weights w = h ⊙ U1ᵢ ⊙ U3ₖ are factored out once, each candidate POI costs a
-// single rank-length inner product (the ScoreCandidates kernel), and
-// candidates stream through a bounded top-K heap. The zero-out filter applies
-// exactly as in Score. Results are ordered by score descending with POI id
-// ascending as the tie-break — identical to sorting all candidates.
+// Model.TopN and the serving layer's recommend handler, and it is TopNBatch's
+// scan run on a batch of one: the per-(user,time) weights w = h ⊙ U1ᵢ ⊙ U3ₖ
+// are factored out once, each candidate POI costs a single rank-length inner
+// product and one compare against the current n-th best score, and the few
+// survivors go through the skip list, the zero-out filter (applied exactly as
+// in Score) and a bounded top-K heap. skip must be sorted ascending (an
+// unsorted list panics); out-of-range and duplicate ids are ignored. Results
+// are ordered by score descending with POI id ascending as the tie-break —
+// identical to sorting all candidates.
 func (m *Model) TopNScratch(i, k, n int, skip []int, s *RecScratch) []Recommendation {
-	if i < 0 || i >= m.I || k < 0 || k >= m.K {
-		panic(fmt.Sprintf("core: TopNScratch (user=%d, t=%d) out of model range %dx%d", i, k, m.I, m.K))
-	}
+	s.req[0] = BatchReq{User: i, T: k, N: n, Skip: skip}
+	m.scan("TopNScratch", s.req[:], &s.batch)
 	if n <= 0 {
 		return nil
 	}
-	s.ensure(m)
-	s.stamp++
-	for _, j := range skip {
-		if j >= 0 && j < m.J {
-			s.skipStamp[j] = s.stamp
-		}
-	}
-
-	w := s.weights(m, i, k)
-
-	s.heap.pois = s.heap.pois[:0]
-	s.heap.scores = s.heap.scores[:0]
-	filter := m.ZeroOutFilter
-	// One loop per storage mode so the candidate scan stays branch-free and
-	// the float64 path is byte-identical to its pre-compact form.
-	switch m.Mode {
-	case StorageFloat32:
-		r, u2 := m.Rank, m.Compact.U2f
-		for j := 0; j < m.J; j++ {
-			if s.skipStamp[j] == s.stamp {
-				continue
-			}
-			if filter != nil && !filter[i][j] {
-				continue
-			}
-			s.heap.offer(j, mat.DotF32Unrolled(w, u2[j*r:(j+1)*r]), n)
-		}
-	case StorageInt8:
-		r, u2, sc := m.Rank, m.Compact.U2q, m.Compact.S2
-		for j := 0; j < m.J; j++ {
-			if s.skipStamp[j] == s.stamp {
-				continue
-			}
-			if filter != nil && !filter[i][j] {
-				continue
-			}
-			s.heap.offer(j, sc[j]*mat.DotI8Unrolled(w, u2[j*r:(j+1)*r]), n)
-		}
-	default:
-		for j := 0; j < m.J; j++ {
-			if s.skipStamp[j] == s.stamp {
-				continue
-			}
-			if filter != nil && !filter[i][j] {
-				continue
-			}
-			s.heap.offer(j, mat.DotUnrolled(w, m.U2.Row(j)), n)
-		}
-	}
-
-	// Drain the heap worst-first into the tail of the result slice.
-	out := make([]Recommendation, len(s.heap.pois))
-	for len(s.heap.pois) > 0 {
-		last := len(s.heap.pois) - 1
-		out[last] = Recommendation{POI: s.heap.pois[0], Score: s.heap.scores[0]}
-		s.heap.swap(0, last)
-		s.heap.pois = s.heap.pois[:last]
-		s.heap.scores = s.heap.scores[:last]
-		s.heap.down(0)
-	}
-	return out
+	return s.batch.heaps[0].drain()
 }
 
 // TopN returns the n highest-scoring POIs for user i at time unit k,

@@ -145,9 +145,9 @@ func TestTopNScratchZeroOutAndEdgeCases(t *testing.T) {
 }
 
 func TestTopNScratchReuseAcrossCalls(t *testing.T) {
-	// The same scratch must give identical answers call after call (stamp
-	// rollover of the skip bitmap, heap reset), including when the skip set
-	// changes between calls.
+	// The same scratch must give identical answers call after call (skip
+	// cursor and heap reset), including when the skip set changes between
+	// calls.
 	m := randomRecModel(3, 30, 3, 5, 4)
 	s := NewRecScratch(m)
 	first := m.TopNScratch(1, 2, 8, []int{0, 1, 2}, s)
@@ -206,17 +206,53 @@ func BenchmarkTopNAlloc(b *testing.B) {
 	}
 }
 
-// BenchmarkTopNScratch is the serving path: reused buffers, slice skip set.
-func BenchmarkTopNScratch(b *testing.B) {
-	m := randomRecModel(64, 800, 12, 10, 7)
-	var skip []int
-	for j := 0; j < 20; j++ {
-		skip = append(skip, j*7%m.J)
+// scanBenchModels is the catalogue of the j128k scan benchmarks: the bench
+// module's node-scan shape (J = 131 072, rank 10, synthetic fill, no side
+// information) in each storage mode.
+func scanBenchModels(b *testing.B) map[StorageMode]*Model {
+	b.Helper()
+	base := randomRecModel(2048, 131072, 12, 10, 8)
+	models := map[StorageMode]*Model{StorageFloat64: base}
+	for _, mode := range []StorageMode{StorageFloat32, StorageInt8} {
+		m, err := base.ToStorage(mode)
+		if err != nil {
+			b.Fatal(err)
+		}
+		models[mode] = m
 	}
-	s := NewRecScratch(m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.TopNScratch(i%m.I, i%m.K, 10, skip, s)
+	return models
+}
+
+var scanBenchModes = []StorageMode{StorageFloat64, StorageFloat32, StorageInt8}
+
+// BenchmarkTopNScratch is the serving path: reused buffers, slice skip set.
+// j800 is the trained-preset scale; the j128k runs are the uncached recommend
+// the bench module's node-scan workload and core.topn_ms.j128k* probes time.
+func BenchmarkTopNScratch(b *testing.B) {
+	b.Run("j800", func(b *testing.B) {
+		m := randomRecModel(64, 800, 12, 10, 7)
+		var skip []int
+		for j := 0; j < 20; j++ {
+			skip = append(skip, j*7%m.J)
+		}
+		s := NewRecScratch(m)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.TopNScratch(i%m.I, i%m.K, 10, skip, s)
+		}
+	})
+	models := scanBenchModels(b)
+	for _, mode := range scanBenchModes {
+		m := models[mode]
+		b.Run("j128k/"+mode.String(), func(b *testing.B) {
+			s := NewRecScratch(m)
+			m.TopNScratch(0, 0, 10, nil, s) // fault the slab in
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.TopNScratch(i*7%m.I, i%m.K, 10, nil, s)
+			}
+		})
 	}
 }

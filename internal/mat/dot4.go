@@ -3,16 +3,21 @@ package mat
 import "fmt"
 
 // Elem covers the factor-slab element types: float64 factors and the compact
-// float32/int8 storage modes. Non-float64 elements are widened to float64
-// inside the kernels, exactly like DotF32Unrolled and DotI8Unrolled.
+// float32/int8 storage modes (core.StorageFloat32 / core.StorageInt8).
+// Non-float64 elements are widened to float64 inside the kernels, so a
+// compact scoring path differs from the float64 one only by the storage
+// rounding of the row operand, never by summation order.
 type Elem interface {
 	~float64 | ~float32 | ~int8
 }
 
-// DotWiden is the generic single-vector counterpart of Dot4: the same
-// algorithm as DotUnrolled / DotF32Unrolled / DotI8Unrolled (four-lane
-// unroll, tail into lane 0, reduction (s0+s1)+(s2+s3)), so its result is
-// bit-identical to the typed kernel for the same element type.
+// DotWiden is the mixed-precision inner product of the compact storage modes
+// and the single-vector counterpart of Dot4: a float64 weight vector against
+// a float64, float32 or int8 row, accumulating in float64 with DotUnrolled's
+// algorithm (four-lane unroll, tail into lane 0, reduction (s0+s1)+(s2+s3)),
+// so DotWiden[float64] is bit-identical to DotUnrolled. int8 callers multiply
+// the result by the row's dequantization scale; factoring the scale out of
+// the loop keeps the kernel a pure dot product.
 func DotWiden[E Elem](a []float64, b []E) float64 {
 	n := len(a)
 	if n != len(b) {
@@ -34,10 +39,9 @@ func DotWiden[E Elem](a []float64, b []E) float64 {
 
 // Dot4 computes four inner products against one shared row, loading each row
 // element once — the register-reuse win that only a batched caller can have:
-// four separate Dot*Unrolled calls reload the row three times over and pay
-// the call overhead four times. Lane k accumulates wk[i]·row[i] in exactly
-// the Dot*Unrolled order (four-lane unroll, tail into lane 0, reduction
-// (s0+s1)+(s2+s3)), so dk is bit-identical to Dot*Unrolled(wk, row).
+// four separate DotWiden calls reload the row three times over and pay the
+// call overhead four times. Lane k accumulates wk[i]·row[i] in exactly
+// DotWiden's order, so dk is bit-identical to DotWiden(wk, row).
 func Dot4[E Elem](w0, w1, w2, w3 []float64, row []E) (d0, d1, d2, d3 float64) {
 	n := len(row)
 	if len(w0) != n || len(w1) != n || len(w2) != n || len(w3) != n {

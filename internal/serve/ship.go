@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 
 	"tcss/internal/core"
@@ -114,6 +115,13 @@ func DecodeShipment(data []byte, dist *geo.DistanceMatrix) (*core.Model, *core.S
 	if len(shipped.OwnPOIs) != model.I || len(shipped.FriendPOIs) != model.I || len(shipped.EntropyW) != model.J {
 		return nil, nil, 0, fmt.Errorf("serve: shipped side info shape (%d users, %d POIs) does not match model %dx%d",
 			len(shipped.OwnPOIs), len(shipped.EntropyW), model.I, model.J)
+	}
+	// The scoring kernel walks each own-POI list with a cursor and panics on
+	// an unsorted one; a shipment is outside input, so refuse it here.
+	for u, own := range shipped.OwnPOIs {
+		if !sort.IntsAreSorted(own) {
+			return nil, nil, 0, fmt.Errorf("serve: shipped own-POI list of user %d is not sorted ascending", u)
+		}
 	}
 	var pts []geo.Point
 	if len(shipped.Lats) == model.J && len(shipped.Lons) == model.J {

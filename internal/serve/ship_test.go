@@ -80,6 +80,23 @@ func TestShipmentCorruptionRejected(t *testing.T) {
 	}
 }
 
+// TestShipmentUnsortedOwnPOIsRejected: the scan panics on an unsorted skip
+// list, so a shipment carrying one must fail to decode instead of being
+// published and taking the replica's recommend path down with it.
+func TestShipmentUnsortedOwnPOIsRejected(t *testing.T) {
+	snap, _ := shipTestSnapshot(t)
+	side := *snap.Side
+	side.OwnPOIs = append([][]int(nil), side.OwnPOIs...)
+	side.OwnPOIs[3] = []int{9, 2, 5}
+	wire, err := EncodeShipment(&Snapshot{Gen: snap.Gen, Model: snap.Model, Side: &side})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := DecodeShipment(wire, side.Dist); err == nil || !strings.Contains(err.Error(), "user 3") {
+		t.Fatalf("unsorted own-POI list decoded: err = %v", err)
+	}
+}
+
 func TestServeSnapshotBin(t *testing.T) {
 	srv, hs := newTestServer(t, Options{})
 	cur := srv.snap.load()

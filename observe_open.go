@@ -144,7 +144,15 @@ func (r *Recommender) ObserveOpen(batch ObserveBatch, cfg OnlineConfig) (int, er
 		return 0, err
 	}
 
-	side, err := core.GrowSideInfo(r.Side, ds.Social, dist, train, entries)
+	// Decay (DecayScale inside UpdateOnline) drops cells of arbitrary users
+	// and POIs, so the batch's entries no longer bound the dirty rows: rebuild
+	// everything, as Observe does.
+	var side *core.SideInfo
+	if cfg.DecayHalfLife > 0 {
+		side, err = core.BuildSideInfo(ds.Social, dist, train)
+	} else {
+		side, err = core.GrowSideInfo(r.Side, ds.Social, dist, train, entries)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("%w: growing side info: %v", ErrObserveReverted, err)
 	}

@@ -2,6 +2,7 @@ package tcss
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"tcss/internal/core"
@@ -137,6 +138,49 @@ func TestObserveOpenDeterministic(t *testing.T) {
 	for i := range a.U1.Data {
 		if a.U1.Data[i] != b.U1.Data[i] {
 			t.Fatal("ObserveOpen is not bit-deterministic under identical seeds")
+		}
+	}
+}
+
+// TestObserveOpenGrowthWithDecayRefreshesSideInfo: under a decay half-life
+// UpdateOnline drops decayed cells of arbitrary users and POIs, so a growth
+// batch must leave the side information equal to a full rebuild from the
+// decayed tensor — not just the batch's own rows refreshed.
+func TestObserveOpenGrowthWithDecayRefreshesSideInfo(t *testing.T) {
+	ds := smallDataset(t, 24)
+	cfg := quickConfig()
+	cfg.Epochs = 3
+	rec, err := Fit(ds, Month, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rec.Train.NNZ()
+	ocfg := DefaultOnlineConfig()
+	ocfg.Epochs = 2
+	ocfg.DecayHalfLife = 0.2 // one step scales by 2^-5, under the 0.05 floor
+	newUser := rec.Model.I
+	if _, err := rec.ObserveOpen(ObserveBatch{
+		NewUsers: []lbsn.NewUser{{ID: newUser, Friends: []int{0, 1}}},
+		CheckIns: []lbsn.CheckIn{{User: newUser, POI: 3, Month: 4, Week: 18, Hour: 12}},
+	}, ocfg); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Train.NNZ() >= before {
+		t.Fatalf("decay dropped nothing (%d -> %d cells); the test needs forgotten check-ins", before, rec.Train.NNZ())
+	}
+	want, err := core.BuildSideInfo(rec.Dataset.Social, rec.Dataset.Distances(), rec.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rec.Side.EntropyW, want.EntropyW) {
+		t.Fatal("entropy weights still count forgotten check-ins")
+	}
+	for i := range want.OwnPOIs {
+		if !slices.Equal(rec.Side.OwnPOIs[i], want.OwnPOIs[i]) {
+			t.Fatalf("user %d own POIs %v, rebuilt from the decayed tensor %v", i, rec.Side.OwnPOIs[i], want.OwnPOIs[i])
+		}
+		if !slices.Equal(rec.Side.FriendPOIs[i], want.FriendPOIs[i]) {
+			t.Fatalf("user %d friend POIs %v, rebuilt from the decayed tensor %v", i, rec.Side.FriendPOIs[i], want.FriendPOIs[i])
 		}
 	}
 }
