@@ -1,14 +1,13 @@
 GO ?= go
 
-# Kernel micro-benchmarks whose before/after numbers are tracked in
-# BENCH_PR1.json. The experiment benchmarks (BenchmarkTable*, BenchmarkFig*)
-# are much slower and run via `make bench-all`.
+# Kernel micro-benchmarks for measuring while you work. The experiment
+# benchmarks (BenchmarkTable*, BenchmarkFig*) are much slower and run via
+# `make bench-all`; the repository's benchmark is `make benchmark`.
 KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkMulBlocked|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)'
 
-.PHONY: build test race vet bench bench-all bench-test check gradcheck fuzz golden-update \
-	serve loadgen serve-bench serve-smoke resume-smoke crash-smoke bench-pr4 \
-	quant-smoke bench-pr6 cluster-smoke bench-pr7 ab-smoke drift-smoke bench-pr9 \
-	chaos-smoke
+.PHONY: build test race vet bench bench-all bench-test benchmark check gradcheck fuzz \
+	golden-update serve loadgen serve-smoke resume-smoke crash-smoke quant-smoke \
+	cluster-smoke ab-smoke drift-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -24,9 +23,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Kernel benchmarks; raw output lands in bench_kernels.txt for updating
-# BENCH_PR1.json by hand (the JSON also records machine context and the
-# before-numbers, which a fresh run cannot reproduce).
+# Kernel benchmarks; raw output lands in bench_kernels.txt.
 bench:
 	$(GO) test -run '^$$' -bench $(KERNEL_BENCH) -benchmem -benchtime=1x -count=1 . ./internal/core | tee bench_kernels.txt
 	@# One cold call says little about a 1 ms scan: repeat the J = 131 072
@@ -35,6 +32,13 @@ bench:
 
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=1x -count=1 .
+
+# The repository's benchmark (BENCHMARK.json, bench/README.md): four
+# fixed-work workloads, six end-to-end metrics each, one process per workload.
+# For one workload, or its per-layer rows, run the script directly, e.g.
+# `bash bench/run.sh -workload cluster-hot -seed 1 -trace 1`.
+benchmark:
+	bash bench/run.sh -all
 
 # The benchmark module's own tests (smoke of every workload at 1/200 scale,
 # goldens, BENCHMARK.json kept in step). bench/ has its own go.mod, so
@@ -56,6 +60,11 @@ fuzz:
 	for t in FuzzCOOInvariants FuzzScoreSlabVsPredict FuzzHausdorffSymmetry; do \
 		$(GO) test -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) ./internal/check || exit 1; \
 	done
+	@# The wire decoders every process trusts, and the node's observe validation.
+	for t in FuzzDeadlineBudget FuzzObserveDecode; do \
+		$(GO) test -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) ./internal/wire || exit 1; \
+	done
+	$(GO) test -run '^$$' -fuzz FuzzObserveValidate -fuzztime $(FUZZTIME) ./internal/serve
 
 # Re-record the golden trajectories after an INTENDED change to training math.
 golden-update:
@@ -71,12 +80,6 @@ serve:
 LOADGEN_FLAGS ?=
 loadgen:
 	$(GO) run ./cmd/loadgen $(LOADGEN_FLAGS)
-
-# The PR 3 serving benchmark: closed-loop load against a self-hosted gowalla
-# server with a trickle of observe writes; results land in BENCH_PR3.json.
-serve-bench:
-	$(GO) run ./cmd/loadgen -preset gowalla -conns 8 -duration 10s \
-		-observe-frac 0.001 -out BENCH_PR3.json
 
 # Quick CI smoke: a short low-load run on the small preset, discarding output.
 serve-smoke:
@@ -149,9 +152,7 @@ quant-smoke:
 # STRNN sequential model in one process, serve with a 50/50 deterministic A/B
 # user split and STRNN shadow scoring, and drive a mixed recommend + next-POI
 # workload over HTTP. Loadgen exits nonzero unless both models served traffic
-# and off-path shadow scorings completed with a sane agreement fraction. The
-# report (per-model client p99s, per-model server metrics, shadow agreement)
-# is the basis of BENCH_PR8.json.
+# and off-path shadow scorings completed with a sane agreement fraction.
 AB_DIR ?= /tmp/tcss_ab_smoke
 AB_ADDR ?= 127.0.0.1:18094
 ab-smoke:
@@ -206,26 +207,6 @@ drift-smoke:
 		|| { echo "drift-smoke: model never grew (grown users=$$gu pois=$$gp)"; exit 1; }
 	@echo "drift-smoke: 2-week drift stream grew the model through /v1/observe, replay OK"
 
-# The PR 9 open-world benchmark: an 8-week drift replay on the small preset
-# with warm growth-init vs the random-init ablation; the trajectory document
-# lands in BENCH_PR9.json (cold-start NDCG@10 must favor warm).
-bench-pr9:
-	$(GO) run ./cmd/tcss replay -preset gmu-5k -weeks 8 -new-users 6 \
-		-epochs 40 -online-epochs 2 -compare-random -out BENCH_PR9.json
-
-# The PR 6 compact-serving benchmark: the TopN batch-vs-scratch kernel
-# comparison, then HTTP-level closed-loop runs with the response cache off —
-# coalescing off vs on — at a rank where slab traffic dominates. Numbers are
-# recorded in BENCH_PR6.json by hand (the JSON also keeps storage footprints
-# and the machine context).
-bench-pr6:
-	$(GO) test -run '^$$' -bench 'BenchmarkTopN(Scratch|Batch)' \
-		-benchmem -benchtime=3x -count=1 ./internal/core
-	$(GO) run ./cmd/loadgen -preset gowalla -rank 12 -conns 16 -duration 8s \
-		-observe-frac 0 -no-cache -out /tmp/bench_pr6_base.json
-	$(GO) run ./cmd/loadgen -preset gowalla -rank 12 -conns 16 -duration 8s \
-		-observe-frac 0 -no-cache -coalesce -out /tmp/bench_pr6_coalesce.json
-
 # Cluster serving end-to-end smoke: spawn a 4-shard × 2-replica local
 # cluster on a 1M-user deterministic synthetic model behind a tcssgw
 # gateway, drive a verified closed-loop burst (every recommend response is
@@ -246,18 +227,5 @@ cluster-smoke:
 # answer. Scale with e.g. CHAOS_SMOKE_DURATION=4s.
 chaos-smoke:
 	bash scripts/chaos_smoke.sh
-
-# The PR 7 cluster-serving benchmark: the same 4×2 spawned cluster driven
-# through the gateway with verification on; numbers recorded in
-# BENCH_PR7.json by hand alongside the single-node PR 3/PR 6 baselines.
-bench-pr7:
-	CLUSTER_SMOKE_DURATION=10s CLUSTER_SMOKE_OUT=/tmp/bench_pr7_cluster.json \
-		bash scripts/cluster_smoke.sh
-
-# The PR 4 serving-freshness comparison (warm-start Observe vs retrain);
-# numbers recorded in BENCH_PR4.json.
-bench-pr4:
-	$(GO) test -run '^$$' -bench 'BenchmarkObserve(WarmStart|Retrain)' \
-		-benchmem -benchtime=3x -count=1 .
 
 check: build vet test bench-test race gradcheck fuzz

@@ -289,7 +289,7 @@ func BenchmarkDatasetGeneration(b *testing.B) {
 	}
 }
 
-// The PR 4 serving-freshness benchmarks (BENCH_PR4.json): keeping a served
+// The PR 4 serving-freshness benchmarks: keeping a served
 // model current via the engine's warm-start online update (what
 // Recommender.Observe does) versus the pre-engine alternative of retraining
 // from scratch on the grown tensor. Both report epochs/sec so the comparison

@@ -40,6 +40,7 @@ import (
 	"tcss/internal/lbsn"
 	"tcss/internal/replay"
 	"tcss/internal/serve"
+	"tcss/internal/wire"
 )
 
 type options struct {
@@ -113,7 +114,7 @@ func main() {
 	flag.IntVar(&o.times, "times", 0, "time unit range for -url mode (ignored when self-hosting)")
 	flag.IntVar(&o.retries, "retries", 3, "max retries per request on 503, 504 and transport errors (0 disables)")
 	flag.DurationVar(&o.retryCap, "retry-cap", 500*time.Millisecond, "ceiling on per-retry backoff (Retry-After is clamped to this)")
-	flag.StringVar(&o.out, "out", "BENCH_PR3.json", "output JSON path")
+	flag.StringVar(&o.out, "out", "loadgen.json", "output JSON path")
 	flag.StringVar(&o.storage, "storage", "", "self-host factor storage: f64 (default), f32, int8")
 	flag.BoolVar(&o.coalesce, "coalesce", false, "self-host with request coalescing (batched slab scoring)")
 	flag.DurationVar(&o.coalesceWin, "coalesce-window", 0, "coalescing window (0 = server default 200µs)")
@@ -561,15 +562,13 @@ func runOpenLoop(o options, base string, client *http.Client, results chan<- sam
 // otherwise a recommend query with uniform random user and time unit.
 func issue(o options, base string, client *http.Client, rng *rand.Rand) sample {
 	if rng.Float64() < o.observeFrac {
-		body, _ := json.Marshal(map[string]any{
-			"checkins": []map[string]int{{
-				"user":  rng.Intn(o.users),
-				"poi":   rng.Intn(o.pois),
-				"month": rng.Intn(12),
-				"week":  rng.Intn(53),
-				"hour":  rng.Intn(24),
-			}},
-		})
+		body, _ := json.Marshal(wire.ObserveRequest{CheckIns: []wire.CheckIn{{
+			User:  rng.Intn(o.users),
+			POI:   rng.Intn(o.pois),
+			Month: rng.Intn(12),
+			Week:  rng.Intn(53),
+			Hour:  rng.Intn(24),
+		}}})
 		s := timed(o, rng, func() (*http.Response, error) {
 			return client.Post(base+"/v1/observe", "application/json", bytes.NewReader(body))
 		})
@@ -598,11 +597,11 @@ func issueNext(o options, base string, client *http.Client, rng *rand.Rand) samp
 		ts[i] = rng.Intn(o.times)
 	}
 	sort.Ints(ts)
-	checkins := make([]map[string]int, seqLen)
+	checkins := make([]wire.NextCheckIn, seqLen)
 	for i := range checkins {
-		checkins[i] = map[string]int{"poi": rng.Intn(o.pois), "t": ts[i]}
+		checkins[i] = wire.NextCheckIn{POI: rng.Intn(o.pois), T: ts[i]}
 	}
-	body, _ := json.Marshal(map[string]any{"checkins": checkins})
+	body, _ := json.Marshal(wire.NextRequest{CheckIns: checkins})
 	url := fmt.Sprintf("%s/v1/next?user=%d&n=%d", base, rng.Intn(o.users), o.topN)
 	s := timed(o, rng, func() (*http.Response, error) {
 		return client.Post(url, "application/json", bytes.NewReader(body))
@@ -641,12 +640,7 @@ func newVerifier(o options) (*verifier, error) {
 }
 
 func (v *verifier) check(user, t, n int, body []byte) {
-	var resp struct {
-		Results []struct {
-			POI   int     `json:"poi"`
-			Score float64 `json:"score"`
-		} `json:"results"`
-	}
+	var resp wire.ReadResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		v.record(fmt.Sprintf("user=%d t=%d: decoding response: %v", user, t, err))
 		return
@@ -696,9 +690,9 @@ func timed(o options, rng *rand.Rand, send func() (*http.Response, error)) sampl
 			s.status, s.cacheHit, s.model, s.body = 0, false, "", nil
 		} else {
 			s.status = resp.StatusCode
-			s.cacheHit = resp.Header.Get("X-Cache") == "HIT"
-			s.model = resp.Header.Get("X-Model")
-			retryAfter = resp.Header.Get("Retry-After")
+			s.cacheHit = resp.Header.Get(wire.CacheHeader) == "HIT"
+			s.model = resp.Header.Get(wire.ModelHeader)
+			retryAfter = resp.Header.Get(wire.RetryAfterHeader)
 			var berr error
 			if o.ver != nil {
 				s.body, berr = io.ReadAll(resp.Body)
@@ -842,7 +836,7 @@ func (a *aggregate) perModel(model string) *modelAgg {
 	return m
 }
 
-// benchReport is the BENCH_PR3.json document.
+// benchReport is the JSON document written to -out.
 type benchReport struct {
 	Config struct {
 		Target      string  `json:"target"`

@@ -21,7 +21,7 @@
 // The replay subcommand evaluates open-world continuous learning by feeding
 // a streaming drift scenario through the online observe path week by week:
 //
-//	tcss replay -preset gmu-5k -weeks 6 -compare-random -out BENCH_PR9.json
+//	tcss replay -preset gmu-5k -weeks 6 -compare-random -out replay.json
 //	tcss replay -preset gmu-5k -weeks 2 -url http://127.0.0.1:8080
 package main
 

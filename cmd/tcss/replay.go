@@ -75,7 +75,7 @@ type replayOpts struct {
 	out                          string
 }
 
-// replayDoc is the JSON document -out writes (the shape BENCH_PR9.json pins).
+// replayDoc is the JSON document -out writes.
 type replayDoc struct {
 	Bench  string `json:"bench"`
 	Config struct {

@@ -487,3 +487,23 @@ func TestTenIntSocialWeightEffect(t *testing.T) {
 		t.Fatal("stronger social weight must shrink friend factor distances")
 	}
 }
+
+// TestScoreIsSafeAcrossRankingWorkers ranks every fitted baseline with one
+// worker and with four and demands the identical eval.Result. Its real job is
+// under -race (make race): eval.RankWorkers calls Score from several
+// goroutines at once, so a Score that writes shared model state — as the
+// neural baselines did through nn.MLP.Forward's activation cache — fails here.
+func TestScoreIsSafeAcrossRankingWorkers(t *testing.T) {
+	fx := newFixture(5)
+	cfg := eval.Config{Negatives: 11, TopK: 3, Seed: 9}
+	for _, m := range Registry() {
+		if err := m.Fit(fx.ctx); err != nil {
+			t.Fatalf("%s: Fit: %v", m.Name(), err)
+		}
+		one := eval.RankWorkers(m, fx.test, fx.ctx.Train.DimJ, cfg, 1)
+		four := eval.RankWorkers(m, fx.test, fx.ctx.Train.DimJ, cfg, 4)
+		if one != four {
+			t.Errorf("%s: Workers 1 ranked %+v, Workers 4 ranked %+v", m.Name(), one, four)
+		}
+	}
+}

@@ -123,6 +123,15 @@ type costcoCache struct {
 }
 
 func (c *CoSTCo) forward(i, j, k int) *costcoCache {
+	cc := c.convs(i, j, k)
+	cc.logit = c.head.Forward(cc.headIn)[0]
+	return cc
+}
+
+// convs runs the two convolutions, leaving the head to the caller: training
+// uses head.Forward (a Backward follows), Score uses head.Infer because it
+// runs on several ranking workers at once.
+func (c *CoSTCo) convs(i, j, k int) *costcoCache {
 	r, ch := c.rank, c.Channels
 	cc := &costcoCache{
 		stack: make([]float64, 3*r),
@@ -163,7 +172,6 @@ func (c *CoSTCo) forward(i, j, k int) *costcoCache {
 		}
 	}
 	cc.headIn = cc.out2
-	cc.logit = c.head.Forward(cc.headIn)[0]
 	return cc
 }
 
@@ -222,5 +230,5 @@ func (c *CoSTCo) Score(i, j, k int) float64 {
 	if !c.fit {
 		panic("baselines: CoSTCo.Score before Fit")
 	}
-	return nn.SigmoidF(c.forward(i, j, k).logit)
+	return nn.SigmoidF(c.head.Infer(c.convs(i, j, k).headIn)[0])
 }

@@ -81,6 +81,13 @@ func (n *NCF) layers() []nn.Layer {
 // forward runs the two paths and returns the pre-sigmoid logit plus the
 // intermediates needed for backprop.
 func (n *NCF) forward(i, j, k int) (logit float64, gmf, mlpIn, mlpOut, fuseIn []float64) {
+	return n.pass(i, j, k, n.mlp.Forward)
+}
+
+// pass is forward with the MLP pass to use made explicit: n.mlp.Forward when
+// a Backward follows, n.mlp.Infer when scoring — Score runs on several
+// ranking workers at once and must not record activations in the shared MLP.
+func (n *NCF) pass(i, j, k int, mlp func([]float64) []float64) (logit float64, gmf, mlpIn, mlpOut, fuseIn []float64) {
 	r := n.rank
 	eu, ej, ek := n.embGMF[0].Lookup(i), n.embGMF[1].Lookup(j), n.embGMF[2].Lookup(k)
 	gmf = make([]float64, r)
@@ -91,7 +98,7 @@ func (n *NCF) forward(i, j, k int) (logit float64, gmf, mlpIn, mlpOut, fuseIn []
 	copy(mlpIn, n.embMLP[0].Lookup(i))
 	copy(mlpIn[r:], n.embMLP[1].Lookup(j))
 	copy(mlpIn[2*r:], n.embMLP[2].Lookup(k))
-	mlpOut = n.mlp.Forward(mlpIn)
+	mlpOut = mlp(mlpIn)
 	fuseIn = make([]float64, 2*r)
 	copy(fuseIn, gmf)
 	copy(fuseIn[r:], mlpOut)
@@ -133,7 +140,7 @@ func (n *NCF) Score(i, j, k int) float64 {
 	if !n.fit {
 		panic("baselines: NCF.Score before Fit")
 	}
-	logit, _, _, _, _ := n.forward(i, j, k)
+	logit, _, _, _, _ := n.pass(i, j, k, n.mlp.Infer)
 	return nn.SigmoidF(logit)
 }
 
@@ -222,7 +229,7 @@ func (n *NTM) Score(i, j, k int) float64 {
 		panic("baselines: NTM.Score before Fit")
 	}
 	prod := n.product(i, j, k)
-	return nn.SigmoidF(n.w.Forward(prod)[0] + n.mlp.Forward(prod)[0])
+	return nn.SigmoidF(n.w.Forward(prod)[0] + n.mlp.Infer(prod)[0])
 }
 
 // logLoss is the numerically stable binary cross-entropy reported per

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tcss/internal/wire"
 )
 
 // ShardSet names one shard and its endpoints: the writable primary plus zero
@@ -27,7 +29,7 @@ type ShardSet struct {
 // that hop may spend; serve-side admission clamps its per-request timeout to
 // it, so a backend never keeps working on a request whose gateway-side
 // deadline has already passed.
-const DeadlineBudgetHeader = "X-Deadline-Budget"
+const DeadlineBudgetHeader = wire.DeadlineBudgetHeader
 
 // GatewayOptions tunes the gateway; the zero value is production-ready.
 type GatewayOptions struct {
@@ -116,19 +118,13 @@ func (b *retryBudget) allow(now time.Time) bool {
 // to every endpoint and merge. It holds no model state — only the ring and
 // the endpoint table — so any number of gateways can front the same cluster.
 type Gateway struct {
-	ring       *Ring
-	sets       []ShardSet
-	byName     map[string]*ShardSet
-	client     *http.Client
-	cooldown   time.Duration
-	readBudget time.Duration
-	perTry     time.Duration
-	hedge      bool
-	hedgeDelay time.Duration
-	now        func() time.Time
-	mux        *http.ServeMux
-	met        gatewayMetrics
-	retry      retryBudget
+	ring   *Ring
+	sets   []ShardSet
+	byName map[string]*ShardSet
+	opts   GatewayOptions // every zero field replaced by its documented default
+	mux    *http.ServeMux
+	met    gatewayMetrics
+	retry  retryBudget
 
 	mu   sync.Mutex
 	down map[string]time.Time // endpoint base URL -> retry-after instant
@@ -150,49 +146,41 @@ func NewGateway(sets []ShardSet, opts GatewayOptions) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
+	if opts.Client == nil {
+		opts.Client = http.DefaultClient
+	}
+	if opts.DownCooldown <= 0 {
+		opts.DownCooldown = 2 * time.Second
+	}
+	if opts.ReadBudget <= 0 {
+		opts.ReadBudget = 2 * time.Second
+	}
+	if opts.PerTryTimeout <= 0 {
+		opts.PerTryTimeout = time.Second
+	}
+	if opts.HedgeDelay <= 0 {
+		opts.HedgeDelay = 30 * time.Millisecond
+	}
+	if opts.RetryRate <= 0 {
+		opts.RetryRate = 10
+	}
+	if opts.RetryBurst <= 0 {
+		opts.RetryBurst = 20
+	}
+	if opts.Now == nil {
+		opts.Now = time.Now
+	}
 	g := &Gateway{
-		ring:       ring,
-		sets:       append([]ShardSet(nil), sets...),
-		byName:     make(map[string]*ShardSet, len(sets)),
-		client:     opts.Client,
-		cooldown:   opts.DownCooldown,
-		readBudget: opts.ReadBudget,
-		perTry:     opts.PerTryTimeout,
-		hedge:      opts.Hedge,
-		hedgeDelay: opts.HedgeDelay,
-		now:        opts.Now,
-		down:       make(map[string]time.Time),
-		gens:       make(map[string]uint64),
+		ring:   ring,
+		sets:   append([]ShardSet(nil), sets...),
+		byName: make(map[string]*ShardSet, len(sets)),
+		opts:   opts,
+		retry:  retryBudget{tokens: opts.RetryBurst, burst: opts.RetryBurst, rate: opts.RetryRate},
+		down:   make(map[string]time.Time),
+		gens:   make(map[string]uint64),
 	}
 	for i := range g.sets {
 		g.byName[g.sets[i].Name] = &g.sets[i]
-	}
-	if g.client == nil {
-		g.client = http.DefaultClient
-	}
-	if g.cooldown <= 0 {
-		g.cooldown = 2 * time.Second
-	}
-	if g.readBudget <= 0 {
-		g.readBudget = 2 * time.Second
-	}
-	if g.perTry <= 0 {
-		g.perTry = time.Second
-	}
-	if g.hedgeDelay <= 0 {
-		g.hedgeDelay = 30 * time.Millisecond
-	}
-	g.retry.rate = opts.RetryRate
-	g.retry.burst = opts.RetryBurst
-	if g.retry.rate <= 0 {
-		g.retry.rate = 10
-	}
-	if g.retry.burst <= 0 {
-		g.retry.burst = 20
-	}
-	g.retry.tokens = g.retry.burst
-	if g.now == nil {
-		g.now = time.Now
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/recommend", g.serveRead)
@@ -211,14 +199,10 @@ func (g *Gateway) Ring() *Ring { return g.ring }
 // Handler returns the gateway's HTTP handler.
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
-type gwError struct {
-	Error string `json:"error"`
-}
-
 func (g *Gateway) writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(gwError{Error: fmt.Sprintf(format, args...)})
+	json.NewEncoder(w).Encode(wire.Error{Error: fmt.Sprintf(format, args...)})
 }
 
 // markDown records an endpoint failure; the endpoint is deprioritized until
@@ -226,14 +210,14 @@ func (g *Gateway) writeError(w http.ResponseWriter, status int, format string, a
 // stays bounded by the live endpoint count across long deployments with
 // churning endpoints.
 func (g *Gateway) markDown(endpoint string) {
-	now := g.now()
+	now := g.opts.Now()
 	g.mu.Lock()
 	for ep, until := range g.down {
 		if !now.Before(until) {
 			delete(g.down, ep)
 		}
 	}
-	g.down[endpoint] = now.Add(g.cooldown)
+	g.down[endpoint] = now.Add(g.opts.DownCooldown)
 	g.mu.Unlock()
 }
 
@@ -243,7 +227,7 @@ func (g *Gateway) isDown(endpoint string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	until, ok := g.down[endpoint]
-	if ok && !g.now().Before(until) {
+	if ok && !g.opts.Now().Before(until) {
 		delete(g.down, endpoint)
 		return false
 	}
@@ -314,15 +298,13 @@ func retriable(status int) bool {
 // X-Deadline-Budget header when present and sane, else the configured
 // ReadBudget default.
 func (g *Gateway) budgetFor(r *http.Request) time.Duration {
-	if raw := r.Header.Get(DeadlineBudgetHeader); raw != "" {
-		if ms, err := strconv.ParseInt(raw, 10, 64); err == nil && ms > 0 {
-			return time.Duration(ms) * time.Millisecond
-		}
+	if budget, ok := wire.ParseDeadlineBudget(r.Header.Get(DeadlineBudgetHeader)); ok {
+		return budget
 	}
-	return g.readBudget
+	return g.opts.ReadBudget
 }
 
-// backendResp is one candidate's fully buffered answer. Buffering before
+// backendResp is one backend's fully buffered answer. Buffering before
 // declaring success means a torn response body (truncated mid-stream, length
 // mismatch) surfaces as a retriable attempt error instead of partial bytes
 // leaking to the client as a 200.
@@ -332,56 +314,56 @@ type backendResp struct {
 	body   []byte
 }
 
-// attempt issues one backend hop: the per-hop timeout is the remaining budget
-// clamped to PerTryTimeout, stamped onto the hop's X-Deadline-Budget header
-// so serve-side admission stops working on it when the gateway gives up.
-func (g *Gateway) attempt(ctx context.Context, ep, method, uri string, body []byte, remaining time.Duration) (*backendResp, error) {
-	hop := remaining
-	if hop > g.perTry {
-		hop = g.perTry
-	}
-	actx, cancel := context.WithTimeout(ctx, hop)
+// roundTrip issues one backend request under timeout — stamped onto the hop's
+// X-Deadline-Budget header so serve-side admission stops working on it when
+// the gateway gives up — and buffers the whole response.
+func (g *Gateway) roundTrip(ctx context.Context, method, url string, body []byte, timeout time.Duration) (*backendResp, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var reqBody io.Reader
 	if body != nil {
 		reqBody = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(actx, method, ep+uri, reqBody)
+	req, err := http.NewRequestWithContext(ctx, method, url, reqBody)
 	if err != nil {
 		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set(DeadlineBudgetHeader, strconv.FormatInt(hop.Milliseconds(), 10))
-	resp, err := g.client.Do(req)
+	req.Header.Set(DeadlineBudgetHeader, wire.FormatDeadlineBudget(timeout))
+	resp, err := g.opts.Client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, fmt.Errorf("reading body from %s: %w", ep, err)
+		return nil, fmt.Errorf("reading body from %s: %w", url, err)
 	}
 	return &backendResp{status: resp.StatusCode, header: resp.Header, body: raw}, nil
+}
+
+// attempt is one read hop: the remaining budget clamped to PerTryTimeout, so
+// a hung endpoint costs one hop, not the whole budget.
+func (g *Gateway) attempt(ctx context.Context, ep, method, uri string, body []byte, remaining time.Duration) (*backendResp, error) {
+	return g.roundTrip(ctx, method, ep+uri, body, min(remaining, g.opts.PerTryTimeout))
 }
 
 // writeBackend relays a buffered backend response to the client byte-exact,
 // tagged with the shard and winning endpoint, and records the endpoint's
 // reported generation for the freshness preference.
 func (g *Gateway) writeBackend(w http.ResponseWriter, shard, ep string, resp *backendResp) {
-	if genStr := resp.header.Get("X-Generation"); genStr != "" {
-		if gen, err := strconv.ParseUint(genStr, 10, 64); err == nil {
-			g.noteGen(ep, gen)
-		}
+	if gen, err := strconv.ParseUint(resp.header.Get(wire.GenerationHeader), 10, 64); err == nil {
+		g.noteGen(ep, gen)
 	}
-	for _, h := range []string{"Content-Type", "X-Cache", "X-Model", "X-Generation", "Retry-After"} {
+	for _, h := range []string{"Content-Type", wire.CacheHeader, wire.ModelHeader, wire.GenerationHeader, wire.RetryAfterHeader} {
 		if v := resp.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
-	w.Header().Set("X-Shard", shard)
-	w.Header().Set("X-Backend", ep)
+	w.Header().Set(wire.ShardHeader, shard)
+	w.Header().Set(wire.BackendHeader, ep)
 	w.WriteHeader(resp.status)
 	w.Write(resp.body)
 }
@@ -392,14 +374,51 @@ func (g *Gateway) failAttempt(ep string) {
 	g.markDown(ep)
 }
 
+// chargeRetry pays one retry-budget token for an attempt beyond a request's
+// first — failover and hedge alike — and counts the outcome either way.
+func (g *Gateway) chargeRetry() bool {
+	if !g.retry.allow(g.opts.Now()) {
+		g.met.retryExhausted.Add(1)
+		return false
+	}
+	g.met.retries.Add(1)
+	return true
+}
+
+// outcome is one finished attempt against candidate idx.
+type outcome struct {
+	idx  int
+	resp *backendResp
+	err  error
+}
+
+// armHedge decides whether a read may be hedged — Hedge is on, the request is
+// a GET /v1/recommend, and there is a second candidate to race — and if so
+// returns the timer whose firing launches the hedge and the channel attempts
+// report on. Otherwise both are nil and the read loop runs its attempts
+// inline.
+func (g *Gateway) armHedge(r *http.Request, cands int) (*time.Timer, chan outcome) {
+	if !g.opts.Hedge || r.Method != http.MethodGet || r.URL.Path != "/v1/recommend" || cands < 2 {
+		return nil, nil
+	}
+	// One slot per candidate: a loser's send never blocks after the handler
+	// has returned.
+	return time.NewTimer(g.opts.HedgeDelay), make(chan outcome, cands)
+}
+
 // serveRead routes /v1/recommend, /v1/explain and POST /v1/next to the shard
-// owning the user, trying the freshest healthy candidate first and failing
-// over on transport errors, torn response bodies, and 5xx. A POST body is
-// buffered once so every failover candidate replays identical bytes, and a
-// response body is buffered fully before being declared the winner. The whole
-// request runs under a deadline budget (X-Deadline-Budget or ReadBudget);
-// every attempt beyond the first pays a retry-budget token, so a flapping
-// shard degrades into bounded retries instead of a storm.
+// owning the user through one attempt loop: the freshest healthy candidate is
+// tried first, and a further candidate is launched when nothing is in flight
+// any more (failover after a transport error, a torn response body or a 5xx)
+// or when the hedge timer fires beside a slow first attempt. A hedge is the
+// same launch on a different trigger: both are charged a retry-budget token
+// by chargeRetry, so a flapping shard degrades into bounded retries instead
+// of a storm and hedged mode never retries more than sequential mode would.
+// A POST body is buffered once so every candidate replays identical bytes,
+// and a response is buffered fully before it is declared the winner (the
+// first byte-valid, non-retriable one; a hedged loser is cancelled when the
+// handler returns). The whole request runs under a deadline budget
+// (X-Deadline-Budget or ReadBudget).
 func (g *Gateway) serveRead(w http.ResponseWriter, r *http.Request) {
 	g.met.requests.Add(1)
 	user, err := strconv.Atoi(r.URL.Query().Get("user"))
@@ -416,170 +435,94 @@ func (g *Gateway) serveRead(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	shard := g.ring.Owner(user)
-	set := g.byName[shard]
-	uri := r.URL.Path
-	if r.URL.RawQuery != "" {
-		uri += "?" + r.URL.RawQuery
-	}
-	deadline := g.now().Add(g.budgetFor(r))
-	cands := g.candidates(set)
+	cands := g.candidates(g.byName[shard])
+	ctx, uri := r.Context(), r.URL.RequestURI()
+	deadline := g.opts.Now().Add(g.budgetFor(r))
 
-	if g.hedge && r.Method == http.MethodGet && r.URL.Path == "/v1/recommend" && len(cands) > 1 {
-		g.serveHedged(w, r, shard, cands, uri, deadline)
-		return
+	// Without a hedge armed both channels are nil: the timer case below can
+	// never fire and every attempt runs inline, one at a time.
+	timer, results := g.armHedge(r, len(cands))
+	var hedge <-chan time.Time
+	if timer != nil {
+		defer timer.Stop()
+		hedge = timer.C
 	}
 
-	var lastErr error
-	for i, ep := range cands {
-		remaining := deadline.Sub(g.now())
-		if remaining <= 0 {
-			g.met.deadlineMissed.Add(1)
-			g.writeError(w, http.StatusGatewayTimeout, "shard %q: deadline budget exhausted: %v", shard, lastErr)
-			return
-		}
-		if i > 0 {
-			if !g.retry.allow(g.now()) {
-				g.met.retryExhausted.Add(1)
-				w.Header().Set("Retry-After", "1")
+	var (
+		out        outcome
+		lastErr    error
+		hedgeFired bool
+	)
+	launched, inflight, hedgeIdx := 0, 0, -1
+	for {
+		if inflight == 0 || hedgeFired {
+			remaining := deadline.Sub(g.opts.Now())
+			// The same checks in the same order for a failover and a hedge:
+			// a candidate is left, the budget has time, and beyond the
+			// request's first attempt the retry bucket pays.
+			launch := launched < len(cands) && remaining > 0 && (launched == 0 || g.chargeRetry())
+			switch {
+			case launch:
+				if hedgeFired {
+					g.met.hedges.Add(1)
+					hedgeIdx = launched
+				} else if launched > 0 {
+					hedge = nil // only a first attempt is hedged, not a failover
+				}
+				if results == nil {
+					out.idx = launched
+					out.resp, out.err = g.attempt(ctx, cands[launched], r.Method, uri, body, remaining)
+				} else {
+					inflight++
+					go func(idx int) {
+						resp, err := g.attempt(ctx, cands[idx], http.MethodGet, uri, nil, remaining)
+						results <- outcome{idx, resp, err}
+					}(launched)
+				}
+				launched++
+			case hedgeFired:
+				// A hedge that cannot be launched or paid for is skipped; the
+				// attempt in flight may still answer.
+			case launched == len(cands):
+				g.writeError(w, http.StatusBadGateway, "shard %q: no endpoint answered: %v", shard, lastErr)
+				return
+			case remaining <= 0:
+				g.met.deadlineMissed.Add(1)
+				g.writeError(w, http.StatusGatewayTimeout, "shard %q: deadline budget exhausted: %v", shard, lastErr)
+				return
+			default:
+				// The retry was refused and nothing is in flight.
+				w.Header().Set(wire.RetryAfterHeader, "1")
 				g.writeError(w, http.StatusServiceUnavailable, "shard %q: retry budget exhausted: %v", shard, lastErr)
 				return
 			}
-			g.met.retries.Add(1)
+			hedgeFired = false
 		}
-		resp, err := g.attempt(r.Context(), ep, r.Method, uri, body, remaining)
-		if err != nil {
-			g.failAttempt(ep)
-			lastErr = err
-			continue
-		}
-		if retriable(resp.status) {
-			g.failAttempt(ep)
-			lastErr = fmt.Errorf("endpoint %s answered %d", ep, resp.status)
-			continue
-		}
-		if i > 0 {
-			g.met.failovers.Add(1)
-		}
-		g.writeBackend(w, shard, ep, resp)
-		return
-	}
-	g.writeError(w, http.StatusBadGateway, "shard %q: no endpoint answered: %v", shard, lastErr)
-}
-
-// serveHedged races candidates for a GET /v1/recommend: the first candidate
-// fires immediately, a hedge fires after HedgeDelay (paying a retry token),
-// and the first byte-valid response — fully buffered, non-retriable status —
-// wins. The loser's context is cancelled when the handler returns. Failed
-// attempts trigger further candidates under the same retry budget, so hedged
-// mode never retries more than sequential mode would.
-func (g *Gateway) serveHedged(w http.ResponseWriter, r *http.Request, shard string, cands []string, uri string, deadline time.Time) {
-	type outcome struct {
-		ep   string
-		idx  int
-		resp *backendResp
-		err  error
-	}
-	results := make(chan outcome, len(cands))
-	launch := func(idx int) {
-		ep := cands[idx]
-		remaining := deadline.Sub(g.now())
-		if remaining <= 0 {
-			results <- outcome{ep: ep, idx: idx, err: context.DeadlineExceeded}
-			return
-		}
-		go func() {
-			resp, err := g.attempt(r.Context(), ep, http.MethodGet, uri, nil, remaining)
-			results <- outcome{ep: ep, idx: idx, resp: resp, err: err}
-		}()
-	}
-
-	launch(0)
-	launched, inflight := 1, 1
-	hedgedIdx := -1
-	hedgeTimer := time.NewTimer(g.hedgeDelay)
-	defer hedgeTimer.Stop()
-
-	// tryNext fires the next unlaunched candidate if the retry budget allows.
-	tryNext := func(hedged bool) {
-		if launched >= len(cands) {
-			return
-		}
-		if !g.retry.allow(g.now()) {
-			g.met.retryExhausted.Add(1)
-			return
-		}
-		g.met.retries.Add(1)
-		if hedged {
-			g.met.hedges.Add(1)
-			hedgedIdx = launched
-		}
-		launch(launched)
-		launched++
-		inflight++
-	}
-
-	var lastErr error
-	for inflight > 0 {
-		select {
-		case <-hedgeTimer.C:
-			if launched == 1 {
-				tryNext(true)
-			}
-		case res := <-results:
-			inflight--
-			if res.err != nil || retriable(res.resp.status) {
-				g.failAttempt(res.ep)
-				if res.err != nil {
-					lastErr = res.err
-				} else {
-					lastErr = fmt.Errorf("endpoint %s answered %d", res.ep, res.resp.status)
-				}
-				if g.now().After(deadline) {
-					g.met.deadlineMissed.Add(1)
-					g.writeError(w, http.StatusGatewayTimeout, "shard %q: deadline budget exhausted: %v", shard, lastErr)
-					return
-				}
-				tryNext(false)
+		if results != nil {
+			select {
+			case out = <-results:
+				inflight--
+			case <-hedge:
+				hedge, hedgeFired = nil, true
 				continue
 			}
-			if res.idx > 0 {
+		}
+		ep := cands[out.idx]
+		if out.err == nil && !retriable(out.resp.status) {
+			if out.idx > 0 {
 				g.met.failovers.Add(1)
 			}
-			if res.idx == hedgedIdx {
+			if out.idx == hedgeIdx {
 				g.met.hedgeWins.Add(1)
 			}
-			g.writeBackend(w, shard, res.ep, res.resp)
+			g.writeBackend(w, shard, ep, out.resp)
 			return
 		}
+		g.failAttempt(ep)
+		if lastErr = out.err; lastErr == nil {
+			lastErr = fmt.Errorf("endpoint %s answered %d", ep, out.resp.status)
+		}
 	}
-	g.writeError(w, http.StatusBadGateway, "shard %q: no endpoint answered: %v", shard, lastErr)
-}
-
-// gwCheckIn mirrors the serve observe schema so subsets re-marshal exactly.
-type gwCheckIn struct {
-	User  int `json:"user"`
-	POI   int `json:"poi"`
-	Month int `json:"month"`
-	Week  int `json:"week"`
-	Hour  int `json:"hour"`
-}
-
-type gwNewUser struct {
-	ID      int   `json:"id"`
-	Friends []int `json:"friends,omitempty"`
-}
-
-type gwPOI struct {
-	ID       int     `json:"id"`
-	Lat      float64 `json:"lat"`
-	Lon      float64 `json:"lon"`
-	Category int     `json:"category"`
-}
-
-type gwObserveRequest struct {
-	CheckIns []gwCheckIn `json:"checkins"`
-	NewUsers []gwNewUser `json:"new_users,omitempty"`
-	NewPOIs  []gwPOI     `json:"new_pois,omitempty"`
 }
 
 // shardObserveResult is one shard's slice of a fanned-out observe.
@@ -609,39 +552,13 @@ type gwObserveResponse struct {
 // cell counts and generations; any shard failure turns the overall status
 // into 502 while still reporting the shards that succeeded.
 func (g *Gateway) serveObserve(w http.ResponseWriter, r *http.Request) {
-	var req gwObserveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		g.writeError(w, http.StatusBadRequest, "decoding body: %v", err)
-		return
-	}
-	if len(req.CheckIns) == 0 && len(req.NewUsers) == 0 && len(req.NewPOIs) == 0 {
-		g.writeError(w, http.StatusBadRequest, "no checkins in request")
+	req, err := wire.DecodeObserve(r.Body)
+	if err != nil {
+		g.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	g.met.observeFanouts.Add(1)
-	split := make(map[string]*gwObserveRequest)
-	sub := func(shard string) *gwObserveRequest {
-		if split[shard] == nil {
-			split[shard] = &gwObserveRequest{}
-		}
-		return split[shard]
-	}
-	for _, c := range req.CheckIns {
-		s := sub(g.ring.Owner(c.User))
-		s.CheckIns = append(s.CheckIns, c)
-	}
-	for _, u := range req.NewUsers {
-		s := sub(g.ring.Owner(u.ID))
-		s.NewUsers = append(s.NewUsers, u)
-	}
-	if len(req.NewPOIs) > 0 {
-		// Every shard scores over the full POI space, so POI openings go to
-		// every primary, not just those owning this batch's users.
-		for _, set := range g.sets {
-			s := sub(set.Name)
-			s.NewPOIs = append(s.NewPOIs, req.NewPOIs...)
-		}
-	}
+	split := req.Split(g.ring.Owner, g.ring.Shards())
 	shards := make([]string, 0, len(split))
 	for shard := range split {
 		shards = append(shards, shard)
@@ -672,48 +589,34 @@ func (g *Gateway) serveObserve(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(&out)
 }
 
-func (g *Gateway) postObserve(ctx context.Context, shard string, sub *gwObserveRequest, budget time.Duration) shardObserveResult {
+// postObserve sends one shard's subset to its primary. Writes get the whole
+// budget in one hop — not the reads' PerTryTimeout clamp — because there is
+// no second endpoint to fail over to.
+func (g *Gateway) postObserve(ctx context.Context, shard string, sub *wire.ObserveRequest, budget time.Duration) shardObserveResult {
 	res := shardObserveResult{Shard: shard, CheckIns: len(sub.CheckIns)}
 	body, err := json.Marshal(sub)
 	if err != nil {
 		res.Error = err.Error()
 		return res
 	}
-	ctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		g.byName[shard].Primary+"/v1/observe", bytes.NewReader(body))
+	primary := g.byName[shard].Primary
+	resp, err := g.roundTrip(ctx, http.MethodPost, primary+"/v1/observe", body, budget)
 	if err != nil {
+		g.failAttempt(primary)
 		res.Error = err.Error()
 		return res
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(DeadlineBudgetHeader, strconv.FormatInt(budget.Milliseconds(), 10))
-	resp, err := g.client.Do(req)
-	if err != nil {
-		g.met.backendErrors.Add(1)
-		g.markDown(g.byName[shard].Primary)
-		res.Error = err.Error()
-		return res
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		var eb gwError
-		json.Unmarshal(raw, &eb)
+	if resp.status != http.StatusOK {
+		var eb wire.Error
+		json.Unmarshal(resp.body, &eb)
 		if eb.Error == "" {
-			eb.Error = resp.Status
+			eb.Error = fmt.Sprintf("%d %s", resp.status, http.StatusText(resp.status))
 		}
-		res.Error = fmt.Sprintf("primary answered %d: %s", resp.StatusCode, eb.Error)
+		res.Error = fmt.Sprintf("primary answered %d: %s", resp.status, eb.Error)
 		return res
 	}
-	var ok struct {
-		Added      int    `json:"added"`
-		Generation uint64 `json:"generation"`
-		Users      int    `json:"users"`
-		POIs       int    `json:"pois"`
-	}
-	if err := json.Unmarshal(raw, &ok); err != nil {
+	var ok wire.ObserveResponse
+	if err := json.Unmarshal(resp.body, &ok); err != nil {
 		res.Error = err.Error()
 		return res
 	}

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+
+	"tcss/internal/registry"
 )
 
 // shardMetricsDoc is the subset of a shard's /metrics document the gateway
@@ -172,25 +174,6 @@ type clusterMetrics struct {
 	PerEndpoint []endpointMetrics `json:"per_endpoint"`
 }
 
-// percentiles computes p50/p95/p99 of samples (sorted in place), matching the
-// per-shard definition so a one-shard cluster reports the same numbers the
-// shard does.
-func percentiles(samples []float64) (p50, p95, p99 float64) {
-	n := len(samples)
-	if n == 0 {
-		return 0, 0, 0
-	}
-	sort.Float64s(samples)
-	at := func(p float64) float64 {
-		idx := int(p*float64(n)) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return samples[idx]
-	}
-	return at(0.50), at(0.95), at(0.99)
-}
-
 // endpointRole labels an endpoint by its position in the shard set.
 type taggedEndpoint struct {
 	shard string
@@ -228,14 +211,14 @@ func fetchAll[T any](ctx context.Context, g *Gateway, path string) []endpointRes
 			out[i].ep = ep
 			// Bound each fan-out fetch by the per-try timeout so one hung
 			// endpoint delays the merge, not wedges it.
-			fctx, cancel := context.WithTimeout(ctx, g.perTry)
+			fctx, cancel := context.WithTimeout(ctx, g.opts.PerTryTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(fctx, http.MethodGet, ep.url+path, nil)
 			if err != nil {
 				out[i].err = err
 				return
 			}
-			resp, err := g.client.Do(req)
+			resp, err := g.opts.Client.Do(req)
 			if err != nil {
 				out[i].err = err
 				return
@@ -322,10 +305,10 @@ func (g *Gateway) serveMetrics(w http.ResponseWriter, r *http.Request) {
 			Misrouted:  d.Shard.Misrouted,
 		})
 	}
-	out.Recommend.P50ms, out.Recommend.P95ms, out.Recommend.P99ms = percentiles(recWin)
-	out.Explain.P50ms, out.Explain.P95ms, out.Explain.P99ms = percentiles(expWin)
-	out.Next.P50ms, out.Next.P95ms, out.Next.P99ms = percentiles(nextWin)
-	out.Observe.P50ms, out.Observe.P95ms, out.Observe.P99ms = percentiles(obsWin)
+	out.Recommend.P50ms, out.Recommend.P95ms, out.Recommend.P99ms = registry.Percentiles(recWin)
+	out.Explain.P50ms, out.Explain.P95ms, out.Explain.P99ms = registry.Percentiles(expWin)
+	out.Next.P50ms, out.Next.P95ms, out.Next.P99ms = registry.Percentiles(nextWin)
+	out.Observe.P50ms, out.Observe.P95ms, out.Observe.P99ms = registry.Percentiles(obsWin)
 	names := make([]string, 0, len(modelAgg))
 	for name := range modelAgg {
 		names = append(names, name)

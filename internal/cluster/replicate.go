@@ -12,6 +12,7 @@ import (
 
 	"tcss/internal/geo"
 	"tcss/internal/serve"
+	"tcss/internal/wire"
 )
 
 // Replicator keeps one replica server on its primary's snapshot generation by
@@ -71,13 +72,9 @@ func (r *Replicator) PrimaryGeneration() uint64 { return r.primaryGen.Load() }
 // response and forwards it to the replica server so /healthz and /metrics can
 // report generation lag against MaxGenLag.
 func (r *Replicator) notePrimaryGen(resp *http.Response) {
-	raw := resp.Header.Get("X-Generation")
-	if raw == "" {
-		return
-	}
-	gen, err := strconv.ParseUint(raw, 10, 64)
+	gen, err := strconv.ParseUint(resp.Header.Get(wire.GenerationHeader), 10, 64)
 	if err != nil {
-		return
+		return // no (or a malformed) header: nothing advertised
 	}
 	for {
 		cur := r.primaryGen.Load()

@@ -3,6 +3,7 @@ package eval
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -78,7 +79,14 @@ func TestRankDeterministicWithSeed(t *testing.T) {
 func TestRankBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := ScorerFunc(func(i, j, k int) float64 { return rng.Float64() })
+		// Rank scores from several workers at once and a *rand.Rand is not
+		// safe for that; the bounds hold whatever order the draws land in.
+		var mu sync.Mutex
+		s := ScorerFunc(func(i, j, k int) float64 {
+			mu.Lock()
+			defer mu.Unlock()
+			return rng.Float64()
+		})
 		var test []tensor.Entry
 		for n := 0; n < 10; n++ {
 			test = append(test, tensor.Entry{I: rng.Intn(4), J: rng.Intn(120), K: rng.Intn(3), Val: 1})

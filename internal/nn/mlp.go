@@ -37,6 +37,17 @@ func (m *MLP) Forward(x []float64) []float64 {
 	return x
 }
 
+// Infer runs the stack like Forward — the same layers in the same order, so
+// the same bits — but records nothing, which makes it safe to call from
+// several goroutines at once (ranking workers scoring a fitted model).
+// Backward must not follow it.
+func (m *MLP) Infer(x []float64) []float64 {
+	for _, l := range m.Layers {
+		x = l.Forward(x)
+	}
+	return x
+}
+
 // Backward back-propagates dOut through the stack, accumulating parameter
 // gradients, and returns the gradient w.r.t. the original input. It must
 // follow a Forward call on the same example.

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"tcss/internal/core"
+	"tcss/internal/wire"
 )
 
 // Scorer is the model seam the serving tier routes through instead of a
@@ -32,11 +33,9 @@ type Scorer interface {
 	Recommend(user, t, n int) ([]core.Recommendation, uint64, error)
 }
 
-// Event is one check-in of a next-POI query sequence.
-type Event struct {
-	POI int
-	T   int
-}
+// Event is one check-in of a next-POI query sequence — the posted wire shape
+// itself, so the serving tier hands a decoded body straight to the scorer.
+type Event = wire.NextCheckIn
 
 // NextScorer is a Scorer that can additionally score the next POI after a
 // caller-supplied check-in sequence (the sequential models).

@@ -321,3 +321,37 @@ func ExampleABAssign() {
 	fmt.Println(ABAssign(42, 0.5) == ABAssign(42, 0.5))
 	// Output: true
 }
+
+// TestPercentilesNearestRank pins the one rank rule /metrics, the per-model
+// blocks and the gateway's merged document share: the smallest sample with at
+// least p of the window at or below it. (The floor rule it replaced reported
+// the minimum of three samples as their p50.)
+func TestPercentilesNearestRank(t *testing.T) {
+	if p50, p95, p99 := Percentiles(nil); p50 != 0 || p95 != 0 || p99 != 0 {
+		t.Fatalf("empty window: %v %v %v, want zeros", p50, p95, p99)
+	}
+	if p50, p95, p99 := Percentiles([]float64{3, 1, 2}); p50 != 2 || p95 != 3 || p99 != 3 {
+		t.Fatalf("three samples: p50 %v p95 %v p99 %v, want 2 3 3", p50, p95, p99)
+	}
+	hundred := make([]float64, 100)
+	for i := range hundred {
+		hundred[i] = float64(100 - i) // 100 … 1, unsorted
+	}
+	if p50, p95, p99 := Percentiles(hundred); p50 != 50 || p95 != 95 || p99 != 99 {
+		t.Fatalf("1..100: p50 %v p95 %v p99 %v, want 50 95 99", p50, p95, p99)
+	}
+
+	var w LatencyWindow
+	for i := 0; i < WindowSize+10; i++ {
+		w.Observe(time.Duration(i) * time.Millisecond)
+	}
+	samples := w.Samples()
+	if len(samples) != WindowSize {
+		t.Fatalf("window holds %d samples, want the last %d", len(samples), WindowSize)
+	}
+	for _, ms := range samples {
+		if ms < 10 {
+			t.Fatalf("window still holds overwritten sample %v ms", ms)
+		}
+	}
+}

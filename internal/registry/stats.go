@@ -8,10 +8,6 @@ import (
 	"time"
 )
 
-// statsWindow bounds the per-model latency sample rings. Small relative to
-// the server-wide ring: per-model percentiles only need to be indicative.
-const statsWindow = 2048
-
 // entry is one registered model plus its serving counters. All fields are
 // updated with atomics or under the ring mutex, so recording is safe from any
 // request goroutine.
@@ -23,8 +19,8 @@ type entry struct {
 	cacheHits    atomic.Int64
 	notReady     atomic.Int64 // requests answered 503 (model not fitted)
 
-	lat     sampleRing // recommend latencies
-	nextLat sampleRing // next latencies
+	lat     LatencyWindow // recommend latencies
+	nextLat LatencyWindow // next latencies
 
 	shadowScored  atomic.Int64 // shadow scores completed for this model
 	shadowErrors  atomic.Int64
@@ -34,45 +30,58 @@ type entry struct {
 
 func newEntry(s Scorer) *entry { return &entry{s: s} }
 
-// sampleRing is a fixed-size mutex-guarded latency reservoir.
-type sampleRing struct {
-	mu      sync.Mutex
-	samples [statsWindow]float64
-	n       int
-	next    int
+// WindowSize bounds a LatencyWindow. A bounded window keeps /metrics O(1) in
+// memory over arbitrarily long uptimes while still tracking the current tail
+// behaviour.
+const WindowSize = 4096
+
+// LatencyWindow keeps the last WindowSize request latencies in milliseconds.
+// It is the one latency reservoir of the serving tier: a node holds one per
+// endpoint, the registry one per model and request class.
+type LatencyWindow struct {
+	mu   sync.Mutex
+	buf  [WindowSize]float64
+	n    int
+	next int
 }
 
-func (r *sampleRing) observe(ms float64) {
-	r.mu.Lock()
-	r.samples[r.next] = ms
-	r.next = (r.next + 1) % statsWindow
-	if r.n < statsWindow {
-		r.n++
+// Observe records one latency.
+func (w *LatencyWindow) Observe(d time.Duration) {
+	ms := float64(d) / float64(time.Millisecond)
+	w.mu.Lock()
+	w.buf[w.next] = ms
+	w.next = (w.next + 1) % WindowSize
+	if w.n < WindowSize {
+		w.n++
 	}
-	r.mu.Unlock()
+	w.mu.Unlock()
 }
 
-// percentiles returns (count, p50, p95, p99) over the retained window.
-func (r *sampleRing) percentiles() (int, float64, float64, float64) {
-	r.mu.Lock()
-	buf := make([]float64, r.n)
-	copy(buf, r.samples[:r.n])
-	r.mu.Unlock()
-	if len(buf) == 0 {
-		return 0, 0, 0, 0
+// Samples copies out the window's current contents in no particular order.
+// The gateway scrapes these raw samples from every shard to compute
+// cluster-wide percentiles — percentiles of merged samples, which per-shard
+// percentiles cannot be combined into.
+func (w *LatencyWindow) Samples() []float64 {
+	w.mu.Lock()
+	out := make([]float64, w.n)
+	copy(out, w.buf[:w.n])
+	w.mu.Unlock()
+	return out
+}
+
+// Percentiles returns the nearest-rank p50/p95/p99 of samples (sorted in
+// place): the smallest sample with at least that share of the window at or
+// below it, so three samples report their median — not their minimum — as
+// p50. Zeros when empty.
+func Percentiles(samples []float64) (p50, p95, p99 float64) {
+	n := len(samples)
+	if n == 0 {
+		return 0, 0, 0
 	}
-	sort.Float64s(buf)
-	pick := func(p float64) float64 {
-		idx := int(math.Ceil(p*float64(len(buf)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(buf) {
-			idx = len(buf) - 1
-		}
-		return buf[idx]
-	}
-	return len(buf), pick(0.50), pick(0.95), pick(0.99)
+	sort.Float64s(samples)
+	// For 0 < p < 1 and n ≥ 1 the rank ⌈p·n⌉ always lies in [1, n].
+	at := func(p float64) float64 { return samples[int(math.Ceil(p*float64(n)))-1] }
+	return at(0.50), at(0.95), at(0.99)
 }
 
 // ShadowStats summarizes off-path scoring agreement for one model.
@@ -134,8 +143,8 @@ func (r *Registry) Stats() ([]ModelStats, RoutingInfo) {
 			CacheHits:    e.cacheHits.Load(),
 			NotReady:     e.notReady.Load(),
 		}
-		_, ms.P50ms, ms.P95ms, ms.P99ms = e.lat.percentiles()
-		_, ms.NextP50ms, ms.NextP95ms, ms.NextP99ms = e.nextLat.percentiles()
+		ms.P50ms, ms.P95ms, ms.P99ms = Percentiles(e.lat.Samples())
+		ms.NextP50ms, ms.NextP95ms, ms.NextP99ms = Percentiles(e.nextLat.Samples())
 		scored := e.shadowScored.Load()
 		ms.Shadow = ShadowStats{Scored: scored, Errors: e.shadowErrors.Load()}
 		if scored > 0 {
@@ -184,7 +193,6 @@ func (r *Registry) RecordServe(name string, next, cacheHit bool, d time.Duration
 	if !ok {
 		return
 	}
-	ms := float64(d) / float64(time.Millisecond)
 	if next {
 		e.nextRequests.Add(1)
 	} else {
@@ -195,9 +203,9 @@ func (r *Registry) RecordServe(name string, next, cacheHit bool, d time.Duration
 		return
 	}
 	if next {
-		e.nextLat.observe(ms)
+		e.nextLat.Observe(d)
 	} else {
-		e.lat.observe(ms)
+		e.lat.Observe(d)
 	}
 }
 

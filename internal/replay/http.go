@@ -9,6 +9,7 @@ import (
 	"net/url"
 
 	"tcss/internal/lbsn"
+	"tcss/internal/wire"
 )
 
 // HTTPTarget replays against a live serve node (or a cluster gateway) over
@@ -57,11 +58,7 @@ func (t *HTTPTarget) Dims() (int, int, error) {
 }
 
 func (t *HTTPTarget) Recommend(user, tt, n int) ([]int, error) {
-	var doc struct {
-		Results []struct {
-			POI int `json:"poi"`
-		} `json:"results"`
-	}
+	var doc wire.ReadResponse
 	u := fmt.Sprintf("%s/v1/recommend?%s", t.BaseURL, url.Values{
 		"user": {fmt.Sprint(user)},
 		"t":    {fmt.Sprint(tt)},
@@ -77,43 +74,16 @@ func (t *HTTPTarget) Recommend(user, tt, n int) ([]int, error) {
 	return pois, nil
 }
 
-// Wire shapes mirror serve's observeRequest / observeResponse.
-type httpObserveRequest struct {
-	CheckIns []httpCheckIn `json:"checkins"`
-	NewUsers []httpNewUser `json:"new_users,omitempty"`
-	NewPOIs  []httpPOI     `json:"new_pois,omitempty"`
-}
-
-type httpCheckIn struct {
-	User  int `json:"user"`
-	POI   int `json:"poi"`
-	Month int `json:"month"`
-	Week  int `json:"week"`
-	Hour  int `json:"hour"`
-}
-
-type httpNewUser struct {
-	ID      int   `json:"id"`
-	Friends []int `json:"friends,omitempty"`
-}
-
-type httpPOI struct {
-	ID       int     `json:"id"`
-	Lat      float64 `json:"lat"`
-	Lon      float64 `json:"lon"`
-	Category int     `json:"category"`
-}
-
 func (t *HTTPTarget) ObserveWeek(wb lbsn.WeekBatch) (uint64, error) {
-	req := httpObserveRequest{CheckIns: make([]httpCheckIn, len(wb.CheckIns))}
+	req := wire.ObserveRequest{CheckIns: make([]wire.CheckIn, len(wb.CheckIns))}
 	for i, c := range wb.CheckIns {
-		req.CheckIns[i] = httpCheckIn{User: c.User, POI: c.POI, Month: c.Month, Week: c.Week, Hour: c.Hour}
+		req.CheckIns[i] = wire.CheckIn{User: c.User, POI: c.POI, Month: c.Month, Week: c.Week, Hour: c.Hour}
 	}
 	for _, u := range wb.NewUsers {
-		req.NewUsers = append(req.NewUsers, httpNewUser{ID: u.ID, Friends: u.Friends})
+		req.NewUsers = append(req.NewUsers, wire.NewUser{ID: u.ID, Friends: u.Friends})
 	}
 	for _, p := range wb.NewPOIs {
-		req.NewPOIs = append(req.NewPOIs, httpPOI{
+		req.NewPOIs = append(req.NewPOIs, wire.POI{
 			ID: p.ID, Lat: p.Loc.Lat, Lon: p.Loc.Lon, Category: int(p.Category),
 		})
 	}
@@ -130,9 +100,7 @@ func (t *HTTPTarget) ObserveWeek(wb lbsn.WeekBatch) (uint64, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return 0, fmt.Errorf("POST /v1/observe week %d: %s: %s", wb.Week, resp.Status, bytes.TrimSpace(msg))
 	}
-	var out struct {
-		Generation uint64 `json:"generation"`
-	}
+	var out wire.ObserveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return 0, err
 	}

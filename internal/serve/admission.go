@@ -33,36 +33,28 @@ func newAdmission(maxInflight, maxQueue int) *admission {
 	}
 }
 
-// admissionResult classifies the outcome of acquire.
-type admissionResult int
-
-const (
-	admitted     admissionResult = iota
-	shedOverflow                 // queue full: 503 + Retry-After
-	shedDeadline                 // context expired while waiting: 504
-)
-
-// acquire blocks until a slot is free, the queue overflows, or ctx expires.
-// On admitted the caller must release().
-func (a *admission) acquire(ctx context.Context) admissionResult {
+// acquire blocks until a slot is free (nil: the caller must release()), the
+// queue overflows (errShed: 503 + Retry-After), or ctx expires while waiting
+// (errDeadline: 504).
+func (a *admission) acquire(ctx context.Context) error {
 	select {
 	case a.slots <- struct{}{}:
 		a.inflight.Add(1)
-		return admitted
+		return nil
 	default:
 	}
 	// No free slot: join the bounded wait queue if there is room.
 	if a.waiting.Add(1) > int64(a.maxQueue) {
 		a.waiting.Add(-1)
-		return shedOverflow
+		return shed("read queue")
 	}
 	defer a.waiting.Add(-1)
 	select {
 	case a.slots <- struct{}{}:
 		a.inflight.Add(1)
-		return admitted
+		return nil
 	case <-ctx.Done():
-		return shedDeadline
+		return errDeadline
 	}
 }
 

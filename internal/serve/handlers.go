@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"tcss"
@@ -16,13 +19,18 @@ import (
 	"tcss/internal/geo"
 	"tcss/internal/lbsn"
 	"tcss/internal/registry"
+	"tcss/internal/wire"
 )
 
 func (s *Server) routes() *http.ServeMux {
+	m := s.met
+	read := func(kind readKind, total *atomic.Int64, lat *registry.LatencyWindow) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) { s.serveRead(w, r, kind, total, lat) }
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/recommend", s.serveRecommend)
-	mux.HandleFunc("POST /v1/next", s.serveNext)
-	mux.HandleFunc("GET /v1/explain", s.serveExplain)
+	mux.HandleFunc("GET /v1/recommend", read(readRecommend, &m.recommendTotal, &m.recommendLat))
+	mux.HandleFunc("POST /v1/next", read(readNext, &m.nextTotal, &m.nextLat))
+	mux.HandleFunc("GET /v1/explain", read(readExplain, &m.explainTotal, &m.explainLat))
 	mux.HandleFunc("POST /v1/observe", s.serveObserve)
 	mux.HandleFunc("POST /v1/snapshot/save", s.serveSnapshotSave)
 	mux.HandleFunc("GET /v1/snapshot/bin", s.serveSnapshotBin)
@@ -31,41 +39,109 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// errorBody is the uniform JSON error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) badRequest(w http.ResponseWriter, format string, args ...any) {
-	s.met.badRequest.Add(1)
-	writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(format, args...)})
+// Sentinels for the rejections the handlers themselves decide; failf attaches
+// the client-facing message. Registry, source, breaker and core sentinels
+// arrive from below and share the same table (errorRules).
+var (
+	errBadRequest = errors.New("bad request")
+	// errMisrouted: the request reached a node that must not answer it — a
+	// user outside this shard's partition, or a write at a read-only replica.
+	// 421 rather than 404/503 because the request itself is fine; only the
+	// routing is wrong, and the gateway should know loudly.
+	errMisrouted = errors.New("misrouted")
+	// errConflict: ids beyond the model's dimensions at a node that will not
+	// grow. Distinct from 400 — the request may be perfectly valid at a
+	// growth-enabled primary.
+	errConflict = errors.New("growth refused")
+	// errShed is a bounded queue's overflow (or a draining server's) answer.
+	errShed     = errors.New("at capacity")
+	errDeadline = errors.New("request deadline exceeded")
+)
+
+// reqError is a rejection of kind (one of the sentinels above) whose message
+// is exactly what the client reads in the error envelope.
+type reqError struct {
+	kind error
+	msg  string
 }
 
-// shed rejects with 503 + Retry-After, the bounded queue's overflow response.
-func (s *Server) shed(w http.ResponseWriter, what string) {
-	s.met.shed.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.opts.RetryAfter.Seconds()))))
-	writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: what + " at capacity, retry later"})
+func (e *reqError) Error() string { return e.msg }
+func (e *reqError) Unwrap() error { return e.kind }
+
+func failf(kind error, format string, args ...any) error {
+	return &reqError{kind: kind, msg: fmt.Sprintf(format, args...)}
 }
 
-func (s *Server) deadline(w http.ResponseWriter) {
-	s.met.deadlineMissed.Add(1)
-	writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "request deadline exceeded"})
+func shed(what string) error { return failf(errShed, "%s at capacity, retry later", what) }
+
+// errorRule maps one sentinel to its HTTP answer.
+type errorRule struct {
+	is      error
+	status  int
+	counter *atomic.Int64 // nil: whoever produced the error already counted it
+	// retryAfter, when set, is advertised as Retry-After (whole seconds,
+	// rounded up, at least 1).
+	retryAfter func() time.Duration
 }
 
-// misroute rejects with 421 Misdirected Request: the request reached a node
-// that must not answer it — a user outside this shard's partition, or a write
-// at a read-only replica. 421 rather than 404/503 because the request itself
-// is fine; only the routing is wrong, and the gateway should know loudly.
-func (s *Server) misroute(w http.ResponseWriter, format string, args ...any) {
-	s.met.misrouted.Add(1)
-	writeJSON(w, http.StatusMisdirectedRequest, errorBody{Error: fmt.Sprintf(format, args...)})
+// errorRules is the serving API's one sentinel → (status, counter,
+// Retry-After) table, matched top to bottom with errors.Is; an error that
+// matches no row is a 500. Built once per server so rows point straight at
+// its counters.
+func (s *Server) errorRules() []errorRule {
+	m := s.met
+	shedRetry := func() time.Duration { return s.opts.RetryAfter }
+	breakerRetry := func() time.Duration { _, _, retryIn := s.brk.status(); return retryIn }
+	return []errorRule{
+		{errBadRequest, http.StatusBadRequest, &m.badRequest, nil},
+		// A model that cannot score sequences makes the request malformed
+		// for it; an unknown model (or a /v1/next with nothing to route to)
+		// is 404; a registered-but-unfitted one is 503 — it exists, it just
+		// cannot answer yet.
+		{registry.ErrNotNextCapable, http.StatusBadRequest, &m.badRequest, nil},
+		{registry.ErrUnknownModel, http.StatusNotFound, &m.modelNotFound, nil},
+		{registry.ErrNoNextModel, http.StatusNotFound, &m.modelNotFound, nil},
+		{registry.ErrNotReady, http.StatusServiceUnavailable, &m.modelNotReady, shedRetry},
+		{errMisrouted, http.StatusMisdirectedRequest, &m.misrouted, nil},
+		{ErrReadOnly, http.StatusMisdirectedRequest, &m.misrouted, nil},
+		{errConflict, http.StatusConflict, &m.observeRejectedRange, nil},
+		// The writer's own range rejection: ids that need growth this node
+		// (or its config) refused.
+		{core.ErrOutOfRange, http.StatusConflict, nil, nil},
+		{errShed, http.StatusServiceUnavailable, &m.shed, shedRetry},
+		// Breaker open: advertise its own probe deadline.
+		{ErrDegraded, http.StatusServiceUnavailable, &m.shed, breakerRetry},
+		// Growth needs float64 factors and this node serves a compact model;
+		// 503 — the cluster may still have a f64 primary.
+		{core.ErrCompactModel, http.StatusServiceUnavailable, nil, nil},
+		{errDeadline, http.StatusGatewayTimeout, &m.deadlineMissed, nil},
+	}
+}
+
+// fail answers err with the status, counter and Retry-After its table row
+// prescribes and the uniform error envelope.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	rule := errorRule{status: http.StatusInternalServerError, counter: &s.met.internalErrors}
+	for _, r := range s.rules {
+		if errors.Is(err, r.is) {
+			rule = r
+			break
+		}
+	}
+	if rule.counter != nil {
+		rule.counter.Add(1)
+	}
+	if rule.retryAfter != nil {
+		secs := max(1, int(math.Ceil(rule.retryAfter().Seconds())))
+		w.Header().Set(wire.RetryAfterHeader, strconv.Itoa(secs))
+	}
+	writeJSON(w, rule.status, wire.Error{Error: err.Error()})
 }
 
 // owns reports whether this node's partition covers user. Standalone servers
@@ -74,265 +150,83 @@ func (s *Server) owns(user int) bool {
 	return s.opts.Owns == nil || s.opts.Owns(user)
 }
 
-// degraded rejects a write with 503 while the circuit breaker is open,
-// advertising the breaker's own probe deadline as Retry-After.
-func (s *Server) degraded(w http.ResponseWriter, err error) {
-	s.met.shed.Add(1)
-	_, _, retryIn := s.brk.status()
-	secs := int(math.Ceil(retryIn.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-}
-
-// routeError maps registry routing/scoring sentinels to HTTP statuses: an
-// unknown ?model= name (or a /v1/next with nothing to route to) is 404, a
-// model that cannot score sequences is 400, and a registered-but-unfitted
-// model is 503 — the model exists, it just cannot answer yet.
-func (s *Server) routeError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, registry.ErrUnknownModel), errors.Is(err, registry.ErrNoNextModel):
-		s.met.modelNotFound.Add(1)
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
-	case errors.Is(err, registry.ErrNotNextCapable):
-		s.met.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-	case errors.Is(err, registry.ErrNotReady):
-		s.met.modelNotReady.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.opts.RetryAfter.Seconds()))))
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-	default:
-		s.met.internalErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-	}
-}
-
-// spawnShadow schedules an off-path scoring of the shadow model named in the
-// decision and records its top-K overlap against the primary's results. It
-// runs after the primary response bytes are already on the wire (or at least
-// fully computed), never writes to the ResponseWriter, and copies what it
-// needs from the request — by construction it cannot alter the primary
-// response. Slots are bounded; overflow is dropped and counted.
-func (s *Server) spawnShadow(dec registry.Decision, next bool, user int, seq []registry.Event, t, n int, primary []core.Recommendation) {
-	sc, ok := s.reg.Get(dec.Shadow)
-	if !ok {
-		return
-	}
-	pois := make([]int, len(primary))
-	for i, rec := range primary {
-		pois[i] = rec.POI
-	}
-	name := dec.Shadow
-	s.reg.ShadowGo(func() {
-		var recs []core.Recommendation
-		var err error
-		if next {
-			ns, isNext := sc.(registry.NextScorer)
-			if !isNext {
-				s.reg.RecordShadowError(name)
-				return
-			}
-			recs, _, err = ns.Next(user, seq, t, n)
-		} else {
-			recs, _, err = sc.Recommend(user, t, n)
-		}
-		if err != nil {
-			s.reg.RecordShadowError(name)
-			return
-		}
-		shadowPOIs := make([]int, len(recs))
-		for i, rec := range recs {
-			shadowPOIs[i] = rec.POI
-		}
-		frac, exact := registry.Overlap(pois, shadowPOIs)
-		s.reg.RecordShadow(name, frac, exact)
-	})
-}
-
-// intParam parses a required (or defaulted) integer query parameter.
-func intParam(r *http.Request, name string, def int, required bool) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		if required {
-			return 0, fmt.Errorf("missing required parameter %q", name)
-		}
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
-	}
-	return v, nil
-}
-
 // requestTimeout resolves the per-request deadline: the configured
 // RequestTimeout, clamped down to the gateway's X-Deadline-Budget header when
 // one arrives — once the gateway's budget for this hop is spent nobody is
 // waiting for the answer, so working longer only burns scoring slots.
 func (s *Server) requestTimeout(r *http.Request) time.Duration {
-	timeout := s.opts.RequestTimeout
-	if raw := r.Header.Get("X-Deadline-Budget"); raw != "" {
-		if ms, err := strconv.ParseInt(raw, 10, 64); err == nil && ms > 0 {
-			if budget := time.Duration(ms) * time.Millisecond; budget < timeout {
-				s.met.budgetClamped.Add(1)
-				return budget
-			}
-		}
+	if budget, ok := wire.ParseDeadlineBudget(r.Header.Get(wire.DeadlineBudgetHeader)); ok && budget < s.opts.RequestTimeout {
+		s.met.budgetClamped.Add(1)
+		return budget
 	}
-	return timeout
+	return s.opts.RequestTimeout
 }
 
-// admitRead runs the shared read-path front door: per-request deadline,
-// bounded admission, and the test hold hook. On nil cleanup the response has
-// already been written.
-func (s *Server) admitRead(w http.ResponseWriter, r *http.Request) (context.Context, func()) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(r))
-	switch s.adm.acquire(ctx) {
-	case shedOverflow:
-		cancel()
-		s.shed(w, "read queue")
-		return nil, nil
-	case shedDeadline:
-		cancel()
-		s.deadline(w)
-		return nil, nil
-	}
-	if s.opts.holdForTest != nil {
-		s.opts.holdForTest()
-	}
-	if ctx.Err() != nil {
-		s.adm.release()
-		cancel()
-		s.deadline(w)
-		return nil, nil
-	}
-	return ctx, func() { s.adm.release(); cancel() }
+// readKind tells the pipeline which of the three read endpoints it serves.
+type readKind int
+
+const (
+	readRecommend readKind = iota // GET /v1/recommend
+	readNext                      // POST /v1/next
+	readExplain                   // GET /v1/explain
+)
+
+// readRequest is one parsed, not yet validated read — what a per-endpoint
+// parser hands the pipeline. Fields an endpoint does not take stay zero.
+type readRequest struct {
+	kind    readKind
+	user, t int
+	n       int                // recommend, next
+	model   string             // recommend, next: the ?model= override
+	seq     []wire.NextCheckIn // next
+	poi     int                // explain
 }
 
-// recommendResponse is the body of GET /v1/recommend. It carries no volatile
-// fields, so cached bytes are byte-identical to freshly computed ones for the
-// same (generation, query).
-type recommendResponse struct {
-	User       int              `json:"user"`
-	T          int              `json:"t"`
-	Generation uint64           `json:"generation"`
-	Results    []recommendation `json:"results"`
+// params reads integer query parameters out of a query string parsed once per
+// request, remembering the first failure. topN is the server's default n.
+type params struct {
+	q    url.Values
+	topN int
+	err  error
 }
 
-type recommendation struct {
-	POI   int     `json:"poi"`
-	Score float64 `json:"score"`
+// required parses a mandatory integer parameter.
+func (p *params) required(name string) int {
+	if p.q.Get(name) == "" && p.err == nil {
+		p.err = failf(errBadRequest, "missing required parameter %q", name)
+	}
+	return p.optional(name, 0)
 }
 
-func (s *Server) serveRecommend(w http.ResponseWriter, r *http.Request) {
-	started := s.opts.now()
-	s.met.recommendTotal.Add(1)
+// optional parses an integer parameter that defaults to def when absent.
+func (p *params) optional(name string, def int) int {
+	raw := p.q.Get(name)
+	if raw == "" {
+		return def
+	}
+	v, err := strconv.Atoi(raw)
+	if err != nil && p.err == nil {
+		p.err = failf(errBadRequest, "parameter %q: %v", name, err)
+	}
+	return v
+}
 
-	snap := s.snap.load()
-	user, err := intParam(r, "user", 0, true)
-	if err != nil {
-		s.badRequest(w, "%v", err)
-		return
+// parse turns one endpoint's query string (and, for next, its body) into a
+// readRequest.
+func (p *params) parse(kind readKind, body io.Reader) (readRequest, error) {
+	switch kind {
+	case readRecommend:
+		return readRequest{
+			kind: kind, model: p.q.Get("model"),
+			user: p.required("user"), t: p.required("t"), n: p.optional("n", p.topN),
+		}, p.err
+	case readExplain:
+		return readRequest{
+			kind: kind,
+			user: p.required("user"), poi: p.required("poi"), t: p.required("t"),
+		}, p.err
 	}
-	t, err := intParam(r, "t", 0, true)
-	if err != nil {
-		s.badRequest(w, "%v", err)
-		return
-	}
-	n, err := intParam(r, "n", s.opts.TopNDefault, false)
-	if err != nil {
-		s.badRequest(w, "%v", err)
-		return
-	}
-	if user < 0 || user >= snap.Model.I {
-		s.badRequest(w, "user %d out of range [0, %d)", user, snap.Model.I)
-		return
-	}
-	if !s.owns(user) {
-		s.misroute(w, "user %d is not in shard %q's partition", user, s.opts.ShardName)
-		return
-	}
-	if t < 0 || t >= snap.Model.K {
-		s.badRequest(w, "t %d out of range [0, %d)", t, snap.Model.K)
-		return
-	}
-	if n <= 0 {
-		s.badRequest(w, "n must be positive, got %d", n)
-		return
-	}
-	if n > s.opts.MaxTopN {
-		n = s.opts.MaxTopN
-	}
-
-	// Routing: explicit ?model= override, else the registry's policy
-	// (primary, or the deterministic A/B split when configured).
-	dec, err := s.reg.Route(user, r.URL.Query().Get("model"))
-	if err != nil {
-		s.routeError(w, err)
-		return
-	}
-	scorer, _ := s.reg.Get(dec.Model)
-
-	key := cacheKey{model: dec.Model, gen: scorer.Generation(), user: user, t: t, n: n}
-	if body := s.cache.get(key); body != nil {
-		s.met.cacheHits.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "HIT")
-		w.Header().Set("X-Model", dec.Model)
-		w.Header().Set("X-Generation", strconv.FormatUint(key.gen, 10))
-		w.Write(body)
-		dur := s.opts.now().Sub(started)
-		s.met.recommendLat.observe(dur)
-		s.reg.RecordServe(dec.Model, false, true, dur)
-		return
-	}
-	s.met.cacheMisses.Add(1)
-
-	_, release := s.admitRead(w, r)
-	if release == nil {
-		return
-	}
-	recs, gen, err := scorer.Recommend(user, t, n)
-	release()
-	if err != nil {
-		if errors.Is(err, registry.ErrNotReady) {
-			s.reg.RecordNotReady(dec.Model)
-		}
-		s.routeError(w, err)
-		return
-	}
-
-	resp := recommendResponse{
-		User: user, T: t, Generation: gen,
-		Results: make([]recommendation, len(recs)),
-	}
-	for i, rec := range recs {
-		resp.Results[i] = recommendation{POI: rec.POI, Score: rec.Score}
-	}
-	body, err := json.Marshal(&resp)
-	if err != nil {
-		s.met.internalErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		return
-	}
-	body = append(body, '\n')
-	s.cache.put(cacheKey{model: dec.Model, gen: gen, user: user, t: t, n: n}, body)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "MISS")
-	w.Header().Set("X-Model", dec.Model)
-	w.Header().Set("X-Generation", strconv.FormatUint(gen, 10))
-	w.Write(body)
-	dur := s.opts.now().Sub(started)
-	s.met.recommendLat.observe(dur)
-	s.reg.RecordServe(dec.Model, false, false, dur)
-
-	// Shadow scoring runs strictly after the primary bytes are written and
-	// over copies of the inputs; it can only touch registry counters.
-	if dec.Shadow != "" {
-		s.spawnShadow(dec, false, user, nil, t, n, recs)
-	}
+	return p.parseNext(body)
 }
 
 // maxNextSeq bounds the check-in sequence length of one /v1/next request:
@@ -340,31 +234,68 @@ func (s *Server) serveRecommend(w http.ResponseWriter, r *http.Request) {
 // request cannot monopolize a scoring slot rolling an unbounded recurrence.
 const maxNextSeq = 512
 
-// nextRequest is the body of POST /v1/next: the user's recent check-ins in
-// ascending time order.
-type nextRequest struct {
-	CheckIns []nextCheckIn `json:"checkins"`
+// parseNext reads the posted check-in sequence; the target time t defaults to
+// the last check-in's time unit.
+func (p *params) parseNext(body io.Reader) (readRequest, error) {
+	req := readRequest{
+		kind: readNext, model: p.q.Get("model"),
+		user: p.required("user"), t: p.optional("t", 0), n: p.optional("n", p.topN),
+	}
+	if p.err != nil {
+		return req, p.err
+	}
+	var posted wire.NextRequest
+	if err := json.NewDecoder(body).Decode(&posted); err != nil {
+		return req, failf(errBadRequest, "decoding body: %v", err)
+	}
+	req.seq = posted.CheckIns
+	switch {
+	case len(req.seq) == 0:
+		return req, failf(errBadRequest, "no checkins in request")
+	case len(req.seq) > maxNextSeq:
+		return req, failf(errBadRequest, "%d checkins exceed the limit of %d", len(req.seq), maxNextSeq)
+	case p.q.Get("t") == "":
+		req.t = req.seq[len(req.seq)-1].T
+	}
+	return req, nil
 }
 
-type nextCheckIn struct {
-	POI int `json:"poi"`
-	T   int `json:"t"`
-}
-
-// nextResponse is the body of POST /v1/next. Like recommendResponse it
-// carries no volatile fields, so cached bytes are byte-identical to freshly
-// computed ones. Model is part of the body here (unlike /v1/recommend, which
-// reports it in the X-Model header only, keeping its pre-registry bytes).
-type nextResponse struct {
-	User       int              `json:"user"`
-	T          int              `json:"t"`
-	Model      string           `json:"model"`
-	Generation uint64           `json:"generation"`
-	Results    []recommendation `json:"results"`
+// validate is the read path's one range and ownership check: every index the
+// scorers will use lies inside the snapshot's dimensions, the user belongs to
+// this node's partition, and n is positive (and clamped to MaxTopN).
+func (s *Server) validate(q *readRequest, m *core.Model) error {
+	if q.user < 0 || q.user >= m.I {
+		return failf(errBadRequest, "user %d out of range [0, %d)", q.user, m.I)
+	}
+	if !s.owns(q.user) {
+		return failf(errMisrouted, "user %d is not in shard %q's partition", q.user, s.opts.ShardName)
+	}
+	for i, c := range q.seq {
+		if c.POI < 0 || c.POI >= m.J {
+			return failf(errBadRequest, "checkin %d: poi %d out of range [0, %d)", i, c.POI, m.J)
+		}
+		if c.T < 0 || c.T >= m.K {
+			return failf(errBadRequest, "checkin %d: t %d out of range [0, %d)", i, c.T, m.K)
+		}
+	}
+	if q.kind == readExplain && (q.poi < 0 || q.poi >= m.J) {
+		return failf(errBadRequest, "poi %d out of range [0, %d)", q.poi, m.J)
+	}
+	if q.t < 0 || q.t >= m.K {
+		return failf(errBadRequest, "t %d out of range [0, %d)", q.t, m.K)
+	}
+	if q.kind == readExplain {
+		return nil
+	}
+	if q.n <= 0 {
+		return failf(errBadRequest, "n must be positive, got %d", q.n)
+	}
+	q.n = min(q.n, s.opts.MaxTopN)
+	return nil
 }
 
 // seqCacheString canonicalizes a check-in sequence for the cache key.
-func seqCacheString(checkIns []nextCheckIn) string {
+func seqCacheString(checkIns []wire.NextCheckIn) string {
 	var b strings.Builder
 	for _, c := range checkIns {
 		b.WriteString(strconv.Itoa(c.POI))
@@ -373,151 +304,6 @@ func seqCacheString(checkIns []nextCheckIn) string {
 		b.WriteByte(';')
 	}
 	return b.String()
-}
-
-// serveNext scores the next POI after a posted check-in sequence with the
-// routed sequential model. Admission, deadline, caching, and metrics match
-// /v1/recommend; the target time t defaults to the last check-in's time unit.
-func (s *Server) serveNext(w http.ResponseWriter, r *http.Request) {
-	started := s.opts.now()
-	s.met.nextTotal.Add(1)
-
-	snap := s.snap.load()
-	user, err := intParam(r, "user", 0, true)
-	if err != nil {
-		s.badRequest(w, "%v", err)
-		return
-	}
-	t, err := intParam(r, "t", -1, false)
-	if err != nil {
-		s.badRequest(w, "%v", err)
-		return
-	}
-	n, err := intParam(r, "n", s.opts.TopNDefault, false)
-	if err != nil {
-		s.badRequest(w, "%v", err)
-		return
-	}
-	var req nextRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.badRequest(w, "decoding body: %v", err)
-		return
-	}
-	if len(req.CheckIns) == 0 {
-		s.badRequest(w, "no checkins in request")
-		return
-	}
-	if len(req.CheckIns) > maxNextSeq {
-		s.badRequest(w, "%d checkins exceed the limit of %d", len(req.CheckIns), maxNextSeq)
-		return
-	}
-	if user < 0 || user >= snap.Model.I {
-		s.badRequest(w, "user %d out of range [0, %d)", user, snap.Model.I)
-		return
-	}
-	if !s.owns(user) {
-		s.misroute(w, "user %d is not in shard %q's partition", user, s.opts.ShardName)
-		return
-	}
-	for i, c := range req.CheckIns {
-		if c.POI < 0 || c.POI >= snap.Model.J {
-			s.badRequest(w, "checkin %d: poi %d out of range [0, %d)", i, c.POI, snap.Model.J)
-			return
-		}
-		if c.T < 0 || c.T >= snap.Model.K {
-			s.badRequest(w, "checkin %d: t %d out of range [0, %d)", i, c.T, snap.Model.K)
-			return
-		}
-	}
-	if r.URL.Query().Get("t") == "" {
-		t = req.CheckIns[len(req.CheckIns)-1].T
-	}
-	if t < 0 || t >= snap.Model.K {
-		s.badRequest(w, "t %d out of range [0, %d)", t, snap.Model.K)
-		return
-	}
-	if n <= 0 {
-		s.badRequest(w, "n must be positive, got %d", n)
-		return
-	}
-	if n > s.opts.MaxTopN {
-		n = s.opts.MaxTopN
-	}
-
-	dec, err := s.reg.RouteNext(user, r.URL.Query().Get("model"))
-	if err != nil {
-		s.routeError(w, err)
-		return
-	}
-	scorer, _ := s.reg.Get(dec.Model)
-	next, ok := scorer.(registry.NextScorer)
-	if !ok { // unreachable: RouteNext only routes to NextScorers
-		s.routeError(w, fmt.Errorf("%w: %q", registry.ErrNotNextCapable, dec.Model))
-		return
-	}
-
-	seqStr := seqCacheString(req.CheckIns)
-	key := cacheKey{model: dec.Model, gen: scorer.Generation(), user: user, t: t, n: n, seq: seqStr}
-	if body := s.cache.get(key); body != nil {
-		s.met.cacheHits.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "HIT")
-		w.Header().Set("X-Model", dec.Model)
-		w.Header().Set("X-Generation", strconv.FormatUint(key.gen, 10))
-		w.Write(body)
-		dur := s.opts.now().Sub(started)
-		s.met.nextLat.observe(dur)
-		s.reg.RecordServe(dec.Model, true, true, dur)
-		return
-	}
-	s.met.cacheMisses.Add(1)
-
-	seq := make([]registry.Event, len(req.CheckIns))
-	for i, c := range req.CheckIns {
-		seq[i] = registry.Event{POI: c.POI, T: c.T}
-	}
-
-	_, release := s.admitRead(w, r)
-	if release == nil {
-		return
-	}
-	recs, gen, err := next.Next(user, seq, t, n)
-	release()
-	if err != nil {
-		if errors.Is(err, registry.ErrNotReady) {
-			s.reg.RecordNotReady(dec.Model)
-		}
-		s.routeError(w, err)
-		return
-	}
-
-	resp := nextResponse{
-		User: user, T: t, Model: dec.Model, Generation: gen,
-		Results: make([]recommendation, len(recs)),
-	}
-	for i, rec := range recs {
-		resp.Results[i] = recommendation{POI: rec.POI, Score: rec.Score}
-	}
-	body, err := json.Marshal(&resp)
-	if err != nil {
-		s.met.internalErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		return
-	}
-	body = append(body, '\n')
-	s.cache.put(cacheKey{model: dec.Model, gen: gen, user: user, t: t, n: n, seq: seqStr}, body)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "MISS")
-	w.Header().Set("X-Model", dec.Model)
-	w.Header().Set("X-Generation", strconv.FormatUint(gen, 10))
-	w.Write(body)
-	dur := s.opts.now().Sub(started)
-	s.met.nextLat.observe(dur)
-	s.reg.RecordServe(dec.Model, true, false, dur)
-
-	if dec.Shadow != "" {
-		s.spawnShadow(dec, true, user, seq, t, n, recs)
-	}
 }
 
 // explainResponse mirrors core.Explanation with JSON-safe distances: +Inf
@@ -550,53 +336,152 @@ func finiteOrNil(v float64) *float64 {
 	return &v
 }
 
-func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request) {
+// serveRead is the read pipeline of all three read endpoints, and the only
+// code that runs its stages: parse → load snapshot → validate range and
+// ownership → route through the registry → response cache → (on a miss,
+// compute: admit under the request deadline → score → encode) → headers →
+// latency and per-model accounting → shadow. Scored reads (recommend, next)
+// differ only in the registry call that routes them and the scorer method
+// that answers; explain reads the TCSS snapshot directly, so it is not routed,
+// never cached and carries no X-Cache/X-Model headers.
+func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, kind readKind, total *atomic.Int64, lat *registry.LatencyWindow) {
 	started := s.opts.now()
-	s.met.explainTotal.Add(1)
+	total.Add(1)
 
 	snap := s.snap.load()
-	user, err := intParam(r, "user", 0, true)
+	p := params{q: r.URL.Query(), topN: s.opts.TopNDefault}
+	q, err := p.parse(kind, r.Body)
+	if err == nil {
+		err = s.validate(&q, snap.Model)
+	}
 	if err != nil {
-		s.badRequest(w, "%v", err)
-		return
-	}
-	poi, err := intParam(r, "poi", 0, true)
-	if err != nil {
-		s.badRequest(w, "%v", err)
-		return
-	}
-	t, err := intParam(r, "t", 0, true)
-	if err != nil {
-		s.badRequest(w, "%v", err)
-		return
-	}
-	if user < 0 || user >= snap.Model.I {
-		s.badRequest(w, "user %d out of range [0, %d)", user, snap.Model.I)
-		return
-	}
-	if !s.owns(user) {
-		s.misroute(w, "user %d is not in shard %q's partition", user, s.opts.ShardName)
-		return
-	}
-	if poi < 0 || poi >= snap.Model.J {
-		s.badRequest(w, "poi %d out of range [0, %d)", poi, snap.Model.J)
-		return
-	}
-	if t < 0 || t >= snap.Model.K {
-		s.badRequest(w, "t %d out of range [0, %d)", t, snap.Model.K)
+		s.fail(w, err)
 		return
 	}
 
-	_, release := s.admitRead(w, r)
-	if release == nil {
-		return
+	// Routing: explicit ?model= override, else the registry's policy
+	// (primary, or the deterministic A/B split when configured).
+	routed, next := kind != readExplain, kind == readNext
+	var (
+		dec    registry.Decision
+		scorer Scorer
+		key    cacheKey
+		body   []byte
+		gen    uint64
+	)
+	if routed {
+		if next {
+			dec, err = s.reg.RouteNext(q.user, q.model)
+		} else {
+			dec, err = s.reg.Route(q.user, q.model)
+		}
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		scorer, _ = s.reg.Get(dec.Model)
+		key = cacheKey{model: dec.Model, gen: scorer.Generation(), user: q.user, t: q.t, n: q.n, seq: seqCacheString(q.seq)}
+		body, gen = s.cache.get(key), key.gen
 	}
-	ex := snap.Model.Explain(snap.Side, user, poi, t)
-	release()
 
-	w.Header().Set("X-Generation", strconv.FormatUint(snap.Gen, 10))
-	writeJSON(w, http.StatusOK, explainResponse{
-		User: user, POI: poi, T: t, Generation: snap.Gen,
+	hit, outcome := body != nil, "MISS"
+	var recs []core.Recommendation
+	if hit {
+		s.met.cacheHits.Add(1)
+		outcome = "HIT"
+	} else {
+		if routed {
+			s.met.cacheMisses.Add(1)
+		}
+		body, gen, recs, err = s.compute(r, &q, snap, scorer, dec.Model)
+		if err != nil {
+			if errors.Is(err, registry.ErrNotReady) {
+				s.reg.RecordNotReady(dec.Model)
+			}
+			s.fail(w, err)
+			return
+		}
+		if routed {
+			key.gen = gen
+			s.cache.put(key, body)
+		}
+	}
+
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if routed {
+		h.Set(wire.CacheHeader, outcome)
+		h.Set(wire.ModelHeader, dec.Model)
+	}
+	h.Set(wire.GenerationHeader, strconv.FormatUint(gen, 10))
+	w.Write(body)
+	dur := s.opts.now().Sub(started)
+	lat.Observe(dur)
+	if routed {
+		s.reg.RecordServe(dec.Model, next, hit, dur)
+		// Shadow scoring runs strictly after the primary bytes are written
+		// and over copies of the inputs; it can only touch registry counters.
+		if !hit && dec.Shadow != "" {
+			s.spawnShadow(dec.Shadow, &q, recs)
+		}
+	}
+}
+
+// compute is the miss half of the read pipeline: a scoring slot within the
+// request's deadline (else 503/504), the endpoint's scoring call, and the
+// response bytes — exactly what a later cache hit replays — under the
+// generation they were computed against.
+func (s *Server) compute(r *http.Request, q *readRequest, snap *Snapshot, scorer Scorer, model string) (body []byte, gen uint64, recs []core.Recommendation, err error) {
+	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(r))
+	defer cancel()
+	if err = s.adm.acquire(ctx); err != nil {
+		return nil, 0, nil, err
+	}
+	if s.opts.holdForTest != nil {
+		s.opts.holdForTest()
+	}
+	if ctx.Err() != nil {
+		s.adm.release()
+		return nil, 0, nil, errDeadline
+	}
+
+	var resp any
+	switch q.kind {
+	case readRecommend:
+		recs, gen, err = scorer.Recommend(q.user, q.t, q.n)
+	case readNext:
+		// RouteNext only ever routes to NextScorers.
+		recs, gen, err = scorer.(registry.NextScorer).Next(q.user, q.seq, q.t, q.n)
+	case readExplain:
+		gen = snap.Gen
+		resp = newExplainResponse(q, snap)
+	}
+	s.adm.release()
+	if err != nil {
+		return nil, 0, nil, err
+	}
+
+	if q.kind != readExplain {
+		scored := &wire.ReadResponse{
+			User: q.user, T: q.t, Generation: gen,
+			Results: make([]wire.Recommendation, len(recs)),
+		}
+		if q.kind == readNext {
+			scored.Model = model
+		}
+		for i, rec := range recs {
+			scored.Results[i] = wire.Recommendation{POI: rec.POI, Score: rec.Score}
+		}
+		resp = scored
+	}
+	body, err = json.Marshal(resp)
+	return append(body, '\n'), gen, recs, err
+}
+
+func newExplainResponse(q *readRequest, snap *Snapshot) *explainResponse {
+	ex := snap.Model.Explain(snap.Side, q.user, q.poi, q.t)
+	return &explainResponse{
+		User: q.user, POI: q.poi, T: q.t, Generation: snap.Gen,
 		Score:            ex.Score,
 		VisitProbability: ex.VisitProbability,
 		PeakT:            ex.PeakTimeUnit,
@@ -608,189 +493,171 @@ func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request) {
 		NearestOwnPOI:    ex.NearestOwnPOI,
 		NearestOwnKm:     finiteOrNil(ex.NearestOwnDistance),
 		LocationEntropyW: ex.LocationEntropyW,
+	}
+}
+
+// spawnShadow schedules an off-path scoring of the shadow model and records
+// its top-K overlap against the primary's results. It runs after the primary
+// response bytes are already on the wire, never writes to the ResponseWriter,
+// and copies what it needs from the request — by construction it cannot alter
+// the primary response. Slots are bounded; overflow is dropped and counted.
+func (s *Server) spawnShadow(name string, q *readRequest, primary []core.Recommendation) {
+	sc, ok := s.reg.Get(name)
+	if !ok {
+		return
+	}
+	pois := make([]int, len(primary))
+	for i, rec := range primary {
+		pois[i] = rec.POI
+	}
+	user, seq, t, n := q.user, q.seq, q.t, q.n
+	s.reg.ShadowGo(func() {
+		var recs []core.Recommendation
+		var err error
+		if seq != nil {
+			ns, isNext := sc.(registry.NextScorer)
+			if !isNext {
+				s.reg.RecordShadowError(name)
+				return
+			}
+			recs, _, err = ns.Next(user, seq, t, n)
+		} else {
+			recs, _, err = sc.Recommend(user, t, n)
+		}
+		if err != nil {
+			s.reg.RecordShadowError(name)
+			return
+		}
+		shadowPOIs := make([]int, len(recs))
+		for i, rec := range recs {
+			shadowPOIs[i] = rec.POI
+		}
+		frac, exact := registry.Overlap(pois, shadowPOIs)
+		s.reg.RecordShadow(name, frac, exact)
 	})
-	s.met.explainLat.observe(s.opts.now().Sub(started))
 }
 
-// observeRequest is the body of POST /v1/observe. new_users and new_pois
-// carry open-world arrivals (mirroring the drift stream's JSONL shape); they
-// are only accepted when the server runs with Options.Grow.
-type observeRequest struct {
-	CheckIns []observeCheckIn `json:"checkins"`
-	NewUsers []observeNewUser `json:"new_users,omitempty"`
-	NewPOIs  []observePOI     `json:"new_pois,omitempty"`
-}
-
-type observeCheckIn struct {
-	User  int `json:"user"`
-	POI   int `json:"poi"`
-	Month int `json:"month"`
-	Week  int `json:"week"`
-	Hour  int `json:"hour"`
-}
-
-type observeNewUser struct {
-	ID      int   `json:"id"`
-	Friends []int `json:"friends,omitempty"`
-}
-
-type observePOI struct {
-	ID       int     `json:"id"`
-	Lat      float64 `json:"lat"`
-	Lon      float64 `json:"lon"`
-	Category int     `json:"category"`
-}
-
-type observeResponse struct {
-	Added      int    `json:"added"`
-	Generation uint64 `json:"generation"`
-	// Users and POIs report the model dimensions after the batch applied.
-	Users int `json:"users"`
-	POIs  int `json:"pois"`
-}
-
-// conflict rejects a growth-requiring request with 409: the ids are beyond
-// the model's dimensions and this node will not grow (Options.Grow off, or
-// the batch lost a validation race). Distinct from 400 — the request may be
-// perfectly valid at a growth-enabled primary.
-func (s *Server) conflict(w http.ResponseWriter, format string, args ...any) {
-	s.met.observeRejectedRange.Add(1)
-	writeJSON(w, http.StatusConflict, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-func (s *Server) serveObserve(w http.ResponseWriter, r *http.Request) {
-	started := s.opts.now()
-	s.met.observeTotal.Add(1)
-
-	if s.closing.Load() {
-		s.shed(w, "server draining, observe")
-		return
-	}
-	if s.src.ReadOnly() {
-		s.misroute(w, "%v", ErrReadOnly)
-		return
-	}
-	var req observeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.badRequest(w, "decoding body: %v", err)
-		return
-	}
-	if len(req.CheckIns) == 0 && len(req.NewUsers) == 0 && len(req.NewPOIs) == 0 {
-		s.badRequest(w, "no checkins in request")
-		return
-	}
-	snap := s.snap.load()
+// observeBatch validates a decoded observe request against the snapshot's
+// dimensions, this node's partition and its growth setting, and converts it
+// to the writer's batch.
+func (s *Server) observeBatch(req *wire.ObserveRequest, m *core.Model) (*tcss.ObserveBatch, error) {
 	grow := s.opts.Grow
 	if !grow && (len(req.NewUsers) > 0 || len(req.NewPOIs) > 0) {
-		s.conflict(w, "open-world arrivals rejected: growth is disabled on this node")
-		return
+		return nil, failf(errConflict, "open-world arrivals rejected: growth is disabled on this node")
 	}
 	// needI tracks the user dimension the batch implies, so friend references
 	// can chain through same-batch arrivals.
-	needI := snap.Model.I
-	batch := tcss.ObserveBatch{NewUsers: make([]lbsn.NewUser, len(req.NewUsers)), NewPOIs: make([]lbsn.POI, len(req.NewPOIs))}
+	needI := m.I
+	batch := &tcss.ObserveBatch{
+		NewUsers: make([]lbsn.NewUser, len(req.NewUsers)),
+		NewPOIs:  make([]lbsn.POI, len(req.NewPOIs)),
+		CheckIns: make([]lbsn.CheckIn, len(req.CheckIns)),
+	}
 	for i, u := range req.NewUsers {
 		if u.ID < 0 {
-			s.badRequest(w, "new_user %d: negative id %d", i, u.ID)
-			return
+			return nil, failf(errBadRequest, "new_user %d: negative id %d", i, u.ID)
 		}
 		if !s.owns(u.ID) {
-			s.misroute(w, "new_user %d: user %d is not in shard %q's partition", i, u.ID, s.opts.ShardName)
-			return
+			return nil, failf(errMisrouted, "new_user %d: user %d is not in shard %q's partition", i, u.ID, s.opts.ShardName)
 		}
-		if u.ID >= needI {
-			needI = u.ID + 1
-		}
+		needI = max(needI, u.ID+1)
 		batch.NewUsers[i] = lbsn.NewUser{ID: u.ID, Friends: u.Friends}
 	}
 	for i, u := range req.NewUsers {
 		for _, f := range u.Friends {
 			if f < 0 || f >= needI {
-				s.badRequest(w, "new_user %d: friend %d out of range [0, %d)", i, f, needI)
-				return
+				return nil, failf(errBadRequest, "new_user %d: friend %d out of range [0, %d)", i, f, needI)
 			}
 		}
 	}
 	for i, p := range req.NewPOIs {
 		if p.ID < 0 {
-			s.badRequest(w, "new_poi %d: negative id %d", i, p.ID)
-			return
+			return nil, failf(errBadRequest, "new_poi %d: negative id %d", i, p.ID)
 		}
 		batch.NewPOIs[i] = lbsn.POI{
 			ID: p.ID, Loc: geo.Point{Lat: p.Lat, Lon: p.Lon},
 			Category: lbsn.Category(p.Category),
 		}
 	}
-	batch.CheckIns = make([]lbsn.CheckIn, len(req.CheckIns))
 	for i, c := range req.CheckIns {
 		ci := lbsn.CheckIn{User: c.User, POI: c.POI, Month: c.Month, Week: c.Week, Hour: c.Hour}
 		if c.User < 0 {
-			s.badRequest(w, "checkin %d: negative user %d", i, c.User)
-			return
+			return nil, failf(errBadRequest, "checkin %d: negative user %d", i, c.User)
 		}
-		if c.User >= snap.Model.I && !grow {
-			s.conflict(w, "checkin %d: user %d beyond model dimension %d and growth is disabled", i, c.User, snap.Model.I)
-			return
+		if c.User >= m.I && !grow {
+			return nil, failf(errConflict, "checkin %d: user %d beyond model dimension %d and growth is disabled", i, c.User, m.I)
 		}
 		if !s.owns(c.User) {
-			s.misroute(w, "checkin %d: user %d is not in shard %q's partition", i, c.User, s.opts.ShardName)
-			return
+			return nil, failf(errMisrouted, "checkin %d: user %d is not in shard %q's partition", i, c.User, s.opts.ShardName)
 		}
 		if c.POI < 0 {
-			s.badRequest(w, "checkin %d: negative poi %d", i, c.POI)
-			return
+			return nil, failf(errBadRequest, "checkin %d: negative poi %d", i, c.POI)
 		}
-		if c.POI >= snap.Model.J && !grow {
-			s.conflict(w, "checkin %d: poi %d beyond model dimension %d and growth is disabled", i, c.POI, snap.Model.J)
-			return
+		if c.POI >= m.J && !grow {
+			return nil, failf(errConflict, "checkin %d: poi %d beyond model dimension %d and growth is disabled", i, c.POI, m.J)
 		}
-		if k := s.gran.Index(ci); k < 0 || k >= snap.Model.K {
-			s.badRequest(w, "checkin %d: time unit %d out of range [0, %d)", i, k, snap.Model.K)
-			return
+		if k := s.gran.Index(ci); k < 0 || k >= m.K {
+			return nil, failf(errBadRequest, "checkin %d: time unit %d out of range [0, %d)", i, k, m.K)
 		}
 		batch.CheckIns[i] = ci
 	}
+	return batch, nil
+}
 
-	cmd := writerCmd{batch: &batch, reply: make(chan writerResult, 1)}
+// writerCall is the one round trip to the single-writer goroutine: shed when
+// the server is draining or the writer's bounded queue is full, else enqueue
+// and wait for the writer's reply or the request's deadline. On a missed
+// deadline the command stays queued and will still be applied; the client
+// just stopped waiting for confirmation.
+func (s *Server) writerCall(r *http.Request, cmd writerCmd, what string) (writerResult, error) {
+	if s.closing.Load() {
+		return writerResult{}, shed("server draining, " + what)
+	}
+	cmd.reply = make(chan writerResult, 1)
 	select {
 	case s.cmds <- cmd:
 	default:
-		s.shed(w, "observe queue")
-		return
+		return writerResult{}, shed("observe queue")
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(r))
 	defer cancel()
 	select {
 	case res := <-cmd.reply:
-		if res.err != nil {
-			switch {
-			case errors.Is(res.err, ErrDegraded):
-				s.degraded(w, res.err)
-			case errors.Is(res.err, core.ErrOutOfRange):
-				// Counted by the writer; the ids need growth this node (or
-				// config) refused.
-				writeJSON(w, http.StatusConflict, errorBody{Error: res.err.Error()})
-			case errors.Is(res.err, core.ErrCompactModel):
-				// Growth needs float64 factors; this node serves a compact
-				// model. 503 — the cluster may still have a f64 primary.
-				writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: res.err.Error()})
-			default:
-				s.met.internalErrors.Add(1)
-				writeJSON(w, http.StatusInternalServerError, errorBody{Error: res.err.Error()})
-			}
-			return
-		}
-		snap := s.snap.load()
-		writeJSON(w, http.StatusOK, observeResponse{
-			Added: res.added, Generation: res.gen,
-			Users: snap.Model.I, POIs: snap.Model.J,
-		})
-		s.met.observeLat.observe(s.opts.now().Sub(started))
+		return res, res.err
 	case <-ctx.Done():
-		// The batch stays queued and will still be applied; the client just
-		// stopped waiting for confirmation.
-		s.deadline(w)
+		return writerResult{}, errDeadline
 	}
+}
+
+func (s *Server) serveObserve(w http.ResponseWriter, r *http.Request) {
+	started := s.opts.now()
+	s.met.observeTotal.Add(1)
+
+	res, err := s.observe(r)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, wire.ObserveResponse{
+		Added: res.added, Generation: res.gen, Users: res.users, POIs: res.pois,
+	})
+	s.met.observeLat.Observe(s.opts.now().Sub(started))
+}
+
+// observe decodes, validates and applies one observe request.
+func (s *Server) observe(r *http.Request) (writerResult, error) {
+	if s.src.ReadOnly() {
+		return writerResult{}, ErrReadOnly
+	}
+	req, err := wire.DecodeObserve(r.Body)
+	if err != nil {
+		return writerResult{}, failf(errBadRequest, "%v", err)
+	}
+	batch, err := s.observeBatch(req, s.snap.load().Model)
+	if err != nil {
+		return writerResult{}, err
+	}
+	return s.writerCall(r, writerCmd{batch: batch}, "observe")
 }
 
 type saveResponse struct {
@@ -800,33 +667,15 @@ type saveResponse struct {
 
 func (s *Server) serveSnapshotSave(w http.ResponseWriter, r *http.Request) {
 	if s.opts.SnapshotPath == "" {
-		s.badRequest(w, "snapshot saving is not configured (no snapshot path)")
+		s.fail(w, failf(errBadRequest, "snapshot saving is not configured (no snapshot path)"))
 		return
 	}
-	if s.closing.Load() {
-		s.shed(w, "server draining, snapshot save")
+	res, err := s.writerCall(r, writerCmd{save: true}, "snapshot save")
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
-	cmd := writerCmd{save: true, reply: make(chan writerResult, 1)}
-	select {
-	case s.cmds <- cmd:
-	default:
-		s.shed(w, "observe queue")
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-	select {
-	case res := <-cmd.reply:
-		if res.err != nil {
-			s.met.internalErrors.Add(1)
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: res.err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, saveResponse{Path: s.opts.SnapshotPath, Generation: res.gen})
-	case <-ctx.Done():
-		s.deadline(w)
-	}
+	writeJSON(w, http.StatusOK, saveResponse{Path: s.opts.SnapshotPath, Generation: res.gen})
 }
 
 type healthResponse struct {

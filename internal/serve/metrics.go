@@ -1,73 +1,14 @@
 package serve
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"tcss/internal/registry"
 )
 
-// latencyRing keeps the last ringSize request latencies per request class and
-// computes percentiles over that window on scrape. A bounded window keeps
-// /metrics O(1) in memory over arbitrarily long uptimes while still tracking
-// the current tail behaviour.
-const ringSize = 4096
-
-type latencyRing struct {
-	mu    sync.Mutex
-	buf   [ringSize]float64 // milliseconds
-	next  int
-	count int64 // total observations ever
-}
-
-func (r *latencyRing) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	r.mu.Lock()
-	r.buf[r.next] = ms
-	r.next = (r.next + 1) % ringSize
-	r.count++
-	r.mu.Unlock()
-}
-
-// window copies out the ring's current contents (up to ringSize samples, in
-// no particular order). The gateway scrapes these raw windows from every
-// shard to compute cluster-wide percentiles — percentiles of merged samples,
-// which per-shard percentiles cannot be combined into.
-func (r *latencyRing) window() []float64 {
-	r.mu.Lock()
-	n := int(r.count)
-	if n > ringSize {
-		n = ringSize
-	}
-	out := make([]float64, n)
-	copy(out, r.buf[:n])
-	r.mu.Unlock()
-	return out
-}
-
-// percentiles returns the p50/p95/p99 of the current window in milliseconds,
-// or zeros when empty.
-func (r *latencyRing) percentiles() (p50, p95, p99 float64) {
-	window := r.window()
-	n := len(window)
-	if n == 0 {
-		return 0, 0, 0
-	}
-	sort.Float64s(window)
-	at := func(p float64) float64 {
-		idx := int(p*float64(n)) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return window[idx]
-	}
-	return at(0.50), at(0.95), at(0.99)
-}
-
 // metrics aggregates the server's observability counters. All counters are
-// atomics so the request path never takes a lock beyond the latency ring's.
+// atomics so the request path never takes a lock beyond the latency windows'.
 type metrics struct {
 	start time.Time
 
@@ -129,10 +70,10 @@ type metrics struct {
 	replicationFails   atomic.Int64
 	replicationCRC     atomic.Int64
 
-	recommendLat latencyRing
-	nextLat      latencyRing
-	explainLat   latencyRing
-	observeLat   latencyRing
+	recommendLat registry.LatencyWindow
+	nextLat      registry.LatencyWindow
+	explainLat   registry.LatencyWindow
+	observeLat   registry.LatencyWindow
 }
 
 // coalesceBucketCount is one batch-size histogram bucket in /metrics,
@@ -151,7 +92,7 @@ type routeStats struct {
 }
 
 // latencyWindows carries the raw per-route latency samples (milliseconds,
-// bounded by the ring size) when /metrics is scraped with ?window=1. The
+// bounded by registry.WindowSize) when /metrics is scraped with ?window=1. The
 // gateway merges these across shards; plain scrapes omit the block.
 type latencyWindows struct {
 	RecommendMs []float64 `json:"recommend_ms"`
@@ -293,16 +234,16 @@ type metricsSnapshot struct {
 }
 
 // collectMetrics snapshots every counter into the /metrics document.
-// includeWindows additionally copies out the raw latency rings, which is
-// ~3×ringSize float64s of allocation — opt-in for gateway scrapes only.
+// includeWindows additionally copies out the raw latency windows, up to
+// 4×registry.WindowSize float64s of allocation — opt-in for gateway scrapes only.
 func (s *Server) collectMetrics(includeWindows bool) metricsSnapshot {
 	m := s.met
 	var out metricsSnapshot
 	out.UptimeSeconds = s.opts.now().Sub(m.start).Seconds()
 
-	fill := func(dst *routeStats, total *atomic.Int64, ring *latencyRing) {
+	fill := func(dst *routeStats, total *atomic.Int64, lat *registry.LatencyWindow) {
 		dst.Count = total.Load()
-		dst.P50ms, dst.P95ms, dst.P99ms = ring.percentiles()
+		dst.P50ms, dst.P95ms, dst.P99ms = registry.Percentiles(lat.Samples())
 	}
 	fill(&out.Recommend, &m.recommendTotal, &m.recommendLat)
 	fill(&out.Next, &m.nextTotal, &m.nextLat)
@@ -325,10 +266,10 @@ func (s *Server) collectMetrics(includeWindows bool) metricsSnapshot {
 
 	if includeWindows {
 		out.Windows = &latencyWindows{
-			RecommendMs: m.recommendLat.window(),
-			NextMs:      m.nextLat.window(),
-			ExplainMs:   m.explainLat.window(),
-			ObserveMs:   m.observeLat.window(),
+			RecommendMs: m.recommendLat.Samples(),
+			NextMs:      m.nextLat.Samples(),
+			ExplainMs:   m.explainLat.Samples(),
+			ObserveMs:   m.observeLat.Samples(),
 		}
 	}
 

@@ -300,10 +300,15 @@ type writerCmd struct {
 	reply chan writerResult  // buffered(1); always receives exactly once
 }
 
+// writerResult is the writer's reply. users and pois are the dimensions of
+// the snapshot gen names — read from the snapshot the writer itself published
+// (or found current), never from whatever is current by the time the handler
+// answers.
 type writerResult struct {
-	added int
-	gen   uint64
-	err   error
+	added       int
+	gen         uint64
+	users, pois int
+	err         error
 }
 
 // Server is the embeddable recommendation server. Create one with New,
@@ -321,6 +326,7 @@ type Server struct {
 	coal  *coalescer // nil unless Options.Coalesce
 	cache *lruCache
 	met   *metrics
+	rules []errorRule // sentinel → HTTP answer, see errorRules
 	adm   *admission
 	brk   *breaker
 	cmds  chan writerCmd
@@ -405,6 +411,7 @@ func NewFromSource(src Source, opts Options) (*Server, error) {
 		quit:  make(chan struct{}),
 		drain: make(chan struct{}),
 	}
+	s.rules = s.errorRules()
 	model, side := src.Snapshot()
 	s.publish(&Snapshot{
 		Gen:     opts.FirstGeneration,
@@ -616,7 +623,7 @@ func (s *Server) handleObserve(batch *tcss.ObserveBatch) writerResult {
 	// returns a fresh model object whenever dimensions changed.
 	if added == 0 && model == cur.Model {
 		s.met.observeNoop.Add(1)
-		return writerResult{gen: cur.Gen}
+		return writerResult{gen: cur.Gen, users: cur.Model.I, pois: cur.Model.J}
 	}
 	if grew := model.I - cur.Model.I; grew > 0 {
 		s.met.observeGrownUsers.Add(int64(grew))
@@ -634,7 +641,7 @@ func (s *Server) handleObserve(batch *tcss.ObserveBatch) writerResult {
 	s.met.snapshotSwaps.Add(1)
 	s.met.observeApplied.Add(1)
 	s.met.observeAdded.Add(int64(added))
-	return writerResult{added: added, gen: next.Gen}
+	return writerResult{added: added, gen: next.Gen, users: model.I, pois: model.J}
 }
 
 // observeOnce runs one guarded observe: the injected fault seam first, then

@@ -13,6 +13,7 @@ import (
 	"tcss/internal/core"
 	"tcss/internal/fault"
 	"tcss/internal/geo"
+	"tcss/internal/wire"
 )
 
 // ShipVersion is the snapshot-shipping wire format version, carried in the
@@ -69,13 +70,13 @@ func EncodeShipment(snap *Snapshot) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: encoding shipped side info: %w", err)
 	}
-	wire := make([]byte, 8, 8+model.Len()+len(side))
-	binary.LittleEndian.PutUint64(wire, uint64(model.Len()))
-	wire = append(wire, model.Bytes()...)
-	wire = append(wire, side...)
+	payload := make([]byte, 8, 8+model.Len()+len(side))
+	binary.LittleEndian.PutUint64(payload, uint64(model.Len()))
+	payload = append(payload, model.Bytes()...)
+	payload = append(payload, side...)
 	var out bytes.Buffer
-	out.Grow(len(wire) + 256)
-	if err := fault.WriteFramed(&out, ShipVersion, wire); err != nil {
+	out.Grow(len(payload) + 256)
+	if err := fault.WriteFramed(&out, ShipVersion, payload); err != nil {
 		return nil, fmt.Errorf("serve: framing shipment: %w", err)
 	}
 	return out.Bytes(), nil
@@ -90,26 +91,26 @@ func EncodeShipment(snap *Snapshot) ([]byte, error) {
 // is an error. Corruption fails with an error wrapping fault.ErrChecksum;
 // callers keep serving their last good snapshot in that case.
 func DecodeShipment(data []byte, dist *geo.DistanceMatrix) (*core.Model, *core.SideInfo, uint64, error) {
-	version, wire, err := fault.ReadFramed(data)
+	version, payload, err := fault.ReadFramed(data)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: shipment frame: %w", err)
 	}
 	if version != ShipVersion {
 		return nil, nil, 0, fmt.Errorf("serve: shipment is wire version %d, this build reads %d", version, ShipVersion)
 	}
-	if len(wire) < 8 {
-		return nil, nil, 0, fmt.Errorf("serve: shipment payload truncated (%d bytes)", len(wire))
+	if len(payload) < 8 {
+		return nil, nil, 0, fmt.Errorf("serve: shipment payload truncated (%d bytes)", len(payload))
 	}
-	modelLen := binary.LittleEndian.Uint64(wire)
-	if modelLen > uint64(len(wire)-8) {
-		return nil, nil, 0, fmt.Errorf("serve: shipment declares %d model bytes, payload has %d", modelLen, len(wire)-8)
+	modelLen := binary.LittleEndian.Uint64(payload)
+	if modelLen > uint64(len(payload)-8) {
+		return nil, nil, 0, fmt.Errorf("serve: shipment declares %d model bytes, payload has %d", modelLen, len(payload)-8)
 	}
-	model, gen, err := core.DecodeBinary(wire[8 : 8+modelLen])
+	model, gen, err := core.DecodeBinary(payload[8 : 8+modelLen])
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	var shipped ShippedSide
-	if err := json.Unmarshal(wire[8+modelLen:], &shipped); err != nil {
+	if err := json.Unmarshal(payload[8+modelLen:], &shipped); err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: decoding shipped side info: %w", err)
 	}
 	if len(shipped.OwnPOIs) != model.I || len(shipped.FriendPOIs) != model.I || len(shipped.EntropyW) != model.J {
@@ -177,11 +178,11 @@ func (s *Server) RecordReplication(err error) {
 // header always reports the generation being (or not being) shipped.
 func (s *Server) serveSnapshotBin(w http.ResponseWriter, r *http.Request) {
 	snap := s.snap.load()
-	w.Header().Set("X-Generation", strconv.FormatUint(snap.Gen, 10))
+	w.Header().Set(wire.GenerationHeader, strconv.FormatUint(snap.Gen, 10))
 	if raw := r.URL.Query().Get("after"); raw != "" {
 		after, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			s.badRequest(w, "parameter %q: %v", "after", err)
+			s.fail(w, failf(errBadRequest, "parameter %q: %v", "after", err))
 			return
 		}
 		if snap.Gen <= after {
@@ -191,8 +192,7 @@ func (s *Server) serveSnapshotBin(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := EncodeShipment(snap)
 	if err != nil {
-		s.met.internalErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		s.fail(w, err)
 		return
 	}
 	s.met.shipmentsServed.Add(1)
