@@ -65,6 +65,10 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) ./internal/wire || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz FuzzObserveValidate -fuzztime $(FUZZTIME) ./internal/serve
+	@# The two decoders behind every file load and every replica shipment. The
+	@# minimizer would otherwise spend up to a minute on the first new input.
+	$(GO) test -run '^$$' -fuzz FuzzReadFramed -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/fault
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBinary -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core
 
 # Re-record the golden trajectories after an INTENDED change to training math.
 golden-update:
@@ -121,10 +125,11 @@ crash-smoke:
 	@echo "crash-smoke: resumed-after-crash model byte-identical to straight-through run"
 
 # Compact-serving end-to-end smoke: train an int8-quantized model, save it in
-# the v5 binary slab format, serve it via the zero-copy mmap loader with
-# request coalescing enabled, and drive a short closed-loop burst over HTTP.
-# Exercises the whole compact pipeline: quantize -> v5 save -> mmap load ->
-# coalesced batch scoring.
+# the v5 binary slab format, serve it with request coalescing enabled, and
+# drive a short closed-loop burst over HTTP. -model reads the format from the
+# file, so the smoke asserts from the server's own "loaded model" line that
+# the v5 file was memory-mapped, not copied. Exercises the whole compact
+# pipeline: quantize -> v5 save -> mmap load -> coalesced batch scoring.
 QUANT_DIR ?= /tmp/tcss_quant_smoke
 QUANT_ADDR ?= 127.0.0.1:18093
 quant-smoke:
@@ -133,8 +138,8 @@ quant-smoke:
 	$(GO) build -o $(QUANT_DIR)/loadgen ./cmd/loadgen
 	$(QUANT_DIR)/tcss -preset gmu-5k -rank 12 -epochs 40 -storage int8 \
 		-save-binary $(QUANT_DIR)/model.bin
-	$(QUANT_DIR)/tcss serve -preset gmu-5k -model $(QUANT_DIR)/model.bin -mmap \
-		-coalesce -addr $(QUANT_ADDR) & \
+	$(QUANT_DIR)/tcss serve -preset gmu-5k -model $(QUANT_DIR)/model.bin \
+		-coalesce -addr $(QUANT_ADDR) > $(QUANT_DIR)/serve.log & \
 	pid=$$!; \
 	up=0; for i in $$(seq 1 50); do \
 		curl -fsS http://$(QUANT_ADDR)/healthz >/dev/null 2>&1 && { up=1; break; }; \
@@ -146,6 +151,8 @@ quant-smoke:
 		-out $(QUANT_DIR)/quant_smoke.json; status=$$?; \
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
 	test $$status -eq 0 || { echo "quant-smoke: loadgen failed ($$status)"; exit 1; }
+	grep 'loaded model .*format v5.*memory-mapped: true' $(QUANT_DIR)/serve.log \
+		|| { echo "quant-smoke: server did not report a memory-mapped v5 load:"; cat $(QUANT_DIR)/serve.log; exit 1; }
 	@echo "quant-smoke: int8 model saved (v5), mmap-served with coalescing, load OK"
 
 # Multi-model serving end-to-end smoke: train the TCSS tensor model plus an

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -46,8 +45,7 @@ Flags:
 		seed      = fs.Int64("seed", 7, "seed for generation, splitting and training")
 		epochs    = fs.Int("epochs", 0, "training epochs (0 = default)")
 		rank      = fs.Int("rank", 0, "embedding rank (0 = default 10)")
-		modelPath = fs.String("model", "", "serve a saved model instead of training; its recorded generation is resumed")
-		mmapModel = fs.Bool("mmap", false, "memory-map a -model file in the v5 binary format instead of reading it (O(1) restart)")
+		modelPath = fs.String("model", "", "serve a saved model instead of training (a binary file is memory-mapped, a torn one falls back to its rotated copies); its recorded generation is resumed")
 		storage   = fs.String("storage", "", "serve with this factor storage: f64, f32, int8 (empty keeps the model's mode)")
 		snapshot  = fs.String("snapshot", "", "enable POST /v1/snapshot/save writing the model (with generation) here")
 		snapKeep  = fs.Int("snapshot-keep", 0, "rotated prior snapshots to keep (path.1 ... path.N)")
@@ -135,39 +133,23 @@ Flags:
 			cfg.Rank = *rank
 		}
 		if *modelPath != "" {
-			var (
-				m    *tcss.Model
-				gen  uint64
-				from string
-			)
-			if *mmapModel {
-				// Zero-copy path: the factor slabs alias the mapping, so startup
-				// cost is O(1) in model size. The mapping stays open for the
-				// process lifetime (the kernel reclaims it on exit).
-				var closer io.Closer
-				m, gen, closer, err = tcss.LoadModelMmap(*modelPath)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "tcss serve:", err)
-					os.Exit(1)
-				}
-				defer closer.Close()
-				from = *modelPath + " (mmap)"
-			} else {
-				// Fallback-aware load: a crash mid-save leaves the newest snapshot
-				// torn; the rotation ladder still holds the previous intact one.
-				m, gen, from, err = tcss.LoadModelVersionedFallback(*modelPath, 16)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "tcss serve:", err)
-					os.Exit(1)
-				}
+			// A crash mid-save leaves the newest snapshot torn; the rotation
+			// ladder still holds the previous intact one. A binary model is
+			// served out of its mapping, which stays open for the process
+			// lifetime.
+			m, f, err := tcss.OpenModel(*modelPath)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "tcss serve:", err)
+				os.Exit(1)
 			}
+			defer f.Close()
 			rec, err = tcss.AttachModel(m, ds, g, cfg, 0.8)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tcss serve:", err)
 				os.Exit(1)
 			}
-			firstGen = gen
-			fmt.Printf("loaded model %s (generation %d)\n", from, gen)
+			firstGen = f.Generation
+			fmt.Printf("loaded model %s (format v%d, generation %d, memory-mapped: %v)\n", f.From, f.Version, f.Generation, f.Mapped)
 		} else {
 			// A killed serve process can restart with -resume pointing at the
 			// periodic mid-train snapshot and continue training where it left
@@ -272,7 +254,7 @@ Flags:
 			}
 		}
 		if *seqState != "" {
-			m, gen, from, err := baselines.LoadSeqStateFallback(*seqState, 16, dist)
+			m, gen, from, err := baselines.LoadSeqStateFallback(*seqState, dist)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tcss serve:", err)
 				os.Exit(1)

@@ -61,7 +61,7 @@ func fitEngine(ctx *Context, lr float64, groups train.GroupSet, step func(tensor
 	}
 	if ctx.ResumePath != "" {
 		// Fall back down the rotation ladder if the newest checkpoint is torn.
-		if _, err := d.LoadCheckpointFallback(ctx.ResumePath, 16); err != nil {
+		if _, err := d.LoadCheckpointFallback(ctx.ResumePath); err != nil {
 			return err
 		}
 	}

@@ -13,14 +13,14 @@ import (
 	"tcss/internal/nn"
 )
 
-// SeqStateVersion is the on-disk format version of sequential-model state
-// files. The payload is JSON (named parameter tensors + per-user final hidden
-// states) wrapped in the standard fault frame, so corruption is caught by the
-// same CRC32-C check as model snapshots and files participate in the same
-// rotation/fallback ladder.
+// SeqStateVersion is the frame version of sequential-model state files, and
+// the only one LoadSeqState reads. The payload is JSON (named parameter
+// tensors + per-user final hidden states) wrapped in the standard fault frame,
+// so corruption is caught by the same CRC32-C check as model snapshots and
+// files participate in the same rotation/fallback ladder.
 const SeqStateVersion = 1
 
-// ErrSeqStateVersion reports a state file written by a newer format version.
+// ErrSeqStateVersion reports a file that is not a SeqStateVersion frame.
 var ErrSeqStateVersion = errors.New("baselines: sequential state file has unsupported format version")
 
 // seqState is the serialized form shared by all three sequential models.
@@ -128,12 +128,7 @@ func LoadSeqState(path string, dist *geo.DistanceMatrix) (SeqServer, uint64, err
 	if err != nil {
 		return nil, 0, err
 	}
-	version, payload, err := fault.ReadFramed(data)
-	if version > SeqStateVersion {
-		// The version gate fires before the checksum verdict so a newer
-		// format is reported as such, not as corruption.
-		return nil, 0, fmt.Errorf("%w: %d > %d", ErrSeqStateVersion, version, SeqStateVersion)
-	}
+	_, payload, err := fault.Unseal(data, ErrSeqStateVersion, SeqStateVersion)
 	if err != nil {
 		return nil, 0, fmt.Errorf("baselines: reading %s: %w", path, err)
 	}
@@ -148,24 +143,15 @@ func LoadSeqState(path string, dist *geo.DistanceMatrix) (SeqServer, uint64, err
 	return m, st.Generation, nil
 }
 
-// LoadSeqStateFallback walks the rotation ladder (path, path.1, … path.depth)
-// and loads the newest intact state file, mirroring the model snapshot
-// recovery policy: torn or corrupt rungs fall back to the next older copy.
-func LoadSeqStateFallback(path string, depth int, dist *geo.DistanceMatrix) (SeqServer, uint64, string, error) {
-	var firstErr error
-	for _, p := range fault.FallbackPaths(path, depth) {
-		m, gen, err := LoadSeqState(p, dist)
-		if err == nil {
-			return m, gen, p, nil
-		}
-		if firstErr == nil && !errors.Is(err, os.ErrNotExist) {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("baselines: opening %s: %w", path, os.ErrNotExist)
-	}
-	return nil, 0, "", fmt.Errorf("baselines: no loadable sequential state at %s (depth %d): %w", path, depth, firstErr)
+// LoadSeqStateFallback loads the newest intact state file on path's rotation
+// ladder (fault.LoadNewest), mirroring the model snapshot recovery policy,
+// and returns the path it came from.
+func LoadSeqStateFallback(path string, dist *geo.DistanceMatrix) (m SeqServer, gen uint64, from string, err error) {
+	from, err = fault.LoadNewest(path, func(rung string) (err error) {
+		m, gen, err = LoadSeqState(rung, dist)
+		return err
+	})
+	return m, gen, from, err
 }
 
 func restoreSeq(st *seqState, dist *geo.DistanceMatrix) (SeqServer, error) {

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"tcss/internal/fault"
+	"tcss/internal/geo"
 )
 
 // fitSeq fits one sequential model on the shared fixture.
@@ -136,7 +138,7 @@ func TestSeqStateFallbackLadder(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, gen, from, err := LoadSeqStateFallback(path, 2, fx.ctx.Dist)
+	loaded, gen, from, err := LoadSeqStateFallback(path, fx.ctx.Dist)
 	if err != nil {
 		t.Fatalf("LoadSeqStateFallback: %v", err)
 	}
@@ -162,5 +164,59 @@ func TestSeqStateFutureVersionRejected(t *testing.T) {
 	}
 	if _, _, err := LoadSeqState(path, nil); !errors.Is(err, ErrSeqStateVersion) {
 		t.Fatalf("future version err = %v, want ErrSeqStateVersion", err)
+	}
+}
+
+// TestSeqStateFixtureStable pins the sequential state format: the fixture was
+// written by the commit before the reader was narrowed to the one version the
+// writer emits; it must load, and saving again must reproduce it byte for
+// byte. The same document without its frame — a format that never existed —
+// is refused, as is every frame version but SeqStateVersion.
+func TestSeqStateFixtureStable(t *testing.T) {
+	fixture := filepath.Join("testdata", "strnn_state_v1.json")
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]geo.Point, 4)
+	for j := range pts {
+		pts[j] = geo.Point{Lat: 30 + 0.01*float64(j), Lon: -97 - 0.02*float64(j)}
+	}
+	dist := geo.NewDistanceMatrix(pts)
+	m, gen, err := LoadSeqState(fixture, dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if users, pois, times := m.Dims(); m.Name() != "STRNN" || gen != 4 || users != 3 || pois != 4 || times != 2 {
+		t.Fatalf("loaded %s generation %d dims %dx%dx%d", m.Name(), gen, users, pois, times)
+	}
+	again := filepath.Join(t.TempDir(), "again.state")
+	if err := SaveSeqState(nil, again, 0, gen, m); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(again); !bytes.Equal(got, want) {
+		t.Fatalf("re-saved state differs from the fixture:\n%s\nvs\n%s", got, want)
+	}
+
+	_, payload, err := fault.ReadFramed(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string, frame func(w io.Writer) error) string {
+		p := filepath.Join(t.TempDir(), name)
+		if err := fault.WriteFileAtomic(nil, p, frame); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	unsealed := write("unsealed", func(w io.Writer) error { _, err := w.Write(payload); return err })
+	if _, _, err := LoadSeqState(unsealed, dist); err == nil || errors.Is(err, fault.ErrChecksum) || errors.Is(err, ErrSeqStateVersion) {
+		t.Fatalf("unsealed state: err = %v, want a header error", err)
+	}
+	for _, v := range []int{0, -1, SeqStateVersion + 1} {
+		p := write("other", func(w io.Writer) error { return fault.WriteFramed(w, v, payload) })
+		if _, _, err := LoadSeqState(p, dist); !errors.Is(err, ErrSeqStateVersion) {
+			t.Fatalf("frame v%d: err = %v, want ErrSeqStateVersion", v, err)
+		}
 	}
 }

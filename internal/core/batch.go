@@ -72,8 +72,8 @@ func (m *Model) buildWeights(i, k int, w, rowbuf []float64) {
 	if m.Mode == StorageFloat64 {
 		u1, u3 = m.U1.Row(i), m.U3.Row(k)
 	} else {
-		u1 = m.u1Row(i, rowbuf[:m.Rank])
-		u3 = m.u3Row(k, rowbuf[m.Rank:2*m.Rank])
+		u1 = m.row(axUser, i, rowbuf[:m.Rank])
+		u3 = m.row(axTime, k, rowbuf[m.Rank:2*m.Rank])
 	}
 	for t := range w {
 		w[t] = m.H[t] * u1[t] * u3[t]
@@ -229,9 +229,9 @@ func (m *Model) scan(caller string, reqs []BatchReq, s *BatchScratch) {
 	}
 	switch m.Mode {
 	case StorageFloat32:
-		scanSlab(m, reqs, s, m.Compact.U2f, nil)
+		scanSlab(m, reqs, s, m.Compact[axPOI].f32, nil)
 	case StorageInt8:
-		scanSlab(m, reqs, s, m.Compact.U2q, m.Compact.S2)
+		scanSlab(m, reqs, s, m.Compact[axPOI].i8, m.Compact[axPOI].scale)
 	default:
 		scanSlab(m, reqs, s, m.U2.Data, nil)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tcss/internal/fault"
+	"tcss/internal/train"
 )
 
 // crashSweepConfig is the training configuration every crash point runs
@@ -22,6 +23,26 @@ func crashSweepConfig() Config {
 	return cfg
 }
 
+// loadCheckpointFile opens exactly one model file, no ladder, and returns the
+// model with the training state it carries (nil for a plain model).
+func loadCheckpointFile(path string) (*Model, *train.State, error) {
+	m, f, err := openRung(path, JSONVersion, BinaryVersion)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, f.Train, f.Close()
+}
+
+// loadCheckpointFallback is loadCheckpointFile over the rotation ladder,
+// also returning the rung that loaded.
+func loadCheckpointFallback(path string) (*Model, *train.State, string, error) {
+	m, f, err := Open(path)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	return m, f.Train, f.From, f.Close()
+}
+
 // recoverAndFinish plays the recovery protocol after a crashed run: resume
 // from the newest intact checkpoint on the rotation ladder, or start fresh
 // when no checkpoint survived (a crash during the very first save), and
@@ -31,7 +52,7 @@ func recoverAndFinish(t *testing.T, fx *trainFixture, cfg Config, ck string) *Mo
 	resumed := cfg
 	resumed.CheckpointPath, resumed.CheckpointEvery, resumed.CheckpointKeep = "", 0, 0
 	resumed.FS = nil
-	if _, _, _, err := LoadCheckpointFallback(ck, resumeFallbackDepth); err == nil {
+	if _, _, _, err := loadCheckpointFallback(ck); err == nil {
 		resumed.ResumePath = ck
 	}
 	m, err := Train(fx.x.Clone(), fx.side, resumed)
@@ -95,7 +116,7 @@ func TestCrashKillSweepCheckpointResume(t *testing.T) {
 		}
 		// Recovery invariant: whatever the ladder holds must load cleanly
 		// with a consistent epoch, then finish bit-identical.
-		if _, st, from, lerr := LoadCheckpointFallback(ck, resumeFallbackDepth); lerr == nil {
+		if _, st, from, lerr := loadCheckpointFallback(ck); lerr == nil {
 			if st == nil {
 				t.Fatalf("%s: recovered %s has no training state", name, from)
 			}
@@ -162,7 +183,7 @@ func TestTornCheckpointFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, st, from, err := LoadCheckpointFallback(ck, resumeFallbackDepth)
+	_, st, from, err := loadCheckpointFallback(ck)
 	if err != nil {
 		t.Fatalf("fallback failed over torn primary: %v", err)
 	}
@@ -253,8 +274,8 @@ func TestTornModelFileTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.mutate(t.TempDir())
 			_, _, errV := LoadFileVersioned(p)
-			_, _, errC := LoadCheckpointFile(p)
-			for which, err := range map[string]error{"LoadFileVersioned": errV, "LoadCheckpointFile": errC} {
+			_, _, errC := loadCheckpointFile(p)
+			for which, err := range map[string]error{"LoadFileVersioned": errV, "loadCheckpointFile": errC} {
 				if err == nil {
 					t.Fatalf("%s accepted a %s", which, tc.name)
 				}
@@ -272,7 +293,7 @@ func TestTornModelFileTable(t *testing.T) {
 	if _, _, err := LoadFileVersioned(ck); err != nil {
 		t.Fatalf("intact file rejected: %v", err)
 	}
-	if _, st, err := LoadCheckpointFile(ck); err != nil || st == nil {
+	if _, st, err := loadCheckpointFile(ck); err != nil || st == nil {
 		t.Fatalf("intact checkpoint rejected: %v (state %v)", err, st)
 	}
 }

@@ -41,11 +41,11 @@ func TestGrownModelJSONRoundTrip(t *testing.T) {
 	if err := m.SaveVersioned(&buf, 7); err != nil {
 		t.Fatal(err)
 	}
-	got, gen, err := LoadVersioned(&buf)
+	got, info, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 7 {
+	if gen := info.Generation; gen != 7 {
 		t.Fatalf("generation %d, want 7", gen)
 	}
 	binModelsEqual(t, "json", m, got)

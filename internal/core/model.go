@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tcss/internal/mat"
 )
@@ -76,9 +77,9 @@ func (m *Model) Predict(i, j, k int) float64 {
 		a, b, c = m.U1.Row(i), m.U2.Row(j), m.U3.Row(k)
 	} else {
 		buf := make([]float64, 3*m.Rank)
-		a = m.u1Row(i, buf[:m.Rank])
-		b = m.u2Row(j, buf[m.Rank:2*m.Rank])
-		c = m.u3Row(k, buf[2*m.Rank:])
+		a = m.row(axUser, i, buf[:m.Rank])
+		b = m.row(axPOI, j, buf[m.Rank:2*m.Rank])
+		c = m.row(axTime, k, buf[2*m.Rank:])
 	}
 	var s float64
 	for t := 0; t < m.Rank; t++ {
@@ -125,14 +126,14 @@ func (m *Model) ScoreSlabScratch(i int, out, scratch []float64) {
 	// Compact path: dequantize U3 once (K·r, small), then stream U2 rows
 	// through the second scratch half. Allocates the U3 buffer; the compact
 	// modes are serving formats, and serving batches score via TopNBatch.
-	mat.HadamardInto(w, m.H, m.u1Row(i, scratch[m.Rank:2*m.Rank]))
+	mat.HadamardInto(w, m.H, m.row(axUser, i, scratch[m.Rank:2*m.Rank]))
 	u3 := make([]float64, m.K*m.Rank)
 	for k := 0; k < m.K; k++ {
-		m.u3Row(k, u3[k*m.Rank:(k+1)*m.Rank])
+		m.row(axTime, k, u3[k*m.Rank:(k+1)*m.Rank])
 	}
 	wj := scratch[m.Rank : 2*m.Rank]
 	for j := 0; j < m.J; j++ {
-		m.u2Row(j, wj)
+		m.row(axPOI, j, wj)
 		for t := range wj {
 			wj[t] *= w[t]
 		}
@@ -164,9 +165,9 @@ func (m *Model) ScoreCandidates(i, k int, js []int, out []float64) {
 		}
 		switch m.Mode {
 		case StorageFloat32:
-			out[n] = mat.DotWiden(w, m.Compact.U2f[j*r:(j+1)*r])
+			out[n] = mat.DotWiden(w, m.Compact[axPOI].f32[j*r:(j+1)*r])
 		case StorageInt8:
-			out[n] = m.Compact.S2[j] * mat.DotWiden(w, m.Compact.U2q[j*r:(j+1)*r])
+			out[n] = m.Compact[axPOI].scale[j] * mat.DotWiden(w, m.Compact[axPOI].i8[j*r:(j+1)*r])
 		default:
 			out[n] = mat.DotUnrolled(w, m.U2.Row(j))
 		}
@@ -227,7 +228,7 @@ func (m *Model) TimeFactorSimilarity() *mat.Matrix {
 			if m.Mode == StorageFloat64 {
 				va, vb = m.U3.Row(a), m.U3.Row(b)
 			} else {
-				va, vb = m.u3Row(a, ra), m.u3Row(b, rb)
+				va, vb = m.row(axTime, a, ra), m.row(axTime, b, rb)
 			}
 			sim.Set(a, b, mat.CosineSimilarity(va, vb))
 		}
@@ -240,12 +241,14 @@ func (m *Model) TimeFactorSimilarity() *mat.Matrix {
 // so a clone of an mmap-backed model outlives the mapping.
 func (m *Model) Clone() *Model {
 	if m.Mode != StorageFloat64 {
-		h := make([]float64, len(m.H))
-		copy(h, m.H)
+		c := *m.Compact
+		for ax := range c {
+			c[ax] = c[ax].clone()
+		}
 		return &Model{
 			Rank: m.Rank, I: m.I, J: m.J, K: m.K,
-			Mode: m.Mode, Compact: m.Compact.clone(),
-			H: h, ZeroOutFilter: m.ZeroOutFilter,
+			Mode: m.Mode, Compact: &c,
+			H: slices.Clone(m.H), ZeroOutFilter: m.ZeroOutFilter,
 		}
 	}
 	out := NewModel(m.I, m.J, m.K, m.Rank)

@@ -1,27 +1,54 @@
 package core
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"tcss/internal/fault"
 	"tcss/internal/mat"
+	"tcss/internal/mmapio"
 	"tcss/internal/train"
 )
 
-// modelFile is the on-disk JSON representation of a trained model. The
-// zero-out filter is stored as packed rows to keep files compact.
+// A model file is a CRC32-C frame (internal/fault) whose version names its
+// payload, and this build reads exactly the two versions it writes:
+//
+//	JSONVersion   — one JSON document (modelFile). encoding/json round-trips
+//	                float64 exactly, so this is the checkpoint format: with
+//	                "train" present the file resumes a run bit-identically,
+//	                without it it is a plain model. Always float64 factors.
+//	BinaryVersion — little-endian factor slabs at aligned offsets
+//	                (persist_binary.go), storage mode preserved, loadable by
+//	                mmap without copying. The serving snapshot format.
+//
+// Any other frame version — an engine checkpoint, a sequential-model state,
+// a file from another build — is rejected with ErrFormatVersion; anything
+// that is not a frame at all (garbage, an unsealed JSON document) is a header
+// error; a damaged payload is ErrChecksum.
+const (
+	JSONVersion   = 4
+	BinaryVersion = 5
+)
+
+// ErrFormatVersion is the sentinel wrapped when a file's frame version is not
+// one this build writes. Test with errors.Is.
+var ErrFormatVersion = errors.New("core: unsupported model format version")
+
+// ErrChecksum is the sentinel wrapped when a file fails its integrity check —
+// torn or corrupt, not merely a different format. It aliases
+// fault.ErrChecksum so errors.Is matches either.
+var ErrChecksum = fault.ErrChecksum
+
+// modelFile is the JSON payload of a JSONVersion file. The zero-out filter is
+// stored as packed rows to keep files compact.
 type modelFile struct {
-	// Version is the format version of the file (FormatVersion when written
-	// by this build). Files predating versioning omit the field and decode
-	// as 0; they share the v1/v2 factor layout and are accepted as legacy.
 	Version int `json:"version"`
-	// Generation is the serving-snapshot generation at save time (v2+).
-	// Offline training saves write 0.
+	// Generation is the serving-snapshot generation at save time; offline
+	// training saves write 0.
 	Generation uint64    `json:"generation,omitempty"`
 	Rank       int       `json:"rank"`
 	I          int       `json:"i"`
@@ -32,83 +59,25 @@ type modelFile struct {
 	U3         []float64 `json:"u3"`
 	H          []float64 `json:"h"`
 	ZeroOut    [][]bool  `json:"zero_out,omitempty"`
-	// Train is the training-engine state of a mid-run checkpoint (v3+):
-	// optimizer moments, RNG stream position, and completed epochs. Plain
-	// model saves omit it; a file carrying it is still a complete model that
-	// Load reads as usual.
+	// Train is the training-engine state of a mid-run checkpoint: optimizer
+	// moments, RNG stream position, and completed epochs.
 	Train *train.State `json:"train,omitempty"`
 }
 
-// FormatVersion is the model persistence format written by this build:
-//
-//	v0 — pre-versioning files without a "version" field (legacy, read-only)
-//	v1 — same factor layout with an explicit version field
-//	v2 — adds the serving-snapshot generation
-//	v3 — adds the optional embedded training state for checkpoint/resume
-//	v4 — seals the document in a CRC32-C integrity frame (fault.WriteFramed):
-//	     a one-line header carrying the version, payload length, and checksum,
-//	     followed by the v3-layout JSON document. Torn, truncated, or
-//	     bit-flipped files are rejected at load with ErrChecksum instead of
-//	     being half-read.
-//	v5 — binary slab snapshot (see persist_binary.go): a fixed 128-byte frame
-//	     header sealing flat little-endian factor slabs at 64-byte-aligned
-//	     offsets, preserving the storage mode (f64/f32/int8) and loadable by
-//	     mmap with zero copying (LoadFileMmap). Written by SaveBinary; JSON
-//	     saves continue to write the v4 layout, because encoding/json
-//	     round-trips float64 exactly and the checkpoint/resume contract
-//	     depends on byte-identical re-saves.
-//
-// Load accepts v0 through FormatVersion and rejects anything newer with
-// ErrFormatVersion, so a model saved by a future build fails loudly instead
-// of being silently misread. v0-v3 files are unframed single JSON documents
-// and still load; framing is detected by the header's checksum field; v5
-// binary files are detected by the frame version and decoded through the
-// slab loader (stream loads copy; only LoadFileMmap is zero-copy).
-const FormatVersion = 5
-
-// jsonFormatVersion is the layout version of JSON model files written by this
-// build. The JSON lineage is frozen at v4: v5 denotes the binary slab format
-// exclusively, so a frame's version field alone identifies the decoder.
-const jsonFormatVersion = 4
-
-// ErrFormatVersion is the sentinel wrapped by Load when a model file's format
-// version is not readable by this build. Test with errors.Is.
-var ErrFormatVersion = errors.New("core: unsupported model format version")
-
-// ErrChecksum is the sentinel wrapped by Load when a v4+ file fails its
-// integrity check — the file is torn or corrupt, not merely a different
-// format version. It aliases fault.ErrChecksum so errors.Is matches either.
-var ErrChecksum = fault.ErrChecksum
-
-// Save writes the model as JSON to w at the current FormatVersion, with
-// generation 0 (an offline model). Serving layers that save live snapshots
-// should use SaveVersioned to preserve the generation across restarts.
-func (m *Model) Save(w io.Writer) error { return m.SaveVersioned(w, 0) }
-
-// SaveVersioned writes the model as JSON to w, recording the given
-// serving-snapshot generation.
+// SaveVersioned writes the model to w as a JSONVersion file recording the
+// given serving-snapshot generation.
 func (m *Model) SaveVersioned(w io.Writer, generation uint64) error {
 	return m.encode(w, generation, nil)
-}
-
-// SaveCheckpoint writes the model together with the training-engine state as
-// a current-format model file: a resumable checkpoint that doubles as a
-// complete model file. encoding/json round-trips float64 exactly, so a
-// resumed run continues bit-identically.
-func (m *Model) SaveCheckpoint(w io.Writer, st *train.State) error {
-	return m.encode(w, 0, st)
 }
 
 func (m *Model) encode(w io.Writer, generation uint64, st *train.State) error {
 	// The JSON format stores float64 factors; compact models are widened to
 	// the exact values their scoring kernels compute with. Round-tripping a
 	// compact model through JSON therefore preserves scores but not the
-	// storage mode — use SaveBinary (FormatVersion 5) to keep both.
-	if m.Mode != StorageFloat64 {
-		m = m.Decompress()
-	}
+	// storage mode — use SaveBinary to keep both.
+	m = m.Decompress()
 	mf := modelFile{
-		Version:    jsonFormatVersion,
+		Version:    JSONVersion,
 		Generation: generation,
 		Rank:       m.Rank, I: m.I, J: m.J, K: m.K,
 		U1: m.U1.Data, U2: m.U2.Data, U3: m.U3.Data, H: m.H,
@@ -120,180 +89,74 @@ func (m *Model) encode(w io.Writer, generation uint64, st *train.State) error {
 		return fmt.Errorf("core: encoding model: %w", err)
 	}
 	payload = append(payload, '\n')
-	if err := fault.WriteFramed(w, jsonFormatVersion, payload); err != nil {
+	if err := fault.WriteFramed(w, JSONVersion, payload); err != nil {
 		return fmt.Errorf("core: writing model: %w", err)
 	}
 	return nil
 }
 
-// SaveCheckpointFile writes a resumable checkpoint to a file crash-safely
-// (temp file, fsync, atomic rename).
-func (m *Model) SaveCheckpointFile(path string, st *train.State) error {
-	return m.SaveCheckpointRotate(nil, path, 0, st)
+// SaveFileVersioned writes a JSONVersion model file crash-safely (temp file,
+// fsync, atomic rename).
+func (m *Model) SaveFileVersioned(path string, generation uint64) error {
+	return fault.WriteFileAtomic(nil, path, func(w io.Writer) error {
+		return m.encode(w, generation, nil)
+	})
 }
 
-// SaveCheckpointRotate writes a resumable checkpoint crash-safely through fs
-// (nil: the real filesystem), keeping up to keep rotated prior checkpoints
-// (path.1 … path.keep) as a recovery fallback ladder.
+// SaveCheckpointRotate writes the model together with the training-engine
+// state — a resumable checkpoint that doubles as a complete model file —
+// crash-safely through fs (nil: the real filesystem), keeping up to keep
+// rotated prior checkpoints (path.1 … path.keep) as a recovery ladder.
 func (m *Model) SaveCheckpointRotate(fs fault.FS, path string, keep int, st *train.State) error {
 	return fault.WriteFileRotate(fs, path, keep, func(w io.Writer) error {
-		return m.SaveCheckpoint(w, st)
+		return m.encode(w, 0, st)
 	})
 }
 
-// SaveFile writes the model to a file, creating or truncating it.
-func (m *Model) SaveFile(path string) error { return m.SaveFileVersioned(path, 0) }
-
-// SaveFileVersioned is SaveFile with an explicit snapshot generation. The
-// write is crash-safe: temp file, fsync, atomic rename.
-func (m *Model) SaveFileVersioned(path string, generation uint64) error {
-	return m.SaveFileVersionedFS(nil, path, generation)
+// Info is what a model file records beside the factors.
+type Info struct {
+	Version    int          // frame version: JSONVersion or BinaryVersion
+	Generation uint64       // serving-snapshot generation (0: an offline save)
+	Train      *train.State // engine state of a checkpoint, nil for a plain model
 }
 
-// SaveFileVersionedFS is SaveFileVersioned through an injectable filesystem
-// (nil: the real one) — the seam fault harnesses use to kill the write at an
-// arbitrary byte.
-func (m *Model) SaveFileVersionedFS(fs fault.FS, path string, generation uint64) error {
-	return fault.WriteFileAtomic(fs, path, func(w io.Writer) error {
-		return m.SaveVersioned(w, generation)
-	})
+// Decode reconstructs a model from the bytes of a model file, picking the
+// decoder from the frame version. A BinaryVersion model may alias data
+// (zero copy), so the caller must keep data alive and unmodified while the
+// model is in use; a JSONVersion model is always a heap copy.
+func Decode(data []byte) (*Model, Info, error) {
+	return decode(data, JSONVersion, BinaryVersion)
 }
 
-// Load reads a model previously written by Save (any format version up to
-// FormatVersion; see FormatVersion for the legacy policy).
-func Load(r io.Reader) (*Model, error) {
-	m, _, err := LoadVersioned(r)
-	return m, err
-}
-
-// LoadVersioned is Load, additionally returning the serving-snapshot
-// generation recorded in the file (0 for offline saves and legacy formats).
-func LoadVersioned(r io.Reader) (*Model, uint64, error) {
-	m, mf, err := decodeModel(r)
+// decode is Decode for a reader that accepts only the given frame versions.
+func decode(data []byte, accept ...int) (*Model, Info, error) {
+	version, payload, err := fault.Unseal(data, ErrFormatVersion, accept...)
 	if err != nil {
-		return nil, 0, err
+		return nil, Info{}, err
 	}
-	return m, mf.Generation, nil
-}
-
-// LoadCheckpoint reads a model file, additionally returning the embedded
-// training-engine state when the file is a checkpoint (nil for plain model
-// files and all pre-v3 formats).
-func LoadCheckpoint(r io.Reader) (*Model, *train.State, error) {
-	m, mf, err := decodeModel(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, mf.Train, nil
-}
-
-// LoadCheckpointFile is LoadCheckpoint from a file.
-func LoadCheckpointFile(path string) (*Model, *train.State, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	return LoadCheckpoint(bufio.NewReader(f))
-}
-
-// LoadCheckpointFallback walks the rotation ladder of a checkpoint path —
-// path, path.1, … path.depth — and loads the newest file that is present and
-// intact, returning it along with the path it came from. Missing rungs are
-// skipped silently; a rung that exists but fails to load (torn, corrupt,
-// wrong version) is skipped too, falling back to the next older copy. Only
-// when no rung loads does it return an error: the first load error seen, or
-// the primary path's os.ErrNotExist when nothing exists at all.
-func LoadCheckpointFallback(path string, depth int) (*Model, *train.State, string, error) {
-	var firstErr error
-	for _, p := range fault.FallbackPaths(path, depth) {
-		m, st, err := LoadCheckpointFile(p)
-		if err == nil {
-			return m, st, p, nil
-		}
-		if firstErr == nil && !errors.Is(err, os.ErrNotExist) {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("core: opening %s: %w", path, os.ErrNotExist)
-	}
-	return nil, nil, "", fmt.Errorf("core: no loadable checkpoint at %s (depth %d): %w", path, depth, firstErr)
-}
-
-// LoadFileVersionedFallback is LoadFileVersioned with the same rotation-ladder
-// fallback as LoadCheckpointFallback, for serving snapshots saved with
-// rotation.
-func LoadFileVersionedFallback(path string, depth int) (*Model, uint64, string, error) {
-	var firstErr error
-	for _, p := range fault.FallbackPaths(path, depth) {
-		m, gen, err := LoadFileVersioned(p)
-		if err == nil {
-			return m, gen, p, nil
-		}
-		if firstErr == nil && !errors.Is(err, os.ErrNotExist) {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("core: opening %s: %w", path, os.ErrNotExist)
-	}
-	return nil, 0, "", fmt.Errorf("core: no loadable model at %s (depth %d): %w", path, depth, firstErr)
-}
-
-func decodeModel(r io.Reader) (*Model, modelFile, error) {
-	var mf modelFile
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, mf, fmt.Errorf("core: reading model: %w", err)
-	}
-	version, payload, err := fault.ReadFramed(data)
-	// Gate on format version first even when the integrity check failed —
-	// "file from a future build" is the more actionable diagnosis, and the
-	// header survives payload corruption.
-	if version < 0 || version > FormatVersion {
-		return nil, mf, fmt.Errorf("%w: file is v%d, this build reads v0-v%d",
-			ErrFormatVersion, version, FormatVersion)
-	}
-	if err != nil {
-		if errors.Is(err, fault.ErrChecksum) {
-			return nil, mf, fmt.Errorf("core: model file corrupt: %w", err)
-		}
-		return nil, mf, fmt.Errorf("core: decoding model: %w", err)
-	}
-	if version == FormatVersion {
-		// v5 is the binary slab format; decode it through the slab loader so
-		// every stream-based entry point (LoadFile, the fallback ladders,
-		// resume) reads binary files transparently. The payload here is a
-		// heap buffer, so aliasing slices in the decoded model are mutable.
+	if version == BinaryVersion {
 		m, gen, err := decodeBinary(payload)
-		if err != nil {
-			return nil, mf, err
-		}
-		mf.Version, mf.Generation = version, gen
-		return m, mf, nil
+		return m, Info{Version: version, Generation: gen}, err
 	}
+	var mf modelFile
 	if err := json.Unmarshal(payload, &mf); err != nil {
-		return nil, mf, fmt.Errorf("core: decoding model: %w", err)
+		return nil, Info{}, fmt.Errorf("core: decoding model: %w", err)
 	}
-	if mf.Version < 0 || mf.Version > jsonFormatVersion {
-		return nil, mf, fmt.Errorf("%w: JSON model file declares v%d, this build reads JSON v0-v%d",
-			ErrFormatVersion, mf.Version, jsonFormatVersion)
+	if mf.Version != JSONVersion {
+		return nil, Info{}, fmt.Errorf("%w: v%d frame holds a document declaring v%d", ErrFormatVersion, version, mf.Version)
 	}
-	if mf.Rank <= 0 || mf.I <= 0 || mf.J <= 0 || mf.K <= 0 {
-		return nil, mf, fmt.Errorf("core: model file has invalid shape %dx%dx%d rank %d", mf.I, mf.J, mf.K, mf.Rank)
-	}
-	if len(mf.U1) != mf.I*mf.Rank || len(mf.U2) != mf.J*mf.Rank ||
-		len(mf.U3) != mf.K*mf.Rank || len(mf.H) != mf.Rank {
-		return nil, mf, fmt.Errorf("core: model file factor lengths inconsistent with shape")
+	err = checkShape([3]int{mf.I, mf.J, mf.K}, mf.Rank, len(mf.H),
+		int64(len(mf.U1)), int64(len(mf.U2)), int64(len(mf.U3)))
+	if err != nil {
+		return nil, Info{}, err
 	}
 	if mf.ZeroOut != nil {
 		if len(mf.ZeroOut) != mf.I {
-			return nil, mf, fmt.Errorf("core: zero-out filter covers %d users, want %d", len(mf.ZeroOut), mf.I)
+			return nil, Info{}, fmt.Errorf("core: zero-out filter covers %d users, want %d", len(mf.ZeroOut), mf.I)
 		}
 		for i, row := range mf.ZeroOut {
 			if len(row) != mf.J {
-				return nil, mf, fmt.Errorf("core: zero-out row %d covers %d POIs, want %d", i, len(row), mf.J)
+				return nil, Info{}, fmt.Errorf("core: zero-out row %d covers %d POIs, want %d", i, len(row), mf.J)
 			}
 		}
 	}
@@ -305,21 +168,94 @@ func decodeModel(r io.Reader) (*Model, modelFile, error) {
 		H:             mf.H,
 		ZeroOutFilter: mf.ZeroOut,
 	}
-	return m, mf, nil
+	return m, Info{Version: version, Generation: mf.Generation, Train: mf.Train}, nil
 }
 
-// LoadFile reads a model from a file written by SaveFile.
-func LoadFile(path string) (*Model, error) {
-	m, _, err := LoadFileVersioned(path)
-	return m, err
-}
-
-// LoadFileVersioned is LoadFile, additionally returning the saved generation.
-func LoadFileVersioned(path string) (*Model, uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: opening %s: %w", path, err)
+// checkShape validates the shape a model file declares against the element
+// counts it carries, for both decoders. A file is outside input: every
+// dimension is bounded to 31 bits first, so that dim·rank here and i·j for
+// the zero-out bitset are computed in int64 without wrapping (a wrapped
+// product is how an empty slab once passed for a 2^61-row one).
+func checkShape(dims [3]int, rank, hLen int, u1, u2, u3 int64) error {
+	for _, d := range [...]int{dims[0], dims[1], dims[2], rank} {
+		if d <= 0 || d > math.MaxInt32 {
+			return fmt.Errorf("core: model file has invalid shape %dx%dx%d rank %d", dims[0], dims[1], dims[2], rank)
+		}
 	}
-	defer f.Close()
-	return LoadVersioned(bufio.NewReader(f))
+	if hLen != rank {
+		return fmt.Errorf("core: model file h has %d entries, want rank %d", hLen, rank)
+	}
+	for ax, n := range [...]int64{u1, u2, u3} {
+		if want := int64(dims[ax]) * int64(rank); n != want {
+			return fmt.Errorf("core: model file u%d has %d entries, shape %dx%d wants %d", ax+1, n, dims[ax], rank, want)
+		}
+	}
+	return nil
+}
+
+// File is an opened model file: what it recorded, which rung of the rotation
+// ladder it was, and the memory mapping the model may alias.
+type File struct {
+	Info
+	// From is the path actually loaded: the requested one, or a rotated
+	// predecessor when newer copies were missing, torn or corrupt.
+	From string
+	// Mapped reports that the model's factor slabs alias a live read-only
+	// mapping of From (a BinaryVersion file on a platform with mmap): the
+	// load copied nothing, the model must not be mutated in place (Clone
+	// first; serving's observe path does), and Close must wait until the
+	// model is discarded.
+	Mapped bool
+
+	mapping *mmapio.Mapping
+}
+
+// Close releases the mapping behind a mapped model; otherwise it is a no-op.
+func (f *File) Close() error { return f.mapping.Close() }
+
+// Open loads the newest intact model file on path's rotation ladder (path,
+// path.1, …; see fault.LoadNewest), whichever of the two formats it is: a
+// BinaryVersion file is memory-mapped and decoded in place, a JSONVersion
+// file is decoded onto the heap. Close the returned File when the model is
+// no longer in use.
+func Open(path string) (m *Model, f *File, err error) {
+	_, err = fault.LoadNewest(path, func(rung string) (err error) {
+		m, f, err = openRung(rung, JSONVersion, BinaryVersion)
+		return err
+	})
+	return m, f, err
+}
+
+// openRung opens exactly one file, accepting the given frame versions. The
+// bytes are always read through a mapping; only a BinaryVersion model keeps
+// it, because only its slabs alias the bytes — a JSONVersion document has
+// been copied out by the decoder.
+func openRung(path string, accept ...int) (*Model, *File, error) {
+	mapping, err := mmapio.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
+	}
+	m, info, err := decode(mapping.Data, accept...)
+	if err != nil || info.Version != BinaryVersion {
+		mapping.Close()
+		mapping = nil
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w (file %s)", err, path)
+	}
+	return m, &File{Info: info, From: path, Mapped: mapping != nil && mapping.Mapped, mapping: mapping}, nil
+}
+
+// LoadFileVersioned reads one model file of either format onto the heap and
+// returns its generation: no ladder, no mapping, nothing to close.
+func LoadFileVersioned(path string) (*Model, uint64, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: %w", err)
+	}
+	m, info, err := Decode(data)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w (file %s)", err, path)
+	}
+	return m, info.Generation, nil
 }

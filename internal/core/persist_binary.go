@@ -3,19 +3,16 @@ package core
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"unsafe"
 
 	"tcss/internal/fault"
 	"tcss/internal/mat"
-	"tcss/internal/mmapio"
 )
 
-// This file implements the FormatVersion 5 binary snapshot format: flat
+// This file implements the BinaryVersion snapshot format: flat
 // little-endian factor slabs at 64-byte-aligned offsets inside the standard
 // CRC32-C integrity frame, designed to be loaded by mmap with zero copying.
 //
@@ -37,7 +34,8 @@ import (
 // 64-byte aligned is also 64-byte aligned in memory — so on little-endian
 // hosts the loader can reinterpret the mapped bytes as []float64/[]float32/
 // []int8 slabs directly (O(1) restart, factors paged in on first touch). On
-// big-endian or misaligned fallback paths the loader copies and decodes
+// big-endian hosts, or when the bytes sit at a misaligned address (a shipment
+// embeds the file at an arbitrary offset), the loader copies and decodes
 // instead; both paths produce identical values.
 
 // slabAlign is the byte alignment of every slab inside the payload. One
@@ -50,10 +48,7 @@ const binMagic = "TCSS5SLB"
 // hostLittleEndian reports whether this machine stores multi-byte values
 // little-endian — the precondition for reinterpreting the on-disk slabs
 // in place.
-var hostLittleEndian = func() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // binSlab is one directory entry of the slab region. Off is payload-relative
 // and 64-byte aligned; Len counts elements (bits for the "zeroout" bitset).
@@ -77,77 +72,89 @@ type binMeta struct {
 	Slabs      []binSlab `json:"slabs"`
 }
 
-// elemSize returns the byte width of one element of an elem kind (bits: the
-// packed byte length is computed separately).
-func elemSize(elem string) int64 {
-	switch elem {
-	case "f64":
-		return 8
-	case "f32":
-		return 4
-	case "i8":
-		return 1
-	}
-	return 0
-}
+// elemSize is the byte width of one element of each elem kind; an unknown
+// kind has width 0 ("bits" is sized by slabBytes).
+var elemSize = map[string]int64{"f64": 8, "f32": 4, "i8": 1}
 
-// slabBytes returns the byte length of a slab.
+// slabBytes returns the byte length of a slab the writer laid out, or one
+// the decoder has already passed through fits.
 func slabBytes(s binSlab) int64 {
 	if s.Elem == "bits" {
 		return (s.Len + 7) / 8
 	}
-	return s.Len * elemSize(s.Elem)
+	return s.Len * elemSize[s.Elem]
+}
+
+// fits reports whether a directory entry read from a file describes a region
+// inside a payload of n bytes. It divides instead of multiplying: Len is
+// outside input, and a Len chosen so that Len·size wraps to a small number
+// must not pass.
+func (s binSlab) fits(n int64) bool {
+	if s.Off < 0 || s.Off > n || s.Len < 0 {
+		return false
+	}
+	room := n - s.Off
+	if s.Elem == "bits" {
+		return s.Len/8 < room || (s.Len/8 == room && s.Len%8 == 0)
+	}
+	size := elemSize[s.Elem]
+	return size > 0 && s.Len <= room/size
 }
 
 func alignUp(n int64) int64 { return (n + slabAlign - 1) &^ (slabAlign - 1) }
 
-// binSlabPlan lists the slabs a model serializes, in file order, with their
-// source data. Exactly one of the f64/f32/i8 sources is set per slab.
-type binSlabSource struct {
-	slab binSlab
-	f64  []float64
-	f32  []float32
-	i8   []int8
-	bits []byte
+// The directory names of the per-axis factor slabs and, in int8 mode, their
+// per-row scale slabs.
+var (
+	factorSlabNames = [3]string{"u1", "u2", "u3"}
+	scaleSlabNames  = [3]string{"s1", "s2", "s3"}
+)
+
+// factorElem names each storage mode's factor element kind in the directory.
+var factorElem = [...]string{StorageFloat64: "f64", StorageFloat32: "f32", StorageInt8: "i8"}
+
+// put writes the elements of a slab with one element slice populated
+// little-endian into dst.
+func (s slab) put(dst []byte) {
+	for i, v := range s.f64 {
+		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
+	}
+	for i, v := range s.f32 {
+		binary.LittleEndian.PutUint32(dst[i*4:], math.Float32bits(v))
+	}
+	for i, v := range s.i8 {
+		dst[i] = byte(v)
+	}
 }
 
 // binPlan lays out the payload: metadata first, then each slab at the next
-// aligned offset.
-func (m *Model) binPlan(generation uint64) (binMeta, []binSlabSource, error) {
-	meta := binMeta{
-		Version: FormatVersion, Generation: generation,
+// aligned offset — the three factor slabs, then the three scale slabs of an
+// int8 model, then the zero-out bitset. data[n] is what meta.Slabs[n]
+// describes; the bitset, when present, is the entry after the last.
+func (m *Model) binPlan(generation uint64) (meta binMeta, data []slab, err error) {
+	meta = binMeta{
+		Version: BinaryVersion, Generation: generation,
 		Rank: m.Rank, I: m.I, J: m.J, K: m.K,
 		Mode: m.Mode.String(), H: m.H,
 	}
-	var srcs []binSlabSource
-	add := func(name, elem string, n int64, src binSlabSource) {
-		src.slab = binSlab{Name: name, Elem: elem, Len: n}
-		srcs = append(srcs, src)
-	}
-	r := int64(m.Rank)
-	switch m.Mode {
-	case StorageFloat64:
-		add("u1", "f64", int64(m.I)*r, binSlabSource{f64: m.U1.Data})
-		add("u2", "f64", int64(m.J)*r, binSlabSource{f64: m.U2.Data})
-		add("u3", "f64", int64(m.K)*r, binSlabSource{f64: m.U3.Data})
-	case StorageFloat32:
-		c := m.Compact
-		add("u1", "f32", int64(m.I)*r, binSlabSource{f32: c.U1f})
-		add("u2", "f32", int64(m.J)*r, binSlabSource{f32: c.U2f})
-		add("u3", "f32", int64(m.K)*r, binSlabSource{f32: c.U3f})
-	case StorageInt8:
-		c := m.Compact
-		add("u1", "i8", int64(m.I)*r, binSlabSource{i8: c.U1q})
-		add("u2", "i8", int64(m.J)*r, binSlabSource{i8: c.U2q})
-		add("u3", "i8", int64(m.K)*r, binSlabSource{i8: c.U3q})
-		add("s1", "f64", int64(m.I), binSlabSource{f64: c.S1})
-		add("s2", "f64", int64(m.J), binSlabSource{f64: c.S2})
-		add("s3", "f64", int64(m.K), binSlabSource{f64: c.S3})
-	default:
+	if !m.Mode.valid() {
 		return meta, nil, fmt.Errorf("core: cannot serialize storage mode %d", int(m.Mode))
 	}
+	add := func(name, elem string, n int64, s slab) {
+		meta.Slabs = append(meta.Slabs, binSlab{Name: name, Elem: elem, Len: n})
+		data = append(data, s)
+	}
+	slabs, dims := m.slabs(), [3]int64{int64(m.I), int64(m.J), int64(m.K)}
+	for ax, s := range slabs {
+		add(factorSlabNames[ax], factorElem[m.Mode], dims[ax]*int64(m.Rank), slab{f64: s.f64, f32: s.f32, i8: s.i8})
+	}
+	for ax, s := range slabs {
+		if s.scale != nil {
+			add(scaleSlabNames[ax], "f64", dims[ax], slab{f64: s.scale})
+		}
+	}
 	if m.ZeroOutFilter != nil {
-		add("zeroout", "bits", int64(m.I)*int64(m.J), binSlabSource{bits: packBits(m.ZeroOutFilter, m.J)})
+		meta.Slabs = append(meta.Slabs, binSlab{Name: "zeroout", Elem: "bits", Len: dims[axUser] * dims[axPOI]})
 	}
 
 	// Lay out offsets. The meta JSON length depends on the slab directory,
@@ -156,25 +163,17 @@ func (m *Model) binPlan(generation uint64) (binMeta, []binSlabSource, error) {
 	// numbers, so reserve their worst-case width by probing with the final
 	// values in a second pass).
 	for pass := 0; pass < 2; pass++ {
-		meta.Slabs = meta.Slabs[:0]
-		for _, s := range srcs {
-			meta.Slabs = append(meta.Slabs, s.slab)
-		}
 		mb, err := json.Marshal(meta)
 		if err != nil {
 			return meta, nil, fmt.Errorf("core: encoding binary meta: %w", err)
 		}
 		off := alignUp(int64(len(binMagic)) + 4 + int64(len(mb)))
-		for i := range srcs {
-			srcs[i].slab.Off = off
-			off = alignUp(off + slabBytes(srcs[i].slab))
+		for i := range meta.Slabs {
+			meta.Slabs[i].Off = off
+			off = alignUp(off + slabBytes(meta.Slabs[i]))
 		}
 	}
-	meta.Slabs = meta.Slabs[:0]
-	for _, s := range srcs {
-		meta.Slabs = append(meta.Slabs, s.slab)
-	}
-	return meta, srcs, nil
+	return meta, data, nil
 }
 
 // packBits flattens a [][]bool row-major into an LSB-first bitset.
@@ -208,12 +207,10 @@ func unpackBits(bits []byte, rows, cols int) [][]bool {
 	return out
 }
 
-// SaveBinary writes the model in the v5 binary slab format, preserving its
+// SaveBinary writes the model to w as a BinaryVersion file, preserving its
 // storage mode (unlike the JSON format, which always stores float64 values).
-// The output loads through every existing loader and, via LoadFileMmap, with
-// zero copying.
 func (m *Model) SaveBinary(w io.Writer, generation uint64) error {
-	meta, srcs, err := m.binPlan(generation)
+	meta, data, err := m.binPlan(generation)
 	if err != nil {
 		return err
 	}
@@ -221,68 +218,49 @@ func (m *Model) SaveBinary(w io.Writer, generation uint64) error {
 	if err != nil {
 		return fmt.Errorf("core: encoding binary meta: %w", err)
 	}
-	var total int64
-	if n := len(srcs); n > 0 {
-		last := srcs[n-1].slab
-		total = last.Off + slabBytes(last)
-	} else {
-		total = int64(len(binMagic)) + 4 + int64(len(mb))
-	}
-	payload := make([]byte, total)
+	last := meta.Slabs[len(meta.Slabs)-1]
+	payload := make([]byte, last.Off+slabBytes(last))
 	copy(payload, binMagic)
 	binary.LittleEndian.PutUint32(payload[len(binMagic):], uint32(len(mb)))
 	copy(payload[len(binMagic)+4:], mb)
-	for _, s := range srcs {
-		dst := payload[s.slab.Off : s.slab.Off+slabBytes(s.slab)]
-		switch {
-		case s.f64 != nil:
-			for i, v := range s.f64 {
-				binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
-			}
-		case s.f32 != nil:
-			for i, v := range s.f32 {
-				binary.LittleEndian.PutUint32(dst[i*4:], math.Float32bits(v))
-			}
-		case s.i8 != nil:
-			for i, v := range s.i8 {
-				dst[i] = byte(v)
-			}
-		case s.bits != nil:
-			copy(dst, s.bits)
-		}
+	for n, s := range data {
+		s.put(payload[meta.Slabs[n].Off:])
 	}
-	if err := fault.WriteFramedFixed(w, FormatVersion, payload); err != nil {
+	if m.ZeroOutFilter != nil {
+		copy(payload[last.Off:], packBits(m.ZeroOutFilter, m.J))
+	}
+	if err := fault.WriteFramedFixed(w, BinaryVersion, payload); err != nil {
 		return fmt.Errorf("core: writing binary model: %w", err)
 	}
 	return nil
 }
 
-// SaveFileBinary writes a v5 binary model file crash-safely (temp file,
+// SaveFileBinary writes a BinaryVersion model file crash-safely (temp file,
 // fsync, atomic rename).
 func (m *Model) SaveFileBinary(path string, generation uint64) error {
-	return fault.WriteFileAtomic(nil, path, func(w io.Writer) error {
-		return m.SaveBinary(w, generation)
-	})
+	return m.SaveBinaryRotate(nil, path, 0, generation)
 }
 
-// SaveBinaryRotate writes a v5 binary model file crash-safely through fs
+// SaveBinaryRotate writes a BinaryVersion model file crash-safely through fs
 // (nil: the real filesystem), keeping up to keep rotated prior snapshots as a
-// recovery fallback ladder — the binary counterpart of SaveCheckpointRotate.
+// recovery ladder — the binary counterpart of SaveCheckpointRotate.
 func (m *Model) SaveBinaryRotate(fs fault.FS, path string, keep int, generation uint64) error {
 	return fault.WriteFileRotate(fs, path, keep, func(w io.Writer) error {
 		return m.SaveBinary(w, generation)
 	})
 }
 
-// decodeBinary reconstructs a model from a verified v5 payload. When the host
-// is little-endian and a slab lands on a suitably aligned address, the
-// model's slices alias payload directly (zero copy); otherwise the slab is
-// decoded into fresh heap memory. Callers that pass an mmap-backed payload
-// get a read-only model and must keep the mapping open for the model's
-// lifetime.
+// decodeBinary reconstructs a model from a verified BinaryVersion payload.
+// The CRC is integrity, not authentication — a shipment or a -model file is
+// outside input — so nothing the metadata declares is used as an index or a
+// size before it has been checked against the payload. Where the host is
+// little-endian and a slab lands on a suitably aligned address, the model's
+// slices alias payload directly (zero copy); otherwise the slab is decoded
+// into fresh heap memory. Callers that pass an mmap-backed payload get a
+// read-only model and must keep the mapping open for the model's lifetime.
 func decodeBinary(payload []byte) (*Model, uint64, error) {
 	if len(payload) < len(binMagic)+4 || string(payload[:len(binMagic)]) != binMagic {
-		return nil, 0, fmt.Errorf("core: not a v5 binary model payload")
+		return nil, 0, fmt.Errorf("core: not a binary model payload")
 	}
 	metaLen := int64(binary.LittleEndian.Uint32(payload[len(binMagic):]))
 	metaOff := int64(len(binMagic) + 4)
@@ -294,16 +272,8 @@ func decodeBinary(payload []byte) (*Model, uint64, error) {
 	if err := json.Unmarshal(payload[metaOff:metaOff+metaLen], &meta); err != nil {
 		return nil, 0, fmt.Errorf("core: decoding binary meta: %w", err)
 	}
-	if meta.Version != FormatVersion {
-		return nil, 0, fmt.Errorf("%w: binary payload is v%d, this build reads v%d",
-			ErrFormatVersion, meta.Version, FormatVersion)
-	}
-	if meta.Rank <= 0 || meta.I <= 0 || meta.J <= 0 || meta.K <= 0 {
-		return nil, 0, fmt.Errorf("core: binary model has invalid shape %dx%dx%d rank %d",
-			meta.I, meta.J, meta.K, meta.Rank)
-	}
-	if len(meta.H) != meta.Rank {
-		return nil, 0, fmt.Errorf("core: binary model h length %d, want %d", len(meta.H), meta.Rank)
+	if meta.Version != BinaryVersion {
+		return nil, 0, fmt.Errorf("%w: v%d frame holds binary meta declaring v%d", ErrFormatVersion, BinaryVersion, meta.Version)
 	}
 	mode, err := ParseStorageMode(meta.Mode)
 	if err != nil {
@@ -315,81 +285,58 @@ func decodeBinary(payload []byte) (*Model, uint64, error) {
 		if s.Off%slabAlign != 0 {
 			return nil, 0, fmt.Errorf("core: slab %q offset %d not %d-byte aligned", s.Name, s.Off, slabAlign)
 		}
-		if s.Len < 0 || s.Off < 0 || s.Off+slabBytes(s) > int64(len(payload)) {
-			return nil, 0, fmt.Errorf("core: slab %q region [%d,%d) exceeds payload (%d bytes): file truncated?",
-				s.Name, s.Off, s.Off+slabBytes(s), len(payload))
+		if !s.fits(int64(len(payload))) {
+			return nil, 0, fmt.Errorf("core: slab %q (%s×%d at offset %d) exceeds payload (%d bytes): file truncated?",
+				s.Name, s.Elem, s.Len, s.Off, len(payload))
 		}
 		slabs[s.Name] = s
 	}
-
-	r := int64(meta.Rank)
-	need := func(name, elem string, n int64) (binSlab, error) {
-		s, ok := slabs[name]
-		if !ok {
-			return s, fmt.Errorf("core: binary model (mode %s) missing slab %q", meta.Mode, name)
-		}
-		if s.Elem != elem || s.Len != n {
-			return s, fmt.Errorf("core: slab %q is %s×%d, want %s×%d", name, s.Elem, s.Len, elem, n)
+	need := func(name, elem string) (binSlab, error) {
+		s := slabs[name] // a missing slab has the zero Elem
+		if s.Elem != elem {
+			return s, fmt.Errorf("core: binary model (mode %s) has no %s slab %q", meta.Mode, elem, name)
 		}
 		return s, nil
 	}
 
+	dims := [3]int{meta.I, meta.J, meta.K}
+	var dir [3]binSlab
+	for ax, name := range factorSlabNames {
+		if dir[ax], err = need(name, factorElem[mode]); err != nil {
+			return nil, 0, err
+		}
+	}
+	if err := checkShape(dims, meta.Rank, len(meta.H), dir[0].Len, dir[1].Len, dir[2].Len); err != nil {
+		return nil, 0, err
+	}
+
 	m := &Model{Rank: meta.Rank, I: meta.I, J: meta.J, K: meta.K, Mode: mode, H: meta.H}
-	switch mode {
-	case StorageFloat64:
-		var d [3][]float64
-		for n, spec := range []struct {
-			name string
-			len  int64
-		}{{"u1", int64(meta.I) * r}, {"u2", int64(meta.J) * r}, {"u3", int64(meta.K) * r}} {
-			s, err := need(spec.name, "f64", spec.len)
+	var c compactFactors
+	for ax, s := range dir {
+		b := payload[s.Off:]
+		switch mode {
+		case StorageFloat64:
+			c[ax].f64 = viewSlab[float64](b, s.Len)
+		case StorageFloat32:
+			c[ax].f32 = viewSlab[float32](b, s.Len)
+		case StorageInt8:
+			sc, err := need(scaleSlabNames[ax], "f64")
 			if err != nil {
 				return nil, 0, err
 			}
-			d[n] = slabF64(payload, s)
-		}
-		m.U1 = mat.FromSlice(meta.I, meta.Rank, d[0])
-		m.U2 = mat.FromSlice(meta.J, meta.Rank, d[1])
-		m.U3 = mat.FromSlice(meta.K, meta.Rank, d[2])
-	case StorageFloat32:
-		c := &compactFactors{}
-		for _, spec := range []struct {
-			name string
-			len  int64
-			dst  *[]float32
-		}{{"u1", int64(meta.I) * r, &c.U1f}, {"u2", int64(meta.J) * r, &c.U2f}, {"u3", int64(meta.K) * r, &c.U3f}} {
-			s, err := need(spec.name, "f32", spec.len)
-			if err != nil {
-				return nil, 0, err
+			if sc.Len != int64(dims[ax]) {
+				return nil, 0, fmt.Errorf("core: slab %q has %d scales, want one per row (%d)", sc.Name, sc.Len, dims[ax])
 			}
-			*spec.dst = slabF32(payload, s)
+			c[ax].i8 = viewSlab[int8](b, s.Len)
+			c[ax].scale = viewSlab[float64](payload[sc.Off:], sc.Len)
 		}
-		m.Compact = c
-	case StorageInt8:
-		c := &compactFactors{}
-		for _, spec := range []struct {
-			name string
-			len  int64
-			dst  *[]int8
-		}{{"u1", int64(meta.I) * r, &c.U1q}, {"u2", int64(meta.J) * r, &c.U2q}, {"u3", int64(meta.K) * r, &c.U3q}} {
-			s, err := need(spec.name, "i8", spec.len)
-			if err != nil {
-				return nil, 0, err
-			}
-			*spec.dst = slabI8(payload, s)
-		}
-		for _, spec := range []struct {
-			name string
-			len  int64
-			dst  *[]float64
-		}{{"s1", int64(meta.I), &c.S1}, {"s2", int64(meta.J), &c.S2}, {"s3", int64(meta.K), &c.S3}} {
-			s, err := need(spec.name, "f64", spec.len)
-			if err != nil {
-				return nil, 0, err
-			}
-			*spec.dst = slabF64(payload, s)
-		}
-		m.Compact = c
+	}
+	if mode == StorageFloat64 {
+		m.U1 = mat.FromSlice(meta.I, meta.Rank, c[axUser].f64)
+		m.U2 = mat.FromSlice(meta.J, meta.Rank, c[axPOI].f64)
+		m.U3 = mat.FromSlice(meta.K, meta.Rank, c[axTime].f64)
+	} else {
+		m.Compact = &c
 	}
 	if s, ok := slabs["zeroout"]; ok {
 		if want := int64(meta.I) * int64(meta.J); s.Elem != "bits" || s.Len != want {
@@ -400,130 +347,52 @@ func decodeBinary(payload []byte) (*Model, uint64, error) {
 	return m, meta.Generation, nil
 }
 
-// slabF64 views or decodes an f64 slab. Zero copy requires a little-endian
-// host and 8-byte pointer alignment, both guaranteed on mmap'd v5 files on
-// amd64/arm64; otherwise the slab is decoded element-wise.
-func slabF64(payload []byte, s binSlab) []float64 {
-	b := payload[s.Off : s.Off+8*s.Len]
-	if s.Len == 0 {
-		return nil
+// viewSlab returns the n > 0 little-endian elements at the start of b, which
+// the caller has checked holds them. It is a zero-copy reinterpretation when the
+// host is little-endian and b is aligned for E — always so for a page-aligned
+// mapping of a file, whose slab offsets are multiples of slabAlign — and an
+// element-wise decode onto the heap otherwise. Single-byte elements have
+// neither constraint.
+func viewSlab[E mat.Elem](b []byte, n int64) []E {
+	var e E
+	size := unsafe.Sizeof(e)
+	if (hostLittleEndian || size == 1) && uintptr(unsafe.Pointer(&b[0]))%size == 0 {
+		return unsafe.Slice((*E)(unsafe.Pointer(&b[0])), n)
 	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), s.Len)
-	}
-	out := make([]float64, s.Len)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-func slabF32(payload []byte, s binSlab) []float32 {
-	b := payload[s.Off : s.Off+4*s.Len]
-	if s.Len == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), s.Len)
-	}
-	out := make([]float32, s.Len)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
+	out := make([]E, n)
+	switch out := any(out).(type) {
+	case []float64:
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+		}
+	case []float32:
+		for i := range out {
+			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
+		}
 	}
 	return out
 }
 
-func slabI8(payload []byte, s binSlab) []int8 {
-	b := payload[s.Off : s.Off+s.Len]
-	if s.Len == 0 {
-		return nil
-	}
-	// Byte-sized elements have no alignment or endianness constraints.
-	return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), s.Len)
-}
-
-// DecodeBinary reconstructs a model from in-memory v5 binary bytes exactly
-// as SaveBinary wrote them (fixed CRC32-C frame + slab payload). It is the
-// wire-side counterpart of LoadFileMmap for snapshot shipping: a replica
-// receives the primary's snapshot over HTTP and decodes it without touching
-// disk. Corruption anywhere in the frame fails with fault.ErrChecksum; the
-// decoded model may alias data, so callers must not mutate the buffer while
-// the model is in use.
+// DecodeBinary is Decode for readers that accept only the binary format —
+// the wire side of snapshot shipping, where SaveBinary wrote the bytes and a
+// JSON model is not an acceptable answer. The decoded model may alias data,
+// so callers must not mutate the buffer while the model is in use.
 func DecodeBinary(data []byte) (*Model, uint64, error) {
-	version, payload, err := fault.ReadFramed(data)
-	if version < 0 || version > FormatVersion {
-		return nil, 0, fmt.Errorf("%w: payload is v%d, this build reads v0-v%d",
-			ErrFormatVersion, version, FormatVersion)
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: decoding binary model bytes: %w", err)
-	}
-	if version != FormatVersion {
-		return nil, 0, fmt.Errorf("core: payload is a v%d JSON model, not a v5 binary snapshot", version)
-	}
-	return decodeBinary(payload)
+	m, info, err := decode(data, BinaryVersion)
+	return m, info.Generation, err
 }
 
-// LoadFileMmap memory-maps a v5 binary model file and reconstructs the model
-// zero-copy: the factor slices alias the mapping, so the load is O(metadata)
-// regardless of model size and factor rows are paged in on first touch. The
-// returned mapping must stay open as long as the model (or any Clone-free
-// reference to its slabs) is in use; Close it when the model is discarded.
-// The model is READ-ONLY — mutating it through training or UpdateOnline
-// faults; Clone() first (serving's Observe path does).
-//
-// On platforms without mmap the mapping transparently falls back to a heap
-// read; the model is then mutable but the contract above still applies.
-// Non-binary files (JSON v0-v4) are rejected — use LoadFile for those.
-func LoadFileMmap(path string) (*Model, uint64, *mmapio.Mapping, error) {
-	mapping, err := mmapio.Open(path)
+// LoadFileMmap opens exactly one BinaryVersion file the way Open opens each
+// rung of a ladder — memory-mapped, the factor slices aliasing the mapping,
+// so the load is O(metadata) and rows are paged in on first touch — without
+// falling back to older copies: a read-back check must judge the file it
+// names. The returned File must stay open as long as the model (or any
+// Clone-free reference to its slabs) is in use. The model is READ-ONLY:
+// mutating it through training or UpdateOnline faults; Clone() first.
+func LoadFileMmap(path string) (*Model, uint64, *File, error) {
+	m, f, err := openRung(path, BinaryVersion)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("core: %w", err)
+		return nil, 0, nil, fmt.Errorf("core: no binary snapshot loaded: %w", err)
 	}
-	m, gen, err := decodeMapped(path, mapping)
-	if err != nil {
-		mapping.Close()
-		return nil, 0, nil, err
-	}
-	return m, gen, mapping, nil
-}
-
-// decodeMapped frames and decodes a mapping's bytes as a v5 binary model.
-func decodeMapped(path string, mapping *mmapio.Mapping) (*Model, uint64, error) {
-	version, payload, err := fault.ReadFramed(mapping.Data)
-	if version < 0 || version > FormatVersion {
-		return nil, 0, fmt.Errorf("%w: file is v%d, this build reads v0-v%d",
-			ErrFormatVersion, version, FormatVersion)
-	}
-	if err != nil {
-		if errors.Is(err, fault.ErrChecksum) {
-			return nil, 0, fmt.Errorf("core: model file %s corrupt: %w", path, err)
-		}
-		return nil, 0, fmt.Errorf("core: decoding %s: %w", path, err)
-	}
-	if version != FormatVersion {
-		return nil, 0, fmt.Errorf("core: %s is a v%d JSON model, not a v5 binary snapshot (use LoadFile)", path, version)
-	}
-	return decodeBinary(payload)
-}
-
-// LoadFileMmapFallback is LoadFileMmap with the rotation-ladder crash
-// recovery of LoadFileVersionedFallback: when the newest file at path is
-// torn, corrupt, or not a binary snapshot, it walks path.1, path.2, … to the
-// newest loadable copy, returning the path actually loaded.
-func LoadFileMmapFallback(path string, depth int) (*Model, uint64, *mmapio.Mapping, string, error) {
-	var firstErr error
-	for _, p := range fault.FallbackPaths(path, depth) {
-		m, gen, mapping, err := LoadFileMmap(p)
-		if err == nil {
-			return m, gen, mapping, p, nil
-		}
-		if firstErr == nil && !errors.Is(err, os.ErrNotExist) {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("core: opening %s: %w", path, os.ErrNotExist)
-	}
-	return nil, 0, nil, "", fmt.Errorf("core: no loadable binary model at %s (depth %d): %w", path, depth, firstErr)
+	return m, f.Generation, f, nil
 }

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tcss/internal/fault"
 )
@@ -51,35 +53,17 @@ func binModelsEqual(t *testing.T, tag string, a, b *Model) {
 		}
 	}
 	eq64("h", a.H, b.H)
-	switch a.Mode {
-	case StorageFloat64:
-		eq64("u1", a.U1.Data, b.U1.Data)
-		eq64("u2", a.U2.Data, b.U2.Data)
-		eq64("u3", a.U3.Data, b.U3.Data)
-	case StorageFloat32:
-		for n := range a.Compact.U1f {
-			if a.Compact.U1f[n] != b.Compact.U1f[n] {
-				t.Fatalf("%s: u1f[%d] differs", tag, n)
-			}
+	as, bs := a.slabs(), b.slabs()
+	for ax := range as {
+		name := factorSlabNames[ax]
+		eq64(name+" f64", as[ax].f64, bs[ax].f64)
+		eq64(name+" scales", as[ax].scale, bs[ax].scale)
+		if !slices.Equal(as[ax].f32, bs[ax].f32) {
+			t.Fatalf("%s: %s f32 slabs differ", tag, name)
 		}
-		for n := range a.Compact.U2f {
-			if a.Compact.U2f[n] != b.Compact.U2f[n] {
-				t.Fatalf("%s: u2f[%d] differs", tag, n)
-			}
+		if !slices.Equal(as[ax].i8, bs[ax].i8) {
+			t.Fatalf("%s: %s quantized slabs differ", tag, name)
 		}
-		for n := range a.Compact.U3f {
-			if a.Compact.U3f[n] != b.Compact.U3f[n] {
-				t.Fatalf("%s: u3f[%d] differs", tag, n)
-			}
-		}
-	case StorageInt8:
-		if !bytesEqI8(a.Compact.U1q, b.Compact.U1q) || !bytesEqI8(a.Compact.U2q, b.Compact.U2q) ||
-			!bytesEqI8(a.Compact.U3q, b.Compact.U3q) {
-			t.Fatalf("%s: quantized slabs differ", tag)
-		}
-		eq64("s1", a.Compact.S1, b.Compact.S1)
-		eq64("s2", a.Compact.S2, b.Compact.S2)
-		eq64("s3", a.Compact.S3, b.Compact.S3)
 	}
 	if (a.ZeroOutFilter == nil) != (b.ZeroOutFilter == nil) {
 		t.Fatalf("%s: zero-out presence differs", tag)
@@ -91,18 +75,6 @@ func binModelsEqual(t *testing.T, tag string, a, b *Model) {
 			}
 		}
 	}
-}
-
-func bytesEqI8(a, b []int8) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestBinaryRoundTripAllModes: SaveBinary → mmap load AND stream load must
@@ -237,7 +209,7 @@ func corruptBinary(t *testing.T, src string, mutate func(meta *binMeta, payload 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fault.WriteFramedFixed(f, FormatVersion, out); err != nil {
+	if err := fault.WriteFramedFixed(f, BinaryVersion, out); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -317,7 +289,7 @@ func TestBinaryEdgeCases(t *testing.T) {
 
 	t.Run("json-file-rejected", func(t *testing.T) {
 		jsonPath := filepath.Join(dir, "model.json")
-		if err := m.SaveFile(jsonPath); err != nil {
+		if err := m.SaveFileVersioned(jsonPath, 0); err != nil {
 			t.Fatal(err)
 		}
 		_, _, _, err := LoadFileMmap(jsonPath)
@@ -332,7 +304,7 @@ func TestBinaryEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fault.WriteFramedFixed(f, FormatVersion+1, []byte(binMagic+"xxxx")); err != nil {
+		if err := fault.WriteFramedFixed(f, BinaryVersion+1, []byte(binMagic+"xxxx")); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
@@ -342,62 +314,100 @@ func TestBinaryEdgeCases(t *testing.T) {
 	})
 }
 
-// TestBinaryFallbackLadder: a corrupt primary falls back to the rotated copy,
-// matching the JSON loaders' crash-recovery contract.
-func TestBinaryFallbackLadder(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.bin")
-	m := binaryTestModel(t, StorageInt8)
-
-	// Two rotated saves: generation 1 lands at path.1, generation 2 at path.
-	if err := m.SaveBinaryRotate(nil, path, 4, 1); err != nil {
-		t.Fatal(err)
+// aliases reports whether the slab's bytes lie inside the mapping.
+func aliases(data []byte, s slab) bool {
+	var p unsafe.Pointer
+	switch {
+	case s.f64 != nil:
+		p = unsafe.Pointer(&s.f64[0])
+	case s.f32 != nil:
+		p = unsafe.Pointer(&s.f32[0])
+	default:
+		p = unsafe.Pointer(&s.i8[0])
 	}
-	if err := m.SaveBinaryRotate(nil, path, 4, 2); err != nil {
-		t.Fatal(err)
-	}
-
-	// Intact primary loads with its own generation.
-	_, gen, mapping, loaded, err := LoadFileMmapFallback(path, 4)
-	if err != nil || gen != 2 || loaded != path {
-		t.Fatalf("intact: gen=%d loaded=%q err=%v", gen, loaded, err)
-	}
-	mapping.Close()
-
-	// Tear the primary: fallback must land on path.1 at generation 1.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mm, gen, mapping, loaded, err := LoadFileMmapFallback(path, 4)
-	if err != nil || gen != 1 || loaded != path+".1" {
-		t.Fatalf("torn primary: gen=%d loaded=%q err=%v", gen, loaded, err)
-	}
-	binModelsEqual(t, "fallback", m, mm)
-	mapping.Close()
-
-	// Nothing loadable anywhere: error mentions the primary path.
-	if _, _, _, _, err := LoadFileMmapFallback(filepath.Join(dir, "absent.bin"), 4); err == nil {
-		t.Fatal("absent ladder must error")
-	}
+	lo := uintptr(unsafe.Pointer(&data[0]))
+	return uintptr(p) >= lo && uintptr(p) < lo+uintptr(len(data))
 }
 
-// TestBinaryThroughGenericLoaders: the versioned fallback loader used by
-// `tcss serve` reads binary files transparently, so a deployment can switch
-// formats without touching its restart path.
-func TestBinaryThroughGenericLoaders(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.bin")
-	m := binaryTestModel(t, StorageFloat32)
-	if err := m.SaveFileBinary(path, 9); err != nil {
-		t.Fatal(err)
+// TestBinaryFallbackLadder: the one loader walks the rotation ladder and maps
+// what it finds. With an intact newest file it loads that one; with the
+// newest torn — a crash during a snapshot save — it lands on path.1 with
+// path.1's generation, factors aliasing the mapping, which is what lets
+// `tcss serve -model` restart from a torn newest snapshot without copying the
+// model. One input per storage mode; JSON rungs on the same ladder load too,
+// heap-decoded and reported as not mapped.
+func TestBinaryFallbackLadder(t *testing.T) {
+	for _, mode := range []StorageMode{StorageFloat64, StorageFloat32, StorageInt8} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "snap.bin")
+			m := binaryTestModel(t, mode)
+
+			// Two rotated saves: generation 1 lands at path.1, generation 2 at path.
+			if err := m.SaveBinaryRotate(nil, path, 4, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SaveBinaryRotate(nil, path, 4, 2); err != nil {
+				t.Fatal(err)
+			}
+
+			// Intact primary loads with its own generation.
+			mm, f, err := Open(path)
+			if err != nil || f.Generation != 2 || f.From != path || f.Version != BinaryVersion {
+				t.Fatalf("intact: file=%+v err=%v", f, err)
+			}
+			binModelsEqual(t, "intact", m, mm)
+			f.Close()
+
+			// Tear the primary: fallback must land on path.1 at generation 1.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			mm, f, err = Open(path)
+			if err != nil || f.Generation != 1 || f.From != path+".1" {
+				t.Fatalf("torn primary: file=%+v err=%v", f, err)
+			}
+			binModelsEqual(t, "fallback", m, mm)
+			if !f.Mapped {
+				t.Fatalf("fallback rung not memory-mapped: %+v", f)
+			}
+			for ax, s := range mm.slabs() {
+				if !aliases(f.mapping.Data, s) {
+					t.Fatalf("factor slab %d was copied out of the mapping", ax)
+				}
+			}
+			// The per-rung open judges the torn file itself and never falls back.
+			if _, _, _, err := LoadFileMmap(path); !errors.Is(err, ErrChecksum) {
+				t.Fatalf("per-rung open of the torn primary: err = %v, want ErrChecksum", err)
+			}
+			cl := mm.Clone()
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			binModelsEqual(t, "clone outlives the mapping", m, cl)
+
+			// A JSON rung on the same ladder: the decoder is picked from the
+			// frame version, and Mapped reports what the model aliases — not
+			// the mapping the bytes were read through.
+			if err := m.SaveFileVersioned(path, 3); err != nil {
+				t.Fatal(err)
+			}
+			jm, f, err := Open(path)
+			if err != nil || f.Generation != 3 || f.From != path || f.Version != JSONVersion || f.Mapped {
+				t.Fatalf("json rung: file=%+v err=%v", f, err)
+			}
+			binModelsEqual(t, "json rung", m.Decompress(), jm)
+			f.Close()
+		})
 	}
-	mm, gen, loaded, err := LoadFileVersionedFallback(path, 2)
-	if err != nil || gen != 9 || loaded != path {
-		t.Fatalf("gen=%d loaded=%q err=%v", gen, loaded, err)
+
+	// Nothing loadable anywhere: error names the path, wraps os.ErrNotExist.
+	absent := filepath.Join(t.TempDir(), "absent.bin")
+	if _, _, err := Open(absent); !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), absent) {
+		t.Fatalf("absent ladder: err = %v", err)
 	}
-	binModelsEqual(t, "generic", m, mm)
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tcss/internal/fault"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -18,10 +20,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		m.ZeroOutFilter[i][i%6] = true
 	}
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.SaveVersioned(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf)
+	back, _, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,51 +48,68 @@ func TestSaveLoadFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := randomModel(3, 3, 2, 2, rng)
 	path := filepath.Join(t.TempDir(), "model.json")
-	if err := m.SaveFile(path); err != nil {
+	if err := m.SaveFileVersioned(path, 0); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadFile(path)
+	back, _, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Predict(1, 2, 1) != m.Predict(1, 2, 1) {
 		t.Fatal("file round trip mismatch")
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, _, err := Open(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file must error")
 	}
 }
 
-func TestLoadAcceptsLegacyVersions(t *testing.T) {
-	// v0: files written before versioning carry no "version" field at all.
-	// v1: explicit version, same factor layout. Both must keep loading.
+// sealed wraps a JSON document in a valid integrity frame of the given
+// version, so a test document reaches the decoder behind the frame gate.
+func sealed(t *testing.T, version int, doc string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := fault.WriteFramed(&buf, version, []byte(doc)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadRejectsUnsealedDocuments is the inverse of the legacy policy this
+// build dropped: a model document without an integrity frame — what v0-v3
+// files were — is refused as a header error, the same class as garbage,
+// instead of being decoded unverified.
+func TestLoadRejectsUnsealedDocuments(t *testing.T) {
 	for name, payload := range map[string]string{
 		"v0 legacy":   `{"rank":1,"i":1,"j":2,"k":1,"u1":[1],"u2":[0.5,2],"u3":[1],"h":[1]}`,
 		"v1 explicit": `{"version":1,"rank":1,"i":1,"j":2,"k":1,"u1":[1],"u2":[0.5,2],"u3":[1],"h":[1]}`,
+		"v4 unsealed": `{"version":4,"rank":1,"i":1,"j":2,"k":1,"u1":[1],"u2":[0.5,2],"u3":[1],"h":[1]}`,
+		"garbage":     "not json",
 	} {
-		m, gen, err := LoadVersioned(strings.NewReader(payload))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		m, _, err := Decode([]byte(payload))
+		if err == nil || m != nil {
+			t.Fatalf("%s: Decode accepted an unsealed document", name)
 		}
-		if gen != 0 {
-			t.Fatalf("%s: legacy generation = %d, want 0", name, gen)
+		if errors.Is(err, ErrChecksum) || errors.Is(err, ErrFormatVersion) {
+			t.Fatalf("%s: err = %v, want a header error, neither sentinel", name, err)
 		}
-		if got := m.Predict(0, 1, 0); got != 2 {
-			t.Fatalf("%s: Predict = %g, want 2", name, got)
-		}
+	}
+	// The same document, sealed, is a model: the frame is what was missing.
+	m, info, err := Decode(sealed(t, JSONVersion, `{"version":4,"rank":1,"i":1,"j":2,"k":1,"u1":[1],"u2":[0.5,2],"u3":[1],"h":[1]}`))
+	if err != nil || info.Generation != 0 || m.Predict(0, 1, 0) != 2 {
+		t.Fatalf("sealed document: err=%v info=%+v", err, info)
 	}
 }
 
 func TestLoadRejectsFutureFormatVersion(t *testing.T) {
 	payload := `{"version":99,"rank":1,"i":1,"j":1,"k":1,"u1":[0],"u2":[0],"u3":[0],"h":[0]}`
-	_, err := Load(strings.NewReader(payload))
+	_, _, err := Decode(sealed(t, 99, payload))
 	if !errors.Is(err, ErrFormatVersion) {
 		t.Fatalf("future version error = %v, want ErrFormatVersion", err)
 	}
 	if !strings.Contains(err.Error(), "v99") {
 		t.Fatalf("error %q does not name the offending version", err)
 	}
-	if _, err := Load(strings.NewReader(`{"version":-1,"rank":1,"i":1,"j":1,"k":1,"u1":[0],"u2":[0],"u3":[0],"h":[0]}`)); !errors.Is(err, ErrFormatVersion) {
+	if _, _, err := Decode(sealed(t, -1, `{"version":-1,"rank":1,"i":1,"j":1,"k":1,"u1":[0],"u2":[0],"u3":[0],"h":[0]}`)); !errors.Is(err, ErrFormatVersion) {
 		t.Fatalf("negative version error = %v, want ErrFormatVersion", err)
 	}
 }
@@ -102,11 +121,11 @@ func TestSaveVersionedGenerationRoundTrip(t *testing.T) {
 	if err := m.SaveVersioned(&buf, 41); err != nil {
 		t.Fatal(err)
 	}
-	back, gen, err := LoadVersioned(&buf)
+	back, info, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 41 {
+	if gen := info.Generation; gen != 41 {
 		t.Fatalf("generation = %d, want 41", gen)
 	}
 	if back.Predict(2, 3, 1) != m.Predict(2, 3, 1) {
@@ -117,7 +136,7 @@ func TestSaveVersionedGenerationRoundTrip(t *testing.T) {
 	if err := m.SaveFileVersioned(path, 7); err != nil {
 		t.Fatal(err)
 	}
-	_, gen, err = LoadFileVersioned(path)
+	_, gen, err := LoadFileVersioned(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +144,7 @@ func TestSaveVersionedGenerationRoundTrip(t *testing.T) {
 		t.Fatalf("file generation = %d, want 7", gen)
 	}
 	// Offline saves record generation 0.
-	if err := m.SaveFile(path); err != nil {
+	if err := m.SaveFileVersioned(path, 0); err != nil {
 		t.Fatal(err)
 	}
 	_, gen, err = LoadFileVersioned(path)
@@ -135,16 +154,25 @@ func TestSaveVersionedGenerationRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsCorruptModels(t *testing.T) {
-	cases := map[string]string{
-		"garbage":         "not json",
-		"bad version":     `{"version":99,"rank":1,"i":1,"j":1,"k":1,"u1":[0],"u2":[0],"u3":[0],"h":[0]}`,
-		"bad shape":       `{"version":1,"rank":0,"i":1,"j":1,"k":1,"u1":[],"u2":[],"u3":[],"h":[]}`,
-		"length mismatch": `{"version":1,"rank":2,"i":2,"j":1,"k":1,"u1":[0],"u2":[0,0],"u3":[0,0],"h":[0,0]}`,
-		"bad filter":      `{"version":1,"rank":1,"i":2,"j":1,"k":1,"u1":[0,0],"u2":[0],"u3":[0],"h":[0],"zero_out":[[true]]}`,
+	cases := map[string][]byte{
+		"garbage":         []byte("not json"),
+		"bad version":     sealed(t, 99, `{"version":99,"rank":1,"i":1,"j":1,"k":1,"u1":[0],"u2":[0],"u3":[0],"h":[0]}`),
+		"bad shape":       sealed(t, 4, `{"version":4,"rank":0,"i":1,"j":1,"k":1,"u1":[],"u2":[],"u3":[],"h":[]}`),
+		"length mismatch": sealed(t, 4, `{"version":4,"rank":2,"i":2,"j":1,"k":1,"u1":[0],"u2":[0,0],"u3":[0,0],"h":[0,0]}`),
+		"bad filter":      sealed(t, 4, `{"version":4,"rank":1,"i":2,"j":1,"k":1,"u1":[0,0],"u2":[0],"u3":[0],"h":[0],"zero_out":[[true]]}`),
+		// i·rank wraps to 0 == len(u1) in 64-bit int arithmetic.
+		"wrapped shape": sealed(t, 4, `{"version":4,"rank":4,"i":4611686018427387904,"j":1,"k":1,"u1":[],"u2":[0,0,0,0],"u3":[0,0,0,0],"h":[0,0,0,0]}`),
+		// A valid document whose own version field disagrees with its frame.
+		"inner version": sealed(t, 4, `{"version":3,"rank":1,"i":1,"j":1,"k":1,"u1":[0],"u2":[0],"u3":[0],"h":[0]}`),
 	}
-	for name, payload := range cases {
-		if _, err := Load(strings.NewReader(payload)); err == nil {
-			t.Errorf("%s: Load must reject", name)
+	for name, data := range cases {
+		if _, _, err := Decode(data); err == nil {
+			t.Errorf("%s: Decode must reject", name)
 		}
+	}
+	// The documents above are rejected for what they say, not for a typo in
+	// the fixture: the corrected shape loads.
+	if _, _, err := Decode(sealed(t, 4, `{"version":4,"rank":1,"i":2,"j":1,"k":1,"u1":[0,0],"u2":[0],"u3":[0],"h":[0],"zero_out":[[true],[false]]}`)); err != nil {
+		t.Fatalf("well-formed sealed document rejected: %v", err)
 	}
 }

@@ -194,12 +194,12 @@ func TestTrainResumeRejectsMismatch(t *testing.T) {
 	}
 
 	// A plain model file (no training state) is not resumable.
-	m, _, err := LoadCheckpointFile(ck)
+	m, _, err := loadCheckpointFile(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain := filepath.Join(t.TempDir(), "plain.json")
-	if err := m.SaveFile(plain); err != nil {
+	if err := m.SaveFileVersioned(plain, 0); err != nil {
 		t.Fatal(err)
 	}
 	noState := cfg
@@ -222,7 +222,7 @@ func TestCheckpointFileIsModelFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(ck)
+	loaded, _, err := LoadFileVersioned(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestPersistV3RoundTripAndVersionGates(t *testing.T) {
 	if _, err := Train(fx.x.Clone(), fx.side, cfg); err != nil {
 		t.Fatal(err)
 	}
-	m, st, err := LoadCheckpointFile(cfg.CheckpointPath)
+	m, st, err := loadCheckpointFile(cfg.CheckpointPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,10 +256,10 @@ func TestPersistV3RoundTripAndVersionGates(t *testing.T) {
 
 	// Round-trip through a second save preserves every bit.
 	second := filepath.Join(t.TempDir(), "ck2.json")
-	if err := m.SaveCheckpointFile(second, st); err != nil {
+	if err := m.SaveCheckpointRotate(nil, second, 0, st); err != nil {
 		t.Fatal(err)
 	}
-	m2, st2, err := LoadCheckpointFile(second)
+	m2, st2, err := loadCheckpointFile(second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,10 +277,10 @@ func TestPersistV3RoundTripAndVersionGates(t *testing.T) {
 
 	// Legacy plain files load with a nil state.
 	plain := filepath.Join(t.TempDir(), "plain.json")
-	if err := m.SaveFile(plain); err != nil {
+	if err := m.SaveFileVersioned(plain, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, stPlain, err := LoadCheckpointFile(plain)
+	_, stPlain, err := loadCheckpointFile(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestPersistV3RoundTripAndVersionGates(t *testing.T) {
 	// file is the frame header's; bumping it is how a future build's file
 	// looks to this one.
 	future := strings.Replace(readFileString(t, plain), `"version":4`, `"version":9`, 1)
-	if _, _, err := LoadCheckpoint(strings.NewReader(future)); !errors.Is(err, ErrFormatVersion) {
+	if _, _, err := Decode([]byte(future)); !errors.Is(err, ErrFormatVersion) {
 		t.Fatalf("future version gave %v, want ErrFormatVersion", err)
 	}
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+
+	"tcss/internal/mat"
 )
 
 // StorageMode selects how a Model stores its factor matrices. Training always
@@ -63,52 +66,44 @@ func (m StorageMode) valid() bool {
 	return m == StorageFloat64 || m == StorageFloat32 || m == StorageInt8
 }
 
-// compactFactors holds the factor slabs of a non-float64 model. Exactly one
-// representation is populated per mode: the float32 slabs, or the int8 slabs
-// plus per-row scales. Slices may alias a read-only memory mapping (see
-// LoadModelMmap), so they must never be written through.
-type compactFactors struct {
-	// StorageFloat32: row-major slabs, same layout as mat.Matrix.Data.
-	U1f, U2f, U3f []float32
+// The factor axes, in the order every per-axis array uses.
+const (
+	axUser = iota
+	axPOI
+	axTime
+)
 
-	// StorageInt8: row-major quantized slabs and one dequantization scale
-	// per row (value = scale[row] * q). A zero row has scale 0.
-	U1q, U2q, U3q []int8
-	S1, S2, S3    []float64
+// slab is one axis' factor rows (row-major, Rank columns) in one storage
+// mode; which field is populated says which. A slab may alias a read-only
+// memory mapping (see Open), so it must never be written through.
+type slab struct {
+	f64 []float64 // StorageFloat64: the Data of the axis' mat.Matrix
+	f32 []float32 // StorageFloat32
+	// StorageInt8: quantized entries and one dequantization scale per row
+	// (value = scale[row]·q). A zero row has scale 0.
+	i8    []int8
+	scale []float64
 }
 
-// clone deep-copies every populated slab onto the heap (the source may alias
-// a read-only mmap region).
-func (c *compactFactors) clone() *compactFactors {
-	out := &compactFactors{}
-	cp32 := func(s []float32) []float32 {
-		if s == nil {
-			return nil
-		}
-		d := make([]float32, len(s))
-		copy(d, s)
-		return d
+// compactFactors holds the factor slabs of a non-float64 model by axis.
+type compactFactors [3]slab
+
+// slabs returns the model's factor slabs by axis in the mode it stores them;
+// in float64 mode they view U1/U2/U3.
+func (m *Model) slabs() [3]slab {
+	if m.Mode == StorageFloat64 {
+		return [3]slab{{f64: m.U1.Data}, {f64: m.U2.Data}, {f64: m.U3.Data}}
 	}
-	cp8 := func(s []int8) []int8 {
-		if s == nil {
-			return nil
-		}
-		d := make([]int8, len(s))
-		copy(d, s)
-		return d
+	return *m.Compact
+}
+
+// clone deep-copies the slab onto the heap (the source may alias a read-only
+// mmap region).
+func (s slab) clone() slab {
+	return slab{
+		f64: slices.Clone(s.f64), f32: slices.Clone(s.f32),
+		i8: slices.Clone(s.i8), scale: slices.Clone(s.scale),
 	}
-	cp64 := func(s []float64) []float64 {
-		if s == nil {
-			return nil
-		}
-		d := make([]float64, len(s))
-		copy(d, s)
-		return d
-	}
-	out.U1f, out.U2f, out.U3f = cp32(c.U1f), cp32(c.U2f), cp32(c.U3f)
-	out.U1q, out.U2q, out.U3q = cp8(c.U1q), cp8(c.U2q), cp8(c.U3q)
-	out.S1, out.S2, out.S3 = cp64(c.S1), cp64(c.S2), cp64(c.S3)
-	return out
 }
 
 // quantizeRows quantizes a row-major float64 slab to int8 with one symmetric
@@ -158,20 +153,15 @@ func (m *Model) ToStorage(mode StorageMode) (*Model, error) {
 		Mode:          mode,
 		H:             m.H,
 		ZeroOutFilter: m.ZeroOutFilter,
+		Compact:       &compactFactors{},
 	}
-	switch mode {
-	case StorageFloat32:
-		out.Compact = &compactFactors{
-			U1f: f32FromF64(m.U1.Data),
-			U2f: f32FromF64(m.U2.Data),
-			U3f: f32FromF64(m.U3.Data),
+	for ax, u := range []*mat.Matrix{m.U1, m.U2, m.U3} {
+		switch s := &out.Compact[ax]; mode {
+		case StorageFloat32:
+			s.f32 = f32FromF64(u.Data)
+		case StorageInt8:
+			s.i8, s.scale = quantizeRows(u.Data, u.Rows, u.Cols)
 		}
-	case StorageInt8:
-		c := &compactFactors{}
-		c.U1q, c.S1 = quantizeRows(m.U1.Data, m.I, m.Rank)
-		c.U2q, c.S2 = quantizeRows(m.U2.Data, m.J, m.Rank)
-		c.U3q, c.S3 = quantizeRows(m.U3.Data, m.K, m.Rank)
-		out.Compact = c
 	}
 	return out, nil
 }
@@ -188,16 +178,13 @@ func (m *Model) Decompress() *Model {
 	out := NewModel(m.I, m.J, m.K, m.Rank)
 	copy(out.H, m.H)
 	out.ZeroOutFilter = m.ZeroOutFilter
-	c := m.Compact
-	switch m.Mode {
-	case StorageFloat32:
-		f64FromF32(out.U1.Data, c.U1f)
-		f64FromF32(out.U2.Data, c.U2f)
-		f64FromF32(out.U3.Data, c.U3f)
-	case StorageInt8:
-		dequantRows(out.U1.Data, c.U1q, c.S1, m.Rank)
-		dequantRows(out.U2.Data, c.U2q, c.S2, m.Rank)
-		dequantRows(out.U3.Data, c.U3q, c.S3, m.Rank)
+	for ax, u := range []*mat.Matrix{out.U1, out.U2, out.U3} {
+		switch s := m.Compact[ax]; m.Mode {
+		case StorageFloat32:
+			f64FromF32(u.Data, s.f32)
+		case StorageInt8:
+			dequantRows(u.Data, s.i8, s.scale, m.Rank)
+		}
 	}
 	return out
 }
@@ -229,86 +216,31 @@ func dequantRows(dst []float64, q []int8, scale []float64, cols int) {
 // the three factor slabs, the per-row scales in int8 mode, and h. The
 // zero-out filter (an optional ablation artifact) is not counted.
 func (m *Model) FactorBytes() int64 {
-	h := int64(len(m.H)) * 8
-	switch m.Mode {
-	case StorageFloat32:
-		c := m.Compact
-		return h + 4*int64(len(c.U1f)+len(c.U2f)+len(c.U3f))
-	case StorageInt8:
-		c := m.Compact
-		return h + int64(len(c.U1q)+len(c.U2q)+len(c.U3q)) +
-			8*int64(len(c.S1)+len(c.S2)+len(c.S3))
-	default:
-		return h + 8*int64(m.I+m.J+m.K)*int64(m.Rank)
+	n := int64(len(m.H)) * 8
+	for _, s := range m.slabs() {
+		n += 8*int64(len(s.f64)) + 4*int64(len(s.f32)) + int64(len(s.i8)) + 8*int64(len(s.scale))
 	}
+	return n
 }
 
-// u1Row returns user row i as float64s: the row view itself in float64 mode
-// (no copy), otherwise dequantized into buf, which must have length >= Rank.
-func (m *Model) u1Row(i int, buf []float64) []float64 {
-	switch m.Mode {
-	case StorageFloat32:
-		row := m.Compact.U1f[i*m.Rank : (i+1)*m.Rank]
-		buf = buf[:m.Rank]
-		for t, v := range row {
+// row returns row i of a factor axis as float64s: the row view itself in
+// float64 mode (no copy), otherwise widened into buf, which must have
+// length >= Rank.
+func (m *Model) row(ax, i int, buf []float64) []float64 {
+	r := m.Rank
+	if m.Mode == StorageFloat64 {
+		return m.slabs()[ax].f64[i*r : (i+1)*r]
+	}
+	s, buf := &m.Compact[ax], buf[:r]
+	if m.Mode == StorageFloat32 {
+		for t, v := range s.f32[i*r : (i+1)*r] {
 			buf[t] = float64(v)
 		}
 		return buf
-	case StorageInt8:
-		row := m.Compact.U1q[i*m.Rank : (i+1)*m.Rank]
-		s := m.Compact.S1[i]
-		buf = buf[:m.Rank]
-		for t, v := range row {
-			buf[t] = s * float64(v)
-		}
-		return buf
-	default:
-		return m.U1.Row(i)
 	}
-}
-
-// u2Row is u1Row for POI rows.
-func (m *Model) u2Row(j int, buf []float64) []float64 {
-	switch m.Mode {
-	case StorageFloat32:
-		row := m.Compact.U2f[j*m.Rank : (j+1)*m.Rank]
-		buf = buf[:m.Rank]
-		for t, v := range row {
-			buf[t] = float64(v)
-		}
-		return buf
-	case StorageInt8:
-		row := m.Compact.U2q[j*m.Rank : (j+1)*m.Rank]
-		s := m.Compact.S2[j]
-		buf = buf[:m.Rank]
-		for t, v := range row {
-			buf[t] = s * float64(v)
-		}
-		return buf
-	default:
-		return m.U2.Row(j)
+	sc := s.scale[i]
+	for t, v := range s.i8[i*r : (i+1)*r] {
+		buf[t] = sc * float64(v)
 	}
-}
-
-// u3Row is u1Row for time rows.
-func (m *Model) u3Row(k int, buf []float64) []float64 {
-	switch m.Mode {
-	case StorageFloat32:
-		row := m.Compact.U3f[k*m.Rank : (k+1)*m.Rank]
-		buf = buf[:m.Rank]
-		for t, v := range row {
-			buf[t] = float64(v)
-		}
-		return buf
-	case StorageInt8:
-		row := m.Compact.U3q[k*m.Rank : (k+1)*m.Rank]
-		s := m.Compact.S3[k]
-		buf = buf[:m.Rank]
-		for t, v := range row {
-			buf[t] = s * float64(v)
-		}
-		return buf
-	default:
-		return m.U3.Row(k)
-	}
+	return buf
 }

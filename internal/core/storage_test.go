@@ -289,9 +289,9 @@ func TestCompactCloneIsDeep(t *testing.T) {
 		before := cm.Predict(1, 2, 3)
 		switch mode {
 		case StorageFloat32:
-			cl.Compact.U2f[0] += 10
+			cl.Compact[axPOI].f32[0] += 10
 		case StorageInt8:
-			cl.Compact.S2[2] += 10
+			cl.Compact[axPOI].scale[2] += 10
 		}
 		cl.H[0] += 10
 		if got := cm.Predict(1, 2, 3); got != before {
@@ -349,9 +349,9 @@ func TestTrainCompactStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n, v := range want.Compact.U1f {
-		if m.Compact.U1f[n] != v {
-			t.Fatalf("U1f[%d] = %g, want %g: compaction changed training", n, m.Compact.U1f[n], v)
+	for n, v := range want.Compact[axUser].f32 {
+		if got := m.Compact[axUser].f32[n]; got != v {
+			t.Fatalf("U1f[%d] = %g, want %g: compaction changed training", n, got, v)
 		}
 	}
 }

@@ -11,11 +11,6 @@ import (
 	"tcss/internal/train"
 )
 
-// resumeFallbackDepth bounds how far down the checkpoint rotation ladder
-// (path.1, path.2, …) resume searches for an intact file. Deeper than any
-// sane CheckpointKeep, and cheap: missing rungs cost one failed open each.
-const resumeFallbackDepth = 16
-
 // HausdorffVariant selects how (and whether) the social-spatial head is
 // applied, covering the ablation rows of Table II.
 type HausdorffVariant int
@@ -108,9 +103,9 @@ type Config struct {
 
 	// CheckpointPath, when non-empty, makes Train write resumable
 	// checkpoints (model factors plus engine state, persisted as a
-	// FormatVersion 3 model file) after every CheckpointEvery-th epoch and
+	// JSONVersion model file) after every CheckpointEvery-th epoch and
 	// after the final one. A checkpoint file is also a complete model file:
-	// Load reads it, ignoring the training state.
+	// Open reads it, returning the training state beside the model.
 	CheckpointPath string
 
 	// CheckpointEvery is the epoch period of mid-run checkpoints (<= 0:
@@ -251,12 +246,17 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 	var m *Model
 	var resume *train.State
 	if cfg.ResumePath != "" {
+		var f *File
 		var err error
-		m, resume, _, err = LoadCheckpointFallback(cfg.ResumePath, resumeFallbackDepth)
+		m, f, err = Open(cfg.ResumePath)
 		if err != nil {
 			return nil, err
 		}
-		if resume == nil {
+		// A checkpoint is a heap-decoded JSON file, so there is nothing to
+		// release; a mapped binary snapshot has no training state and is
+		// turned away below before anything writes through its factors.
+		defer f.Close()
+		if resume = f.Train; resume == nil {
 			return nil, fmt.Errorf("core: %s has no training state to resume (plain model file)", cfg.ResumePath)
 		}
 		if m.I != x.DimI || m.J != x.DimJ || m.K != x.DimK || m.Rank != cfg.Rank {

@@ -29,6 +29,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -64,7 +65,7 @@ var OS FS = osFS{}
 
 type osFS struct{}
 
-func (osFS) Create(name string) (File, error)    { return os.Create(name) }
+func (osFS) Create(name string) (File, error)     { return os.Create(name) }
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error             { return os.Remove(name) }
 
@@ -106,4 +107,33 @@ func FallbackPaths(path string, depth int) []string {
 		out = append(out, RotatedPath(path, i))
 	}
 	return out
+}
+
+// LadderDepth is how far down a rotation ladder recovery looks. It only has
+// to be at least the largest keep any writer is configured with; rungs that
+// do not exist cost one failed open each.
+const LadderDepth = 16
+
+// LoadNewest is the one recovery walk over a rotation ladder: it calls load
+// on path, path.1, … path.LadderDepth in that order and returns the first
+// rung load accepts. A rung that is missing (load's error wraps
+// os.ErrNotExist) is skipped silently; one that exists but does not load —
+// torn, corrupt, another format — is skipped too, falling back to the next
+// older copy. When no rung loads, the error wraps the first real failure
+// seen, or os.ErrNotExist when nothing exists at all.
+func LoadNewest(path string, load func(rung string) error) (from string, err error) {
+	var firstErr error
+	for _, p := range FallbackPaths(path, LadderDepth) {
+		err := load(p)
+		if err == nil {
+			return p, nil
+		}
+		if firstErr == nil && !errors.Is(err, os.ErrNotExist) {
+			firstErr = err
+		}
+	}
+	if firstErr == nil {
+		firstErr = os.ErrNotExist
+	}
+	return "", fmt.Errorf("fault: nothing loadable at %s or its %d rotated copies: %w", path, LadderDepth, firstErr)
 }

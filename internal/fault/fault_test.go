@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -111,7 +112,7 @@ func TestWriteFileRotateKeepsHistory(t *testing.T) {
 		}
 	}
 	for i, want := range map[string]string{
-		path:                "4",
+		path:                 "4",
 		RotatedPath(path, 1): "3",
 		RotatedPath(path, 2): "2",
 	} {
@@ -187,16 +188,12 @@ func TestFramedRoundTripAndRejections(t *testing.T) {
 		}
 	}
 
-	// Legacy (unframed) documents pass through whole with their version.
-	legacy := []byte(`{"version":2,"rank":1}`)
-	v, got, err = ReadFramed(legacy)
-	if err != nil || v != 2 || !bytes.Equal(got, legacy) {
-		t.Fatalf("legacy: v=%d err=%v got=%q", v, err, got)
-	}
-	// Versionless legacy decodes as v0.
-	v, _, err = ReadFramed([]byte(`{"rank":1}`))
-	if err != nil || v != 0 {
-		t.Fatalf("versionless legacy: v=%d err=%v", v, err)
+	// A JSON document that is not a frame header — no crc32, no length — is
+	// a header error of the same class as garbage, never handed on unverified.
+	for _, unsealed := range []string{`{"version":2,"rank":1}`, `{"rank":1}`, `{"version":2,"crc32":7}`, `{"version":2,"length":0}`} {
+		if _, got, err := ReadFramed([]byte(unsealed)); err == nil || errors.Is(err, ErrChecksum) || got != nil {
+			t.Fatalf("unsealed %s: payload=%q err=%v, want a header error", unsealed, got, err)
+		}
 	}
 	// Garbage is a header error, not a checksum error.
 	if _, _, err := ReadFramed([]byte("not json")); err == nil || errors.Is(err, ErrChecksum) {
@@ -335,6 +332,84 @@ func TestHooks(t *testing.T) {
 	}
 	if a.Injected() == 0 || a.Injected() == 64 {
 		t.Fatalf("rate 0.5 injected %d of 64", a.Injected())
+	}
+}
+
+// TestUnsealGateOrder pins the one frame gate's order: header error, then the
+// reader's own version sentinel, then the checksum verdict.
+func TestUnsealGateOrder(t *testing.T) {
+	sentinel := errors.New("reader: unsupported version")
+	var buf bytes.Buffer
+	if err := WriteFramed(&buf, 4, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	sealed := buf.Bytes()
+	torn := sealed[:len(sealed)-1]
+
+	if v, got, err := Unseal(sealed, sentinel, 4, 5); err != nil || v != 4 || string(got) != "payload" {
+		t.Fatalf("accepted version: v=%d payload=%q err=%v", v, got, err)
+	}
+	if _, _, err := Unseal(torn, sentinel, 4, 5); !errors.Is(err, ErrChecksum) || errors.Is(err, sentinel) {
+		t.Fatalf("torn, accepted version: err = %v, want ErrChecksum only", err)
+	}
+	// Another version wins over a damaged payload: the header survived.
+	for _, data := range [][]byte{sealed, torn} {
+		if _, got, err := Unseal(data, sentinel, 5); !errors.Is(err, sentinel) || errors.Is(err, ErrChecksum) || got != nil {
+			t.Fatalf("foreign version: payload=%q err = %v, want the sentinel only", got, err)
+		}
+	}
+	// No header, no version to gate on: neither sentinel.
+	for _, data := range []string{"not json", "", `{"version":4,"rank":1}`} {
+		if _, _, err := Unseal([]byte(data), sentinel, 4); err == nil || errors.Is(err, sentinel) || errors.Is(err, ErrChecksum) {
+			t.Fatalf("header error on %q: err = %v", data, err)
+		}
+	}
+}
+
+// TestLoadNewest covers the one ladder walk: a gap is skipped, the rung that
+// loads is named, the first real failure is the one reported, and an empty
+// ladder is os.ErrNotExist.
+func TestLoadNewest(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap")
+	errTorn, errOlder := errors.New("torn"), errors.New("older and also bad")
+	load := func(verdict map[string]error) (func(string) error, *[]string) {
+		var seen []string
+		return func(rung string) error {
+			seen = append(seen, filepath.Base(rung))
+			if err, ok := verdict[filepath.Base(rung)]; ok {
+				return err
+			}
+			return fmt.Errorf("open %s: %w", rung, os.ErrNotExist)
+		}, &seen
+	}
+
+	// path torn, path.1 missing (a gap), path.2 good: path.2 is loaded and
+	// nothing older is touched.
+	fn, seen := load(map[string]error{"snap": errTorn, "snap.2": nil, "snap.3": nil})
+	from, err := LoadNewest(path, fn)
+	if err != nil || from != RotatedPath(path, 2) {
+		t.Fatalf("gap: from=%q err=%v, want snap.2", from, err)
+	}
+	if strings.Join(*seen, ",") != "snap,snap.1,snap.2" {
+		t.Fatalf("gap: walked %v", *seen)
+	}
+
+	// Nothing loads: the newest rung's failure is the diagnosis, and the
+	// whole ladder was tried.
+	fn, seen = load(map[string]error{"snap": errTorn, "snap.1": errOlder})
+	from, err = LoadNewest(path, fn)
+	if from != "" || !errors.Is(err, errTorn) || errors.Is(err, errOlder) || errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("all bad: from=%q err=%v, want the first real error", from, err)
+	}
+	if len(*seen) != LadderDepth+1 {
+		t.Fatalf("all bad: tried %d rungs, want %d", len(*seen), LadderDepth+1)
+	}
+
+	// Nothing exists.
+	fn, _ = load(nil)
+	if from, err := LoadNewest(path, fn); from != "" || !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("empty ladder: from=%q err=%v, want os.ErrNotExist", from, err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // ErrChecksum is the sentinel wrapped by ReadFramed (and, through it, the
@@ -19,9 +20,9 @@ var ErrChecksum = errors.New("fault: payload failed integrity check")
 // castagnoli is the CRC32-C polynomial, hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameHeader is the one-line JSON envelope of a sealed file. Pointer fields
-// distinguish a real header from a legacy unframed document that happens to
-// decode (legacy files carry "version" but never "crc32").
+// frameHeader is the one-line JSON envelope of a sealed file. The pointer
+// fields tell a header apart from any other JSON value that happens to
+// decode: a frame carries both "crc32" and "length" or it is not a frame.
 type frameHeader struct {
 	Version int     `json:"version"`
 	CRC32   *uint32 `json:"crc32"`
@@ -93,38 +94,51 @@ func WriteFramedFixed(w io.Writer, version int, payload []byte) error {
 	return err
 }
 
-// ReadFramed splits data into its format version and verified payload.
-//
-// Files whose leading JSON value carries no "crc32" field are unframed
-// legacy documents: the whole input is returned as the payload along with
-// whatever "version" the value declared (0 when absent). For sealed files
-// the payload is checked against the header's length and CRC32-C; failures
-// return an error wrapping ErrChecksum, still alongside the header's
-// version so callers can gate on format version first.
+// ReadFramed splits data into its frame version and verified payload. Input
+// that does not start with a frame header — garbage, an empty file, or a JSON
+// document without both "crc32" and "length" — is a header error and is never
+// handed on unverified. With a header, the payload is checked against the
+// declared length and CRC32-C; a failure returns an error wrapping
+// ErrChecksum alongside the header's version, so Unseal can still gate on the
+// version first.
 func ReadFramed(data []byte) (version int, payload []byte, err error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	var h frameHeader
 	if err := dec.Decode(&h); err != nil {
 		return 0, nil, fmt.Errorf("fault: reading frame header: %w", err)
 	}
-	if h.CRC32 == nil {
-		return h.Version, data, nil
+	if h.CRC32 == nil || h.Length == nil {
+		return 0, nil, errors.New("fault: reading frame header: no crc32/length, not a sealed frame")
 	}
 	rest := data[dec.InputOffset():]
 	if len(rest) > 0 && rest[0] == '\n' {
 		rest = rest[1:]
 	}
-	if h.Length == nil || int64(len(rest)) != *h.Length {
-		declared := int64(-1)
-		if h.Length != nil {
-			declared = *h.Length
-		}
+	if int64(len(rest)) != *h.Length {
 		return h.Version, nil, fmt.Errorf("%w: payload is %d bytes, header declares %d",
-			ErrChecksum, len(rest), declared)
+			ErrChecksum, len(rest), *h.Length)
 	}
 	if got := crc32.Checksum(rest, castagnoli); got != *h.CRC32 {
 		return h.Version, nil, fmt.Errorf("%w: crc32 %08x, header declares %08x",
 			ErrChecksum, got, *h.CRC32)
 	}
 	return h.Version, rest, nil
+}
+
+// Unseal is the frame gate every persistence reader goes through. It reports,
+// in this order: a header error as it is (there is no version to trust);
+// then, when the frame version is not one of accept — the versions the
+// reader's own writer emits — an error wrapping the reader's unsupported
+// sentinel, even if the payload is also damaged, because "written by another
+// build or for another purpose" is the more useful diagnosis and the header
+// survives payload corruption; and only then the checksum verdict.
+func Unseal(data []byte, unsupported error, accept ...int) (version int, payload []byte, err error) {
+	version, payload, err = ReadFramed(data)
+	if err != nil && !errors.Is(err, ErrChecksum) {
+		return 0, nil, err
+	}
+	if !slices.Contains(accept, version) {
+		return version, nil, fmt.Errorf("%w: frame is v%d, this reader accepts v%d", unsupported, version, accept)
+	}
+	return version, payload, err
 }

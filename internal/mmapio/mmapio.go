@@ -1,6 +1,6 @@
 // Package mmapio memory-maps files for zero-copy reading, with a portable
 // heap-read fallback for platforms without mmap support. It exists so the
-// binary model snapshot format (core.FormatVersion 5) can be served straight
+// binary model snapshot format (core.BinaryVersion) can be served straight
 // out of the page cache: loading a model becomes O(1) pointer arithmetic over
 // the mapping instead of an O(model) parse-and-copy, and cold factor rows are
 // paged in on first touch.

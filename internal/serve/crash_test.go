@@ -71,10 +71,11 @@ func TestCrashKillSweepSnapshotSave(t *testing.T) {
 		} else if !errors.Is(err, fault.ErrCrashed) {
 			t.Fatalf("%s: save failed with %v, want an injected crash", name, err)
 		}
-		got, gen, from, lerr := core.LoadFileVersionedFallback(path, 2)
+		got, f, lerr := core.Open(path)
 		if lerr != nil {
 			t.Fatalf("%s: no intact snapshot on the ladder: %v", name, lerr)
 		}
+		gen, from := f.Generation, f.From
 		var want *core.Model
 		switch gen {
 		case 1:

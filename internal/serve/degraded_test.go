@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"path/filepath"
@@ -224,6 +225,36 @@ func TestMetricsMoveUnderInjectedFaults(t *testing.T) {
 	if met.Reliability.BreakerState != "closed" || met.Reliability.BreakerTrips != 0 {
 		t.Fatalf("one failure must not trip the breaker: %+v", met.Reliability)
 	}
+}
+
+// TestSaveReadBackJudgesOnlyTheNewestRung: the read-back must verify the file
+// a restart reads first and only that file. With an intact previous snapshot
+// rotated to path.1 and the new one torn in flight, a read-back that walked
+// the ladder the way a restart does would find path.1 and call the save good.
+func TestSaveReadBackJudgesOnlyTheNewestRung(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.bin")
+	if err := snapModel(1000).SaveFileBinary(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newTestServer(t, Options{
+		SnapshotPath: path,
+		SnapshotKeep: 1,
+		FS:           fault.NewInjectFS(nil, fault.Plan{FlipByteAt: 200}),
+	})
+	err := srv.trySave(srv.snap.load())
+	if !errors.Is(err, core.ErrChecksum) {
+		t.Fatalf("save over a silently flipped byte: err = %v, want the read-back to fail with ErrChecksum", err)
+	}
+	if n := srv.met.checksumRejected.Load(); n != 1 {
+		t.Fatalf("checksum_rejected_loads = %d, want 1", n)
+	}
+	// The ladder is what would have hidden it: a restart does recover, from
+	// the previous generation at path.1.
+	_, f, err := core.Open(path)
+	if err != nil || f.From != fault.RotatedPath(path, 1) || f.Generation != 1 {
+		t.Fatalf("restart after the torn save: file=%+v err=%v, want path.1 at generation 1", f, err)
+	}
+	f.Close()
 }
 
 // TestShutdownDrainsAndSaves checks the graceful path: Shutdown sheds new

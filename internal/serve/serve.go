@@ -684,7 +684,10 @@ func (s *Server) handleSave() writerResult {
 // crash-safe rotated write of the v5 binary slab format (mmap-loadable for
 // O(1) restart), and a read-back verification so a write the filesystem
 // silently tore (short write, bit rot) is caught here — where a retry can fix
-// it — instead of at the next restart.
+// it — instead of at the next restart. The read-back opens exactly the file
+// a restart reads first, the way a restart opens it (mapped, nothing copied),
+// and never the ladder: falling back to an intact path.1 would let a torn
+// newest file pass.
 func (s *Server) trySave(snap *Snapshot) error {
 	if err := s.opts.Faults.Before("save"); err != nil {
 		return err
@@ -693,13 +696,14 @@ func (s *Server) trySave(snap *Snapshot) error {
 	if err := snap.Model.SaveBinaryRotate(s.opts.FS, path, s.opts.SnapshotKeep, snap.Gen); err != nil {
 		return err
 	}
-	if _, _, err := core.LoadFileVersioned(path); err != nil {
+	_, _, f, err := core.LoadFileMmap(path)
+	if err != nil {
 		if errors.Is(err, core.ErrChecksum) {
 			s.met.checksumRejected.Add(1)
 		}
 		return fmt.Errorf("serve: snapshot read-back: %w", err)
 	}
-	return nil
+	return f.Close()
 }
 
 // getScratch returns a pooled scoring scratch; putScratch recycles it.

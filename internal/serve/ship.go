@@ -21,6 +21,8 @@ import (
 // payload layout.
 const ShipVersion = 1
 
+var errShipVersion = errors.New("serve: unsupported shipment wire version")
+
 // ShippedSide is the dynamic part of core.SideInfo that travels with a
 // shipped snapshot. The POI distance matrix is deliberately excluded: it is
 // derived from static POI geography, identical on every node that loaded the
@@ -91,12 +93,9 @@ func EncodeShipment(snap *Snapshot) ([]byte, error) {
 // is an error. Corruption fails with an error wrapping fault.ErrChecksum;
 // callers keep serving their last good snapshot in that case.
 func DecodeShipment(data []byte, dist *geo.DistanceMatrix) (*core.Model, *core.SideInfo, uint64, error) {
-	version, payload, err := fault.ReadFramed(data)
+	_, payload, err := fault.Unseal(data, errShipVersion, ShipVersion)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: shipment frame: %w", err)
-	}
-	if version != ShipVersion {
-		return nil, nil, 0, fmt.Errorf("serve: shipment is wire version %d, this build reads %d", version, ShipVersion)
 	}
 	if len(payload) < 8 {
 		return nil, nil, 0, fmt.Errorf("serve: shipment payload truncated (%d bytes)", len(payload))

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,11 +27,11 @@ type State struct {
 	RNG RNGState `json:"rng"`
 }
 
-// CheckpointVersion is the on-disk format of the generic engine checkpoint
-// written by SaveCheckpoint. Version 1 is the initial unframed format;
-// version 2 seals the same document in a CRC32-C integrity frame
-// (fault.WriteFramed) so torn or bit-flipped checkpoints are rejected with
-// fault.ErrChecksum at load instead of being half-read. v1 files still load.
+// CheckpointVersion is the frame version of the generic engine checkpoint
+// written by SaveCheckpoint, and the only one LoadCheckpoint reads: a JSON
+// Checkpoint document sealed in a CRC32-C integrity frame (fault.WriteFramed),
+// so torn or bit-flipped checkpoints are rejected with fault.ErrChecksum at
+// load instead of being half-read.
 const CheckpointVersion = 2
 
 // ErrCheckpointVersion is the sentinel wrapped by LoadCheckpoint for files
@@ -109,12 +108,6 @@ func (d *Driver) SaveCheckpoint(w io.Writer) error {
 	return nil
 }
 
-// SaveCheckpointFile writes the generic checkpoint to a file crash-safely
-// (temp file, fsync, atomic rename).
-func (d *Driver) SaveCheckpointFile(path string) error {
-	return d.SaveCheckpointRotate(nil, path, 0)
-}
-
 // SaveCheckpointRotate writes the generic checkpoint crash-safely through fs
 // (nil: the real filesystem), keeping up to keep rotated prior checkpoints
 // (path.1 … path.keep) as a recovery fallback ladder.
@@ -124,30 +117,24 @@ func (d *Driver) SaveCheckpointRotate(fs fault.FS, path string, keep int) error 
 
 // LoadCheckpoint restores a generic checkpoint into the driver: every
 // parameter group is copied back by name (all groups must be present with
-// matching lengths) and the engine state is restored. Both the framed v2
-// format and legacy unframed v1 files are accepted; a framed file failing
-// its integrity check is rejected with an error wrapping fault.ErrChecksum.
+// matching lengths) and the engine state is restored. Anything but a
+// CheckpointVersion frame is rejected with ErrCheckpointVersion; a frame
+// failing its integrity check with an error wrapping fault.ErrChecksum.
 func (d *Driver) LoadCheckpoint(r io.Reader) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("train: reading checkpoint: %w", err)
 	}
-	version, payload, err := fault.ReadFramed(data)
-	if version < 1 || version > CheckpointVersion {
-		return fmt.Errorf("%w: file is v%d, this build reads v1-v%d", ErrCheckpointVersion, version, CheckpointVersion)
-	}
+	_, payload, err := fault.Unseal(data, ErrCheckpointVersion, CheckpointVersion)
 	if err != nil {
-		if errors.Is(err, fault.ErrChecksum) {
-			return fmt.Errorf("train: checkpoint corrupt: %w", err)
-		}
-		return fmt.Errorf("train: decoding checkpoint: %w", err)
+		return fmt.Errorf("train: checkpoint: %w", err)
 	}
 	var ck Checkpoint
 	if err := json.Unmarshal(payload, &ck); err != nil {
 		return fmt.Errorf("train: decoding checkpoint: %w", err)
 	}
-	if ck.Version < 1 || ck.Version > CheckpointVersion {
-		return fmt.Errorf("%w: file is v%d, this build reads v1-v%d", ErrCheckpointVersion, ck.Version, CheckpointVersion)
+	if ck.Version != CheckpointVersion {
+		return fmt.Errorf("%w: v%d frame holds a document declaring v%d", ErrCheckpointVersion, CheckpointVersion, ck.Version)
 	}
 	for _, g := range d.model.Groups() {
 		vals, ok := ck.Params[g.Name]
@@ -162,34 +149,16 @@ func (d *Driver) LoadCheckpoint(r io.Reader) error {
 	return d.Restore(ck.State)
 }
 
-// LoadCheckpointFile is LoadCheckpoint from a file.
-func (d *Driver) LoadCheckpointFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("train: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	return d.LoadCheckpoint(bufio.NewReader(f))
-}
-
-// LoadCheckpointFallback walks the rotation ladder of a checkpoint path —
-// path, path.1, … path.depth — and restores from the newest file that loads
-// cleanly, returning the path it came from. Rungs that are missing, torn,
-// or corrupt are skipped; only when no rung loads does it return an error
-// (the first load failure seen, or os.ErrNotExist when nothing exists).
-func (d *Driver) LoadCheckpointFallback(path string, depth int) (string, error) {
-	var firstErr error
-	for _, p := range fault.FallbackPaths(path, depth) {
-		err := d.LoadCheckpointFile(p)
-		if err == nil {
-			return p, nil
+// LoadCheckpointFallback restores from the newest checkpoint on path's
+// rotation ladder that loads cleanly (fault.LoadNewest), returning the path
+// it came from.
+func (d *Driver) LoadCheckpointFallback(path string) (string, error) {
+	return fault.LoadNewest(path, func(rung string) error {
+		f, err := os.Open(rung)
+		if err != nil {
+			return fmt.Errorf("train: %w", err)
 		}
-		if firstErr == nil && !errors.Is(err, os.ErrNotExist) {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("train: opening %s: %w", path, os.ErrNotExist)
-	}
-	return "", fmt.Errorf("train: no loadable checkpoint at %s (depth %d): %w", path, depth, firstErr)
+		defer f.Close()
+		return d.LoadCheckpoint(f)
+	})
 }

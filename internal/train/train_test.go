@@ -1,11 +1,15 @@
 package train
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"tcss/internal/fault"
 	"tcss/internal/opt"
 	"tcss/internal/tensor"
 )
@@ -329,7 +333,7 @@ func TestGenericCheckpointResumeBitIdentical(t *testing.T) {
 	_ = interrupted
 
 	resumed, d3 := build("", 0)
-	if err := d3.LoadCheckpointFile(path); err != nil {
+	if _, err := d3.LoadCheckpointFallback(path); err != nil {
 		t.Fatal(err)
 	}
 	if d3.Epoch() != 2 {
@@ -354,7 +358,7 @@ func TestLoadCheckpointRejectsMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := d.SaveCheckpointFile(path); err != nil {
+	if err := d.SaveCheckpointRotate(nil, path, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -365,7 +369,7 @@ func TestLoadCheckpointRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.LoadCheckpointFile(path); err == nil {
+	if _, err := d2.LoadCheckpointFallback(path); err == nil {
 		t.Fatal("length mismatch must be rejected")
 	}
 
@@ -376,7 +380,7 @@ func TestLoadCheckpointRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d3.LoadCheckpointFile(path); err == nil {
+	if _, err := d3.LoadCheckpointFallback(path); err == nil {
 		t.Fatal("missing group must be rejected")
 	}
 
@@ -388,6 +392,41 @@ func TestLoadCheckpointRejectsMismatches(t *testing.T) {
 	}
 	if err := short.Restore(State{Epoch: 7, Opt: opt.State{Algo: "adam"}}); err == nil {
 		t.Fatal("epoch beyond run must be rejected")
+	}
+}
+
+// TestCheckpointFixtureStable pins the engine checkpoint format: the fixture
+// was written by the commit before the unsealed v1 reader was removed; it
+// must restore, and saving again must reproduce it byte for byte.
+func TestCheckpointFixtureStable(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "engine_checkpoint_v2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMiniModel()
+	d, err := New(m, []Head{HeadFunc{W: 1, F: func(int) (float64, error) { return 0, nil }}},
+		nil, opt.NewAdam(0.1, 0), NewRNG(1), Config{Epochs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.LoadCheckpoint(bytes.NewReader(want)); err != nil {
+		t.Fatal(err)
+	}
+	if d.Epoch() != 2 || m.GroupSet[0].Value[2] != 2.800102707414789 {
+		t.Fatalf("restored epoch %d, w = %v", d.Epoch(), m.GroupSet[0].Value)
+	}
+	var got bytes.Buffer
+	if err := d.SaveCheckpoint(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("re-saved checkpoint differs from the fixture:\n%s\nvs\n%s", got.Bytes(), want)
+	}
+
+	// The unsealed v1 form of the same document is no longer a checkpoint.
+	_, payload, _ := fault.ReadFramed(want)
+	if err := d.LoadCheckpoint(bytes.NewReader(payload)); err == nil || errors.Is(err, fault.ErrChecksum) {
+		t.Fatalf("unsealed checkpoint: err = %v, want a header error", err)
 	}
 }
 

@@ -23,7 +23,6 @@ package tcss
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 
@@ -151,7 +150,7 @@ func FitSplit(ds *Dataset, gran Granularity, cfg Config, trainFrac float64) (*Re
 	}, nil
 }
 
-// AttachModel pairs an already-trained model (e.g. loaded with LoadModel)
+// AttachModel pairs an already-trained model (e.g. loaded with OpenModel)
 // with its dataset, rebuilding the train/test split and side information the
 // Recommender needs, without retraining. The split is reproduced from
 // cfg.Seed and trainFrac, so a model trained by FitSplit and saved to disk
@@ -305,46 +304,31 @@ func (r *Recommender) Observe(checkIns []lbsn.CheckIn, cfg OnlineConfig) (int, e
 	return added, nil
 }
 
-// SaveModel persists the trained model parameters as JSON.
-func (r *Recommender) SaveModel(path string) error { return r.Model.SaveFile(path) }
-
-// LoadModel reads model parameters previously written by SaveModel. The
-// caller is responsible for pairing it with the matching dataset.
-func LoadModel(path string) (*Model, error) { return core.LoadFile(path) }
-
-// LoadModelVersioned is LoadModel plus the snapshot generation recorded at
-// save time (0 for offline saves and legacy files). A serving restart passes
-// the generation through so its counter keeps rising across restarts.
-func LoadModelVersioned(path string) (*Model, uint64, error) { return core.LoadFileVersioned(path) }
-
-// LoadModelVersionedFallback is LoadModelVersioned with crash recovery: when
-// the newest file at path is torn or corrupt it walks the rotation ladder
-// (path.1, path.2, … up to depth) to the newest intact copy, returning the
-// path actually loaded. Use after a crash-killed serve process whose
-// snapshot save may not have completed.
-func LoadModelVersionedFallback(path string, depth int) (*Model, uint64, string, error) {
-	return core.LoadFileVersionedFallback(path, depth)
-}
+// SaveModel persists the trained model parameters as JSON (format v4: exact
+// float64 values inside a CRC32-C frame).
+func (r *Recommender) SaveModel(path string) error { return r.Model.SaveFileVersioned(path, 0) }
 
 // SaveModelBinary persists the model in the v5 binary slab format: CRC-framed
-// little-endian factor slabs at 64-byte-aligned offsets, loadable zero-copy
-// via LoadModelMmap. Generation is recorded as with SaveModel's versioned
-// variant.
+// little-endian factor slabs at 64-byte-aligned offsets, storage mode
+// preserved, which OpenModel memory-maps instead of reading.
 func (r *Recommender) SaveModelBinary(path string) error {
 	return r.Model.SaveFileBinary(path, 0)
 }
 
-// LoadModelMmap memory-maps a v5 binary model file and returns a model whose
-// factor slabs alias the mapping — restart cost is O(1) in model size, and
-// the OS pages factors in on first use. The returned closer unmaps the file;
-// it must outlive every use of the model (Clone first to keep a heap copy).
-// The mapped model is read-only: scoring is safe, in-place mutation is not
-// (Observe handles this transparently by cloning). On platforms without mmap
-// the file is read into memory and the model behaves like a normal load.
-func LoadModelMmap(path string) (*Model, uint64, io.Closer, error) {
-	m, gen, mapping, err := core.LoadFileMmap(path)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return m, gen, mapping, nil
-}
+// ModelFile describes an opened model file: its format version, the snapshot
+// generation recorded at save time (0 for offline saves; a serving restart
+// passes it on so its counter keeps rising), the training state of a
+// checkpoint, the path actually loaded, and whether the model aliases a
+// memory mapping. Close it when the model is no longer in use.
+type ModelFile = core.File
+
+// OpenModel loads a model written by SaveModel, SaveModelBinary, a training
+// checkpoint or a serving snapshot save, with crash recovery: when the newest
+// file at path is missing, torn or corrupt it walks the rotation ladder
+// (path.1, path.2, …) to the newest intact copy. The format is read from the
+// file: a binary model is memory-mapped — restart cost is O(1) in model size
+// and the OS pages factors in on first use — and is then read-only (scoring
+// is safe, in-place mutation is not; Observe handles this by cloning) until
+// the ModelFile is closed; a JSON model is an ordinary heap copy. The caller
+// is responsible for pairing the model with the matching dataset.
+func OpenModel(path string) (*Model, *ModelFile, error) { return core.Open(path) }

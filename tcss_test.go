@@ -183,7 +183,7 @@ func TestSaveLoadModelThroughPublicAPI(t *testing.T) {
 	if err := rec.SaveModel(path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadModel(path)
+	m, _, err := OpenModel(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestAttachModelRoundTrip(t *testing.T) {
 	if err := rec.SaveModel(path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadModel(path)
+	m, _, err := OpenModel(path)
 	if err != nil {
 		t.Fatal(err)
 	}
