@@ -22,87 +22,56 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
 	"os"
-	"sync/atomic"
+	"sync"
 	"time"
+
+	"tcss/internal/fault"
+	"tcss/internal/wire"
 )
 
-var validModes = map[string]bool{
-	"pass": true, "error": true, "hang": true, "slow": true, "truncate": true,
+// modes maps each admin mode to the fault armed on the link to -target;
+// pass heals it.
+var modes = map[string]fault.NetFault{
+	"pass":     {},
+	"error":    {Status: http.StatusServiceUnavailable},
+	"hang":     {Hang: true},
+	"slow":     {Latency: 500 * time.Millisecond},
+	"truncate": {TruncateBody: 32},
 }
 
+// proxy is a reverse proxy whose only transport is a fault.Transport: the
+// admin endpoint arms or heals the one link it has.
 type proxy struct {
-	mode     atomic.Value // string
-	injected atomic.Int64
-	rp       *httputil.ReverseProxy
-}
+	target string
+	link   *fault.Transport
 
-// truncatedBody cuts the upstream response off after limit bytes; the
-// reverse proxy aborts the client connection mid-response, so the client
-// observes a torn body whose Content-Length never arrives.
-type truncatedBody struct {
-	rc        io.ReadCloser
-	remaining int64
-}
-
-func (b *truncatedBody) Read(p []byte) (int, error) {
-	if b.remaining <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if int64(len(p)) > b.remaining {
-		p = p[:b.remaining]
-	}
-	n, err := b.rc.Read(p)
-	b.remaining -= int64(n)
-	return n, err
-}
-
-func (b *truncatedBody) Close() error { return b.rc.Close() }
-
-func (p *proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch p.mode.Load().(string) {
-	case "error":
-		p.injected.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, `{"error":"chaosproxy: injected 503"}`+"\n")
-		return
-	case "hang":
-		p.injected.Add(1)
-		<-r.Context().Done()
-		return
-	case "slow":
-		p.injected.Add(1)
-		timer := time.NewTimer(500 * time.Millisecond)
-		select {
-		case <-timer.C:
-		case <-r.Context().Done():
-			timer.Stop()
-			return
-		}
-	case "truncate":
-		p.injected.Add(1)
-	}
-	p.rp.ServeHTTP(w, r)
+	mu   sync.Mutex
+	mode string
 }
 
 func (p *proxy) serveAdmin(w http.ResponseWriter, r *http.Request) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if r.Method == http.MethodPost {
 		mode := r.URL.Query().Get("mode")
-		if !validModes[mode] {
+		f, ok := modes[mode]
+		if !ok {
 			http.Error(w, fmt.Sprintf("unknown mode %q", mode), http.StatusBadRequest)
 			return
 		}
-		p.mode.Store(mode)
+		if mode == "pass" {
+			p.link.Heal(p.target)
+		} else {
+			p.link.Set(p.target, f)
+		}
+		p.mode = mode
 	}
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"mode\":%q,\"injected\":%d}\n",
-		p.mode.Load().(string), p.injected.Load())
+	fmt.Fprintf(w, "{\"mode\":%q,\"injected\":%d}\n", p.mode, p.link.Injected())
 }
 
 func main() {
@@ -122,16 +91,17 @@ func main() {
 		os.Exit(1)
 	}
 
-	p := &proxy{rp: httputil.NewSingleHostReverseProxy(u)}
-	p.mode.Store("pass")
-	p.rp.ModifyResponse = func(resp *http.Response) error {
-		if p.mode.Load().(string) == "truncate" && resp.Body != nil {
-			resp.Body = &truncatedBody{rc: resp.Body, remaining: 32}
+	p := &proxy{target: *target, link: fault.NewTransport(nil, 1), mode: "pass"}
+	rp := httputil.NewSingleHostReverseProxy(u)
+	rp.Transport = p.link
+	rp.ModifyResponse = func(resp *http.Response) error {
+		// An injected 503 tells the client when to come back, as a shedding
+		// node's own 503 does.
+		if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get(wire.RetryAfterHeader) == "" {
+			resp.Header.Set(wire.RetryAfterHeader, "1")
 		}
 		return nil
 	}
-	// The proxy aborting a torn copy is expected noise, not a crash.
-	p.rp.ErrorLog = nil
 
 	adminMux := http.NewServeMux()
 	adminMux.HandleFunc("/fault", p.serveAdmin)
@@ -143,7 +113,7 @@ func main() {
 	}()
 
 	fmt.Printf("chaosproxy: %s -> %s (admin %s)\n", *listen, *target, *admin)
-	if err := http.ListenAndServe(*listen, p); err != nil {
+	if err := http.ListenAndServe(*listen, rp); err != nil {
 		fmt.Fprintln(os.Stderr, "chaosproxy:", err)
 		os.Exit(1)
 	}

@@ -1,31 +1,30 @@
-// Command loadgen drives the tcss serving API and reports throughput and
-// latency. By default it self-hosts: it trains a model on a preset dataset,
-// starts the internal/serve server on a loopback listener, and hammers it
-// over real HTTP. Point -url at a running `tcss serve` to load an external
-// server instead (then -users and -times must describe the model dims).
+// Command loadgen drives the serving API of a running `tcss serve` node or
+// `tcssgw` gateway at -url and reports throughput and latency; -users, -pois
+// and -times describe the served model's dims.
 //
 // Two load models:
 //
-//	loadgen -conns 8 -duration 10s             # closed loop: 8 workers, b2b
-//	loadgen -rate 2000 -duration 10s           # open loop: 2000 req/s target
+//	loadgen -url http://127.0.0.1:8080 -users 360 -pois 800 -times 12 -conns 8   # closed loop: 8 workers, b2b
+//	loadgen -url http://127.0.0.1:8080 -users 360 -pois 800 -times 12 -rate 2000 # open loop: 2000 req/s target
 //
 // A fraction of requests (-observe-frac) are POST /v1/observe batches with a
 // random check-in, exercising the snapshot-swap path and cache invalidation
-// under read load. With -drift, an open-world stream (datagen -drift-weeks)
-// is additionally fed through /v1/observe week by week while reads run, so
-// the served model grows — new users, new POIs — under live traffic. Results
-// (throughput, client-side percentiles, error counts, server-side /metrics
-// scrape) are written as JSON to -out.
+// under read load. Results (throughput, client-side percentiles, error
+// counts, server-side /metrics scrape) are written as JSON to -out.
+//
+// The exit status is what lets a smoke recipe fail: nonzero when no request
+// succeeded, when any request's final response is outside 200/503/504 (and
+// 400 for an observe), or when a -verify / -require-* check does not hold.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -37,19 +36,13 @@ import (
 
 	"tcss"
 	"tcss/internal/core"
-	"tcss/internal/lbsn"
-	"tcss/internal/replay"
-	"tcss/internal/serve"
+	"tcss/internal/registry"
 	"tcss/internal/wire"
 )
 
 type options struct {
 	url         string
-	preset      string
 	seed        int64
-	gran        string
-	epochs      int
-	rank        int
 	conns       int
 	rate        float64
 	duration    time.Duration
@@ -63,21 +56,12 @@ type options struct {
 	retryCap    time.Duration
 	out         string
 
-	storage       string
-	coalesce      bool
-	coalesceWin   time.Duration
-	coalesceBatch int
-	noCache       bool
-
 	verify    bool
 	synthRank int
 	ver       *verifier
 
 	requireModels string
 	requireShadow bool
-
-	drift         string
-	driftInterval time.Duration
 }
 
 // sample is one completed request, classified for aggregation. status and ms
@@ -97,12 +81,8 @@ type sample struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.url, "url", "", "target server base URL (empty = self-host in process)")
-	flag.StringVar(&o.preset, "preset", "gowalla", fmt.Sprintf("self-host preset dataset, one of %v", lbsn.PresetNames()))
+	flag.StringVar(&o.url, "url", "", "target server base URL (required: a running tcss serve node or tcssgw gateway)")
 	flag.Int64Var(&o.seed, "seed", 7, "seed for dataset, training and request generation")
-	flag.StringVar(&o.gran, "granularity", "month", "self-host time granularity: month, week or hour")
-	flag.IntVar(&o.epochs, "epochs", 0, "self-host training epochs (0 = default)")
-	flag.IntVar(&o.rank, "rank", 0, "self-host embedding rank (0 = default)")
 	flag.IntVar(&o.conns, "conns", 8, "closed-loop worker connections")
 	flag.Float64Var(&o.rate, "rate", 0, "open-loop target requests/s (0 = closed loop)")
 	flag.DurationVar(&o.duration, "duration", 10*time.Second, "measurement duration")
@@ -115,17 +95,10 @@ func main() {
 	flag.IntVar(&o.retries, "retries", 3, "max retries per request on 503, 504 and transport errors (0 disables)")
 	flag.DurationVar(&o.retryCap, "retry-cap", 500*time.Millisecond, "ceiling on per-retry backoff (Retry-After is clamped to this)")
 	flag.StringVar(&o.out, "out", "loadgen.json", "output JSON path")
-	flag.StringVar(&o.storage, "storage", "", "self-host factor storage: f64 (default), f32, int8")
-	flag.BoolVar(&o.coalesce, "coalesce", false, "self-host with request coalescing (batched slab scoring)")
-	flag.DurationVar(&o.coalesceWin, "coalesce-window", 0, "coalescing window (0 = server default 200µs)")
-	flag.IntVar(&o.coalesceBatch, "coalesce-batch", 0, "coalescing flush threshold (0 = server default 32)")
-	flag.BoolVar(&o.noCache, "no-cache", false, "self-host with the response cache disabled (bench the scoring path)")
 	flag.BoolVar(&o.verify, "verify", false, "recompute every recommend response from the synthetic model and exit nonzero on any mismatch (requires -url against a -synth-* cluster with matching -users/-pois/-times/-synth-rank/-seed, and -observe-frac 0)")
 	flag.IntVar(&o.synthRank, "synth-rank", 8, "synthetic model embedding rank for -verify")
 	flag.StringVar(&o.requireModels, "require-models", "", "comma-separated model names that must show served traffic in the target's /metrics (exit nonzero otherwise)")
 	flag.BoolVar(&o.requireShadow, "require-shadow", false, "require the target's /metrics to show completed shadow scoring (exit nonzero otherwise)")
-	flag.StringVar(&o.drift, "drift", "", "open-world traffic: feed this drift stream (JSONL from datagen -drift-weeks) through /v1/observe while the read load runs; self-hosting enables growth")
-	flag.DurationVar(&o.driftInterval, "drift-interval", 0, "pause between drift week batches (0 = spread evenly over -duration)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -135,42 +108,22 @@ func main() {
 }
 
 func run(o options) (err error) {
-	base := o.url
-	if base == "" {
-		var stop func()
-		base, stop, err = selfHost(&o)
-		if err != nil {
-			return err
-		}
-		defer stop()
-	} else {
-		base = strings.TrimRight(base, "/")
-		if o.users <= 0 || o.times <= 0 {
-			return fmt.Errorf("-url mode requires -users and -times (the served model's dims)")
-		}
-		if o.observeFrac > 0 && o.pois <= 0 {
-			return fmt.Errorf("-url mode with -observe-frac > 0 requires -pois")
-		}
+	switch {
+	case o.url == "":
+		return errors.New("-url is required (the node or gateway to load; start one with `tcss serve`)")
+	case o.users <= 0 || o.times <= 0:
+		return errors.New("-users and -times are required (the served model's dims)")
+	case o.observeFrac > 0 && o.pois <= 0:
+		return errors.New("-observe-frac > 0 requires -pois")
+	case o.nextFrac > 0 && o.pois <= 0:
+		return errors.New("-next-frac requires -pois (check-in sequences draw random POI ids)")
+	case o.verify && o.observeFrac != 0:
+		return errors.New("-verify requires -observe-frac 0 (observes would advance the served model past the local copy)")
+	case o.verify && o.pois <= 0:
+		return errors.New("-verify requires -pois (the synthetic model's POI count)")
 	}
-	if o.nextFrac > 0 {
-		if o.url == "" {
-			return fmt.Errorf("-next-frac requires -url (the target must serve a sequential model on /v1/next)")
-		}
-		if o.pois <= 0 {
-			return fmt.Errorf("-next-frac requires -pois (check-in sequences draw random POI ids)")
-		}
-	}
+	base := strings.TrimRight(o.url, "/")
 	if o.verify {
-		switch {
-		case o.url == "":
-			return fmt.Errorf("-verify requires -url (the target must serve the synthetic model)")
-		case o.observeFrac != 0:
-			return fmt.Errorf("-verify requires -observe-frac 0 (observes would advance the served model past the local copy)")
-		case o.drift != "":
-			return fmt.Errorf("-verify is incompatible with -drift (growth advances the served model past the local copy)")
-		case o.pois <= 0:
-			return fmt.Errorf("-verify requires -pois (the synthetic model's POI count)")
-		}
 		o.ver, err = newVerifier(o)
 		if err != nil {
 			return err
@@ -203,49 +156,6 @@ func run(o options) (err error) {
 	}
 	fmt.Printf(", observe-frac %g)\n", o.observeFrac)
 
-	// Open-world feed: one goroutine walks the drift stream's weekly batches
-	// through /v1/observe while the read load runs, growing the served model
-	// in place. Reads racing the growth are the point of the exercise.
-	var (
-		driftRep *driftReport
-		driftWG  sync.WaitGroup
-	)
-	if o.drift != "" {
-		weeks, err := lbsn.ReadWeeksJSONLFile(o.drift)
-		if err != nil {
-			return err
-		}
-		driftRep = &driftReport{WeeksTotal: len(weeks)}
-		target := &replay.HTTPTarget{BaseURL: base, Client: client}
-		if u, p, err := target.Dims(); err == nil {
-			driftRep.UsersBefore, driftRep.POIsBefore = u, p
-		}
-		interval := o.driftInterval
-		if interval <= 0 && len(weeks) > 0 {
-			interval = o.duration / time.Duration(len(weeks)+1)
-		}
-		deadline := time.Now().Add(o.duration)
-		fmt.Printf("loadgen: drift feed %s (%d weeks, one per %s)\n", o.drift, len(weeks), interval)
-		driftWG.Add(1)
-		go func() {
-			defer driftWG.Done()
-			for _, wb := range weeks {
-				if time.Now().After(deadline) {
-					return
-				}
-				if _, err := target.ObserveWeek(wb); err != nil {
-					driftRep.Errors++
-					if driftRep.FirstError == "" {
-						driftRep.FirstError = err.Error()
-					}
-				} else {
-					driftRep.WeeksApplied++
-				}
-				time.Sleep(interval)
-			}
-		}()
-	}
-
 	start := time.Now()
 	if o.rate > 0 {
 		runOpenLoop(o, base, client, results)
@@ -253,18 +163,11 @@ func run(o options) (err error) {
 		runClosedLoop(o, base, client, results)
 	}
 	elapsed := time.Since(start)
-	driftWG.Wait()
 	close(results)
 	<-collectDone
 
 	report := agg.report(o, elapsed)
 	report.Server = scrapeMetrics(client, base)
-	if driftRep != nil {
-		if u, p, err := (&replay.HTTPTarget{BaseURL: base, Client: client}).Dims(); err == nil {
-			driftRep.UsersAfter, driftRep.POIsAfter = u, p
-		}
-		report.Drift = driftRep
-	}
 	if o.ver != nil {
 		o.ver.mu.Lock()
 		report.Verify = &verifyReport{
@@ -283,15 +186,9 @@ func run(o options) (err error) {
 	if err := os.WriteFile(o.out, raw, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("recommend: %d ok, %.0f req/s, p50 %.3fms p95 %.3fms p99 %.3fms, client cache-hit %.1f%%\n",
-		report.Recommend.OK, report.Recommend.RPS,
-		report.Recommend.P50ms, report.Recommend.P95ms, report.Recommend.P99ms,
-		100*report.Recommend.CacheHitFrac)
+	report.Recommend.print("recommend")
 	if o.nextFrac > 0 {
-		fmt.Printf("next: %d ok, %.0f req/s, p50 %.3fms p95 %.3fms p99 %.3fms, client cache-hit %.1f%%\n",
-			report.Next.OK, report.Next.RPS,
-			report.Next.P50ms, report.Next.P95ms, report.Next.P99ms,
-			100*report.Next.CacheHitFrac)
+		report.Next.print("next")
 	}
 	if len(report.Models) > 0 {
 		names := make([]string, 0, len(report.Models))
@@ -305,12 +202,6 @@ func run(o options) (err error) {
 				name, cs.Recommends, cs.P99ms, cs.Nexts, cs.NextP99ms)
 		}
 	}
-	if report.Drift != nil {
-		d := report.Drift
-		fmt.Printf("drift: %d/%d weeks applied (%d errors), model %dx%d -> %dx%d\n",
-			d.WeeksApplied, d.WeeksTotal, d.Errors,
-			d.UsersBefore, d.POIsBefore, d.UsersAfter, d.POIsAfter)
-	}
 	fmt.Printf("observe: %d ok, %d shed; errors: %d shed_503, %d deadline_504, %d other\n",
 		report.Observe.OK, report.Observe.Shed,
 		report.Errors.Shed503, report.Errors.Deadline504, report.Errors.Other)
@@ -320,6 +211,13 @@ func run(o options) (err error) {
 		report.Recommend.NetRetries, report.Next.NetRetries, report.Observe.NetRetries)
 	printServerStats(report.Server)
 	fmt.Printf("wrote %s\n", o.out)
+	// The exit rule: a smoke recipe that drives a broken server must fail.
+	if n := report.Errors.Other; n > 0 {
+		return fmt.Errorf("%d requests ended outside 200/503/504 (transport failure after retries, or an unexpected status)", n)
+	}
+	if report.Recommend.OK+report.Next.OK+report.Observe.OK == 0 {
+		return errors.New("no request succeeded")
+	}
 	if report.Verify != nil {
 		fmt.Printf("verify: %d responses checked against the local model, %d mismatches\n",
 			report.Verify.Checked, report.Verify.Mismatches)
@@ -398,9 +296,6 @@ func checkServerModels(raw json.RawMessage, o options) error {
 // printServerStats summarizes the model-storage and coalescing blocks of the
 // scraped /metrics document (the full document is embedded in the report).
 func printServerStats(raw json.RawMessage) {
-	if raw == nil {
-		return
-	}
 	var m struct {
 		Model struct {
 			Storage      string  `json:"storage"`
@@ -415,7 +310,7 @@ func printServerStats(raw json.RawMessage) {
 		} `json:"coalesce"`
 	}
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return
+		return // no scrape, or not the node's document: nothing to summarize
 	}
 	if m.Model.Storage != "" {
 		fmt.Printf("server model: %s storage, %d factor bytes (%.1f per user)\n",
@@ -425,89 +320,6 @@ func printServerStats(raw json.RawMessage) {
 		fmt.Printf("server coalesce: %d batches, %d requests, avg batch %.2f\n",
 			m.Coalesce.Batches, m.Coalesce.Requests, m.Coalesce.AvgBatchSize)
 	}
-}
-
-// selfHost trains a recommender on the preset and serves it on a loopback
-// listener, returning the base URL and a shutdown func. It also fills in
-// o.users/o.times from the trained model's dims.
-func selfHost(o *options) (string, func(), error) {
-	cfg, err := lbsn.NewPreset(o.preset, o.seed)
-	if err != nil {
-		return "", nil, err
-	}
-	ds, err := lbsn.Generate(cfg)
-	if err != nil {
-		return "", nil, err
-	}
-	var g tcss.Granularity
-	switch strings.ToLower(o.gran) {
-	case "month":
-		g = tcss.Month
-	case "week":
-		g = tcss.Week
-	case "hour":
-		g = tcss.Hour
-	default:
-		return "", nil, fmt.Errorf("unknown granularity %q", o.gran)
-	}
-	tcfg := tcss.DefaultConfig()
-	tcfg.Seed = o.seed
-	if o.epochs > 0 {
-		tcfg.Epochs = o.epochs
-	}
-	if o.rank > 0 {
-		tcfg.Rank = o.rank
-	}
-	fmt.Printf("loadgen: training on %s (users=%d pois=%d epochs=%d)...\n",
-		o.preset, ds.NumUsers, len(ds.POIs), tcfg.Epochs)
-	rec, err := tcss.Fit(ds, g, tcfg)
-	if err != nil {
-		return "", nil, err
-	}
-	if o.storage != "" {
-		mode, err := tcss.ParseStorageMode(o.storage)
-		if err != nil {
-			return "", nil, err
-		}
-		m, err := rec.Model.ToStorage(mode)
-		if err != nil {
-			return "", nil, err
-		}
-		rec.Model = m
-	}
-	o.users = rec.Model.I
-	o.pois = rec.Model.J
-	o.times = rec.Model.K
-	fmt.Printf("loadgen: serving %s storage, %d factor bytes (%.1f per user), coalesce=%v cache=%v\n",
-		rec.Model.Mode, rec.Model.FactorBytes(),
-		float64(rec.Model.FactorBytes())/float64(rec.Model.I), o.coalesce, !o.noCache)
-
-	opts := serve.Options{
-		Coalesce:       o.coalesce,
-		CoalesceWindow: o.coalesceWin,
-		CoalesceBatch:  o.coalesceBatch,
-		// An open-world drift feed needs the observe path to grow the model.
-		Grow: o.drift != "",
-	}
-	if o.noCache {
-		opts.CacheSize = -1
-	}
-	srv, err := serve.New(rec, opts)
-	if err != nil {
-		return "", nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return "", nil, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	stop := func() {
-		ln.Close()
-		srv.Close()
-	}
-	return "http://" + ln.Addr().String(), stop, nil
 }
 
 // runClosedLoop runs o.conns workers issuing back-to-back requests until the
@@ -737,27 +549,20 @@ func timed(o options, rng *rand.Rand, send func() (*http.Response, error)) sampl
 	return s
 }
 
+// readAgg accumulates one class of reads (recommend or next); lat holds the
+// latency of every 200.
+type readAgg struct {
+	lat                       []float64
+	hits, retries, netRetries int
+}
+
 // aggregate accumulates samples; single-goroutine (the collector).
 type aggregate struct {
-	recLat         []float64
-	recOK          int
-	recHits        int
-	recRetries     int
-	recNetRetries  int
-	nextLat        []float64
-	nextOK         int
-	nextHits       int
-	nextRetries    int
-	nextNetRetries int
-	obsOK          int
-	obsShed        int
-	obsBad         int
-	obsRetries     int
-	obsNetRetries  int
-	shed503        int
-	missed504      int
-	other          int
-	models         map[string]*modelAgg
+	rec, next                 readAgg
+	obsOK, obsShed, obsBad    int
+	obsRetries, obsNetRetries int
+	shed503, missed504, other int
+	models                    map[string]*modelAgg
 }
 
 // modelAgg is the client-side view of one routed model's traffic.
@@ -782,36 +587,23 @@ func (a *aggregate) add(s sample) {
 		}
 		return
 	}
+	r := &a.rec
 	if s.next {
-		a.nextRetries += s.retries
-		a.nextNetRetries += s.netRetries
-		switch s.status {
-		case http.StatusOK:
-			a.nextOK++
-			a.nextLat = append(a.nextLat, s.ms)
-			if s.cacheHit {
-				a.nextHits++
-			}
-			a.perModel(s.model).nextLat = append(a.perModel(s.model).nextLat, s.ms)
-		case http.StatusServiceUnavailable:
-			a.shed503++
-		case http.StatusGatewayTimeout:
-			a.missed504++
-		default:
-			a.other++
-		}
-		return
+		r = &a.next
 	}
-	a.recRetries += s.retries
-	a.recNetRetries += s.netRetries
+	r.retries += s.retries
+	r.netRetries += s.netRetries
 	switch s.status {
 	case http.StatusOK:
-		a.recOK++
-		a.recLat = append(a.recLat, s.ms)
+		r.lat = append(r.lat, s.ms)
 		if s.cacheHit {
-			a.recHits++
+			r.hits++
 		}
-		a.perModel(s.model).recLat = append(a.perModel(s.model).recLat, s.ms)
+		if m := a.perModel(s.model); s.next {
+			m.nextLat = append(m.nextLat, s.ms)
+		} else {
+			m.recLat = append(m.recLat, s.ms)
+		}
 	case http.StatusServiceUnavailable:
 		a.shed503++
 	case http.StatusGatewayTimeout:
@@ -840,7 +632,6 @@ func (a *aggregate) perModel(model string) *modelAgg {
 type benchReport struct {
 	Config struct {
 		Target      string  `json:"target"`
-		Preset      string  `json:"preset,omitempty"`
 		Conns       int     `json:"conns,omitempty"`
 		RateTarget  float64 `json:"rate_target_rps,omitempty"`
 		DurationSec float64 `json:"duration_seconds"`
@@ -849,31 +640,10 @@ type benchReport struct {
 		Seed        int64   `json:"seed"`
 		Retries     int     `json:"retries"`
 		RetryCapMs  float64 `json:"retry_cap_ms"`
-		Storage     string  `json:"storage,omitempty"`
-		Coalesce    bool    `json:"coalesce"`
-		NoCache     bool    `json:"no_cache"`
 	} `json:"config"`
-	Recommend struct {
-		OK           int     `json:"ok"`
-		RPS          float64 `json:"rps"`
-		P50ms        float64 `json:"p50_ms"`
-		P95ms        float64 `json:"p95_ms"`
-		P99ms        float64 `json:"p99_ms"`
-		CacheHitFrac float64 `json:"client_cache_hit_frac"`
-		Retries      int     `json:"retries"`
-		NetRetries   int     `json:"net_retries"`
-	} `json:"recommend"`
-	Next struct {
-		OK           int     `json:"ok"`
-		RPS          float64 `json:"rps"`
-		P50ms        float64 `json:"p50_ms"`
-		P95ms        float64 `json:"p95_ms"`
-		P99ms        float64 `json:"p99_ms"`
-		CacheHitFrac float64 `json:"client_cache_hit_frac"`
-		Retries      int     `json:"retries"`
-		NetRetries   int     `json:"net_retries"`
-	} `json:"next"`
-	Observe struct {
+	Recommend readStats `json:"recommend"`
+	Next      readStats `json:"next"`
+	Observe   struct {
 		OK         int `json:"ok"`
 		Shed       int `json:"shed"`
 		Bad        int `json:"bad_request"`
@@ -887,21 +657,33 @@ type benchReport struct {
 		Other       int `json:"other"`
 	} `json:"errors"`
 	Verify *verifyReport   `json:"verify,omitempty"`
-	Drift  *driftReport    `json:"drift,omitempty"`
 	Server json.RawMessage `json:"server_metrics,omitempty"`
 }
 
-// driftReport summarizes the open-world feed of -drift: how much of the
-// stream was applied during the run and how far the served model grew.
-type driftReport struct {
-	WeeksTotal   int    `json:"weeks_total"`
-	WeeksApplied int    `json:"weeks_applied"`
-	Errors       int    `json:"errors"`
-	FirstError   string `json:"first_error,omitempty"`
-	UsersBefore  int    `json:"users_before"`
-	POIsBefore   int    `json:"pois_before"`
-	UsersAfter   int    `json:"users_after"`
-	POIsAfter    int    `json:"pois_after"`
+// readStats is the report block of one class of reads.
+type readStats struct {
+	OK           int     `json:"ok"`
+	RPS          float64 `json:"rps"`
+	P50ms        float64 `json:"p50_ms"`
+	P95ms        float64 `json:"p95_ms"`
+	P99ms        float64 `json:"p99_ms"`
+	CacheHitFrac float64 `json:"client_cache_hit_frac"`
+	Retries      int     `json:"retries"`
+	NetRetries   int     `json:"net_retries"`
+}
+
+func (r *readAgg) stats(elapsed time.Duration) readStats {
+	s := readStats{OK: len(r.lat), RPS: float64(len(r.lat)) / elapsed.Seconds(), Retries: r.retries, NetRetries: r.netRetries}
+	if s.OK > 0 {
+		s.CacheHitFrac = float64(r.hits) / float64(s.OK)
+	}
+	s.P50ms, s.P95ms, s.P99ms = registry.Percentiles(r.lat)
+	return s
+}
+
+func (s readStats) print(class string) {
+	fmt.Printf("%s: %d ok, %.0f req/s, p50 %.3fms p95 %.3fms p99 %.3fms, client cache-hit %.1f%%\n",
+		class, s.OK, s.RPS, s.P50ms, s.P95ms, s.P99ms, 100*s.CacheHitFrac)
 }
 
 // clientModelStats is the per-routed-model block of the report, keyed by the
@@ -922,10 +704,6 @@ type verifyReport struct {
 func (a *aggregate) report(o options, elapsed time.Duration) benchReport {
 	var r benchReport
 	r.Config.Target = o.url
-	if o.url == "" {
-		r.Config.Target = "self-hosted"
-		r.Config.Preset = o.preset
-	}
 	if o.rate > 0 {
 		r.Config.RateTarget = o.rate
 	} else {
@@ -937,26 +715,9 @@ func (a *aggregate) report(o options, elapsed time.Duration) benchReport {
 	r.Config.Seed = o.seed
 	r.Config.Retries = o.retries
 	r.Config.RetryCapMs = float64(o.retryCap) / float64(time.Millisecond)
-	r.Config.Storage = o.storage
-	r.Config.Coalesce = o.coalesce
-	r.Config.NoCache = o.noCache
 
-	r.Recommend.OK = a.recOK
-	r.Recommend.RPS = float64(a.recOK) / elapsed.Seconds()
-	r.Recommend.P50ms, r.Recommend.P95ms, r.Recommend.P99ms = percentiles(a.recLat)
-	if a.recOK > 0 {
-		r.Recommend.CacheHitFrac = float64(a.recHits) / float64(a.recOK)
-	}
-	r.Recommend.Retries = a.recRetries
-	r.Recommend.NetRetries = a.recNetRetries
-	r.Next.OK = a.nextOK
-	r.Next.RPS = float64(a.nextOK) / elapsed.Seconds()
-	r.Next.P50ms, r.Next.P95ms, r.Next.P99ms = percentiles(a.nextLat)
-	if a.nextOK > 0 {
-		r.Next.CacheHitFrac = float64(a.nextHits) / float64(a.nextOK)
-	}
-	r.Next.Retries = a.nextRetries
-	r.Next.NetRetries = a.nextNetRetries
+	r.Recommend = a.rec.stats(elapsed)
+	r.Next = a.next.stats(elapsed)
 	for model, m := range a.models {
 		if model == "" {
 			continue
@@ -966,9 +727,9 @@ func (a *aggregate) report(o options, elapsed time.Duration) benchReport {
 		}
 		var cs clientModelStats
 		cs.Recommends = len(m.recLat)
-		_, _, cs.P99ms = percentiles(m.recLat)
+		_, _, cs.P99ms = registry.Percentiles(m.recLat)
 		cs.Nexts = len(m.nextLat)
-		_, _, cs.NextP99ms = percentiles(m.nextLat)
+		_, _, cs.NextP99ms = registry.Percentiles(m.nextLat)
 		r.Models[model] = cs
 	}
 	r.Observe.OK = a.obsOK
@@ -980,23 +741,6 @@ func (a *aggregate) report(o options, elapsed time.Duration) benchReport {
 	r.Errors.Deadline504 = a.missed504
 	r.Errors.Other = a.other
 	return r
-}
-
-func percentiles(lat []float64) (p50, p95, p99 float64) {
-	if len(lat) == 0 {
-		return 0, 0, 0
-	}
-	sorted := make([]float64, len(lat))
-	copy(sorted, lat)
-	sort.Float64s(sorted)
-	at := func(p float64) float64 {
-		idx := int(p*float64(len(sorted))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return sorted[idx]
-	}
-	return at(0.50), at(0.95), at(0.99)
 }
 
 // scrapeMetrics embeds the server's own /metrics document in the report.

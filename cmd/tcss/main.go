@@ -38,134 +38,163 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		serveMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "replay" {
-		replayMain(os.Args[2:])
-		return
-	}
-	var (
-		preset    = flag.String("preset", "", fmt.Sprintf("generate a preset dataset, one of %v", lbsn.PresetNames()))
-		data      = flag.String("data", "", "load a dataset directory written by datagen")
-		gran      = flag.String("granularity", "month", "time granularity: month, week or hour")
-		variant   = flag.String("variant", "social", "head variant: social, self, none, zero-out")
-		initName  = flag.String("init", "spectral", "initialization: spectral, random, one-hot")
-		negSample = flag.Bool("negative-sampling", false, "use negative sampling instead of the whole-data loss")
-		epochs    = flag.Int("epochs", 0, "training epochs (0 = default)")
-		rank      = flag.Int("rank", 0, "embedding rank (0 = default 10)")
-		lambda    = flag.Float64("lambda", -1, "social head weight (-1 = default)")
-		seed      = flag.Int64("seed", 7, "seed for generation, splitting and training")
-		recommend = flag.Int("recommend", -1, "print top-10 recommendations for this user id")
-		timeUnit  = flag.Int("time", 0, "time unit for -recommend")
-
-		checkpoint = flag.String("checkpoint", "", "write resumable training checkpoints to this file")
-		ckEvery    = flag.Int("checkpoint-every", 0, "checkpoint period in epochs (0 = final epoch only)")
-		ckKeep     = flag.Int("checkpoint-keep", 0, "rotated prior checkpoints to keep (path.1 ... path.N)")
-		resume     = flag.String("resume", "", "resume training from a checkpoint written by -checkpoint")
-		savePath   = flag.String("save", "", "save the trained model to this file")
-		saveBinary = flag.String("save-binary", "", "save the trained model in the mmap-loadable v5 binary slab format")
-		storage    = flag.String("storage", "", "factor storage of the trained model: f64 (default), f32, int8")
-		faultSpec  = flag.String("fault", "", "inject a crash fault for testing: crash-save=N@B kills the process B bytes into the Nth checkpoint save")
-	)
-	flag.Parse()
-
-	ds, err := loadDataset(*preset, *data, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcss:", err)
-		os.Exit(1)
-	}
-	g, err := parseGranularity(*gran)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcss:", err)
-		os.Exit(1)
-	}
-
-	cfg := tcss.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.NegSampling = *negSample
-	if *epochs > 0 {
-		cfg.Epochs = *epochs
-	}
-	if *rank > 0 {
-		cfg.Rank = *rank
-	}
-	if *lambda >= 0 {
-		cfg.Lambda = *lambda
-	}
-	if err := applyVariant(&cfg, *variant); err != nil {
-		fmt.Fprintln(os.Stderr, "tcss:", err)
-		os.Exit(1)
-	}
-	if err := applyInit(&cfg, *initName); err != nil {
-		fmt.Fprintln(os.Stderr, "tcss:", err)
-		os.Exit(1)
-	}
-	if *storage != "" {
-		mode, err := tcss.ParseStorageMode(*storage)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcss:", err)
-			os.Exit(1)
+	name, cmd, args := "tcss", trainMain, os.Args[1:]
+	if len(args) > 0 {
+		switch args[0] {
+		case "serve":
+			name, cmd, args = "tcss serve", serveMain, args[1:]
+		case "replay":
+			name, cmd, args = "tcss replay", replayMain, args[1:]
 		}
-		cfg.Storage = mode
 	}
-	cfg.CheckpointPath = *checkpoint
-	cfg.CheckpointEvery = *ckEvery
-	cfg.CheckpointKeep = *ckKeep
-	cfg.ResumePath = *resume
-	if *faultSpec != "" {
-		fs, err := parseFaultSpec(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcss:", err)
-			os.Exit(1)
+	if err := cmd(args); err != nil {
+		fmt.Fprintln(os.Stderr, name+":", err)
+		os.Exit(1)
+	}
+}
+
+// trainConfig is every `tcss` flag, plus what validate resolves them to.
+type trainConfig struct {
+	preset, data, gran, variant, initName    string
+	checkpoint, resume, savePath, saveBinary string
+	storage, faultSpec                       string
+	negSample                                bool
+	epochs, rank, recommend, timeUnit        int
+	ckEvery, ckKeep                          int
+	lambda                                   float64
+	seed                                     int64
+
+	// Set by validate.
+	g   tcss.Granularity
+	cfg tcss.Config
+}
+
+func (c *trainConfig) flags() *flag.FlagSet {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&c.preset, "preset", "", fmt.Sprintf("generate a preset dataset, one of %v", lbsn.PresetNames()))
+	fs.StringVar(&c.data, "data", "", "load a dataset directory written by datagen")
+	fs.StringVar(&c.gran, "granularity", "month", "time granularity: month, week or hour")
+	fs.StringVar(&c.variant, "variant", "social", "head variant: social, self, none, zero-out")
+	fs.StringVar(&c.initName, "init", "spectral", "initialization: spectral, random, one-hot")
+	fs.BoolVar(&c.negSample, "negative-sampling", false, "use negative sampling instead of the whole-data loss")
+	fs.IntVar(&c.epochs, "epochs", 0, "training epochs (0 = default)")
+	fs.IntVar(&c.rank, "rank", 0, "embedding rank (0 = default 10)")
+	fs.Float64Var(&c.lambda, "lambda", -1, "social head weight (-1 = default)")
+	fs.Int64Var(&c.seed, "seed", 7, "seed for generation, splitting and training")
+	fs.IntVar(&c.recommend, "recommend", -1, "print top-10 recommendations for this user id")
+	fs.IntVar(&c.timeUnit, "time", 0, "time unit for -recommend")
+
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "write resumable training checkpoints to this file")
+	fs.IntVar(&c.ckEvery, "checkpoint-every", 0, "checkpoint period in epochs (0 = final epoch only)")
+	fs.IntVar(&c.ckKeep, "checkpoint-keep", 0, "rotated prior checkpoints to keep (path.1 ... path.N)")
+	fs.StringVar(&c.resume, "resume", "", "resume training from a checkpoint written by -checkpoint")
+	fs.StringVar(&c.savePath, "save", "", "save the trained model to this file")
+	fs.StringVar(&c.saveBinary, "save-binary", "", "save the trained model in the mmap-loadable v5 binary slab format")
+	fs.StringVar(&c.storage, "storage", "", "factor storage of the trained model: f64 (default), f32, int8")
+	fs.StringVar(&c.faultSpec, "fault", "", "inject a crash fault for testing: crash-save=N@B kills the process B bytes into the Nth checkpoint save")
+	return fs
+}
+
+// validate resolves the flags into the granularity and training config and
+// rejects everything that can be rejected without touching a dataset.
+func (c *trainConfig) validate() error {
+	if err := checkSource(c.preset, c.data); err != nil {
+		return err
+	}
+	var err error
+	if c.g, err = parseGranularity(c.gran); err != nil {
+		return err
+	}
+	if c.recommend >= 0 && (c.timeUnit < 0 || c.timeUnit >= c.g.Len()) {
+		return fmt.Errorf("-time %d out of range (0-%d at %s granularity)", c.timeUnit, c.g.Len()-1, c.g)
+	}
+
+	c.cfg = tcss.DefaultConfig()
+	c.cfg.Seed = c.seed
+	c.cfg.NegSampling = c.negSample
+	if c.epochs > 0 {
+		c.cfg.Epochs = c.epochs
+	}
+	if c.rank > 0 {
+		c.cfg.Rank = c.rank
+	}
+	if c.lambda >= 0 {
+		c.cfg.Lambda = c.lambda
+	}
+	if err := applyVariant(&c.cfg, c.variant); err != nil {
+		return err
+	}
+	if err := applyInit(&c.cfg, c.initName); err != nil {
+		return err
+	}
+	if c.cfg.Storage, err = tcss.ParseStorageMode(c.storage); err != nil {
+		return err
+	}
+	c.cfg.CheckpointPath = c.checkpoint
+	c.cfg.CheckpointEvery = c.ckEvery
+	c.cfg.CheckpointKeep = c.ckKeep
+	c.cfg.ResumePath = c.resume
+	if c.faultSpec != "" {
+		if c.cfg.FS, err = parseFaultSpec(c.faultSpec); err != nil {
+			return err
 		}
-		cfg.FS = fs
+	}
+	return nil
+}
+
+func trainMain(args []string) error {
+	var c trainConfig
+	c.flags().Parse(args)
+	if err := c.validate(); err != nil {
+		return err
+	}
+
+	ds, err := loadDataset(c.preset, c.data, c.seed)
+	if err != nil {
+		return err
+	}
+	// The one check that needs the dataset, made before the expensive step.
+	if c.recommend >= ds.NumUsers {
+		return fmt.Errorf("user %d out of range (0-%d)", c.recommend, ds.NumUsers-1)
 	}
 
 	s := ds.Summary()
 	fmt.Printf("dataset %s: users=%d pois=%d check-ins=%d density=%.4f%%\n",
 		ds.Name, s.Users, s.POIs, s.CheckIns, 100*s.TensorDensityMonth)
 	fmt.Printf("training TCSS (%s, init=%s, rank=%d, epochs=%d, lambda=%g)...\n",
-		cfg.Variant, cfg.Init, cfg.Rank, cfg.Epochs, cfg.Lambda)
+		c.cfg.Variant, c.cfg.Init, c.cfg.Rank, c.cfg.Epochs, c.cfg.Lambda)
 
-	rec, err := tcss.Fit(ds, g, cfg)
+	rec, err := tcss.Fit(ds, c.g, c.cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcss:", err)
-		os.Exit(1)
+		return err
 	}
 	res := rec.Evaluate()
 	fmt.Printf("held-out evaluation: Hit@10=%.4f MRR=%.4f (%d test check-ins)\n",
 		res.HitAtK, res.MRR, len(rec.Test))
 
-	if *savePath != "" {
-		if err := rec.SaveModel(*savePath); err != nil {
-			fmt.Fprintln(os.Stderr, "tcss:", err)
-			os.Exit(1)
+	if c.savePath != "" {
+		if err := rec.SaveModel(c.savePath); err != nil {
+			return err
 		}
-		fmt.Printf("model saved to %s\n", *savePath)
+		fmt.Printf("model saved to %s\n", c.savePath)
 	}
-	if *saveBinary != "" {
-		if err := rec.SaveModelBinary(*saveBinary); err != nil {
-			fmt.Fprintln(os.Stderr, "tcss:", err)
-			os.Exit(1)
+	if c.saveBinary != "" {
+		if err := rec.SaveModelBinary(c.saveBinary); err != nil {
+			return err
 		}
 		fmt.Printf("model saved to %s (%s storage, binary v5, %d factor bytes)\n",
-			*saveBinary, rec.Model.Mode, rec.Model.FactorBytes())
+			c.saveBinary, rec.Model.Mode, rec.Model.FactorBytes())
 	}
 
-	if *recommend >= 0 {
-		if *recommend >= ds.NumUsers {
-			fmt.Fprintf(os.Stderr, "tcss: user %d out of range (0-%d)\n", *recommend, ds.NumUsers-1)
-			os.Exit(1)
-		}
-		fmt.Printf("top-10 POIs for user %d at %s unit %d:\n", *recommend, g, *timeUnit)
-		for rank, r := range rec.Recommend(*recommend, *timeUnit, 10) {
+	if c.recommend >= 0 {
+		fmt.Printf("top-10 POIs for user %d at %s unit %d:\n", c.recommend, c.g, c.timeUnit)
+		for rank, r := range rec.Recommend(c.recommend, c.timeUnit, 10) {
 			p := ds.POIs[r.POI]
 			fmt.Printf("  %2d. POI %-4d  %-13s (%.4f, %.4f)  score %.4f\n",
 				rank+1, r.POI, p.Category, p.Loc.Lat, p.Loc.Lon, r.Score)
 		}
 	}
+	return nil
 }
 
 // parseFaultSpec builds the injected-crash filesystem behind the -fault
@@ -198,21 +227,33 @@ func parseFaultSpec(spec string) (fault.FS, error) {
 	return inj, nil
 }
 
-func loadDataset(preset, data string, seed int64) (*tcss.Dataset, error) {
+// checkSource rejects anything but exactly one of -preset / -data, and an
+// unknown preset name, without generating or opening anything.
+func checkSource(preset, data string) error {
 	switch {
 	case preset != "" && data != "":
-		return nil, fmt.Errorf("use either -preset or -data, not both")
+		return fmt.Errorf("use either -preset or -data, not both")
+	case preset == "" && data == "":
+		return fmt.Errorf("one of -preset or -data is required")
 	case preset != "":
-		cfg, err := lbsn.NewPreset(preset, seed)
-		if err != nil {
-			return nil, err
-		}
-		return lbsn.Generate(cfg)
-	case data != "":
-		return tcss.LoadDataset(data, data)
-	default:
-		return nil, fmt.Errorf("one of -preset or -data is required")
+		_, err := lbsn.NewPreset(preset, 0)
+		return err
 	}
+	return nil
+}
+
+func loadDataset(preset, data string, seed int64) (*tcss.Dataset, error) {
+	if err := checkSource(preset, data); err != nil {
+		return nil, err
+	}
+	if data != "" {
+		return tcss.LoadDataset(data, data)
+	}
+	cfg, err := lbsn.NewPreset(preset, seed)
+	if err != nil {
+		return nil, err
+	}
+	return lbsn.Generate(cfg)
 }
 
 func parseGranularity(s string) (tcss.Granularity, error) {

@@ -21,7 +21,7 @@ import (
 //	tcss replay -preset gmu-5k -weeks 6 -compare-random  # warm vs random growth-init ablation
 //	tcss replay -data ./d -drift ./d/drift.jsonl         # datagen-written base + stream
 //	tcss replay -preset gmu-5k -weeks 2 -url http://127.0.0.1:8080  # drive a live serve node
-func replayMain(args []string) {
+func replayMain(args []string) error {
 	fs := flag.NewFlagSet("tcss replay", flag.ExitOnError)
 	var (
 		preset = fs.String("preset", "", fmt.Sprintf("generate the base dataset from a preset, one of %v", lbsn.PresetNames()))
@@ -50,16 +50,13 @@ func replayMain(args []string) {
 	)
 	fs.Parse(args)
 
-	if err := runReplay(replayOpts{
+	return runReplay(replayOpts{
 		preset: *preset, data: *data, drift: *drift, gran: *gran, seed: *seed,
 		weeks: *weeks, startWeek: *startWeek, newUsers: *newUsers, newPOIs: *newPOIs, closeProb: *closeProb,
 		epochs: *epochs, rank: *rank, onlineEpochs: *onlineEpochs, halfLife: *halfLife,
 		topK: *topK, coldWeeks: *coldWeeks,
 		url: *url, compareRandom: *compareRandom, out: *out,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "tcss replay:", err)
-		os.Exit(1)
-	}
+	})
 }
 
 type replayOpts struct {
@@ -101,14 +98,14 @@ func runReplay(o replayOpts) error {
 	if err != nil {
 		return err
 	}
+	if err := checkSource(o.preset, o.data); err != nil {
+		return err
+	}
 
 	// Assemble the drift stream: generated from a preset, or a datagen
 	// directory plus a JSONL stream file.
 	var d *lbsn.Drift
-	switch {
-	case o.data != "" && o.preset != "":
-		return fmt.Errorf("use either -preset or -data, not both")
-	case o.data != "":
+	if o.data != "" {
 		if o.drift == "" {
 			return fmt.Errorf("-data needs -drift (the stream JSONL datagen wrote next to it)")
 		}
@@ -121,7 +118,7 @@ func runReplay(o replayOpts) error {
 			return err
 		}
 		d = &lbsn.Drift{Base: base, Weeks: wks}
-	case o.preset != "":
+	} else {
 		base, err := lbsn.NewPreset(o.preset, o.seed)
 		if err != nil {
 			return err
@@ -142,8 +139,6 @@ func runReplay(o replayOpts) error {
 				return err
 			}
 		}
-	default:
-		return fmt.Errorf("one of -preset or -data is required")
 	}
 
 	ocfg := tcss.DefaultOnlineConfig()
