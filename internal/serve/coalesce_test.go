@@ -124,8 +124,10 @@ func TestCoalesceBatchesForm(t *testing.T) {
 // TopNScratch against the snapshot published at the generation the response
 // reports — the coalescer's core contract.
 func TestCoalescedConcurrentReadersBitIdentical(t *testing.T) {
+	var rec genRecorder
 	srv, err := New(fitRecommender(t, 21), Options{
 		Online:         quickOnline(),
+		OnSwap:         rec.record,
 		Coalesce:       true,
 		CoalesceWindow: 150 * time.Microsecond,
 		CoalesceBatch:  5,
@@ -141,33 +143,8 @@ func TestCoalescedConcurrentReadersBitIdentical(t *testing.T) {
 	}
 	defer srv.Close()
 
-	var (
-		mu    sync.Mutex
-		byGen = map[uint64]*Snapshot{}
-	)
-	first := srv.snap.load()
-	byGen[first.Gen] = first
-	srv.onSwap = func(snap *Snapshot) {
-		mu.Lock()
-		byGen[snap.Gen] = snap
-		mu.Unlock()
-	}
-
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-
-	snapshotFor := func(gen uint64) *Snapshot {
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			mu.Lock()
-			snap := byGen[gen]
-			mu.Unlock()
-			if snap != nil || time.Now().After(deadline) {
-				return snap
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 
 	const (
 		readers  = 9
@@ -176,7 +153,7 @@ func TestCoalescedConcurrentReadersBitIdentical(t *testing.T) {
 		topN     = 6
 	)
 	cells := freshCells(t, srv, batches*perBatch)
-	model := first.Model
+	model := srv.snap.load().Model
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -211,7 +188,7 @@ func TestCoalescedConcurrentReadersBitIdentical(t *testing.T) {
 					t.Errorf("reader %d: decoding %s: %v", r, url, err)
 					return
 				}
-				snap := snapshotFor(got.Generation)
+				snap := rec.wait(got.Generation)
 				if snap == nil {
 					t.Errorf("reader %d: response claims unknown generation %d", r, got.Generation)
 					return

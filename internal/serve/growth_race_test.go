@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"tcss/internal/core"
 )
@@ -20,39 +19,15 @@ import (
 // TopNScratch recompute against the snapshot published at the response's
 // reported generation — growth must never expose a half-swapped model.
 func TestConcurrentReadersGrowthWriter(t *testing.T) {
-	srv, err := New(fitRecommender(t, 21), Options{Grow: true, Online: quickOnline()})
+	var rec genRecorder
+	srv, err := New(fitRecommender(t, 21), Options{Grow: true, Online: quickOnline(), OnSwap: rec.record})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	var (
-		mu    sync.Mutex
-		byGen = map[uint64]*Snapshot{}
-	)
-	first := srv.snap.load()
-	byGen[first.Gen] = first
-	srv.onSwap = func(snap *Snapshot) {
-		mu.Lock()
-		byGen[snap.Gen] = snap
-		mu.Unlock()
-	}
-
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-
-	snapshotFor := func(gen uint64) *Snapshot {
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			mu.Lock()
-			snap := byGen[gen]
-			mu.Unlock()
-			if snap != nil || time.Now().After(deadline) {
-				return snap
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 
 	const (
 		readers = 9
@@ -60,7 +35,7 @@ func TestConcurrentReadersGrowthWriter(t *testing.T) {
 		topN    = 6
 	)
 	cells := freshCells(t, srv, batches)
-	model := first.Model
+	model := srv.snap.load().Model
 	baseI, baseJ := model.I, model.J
 
 	done := make(chan struct{})
@@ -98,7 +73,7 @@ func TestConcurrentReadersGrowthWriter(t *testing.T) {
 					t.Errorf("reader %d: decoding %s: %v", r, url, err)
 					return
 				}
-				snap := snapshotFor(got.Generation)
+				snap := rec.wait(got.Generation)
 				if snap == nil {
 					t.Errorf("reader %d: response claims unknown generation %d", r, got.Generation)
 					return

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -58,7 +60,7 @@ func quickOnline() tcss.OnlineConfig {
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
-	if opts.Online.Epochs == 0 {
+	if opts.Online == (tcss.OnlineConfig{}) {
 		opts.Online = quickOnline()
 	}
 	srv, err := New(fitRecommender(t, 21), opts)
@@ -528,5 +530,105 @@ func TestSnapshotSaveAndRestart(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unconfigured save status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestMetricsDocumentShape pins the field names of the /metrics document a
+// standalone node with default options serves: the top-level keys, and under
+// each block its keys (fields marked omitempty are absent here). Dashboards,
+// loadgen and the gateway's merger read these names, so adding or removing one
+// is a contract change and has to be made in this list too.
+func TestMetricsDocumentShape(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	var doc map[string]any
+	if resp := getJSON(t, hs.URL+"/metrics", &doc); resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics status %d", resp.StatusCode)
+	}
+	var got []string
+	for key, v := range doc {
+		if arr, ok := v.([]any); ok && len(arr) > 0 {
+			v = arr[0] // "models": one block per registered model
+		}
+		block, ok := v.(map[string]any)
+		if !ok {
+			got = append(got, key)
+			continue
+		}
+		var fields []string
+		for f := range block {
+			fields = append(fields, f)
+		}
+		sort.Strings(fields)
+		got = append(got, key+": "+strings.Join(fields, " "))
+	}
+	sort.Strings(got)
+	want := []string{
+		"admission: deadline_budget_clamped inflight max_inflight max_queue queued",
+		"bad_requests",
+		"cache: entries hit_rate hits misses",
+		"coalesce: avg_batch_size batch_size_counts batches enabled max_batch requests window_us",
+		"deadline_504",
+		"explain: count p50_ms p95_ms p99_ms",
+		"internal_500",
+		"model: bytes_per_user factor_bytes pois storage users",
+		"model_404",
+		"model_not_ready_503",
+		"models: cache_hits generation name next_p50_ms next_p95_ms next_p99_ms next_requests not_ready_503 p50_ms p95_ms p99_ms requests roles shadow",
+		"next: count p50_ms p95_ms p99_ms",
+		"observe: count p50_ms p95_ms p99_ms",
+		"observe_pipeline: applied cells_added grow_enabled noop observe_grown_pois observe_grown_users observe_rejected_compact observe_rejected_out_of_range queue_capacity queue_length",
+		"recommend: count p50_ms p95_ms p99_ms",
+		"reliability: breaker_recoveries breaker_rejected breaker_state breaker_trips checksum_rejected_loads observe_failures save_failures save_retries",
+		"replication: applied checksum_rejected failures shipments_served syncs",
+		"routing: primary",
+		"shard: misrouted",
+		"shed_503",
+		"snapshot: age_seconds generation saves swaps",
+		"uptime_seconds",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/metrics document shape changed:\n got %s\nwant %s", strings.Join(got, "\n     "), strings.Join(want, "\n     "))
+	}
+}
+
+// TestOnlineOptionsAllOrNothing: an all-zero Options.Online means the
+// defaults; one that sets anything must carry its own Epochs and LR, because
+// replacing a partly filled struct with the defaults whole would boot the
+// three literals below with decay off, no head and seed 0.
+func TestOnlineOptionsAllOrNothing(t *testing.T) {
+	noLR := quickOnline()
+	noLR.LR = 0
+	rec := fitRecommender(t, 21) // a rejected New never touches it
+	for _, tc := range []struct {
+		online tcss.OnlineConfig
+		field  string
+	}{
+		{tcss.OnlineConfig{DecayHalfLife: 8}, "Online.Epochs"},
+		{tcss.OnlineConfig{Lambda: 0.1}, "Online.Epochs"},
+		{tcss.OnlineConfig{Seed: 7}, "Online.Epochs"},
+		{noLR, "Online.LR"},
+	} {
+		srv, err := New(rec, Options{Online: tc.online})
+		if err == nil {
+			srv.Close()
+			t.Fatalf("Online %+v booted; want an error", tc.online)
+		}
+		if !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), "tcss.DefaultOnlineConfig()") {
+			t.Fatalf("Online %+v: error %q must name %s and the defaults to start from", tc.online, err, tc.field)
+		}
+	}
+	for _, opts := range []Options{{}, {Online: quickOnline()}} {
+		srv, err := New(fitRecommender(t, 21), opts)
+		if err != nil {
+			t.Fatalf("Options %+v: %v", opts.Online, err)
+		}
+		want := opts.Online
+		if want == (tcss.OnlineConfig{}) {
+			want = tcss.DefaultOnlineConfig()
+		}
+		if srv.opts.Online != want {
+			t.Fatalf("served Online %+v, want %+v", srv.opts.Online, want)
+		}
+		srv.Close()
 	}
 }

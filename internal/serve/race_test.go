@@ -40,53 +40,54 @@ func freshCells(t *testing.T, srv *Server, n int) []observeCheckIn {
 	return cells
 }
 
+// genRecorder keeps every snapshot a server publishes, by generation. Its
+// record method goes in Options.OnSwap, which also sees the snapshot published
+// inside New.
+type genRecorder struct {
+	mu    sync.Mutex
+	byGen map[uint64]*Snapshot
+}
+
+func (g *genRecorder) record(snap *Snapshot) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.byGen == nil {
+		g.byGen = map[uint64]*Snapshot{}
+	}
+	g.byGen[snap.Gen] = snap
+}
+
+// wait returns the recorded snapshot of a generation a reader already saw, or
+// nil after two seconds: publish stores the atomic pointer before it calls
+// OnSwap, so a response can name a generation a beat before it is recorded.
+func (g *genRecorder) wait(gen uint64) *Snapshot {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		g.mu.Lock()
+		snap := g.byGen[gen]
+		g.mu.Unlock()
+		if snap != nil || time.Now().After(deadline) {
+			return snap
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestConcurrentReadersObserveWriter hammers GET /v1/recommend from many
 // goroutines while a writer applies observe batches, and checks under -race
 // that every response is internally consistent with exactly one snapshot
 // generation: recomputing TopNScratch against the snapshot published at the
 // response's reported generation must reproduce the response bit for bit.
 func TestConcurrentReadersObserveWriter(t *testing.T) {
-	srv, err := New(fitRecommender(t, 21), Options{Online: quickOnline()})
+	var rec genRecorder
+	srv, err := New(fitRecommender(t, 21), Options{Online: quickOnline(), OnSwap: rec.record})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	// Record every published snapshot by generation. The initial snapshot is
-	// published inside New, before onSwap can be set; capture it directly.
-	// Setting onSwap here is race-free: the writer goroutine only publishes
-	// while handling a command, and the channel send of the first observe
-	// happens after this write.
-	var (
-		mu    sync.Mutex
-		byGen = map[uint64]*Snapshot{}
-	)
-	first := srv.snap.load()
-	byGen[first.Gen] = first
-	srv.onSwap = func(snap *Snapshot) {
-		mu.Lock()
-		byGen[snap.Gen] = snap
-		mu.Unlock()
-	}
-
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-
-	// snapshotFor waits briefly for onSwap to record a generation a reader
-	// already saw: publish stores the atomic pointer before invoking onSwap,
-	// so a reader can observe a generation a beat before it lands in byGen.
-	snapshotFor := func(gen uint64) *Snapshot {
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			mu.Lock()
-			snap := byGen[gen]
-			mu.Unlock()
-			if snap != nil || time.Now().After(deadline) {
-				return snap
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 
 	const (
 		readers  = 9
@@ -95,7 +96,7 @@ func TestConcurrentReadersObserveWriter(t *testing.T) {
 		topN     = 6
 	)
 	cells := freshCells(t, srv, batches*perBatch)
-	model := first.Model
+	model := srv.snap.load().Model
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -130,7 +131,7 @@ func TestConcurrentReadersObserveWriter(t *testing.T) {
 					t.Errorf("reader %d: decoding %s: %v", r, url, err)
 					return
 				}
-				snap := snapshotFor(got.Generation)
+				snap := rec.wait(got.Generation)
 				if snap == nil {
 					t.Errorf("reader %d: response claims unknown generation %d", r, got.Generation)
 					return
@@ -173,9 +174,9 @@ func TestConcurrentReadersObserveWriter(t *testing.T) {
 	if got := srv.Generation(); got != batches {
 		t.Fatalf("final generation %d, want %d", got, batches)
 	}
-	mu.Lock()
-	recorded := len(byGen)
-	mu.Unlock()
+	rec.mu.Lock()
+	recorded := len(rec.byGen)
+	rec.mu.Unlock()
 	if recorded != batches+1 {
 		t.Fatalf("recorded %d snapshots, want %d", recorded, batches+1)
 	}

@@ -66,9 +66,10 @@ type Options struct {
 	// which executes when it reaches CoalesceBatch requests or CoalesceWindow
 	// after its first member arrived, whichever comes first. Per request the
 	// results are bit-identical to the per-request path against the snapshot
-	// the batch executed on (whose generation the response reports). Worth it
-	// under concurrent load; off by default because a lone request pays the
-	// window as added latency.
+	// the batch executed on (whose generation the response reports). Measured
+	// on a 131 072-POI model: 1.18× requests/s at 8 concurrent connections,
+	// 0.99× at one (DESIGN §10) — off by default because a lone request gains
+	// nothing.
 	Coalesce       bool
 	CoalesceWindow time.Duration // max wait for co-travellers; default 200µs
 	CoalesceBatch  int           // flush threshold; default 32
@@ -205,10 +206,21 @@ func DefaultOptions() Options {
 // flags settings that are explicitly nonsensical: negative coalescing knobs
 // (a negative duration or batch size is never a plausible default request), a
 // coalesce batch of one (pays the batching synchronisation for no reuse — set
-// Coalesce false instead), and a coalesce window at or beyond the request
+// Coalesce false instead), a coalesce window at or beyond the request
 // timeout (every coalesced request would miss its deadline waiting for
-// co-travellers). New calls Validate before applying defaults.
+// co-travellers), and a partly filled Online: the all-zero struct means "use
+// the defaults", but one that sets, say, only DecayHalfLife has no usable
+// Epochs or LR, and replacing it whole would silently drop what the caller
+// did set. New calls Validate before applying defaults.
 func (o Options) Validate() error {
+	if o.Online != (tcss.OnlineConfig{}) {
+		if o.Online.Epochs <= 0 {
+			return fmt.Errorf("serve: Options.Online is set but Online.Epochs is %d; start from tcss.DefaultOnlineConfig()", o.Online.Epochs)
+		}
+		if o.Online.LR <= 0 {
+			return fmt.Errorf("serve: Options.Online is set but Online.LR is %v; start from tcss.DefaultOnlineConfig()", o.Online.LR)
+		}
+	}
 	if o.CoalesceWindow < 0 {
 		return fmt.Errorf("serve: coalesce window must not be negative, got %v", o.CoalesceWindow)
 	}
@@ -266,7 +278,7 @@ func (o Options) withDefaults() Options {
 	if o.ObserveQueue <= 0 {
 		o.ObserveQueue = def.ObserveQueue
 	}
-	if o.Online.Epochs <= 0 || o.Online.LR <= 0 {
+	if o.Online == (tcss.OnlineConfig{}) {
 		o.Online = def.Online
 	}
 	if o.BreakerThreshold <= 0 {
@@ -350,10 +362,6 @@ type Server struct {
 	// to the served snapshot's generation is the replica's staleness, bounded
 	// by Options.MaxGenLag.
 	primaryGen atomic.Uint64
-
-	// onSwap, when set (tests), observes every published snapshot, including
-	// the initial one, from the publishing goroutine.
-	onSwap func(*Snapshot)
 }
 
 // SetPrimaryGeneration records the newest generation the primary is known to
@@ -495,9 +503,6 @@ func (s *Server) publish(snap *Snapshot) {
 	s.cache.purge()
 	if s.opts.OnSwap != nil {
 		s.opts.OnSwap(snap)
-	}
-	if s.onSwap != nil {
-		s.onSwap(snap)
 	}
 }
 
