@@ -60,9 +60,10 @@ fuzz:
 	for t in FuzzCOOInvariants FuzzScoreSlabVsPredict FuzzHausdorffSymmetry; do \
 		$(GO) test -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) ./internal/check || exit 1; \
 	done
-	@# The wire decoders every process trusts, and the node's observe validation.
-	for t in FuzzDeadlineBudget FuzzObserveDecode; do \
-		$(GO) test -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) ./internal/wire || exit 1; \
+	@# The wire decoders every process trusts (the gateway decodes NodeMetrics
+	@# from every shard on every scrape), and the node's observe validation.
+	for t in FuzzDeadlineBudget FuzzObserveDecode FuzzNodeMetricsDecode; do \
+		$(GO) test -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/wire || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz FuzzObserveValidate -fuzztime $(FUZZTIME) ./internal/serve
 	@# The two decoders behind every file load and every replica shipment. The

@@ -246,18 +246,7 @@ func checkServerModels(raw json.RawMessage, o options) error {
 	if raw == nil {
 		return fmt.Errorf("require: /metrics scrape failed, cannot check models")
 	}
-	var m struct {
-		Models []struct {
-			Name         string `json:"name"`
-			Requests     int64  `json:"requests"`
-			NextRequests int64  `json:"next_requests"`
-			Shadow       struct {
-				Scored       int64   `json:"scored"`
-				Errors       int64   `json:"errors"`
-				AgreementAvg float64 `json:"agreement_avg"`
-			} `json:"shadow"`
-		} `json:"models"`
-	}
+	var m wire.NodeMetrics
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return fmt.Errorf("require: decoding /metrics: %w", err)
 	}
@@ -272,7 +261,7 @@ func checkServerModels(raw json.RawMessage, o options) error {
 			if !ok {
 				return fmt.Errorf("require: model %q absent from server /metrics", name)
 			}
-			if m.Models[i].Requests+m.Models[i].NextRequests == 0 {
+			if m.Models[i].Requests.Load()+m.Models[i].NextRequests.Load() == 0 {
 				return fmt.Errorf("require: model %q served no traffic", name)
 			}
 		}
@@ -296,19 +285,7 @@ func checkServerModels(raw json.RawMessage, o options) error {
 // printServerStats summarizes the model-storage and coalescing blocks of the
 // scraped /metrics document (the full document is embedded in the report).
 func printServerStats(raw json.RawMessage) {
-	var m struct {
-		Model struct {
-			Storage      string  `json:"storage"`
-			FactorBytes  int64   `json:"factor_bytes"`
-			BytesPerUser float64 `json:"bytes_per_user"`
-		} `json:"model"`
-		Coalesce struct {
-			Enabled      bool    `json:"enabled"`
-			Batches      int64   `json:"batches"`
-			Requests     int64   `json:"requests"`
-			AvgBatchSize float64 `json:"avg_batch_size"`
-		} `json:"coalesce"`
-	}
+	var m wire.NodeMetrics
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return // no scrape, or not the node's document: nothing to summarize
 	}
@@ -318,7 +295,7 @@ func printServerStats(raw json.RawMessage) {
 	}
 	if m.Coalesce.Enabled {
 		fmt.Printf("server coalesce: %d batches, %d requests, avg batch %.2f\n",
-			m.Coalesce.Batches, m.Coalesce.Requests, m.Coalesce.AvgBatchSize)
+			m.Coalesce.Batches.Load(), m.Coalesce.Requests.Load(), m.Coalesce.AvgBatchSize)
 	}
 }
 

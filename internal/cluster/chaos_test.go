@@ -29,7 +29,7 @@ type gwMetrics struct {
 	} `json:"gateway"`
 }
 
-func gatewayMetrics(t *testing.T, c *clustertest.Cluster) gwMetrics {
+func scrapeGateway(t *testing.T, c *clustertest.Cluster) gwMetrics {
 	t.Helper()
 	status, mb, _ := get(t, c.GatewayURL+"/metrics")
 	if status != http.StatusOK {
@@ -155,7 +155,7 @@ func TestChaosSeededSchedule(t *testing.T) {
 	if rep.Net.Injected() != 2 {
 		t.Fatalf("replica-side faults fired %d times, want 2", rep.Net.Injected())
 	}
-	met := gatewayMetrics(t, c)
+	met := scrapeGateway(t, c)
 	if met.Gateway.Failovers == 0 {
 		t.Fatal("no read failed over during the schedule")
 	}
@@ -207,7 +207,7 @@ func TestChaosRetryBudgetBoundsRetries(t *testing.T) {
 		t.Fatalf("only %d of 5 reads hit the drained retry budget, want >= 3", exhausted)
 	}
 
-	met := gatewayMetrics(t, c)
+	met := scrapeGateway(t, c)
 	if met.Gateway.Retries != 2 {
 		t.Fatalf("gateway spent %d retries, want exactly the burst (2)", met.Gateway.Retries)
 	}
@@ -249,7 +249,7 @@ func TestChaosHedgedReads(t *testing.T) {
 		t.Fatalf("hedged answer %s != reference %s", gb, rb)
 	}
 
-	met := gatewayMetrics(t, c)
+	met := scrapeGateway(t, c)
 	if met.Gateway.Hedges < 1 || met.Gateway.HedgeWins < 1 {
 		t.Fatalf("hedge counters: hedges=%d hedge_wins=%d, want both >= 1",
 			met.Gateway.Hedges, met.Gateway.HedgeWins)
@@ -309,7 +309,7 @@ func TestChaosDeadlineBudget(t *testing.T) {
 		t.Fatalf("header-budgeted 504 took %v", elapsed)
 	}
 
-	met := gatewayMetrics(t, c)
+	met := scrapeGateway(t, c)
 	if met.Gateway.DeadlineMissed < 2 {
 		t.Fatalf("deadline_504 %d, want >= 2", met.Gateway.DeadlineMissed)
 	}

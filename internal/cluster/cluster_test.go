@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"tcss/internal/cluster/clustertest"
 	"tcss/internal/fault"
+	"tcss/internal/wire"
 )
 
 // get fetches url and returns (status, body, response).
@@ -209,9 +212,32 @@ func TestCorruptShipmentRejected(t *testing.T) {
 	}
 }
 
+// nodeMetrics scrapes one node's /metrics directly, bypassing the gateway.
+func nodeMetrics(t *testing.T, url string) *wire.NodeMetrics {
+	t.Helper()
+	status, body, _ := get(t, url+"/metrics")
+	var doc wire.NodeMetrics
+	if err := json.Unmarshal(body, &doc); status != http.StatusOK || err != nil {
+		t.Fatalf("scraping %s: status %d, %v", url, status, err)
+	}
+	return &doc
+}
+
+// endpoints lists every node's base URL, primaries and replicas.
+func endpoints(c *clustertest.Cluster) []string {
+	var urls []string
+	for _, sh := range c.Shards {
+		urls = append(urls, sh.Primary.URL)
+		for _, rep := range sh.Replicas {
+			urls = append(urls, rep.URL)
+		}
+	}
+	return urls
+}
+
 // TestGatewayMetricsMerge checks the merged /metrics document: counter sums
-// across endpoints, cluster percentiles from concatenated latency windows,
-// and the per-endpoint breakdown.
+// across endpoints, cluster percentiles read off the sum of the endpoints'
+// latency histograms, and the per-endpoint breakdown.
 func TestGatewayMetricsMerge(t *testing.T) {
 	c := clustertest.New(t, clustertest.Config{Shards: 2, Replicas: 1})
 
@@ -236,14 +262,10 @@ func TestGatewayMetricsMerge(t *testing.T) {
 	}
 
 	var met struct {
-		Shards    int `json:"shards"`
-		Endpoints int `json:"endpoints"`
-		Recommend struct {
-			Count int64   `json:"count"`
-			P50ms float64 `json:"p50_ms"`
-			P99ms float64 `json:"p99_ms"`
-		} `json:"recommend"`
-		Totals struct {
+		Shards    int             `json:"shards"`
+		Endpoints int             `json:"endpoints"`
+		Recommend wire.RouteStats `json:"recommend"`
+		Totals    struct {
 			Misrouted int64 `json:"misrouted"`
 		} `json:"totals"`
 		Gateway struct {
@@ -267,12 +289,27 @@ func TestGatewayMetricsMerge(t *testing.T) {
 		t.Fatalf("topology: %d shards, %d endpoints", met.Shards, met.Endpoints)
 	}
 	// reads via gateway + 1 direct foreign attempt: the request counter sees
-	// every arrival including the 421, which never reaches the latency ring.
-	if met.Recommend.Count != reads+1 {
-		t.Fatalf("merged recommend count %d, want %d", met.Recommend.Count, reads+1)
+	// every arrival including the 421, which never reaches the histogram.
+	if met.Recommend.Count.Load() != reads+1 {
+		t.Fatalf("merged recommend count %d, want %d", met.Recommend.Count.Load(), reads+1)
 	}
-	if met.Recommend.P50ms <= 0 || met.Recommend.P99ms < met.Recommend.P50ms {
-		t.Fatalf("merged percentiles p50=%v p99=%v", met.Recommend.P50ms, met.Recommend.P99ms)
+	// The merged percentiles are those of the summed histograms — what a
+	// scraper adding up the shards' own documents would compute.
+	var sum wire.NodeMetrics
+	for _, url := range endpoints(c) {
+		sum.Add(nodeMetrics(t, url))
+	}
+	sum.Recommend.Summarize()
+	wantHist, _ := json.Marshal(&sum.Recommend.Latency)
+	gotHist, _ := json.Marshal(&met.Recommend.Latency)
+	if !bytes.Equal(gotHist, wantHist) || sum.Recommend.Latency.Quantile(1) == 0 {
+		t.Fatalf("merged recommend histogram %s, sum of the shards' %s", gotHist, wantHist)
+	}
+	if met.Recommend.P50ms <= 0 || met.Recommend.P50ms != sum.Recommend.P50ms ||
+		met.Recommend.P95ms != sum.Recommend.P95ms || met.Recommend.P99ms != sum.Recommend.P99ms {
+		t.Fatalf("merged percentiles %v/%v/%v, quantiles of the summed histogram %v/%v/%v",
+			met.Recommend.P50ms, met.Recommend.P95ms, met.Recommend.P99ms,
+			sum.Recommend.P50ms, sum.Recommend.P95ms, sum.Recommend.P99ms)
 	}
 	if met.Totals.Misrouted != 1 {
 		t.Fatalf("merged misrouted %d, want 1", met.Totals.Misrouted)
@@ -289,6 +326,105 @@ func TestGatewayMetricsMerge(t *testing.T) {
 	}
 	if perShardSum != reads+1 {
 		t.Fatalf("per-endpoint breakdown sums to %d, want %d", perShardSum, reads+1)
+	}
+}
+
+// TestGatewayMetricsErrorEnvelopeIsUnreachable: a shard that answers /metrics
+// with 503 and the error envelope (shedding, or an injected fault) is not a
+// node with all-zero counters — it is listed unreachable, left out of the
+// breakdown, and the sums are those of the endpoints that did answer.
+func TestGatewayMetricsErrorEnvelopeIsUnreachable(t *testing.T) {
+	c := clustertest.New(t, clustertest.Config{Shards: 2, Replicas: 1})
+	for u := 0; u < 8; u++ {
+		if status, _, _ := get(t, fmt.Sprintf("%s/v1/recommend?user=%d&t=1&n=3", c.GatewayURL, u)); status != http.StatusOK {
+			t.Fatalf("read %d: status %d", u, status)
+		}
+	}
+	down := c.Shards[0].Primary.URL
+	var want int64
+	for _, url := range endpoints(c) {
+		if url != down {
+			want += nodeMetrics(t, url).Recommend.Count.Load()
+		}
+	}
+	if lost := nodeMetrics(t, down).Recommend.Count.Load(); lost == 0 || want == 0 {
+		t.Fatalf("both shards must have served reads: faulted one %d, others %d", lost, want)
+	}
+	c.Net.Set(down, fault.NetFault{Status: http.StatusServiceUnavailable})
+	defer c.Net.HealAll()
+
+	var met struct {
+		Endpoints   int             `json:"endpoints"`
+		Unreachable []string        `json:"unreachable"`
+		Recommend   wire.RouteStats `json:"recommend"`
+		PerEndpoint []struct {
+			Endpoint string `json:"endpoint"`
+		} `json:"per_endpoint"`
+	}
+	status, mb, _ := get(t, c.GatewayURL+"/metrics")
+	if err := json.Unmarshal(mb, &met); status != http.StatusOK || err != nil {
+		t.Fatalf("merged metrics: status %d, %v", status, err)
+	}
+	if met.Endpoints != 4 || len(met.Unreachable) != 1 || met.Unreachable[0] != down {
+		t.Fatalf("%d endpoints, unreachable %v, want 4 and [%s]", met.Endpoints, met.Unreachable, down)
+	}
+	if len(met.PerEndpoint) != 3 {
+		t.Fatalf("per_endpoint lists %d nodes, want the 3 that answered", len(met.PerEndpoint))
+	}
+	for _, ep := range met.PerEndpoint {
+		if ep.Endpoint == down {
+			t.Fatalf("%s answered 503 and is still in per_endpoint", down)
+		}
+	}
+	if got := met.Recommend.Count.Load(); got != want {
+		t.Fatalf("merged recommend count %d, want the other endpoints' %d", got, want)
+	}
+}
+
+// TestGatewayMetricsDocumentShape pins the field names of the gateway's
+// merged /metrics document the way serve's TestMetricsDocumentShape pins a
+// node's: top-level keys, and under each block its keys.
+func TestGatewayMetricsDocumentShape(t *testing.T) {
+	c := clustertest.New(t, clustertest.Config{Shards: 2, Replicas: 1})
+	var doc map[string]any
+	status, mb, _ := get(t, c.GatewayURL+"/metrics")
+	if err := json.Unmarshal(mb, &doc); status != http.StatusOK || err != nil {
+		t.Fatalf("merged metrics: status %d, %v", status, err)
+	}
+	var got []string
+	for key, v := range doc {
+		if arr, ok := v.([]any); ok && len(arr) > 0 {
+			v = arr[0] // "models", "per_endpoint": one block per entry
+		}
+		block, ok := v.(map[string]any)
+		if !ok {
+			got = append(got, key)
+			continue
+		}
+		var fields []string
+		for f := range block {
+			fields = append(fields, f)
+		}
+		sort.Strings(fields)
+		got = append(got, key+": "+strings.Join(fields, " "))
+	}
+	sort.Strings(got)
+	want := []string{
+		"endpoints",
+		"explain: count latency_buckets_ns p50_ms p95_ms p99_ms",
+		"gateway: backend_errors deadline_504 failovers hedge_wins hedges observe_fanouts requests retries retry_budget_exhausted",
+		"growth: observe_grown_pois observe_grown_users observe_rejected_compact observe_rejected_out_of_range",
+		"models: cache_hits latency_buckets_ns name next_latency_buckets_ns next_requests not_ready_503 requests shadow_agreement_avg shadow_errors shadow_exact_frac shadow_scored",
+		"next: count latency_buckets_ns p50_ms p95_ms p99_ms",
+		"observe: count latency_buckets_ns p50_ms p95_ms p99_ms",
+		"per_endpoint: endpoint explain generation misrouted next observe recommend role shard",
+		"recommend: count latency_buckets_ns p50_ms p95_ms p99_ms",
+		"replication: applied checksum_rejected failures shipments_served syncs",
+		"shards",
+		"totals: bad_requests deadline_504 internal_500 misrouted shed_503",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("gateway /metrics document shape changed:\n got %s\nwant %s", strings.Join(got, "\n     "), strings.Join(want, "\n     "))
 	}
 }
 

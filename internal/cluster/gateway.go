@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tcss/internal/wire"
@@ -68,19 +67,22 @@ type GatewayOptions struct {
 	Now func() time.Time
 }
 
-// gatewayMetrics counts what the gateway itself does, reported in the
-// cluster /metrics document alongside the merged shard counters.
-type gatewayMetrics struct {
-	requests       atomic.Int64 // read requests routed
-	failovers      atomic.Int64 // reads answered by a non-first candidate
-	backendErrors  atomic.Int64 // candidate attempts that failed
-	observeFanouts atomic.Int64 // observe batches split across shards
-	scrapes        atomic.Int64 // merged /metrics scrapes served
-	retries        atomic.Int64 // attempts beyond a request's first (token-charged)
-	retryExhausted atomic.Int64 // retries refused by a drained token bucket
-	hedges         atomic.Int64 // hedge attempts fired
-	hedgeWins      atomic.Int64 // reads won by the hedged candidate
-	deadlineMissed atomic.Int64 // reads 504ed on a drained deadline budget
+// gatewayStats is the "gateway" block of the cluster /metrics document and
+// the live storage of its counters: what the gateway itself does, next to
+// the merged shard counters.
+type gatewayStats struct {
+	Requests       wire.Counter `json:"requests"`        // read requests routed
+	Failovers      wire.Counter `json:"failovers"`       // reads answered by a non-first candidate
+	BackendErrors  wire.Counter `json:"backend_errors"`  // candidate attempts that failed
+	ObserveFanouts wire.Counter `json:"observe_fanouts"` // observe batches split across shards
+	// Resilience counters: token-charged retries (attempts beyond a request's
+	// first), retries refused by the drained token bucket, hedged attempts
+	// fired and won, and reads that 504ed on a drained deadline budget.
+	Retries              wire.Counter `json:"retries"`
+	RetryBudgetExhausted wire.Counter `json:"retry_budget_exhausted"`
+	Hedges               wire.Counter `json:"hedges"`
+	HedgeWins            wire.Counter `json:"hedge_wins"`
+	DeadlineMissed       wire.Counter `json:"deadline_504"`
 }
 
 // retryBudget is a token bucket charged for every failover or hedge attempt:
@@ -123,7 +125,7 @@ type Gateway struct {
 	byName map[string]*ShardSet
 	opts   GatewayOptions // every zero field replaced by its documented default
 	mux    *http.ServeMux
-	met    gatewayMetrics
+	met    gatewayStats
 	retry  retryBudget
 
 	mu   sync.Mutex
@@ -370,7 +372,7 @@ func (g *Gateway) writeBackend(w http.ResponseWriter, shard, ep string, resp *ba
 
 // failAttempt records one failed candidate attempt.
 func (g *Gateway) failAttempt(ep string) {
-	g.met.backendErrors.Add(1)
+	g.met.BackendErrors.Add(1)
 	g.markDown(ep)
 }
 
@@ -378,10 +380,10 @@ func (g *Gateway) failAttempt(ep string) {
 // first — failover and hedge alike — and counts the outcome either way.
 func (g *Gateway) chargeRetry() bool {
 	if !g.retry.allow(g.opts.Now()) {
-		g.met.retryExhausted.Add(1)
+		g.met.RetryBudgetExhausted.Add(1)
 		return false
 	}
-	g.met.retries.Add(1)
+	g.met.Retries.Add(1)
 	return true
 }
 
@@ -420,7 +422,7 @@ func (g *Gateway) armHedge(r *http.Request, cands int) (*time.Timer, chan outcom
 // handler returns). The whole request runs under a deadline budget
 // (X-Deadline-Budget or ReadBudget).
 func (g *Gateway) serveRead(w http.ResponseWriter, r *http.Request) {
-	g.met.requests.Add(1)
+	g.met.Requests.Add(1)
 	user, err := strconv.Atoi(r.URL.Query().Get("user"))
 	if err != nil {
 		g.writeError(w, http.StatusBadRequest, "parameter %q: %v", "user", err)
@@ -464,7 +466,7 @@ func (g *Gateway) serveRead(w http.ResponseWriter, r *http.Request) {
 			switch {
 			case launch:
 				if hedgeFired {
-					g.met.hedges.Add(1)
+					g.met.Hedges.Add(1)
 					hedgeIdx = launched
 				} else if launched > 0 {
 					hedge = nil // only a first attempt is hedged, not a failover
@@ -487,7 +489,7 @@ func (g *Gateway) serveRead(w http.ResponseWriter, r *http.Request) {
 				g.writeError(w, http.StatusBadGateway, "shard %q: no endpoint answered: %v", shard, lastErr)
 				return
 			case remaining <= 0:
-				g.met.deadlineMissed.Add(1)
+				g.met.DeadlineMissed.Add(1)
 				g.writeError(w, http.StatusGatewayTimeout, "shard %q: deadline budget exhausted: %v", shard, lastErr)
 				return
 			default:
@@ -510,10 +512,10 @@ func (g *Gateway) serveRead(w http.ResponseWriter, r *http.Request) {
 		ep := cands[out.idx]
 		if out.err == nil && !retriable(out.resp.status) {
 			if out.idx > 0 {
-				g.met.failovers.Add(1)
+				g.met.Failovers.Add(1)
 			}
 			if out.idx == hedgeIdx {
-				g.met.hedgeWins.Add(1)
+				g.met.HedgeWins.Add(1)
 			}
 			g.writeBackend(w, shard, ep, out.resp)
 			return
@@ -557,7 +559,7 @@ func (g *Gateway) serveObserve(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	g.met.observeFanouts.Add(1)
+	g.met.ObserveFanouts.Add(1)
 	split := req.Split(g.ring.Owner, g.ring.Shards())
 	shards := make([]string, 0, len(split))
 	for shard := range split {

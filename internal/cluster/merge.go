@@ -4,104 +4,31 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 
-	"tcss/internal/registry"
+	"tcss/internal/wire"
 )
 
-// shardMetricsDoc is the subset of a shard's /metrics document the gateway
-// merges. It deliberately mirrors serve's JSON rather than importing its
-// types: the gateway only depends on the wire contract, and unknown fields
-// added by future shard versions are ignored instead of breaking the merge.
-type shardMetricsDoc struct {
-	Shard struct {
-		Name      string `json:"name"`
-		Role      string `json:"role"`
-		Misrouted int64  `json:"misrouted"`
-	} `json:"shard"`
-	Recommend struct {
-		Count int64 `json:"count"`
-	} `json:"recommend"`
-	Explain struct {
-		Count int64 `json:"count"`
-	} `json:"explain"`
-	Next struct {
-		Count int64 `json:"count"`
-	} `json:"next"`
-	Observe struct {
-		Count int64 `json:"count"`
-	} `json:"observe"`
-	ObservePipeline struct {
-		GrownUsers         int64 `json:"observe_grown_users"`
-		GrownPOIs          int64 `json:"observe_grown_pois"`
-		RejectedCompact    int64 `json:"observe_rejected_compact"`
-		RejectedOutOfRange int64 `json:"observe_rejected_out_of_range"`
-	} `json:"observe_pipeline"`
-	BadRequests    int64 `json:"bad_requests"`
-	Shed           int64 `json:"shed_503"`
-	DeadlineMissed int64 `json:"deadline_504"`
-	InternalErrors int64 `json:"internal_500"`
-	Snapshot       struct {
-		Generation uint64 `json:"generation"`
-	} `json:"snapshot"`
-	Replication struct {
-		ShipmentsServed  int64 `json:"shipments_served"`
-		Applied          int64 `json:"applied"`
-		Syncs            int64 `json:"syncs"`
-		Failures         int64 `json:"failures"`
-		ChecksumRejected int64 `json:"checksum_rejected"`
-	} `json:"replication"`
-	Models  []shardModelDoc `json:"models"`
-	Windows *struct {
-		RecommendMs []float64 `json:"recommend_ms"`
-		ExplainMs   []float64 `json:"explain_ms"`
-		NextMs      []float64 `json:"next_ms"`
-		ObserveMs   []float64 `json:"observe_ms"`
-	} `json:"windows"`
-}
-
-// shardModelDoc is one entry of a shard's multi-model block, again mirroring
-// the wire contract instead of importing serve/registry types.
-type shardModelDoc struct {
-	Name         string `json:"name"`
-	Generation   uint64 `json:"generation"`
-	Requests     int64  `json:"requests"`
-	NextRequests int64  `json:"next_requests"`
-	CacheHits    int64  `json:"cache_hits"`
-	NotReady     int64  `json:"not_ready_503"`
-	Shadow       struct {
-		Scored       int64   `json:"scored"`
-		Errors       int64   `json:"errors"`
-		AgreementAvg float64 `json:"agreement_avg"`
-		ExactFrac    float64 `json:"exact_frac"`
-	} `json:"shadow"`
-}
-
-// mergedModel is one model's cluster-wide rollup: counters sum across
-// endpoints; shadow agreement fractions are weighted by each endpoint's
-// scored count so the merge equals the fraction over all scorings.
+// mergedModel is one model's cluster-wide rollup: counters and latency
+// histograms sum across endpoints; shadow agreement fractions are weighted by
+// each endpoint's scored count so the merge equals the fraction over all
+// scorings.
 type mergedModel struct {
-	Name         string  `json:"name"`
-	Requests     int64   `json:"requests"`
-	NextRequests int64   `json:"next_requests"`
-	CacheHits    int64   `json:"cache_hits"`
-	NotReady     int64   `json:"not_ready_503"`
-	ShadowScored int64   `json:"shadow_scored"`
-	ShadowErrors int64   `json:"shadow_errors"`
-	AgreementAvg float64 `json:"shadow_agreement_avg"`
-	ExactFrac    float64 `json:"shadow_exact_frac"`
-}
-
-// routeAgg is one request class merged across the cluster: summed counts and
-// percentiles computed over the concatenation of every endpoint's raw latency
-// window — per-shard percentiles cannot be merged, raw samples can.
-type routeAgg struct {
-	Count int64   `json:"count"`
-	P50ms float64 `json:"p50_ms"`
-	P95ms float64 `json:"p95_ms"`
-	P99ms float64 `json:"p99_ms"`
+	Name         string          `json:"name"`
+	Requests     int64           `json:"requests"`
+	NextRequests int64           `json:"next_requests"`
+	CacheHits    int64           `json:"cache_hits"`
+	NotReady     int64           `json:"not_ready_503"`
+	ShadowScored int64           `json:"shadow_scored"`
+	ShadowErrors int64           `json:"shadow_errors"`
+	AgreementAvg float64         `json:"shadow_agreement_avg"`
+	ExactFrac    float64         `json:"shadow_exact_frac"`
+	Latency      *wire.Histogram `json:"latency_buckets_ns"`
+	NextLatency  *wire.Histogram `json:"next_latency_buckets_ns"`
 }
 
 // endpointMetrics is the per-endpoint breakdown in the merged document.
@@ -117,16 +44,21 @@ type endpointMetrics struct {
 	Misrouted  int64  `json:"misrouted"`
 }
 
-// clusterMetrics is the document served by the gateway's GET /metrics.
+// clusterMetrics is the document served by the gateway's GET /metrics: the
+// sum of every reachable endpoint's wire.NodeMetrics, projected into the
+// cluster's own shape. Route, growth and replication blocks are the summed
+// node blocks themselves; percentiles are read off the summed histograms, so
+// like every counter here they are cumulative since each node's start and
+// exact to one bucket width (see wire.NodeMetrics).
 type clusterMetrics struct {
 	Shards      int      `json:"shards"`
 	Endpoints   int      `json:"endpoints"`
 	Unreachable []string `json:"unreachable,omitempty"`
 
-	Recommend routeAgg `json:"recommend"`
-	Explain   routeAgg `json:"explain"`
-	Next      routeAgg `json:"next"`
-	Observe   routeAgg `json:"observe"`
+	Recommend *wire.RouteStats `json:"recommend"`
+	Explain   *wire.RouteStats `json:"explain"`
+	Next      *wire.RouteStats `json:"next"`
+	Observe   *wire.RouteStats `json:"observe"`
 
 	Models []mergedModel `json:"models,omitempty"`
 
@@ -138,43 +70,14 @@ type clusterMetrics struct {
 		Misrouted      int64 `json:"misrouted"`
 	} `json:"totals"`
 
-	// Growth sums the shards' open-world growth counters. GrownPOIs counts
-	// per-shard row additions, so with POI openings duplicated to every
-	// shard it is roughly shards × the number of distinct openings.
-	Growth struct {
-		GrownUsers         int64 `json:"observe_grown_users"`
-		GrownPOIs          int64 `json:"observe_grown_pois"`
-		RejectedCompact    int64 `json:"observe_rejected_compact"`
-		RejectedOutOfRange int64 `json:"observe_rejected_out_of_range"`
-	} `json:"growth"`
-
-	Replication struct {
-		ShipmentsServed  int64 `json:"shipments_served"`
-		Applied          int64 `json:"applied"`
-		Syncs            int64 `json:"syncs"`
-		Failures         int64 `json:"failures"`
-		ChecksumRejected int64 `json:"checksum_rejected"`
-	} `json:"replication"`
-
-	Gateway struct {
-		Requests       int64 `json:"requests"`
-		Failovers      int64 `json:"failovers"`
-		BackendErrors  int64 `json:"backend_errors"`
-		ObserveFanouts int64 `json:"observe_fanouts"`
-		// Resilience counters: token-charged retries, retries refused by the
-		// drained token bucket, hedged attempts fired and won, and reads that
-		// 504ed on a drained deadline budget.
-		Retries              int64 `json:"retries"`
-		RetryBudgetExhausted int64 `json:"retry_budget_exhausted"`
-		Hedges               int64 `json:"hedges"`
-		HedgeWins            int64 `json:"hedge_wins"`
-		DeadlineMissed       int64 `json:"deadline_504"`
-	} `json:"gateway"`
+	Growth      *wire.GrowthStats      `json:"growth"`
+	Replication *wire.ReplicationStats `json:"replication"`
+	Gateway     *gatewayStats          `json:"gateway"`
 
 	PerEndpoint []endpointMetrics `json:"per_endpoint"`
 }
 
-// endpointRole labels an endpoint by its position in the shard set.
+// taggedEndpoint labels an endpoint by its position in the shard set.
 type taggedEndpoint struct {
 	shard string
 	role  string
@@ -192,15 +95,21 @@ func (g *Gateway) allEndpoints() []taggedEndpoint {
 	return eps
 }
 
-// fetchJSON GETs path from every endpoint concurrently, decoding each body
-// into a value produced by newDoc; failed endpoints report err instead.
+// endpointResult is one endpoint's answer to a fan-out fetch.
 type endpointResult[T any] struct {
 	ep  taggedEndpoint
 	doc T
 	err error
 }
 
-func fetchAll[T any](ctx context.Context, g *Gateway, path string) []endpointResult[T] {
+// maxScrapeBody bounds the /metrics or /healthz body the gateway will decode
+// from one endpoint; a node's document is a few KB.
+const maxScrapeBody = 1 << 20
+
+// fetchAll GETs path from every endpoint concurrently and decodes each body
+// into a T. An endpoint that cannot be reached, answers with a status not in
+// accept, or sends a body that does not decode reports err instead.
+func fetchAll[T any](ctx context.Context, g *Gateway, path string, accept ...int) []endpointResult[T] {
 	eps := g.allEndpoints()
 	out := make([]endpointResult[T], len(eps))
 	var wg sync.WaitGroup
@@ -224,7 +133,11 @@ func fetchAll[T any](ctx context.Context, g *Gateway, path string) []endpointRes
 				return
 			}
 			defer resp.Body.Close()
-			if err := json.NewDecoder(resp.Body).Decode(&out[i].doc); err != nil {
+			if !slices.Contains(accept, resp.StatusCode) {
+				out[i].err = fmt.Errorf("GET %s%s: %s", ep.url, path, resp.Status)
+				return
+			}
+			if err := json.NewDecoder(io.LimitReader(resp.Body, maxScrapeBody)).Decode(&out[i].doc); err != nil {
 				out[i].err = fmt.Errorf("decoding %s%s: %w", ep.url, path, err)
 			}
 		}(i, ep)
@@ -233,118 +146,68 @@ func fetchAll[T any](ctx context.Context, g *Gateway, path string) []endpointRes
 	return out
 }
 
-// serveMetrics fans /metrics?window=1 to every endpoint and merges: counters
-// sum, latency percentiles are recomputed over the concatenated raw windows,
-// and the per-endpoint breakdown keeps each node individually inspectable.
+// serveMetrics fans /metrics to every endpoint and merges by addition:
+// counters and latency histograms sum, percentiles are read off the summed
+// histograms, and the per-endpoint breakdown keeps each node individually
+// inspectable. An endpoint that does not answer 200 is unreachable — an error
+// envelope is not a document of zeros.
 func (g *Gateway) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	g.met.scrapes.Add(1)
-	results := fetchAll[shardMetricsDoc](r.Context(), g, "/metrics?window=1")
+	results := fetchAll[wire.NodeMetrics](r.Context(), g, "/metrics", http.StatusOK)
 
-	var out clusterMetrics
-	out.Shards = len(g.sets)
-	out.Endpoints = len(results)
-	var recWin, expWin, nextWin, obsWin []float64
-	modelAgg := make(map[string]*mergedModel)
-	modelWeight := make(map[string]struct{ agree, exact float64 })
-	for _, res := range results {
+	var sum wire.NodeMetrics
+	out := clusterMetrics{
+		Shards: len(g.sets), Endpoints: len(results),
+		Recommend: &sum.Recommend, Explain: &sum.Explain, Next: &sum.Next, Observe: &sum.Observe,
+		Growth: &sum.ObserveStats.GrowthStats, Replication: &sum.Replication, Gateway: &g.met,
+	}
+	for i := range results {
+		res := &results[i]
 		if res.err != nil {
 			out.Unreachable = append(out.Unreachable, res.ep.url)
 			continue
 		}
-		d := res.doc
-		out.Recommend.Count += d.Recommend.Count
-		out.Explain.Count += d.Explain.Count
-		out.Next.Count += d.Next.Count
-		out.Observe.Count += d.Observe.Count
-		for _, md := range d.Models {
-			mm, ok := modelAgg[md.Name]
-			if !ok {
-				mm = &mergedModel{Name: md.Name}
-				modelAgg[md.Name] = mm
-			}
-			mm.Requests += md.Requests
-			mm.NextRequests += md.NextRequests
-			mm.CacheHits += md.CacheHits
-			mm.NotReady += md.NotReady
-			mm.ShadowScored += md.Shadow.Scored
-			mm.ShadowErrors += md.Shadow.Errors
-			w := modelWeight[md.Name]
-			w.agree += md.Shadow.AgreementAvg * float64(md.Shadow.Scored)
-			w.exact += md.Shadow.ExactFrac * float64(md.Shadow.Scored)
-			modelWeight[md.Name] = w
-		}
-		out.Totals.BadRequests += d.BadRequests
-		out.Totals.Shed += d.Shed
-		out.Totals.DeadlineMissed += d.DeadlineMissed
-		out.Totals.InternalErrors += d.InternalErrors
-		out.Totals.Misrouted += d.Shard.Misrouted
-		out.Growth.GrownUsers += d.ObservePipeline.GrownUsers
-		out.Growth.GrownPOIs += d.ObservePipeline.GrownPOIs
-		out.Growth.RejectedCompact += d.ObservePipeline.RejectedCompact
-		out.Growth.RejectedOutOfRange += d.ObservePipeline.RejectedOutOfRange
-		out.Replication.ShipmentsServed += d.Replication.ShipmentsServed
-		out.Replication.Applied += d.Replication.Applied
-		out.Replication.Syncs += d.Replication.Syncs
-		out.Replication.Failures += d.Replication.Failures
-		out.Replication.ChecksumRejected += d.Replication.ChecksumRejected
-		if d.Windows != nil {
-			recWin = append(recWin, d.Windows.RecommendMs...)
-			expWin = append(expWin, d.Windows.ExplainMs...)
-			nextWin = append(nextWin, d.Windows.NextMs...)
-			obsWin = append(obsWin, d.Windows.ObserveMs...)
-		}
+		d := &res.doc
+		sum.Add(d)
 		out.PerEndpoint = append(out.PerEndpoint, endpointMetrics{
 			Shard:      res.ep.shard,
 			Role:       res.ep.role,
 			Endpoint:   res.ep.url,
 			Generation: d.Snapshot.Generation,
-			Recommend:  d.Recommend.Count,
-			Explain:    d.Explain.Count,
-			Next:       d.Next.Count,
-			Observe:    d.Observe.Count,
-			Misrouted:  d.Shard.Misrouted,
+			Recommend:  d.Recommend.Count.Load(),
+			Explain:    d.Explain.Count.Load(),
+			Next:       d.Next.Count.Load(),
+			Observe:    d.Observe.Count.Load(),
+			Misrouted:  d.Shard.Misrouted.Load(),
 		})
 	}
-	out.Recommend.P50ms, out.Recommend.P95ms, out.Recommend.P99ms = registry.Percentiles(recWin)
-	out.Explain.P50ms, out.Explain.P95ms, out.Explain.P99ms = registry.Percentiles(expWin)
-	out.Next.P50ms, out.Next.P95ms, out.Next.P99ms = registry.Percentiles(nextWin)
-	out.Observe.P50ms, out.Observe.P95ms, out.Observe.P99ms = registry.Percentiles(obsWin)
-	names := make([]string, 0, len(modelAgg))
-	for name := range modelAgg {
-		names = append(names, name)
+	sum.Summarize()
+	sort.Slice(sum.Models, func(i, j int) bool { return sum.Models[i].Name < sum.Models[j].Name })
+	for _, m := range sum.Models {
+		out.Models = append(out.Models, mergedModel{
+			Name:         m.Name,
+			Requests:     m.Requests.Load(),
+			NextRequests: m.NextRequests.Load(),
+			CacheHits:    m.CacheHits.Load(),
+			NotReady:     m.NotReady.Load(),
+			ShadowScored: m.Shadow.Scored,
+			ShadowErrors: m.Shadow.Errors,
+			AgreementAvg: m.Shadow.AgreementAvg,
+			ExactFrac:    m.Shadow.ExactFrac,
+			Latency:      &m.Latency,
+			NextLatency:  &m.NextLatency,
+		})
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		mm := modelAgg[name]
-		if mm.ShadowScored > 0 {
-			w := modelWeight[name]
-			mm.AgreementAvg = w.agree / float64(mm.ShadowScored)
-			mm.ExactFrac = w.exact / float64(mm.ShadowScored)
-		}
-		out.Models = append(out.Models, *mm)
-	}
-	out.Gateway.Requests = g.met.requests.Load()
-	out.Gateway.Failovers = g.met.failovers.Load()
-	out.Gateway.BackendErrors = g.met.backendErrors.Load()
-	out.Gateway.ObserveFanouts = g.met.observeFanouts.Load()
-	out.Gateway.Retries = g.met.retries.Load()
-	out.Gateway.RetryBudgetExhausted = g.met.retryExhausted.Load()
-	out.Gateway.Hedges = g.met.hedges.Load()
-	out.Gateway.HedgeWins = g.met.hedgeWins.Load()
-	out.Gateway.DeadlineMissed = g.met.deadlineMissed.Load()
+	out.Totals.BadRequests = sum.BadRequests.Load()
+	out.Totals.Shed = sum.Shed.Load()
+	out.Totals.DeadlineMissed = sum.DeadlineMissed.Load()
+	out.Totals.InternalErrors = sum.InternalErrors.Load()
+	out.Totals.Misrouted = sum.Shard.Misrouted.Load()
 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(&out)
-}
-
-// shardHealthDoc is the subset of a node's /healthz the gateway rolls up.
-type shardHealthDoc struct {
-	Status     string `json:"status"`
-	Generation uint64 `json:"generation"`
-	Reason     string `json:"reason"`
 }
 
 type endpointHealth struct {
@@ -373,8 +236,9 @@ type clusterHealth struct {
 // cluster is as healthy as its worst shard; a down shard makes the rollup
 // 503 because part of the keyspace is unservable.
 func (g *Gateway) serveHealthz(w http.ResponseWriter, r *http.Request) {
-	results := fetchAll[shardHealthDoc](r.Context(), g, "/healthz")
-	byShard := make(map[string][]endpointResult[shardHealthDoc])
+	// A node without a snapshot answers 503 with a body that says so.
+	results := fetchAll[wire.Health](r.Context(), g, "/healthz", http.StatusOK, http.StatusServiceUnavailable)
+	byShard := make(map[string][]endpointResult[wire.Health])
 	for _, res := range results {
 		byShard[res.ep.shard] = append(byShard[res.ep.shard], res)
 	}

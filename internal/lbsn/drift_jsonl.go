@@ -23,6 +23,14 @@ type jsonlWeek struct {
 	CheckIns   []jsonlCheckIn `json:"checkins,omitempty"`
 }
 
+type jsonlCheckIn struct {
+	User  int `json:"user"`
+	POI   int `json:"poi"`
+	Month int `json:"month"`
+	Week  int `json:"week"`
+	Hour  int `json:"hour"`
+}
+
 type jsonlNewUser struct {
 	ID      int   `json:"id"`
 	Friends []int `json:"friends,omitempty"`

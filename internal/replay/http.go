@@ -45,12 +45,7 @@ func (t *HTTPTarget) getJSON(url string, out any) error {
 }
 
 func (t *HTTPTarget) Dims() (int, int, error) {
-	var doc struct {
-		Model struct {
-			Users int `json:"users"`
-			POIs  int `json:"pois"`
-		} `json:"model"`
-	}
+	var doc wire.NodeMetrics
 	if err := t.getJSON(t.BaseURL+"/metrics", &doc); err != nil {
 		return 0, 0, err
 	}

@@ -197,9 +197,9 @@ func (c *coalescer) execute(b *coalesceBatch) {
 	c.scratch.Put(sc)
 
 	met := c.s.met
-	met.coalesceBatches.Add(1)
-	met.coalesceRequests.Add(int64(len(b.reqs)))
-	met.coalesceHist[coalesceBucket(len(b.reqs))].Add(1)
+	met.Coalesce.Batches.Add(1)
+	met.Coalesce.Requests.Add(int64(len(b.reqs)))
+	met.Coalesce.BatchSizes[coalesceBucket(len(b.reqs))].Count.Add(1)
 	close(b.done)
 }
 

@@ -96,18 +96,18 @@ func TestCoalesceBatchesForm(t *testing.T) {
 	if !m.Coalesce.Enabled {
 		t.Fatal("metrics must report coalescing enabled")
 	}
-	if m.Coalesce.Requests != reqs {
-		t.Fatalf("coalesced requests = %d, want %d", m.Coalesce.Requests, reqs)
+	if m.Coalesce.Requests.Load() != reqs {
+		t.Fatalf("coalesced requests = %d, want %d", m.Coalesce.Requests.Load(), reqs)
 	}
-	if m.Coalesce.Batches < 1 || m.Coalesce.Batches > reqs {
-		t.Fatalf("batches = %d, want within [1, %d]", m.Coalesce.Batches, reqs)
+	if m.Coalesce.Batches.Load() < 1 || m.Coalesce.Batches.Load() > reqs {
+		t.Fatalf("batches = %d, want within [1, %d]", m.Coalesce.Batches.Load(), reqs)
 	}
 	var histTotal int64
-	for _, b := range m.Coalesce.BatchSizes {
-		histTotal += b.Count
+	for i := range m.Coalesce.BatchSizes {
+		histTotal += m.Coalesce.BatchSizes[i].Count.Load()
 	}
-	if histTotal != m.Coalesce.Batches {
-		t.Fatalf("histogram sums to %d batches, counter says %d", histTotal, m.Coalesce.Batches)
+	if histTotal != m.Coalesce.Batches.Load() {
+		t.Fatalf("histogram sums to %d batches, counter says %d", histTotal, m.Coalesce.Batches.Load())
 	}
 	if m.Coalesce.MaxBatch != 4 || m.Coalesce.WindowUs != 100_000 {
 		t.Fatalf("coalesce config in metrics = max %d window %.0fµs", m.Coalesce.MaxBatch, m.Coalesce.WindowUs)
@@ -229,7 +229,7 @@ func TestCoalescedConcurrentReadersBitIdentical(t *testing.T) {
 	if got := srv.Generation(); got != batches {
 		t.Fatalf("final generation %d, want %d", got, batches)
 	}
-	if srv.met.coalesceBatches.Load() == 0 || srv.met.coalesceRequests.Load() == 0 {
+	if srv.met.Coalesce.Batches.Load() == 0 || srv.met.Coalesce.Requests.Load() == 0 {
 		t.Fatal("no requests travelled through the coalescer")
 	}
 }

@@ -139,15 +139,15 @@ func TestDegradedModeBreaker(t *testing.T) {
 
 	var met metricsSnapshot
 	getJSON(t, hs.URL+"/metrics", &met)
-	rel := met.Reliability
-	if rel.ObserveFailures != 2 {
-		t.Fatalf("observe_failures = %d, want 2", rel.ObserveFailures)
+	rel := &met.Reliability
+	if rel.ObserveFailures.Load() != 2 {
+		t.Fatalf("observe_failures = %d, want 2", rel.ObserveFailures.Load())
 	}
-	if rel.BreakerTrips != 1 || rel.BreakerRecoveries != 1 {
-		t.Fatalf("breaker trips/recoveries = %d/%d, want 1/1", rel.BreakerTrips, rel.BreakerRecoveries)
+	if rel.BreakerTrips.Load() != 1 || rel.BreakerRecoveries.Load() != 1 {
+		t.Fatalf("breaker trips/recoveries = %d/%d, want 1/1", rel.BreakerTrips.Load(), rel.BreakerRecoveries.Load())
 	}
-	if rel.BreakerRejected < 1 {
-		t.Fatalf("breaker_rejected = %d, want >= 1", rel.BreakerRejected)
+	if rel.BreakerRejected.Load() < 1 {
+		t.Fatalf("breaker_rejected = %d, want >= 1", rel.BreakerRejected.Load())
 	}
 	if rel.BreakerState != "closed" {
 		t.Fatalf("breaker_state = %q, want closed", rel.BreakerState)
@@ -178,8 +178,8 @@ func TestMetricsMoveUnderInjectedFaults(t *testing.T) {
 
 	var met metricsSnapshot
 	getJSON(t, hs.URL+"/metrics", &met)
-	if met.Reliability.SaveRetries != 0 || met.Reliability.ChecksumRejectedLoads != 0 {
-		t.Fatalf("counters dirty at start: %+v", met.Reliability)
+	if met.Reliability.SaveRetries.Load() != 0 || met.Reliability.ChecksumRejectedLoads.Load() != 0 {
+		t.Fatalf("counters dirty at start: %+v", &met.Reliability)
 	}
 
 	// The flipped byte corrupts the first save in flight; read-back catches
@@ -197,18 +197,18 @@ func TestMetricsMoveUnderInjectedFaults(t *testing.T) {
 	}
 
 	getJSON(t, hs.URL+"/metrics", &met)
-	rel := met.Reliability
-	if rel.ChecksumRejectedLoads < 1 {
-		t.Fatalf("checksum_rejected_loads = %d, want >= 1", rel.ChecksumRejectedLoads)
+	rel := &met.Reliability
+	if rel.ChecksumRejectedLoads.Load() < 1 {
+		t.Fatalf("checksum_rejected_loads = %d, want >= 1", rel.ChecksumRejectedLoads.Load())
 	}
-	if rel.SaveRetries < 1 {
-		t.Fatalf("save_retries = %d, want >= 1", rel.SaveRetries)
+	if rel.SaveRetries.Load() < 1 {
+		t.Fatalf("save_retries = %d, want >= 1", rel.SaveRetries.Load())
 	}
-	if rel.SaveFailures != 0 {
-		t.Fatalf("save_failures = %d, want 0 (retry recovered)", rel.SaveFailures)
+	if rel.SaveFailures.Load() != 0 {
+		t.Fatalf("save_failures = %d, want 0 (retry recovered)", rel.SaveFailures.Load())
 	}
-	if met.Snapshot.Saves != 1 {
-		t.Fatalf("snapshot saves = %d, want 1", met.Snapshot.Saves)
+	if met.Snapshot.Saves.Load() != 1 {
+		t.Fatalf("snapshot saves = %d, want 1", met.Snapshot.Saves.Load())
 	}
 
 	// One injected observe failure: counter moves, breaker stays closed
@@ -219,11 +219,11 @@ func TestMetricsMoveUnderInjectedFaults(t *testing.T) {
 		t.Fatalf("injected observe status %d, want 500", resp.StatusCode)
 	}
 	getJSON(t, hs.URL+"/metrics", &met)
-	if met.Reliability.ObserveFailures != 1 {
-		t.Fatalf("observe_failures = %d, want 1", met.Reliability.ObserveFailures)
+	if met.Reliability.ObserveFailures.Load() != 1 {
+		t.Fatalf("observe_failures = %d, want 1", met.Reliability.ObserveFailures.Load())
 	}
-	if met.Reliability.BreakerState != "closed" || met.Reliability.BreakerTrips != 0 {
-		t.Fatalf("one failure must not trip the breaker: %+v", met.Reliability)
+	if met.Reliability.BreakerState != "closed" || met.Reliability.BreakerTrips.Load() != 0 {
+		t.Fatalf("one failure must not trip the breaker: %+v", &met.Reliability)
 	}
 }
 
@@ -245,7 +245,7 @@ func TestSaveReadBackJudgesOnlyTheNewestRung(t *testing.T) {
 	if !errors.Is(err, core.ErrChecksum) {
 		t.Fatalf("save over a silently flipped byte: err = %v, want the read-back to fail with ErrChecksum", err)
 	}
-	if n := srv.met.checksumRejected.Load(); n != 1 {
+	if n := srv.met.Reliability.ChecksumRejectedLoads.Load(); n != 1 {
 		t.Fatalf("checksum_rejected_loads = %d, want 1", n)
 	}
 	// The ladder is what would have hidden it: a restart does recover, from

@@ -134,7 +134,7 @@ func TestConcurrentReadersGrowthWriter(t *testing.T) {
 		t.Fatalf("final dims %dx%d, want %dx%d",
 			final.Model.I, final.Model.J, baseI+batches, baseJ+batches)
 	}
-	if gu, gp := srv.met.observeGrownUsers.Load(), srv.met.observeGrownPOIs.Load(); gu != batches || gp != batches {
+	if gu, gp := srv.met.ObserveStats.GrownUsers.Load(), srv.met.ObserveStats.GrownPOIs.Load(); gu != batches || gp != batches {
 		t.Fatalf("growth counters users=%d pois=%d, want %d each", gu, gp, batches)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"tcss"
@@ -23,14 +22,13 @@ import (
 )
 
 func (s *Server) routes() *http.ServeMux {
-	m := s.met
-	read := func(kind readKind, total *atomic.Int64, lat *registry.LatencyWindow) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) { s.serveRead(w, r, kind, total, lat) }
+	read := func(kind readKind, stats *wire.RouteStats) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) { s.serveRead(w, r, kind, stats) }
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/recommend", read(readRecommend, &m.recommendTotal, &m.recommendLat))
-	mux.HandleFunc("POST /v1/next", read(readNext, &m.nextTotal, &m.nextLat))
-	mux.HandleFunc("GET /v1/explain", read(readExplain, &m.explainTotal, &m.explainLat))
+	mux.HandleFunc("GET /v1/recommend", read(readRecommend, &s.met.Recommend))
+	mux.HandleFunc("POST /v1/next", read(readNext, &s.met.Next))
+	mux.HandleFunc("GET /v1/explain", read(readExplain, &s.met.Explain))
 	mux.HandleFunc("POST /v1/observe", s.serveObserve)
 	mux.HandleFunc("POST /v1/snapshot/save", s.serveSnapshotSave)
 	mux.HandleFunc("GET /v1/snapshot/bin", s.serveSnapshotBin)
@@ -84,7 +82,7 @@ func shed(what string) error { return failf(errShed, "%s at capacity, retry late
 type errorRule struct {
 	is      error
 	status  int
-	counter *atomic.Int64 // nil: whoever produced the error already counted it
+	counter *wire.Counter // nil: whoever produced the error already counted it
 	// retryAfter, when set, is advertised as Retry-After (whole seconds,
 	// rounded up, at least 1).
 	retryAfter func() time.Duration
@@ -93,41 +91,41 @@ type errorRule struct {
 // errorRules is the serving API's one sentinel → (status, counter,
 // Retry-After) table, matched top to bottom with errors.Is; an error that
 // matches no row is a 500. Built once per server so rows point straight at
-// its counters.
+// the /metrics document's counters.
 func (s *Server) errorRules() []errorRule {
 	m := s.met
 	shedRetry := func() time.Duration { return s.opts.RetryAfter }
 	breakerRetry := func() time.Duration { _, _, retryIn := s.brk.status(); return retryIn }
 	return []errorRule{
-		{errBadRequest, http.StatusBadRequest, &m.badRequest, nil},
+		{errBadRequest, http.StatusBadRequest, &m.BadRequests, nil},
 		// A model that cannot score sequences makes the request malformed
 		// for it; an unknown model (or a /v1/next with nothing to route to)
 		// is 404; a registered-but-unfitted one is 503 — it exists, it just
 		// cannot answer yet.
-		{registry.ErrNotNextCapable, http.StatusBadRequest, &m.badRequest, nil},
-		{registry.ErrUnknownModel, http.StatusNotFound, &m.modelNotFound, nil},
-		{registry.ErrNoNextModel, http.StatusNotFound, &m.modelNotFound, nil},
-		{registry.ErrNotReady, http.StatusServiceUnavailable, &m.modelNotReady, shedRetry},
-		{errMisrouted, http.StatusMisdirectedRequest, &m.misrouted, nil},
-		{ErrReadOnly, http.StatusMisdirectedRequest, &m.misrouted, nil},
-		{errConflict, http.StatusConflict, &m.observeRejectedRange, nil},
+		{registry.ErrNotNextCapable, http.StatusBadRequest, &m.BadRequests, nil},
+		{registry.ErrUnknownModel, http.StatusNotFound, &m.ModelNotFound, nil},
+		{registry.ErrNoNextModel, http.StatusNotFound, &m.ModelNotFound, nil},
+		{registry.ErrNotReady, http.StatusServiceUnavailable, &m.ModelNotReady, shedRetry},
+		{errMisrouted, http.StatusMisdirectedRequest, &m.Shard.Misrouted, nil},
+		{ErrReadOnly, http.StatusMisdirectedRequest, &m.Shard.Misrouted, nil},
+		{errConflict, http.StatusConflict, &m.ObserveStats.RejectedOutOfRange, nil},
 		// The writer's own range rejection: ids that need growth this node
 		// (or its config) refused.
 		{core.ErrOutOfRange, http.StatusConflict, nil, nil},
-		{errShed, http.StatusServiceUnavailable, &m.shed, shedRetry},
+		{errShed, http.StatusServiceUnavailable, &m.Shed, shedRetry},
 		// Breaker open: advertise its own probe deadline.
-		{ErrDegraded, http.StatusServiceUnavailable, &m.shed, breakerRetry},
+		{ErrDegraded, http.StatusServiceUnavailable, &m.Shed, breakerRetry},
 		// Growth needs float64 factors and this node serves a compact model;
 		// 503 — the cluster may still have a f64 primary.
 		{core.ErrCompactModel, http.StatusServiceUnavailable, nil, nil},
-		{errDeadline, http.StatusGatewayTimeout, &m.deadlineMissed, nil},
+		{errDeadline, http.StatusGatewayTimeout, &m.DeadlineMissed, nil},
 	}
 }
 
 // fail answers err with the status, counter and Retry-After its table row
 // prescribes and the uniform error envelope.
 func (s *Server) fail(w http.ResponseWriter, err error) {
-	rule := errorRule{status: http.StatusInternalServerError, counter: &s.met.internalErrors}
+	rule := errorRule{status: http.StatusInternalServerError, counter: &s.met.InternalErrors}
 	for _, r := range s.rules {
 		if errors.Is(err, r.is) {
 			rule = r
@@ -156,7 +154,7 @@ func (s *Server) owns(user int) bool {
 // waiting for the answer, so working longer only burns scoring slots.
 func (s *Server) requestTimeout(r *http.Request) time.Duration {
 	if budget, ok := wire.ParseDeadlineBudget(r.Header.Get(wire.DeadlineBudgetHeader)); ok && budget < s.opts.RequestTimeout {
-		s.met.budgetClamped.Add(1)
+		s.met.Admission.BudgetClamped.Add(1)
 		return budget
 	}
 	return s.opts.RequestTimeout
@@ -344,9 +342,9 @@ func finiteOrNil(v float64) *float64 {
 // differ only in the registry call that routes them and the scorer method
 // that answers; explain reads the TCSS snapshot directly, so it is not routed,
 // never cached and carries no X-Cache/X-Model headers.
-func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, kind readKind, total *atomic.Int64, lat *registry.LatencyWindow) {
+func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, kind readKind, stats *wire.RouteStats) {
 	started := s.opts.now()
-	total.Add(1)
+	stats.Count.Add(1)
 
 	snap := s.snap.load()
 	p := params{q: r.URL.Query(), topN: s.opts.TopNDefault}
@@ -387,11 +385,11 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, kind readKind
 	hit, outcome := body != nil, "MISS"
 	var recs []core.Recommendation
 	if hit {
-		s.met.cacheHits.Add(1)
+		s.met.Cache.Hits.Add(1)
 		outcome = "HIT"
 	} else {
 		if routed {
-			s.met.cacheMisses.Add(1)
+			s.met.Cache.Misses.Add(1)
 		}
 		body, gen, recs, err = s.compute(r, &q, snap, scorer, dec.Model)
 		if err != nil {
@@ -416,7 +414,7 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, kind readKind
 	h.Set(wire.GenerationHeader, strconv.FormatUint(gen, 10))
 	w.Write(body)
 	dur := s.opts.now().Sub(started)
-	lat.Observe(dur)
+	stats.Latency.Observe(dur)
 	if routed {
 		s.reg.RecordServe(dec.Model, next, hit, dur)
 		// Shadow scoring runs strictly after the primary bytes are written
@@ -631,7 +629,7 @@ func (s *Server) writerCall(r *http.Request, cmd writerCmd, what string) (writer
 
 func (s *Server) serveObserve(w http.ResponseWriter, r *http.Request) {
 	started := s.opts.now()
-	s.met.observeTotal.Add(1)
+	s.met.Observe.Count.Add(1)
 
 	res, err := s.observe(r)
 	if err != nil {
@@ -641,7 +639,7 @@ func (s *Server) serveObserve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wire.ObserveResponse{
 		Added: res.added, Generation: res.gen, Users: res.users, POIs: res.pois,
 	})
-	s.met.observeLat.Observe(s.opts.now().Sub(started))
+	s.met.Observe.Latency.Observe(s.opts.now().Sub(started))
 }
 
 // observe decodes, validates and applies one observe request.
@@ -678,22 +676,6 @@ func (s *Server) serveSnapshotSave(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, saveResponse{Path: s.opts.SnapshotPath, Generation: res.gen})
 }
 
-type healthResponse struct {
-	Status     string  `json:"status"`
-	Generation uint64  `json:"generation"`
-	AgeSeconds float64 `json:"snapshot_age_seconds"`
-	// Shard and Role identify this node inside a cluster; empty standalone.
-	Shard string `json:"shard,omitempty"`
-	Role  string `json:"role,omitempty"`
-	// GenLag is how many generations this node trails its primary's newest
-	// advertised generation (replicas only; omitted when current).
-	GenLag uint64 `json:"generation_lag,omitempty"`
-	// Reason and Breaker appear when Status is "degraded": why the write
-	// path is down, and the breaker state ("open" or "half_open").
-	Reason  string `json:"reason,omitempty"`
-	Breaker string `json:"breaker,omitempty"`
-}
-
 // serveHealthz reports three states: "ok" (200), "degraded" (200 — reads
 // still serve the last good snapshot; the body says why: breaker-rejected
 // writes, draining, or a replica past its staleness bound), and "no
@@ -701,10 +683,10 @@ type healthResponse struct {
 func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	snap := s.snap.load()
 	if snap == nil || snap.Model == nil {
-		writeJSON(w, http.StatusServiceUnavailable, healthResponse{Status: "no snapshot"})
+		writeJSON(w, http.StatusServiceUnavailable, wire.Health{Status: "no snapshot"})
 		return
 	}
-	resp := healthResponse{
+	resp := wire.Health{
 		Status:     "ok",
 		Generation: snap.Gen,
 		AgeSeconds: s.opts.now().Sub(snap.Created).Seconds(),
@@ -728,13 +710,4 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 			resp.GenLag, s.opts.MaxGenLag)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.collectMetrics(r.URL.Query().Get("window") == "1")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(&m)
 }

@@ -352,26 +352,26 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if resp := getJSON(t, hs.URL+"/metrics", &met); resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status %d", resp.StatusCode)
 	}
-	if met.Recommend.Count != 4 {
-		t.Fatalf("recommend count %d, want 4", met.Recommend.Count)
+	if met.Recommend.Count.Load() != 4 {
+		t.Fatalf("recommend count %d, want 4", met.Recommend.Count.Load())
 	}
-	if met.Explain.Count != 1 {
-		t.Fatalf("explain count %d, want 1", met.Explain.Count)
+	if met.Explain.Count.Load() != 1 {
+		t.Fatalf("explain count %d, want 1", met.Explain.Count.Load())
 	}
-	if met.BadRequests != 1 {
-		t.Fatalf("bad requests %d, want 1", met.BadRequests)
+	if met.BadRequests.Load() != 1 {
+		t.Fatalf("bad requests %d, want 1", met.BadRequests.Load())
 	}
-	if met.Cache.Hits != 1 || met.Cache.Misses != 2 {
-		t.Fatalf("cache hits/misses = %d/%d, want 1/2", met.Cache.Hits, met.Cache.Misses)
+	if met.Cache.Hits.Load() != 1 || met.Cache.Misses.Load() != 2 {
+		t.Fatalf("cache hits/misses = %d/%d, want 1/2", met.Cache.Hits.Load(), met.Cache.Misses.Load())
 	}
 	if want := 1.0 / 3.0; met.Cache.HitRate != want {
 		t.Fatalf("hit rate %g, want %g", met.Cache.HitRate, want)
 	}
 	if met.Recommend.P50ms < 0 || met.Recommend.P99ms < met.Recommend.P50ms {
-		t.Fatalf("latency percentiles inconsistent: %+v", met.Recommend)
+		t.Fatalf("latency percentiles inconsistent: %+v", &met.Recommend)
 	}
 	if met.Admission.MaxInflight <= 0 || met.UptimeSeconds < 0 {
-		t.Fatalf("metrics sanity: %+v", met)
+		t.Fatalf("metrics sanity: %+v", &met)
 	}
 }
 
@@ -383,7 +383,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 	var met metricsSnapshot
 	getJSON(t, hs.URL+"/metrics", &met)
-	if met.DeadlineMissed == 0 {
+	if met.DeadlineMissed.Load() == 0 {
 		t.Fatal("deadline_504 counter not incremented")
 	}
 }
@@ -568,16 +568,16 @@ func TestMetricsDocumentShape(t *testing.T) {
 		"cache: entries hit_rate hits misses",
 		"coalesce: avg_batch_size batch_size_counts batches enabled max_batch requests window_us",
 		"deadline_504",
-		"explain: count p50_ms p95_ms p99_ms",
+		"explain: count latency_buckets_ns p50_ms p95_ms p99_ms",
 		"internal_500",
 		"model: bytes_per_user factor_bytes pois storage users",
 		"model_404",
 		"model_not_ready_503",
-		"models: cache_hits generation name next_p50_ms next_p95_ms next_p99_ms next_requests not_ready_503 p50_ms p95_ms p99_ms requests roles shadow",
-		"next: count p50_ms p95_ms p99_ms",
-		"observe: count p50_ms p95_ms p99_ms",
+		"models: cache_hits generation latency_buckets_ns name next_latency_buckets_ns next_p50_ms next_p95_ms next_p99_ms next_requests not_ready_503 p50_ms p95_ms p99_ms requests roles shadow",
+		"next: count latency_buckets_ns p50_ms p95_ms p99_ms",
+		"observe: count latency_buckets_ns p50_ms p95_ms p99_ms",
 		"observe_pipeline: applied cells_added grow_enabled noop observe_grown_pois observe_grown_users observe_rejected_compact observe_rejected_out_of_range queue_capacity queue_length",
-		"recommend: count p50_ms p95_ms p99_ms",
+		"recommend: count latency_buckets_ns p50_ms p95_ms p99_ms",
 		"reliability: breaker_recoveries breaker_rejected breaker_state breaker_trips checksum_rejected_loads observe_failures save_failures save_retries",
 		"replication: applied checksum_rejected failures shipments_served syncs",
 		"routing: primary",

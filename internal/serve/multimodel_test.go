@@ -239,12 +239,12 @@ func TestUnfittedModelAnswers503(t *testing.T) {
 	// The failures are attributed to the model in /metrics.
 	var met metricsSnapshot
 	getJSON(t, hs.URL+"/metrics", &met)
-	if met.ModelNotReady != 2 {
-		t.Fatalf("model_not_ready_503 = %d, want 2", met.ModelNotReady)
+	if met.ModelNotReady.Load() != 2 {
+		t.Fatalf("model_not_ready_503 = %d, want 2", met.ModelNotReady.Load())
 	}
 	for _, ms := range met.Models {
-		if ms.Name == "STRNN" && ms.NotReady != 2 {
-			t.Fatalf("STRNN not_ready = %d, want 2", ms.NotReady)
+		if ms.Name == "STRNN" && ms.NotReady.Load() != 2 {
+			t.Fatalf("STRNN not_ready = %d, want 2", ms.NotReady.Load())
 		}
 	}
 }
@@ -402,21 +402,21 @@ func TestMetricsModelBlocks(t *testing.T) {
 		met.Routing.Shadow != "STRNN" || met.Routing.NextDefault != "STRNN" {
 		t.Fatalf("routing block %+v", met.Routing)
 	}
-	if met.Next.Count != 12 {
-		t.Fatalf("next count = %d, want 12", met.Next.Count)
+	if met.Next.Count.Load() != 12 {
+		t.Fatalf("next count = %d, want 12", met.Next.Count.Load())
 	}
-	byName := map[string]registry.ModelStats{}
+	byName := map[string]*metricsModel{}
 	for _, ms := range met.Models {
 		byName[ms.Name] = ms
 	}
 	if len(byName) != 2 {
 		t.Fatalf("models block has %d entries: %+v", len(byName), met.Models)
 	}
-	if byName["tcss"].Requests == 0 || byName["STRNN"].Requests == 0 {
+	if byName["tcss"].Requests.Load() == 0 || byName["STRNN"].Requests.Load() == 0 {
 		t.Fatalf("both arms must have served recommends: %+v", met.Models)
 	}
-	if byName["STRNN"].NextRequests != 12 {
-		t.Fatalf("STRNN next_requests = %d, want 12", byName["STRNN"].NextRequests)
+	if byName["STRNN"].NextRequests.Load() != 12 {
+		t.Fatalf("STRNN next_requests = %d, want 12", byName["STRNN"].NextRequests.Load())
 	}
 	if byName["STRNN"].NextP99ms <= 0 {
 		t.Fatalf("STRNN next p99 = %g, want > 0", byName["STRNN"].NextP99ms)

@@ -22,16 +22,16 @@ import (
 // pipelineCounters reads every counter the error table can move, plus the
 // budget clamp, so a case can assert exactly which ones did.
 func pipelineCounters(srv *Server) map[string]int64 {
-	m := srv.collectMetrics(false)
+	m := srv.collectMetrics()
 	return map[string]int64{
-		"bad_requests":        m.BadRequests,
-		"misrouted":           m.Shard.Misrouted,
-		"model_404":           m.ModelNotFound,
-		"model_not_ready_503": m.ModelNotReady,
-		"shed_503":            m.Shed,
-		"deadline_504":        m.DeadlineMissed,
-		"internal_500":        m.InternalErrors,
-		"budget_clamped":      m.Admission.BudgetClamped,
+		"bad_requests":        m.BadRequests.Load(),
+		"misrouted":           m.Shard.Misrouted.Load(),
+		"model_404":           m.ModelNotFound.Load(),
+		"model_not_ready_503": m.ModelNotReady.Load(),
+		"shed_503":            m.Shed.Load(),
+		"deadline_504":        m.DeadlineMissed.Load(),
+		"internal_500":        m.InternalErrors.Load(),
+		"budget_clamped":      m.Admission.BudgetClamped.Load(),
 	}
 }
 

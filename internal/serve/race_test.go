@@ -181,3 +181,65 @@ func TestConcurrentReadersObserveWriter(t *testing.T) {
 		t.Fatalf("recorded %d snapshots, want %d", recorded, batches+1)
 	}
 }
+
+// TestConcurrentScrapes: the /metrics document is shared live storage, so
+// scrapes that fill its gauges must not race with each other or with the
+// request path adding to its counters (run under -race), and once the load
+// stops a scrape reports exactly what was served.
+func TestConcurrentScrapes(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	const readers, each = 4, 40
+	var load, scrapers sync.WaitGroup
+	stop := make(chan struct{})
+	for s := 0; s < 3; s++ {
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(hs.URL + "/metrics")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var met metricsSnapshot
+				err = json.NewDecoder(resp.Body).Decode(&met)
+				resp.Body.Close()
+				if err != nil || met.Recommend.P99ms < met.Recommend.P50ms {
+					t.Errorf("scrape under load: %v, p50 %v p99 %v", err, met.Recommend.P50ms, met.Recommend.P99ms)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		load.Add(1)
+		go func(r int) {
+			defer load.Done()
+			for i := 0; i < each; i++ {
+				resp, err := http.Get(fmt.Sprintf("%s/v1/recommend?user=%d&t=%d&n=3", hs.URL, r, i%12))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+			}
+		}(r)
+	}
+	load.Wait()
+	close(stop)
+	scrapers.Wait()
+
+	var met metricsSnapshot
+	getJSON(t, hs.URL+"/metrics", &met)
+	if got := met.Recommend.Count.Load(); got != readers*each {
+		t.Fatalf("recommend count %d after the load, want %d", got, readers*each)
+	}
+	if n := met.Cache.Hits.Load() + met.Cache.Misses.Load(); n != readers*each {
+		t.Fatalf("cache hits + misses = %d, want %d", n, readers*each)
+	}
+}

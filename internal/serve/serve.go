@@ -20,7 +20,7 @@
 // response cache that snapshot swaps invalidate wholesale, and pooled scoring
 // scratch (core.RecScratch) so steady-state requests allocate only their
 // response. Observability comes from /metrics (request counts, latency
-// percentiles over a ring-buffer window, cache hit rate, snapshot
+// percentiles off additive log-scale histograms, cache hit rate, snapshot
 // generation/age, queue depths) and /healthz.
 package serve
 
@@ -38,6 +38,7 @@ import (
 	"tcss/internal/core"
 	"tcss/internal/fault"
 	"tcss/internal/registry"
+	"tcss/internal/wire"
 )
 
 // Options configures a Server. The zero value is usable: every field falls
@@ -337,7 +338,6 @@ type Server struct {
 	reg   *registry.Registry
 	coal  *coalescer // nil unless Options.Coalesce
 	cache *lruCache
-	met   *metrics
 	rules []errorRule // sentinel → HTTP answer, see errorRules
 	adm   *admission
 	brk   *breaker
@@ -345,6 +345,12 @@ type Server struct {
 	quit  chan struct{}
 	wg    sync.WaitGroup
 	mux   *http.ServeMux
+
+	// met is the /metrics document and its own live storage (see
+	// wire.NodeMetrics); scrapeMu serialises the scrapes that fill its gauges.
+	met      *wire.NodeMetrics
+	start    time.Time
+	scrapeMu sync.Mutex
 
 	// Shutdown coordination: closing makes handlers shed new write commands;
 	// drain tells the writer to finish buffered work, take a final snapshot,
@@ -412,13 +418,14 @@ func NewFromSource(src Source, opts Options) (*Server, error) {
 		gran:  src.Granularity(),
 		src:   src,
 		cache: newLRUCache(opts.CacheSize),
-		met:   &metrics{start: opts.now()},
+		start: opts.now(),
 		adm:   newAdmission(opts.MaxInflight, opts.MaxQueue),
 		brk:   newBreaker(opts.BreakerThreshold, opts.BreakerBaseBackoff, opts.BreakerMaxBackoff, opts.BreakerSeed, opts.now),
 		cmds:  make(chan writerCmd, opts.ObserveQueue),
 		quit:  make(chan struct{}),
 		drain: make(chan struct{}),
 	}
+	s.met = s.newMetrics()
 	s.rules = s.errorRules()
 	model, side := src.Snapshot()
 	s.publish(&Snapshot{
@@ -546,8 +553,8 @@ func (s *Server) handlePublish(snap *Snapshot) writerResult {
 		return writerResult{gen: cur.Gen}
 	}
 	s.publish(snap)
-	s.met.snapshotSwaps.Add(1)
-	s.met.replicationApplied.Add(1)
+	s.met.Snapshot.Swaps.Add(1)
+	s.met.Replication.Applied.Add(1)
 	return writerResult{gen: snap.Gen}
 }
 
@@ -600,41 +607,41 @@ func (s *Server) handleObserve(batch *tcss.ObserveBatch) writerResult {
 	// rejected instantly (readers keep the last good snapshot) until the
 	// backoff admits a probe.
 	if err := s.brk.allow(); err != nil {
-		s.met.breakerRejected.Add(1)
+		s.met.Reliability.BreakerRejected.Add(1)
 		return writerResult{gen: cur.Gen, err: err}
 	}
 	added, model, side, err := s.observeOnce(batch)
 	if err != nil {
-		s.met.observeFailures.Add(1)
+		s.met.Reliability.ObserveFailures.Add(1)
 		switch {
 		case errors.Is(err, core.ErrCompactModel):
 			// A growth batch on a compact model is a routing/configuration
 			// problem, not a model-path fault: count it separately and keep
 			// the breaker closed so in-range observes still flow.
-			s.met.observeRejectedCompact.Add(1)
+			s.met.ObserveStats.RejectedCompact.Add(1)
 		case errors.Is(err, core.ErrOutOfRange):
-			s.met.observeRejectedRange.Add(1)
+			s.met.ObserveStats.RejectedOutOfRange.Add(1)
 		default:
 			if s.brk.failure(err) {
-				s.met.breakerTrips.Add(1)
+				s.met.Reliability.BreakerTrips.Add(1)
 			}
 		}
 		return writerResult{gen: cur.Gen, err: err}
 	}
 	if s.brk.success() {
-		s.met.breakerRecoveries.Add(1)
+		s.met.Reliability.BreakerRecoveries.Add(1)
 	}
 	// Pure growth (arrivals without novel cells) still publishes: the source
 	// returns a fresh model object whenever dimensions changed.
 	if added == 0 && model == cur.Model {
-		s.met.observeNoop.Add(1)
+		s.met.ObserveStats.Noop.Add(1)
 		return writerResult{gen: cur.Gen, users: cur.Model.I, pois: cur.Model.J}
 	}
 	if grew := model.I - cur.Model.I; grew > 0 {
-		s.met.observeGrownUsers.Add(int64(grew))
+		s.met.ObserveStats.GrownUsers.Add(int64(grew))
 	}
 	if grew := model.J - cur.Model.J; grew > 0 {
-		s.met.observeGrownPOIs.Add(int64(grew))
+		s.met.ObserveStats.GrownPOIs.Add(int64(grew))
 	}
 	next := &Snapshot{
 		Gen:     cur.Gen + 1,
@@ -643,9 +650,9 @@ func (s *Server) handleObserve(batch *tcss.ObserveBatch) writerResult {
 		Created: s.opts.now(),
 	}
 	s.publish(next)
-	s.met.snapshotSwaps.Add(1)
-	s.met.observeApplied.Add(1)
-	s.met.observeAdded.Add(int64(added))
+	s.met.Snapshot.Swaps.Add(1)
+	s.met.ObserveStats.Applied.Add(1)
+	s.met.ObserveStats.CellsAdded.Add(int64(added))
 	return writerResult{added: added, gen: next.Gen, users: model.I, pois: model.J}
 }
 
@@ -666,7 +673,7 @@ func (s *Server) handleSave() writerResult {
 	var err error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			s.met.saveRetries.Add(1)
+			s.met.Reliability.SaveRetries.Add(1)
 			select {
 			case <-time.After(s.opts.SaveRetryBackoff):
 			case <-s.quit:
@@ -674,14 +681,14 @@ func (s *Server) handleSave() writerResult {
 			}
 		}
 		if err = s.trySave(snap); err == nil {
-			s.met.snapshotSaves.Add(1)
+			s.met.Snapshot.Saves.Add(1)
 			return writerResult{gen: snap.Gen}
 		}
 		if attempt >= s.opts.SaveRetries {
 			break
 		}
 	}
-	s.met.saveFailures.Add(1)
+	s.met.Reliability.SaveFailures.Add(1)
 	return writerResult{gen: snap.Gen, err: err}
 }
 
@@ -704,7 +711,7 @@ func (s *Server) trySave(snap *Snapshot) error {
 	_, _, f, err := core.LoadFileMmap(path)
 	if err != nil {
 		if errors.Is(err, core.ErrChecksum) {
-			s.met.checksumRejected.Add(1)
+			s.met.Reliability.ChecksumRejectedLoads.Add(1)
 		}
 		return fmt.Errorf("serve: snapshot read-back: %w", err)
 	}

@@ -161,12 +161,12 @@ func DecodeShipment(data []byte, dist *geo.DistanceMatrix) (*core.Model, *core.S
 // internal/cluster calls this so /metrics on a replica tells the whole story.
 func (s *Server) RecordReplication(err error) {
 	if err == nil {
-		s.met.replicationSyncs.Add(1)
+		s.met.Replication.Syncs.Add(1)
 		return
 	}
-	s.met.replicationFails.Add(1)
+	s.met.Replication.Failures.Add(1)
 	if errors.Is(err, fault.ErrChecksum) {
-		s.met.replicationCRC.Add(1)
+		s.met.Replication.ChecksumRejected.Add(1)
 	}
 }
 
@@ -194,7 +194,7 @@ func (s *Server) serveSnapshotBin(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	s.met.shipmentsServed.Add(1)
+	s.met.Replication.ShipmentsServed.Add(1)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)

@@ -181,12 +181,12 @@ func TestOwnershipMisroute(t *testing.T) {
 		t.Fatalf("foreign user observe: status %d, want 421", resp.StatusCode)
 	}
 
-	m := srv.collectMetrics(false)
+	m := srv.collectMetrics()
 	if m.Shard.Name != "shard-0" || m.Shard.Role != "primary" {
-		t.Fatalf("shard identity in metrics: %+v", m.Shard)
+		t.Fatalf("shard identity in metrics: %+v", &m.Shard)
 	}
-	if m.Shard.Misrouted != 3 {
-		t.Fatalf("misrouted counter = %d, want 3", m.Shard.Misrouted)
+	if m.Shard.Misrouted.Load() != 3 {
+		t.Fatalf("misrouted counter = %d, want 3", m.Shard.Misrouted.Load())
 	}
 }
 
@@ -251,35 +251,9 @@ func TestPublishMonotonic(t *testing.T) {
 	if err != nil || gen != base+5 {
 		t.Fatalf("stale publish: gen=%d err=%v, want no-op at %d", gen, err, base+5)
 	}
-	m := srv.collectMetrics(false)
-	if m.Replication.Applied != 1 {
-		t.Fatalf("replication applied = %d, want 1", m.Replication.Applied)
-	}
-}
-
-func TestMetricsWindow(t *testing.T) {
-	_, hs := newTestServer(t, Options{})
-	if resp, err := http.Get(hs.URL + "/v1/recommend?user=3&t=2&n=5"); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	} else {
-		t.Fatal(err)
-	}
-
-	var plain, windowed metricsSnapshot
-	getJSON(t, hs.URL+"/metrics", &plain)
-	getJSON(t, hs.URL+"/metrics?window=1", &windowed)
-	if plain.Windows != nil {
-		t.Fatal("plain scrape should omit the raw windows block")
-	}
-	if windowed.Windows == nil {
-		t.Fatal("?window=1 scrape missing the raw windows block")
-	}
-	if len(windowed.Windows.RecommendMs) == 0 {
-		t.Fatal("recommend window empty after a served request")
-	}
-	if windowed.Recommend.Count != 1 {
-		t.Fatalf("recommend count %d, want 1", windowed.Recommend.Count)
+	m := srv.collectMetrics()
+	if m.Replication.Applied.Load() != 1 {
+		t.Fatalf("replication applied = %d, want 1", m.Replication.Applied.Load())
 	}
 }
 
@@ -294,8 +268,8 @@ func TestRecordReplication(t *testing.T) {
 	srv.RecordReplication(nil)
 	srv.RecordReplication(errors.New("connection refused"))
 	srv.RecordReplication(fault.ErrChecksum)
-	m := srv.collectMetrics(false)
-	if m.Replication.Syncs != 1 || m.Replication.Failures != 2 || m.Replication.ChecksumRejected != 1 {
-		t.Fatalf("replication counters %+v", m.Replication)
+	m := srv.collectMetrics()
+	if m.Replication.Syncs.Load() != 1 || m.Replication.Failures.Load() != 2 || m.Replication.ChecksumRejected.Load() != 1 {
+		t.Fatalf("replication counters %+v", &m.Replication)
 	}
 }

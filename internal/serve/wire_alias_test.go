@@ -13,4 +13,16 @@ type (
 	observePOI        = wire.POI
 	observeResponse   = wire.ObserveResponse
 	errorBody         = wire.Error
+	healthResponse    = wire.Health
+	metricsSnapshot   = wire.NodeMetrics
+	metricsModel      = wire.ModelStats
 )
+
+// collectMetrics is what one scrape encodes: the live document with its
+// gauges freshly filled.
+func (s *Server) collectMetrics() *wire.NodeMetrics {
+	s.scrapeMu.Lock()
+	defer s.scrapeMu.Unlock()
+	s.fillGauges()
+	return s.met
+}

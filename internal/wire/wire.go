@@ -1,8 +1,10 @@
 // Package wire is the serving API's HTTP contract, written down once: the
 // JSON bodies, header names and the X-Deadline-Budget encoding that a serve
 // node, the cluster gateway, the replay harness and the load generator all
-// speak. Types and pure helpers only — anything with behaviour lives in the
-// package that owns it.
+// speak — including the two documents a node reports itself with,
+// NodeMetrics (GET /metrics, built from Counter and Histogram) and Health
+// (GET /healthz). Types and pure helpers only — anything with behaviour lives
+// in the package that owns it.
 package wire
 
 import (
