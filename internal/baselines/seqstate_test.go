@@ -2,8 +2,12 @@ package baselines
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -81,6 +85,53 @@ func TestSeqStateRoundTrip(t *testing.T) {
 			u2, p2, k2 := loaded.Dims()
 			if u1 != u2 || p1 != p2 || k1 != k2 {
 				t.Fatalf("dims changed across round trip: (%d,%d,%d) vs (%d,%d,%d)", u1, p1, k1, u2, p2, k2)
+			}
+		})
+	}
+}
+
+// TestSequentialModelsPinned pins each sequential model bit for bit: one
+// SHA-256 over its saved state, the POI and score bits of every answer both
+// serving entry points give, and Score over the whole (user, POI, time) grid.
+// The Hit@K/MRR goldens compare at 1e-6, which a reordered sum can pass; these
+// digests change only when the model's arithmetic does.
+func TestSequentialModelsPinned(t *testing.T) {
+	want := map[string]string{
+		"STRNN": "73b3ef8d05a837e83871cd10f6f048064088fe6f788bda00d7c5ab86988854e6",
+		"STGN":  "3fc97512c5b914c9bc66641abc1e2cbc05c62687a88bacdadf3445867330bf54",
+		"STAN":  "6d448bb6408abbc2f122723edd77597be74b4f28e129532e2516d5d4abeb0427",
+	}
+	fx := newFixture(3)
+	for _, name := range []string{"STRNN", "STGN", "STAN"} {
+		t.Run(name, func(t *testing.T) {
+			m := fitSeq(t, fx, name)
+			path := filepath.Join(t.TempDir(), "seq.state")
+			if err := SaveSeqState(nil, path, 0, 7, m); err != nil {
+				t.Fatal(err)
+			}
+			state, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			h.Write(state)
+			word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+			for _, recs := range sampleQueries(t, m) {
+				for _, r := range recs {
+					word(uint64(r.POI))
+					word(math.Float64bits(r.Score))
+				}
+			}
+			users, pois, times := m.Dims()
+			for i := 0; i < users; i++ {
+				for j := 0; j < pois; j++ {
+					for k := 0; k < times; k++ {
+						word(math.Float64bits(m.(Recommender).Score(i, j, k)))
+					}
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+				t.Errorf("digest %s, want %s (state %d bytes)", got, want[name], len(state))
 			}
 		})
 	}
