@@ -70,6 +70,8 @@ fuzz:
 	@# minimizer would otherwise spend up to a minute on the first new input.
 	$(GO) test -run '^$$' -fuzz FuzzReadFramed -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBinary -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core
+	@# The drift stream `tcss replay` reads.
+	$(GO) test -run '^$$' -fuzz FuzzReadWeeksJSONL -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/lbsn
 
 # Re-record the golden trajectories after an INTENDED change to training math.
 golden-update:

@@ -114,6 +114,42 @@ func TestGradcheckCoSTCo(t *testing.T) {
 	}
 }
 
+// TestGradcheckPairStep verifies the BCE step all three sequential models
+// train with, in both of its uses: STRNN/STGN route the readout gradient into
+// the time embedding and the hidden state, STAN into the user embedding and
+// the attention output. a stands in for that state as a leaf. With two POIs
+// the sampled negative is always the other one.
+func TestGradcheckPairStep(t *testing.T) {
+	rec := NewSTGN().(*recurrent)
+	rec.build(3, 2, 4, 3, rand.New(rand.NewSource(11)))
+	stan := NewSTAN()
+	stan.build(3, 2, 4, 3, rand.New(rand.NewSource(12)))
+	for _, c := range []struct {
+		name      string
+		pois, emb *nn.Embedding
+		row       int
+	}{
+		{"time-and-hidden", rec.embPOI, rec.embTime, 2},
+		{"user-and-attention", stan.embPOI, stan.embUser, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := check.RandomVector(3, 0.5, 13)
+			dA := make([]float64, len(a))
+			params := append(layerCheckParams([]nn.Layer{c.pois, c.emb}), check.Param{Name: "a", Value: a, Grad: dA})
+			const pos, neg = 1, 0
+			f := func() float64 {
+				c.pois.ZeroGrad()
+				c.emb.ZeroGrad()
+				clear(dA)
+				pairStep(rand.New(rand.NewSource(1)), c.pois, c.emb, c.row, pos, a, dA)
+				b := c.emb.Lookup(c.row)
+				return -math.Log(readout(a, b, c.pois.Lookup(pos))) - math.Log1p(-readout(a, b, c.pois.Lookup(neg)))
+			}
+			check.Assert(t, f, params, check.Options{})
+		})
+	}
+}
+
 // denseResidual computes ‖X − X̂‖²_F by brute force over every cell of the
 // tensor, the reference the sparse Gram-identity implementations are checked
 // against.

@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"tcss/internal/geo"
@@ -15,293 +16,221 @@ import (
 // objective: at every trajectory position the model scores the true next POI
 // against a sampled negative with binary cross-entropy. At evaluation time
 // the user's summary state (final hidden state, or attention context) plus a
-// time embedding scores arbitrary (user, POI, time) triples under the same
-// protocol as the tensor models.
+// time or user embedding scores arbitrary (user, POI, time) triples under the
+// same protocol as the tensor models.
 //
 // Recurrent gradients are truncated to one step (the standard cheap BPTT-1
 // scheme): the previous hidden state is treated as a constant at each step.
 
-// seqFeatures returns the spatio-temporal input features between two
-// consecutive visits: the normalized time gap and normalized Haversine
-// distance, the Δt/Δd signals STRNN and STGN gate on.
-func seqFeatures(prev, cur Visit, dist *geo.DistanceMatrix, timeUnits int) (dt, dd float64) {
-	dt = float64(cur.TimeIndex-prev.TimeIndex) / float64(timeUnits)
-	if dist.DMax > 0 {
-		dd = dist.At(prev.POI, cur.POI) / dist.DMax
+// seqLR is the Adam learning rate of all three sequential models.
+const seqLR = 0.01
+
+// readout is the score every sequential model ends in, σ((a+b)·e): a is the
+// model's summary state (hidden state or attention context), b the embedding
+// it adds (target time or user) and e the candidate POI's embedding.
+func readout(a, b, e []float64) float64 {
+	var logit float64
+	for d := range e {
+		logit += (a[d] + b[d]) * e[d]
 	}
-	return dt, dd
+	return nn.SigmoidF(logit)
 }
 
-// STRNN (Liu et al., AAAI 2016) extends a vanilla RNN with spatial and
-// temporal transition context: the recurrent input is the previous POI's
-// embedding concatenated with the time-gap and distance features.
-type STRNN struct {
-	LR float64
-
-	embPOI  *nn.Embedding
-	embTime *nn.Embedding
-	cell    *nn.RNNCell
-	rank    int
-	finalH  [][]float64
-	dist    *geo.DistanceMatrix
-	fit     bool
+// pairStep is the training step all three models share. The true next POI
+// pos (target 1) and one negative drawn from rng (target 0, never pos) are
+// scored by readout(a, emb[row], e_j); the gradients of their binary
+// cross-entropy go into pois and emb, and the gradient w.r.t. a is added to
+// dA.
+func pairStep(rng *rand.Rand, pois, emb *nn.Embedding, row, pos int, a, dA []float64) {
+	neg := rng.Intn(pois.N)
+	for neg == pos {
+		neg = rng.Intn(pois.N)
+	}
+	b := emb.Lookup(row)
+	for _, cand := range [2]struct {
+		j      int
+		target float64
+	}{{pos, 1}, {neg, 0}} {
+		e := pois.Lookup(cand.j)
+		g := readout(a, b, e) - cand.target
+		dE := make([]float64, len(e))
+		dB := make([]float64, len(e))
+		for d := range e {
+			dE[d] = g * (a[d] + b[d])
+			dB[d] = g * e[d]
+			dA[d] += g * e[d]
+		}
+		pois.Accumulate(cand.j, dE)
+		emb.Accumulate(row, dB)
+	}
 }
 
-// NewSTRNN returns the STRNN baseline.
-func NewSTRNN() *STRNN { return &STRNN{LR: 0.01} }
+// seqCell is the recurrence that tells STRNN from STGN. step advances the
+// state (h, and the memory c, which the vanilla RNN passes through) over the
+// previous POI's embedding e and the transition features Δt, Δd; backward
+// takes the gradient of the step's new hidden state, accumulates the cell's
+// parameter gradients and returns the gradient of e. Gradients stop at the
+// previous state (BPTT-1).
+type seqCell interface {
+	step(e, h, c []float64, dt, dd float64) (h2, c2 []float64, cache any)
+	backward(cache any, dH []float64) (dE []float64)
+	Params() []nn.Param
+	ZeroGrad()
+}
+
+// rnnCell is STRNN's recurrence: a vanilla RNN fed [e; Δt; Δd].
+type rnnCell struct{ *nn.RNNCell }
+
+func (c rnnCell) step(e, h, mem []float64, dt, dd float64) ([]float64, []float64, any) {
+	in := make([]float64, len(e)+2)
+	copy(in, e)
+	in[len(e)], in[len(e)+1] = dt, dd
+	h, cache := c.Forward(in, h)
+	return h, mem, cache
+}
+
+func (c rnnCell) backward(cache any, dH []float64) []float64 {
+	dIn, _ := c.Backward(cache.(*nn.RNNCache), dH)
+	return dIn[:len(dH)] // Δt and Δd are data
+}
+
+// stlstmCell is STGN's recurrence: the ST-LSTM over e, gated by Δt and Δd.
+type stlstmCell struct{ *nn.STLSTMCell }
+
+func (c stlstmCell) step(e, h, mem []float64, dt, dd float64) ([]float64, []float64, any) {
+	return c.Forward(e, h, mem, dt, dd)
+}
+
+func (c stlstmCell) backward(cache any, dH []float64) []float64 {
+	dE, _, _ := c.Backward(cache.(*nn.STLSTMCache), dH, make([]float64, len(dH)))
+	return dE
+}
+
+// recurrent is STRNN and STGN: POI and time embeddings, a cell rolled over
+// each user's trajectory, and readout(h, t_k, e_j) on the final hidden state.
+type recurrent struct {
+	name    string
+	newCell func(rank int, rng *rand.Rand) (seqCell, map[string][]float64)
+
+	embPOI, embTime *nn.Embedding
+	cell            seqCell
+	params          map[string][]float64 // the persisted weights by state-file key
+	finalH          [][]float64
+	dist            *geo.DistanceMatrix
+	fit             bool
+}
+
+// NewSTRNN returns STRNN (Liu et al., AAAI 2016): a vanilla RNN whose input
+// is the previous POI's embedding concatenated with the time-gap and
+// distance features of the transition.
+func NewSTRNN() SeqServer {
+	return &recurrent{name: "STRNN", newCell: func(r int, rng *rand.Rand) (seqCell, map[string][]float64) {
+		c := nn.NewRNNCell("strnn.cell", r+2, r, rng)
+		return rnnCell{c}, map[string][]float64{"cell.Wx": c.Wx, "cell.Wh": c.Wh, "cell.B": c.B}
+	}}
+}
+
+// NewSTGN returns STGN (Zhao et al., AAAI 2019): the spatio-temporal gated
+// LSTM (nn.STLSTMCell), whose time and distance gates, driven by Δt and Δd,
+// modulate how much of each check-in enters the memory.
+func NewSTGN() SeqServer {
+	return &recurrent{name: "STGN", newCell: func(r int, rng *rand.Rand) (seqCell, map[string][]float64) {
+		c := nn.NewSTLSTMCell("stgn.cell", r, r, rng)
+		return stlstmCell{c}, map[string][]float64{
+			"cell.W": c.W, "cell.B": c.B,
+			"cell.WxT": c.WxT, "cell.WtT": c.WtT, "cell.BT": c.BT,
+			"cell.WxD": c.WxD, "cell.WdD": c.WdD, "cell.BD": c.BD,
+		}
+	}}
+}
 
 // Name implements Recommender.
-func (s *STRNN) Name() string { return "STRNN" }
+func (m *recurrent) Name() string { return m.name }
+
+// build allocates the layers, drawing their initial weights from rng in a
+// fixed order (POI, time, cell); Fit goes on to draw negatives from the same
+// rng.
+func (m *recurrent) build(_, pois, times, rank int, rng *rand.Rand) {
+	prefix := strings.ToLower(m.name)
+	m.embPOI = nn.NewEmbedding(prefix+".poi", pois, rank, rng)
+	m.embTime = nn.NewEmbedding(prefix+".time", times, rank, rng)
+	m.cell, m.params = m.newCell(rank, rng)
+	m.params["poi.W"], m.params["time.W"] = m.embPOI.W, m.embTime.W
+}
 
 // Fit implements Recommender.
-func (s *STRNN) Fit(ctx *Context) error {
+func (m *recurrent) Fit(ctx *Context) error {
 	if err := seqCheck(ctx); err != nil {
 		return err
 	}
-	r := ctx.Rank
-	s.rank = r
 	rng := rand.New(rand.NewSource(ctx.Seed))
-	s.embPOI = nn.NewEmbedding("strnn.poi", ctx.Train.DimJ, r, rng)
-	s.embTime = nn.NewEmbedding("strnn.time", ctx.Train.DimK, r, rng)
-	s.cell = nn.NewRNNCell("strnn.cell", r+2, r, rng)
-	optim := opt.NewAdam(s.LR, 0)
+	m.build(ctx.Train.DimI, ctx.Train.DimJ, ctx.Train.DimK, ctx.Rank, rng)
+	m.dist = ctx.Dist
+	optim := opt.NewAdam(seqLR, 0)
 	seqs := ctx.Sequences()
-	epochs := ctx.Epochs
-	if epochs <= 0 {
-		epochs = 10
-	}
-
-	for epoch := 0; epoch < epochs; epoch++ {
+	for epoch := 0; epoch < seqEpochs(ctx); epoch++ {
 		for _, seq := range seqs {
 			if len(seq) < 2 {
 				continue
 			}
-			h := make([]float64, r)
-			for t := 1; t < len(seq); t++ {
-				prev, cur := seq[t-1], seq[t]
-				dt, dd := seqFeatures(prev, cur, ctx.Dist, ctx.Train.DimK)
-				in := make([]float64, r+2)
-				copy(in, s.embPOI.Lookup(prev.POI))
-				in[r], in[r+1] = dt, dd
-				newH, cache := s.cell.Forward(in, h)
-
-				// Score the true next POI against one sampled negative.
-				neg := rng.Intn(ctx.Train.DimJ)
-				for neg == cur.POI {
-					neg = rng.Intn(ctx.Train.DimJ)
-				}
-				dH := make([]float64, r)
-				for _, cand := range []struct {
-					j      int
-					target float64
-				}{{cur.POI, 1}, {neg, 0}} {
-					tk := s.embTime.Lookup(cur.TimeIndex)
-					ej := s.embPOI.Lookup(cand.j)
-					var logit float64
-					for d := 0; d < r; d++ {
-						logit += (newH[d] + tk[d]) * ej[d]
-					}
-					dLogit := nn.SigmoidF(logit) - cand.target
-					dEj := make([]float64, r)
-					dTk := make([]float64, r)
-					for d := 0; d < r; d++ {
-						dEj[d] = dLogit * (newH[d] + tk[d])
-						dTk[d] = dLogit * ej[d]
-						dH[d] += dLogit * ej[d]
-					}
-					s.embPOI.Accumulate(cand.j, dEj)
-					s.embTime.Accumulate(cur.TimeIndex, dTk)
-				}
-				dIn, _ := s.cell.Backward(cache, dH) // BPTT-1: drop dHPrev
-				s.embPOI.Accumulate(prev.POI, dIn[:r])
-				h = newH
-			}
+			m.roll(seq, func(h []float64, cache any, prev, cur Visit) {
+				dH := make([]float64, len(h))
+				pairStep(rng, m.embPOI, m.embTime, cur.TimeIndex, cur.POI, h, dH)
+				m.embPOI.Accumulate(prev.POI, m.cell.backward(cache, dH))
+			})
 			// One optimizer step per user trajectory (gradients accumulated
 			// across its steps).
-			stepSeq(optim, s.cell.Params(), s.embPOI, s.embTime)
-			s.cell.ZeroGrad()
+			stepSeq(optim, m.cell, m.embPOI, m.embTime)
 		}
 	}
-	s.finalH = s.finalStates(ctx)
-	s.dist = ctx.Dist
-	s.fit = true
+	m.finalH = make([][]float64, len(seqs))
+	for i, seq := range seqs {
+		m.finalH[i] = m.roll(seq, nil)
+	}
+	m.fit = true
 	return nil
 }
 
-// finalStates rolls every user's trajectory through the trained cell.
-func (s *STRNN) finalStates(ctx *Context) [][]float64 {
-	r := s.rank
-	out := make([][]float64, ctx.Train.DimI)
-	for i, seq := range ctx.Sequences() {
-		h := make([]float64, r)
-		for t := 1; t < len(seq); t++ {
-			dt, dd := seqFeatures(seq[t-1], seq[t], ctx.Dist, ctx.Train.DimK)
-			in := make([]float64, r+2)
-			copy(in, s.embPOI.Lookup(seq[t-1].POI))
-			in[r], in[r+1] = dt, dd
-			h, _ = s.cell.Forward(in, h)
+// roll runs the cell over seq from the zero state and returns the final
+// hidden state. Step t reads the embedding of visit t-1 and the normalized
+// time gap and Haversine distance to visit t; learn, when not nil, is then
+// handed the step's new hidden state, its cache and the transition. Training,
+// the per-user final states and NextTopN all roll through here.
+func (m *recurrent) roll(seq []Visit, learn func(h []float64, cache any, prev, cur Visit)) []float64 {
+	h, c := make([]float64, m.embPOI.Dim), make([]float64, m.embPOI.Dim)
+	for t := 1; t < len(seq); t++ {
+		prev, cur := seq[t-1], seq[t]
+		dt := float64(cur.TimeIndex-prev.TimeIndex) / float64(m.embTime.N)
+		var dd float64
+		if m.dist.DMax > 0 {
+			dd = m.dist.At(prev.POI, cur.POI) / m.dist.DMax
 		}
-		out[i] = h
+		var cache any
+		h, c, cache = m.cell.step(m.embPOI.Lookup(prev.POI), h, c, dt, dd)
+		if learn != nil {
+			learn(h, cache, prev, cur)
+		}
 	}
-	return out
+	return h
 }
 
 // Score implements Recommender. Before Fit it returns 0; serving paths reach
 // the model through SeqServer, whose methods surface ErrNotFitted instead.
-func (s *STRNN) Score(i, j, k int) float64 {
-	if !s.fit {
+func (m *recurrent) Score(i, j, k int) float64 {
+	if !m.fit {
 		return 0
 	}
-	h := s.finalH[i]
-	tk := s.embTime.Lookup(k)
-	ej := s.embPOI.Lookup(j)
-	var logit float64
-	for d := 0; d < s.rank; d++ {
-		logit += (h[d] + tk[d]) * ej[d]
-	}
-	return nn.SigmoidF(logit)
-}
-
-// STGN (Zhao et al., AAAI 2019) replaces the vanilla recurrence with the
-// spatio-temporal gated LSTM (nn.STLSTMCell): dedicated time and distance
-// gates driven by the interval Δt and travel distance Δd modulate how much
-// of each check-in enters the memory.
-type STGN struct {
-	LR float64
-
-	embPOI  *nn.Embedding
-	embTime *nn.Embedding
-	cell    *nn.STLSTMCell
-	rank    int
-	finalH  [][]float64
-	dist    *geo.DistanceMatrix
-	fit     bool
-}
-
-// NewSTGN returns the STGN baseline.
-func NewSTGN() *STGN { return &STGN{LR: 0.01} }
-
-// Name implements Recommender.
-func (s *STGN) Name() string { return "STGN" }
-
-// Fit implements Recommender.
-func (s *STGN) Fit(ctx *Context) error {
-	if err := seqCheck(ctx); err != nil {
-		return err
-	}
-	r := ctx.Rank
-	s.rank = r
-	rng := rand.New(rand.NewSource(ctx.Seed))
-	s.embPOI = nn.NewEmbedding("stgn.poi", ctx.Train.DimJ, r, rng)
-	s.embTime = nn.NewEmbedding("stgn.time", ctx.Train.DimK, r, rng)
-	s.cell = nn.NewSTLSTMCell("stgn.cell", r, r, rng)
-	optim := opt.NewAdam(s.LR, 0)
-	seqs := ctx.Sequences()
-	epochs := ctx.Epochs
-	if epochs <= 0 {
-		epochs = 10
-	}
-	zeroC := make([]float64, r)
-
-	for epoch := 0; epoch < epochs; epoch++ {
-		for _, seq := range seqs {
-			if len(seq) < 2 {
-				continue
-			}
-			h := make([]float64, r)
-			cState := make([]float64, r)
-			for t := 1; t < len(seq); t++ {
-				prev, cur := seq[t-1], seq[t]
-				dt, dd := seqFeatures(prev, cur, ctx.Dist, ctx.Train.DimK)
-				in := make([]float64, r)
-				copy(in, s.embPOI.Lookup(prev.POI))
-				newH, newC, cache := s.cell.Forward(in, h, cState, dt, dd)
-
-				neg := rng.Intn(ctx.Train.DimJ)
-				for neg == cur.POI {
-					neg = rng.Intn(ctx.Train.DimJ)
-				}
-				dH := make([]float64, r)
-				for _, cand := range []struct {
-					j      int
-					target float64
-				}{{cur.POI, 1}, {neg, 0}} {
-					tk := s.embTime.Lookup(cur.TimeIndex)
-					ej := s.embPOI.Lookup(cand.j)
-					var logit float64
-					for d := 0; d < r; d++ {
-						logit += (newH[d] + tk[d]) * ej[d]
-					}
-					dLogit := nn.SigmoidF(logit) - cand.target
-					dEj := make([]float64, r)
-					dTk := make([]float64, r)
-					for d := 0; d < r; d++ {
-						dEj[d] = dLogit * (newH[d] + tk[d])
-						dTk[d] = dLogit * ej[d]
-						dH[d] += dLogit * ej[d]
-					}
-					s.embPOI.Accumulate(cand.j, dEj)
-					s.embTime.Accumulate(cur.TimeIndex, dTk)
-				}
-				dIn, _, _ := s.cell.Backward(cache, dH, zeroC)
-				s.embPOI.Accumulate(prev.POI, dIn)
-				h, cState = newH, newC
-			}
-			stepSeq(optim, s.cell.Params(), s.embPOI, s.embTime)
-			s.cell.ZeroGrad()
-		}
-	}
-	s.finalH = s.finalStates(ctx)
-	s.dist = ctx.Dist
-	s.fit = true
-	return nil
-}
-
-func (s *STGN) finalStates(ctx *Context) [][]float64 {
-	r := s.rank
-	out := make([][]float64, ctx.Train.DimI)
-	for i, seq := range ctx.Sequences() {
-		h := make([]float64, r)
-		cState := make([]float64, r)
-		for t := 1; t < len(seq); t++ {
-			dt, dd := seqFeatures(seq[t-1], seq[t], ctx.Dist, ctx.Train.DimK)
-			in := make([]float64, r)
-			copy(in, s.embPOI.Lookup(seq[t-1].POI))
-			h, cState, _ = s.cell.Forward(in, h, cState, dt, dd)
-		}
-		out[i] = h
-	}
-	return out
-}
-
-// Score implements Recommender. Before Fit it returns 0; serving paths reach
-// the model through SeqServer, whose methods surface ErrNotFitted instead.
-func (s *STGN) Score(i, j, k int) float64 {
-	if !s.fit {
-		return 0
-	}
-	h := s.finalH[i]
-	tk := s.embTime.Lookup(k)
-	ej := s.embPOI.Lookup(j)
-	var logit float64
-	for d := 0; d < s.rank; d++ {
-		logit += (h[d] + tk[d]) * ej[d]
-	}
-	return nn.SigmoidF(logit)
+	return readout(m.finalH[i], m.embTime.Lookup(k), m.embPOI.Lookup(j))
 }
 
 // STAN (Luo et al., WWW 2021) attends over the whole trajectory with
 // self-attention instead of a recurrence: the query is the user embedding
 // plus the target time embedding, the memory holds every prior visit's
-// POI+time embedding, and the attended context scores candidate POIs.
+// POI+time embedding, and readout(context, u_i, e_j) scores candidate POIs.
 type STAN struct {
-	LR float64
-
-	embUser *nn.Embedding
-	embPOI  *nn.Embedding
-	embTime *nn.Embedding
-	attn    *nn.Attention
-	rank    int
+	embUser, embPOI, embTime *nn.Embedding
+	attn                     *nn.Attention
+	params                   map[string][]float64 // the persisted weights by state-file key
 
 	// seqs holds each user's training trajectory so the attention context
 	// can be recomputed at serve/score time without the full Context.
@@ -312,86 +241,57 @@ type STAN struct {
 }
 
 // NewSTAN returns the STAN baseline.
-func NewSTAN() *STAN { return &STAN{LR: 0.01} }
+func NewSTAN() *STAN { return &STAN{} }
 
 // Name implements Recommender.
 func (s *STAN) Name() string { return "STAN" }
+
+// build allocates the layers, drawing their initial weights from rng in a
+// fixed order (user, POI, time); Fit goes on to draw negatives from the same
+// rng.
+func (s *STAN) build(users, pois, times, rank int, rng *rand.Rand) {
+	s.embUser = nn.NewEmbedding("stan.user", users, rank, rng)
+	s.embPOI = nn.NewEmbedding("stan.poi", pois, rank, rng)
+	s.embTime = nn.NewEmbedding("stan.time", times, rank, rng)
+	s.attn = &nn.Attention{Dim: rank}
+	s.params = map[string][]float64{"user.W": s.embUser.W, "poi.W": s.embPOI.W, "time.W": s.embTime.W}
+}
 
 // Fit implements Recommender.
 func (s *STAN) Fit(ctx *Context) error {
 	if err := seqCheck(ctx); err != nil {
 		return err
 	}
-	r := ctx.Rank
-	s.rank = r
 	rng := rand.New(rand.NewSource(ctx.Seed))
-	s.embUser = nn.NewEmbedding("stan.user", ctx.Train.DimI, r, rng)
-	s.embPOI = nn.NewEmbedding("stan.poi", ctx.Train.DimJ, r, rng)
-	s.embTime = nn.NewEmbedding("stan.time", ctx.Train.DimK, r, rng)
-	s.attn = &nn.Attention{Dim: r}
-	optim := opt.NewAdam(s.LR, 0)
+	s.build(ctx.Train.DimI, ctx.Train.DimJ, ctx.Train.DimK, ctx.Rank, rng)
+	optim := opt.NewAdam(seqLR, 0)
 	seqs := ctx.Sequences()
-	epochs := ctx.Epochs
-	if epochs <= 0 {
-		epochs = 10
-	}
-
-	for epoch := 0; epoch < epochs; epoch++ {
+	for epoch := 0; epoch < seqEpochs(ctx); epoch++ {
 		for i, seq := range seqs {
 			if len(seq) < 2 {
 				continue
 			}
 			for t := 1; t < len(seq); t++ {
 				cur := seq[t]
-				q, mem, memPOIs, memTimes := s.buildQueryMemory(i, cur.TimeIndex, seq[:t])
-				out, cache := s.attn.Forward(q, mem, mem)
-
-				neg := rng.Intn(ctx.Train.DimJ)
-				for neg == cur.POI {
-					neg = rng.Intn(ctx.Train.DimJ)
-				}
-				dOut := make([]float64, r)
-				dQ := make([]float64, r)
-				u := s.embUser.Lookup(i)
-				for _, cand := range []struct {
-					j      int
-					target float64
-				}{{cur.POI, 1}, {neg, 0}} {
-					ej := s.embPOI.Lookup(cand.j)
-					var logit float64
-					for d := 0; d < r; d++ {
-						logit += (out[d] + u[d]) * ej[d]
-					}
-					dLogit := nn.SigmoidF(logit) - cand.target
-					dEj := make([]float64, r)
-					dU := make([]float64, r)
-					for d := 0; d < r; d++ {
-						dEj[d] = dLogit * (out[d] + u[d])
-						dOut[d] += dLogit * ej[d]
-						dU[d] = dLogit * ej[d]
-					}
-					s.embPOI.Accumulate(cand.j, dEj)
-					s.embUser.Accumulate(i, dU)
-				}
-				dQAttn, dK, dV := s.attn.Backward(cache, dOut)
-				for d := 0; d < r; d++ {
-					dQ[d] += dQAttn[d]
-				}
+				out, cache := s.attend(i, cur.TimeIndex, seq[:t])
+				dOut := make([]float64, len(out))
+				pairStep(rng, s.embPOI, s.embUser, i, cur.POI, out, dOut)
+				dQ, dK, dV := s.attn.Backward(cache, dOut)
 				// Query = user + target-time embeddings.
 				s.embUser.Accumulate(i, dQ)
 				s.embTime.Accumulate(cur.TimeIndex, dQ)
 				// Memory vectors = visit POI + visit time embeddings; keys
 				// and values share them.
-				for v := range mem {
-					dMem := make([]float64, r)
-					for d := 0; d < r; d++ {
+				for v, visit := range seq[:t] {
+					dMem := make([]float64, len(out))
+					for d := range dMem {
 						dMem[d] = dK[v][d] + dV[v][d]
 					}
-					s.embPOI.Accumulate(memPOIs[v], dMem)
-					s.embTime.Accumulate(memTimes[v], dMem)
+					s.embPOI.Accumulate(visit.POI, dMem)
+					s.embTime.Accumulate(visit.TimeIndex, dMem)
 				}
 			}
-			stepSeq(optim, nil, s.embUser, s.embPOI, s.embTime)
+			stepSeq(optim, s.embUser, s.embPOI, s.embTime)
 		}
 	}
 	s.seqs = seqs
@@ -400,31 +300,26 @@ func (s *STAN) Fit(ctx *Context) error {
 	return nil
 }
 
-// buildQueryMemory assembles the attention inputs for user i targeting time
-// unit k, over the given visit history.
-func (s *STAN) buildQueryMemory(i, k int, history []Visit) (q []float64, mem [][]float64, memPOIs, memTimes []int) {
-	r := s.rank
-	q = make([]float64, r)
+// attend runs the attention of user i targeting time unit k over the given
+// (non-empty) visit history.
+func (s *STAN) attend(i, k int, history []Visit) ([]float64, *nn.AttentionCache) {
+	r := s.attn.Dim
+	q := make([]float64, r)
 	u := s.embUser.Lookup(i)
 	tk := s.embTime.Lookup(k)
 	for d := 0; d < r; d++ {
 		q[d] = u[d] + tk[d]
 	}
-	mem = make([][]float64, len(history))
-	memPOIs = make([]int, len(history))
-	memTimes = make([]int, len(history))
+	mem := make([][]float64, len(history))
 	for v, visit := range history {
-		vec := make([]float64, r)
+		mem[v] = make([]float64, r)
 		ep := s.embPOI.Lookup(visit.POI)
 		et := s.embTime.Lookup(visit.TimeIndex)
 		for d := 0; d < r; d++ {
-			vec[d] = ep[d] + et[d]
+			mem[v][d] = ep[d] + et[d]
 		}
-		mem[v] = vec
-		memPOIs[v] = visit.POI
-		memTimes[v] = visit.TimeIndex
 	}
-	return q, mem, memPOIs, memTimes
+	return s.attn.Forward(q, mem, mem)
 }
 
 // context returns (cached) the attention context of user i at time k over
@@ -438,13 +333,9 @@ func (s *STAN) context(i, k int) []float64 {
 		return c
 	}
 	s.ctxMu.Unlock()
-	seq := s.seqs[i]
-	var out []float64
-	if len(seq) == 0 {
-		out = make([]float64, s.rank)
-	} else {
-		q, mem, _, _ := s.buildQueryMemory(i, k, seq)
-		out, _ = s.attn.Forward(q, mem, mem)
+	out := make([]float64, s.attn.Dim)
+	if len(s.seqs[i]) > 0 {
+		out, _ = s.attend(i, k, s.seqs[i])
 	}
 	s.ctxMu.Lock()
 	s.ctxCache[key] = out
@@ -458,14 +349,7 @@ func (s *STAN) Score(i, j, k int) float64 {
 	if !s.fit {
 		return 0
 	}
-	out := s.context(i, k)
-	u := s.embUser.Lookup(i)
-	ej := s.embPOI.Lookup(j)
-	var logit float64
-	for d := 0; d < s.rank; d++ {
-		logit += (out[d] + u[d]) * ej[d]
-	}
-	return nn.SigmoidF(logit)
+	return readout(s.context(i, k), s.embUser.Lookup(i), s.embPOI.Lookup(j))
 }
 
 func seqCheck(ctx *Context) error {
@@ -478,16 +362,24 @@ func seqCheck(ctx *Context) error {
 	return nil
 }
 
-// stepSeq applies one optimizer step to cell parameters (may be nil) and the
-// given embeddings, then clears their gradients.
-func stepSeq(optim opt.Optimizer, cellParams []nn.Param, embs ...*nn.Embedding) {
-	for _, p := range cellParams {
-		optim.Step(p.Name, p.Value, p.Grad)
+// seqEpochs is ctx.Epochs, or 10 when unset.
+func seqEpochs(ctx *Context) int {
+	if ctx.Epochs <= 0 {
+		return 10
 	}
-	for _, e := range embs {
-		for _, p := range e.Params() {
+	return ctx.Epochs
+}
+
+// stepSeq applies one optimizer step to every parameter of the given layers,
+// then clears their gradients.
+func stepSeq(optim opt.Optimizer, layers ...interface {
+	Params() []nn.Param
+	ZeroGrad()
+}) {
+	for _, l := range layers {
+		for _, p := range l.Params() {
 			optim.Step(p.Name, p.Value, p.Grad)
 		}
-		e.ZeroGrad()
+		l.ZeroGrad()
 	}
 }

@@ -3,8 +3,12 @@ package baselines
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 
+	"tcss/internal/core"
+	"tcss/internal/geo"
 	"tcss/internal/nn"
 )
 
@@ -13,31 +17,30 @@ import (
 // registry maps it to HTTP 503: the model exists but cannot score.
 var ErrNotFitted = errors.New("baselines: sequential model is not fitted")
 
-// ScoredPOI is one ranked candidate from a sequential model.
-type ScoredPOI struct {
-	POI   int
-	Score float64
-}
-
 // SeqServer is the servable surface of the sequential baselines (STRNN, STGN,
 // STAN). It extends the offline Recommender protocol with explicit top-N
 // entry points, dimension metadata, and a next-POI mode that scores a caller
 // supplied check-in sequence rather than the training trajectory. The
-// unexported captureState method restricts implementations to this package,
-// which is what lets SaveSeqState/LoadSeqState round-trip every
-// implementation exactly.
+// unexported methods restrict implementations to this package, which is what
+// lets SaveSeqState/LoadSeqState round-trip every implementation exactly.
 type SeqServer interface {
-	Name() string
+	Recommender
 	// Dims reports (users, pois, times); all zero before Fit.
 	Dims() (users, pois, times int)
 	// RecommendTopN ranks all POIs for a known user at time unit t using the
 	// user's training-trajectory summary state.
-	RecommendTopN(user, t, n int) ([]ScoredPOI, error)
+	RecommendTopN(user, t, n int) ([]core.Recommendation, error)
 	// NextTopN ranks all POIs as the next check-in after the supplied
 	// time-ordered sequence, scored at target time unit t. Revisits are
 	// valid next-POI outcomes, so visited POIs are not excluded.
-	NextTopN(user int, seq []Visit, t, n int) ([]ScoredPOI, error)
+	NextTopN(user int, seq []Visit, t, n int) ([]core.Recommendation, error)
+
+	// build allocates the model's layers with weights drawn from rng; Fit and
+	// LoadSeqState both start here.
+	build(users, pois, times, rank int, rng *rand.Rand)
 	captureState() (*seqState, error)
+	// restore fills a freshly built model from a decoded state file.
+	restore(st *seqState, dist *geo.DistanceMatrix) error
 }
 
 // SeqLookup returns the named sequential model ready for Fit, or false if the
@@ -54,52 +57,32 @@ func SeqLookup(name string) (SeqServer, bool) {
 	return nil, false
 }
 
-// topNScored ranks every POI score descending (ties broken by lower POI id,
-// keeping responses deterministic) and returns the first n.
-func topNScored(scores []float64, n int) []ScoredPOI {
-	idx := make([]int, len(scores))
-	for j := range idx {
-		idx[j] = j
+// topN scores every POI j by readout(a, b, e_j) and returns the n best, ties
+// broken by the lower POI id so responses are deterministic.
+func topN(a, b []float64, pois *nn.Embedding, n int) []core.Recommendation {
+	recs := make([]core.Recommendation, pois.N)
+	for j := range recs {
+		recs[j] = core.Recommendation{POI: j, Score: readout(a, b, pois.Lookup(j))}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
+	sort.Slice(recs, func(x, y int) bool {
+		if recs[x].Score != recs[y].Score {
+			return recs[x].Score > recs[y].Score
 		}
-		return idx[a] < idx[b]
+		return recs[x].POI < recs[y].POI
 	})
-	if n > len(idx) {
-		n = len(idx)
-	}
-	out := make([]ScoredPOI, n)
-	for i := 0; i < n; i++ {
-		out[i] = ScoredPOI{POI: idx[i], Score: scores[idx[i]]}
-	}
-	return out
+	return slices.Clone(recs[:min(n, len(recs))])
 }
 
-// scoreAllPOIs computes sigmoid((base + emb_time[t])·emb_poi[j]) for every
-// POI j, the shared readout of all three sequential models.
-func scoreAllPOIs(base []float64, embPOI, embTime *nn.Embedding, t int) []float64 {
-	r := embPOI.Dim
-	tk := embTime.Lookup(t)
-	q := make([]float64, r)
-	for d := 0; d < r; d++ {
-		q[d] = base[d] + tk[d]
+// checkQuery validates a serving query against m's dims. A next-POI query
+// (next) must carry at least one check-in.
+func checkQuery(m SeqServer, user, t, n int, seq []Visit, next bool) error {
+	users, pois, times := m.Dims()
+	if pois == 0 { // Dims is all zero before Fit
+		return ErrNotFitted
 	}
-	scores := make([]float64, embPOI.N)
-	for j := 0; j < embPOI.N; j++ {
-		ej := embPOI.Lookup(j)
-		var logit float64
-		for d := 0; d < r; d++ {
-			logit += q[d] * ej[d]
-		}
-		scores[j] = nn.SigmoidF(logit)
+	if next && len(seq) == 0 {
+		return fmt.Errorf("baselines: next-POI query needs at least one check-in")
 	}
-	return scores
-}
-
-// validateSeqQuery bounds-checks a serving query against model dims.
-func validateSeqQuery(users, pois, times, user, t, n int, seq []Visit) error {
 	if user < 0 || user >= users {
 		return fmt.Errorf("baselines: user %d out of range [0,%d)", user, users)
 	}
@@ -120,97 +103,31 @@ func validateSeqQuery(users, pois, times, user, t, n int, seq []Visit) error {
 	return nil
 }
 
-// --- STRNN ---
-
 // Dims implements SeqServer.
-func (s *STRNN) Dims() (int, int, int) {
-	if !s.fit {
+func (m *recurrent) Dims() (int, int, int) {
+	if !m.fit {
 		return 0, 0, 0
 	}
-	return len(s.finalH), s.embPOI.N, s.embTime.N
+	return len(m.finalH), m.embPOI.N, m.embTime.N
 }
 
 // RecommendTopN implements SeqServer using the user's final hidden state.
-func (s *STRNN) RecommendTopN(user, t, n int) ([]ScoredPOI, error) {
-	if !s.fit {
-		return nil, ErrNotFitted
-	}
-	if err := validateSeqQuery(len(s.finalH), s.embPOI.N, s.embTime.N, user, t, n, nil); err != nil {
+func (m *recurrent) RecommendTopN(user, t, n int) ([]core.Recommendation, error) {
+	if err := checkQuery(m, user, t, n, nil, false); err != nil {
 		return nil, err
 	}
-	return topNScored(scoreAllPOIs(s.finalH[user], s.embPOI, s.embTime, t), n), nil
+	return topN(m.finalH[user], m.embTime.Lookup(t), m.embPOI, n), nil
 }
 
 // NextTopN implements SeqServer: the hidden state is rolled from zero over
 // the supplied sequence with the same transition features as training, then
 // every POI is scored at target time t.
-func (s *STRNN) NextTopN(user int, seq []Visit, t, n int) ([]ScoredPOI, error) {
-	if !s.fit {
-		return nil, ErrNotFitted
-	}
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("baselines: next-POI query needs at least one check-in")
-	}
-	if err := validateSeqQuery(len(s.finalH), s.embPOI.N, s.embTime.N, user, t, n, seq); err != nil {
+func (m *recurrent) NextTopN(user int, seq []Visit, t, n int) ([]core.Recommendation, error) {
+	if err := checkQuery(m, user, t, n, seq, true); err != nil {
 		return nil, err
 	}
-	r := s.rank
-	h := make([]float64, r)
-	for i := 1; i < len(seq); i++ {
-		dt, dd := seqFeatures(seq[i-1], seq[i], s.dist, s.embTime.N)
-		in := make([]float64, r+2)
-		copy(in, s.embPOI.Lookup(seq[i-1].POI))
-		in[r], in[r+1] = dt, dd
-		h, _ = s.cell.Forward(in, h)
-	}
-	return topNScored(scoreAllPOIs(h, s.embPOI, s.embTime, t), n), nil
+	return topN(m.roll(seq, nil), m.embTime.Lookup(t), m.embPOI, n), nil
 }
-
-// --- STGN ---
-
-// Dims implements SeqServer.
-func (s *STGN) Dims() (int, int, int) {
-	if !s.fit {
-		return 0, 0, 0
-	}
-	return len(s.finalH), s.embPOI.N, s.embTime.N
-}
-
-// RecommendTopN implements SeqServer using the user's final hidden state.
-func (s *STGN) RecommendTopN(user, t, n int) ([]ScoredPOI, error) {
-	if !s.fit {
-		return nil, ErrNotFitted
-	}
-	if err := validateSeqQuery(len(s.finalH), s.embPOI.N, s.embTime.N, user, t, n, nil); err != nil {
-		return nil, err
-	}
-	return topNScored(scoreAllPOIs(s.finalH[user], s.embPOI, s.embTime, t), n), nil
-}
-
-// NextTopN implements SeqServer; see STRNN.NextTopN for the rolling scheme.
-func (s *STGN) NextTopN(user int, seq []Visit, t, n int) ([]ScoredPOI, error) {
-	if !s.fit {
-		return nil, ErrNotFitted
-	}
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("baselines: next-POI query needs at least one check-in")
-	}
-	if err := validateSeqQuery(len(s.finalH), s.embPOI.N, s.embTime.N, user, t, n, seq); err != nil {
-		return nil, err
-	}
-	r := s.rank
-	h := make([]float64, r)
-	cState := make([]float64, r)
-	for i := 1; i < len(seq); i++ {
-		dt, dd := seqFeatures(seq[i-1], seq[i], s.dist, s.embTime.N)
-		in := make([]float64, r)
-		copy(in, s.embPOI.Lookup(seq[i-1].POI))
-		h, cState, _ = s.cell.Forward(in, h, cState, dt, dd)
-	}
-	return topNScored(scoreAllPOIs(h, s.embPOI, s.embTime, t), n), nil
-}
-
-// --- STAN ---
 
 // Dims implements SeqServer.
 func (s *STAN) Dims() (int, int, int) {
@@ -222,50 +139,19 @@ func (s *STAN) Dims() (int, int, int) {
 
 // RecommendTopN implements SeqServer: the attended context over the user's
 // training trajectory plus the user embedding scores every POI.
-func (s *STAN) RecommendTopN(user, t, n int) ([]ScoredPOI, error) {
-	if !s.fit {
-		return nil, ErrNotFitted
-	}
-	if err := validateSeqQuery(s.embUser.N, s.embPOI.N, s.embTime.N, user, t, n, nil); err != nil {
+func (s *STAN) RecommendTopN(user, t, n int) ([]core.Recommendation, error) {
+	if err := checkQuery(s, user, t, n, nil, false); err != nil {
 		return nil, err
 	}
-	return topNScored(s.scoreWithContext(s.context(user, t), user), n), nil
+	return topN(s.context(user, t), s.embUser.Lookup(user), s.embPOI, n), nil
 }
 
 // NextTopN implements SeqServer: attention runs over the supplied sequence
 // instead of the stored training trajectory.
-func (s *STAN) NextTopN(user int, seq []Visit, t, n int) ([]ScoredPOI, error) {
-	if !s.fit {
-		return nil, ErrNotFitted
-	}
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("baselines: next-POI query needs at least one check-in")
-	}
-	if err := validateSeqQuery(s.embUser.N, s.embPOI.N, s.embTime.N, user, t, n, seq); err != nil {
+func (s *STAN) NextTopN(user int, seq []Visit, t, n int) ([]core.Recommendation, error) {
+	if err := checkQuery(s, user, t, n, seq, true); err != nil {
 		return nil, err
 	}
-	q, mem, _, _ := s.buildQueryMemory(user, t, seq)
-	out, _ := s.attn.Forward(q, mem, mem)
-	return topNScored(s.scoreWithContext(out, user), n), nil
-}
-
-// scoreWithContext applies STAN's readout sigmoid((ctx + emb_user[i])·e_j)
-// to every POI.
-func (s *STAN) scoreWithContext(out []float64, user int) []float64 {
-	r := s.rank
-	u := s.embUser.Lookup(user)
-	base := make([]float64, r)
-	for d := 0; d < r; d++ {
-		base[d] = out[d] + u[d]
-	}
-	scores := make([]float64, s.embPOI.N)
-	for j := 0; j < s.embPOI.N; j++ {
-		ej := s.embPOI.Lookup(j)
-		var logit float64
-		for d := 0; d < r; d++ {
-			logit += base[d] * ej[d]
-		}
-		scores[j] = nn.SigmoidF(logit)
-	}
-	return scores
+	out, _ := s.attend(user, t, seq)
+	return topN(out, s.embUser.Lookup(user), s.embPOI, n), nil
 }

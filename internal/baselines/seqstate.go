@@ -10,7 +10,6 @@ import (
 
 	"tcss/internal/fault"
 	"tcss/internal/geo"
-	"tcss/internal/nn"
 )
 
 // SeqStateVersion is the frame version of sequential-model state files, and
@@ -39,66 +38,72 @@ type seqState struct {
 	Sequences  [][]Visit            `json:"sequences,omitempty"` // STAN only
 }
 
-// captureState implements SeqServer for STRNN.
-func (s *STRNN) captureState() (*seqState, error) {
-	if !s.fit {
+// captureState implements SeqServer.
+func (m *recurrent) captureState() (*seqState, error) {
+	if !m.fit {
 		return nil, ErrNotFitted
 	}
 	return &seqState{
-		Kind: "STRNN", Rank: s.rank,
-		Users: len(s.finalH), POIs: s.embPOI.N, Times: s.embTime.N,
-		Params: map[string][]float64{
-			"poi.W":   s.embPOI.W,
-			"time.W":  s.embTime.W,
-			"cell.Wx": s.cell.Wx,
-			"cell.Wh": s.cell.Wh,
-			"cell.B":  s.cell.B,
-		},
-		FinalH: s.finalH,
+		Kind: m.name, Rank: m.embPOI.Dim,
+		Users: len(m.finalH), POIs: m.embPOI.N, Times: m.embTime.N,
+		Params: m.params, FinalH: m.finalH,
 	}, nil
 }
 
-// captureState implements SeqServer for STGN.
-func (s *STGN) captureState() (*seqState, error) {
-	if !s.fit {
-		return nil, ErrNotFitted
+// restore implements SeqServer. The cell reads Δd between any two POIs at
+// query time, so dist must cover exactly the model's POIs.
+func (m *recurrent) restore(st *seqState, dist *geo.DistanceMatrix) error {
+	if dist == nil || dist.N != st.POIs {
+		return fmt.Errorf("%s needs the training distance matrix over its %d POIs", m.name, st.POIs)
 	}
-	return &seqState{
-		Kind: "STGN", Rank: s.rank,
-		Users: len(s.finalH), POIs: s.embPOI.N, Times: s.embTime.N,
-		Params: map[string][]float64{
-			"poi.W":    s.embPOI.W,
-			"time.W":   s.embTime.W,
-			"cell.W":   s.cell.W,
-			"cell.B":   s.cell.B,
-			"cell.WxT": s.cell.WxT,
-			"cell.WtT": s.cell.WtT,
-			"cell.BT":  s.cell.BT,
-			"cell.WxD": s.cell.WxD,
-			"cell.WdD": s.cell.WdD,
-			"cell.BD":  s.cell.BD,
-		},
-		FinalH: s.finalH,
-	}, nil
+	if err := fillParams(st.Params, m.params); err != nil {
+		return err
+	}
+	if len(st.FinalH) != st.Users {
+		return fmt.Errorf("final states for %d users, want %d", len(st.FinalH), st.Users)
+	}
+	for i, h := range st.FinalH {
+		if len(h) != st.Rank {
+			return fmt.Errorf("final state of user %d has rank %d, want %d", i, len(h), st.Rank)
+		}
+	}
+	m.finalH, m.dist, m.fit = st.FinalH, dist, true
+	return nil
 }
 
-// captureState implements SeqServer for STAN. STAN has no rolled state, but
-// serving its recommend path needs the training trajectories, so they are
-// persisted alongside the embeddings.
+// captureState implements SeqServer. STAN has no rolled state, but serving
+// its recommend path needs the training trajectories, so they are persisted
+// alongside the embeddings.
 func (s *STAN) captureState() (*seqState, error) {
 	if !s.fit {
 		return nil, ErrNotFitted
 	}
 	return &seqState{
-		Kind: "STAN", Rank: s.rank,
+		Kind: "STAN", Rank: s.attn.Dim,
 		Users: s.embUser.N, POIs: s.embPOI.N, Times: s.embTime.N,
-		Params: map[string][]float64{
-			"user.W": s.embUser.W,
-			"poi.W":  s.embPOI.W,
-			"time.W": s.embTime.W,
-		},
-		Sequences: s.seqs,
+		Params: s.params, Sequences: s.seqs,
 	}, nil
+}
+
+// restore implements SeqServer. STAN never reads dist.
+func (s *STAN) restore(st *seqState, _ *geo.DistanceMatrix) error {
+	if err := fillParams(st.Params, s.params); err != nil {
+		return err
+	}
+	if len(st.Sequences) != st.Users {
+		return fmt.Errorf("sequences for %d users, want %d", len(st.Sequences), st.Users)
+	}
+	for i, seq := range st.Sequences {
+		for _, v := range seq {
+			if v.POI < 0 || v.POI >= st.POIs || v.TimeIndex < 0 || v.TimeIndex >= st.Times {
+				return fmt.Errorf("user %d has out-of-range visit (%d,%d)", i, v.POI, v.TimeIndex)
+			}
+		}
+	}
+	s.seqs = st.Sequences
+	s.ctxCache = make(map[int64][]float64)
+	s.fit = true
+	return nil
 }
 
 // SaveSeqState writes the model's weights and serving state to path with the
@@ -122,7 +127,8 @@ func SaveSeqState(fs fault.FS, path string, keep int, generation uint64, m SeqSe
 // LoadSeqState reads a state file written by SaveSeqState and rebuilds the
 // model, returning it with the generation recorded at save time. dist must be
 // the same POI distance matrix the model was trained with (STRNN and STGN
-// consume Δd transition features at query time); STAN ignores it.
+// consume Δd transition features at query time, and refuse a matrix over a
+// different number of POIs); STAN ignores it.
 func LoadSeqState(path string, dist *geo.DistanceMatrix) (SeqServer, uint64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -158,89 +164,21 @@ func restoreSeq(st *seqState, dist *geo.DistanceMatrix) (SeqServer, error) {
 	if st.Rank <= 0 || st.Users <= 0 || st.POIs <= 0 || st.Times <= 0 {
 		return nil, fmt.Errorf("invalid dims rank=%d users=%d pois=%d times=%d", st.Rank, st.Users, st.POIs, st.Times)
 	}
-	// Constructors need an RNG for initialization; every weight is then
-	// overwritten from the file, so the seed is irrelevant.
-	rng := rand.New(rand.NewSource(1))
-	r := st.Rank
-	switch st.Kind {
-	case "STRNN":
-		if dist == nil {
-			return nil, fmt.Errorf("STRNN needs the training distance matrix")
-		}
-		s := NewSTRNN()
-		s.rank = r
-		s.embPOI = nn.NewEmbedding("strnn.poi", st.POIs, r, rng)
-		s.embTime = nn.NewEmbedding("strnn.time", st.Times, r, rng)
-		s.cell = nn.NewRNNCell("strnn.cell", r+2, r, rng)
-		if err := fillParams(st.Params, map[string][]float64{
-			"poi.W": s.embPOI.W, "time.W": s.embTime.W,
-			"cell.Wx": s.cell.Wx, "cell.Wh": s.cell.Wh, "cell.B": s.cell.B,
-		}); err != nil {
-			return nil, err
-		}
-		if err := checkFinalH(st.FinalH, st.Users, r); err != nil {
-			return nil, err
-		}
-		s.finalH = st.FinalH
-		s.dist = dist
-		s.fit = true
-		return s, nil
-	case "STGN":
-		if dist == nil {
-			return nil, fmt.Errorf("STGN needs the training distance matrix")
-		}
-		s := NewSTGN()
-		s.rank = r
-		s.embPOI = nn.NewEmbedding("stgn.poi", st.POIs, r, rng)
-		s.embTime = nn.NewEmbedding("stgn.time", st.Times, r, rng)
-		s.cell = nn.NewSTLSTMCell("stgn.cell", r, r, rng)
-		if err := fillParams(st.Params, map[string][]float64{
-			"poi.W": s.embPOI.W, "time.W": s.embTime.W,
-			"cell.W": s.cell.W, "cell.B": s.cell.B,
-			"cell.WxT": s.cell.WxT, "cell.WtT": s.cell.WtT, "cell.BT": s.cell.BT,
-			"cell.WxD": s.cell.WxD, "cell.WdD": s.cell.WdD, "cell.BD": s.cell.BD,
-		}); err != nil {
-			return nil, err
-		}
-		if err := checkFinalH(st.FinalH, st.Users, r); err != nil {
-			return nil, err
-		}
-		s.finalH = st.FinalH
-		s.dist = dist
-		s.fit = true
-		return s, nil
-	case "STAN":
-		s := NewSTAN()
-		s.rank = r
-		s.embUser = nn.NewEmbedding("stan.user", st.Users, r, rng)
-		s.embPOI = nn.NewEmbedding("stan.poi", st.POIs, r, rng)
-		s.embTime = nn.NewEmbedding("stan.time", st.Times, r, rng)
-		s.attn = &nn.Attention{Dim: r}
-		if err := fillParams(st.Params, map[string][]float64{
-			"user.W": s.embUser.W, "poi.W": s.embPOI.W, "time.W": s.embTime.W,
-		}); err != nil {
-			return nil, err
-		}
-		if len(st.Sequences) != st.Users {
-			return nil, fmt.Errorf("sequences for %d users, want %d", len(st.Sequences), st.Users)
-		}
-		for i, seq := range st.Sequences {
-			for _, v := range seq {
-				if v.POI < 0 || v.POI >= st.POIs || v.TimeIndex < 0 || v.TimeIndex >= st.Times {
-					return nil, fmt.Errorf("user %d has out-of-range visit (%d,%d)", i, v.POI, v.TimeIndex)
-				}
-			}
-		}
-		s.seqs = st.Sequences
-		s.ctxCache = make(map[int64][]float64)
-		s.fit = true
-		return s, nil
+	m, ok := SeqLookup(st.Kind)
+	if !ok {
+		return nil, fmt.Errorf("unknown sequential model kind %q", st.Kind)
 	}
-	return nil, fmt.Errorf("unknown sequential model kind %q", st.Kind)
+	// build draws initial weights; every one is then overwritten from the
+	// file, so the seed is irrelevant.
+	m.build(st.Users, st.POIs, st.Times, st.Rank, rand.New(rand.NewSource(1)))
+	if err := m.restore(st, dist); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // fillParams copies each named parameter from the file into the freshly
-// constructed tensors, validating presence and exact length.
+// built tensors, validating presence and exact length.
 func fillParams(got map[string][]float64, want map[string][]float64) error {
 	for name, dst := range want {
 		src, ok := got[name]
@@ -251,18 +189,6 @@ func fillParams(got map[string][]float64, want map[string][]float64) error {
 			return fmt.Errorf("parameter %q has %d values, want %d", name, len(src), len(dst))
 		}
 		copy(dst, src)
-	}
-	return nil
-}
-
-func checkFinalH(finalH [][]float64, users, rank int) error {
-	if len(finalH) != users {
-		return fmt.Errorf("final states for %d users, want %d", len(finalH), users)
-	}
-	for i, h := range finalH {
-		if len(h) != rank {
-			return fmt.Errorf("final state of user %d has rank %d, want %d", i, len(h), rank)
-		}
 	}
 	return nil
 }

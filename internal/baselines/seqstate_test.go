@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tcss/internal/core"
 	"tcss/internal/fault"
 	"tcss/internal/geo"
 )
@@ -32,13 +33,13 @@ func fitSeq(t *testing.T, fx *fixture, name string) SeqServer {
 
 // sampleQueries exercises both serving entry points and returns all results
 // for exact comparison.
-func sampleQueries(t *testing.T, m SeqServer) [][]ScoredPOI {
+func sampleQueries(t *testing.T, m SeqServer) [][]core.Recommendation {
 	t.Helper()
 	users, pois, times := m.Dims()
 	if users == 0 || pois == 0 || times == 0 {
 		t.Fatalf("%s: zero dims after fit", m.Name())
 	}
-	var out [][]ScoredPOI
+	var out [][]core.Recommendation
 	seq := []Visit{{POI: 1, TimeIndex: 0}, {POI: 3, TimeIndex: 1}, {POI: 0, TimeIndex: 2}}
 	for user := 0; user < users; user += 5 {
 		for k := 0; k < times; k += 2 {
@@ -134,6 +135,26 @@ func TestSequentialModelsPinned(t *testing.T) {
 				t.Errorf("digest %s, want %s (state %d bytes)", got, want[name], len(state))
 			}
 		})
+	}
+}
+
+// TestSeqStateRejectsOtherDistanceMatrix: STRNN and STGN read Δd through
+// DistanceMatrix.At (D[i*N+j]), so a matrix one POI short would read a
+// neighbouring row or run off its end, and one POI long other coordinates.
+func TestSeqStateRejectsOtherDistanceMatrix(t *testing.T) {
+	fx := newFixture(3)
+	path := filepath.Join(t.TempDir(), "seq.state")
+	if err := SaveSeqState(nil, path, 0, 1, fitSeq(t, fx, "STRNN")); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{fx.ctx.Dist.N - 1, fx.ctx.Dist.N + 1} {
+		pts := make([]geo.Point, n)
+		for j := range pts {
+			pts[j] = geo.Point{Lat: 30 + 0.01*float64(j), Lon: -97}
+		}
+		if _, _, err := LoadSeqState(path, geo.NewDistanceMatrix(pts)); err == nil {
+			t.Errorf("state over %d POIs loaded against a %d-POI distance matrix", fx.ctx.Dist.N, n)
+		}
 	}
 }
 

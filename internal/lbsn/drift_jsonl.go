@@ -70,7 +70,9 @@ func WriteWeeksJSONL(w io.Writer, weeks []WeekBatch) error {
 	return bw.Flush()
 }
 
-// ReadWeeksJSONL parses a drift stream written by WriteWeeksJSONL.
+// ReadWeeksJSONL parses a drift stream written by WriteWeeksJSONL. The stream
+// is outside input: a line holding a negative id or an out-of-range check-in
+// calendar is an error naming the line.
 func ReadWeeksJSONL(r io.Reader) ([]WeekBatch, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -86,9 +88,9 @@ func ReadWeeksJSONL(r io.Reader) ([]WeekBatch, error) {
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return nil, fmt.Errorf("lbsn: drift JSONL line %d: %w", line, err)
 		}
-		wb := WeekBatch{Week: rec.Week, Month: rec.Month, ClosedPOIs: rec.ClosedPOIs}
+		wb := WeekBatch{Week: rec.Week, Month: rec.Month, ClosedPOIs: nilIfEmpty(rec.ClosedPOIs)}
 		for _, u := range rec.NewUsers {
-			wb.NewUsers = append(wb.NewUsers, NewUser{ID: u.ID, Friends: u.Friends})
+			wb.NewUsers = append(wb.NewUsers, NewUser{ID: u.ID, Friends: nilIfEmpty(u.Friends)})
 		}
 		for _, p := range rec.NewPOIs {
 			wb.NewPOIs = append(wb.NewPOIs, POI{
@@ -99,12 +101,60 @@ func ReadWeeksJSONL(r io.Reader) ([]WeekBatch, error) {
 		for _, c := range rec.CheckIns {
 			wb.CheckIns = append(wb.CheckIns, CheckIn{User: c.User, POI: c.POI, Month: c.Month, Week: c.Week, Hour: c.Hour})
 		}
+		if err := wb.check(); err != nil {
+			return nil, fmt.Errorf("lbsn: drift JSONL line %d: %w", line, err)
+		}
 		out = append(out, wb)
 	}
 	if err := scanner.Err(); err != nil {
 		return nil, fmt.Errorf("lbsn: reading drift JSONL: %w", err)
 	}
 	return out, nil
+}
+
+// nilIfEmpty maps an empty list to nil: the writer omits both, so a decoded
+// week re-encodes and decodes to itself.
+func nilIfEmpty(ids []int) []int {
+	if len(ids) == 0 {
+		return nil
+	}
+	return ids
+}
+
+// check rejects what no dataset can hold, so a bad stream fails here rather
+// than as an index panic where it is replayed: a negative id, or a check-in
+// calendar outside the ranges Dataset.Validate enforces. The upper bounds of
+// ids depend on the dataset the stream grows and are its consumer's to check.
+func (wb *WeekBatch) check() error {
+	for _, u := range wb.NewUsers {
+		if u.ID < 0 {
+			return fmt.Errorf("new user id %d is negative", u.ID)
+		}
+		for _, f := range u.Friends {
+			if f < 0 {
+				return fmt.Errorf("new user %d has negative friend id %d", u.ID, f)
+			}
+		}
+	}
+	for _, p := range wb.NewPOIs {
+		if p.ID < 0 {
+			return fmt.Errorf("new POI id %d is negative", p.ID)
+		}
+	}
+	for _, j := range wb.ClosedPOIs {
+		if j < 0 {
+			return fmt.Errorf("closed POI id %d is negative", j)
+		}
+	}
+	for _, c := range wb.CheckIns {
+		if c.User < 0 || c.POI < 0 {
+			return fmt.Errorf("check-in references user %d, POI %d", c.User, c.POI)
+		}
+		if err := c.checkCalendar(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteWeeksJSONLFile writes the drift batches to a file.

@@ -3,6 +3,7 @@ package lbsn
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -185,4 +186,72 @@ func TestDriftWeeksJSONLRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, d.Weeks) {
 		t.Fatal("drift stream did not round-trip through JSONL")
 	}
+}
+
+// Two one-line drift streams that reached `tcss replay` and panicked there:
+// a negative user indexes a slice at -1, month 99 is outside the model.
+const (
+	negativeUserLine = `{"week":15,"month":3,"checkins":[{"user":-1,"poi":3,"month":3,"week":15,"hour":10}]}`
+	month99Line      = `{"week":15,"month":3,"checkins":[{"user":1,"poi":3,"month":99,"week":15,"hour":10}]}`
+)
+
+func TestReadWeeksJSONLRejectsWhatNoDatasetHolds(t *testing.T) {
+	const good = `{"week":15,"month":3,"checkins":[{"user":1,"poi":3,"month":3,"week":15,"hour":10}]}`
+	if _, err := ReadWeeksJSONL(strings.NewReader(good)); err != nil {
+		t.Fatalf("valid line rejected: %v", err)
+	}
+	for _, c := range []struct{ name, line, want string }{
+		{"negative user", negativeUserLine, "user -1"},
+		{"month out of range", month99Line, "calendar (99,15,10)"},
+		{"negative POI", `{"week":15,"month":3,"checkins":[{"user":1,"poi":-3,"month":3,"week":15,"hour":10}]}`, "POI -3"},
+		{"hour out of range", `{"week":15,"month":3,"checkins":[{"user":1,"poi":3,"month":3,"week":15,"hour":24}]}`, "calendar (3,15,24)"},
+		{"negative new user", `{"week":15,"month":3,"new_users":[{"id":-60}]}`, "new user id -60"},
+		{"negative friend", `{"week":15,"month":3,"new_users":[{"id":60,"friends":[-2]}]}`, "friend id -2"},
+		{"negative new POI", `{"week":15,"month":3,"new_pois":[{"id":-50}]}`, "new POI id -50"},
+		{"negative closed POI", `{"week":15,"month":3,"closed_pois":[-1]}`, "closed POI id -1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ReadWeeksJSONL(strings.NewReader(good + "\n" + c.line + "\n"))
+			if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one naming line 2 and %q", err, c.want)
+			}
+		})
+	}
+}
+
+// FuzzReadWeeksJSONL: no input panics the decoder, and a stream it accepts
+// re-encodes and decodes to the same weeks.
+func FuzzReadWeeksJSONL(f *testing.F) {
+	cfg := driftTestConfig(19)
+	cfg.Weeks = 2
+	d, err := GenerateDrift(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := WriteWeeksJSONL(&stream, d.Weeks); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stream.Bytes())
+	f.Add([]byte(negativeUserLine))
+	f.Add([]byte(month99Line))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		weeks, err := ReadWeeksJSONL(bytes.NewReader(data))
+		// Re-encoding spells out every field, so a large input of empty
+		// records could outgrow the decoder's 16 MiB line limit.
+		if err != nil || len(data) > 256<<10 {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteWeeksJSONL(&out, weeks); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadWeeksJSONL(&out)
+		if err != nil {
+			t.Fatalf("re-encoded stream rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, weeks) {
+			t.Fatalf("stream changed across re-encoding:\n%+v\nvs\n%+v", again, weeks)
+		}
+	})
 }

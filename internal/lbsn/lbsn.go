@@ -159,8 +159,19 @@ func (d *Dataset) Validate() error {
 		if c.POI < 0 || c.POI >= len(d.POIs) {
 			return fmt.Errorf("lbsn: check-in references POI %d of %d", c.POI, len(d.POIs))
 		}
-		if c.Month < 0 || c.Month > 11 || c.Week < 0 || c.Week > 52 || c.Hour < 0 || c.Hour > 23 {
-			return fmt.Errorf("lbsn: check-in has calendar (%d,%d,%d) out of range", c.Month, c.Week, c.Hour)
+		if err := c.checkCalendar(); err != nil {
+			return fmt.Errorf("lbsn: %w", err)
+		}
+	}
+	return nil
+}
+
+// checkCalendar reports a check-in whose month, week or hour is not a time
+// index of its granularity.
+func (c CheckIn) checkCalendar() error {
+	for _, g := range []Granularity{Month, Week, Hour} {
+		if k := g.Index(c); k < 0 || k >= g.Len() {
+			return fmt.Errorf("check-in has calendar (%d,%d,%d) out of range", c.Month, c.Week, c.Hour)
 		}
 	}
 	return nil

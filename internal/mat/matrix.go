@@ -142,13 +142,6 @@ func (m *Matrix) AddInPlace(b *Matrix) {
 	}
 }
 
-// ScaleInPlace multiplies every entry of m by s.
-func (m *Matrix) ScaleInPlace(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
 func (m *Matrix) mustSameShape(b *Matrix, op string) {
 	if m.Rows != b.Rows || m.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, b.Rows, b.Cols))
@@ -270,17 +263,6 @@ func (m *Matrix) ZeroDiagonal() {
 	for i := 0; i < m.Rows; i++ {
 		m.Data[i*m.Cols+i] = 0
 	}
-}
-
-// MaxAbs returns the largest absolute entry of m.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Equalf reports whether m and b agree entrywise within tol.

@@ -12,13 +12,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x in place.
-func Axpy(alpha float64, x, y []float64) {
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // ScaleVec multiplies every entry of x by alpha in place.
 func ScaleVec(alpha float64, x []float64) {
 	for i := range x {
@@ -29,17 +22,6 @@ func ScaleVec(alpha float64, x []float64) {
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 {
 	return math.Sqrt(Dot(x, x))
-}
-
-// Normalize scales x to unit Euclidean norm in place and returns the original
-// norm. A zero vector is left unchanged and 0 is returned.
-func Normalize(x []float64) float64 {
-	n := Norm2(x)
-	if n == 0 {
-		return 0
-	}
-	ScaleVec(1/n, x)
-	return n
 }
 
 // CosineSimilarity returns the cosine of the angle between a and b, or 0 if
@@ -53,30 +35,11 @@ func CosineSimilarity(a, b []float64) float64 {
 	return Dot(a, b) / (na * nb)
 }
 
-// Hadamard returns the element-wise product of a and b as a new slice.
-func Hadamard(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = v * b[i]
-	}
-	return out
-}
-
 // HadamardInto writes the element-wise product of a and b into dst, which
-// must have the same length, and returns dst. It avoids the allocation of
-// Hadamard in hot loops.
+// must have the same length, and returns dst.
 func HadamardInto(dst, a, b []float64) []float64 {
 	for i, v := range a {
 		dst[i] = v * b[i]
 	}
 	return dst
-}
-
-// SumVec returns the sum of the entries of x.
-func SumVec(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
 }

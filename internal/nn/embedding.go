@@ -46,12 +46,6 @@ func (e *Embedding) Accumulate(id int, d []float64) {
 	}
 }
 
-// SetRow overwrites the embedding vector of id, used to load spectral
-// initializations.
-func (e *Embedding) SetRow(id int, v []float64) {
-	copy(e.W[id*e.Dim:(id+1)*e.Dim], v)
-}
-
 // Params implements Layer.
 func (e *Embedding) Params() []Param {
 	return []Param{{Name: e.name + ".W", Value: e.W, Grad: e.GradW}}

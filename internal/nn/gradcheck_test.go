@@ -89,53 +89,6 @@ func TestGradcheckRNNCellBPTT(t *testing.T) {
 	check.Assert(t, f, params, check.Options{})
 }
 
-func TestGradcheckLSTMCellBPTT(t *testing.T) {
-	const inDim, hidDim, T = 3, 4, 3
-	cell := nn.NewLSTMCell("lstm", inDim, hidDim, rand.New(rand.NewSource(11)))
-	xs := make([][]float64, T)
-	gxs := make([][]float64, T)
-	for s := range xs {
-		xs[s] = check.RandomVector(inDim, 1, int64(30+s))
-		gxs[s] = make([]float64, inDim)
-	}
-	h0 := check.RandomVector(hidDim, 0.5, 40)
-	c0 := check.RandomVector(hidDim, 0.5, 41)
-	gh0 := make([]float64, hidDim)
-	gc0 := make([]float64, hidDim)
-	w := check.ProbeWeights(hidDim, 42)
-
-	f := func() float64 {
-		cell.ZeroGrad()
-		h, c := h0, c0
-		caches := make([]*nn.LSTMCache, T)
-		for s := 0; s < T; s++ {
-			h, c, caches[s] = cell.Forward(xs[s], h, c)
-		}
-		var loss float64
-		for o, v := range h {
-			loss += w[o] * v
-		}
-		dH := append([]float64(nil), w...)
-		dC := make([]float64, hidDim)
-		for s := T - 1; s >= 0; s-- {
-			var dX []float64
-			dX, dH, dC = cell.Backward(caches[s], dH, dC)
-			copy(gxs[s], dX)
-		}
-		copy(gh0, dH)
-		copy(gc0, dC)
-		return loss
-	}
-	params := check.LayerParams(cell)
-	for s := range xs {
-		params = append(params, check.Param{Name: "x" + string(rune('0'+s)), Value: xs[s], Grad: gxs[s]})
-	}
-	params = append(params,
-		check.Param{Name: "h0", Value: h0, Grad: gh0},
-		check.Param{Name: "c0", Value: c0, Grad: gc0})
-	check.Assert(t, f, params, check.Options{})
-}
-
 // The ST-LSTM adds the Δt/Δd-driven time and distance gates — the gate
 // gradients ISSUE singles out as a likely bug site. The BPTT check sweeps
 // all eight parameter groups (W, b, WxT, WtT, bT, WxD, WdD, bD).

@@ -1,7 +1,7 @@
 // Package nn is a minimal neural-network substrate with hand-written
 // reverse-mode gradients: dense layers, activations, embeddings, a sequential
-// MLP, recurrent cells (vanilla RNN and LSTM, including the spatio-temporal
-// gate variant STGN uses), and scaled dot-product attention. It exists so the
+// MLP, recurrent cells (the vanilla RNN of STRNN and the spatio-temporal
+// gated LSTM of STGN), and scaled dot-product attention. It exists so the
 // paper's neural baselines (NCF, NTM, CoSTCo, STRNN, STGN, STAN) can be
 // implemented from scratch without any framework; every layer exposes its
 // parameters as named flat slices consumable by the optimizers in

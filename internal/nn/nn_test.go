@@ -139,7 +139,7 @@ func TestMLPOutDim(t *testing.T) {
 func TestEmbedding(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	e := NewEmbedding("e", 4, 3, rng)
-	e.SetRow(2, []float64{1, 2, 3})
+	copy(e.W[2*3:], []float64{1, 2, 3})
 	v := e.Lookup(2)
 	if v[0] != 1 || v[2] != 3 {
 		t.Fatalf("Lookup = %v", v)
@@ -190,55 +190,6 @@ func TestRNNCellGradientCheck(t *testing.T) {
 	}
 	for i := range h0 {
 		checkClose(t, "rnn dH", dH[i], numericalGrad(loss, h0, i))
-	}
-}
-
-func TestLSTMCellGradientCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	c := NewLSTMCell("l", 3, 4, rng)
-	x := []float64{0.1, -0.5, 0.8}
-	h0 := []float64{0.2, 0.3, -0.1, 0.4}
-	c0 := []float64{-0.2, 0.1, 0.5, 0.0}
-	loss := func() float64 {
-		h, cNew, _ := c.Forward(x, h0, c0)
-		var s float64
-		for _, v := range h {
-			s += v
-		}
-		for _, v := range cNew {
-			s += 0.5 * v
-		}
-		return s
-	}
-	_, _, cache := c.Forward(x, h0, c0)
-	half := make([]float64, 4)
-	for i := range half {
-		half[i] = 0.5
-	}
-	dX, dH, dC := c.Backward(cache, ones(4), half)
-	for _, p := range c.Params() {
-		for i := range p.Value {
-			checkClose(t, p.Name, p.Grad[i], numericalGrad(loss, p.Value, i))
-		}
-	}
-	for i := range x {
-		checkClose(t, "lstm dX", dX[i], numericalGrad(loss, x, i))
-	}
-	for i := range h0 {
-		checkClose(t, "lstm dH", dH[i], numericalGrad(loss, h0, i))
-	}
-	for i := range c0 {
-		checkClose(t, "lstm dC", dC[i], numericalGrad(loss, c0, i))
-	}
-}
-
-func TestLSTMForgetBias(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	c := NewLSTMCell("l", 2, 3, rng)
-	for j := 3; j < 6; j++ {
-		if c.B[j] != 1 {
-			t.Fatal("forget bias must start at 1")
-		}
 	}
 }
 

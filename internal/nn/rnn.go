@@ -106,129 +106,3 @@ func (c *RNNCell) ZeroGrad() {
 	zero(c.GradWh)
 	zero(c.GradB)
 }
-
-// LSTMCell is a standard long short-term memory cell. Gate pre-activations
-// are computed as W·[x; hPrev] + b with the four gates (input, forget,
-// output, candidate) stacked in that order.
-type LSTMCell struct {
-	InDim, HidDim int
-	W             []float64 // (4*Hid) × (In+Hid)
-	B             []float64 // 4*Hid; forget-gate slice initialized to 1
-	GradW, GradB  []float64
-	name          string
-}
-
-// NewLSTMCell returns an LSTM cell with Xavier weights and forget bias 1.
-func NewLSTMCell(name string, inDim, hidDim int, rng *rand.Rand) *LSTMCell {
-	cols := inDim + hidDim
-	c := &LSTMCell{
-		InDim: inDim, HidDim: hidDim,
-		W:     xavier(4*hidDim*cols, cols+hidDim, rng),
-		B:     make([]float64, 4*hidDim),
-		GradW: make([]float64, 4*hidDim*cols), GradB: make([]float64, 4*hidDim),
-		name: name,
-	}
-	for i := hidDim; i < 2*hidDim; i++ { // forget gate bias
-		c.B[i] = 1
-	}
-	return c
-}
-
-// LSTMCache holds the intermediates of one LSTMCell.Forward step.
-type LSTMCache struct {
-	XH            []float64 // concatenated [x; hPrev]
-	CPrev         []float64
-	I, F, O, G, C []float64
-	TanhC         []float64
-}
-
-// Forward advances (h, c) by one step.
-func (c *LSTMCell) Forward(x, hPrev, cPrev []float64) (h, cNew []float64, cache *LSTMCache) {
-	if len(x) != c.InDim || len(hPrev) != c.HidDim || len(cPrev) != c.HidDim {
-		panic(fmt.Sprintf("nn: LSTMCell %q dims: x=%d h=%d c=%d", c.name, len(x), len(hPrev), len(cPrev)))
-	}
-	cols := c.InDim + c.HidDim
-	xh := make([]float64, cols)
-	copy(xh, x)
-	copy(xh[c.InDim:], hPrev)
-
-	hid := c.HidDim
-	pre := make([]float64, 4*hid)
-	for o := 0; o < 4*hid; o++ {
-		row := c.W[o*cols : (o+1)*cols]
-		s := c.B[o]
-		for i, v := range xh {
-			s += row[i] * v
-		}
-		pre[o] = s
-	}
-	cache = &LSTMCache{
-		XH: xh, CPrev: cPrev,
-		I: make([]float64, hid), F: make([]float64, hid), O: make([]float64, hid),
-		G: make([]float64, hid), C: make([]float64, hid), TanhC: make([]float64, hid),
-	}
-	h = make([]float64, hid)
-	cNew = cache.C
-	for j := 0; j < hid; j++ {
-		cache.I[j] = SigmoidF(pre[j])
-		cache.F[j] = SigmoidF(pre[hid+j])
-		cache.O[j] = SigmoidF(pre[2*hid+j])
-		cache.G[j] = math.Tanh(pre[3*hid+j])
-		cache.C[j] = cache.F[j]*cPrev[j] + cache.I[j]*cache.G[j]
-		cache.TanhC[j] = math.Tanh(cache.C[j])
-		h[j] = cache.O[j] * cache.TanhC[j]
-	}
-	return h, cNew, cache
-}
-
-// Backward accumulates parameter gradients for one step. dH and dC are the
-// upstream gradients of the step's hidden and cell outputs (pass a zero dC
-// at the last timestep). It returns gradients w.r.t. x, hPrev and cPrev.
-func (c *LSTMCell) Backward(cache *LSTMCache, dH, dC []float64) (dX, dHPrev, dCPrev []float64) {
-	hid := c.HidDim
-	cols := c.InDim + c.HidDim
-	dPre := make([]float64, 4*hid)
-	dCPrev = make([]float64, hid)
-	for j := 0; j < hid; j++ {
-		dO := dH[j] * cache.TanhC[j]
-		dCj := dC[j] + dH[j]*cache.O[j]*(1-cache.TanhC[j]*cache.TanhC[j])
-		dI := dCj * cache.G[j]
-		dF := dCj * cache.CPrev[j]
-		dG := dCj * cache.I[j]
-		dCPrev[j] = dCj * cache.F[j]
-		dPre[j] = dI * cache.I[j] * (1 - cache.I[j])
-		dPre[hid+j] = dF * cache.F[j] * (1 - cache.F[j])
-		dPre[2*hid+j] = dO * cache.O[j] * (1 - cache.O[j])
-		dPre[3*hid+j] = dG * (1 - cache.G[j]*cache.G[j])
-	}
-	dXH := make([]float64, cols)
-	for o, g := range dPre {
-		if g == 0 {
-			continue
-		}
-		row := c.W[o*cols : (o+1)*cols]
-		grow := c.GradW[o*cols : (o+1)*cols]
-		c.GradB[o] += g
-		for i, v := range cache.XH {
-			grow[i] += g * v
-			dXH[i] += g * row[i]
-		}
-	}
-	dX = dXH[:c.InDim]
-	dHPrev = dXH[c.InDim:]
-	return dX, dHPrev, dCPrev
-}
-
-// Params implements Layer-style parameter exposure.
-func (c *LSTMCell) Params() []Param {
-	return []Param{
-		{Name: c.name + ".W", Value: c.W, Grad: c.GradW},
-		{Name: c.name + ".b", Value: c.B, Grad: c.GradB},
-	}
-}
-
-// ZeroGrad clears the gradient accumulators.
-func (c *LSTMCell) ZeroGrad() {
-	zero(c.GradW)
-	zero(c.GradB)
-}

@@ -16,7 +16,8 @@ import (
 //	h' = o ⊙ tanh(c')
 //
 // so new content only enters the memory when both the temporal and the
-// spatial context allow it. The base gates follow LSTMCell exactly.
+// spatial context allow it. The base gates are the standard LSTM's: input,
+// forget, output and candidate, stacked in that order in W and B.
 type STLSTMCell struct {
 	InDim, HidDim int
 

@@ -94,64 +94,6 @@ func TestRNNLearnsParity(t *testing.T) {
 	}
 }
 
-// TestLSTMLearnsFirstBitRecall: remember the first element of a sequence —
-// the long-range dependency LSTMs exist for.
-func TestLSTMLearnsFirstBitRecall(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const hid = 8
-	const seqLen = 6
-	cell := NewLSTMCell("recall", 1, hid, rng)
-	head := NewDense("recall.head", hid, 1, rng)
-	optim := opt.NewAdam(0.02, 0)
-
-	sample := func(r *rand.Rand) ([]float64, float64) {
-		bits := make([]float64, seqLen)
-		for i := range bits {
-			bits[i] = float64(r.Intn(2))
-		}
-		return bits, bits[0]
-	}
-
-	trainRng := rand.New(rand.NewSource(6))
-	zero := make([]float64, hid)
-	for epoch := 0; epoch < 3000; epoch++ {
-		bits, target := sample(trainRng)
-		h, c := make([]float64, hid), make([]float64, hid)
-		caches := make([]*LSTMCache, seqLen)
-		for i, bit := range bits {
-			h, c, caches[i] = cell.Forward([]float64{bit}, h, c)
-		}
-		pred := SigmoidF(head.Forward(h)[0])
-		dH := head.Backward(h, []float64{pred - target})
-		dC := zero
-		for i := seqLen - 1; i >= 0; i-- {
-			_, dH, dC = cell.Backward(caches[i], dH, dC)
-		}
-		for _, p := range append(cell.Params(), head.Params()...) {
-			optim.Step(p.Name, p.Value, p.Grad)
-		}
-		cell.ZeroGrad()
-		head.ZeroGrad()
-	}
-
-	testRng := rand.New(rand.NewSource(7))
-	correct := 0
-	const trials = 100
-	for n := 0; n < trials; n++ {
-		bits, target := sample(testRng)
-		h, c := make([]float64, hid), make([]float64, hid)
-		for _, bit := range bits {
-			h, c, _ = cell.Forward([]float64{bit}, h, c)
-		}
-		if (SigmoidF(head.Forward(h)[0]) > 0.5) == (target > 0.5) {
-			correct++
-		}
-	}
-	if correct < 95 {
-		t.Fatalf("LSTM recall accuracy %d/%d, want ≥ 95", correct, trials)
-	}
-}
-
 // TestAttentionLearnsLookup: with trainable value vectors, attention can
 // learn to retrieve the value associated with a query key.
 func TestAttentionLearnsLookup(t *testing.T) {

@@ -37,7 +37,7 @@ func (s *SeqScorer) Recommend(user, t, n int) ([]core.Recommendation, uint64, er
 	if err != nil {
 		return nil, 0, mapSeqErr(err)
 	}
-	return toRecs(out), s.gen, nil
+	return out, s.gen, nil
 }
 
 // Next implements NextScorer.
@@ -50,15 +50,7 @@ func (s *SeqScorer) Next(user int, seq []Event, t, n int) ([]core.Recommendation
 	if err != nil {
 		return nil, 0, mapSeqErr(err)
 	}
-	return toRecs(out), s.gen, nil
-}
-
-func toRecs(in []baselines.ScoredPOI) []core.Recommendation {
-	out := make([]core.Recommendation, len(in))
-	for i, sp := range in {
-		out[i] = core.Recommendation{POI: sp.POI, Score: sp.Score}
-	}
-	return out
+	return out, s.gen, nil
 }
 
 func mapSeqErr(err error) error {
