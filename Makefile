@@ -72,6 +72,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBinary -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core
 	@# The drift stream `tcss replay` reads.
 	$(GO) test -run '^$$' -fuzz FuzzReadWeeksJSONL -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/lbsn
+	@# The eigen solver behind the spectral initialization and the SVD
+	@# baselines, on low-rank inputs that annihilate basis vectors.
+	$(GO) test -run '^$$' -fuzz FuzzTopEigenvectors -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mat
 
 # Re-record the golden trajectories after an INTENDED change to training math.
 golden-update:

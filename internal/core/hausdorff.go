@@ -62,12 +62,6 @@ type Hausdorff struct {
 	cacheInit sync.Once
 	minD      [][]float64
 	minDOnce  []sync.Once
-
-	// dnorm caches dn[j'·N+j] = d(j,j')/d_max − 1, the shifted normalized
-	// distances term 2 consumes: f_j = p_j·dn + 1 is one multiply-add, and
-	// ∂f_j/∂p_j = dn needs no recomputation in the gradient pass.
-	dnormOnce sync.Once
-	dnorm     []float64
 }
 
 // NewHausdorff builds the loss head with the paper's default α = −1 and
@@ -115,20 +109,6 @@ func (h *Hausdorff) minDistances(i int) []float64 {
 	return h.minD[i]
 }
 
-// normDist returns the cached shifted normalized distance matrix
-// dn[j'·N+j] = d(j,j')/d_max − 1 ∈ [−1, 0], computed once per head.
-func (h *Hausdorff) normDist() []float64 {
-	h.dnormOnce.Do(func() {
-		inv := h.invDMax()
-		dn := make([]float64, len(h.Dist.D))
-		for idx, d := range h.Dist.D {
-			dn[idx] = d*inv - 1
-		}
-		h.dnorm = dn
-	})
-	return h.dnorm
-}
-
 // invDMax returns the normalization factor 1/d_max (1 when all POIs are
 // co-located, so a degenerate geometry stays finite).
 func (h *Hausdorff) invDMax() float64 {
@@ -142,14 +122,15 @@ func (h *Hausdorff) invDMax() float64 {
 // can sweep its whole user shard without allocating. Sized for one (J, K, r)
 // model shape.
 type hausdorffScratch struct {
-	xhat  []float64 // J*K raw predictions, slab layout [j*K+k]
-	dpdx  []float64 // J*K ∂p_j/∂x̂_k partial products
-	p     []float64 // J visit probabilities
-	f     []float64 // J term-2 operands
-	finv  []float64 // J reciprocals 1/f_j (harmonic fast path)
-	dLdp  []float64 // J loss-probability gradients
-	slab  []float64 // 2r slab-kernel scratch
-	prefs []float64 // 2(K+1): prefix and suffix no-visit products
+	xhat  []float64   // J*K raw predictions, slab layout [j*K+k]
+	dpdx  []float64   // J*K ∂p_j/∂x̂_k partial products
+	p     []float64   // J visit probabilities
+	dn    []float64   // J shifted normalized distances d(j,j')/d_max − 1 to one friend POI
+	f     []float64   // J term-2 operands
+	finv  []float64   // J reciprocals 1/f_j (harmonic fast path)
+	dLdp  []float64   // J loss-probability gradients
+	slab  []float64   // 2r slab-kernel scratch
+	prefs []float64   // 2(K+1): prefix and suffix no-visit products
 	gRow  []float64   // r accumulator for one chain-rule row G[j] = Σ_k C[j][k]·U3[k]
 	hk    *mat.Matrix // K×r chain-rule factor H = Cᵀ·U2
 	q     []float64   // r column sums Σ_j U2[j]⊙G[j]
@@ -161,6 +142,7 @@ func newHausdorffScratch(m *Model) *hausdorffScratch {
 		xhat:  make([]float64, J*K),
 		dpdx:  make([]float64, J*K),
 		p:     make([]float64, J),
+		dn:    make([]float64, J),
 		f:     make([]float64, J),
 		finv:  make([]float64, J),
 		dLdp:  make([]float64, J),
@@ -248,15 +230,15 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 	alpha := h.Alpha
 	harmonic := alpha == -1 // the paper default; avoids math.Pow in the hot loop
 	invN := 1 / float64(len(friendSet))
-	f, finv := sc.f[:J], sc.finv[:J]
-	// With the shifted normalized distances dn = d/d_max − 1 the factor
-	// f_j = p_j·d'(j,jp) + (1−p_j)·d_max collapses to p_j·dn + 1: one
-	// multiply-add per (friend, POI) pair, and ∂f_j/∂p_j = dn falls out of the
-	// same cached row in the gradient pass.
-	dnorm := h.normDist()
+	f, finv, dn := sc.f[:J], sc.finv[:J], sc.dn[:J]
+	// With the shifted normalized distances dn_j = d(j,jp)/d_max − 1 the
+	// factor f_j = p_j·d'(j,jp) + (1−p_j)·d_max collapses to p_j·dn_j + 1:
+	// one multiply-add per (friend, POI) pair. The forward loop keeps each
+	// dn_j in a J-length row, where the gradient pass reads ∂f_j/∂p_j = dn_j.
+	scale := h.invDMax()
 	for _, jp := range friendSet {
 		var s float64
-		dnrow := dnorm[jp*h.Dist.N : jp*h.Dist.N+J]
+		drow := h.Dist.D[jp*h.Dist.N : jp*h.Dist.N+J]
 		if harmonic {
 			// Cache each reciprocal: the gradient pass needs 1/f_j² and a
 			// multiply by the stored reciprocal replaces a second division,
@@ -264,7 +246,9 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 			// zero reciprocal so the gradient loop below is branch-free (a
 			// clamp has zero gradient, and 0² · dn contributes exactly that).
 			for j := 0; j < J; j++ {
-				fj := p[j]*dnrow[j] + 1
+				dnj := drow[j]*scale - 1
+				dn[j] = dnj
+				fj := p[j]*dnj + 1
 				if fj < fMin {
 					s += 1 / fMin
 					finv[j] = 0
@@ -276,7 +260,9 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 			}
 		} else {
 			for j := 0; j < J; j++ {
-				fj := p[j]*dnrow[j] + 1
+				dnj := drow[j]*scale - 1
+				dn[j] = dnj
+				fj := p[j]*dnj + 1
 				if fj < fMin {
 					fj = fMin
 				}
@@ -298,7 +284,6 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 			if harmonic {
 				wb := w / (mean * mean * float64(J))
 				dl := dLdp[:J]
-				dn := dnrow[:J]
 				for j, iv := range finv {
 					dl[j] += wb * iv * iv * dn[j]
 				}
@@ -308,7 +293,7 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 					if f[j] <= fMin {
 						continue // clamped: no gradient
 					}
-					dLdp[j] += w * base * math.Pow(f[j], alpha-1) * dnrow[j]
+					dLdp[j] += w * base * math.Pow(f[j], alpha-1) * dn[j]
 				}
 			}
 		}

@@ -108,6 +108,13 @@ func applyJacobiRotation(w, v *Matrix, p, q int, c, s float64) {
 // magnitude of the Rayleigh quotients. The method converges geometrically with
 // ratio |λ_{r+1}/λ_r|; maxIter bounds the sweeps. It is the workhorse behind
 // the TCSS spectral initialization where a is I×I, J×J or K×K.
+//
+// Products with a run over its nonzeros only: the unfoldings' Gram matrices
+// are mostly zeros. Each step takes one product, a·q of the freshly
+// orthonormalized basis q, which is both this step's Rayleigh probe and the
+// next step's power iterate; the last one also forms qᵀAq. Every sum runs in
+// a fixed order, a row's nonzeros by ascending column as Matrix.Mul adds
+// them, so the result depends on nothing but the arguments.
 func TopEigenvectors(a *Matrix, r, maxIter int, rng *rand.Rand) (*EigenResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("mat: TopEigenvectors requires square matrix, got %dx%d", a.Rows, a.Cols)
@@ -119,86 +126,121 @@ func TopEigenvectors(a *Matrix, r, maxIter int, rng *rand.Rand) (*EigenResult, e
 	if maxIter <= 0 {
 		maxIter = 200
 	}
-	q := RandomNormal(n, r, 1, rng)
+	sp := nonzeroRows(a)
+	// The basis and its image are held transposed (r×n, one vector per row)
+	// so the QR, the probe and qᵀAq walk contiguous memory.
+	q := RandomNormal(n, r, 1, rng).T()
 	qrOrthonormalize(q)
-	var prev []float64
+	aq := New(r, n)
+	sp.mulInto(aq, q)
+	vals, prev := make([]float64, r), make([]float64, r)
 	for it := 0; it < maxIter; it++ {
-		z := a.Mul(q)
-		qrOrthonormalize(z)
-		q = z
+		q, aq = aq, q
+		qrOrthonormalize(q)
+		sp.mulInto(aq, q)
 		// Rayleigh quotients along the current basis as a convergence probe.
-		vals := rayleigh(a, q)
-		if prev != nil {
+		for j := range vals {
+			vals[j] = Dot(q.Row(j), aq.Row(j))
+		}
+		if it > 0 {
 			var diff float64
 			for i := range vals {
 				diff += math.Abs(vals[i] - prev[i])
 			}
 			if diff < 1e-12*(1+math.Abs(vals[0])) {
-				prev = vals
 				break
 			}
 		}
-		prev = vals
+		vals, prev = prev, vals
 	}
 	// Rotate q to diagonalize the projected matrix qᵀAq, so the returned
 	// columns are true eigenvector estimates rather than an arbitrary basis
 	// of the dominant subspace.
-	proj := q.TMul(a.Mul(q))
-	small, err := SymEigen(proj)
+	small, err := SymEigen(q.MulT(aq))
 	if err != nil {
 		return nil, err
 	}
-	vectors := q.Mul(small.Vectors)
+	vectors := q.T().Mul(small.Vectors)
 	return &EigenResult{Values: small.Values, Vectors: vectors}, nil
 }
 
-func rayleigh(a, q *Matrix) []float64 {
-	az := a.Mul(q)
-	vals := make([]float64, q.Cols)
-	for j := 0; j < q.Cols; j++ {
-		var num float64
-		for i := 0; i < q.Rows; i++ {
-			num += q.At(i, j) * az.At(i, j)
-		}
-		vals[j] = num
-	}
-	return vals
+// sparseRows holds a matrix's nonzeros row by row: row i's column indices,
+// ascending, are idx[ptr[i]:ptr[i+1]] and its values val[ptr[i]:ptr[i+1]].
+type sparseRows struct {
+	ptr []int
+	idx []int32
+	val []float64
 }
 
-// qrOrthonormalize replaces the columns of q with an orthonormal basis of
-// their span using modified Gram-Schmidt with one re-orthogonalization pass.
-// Columns that become numerically zero are replaced with canonical unit
-// vectors so the basis keeps full column rank.
-func qrOrthonormalize(q *Matrix) {
-	n, r := q.Rows, q.Cols
-	col := make([]float64, n)
-	for j := 0; j < r; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = q.At(i, j)
-		}
-		for pass := 0; pass < 2; pass++ {
-			for k := 0; k < j; k++ {
-				var dot float64
-				for i := 0; i < n; i++ {
-					dot += col[i] * q.At(i, k)
-				}
-				for i := 0; i < n; i++ {
-					col[i] -= dot * q.At(i, k)
-				}
+func nonzeroRows(a *Matrix) sparseRows {
+	s := sparseRows{ptr: make([]int, a.Rows+1)}
+	for i := 0; i < a.Rows; i++ {
+		for k, v := range a.Row(i) {
+			if v != 0 {
+				s.idx = append(s.idx, int32(k))
+				s.val = append(s.val, v)
 			}
 		}
-		norm := Norm2(col)
-		if norm < 1e-300 {
-			// Degenerate column: substitute e_{j mod n}.
-			for i := range col {
-				col[i] = 0
+		s.ptr[i+1] = len(s.idx)
+	}
+	return s
+}
+
+// mulInto writes (a·x)ᵀ into dst, where x holds the operand's columns as its
+// rows. Each entry sums its row's nonzeros from zero in ascending column
+// order, exactly the additions of Matrix.Mul.
+func (s sparseRows) mulInto(dst, x *Matrix) {
+	for t := 0; t < x.Rows; t++ {
+		xr, out := x.Row(t), dst.Row(t)
+		for i := range out {
+			var sum float64
+			for p := s.ptr[i]; p < s.ptr[i+1]; p++ {
+				sum += s.val[p] * xr[s.idx[p]]
 			}
-			col[j%n] = 1
-		} else {
-			ScaleVec(1/norm, col)
-		}
-		for i := 0; i < n; i++ {
-			q.Set(i, j, col[i])
+			out[i] = sum
 		}
 	}
+}
+
+// qrOrthonormalize replaces the rows of q (a basis held one vector per row)
+// with an orthonormal basis of their span using modified Gram-Schmidt with
+// one re-orthogonalization pass. A vector that lies in the span of those
+// before it is replaced by the first of e_j, e_{j+1}, … (mod n) that does
+// not, orthogonalized the same way, so the basis keeps full rank. One does:
+// j < n vectors cannot span every unit vector.
+func qrOrthonormalize(q *Matrix) {
+	n := q.Cols
+	for j := 0; j < q.Rows; j++ {
+		v := q.Row(j)
+		norm := orthogonalize(q, j)
+		for e := j; norm == 0 && e < j+n; e++ {
+			clear(v)
+			v[e%n] = 1
+			norm = orthogonalize(q, j)
+		}
+		ScaleVec(1/norm, v)
+	}
+}
+
+// orthogonalize removes from row j of q its components along rows 0..j-1,
+// in two passes, and returns the norm left, or 0 when the row lay in their
+// span: the second pass only clears the first's rounding error, so a row it
+// shrinks by more than half held nothing but rounding error.
+func orthogonalize(q *Matrix, j int) float64 {
+	v := q.Row(j)
+	var left [2]float64
+	for pass := range left {
+		for k := 0; k < j; k++ {
+			u := q.Row(k)
+			dot := Dot(v, u)
+			for i, x := range u {
+				v[i] -= dot * x
+			}
+		}
+		left[pass] = Norm2(v)
+	}
+	if left[1] < 1e-300 || 2*left[1] < left[0] {
+		return 0
+	}
+	return left[1]
 }

@@ -156,11 +156,105 @@ func TestTopEigenvectorsBadRank(t *testing.T) {
 	}
 }
 
+// FuzzTopEigenvectors: on any small symmetric matrix the solver returns
+// finite eigenpairs and an orthonormal basis. Byte 0 picks n ≤ 16, byte 1
+// the rank r ≤ n and byte 2 the shape: a general symmetric matrix, u·uᵀ,
+// u·uᵀ + w·wᵀ or u·uᵀ − w·wᵀ, where the low-rank shapes make the power
+// step annihilate basis vectors. The entries are the remaining bytes as
+// int8s, repeated cyclically.
+func FuzzTopEigenvectors(f *testing.F) {
+	f.Add([]byte{15, 3, 1, 1, 2, 3}) // 16×16, r = 4: a_ij = (i mod 3 + 1)(j mod 3 + 1)
+	f.Add([]byte{9, 2, 0, 7, 250, 3, 0, 1})
+	f.Add([]byte{11, 5, 2, 1, 2, 3, 255, 0, 4})
+	f.Add([]byte{5, 5, 3, 9, 9, 9, 9, 9, 9})
+	f.Add([]byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 1 + int(data[0])%16
+		r := 1 + int(data[1])%n
+		shape := data[2] % 4
+		rest := data[3:]
+		val := func(k int) float64 {
+			if len(rest) == 0 {
+				return 0
+			}
+			return float64(int8(rest[k%len(rest)]))
+		}
+		a := New(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				var v float64
+				switch shape {
+				case 0:
+					v = val(min(i, j)*n + max(i, j))
+				case 1:
+					v = val(i) * val(j)
+				case 2:
+					v = val(i)*val(j) + val(n+i)*val(n+j)
+				case 3:
+					v = val(i)*val(j) - val(n+i)*val(n+j)
+				}
+				a.Set(i, j, v)
+			}
+		}
+		res, err := TopEigenvectors(a, r, 300, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range append(append([]float64(nil), res.Values...), res.Vectors.Data...) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("non-finite output on %v", a)
+			}
+		}
+		if g := res.Vectors.Gram(); !g.Equalf(Identity(r), 1e-9*float64(n)) {
+			t.Fatalf("VᵀV = %v, want I (a = %v)", g, a)
+		}
+	})
+}
+
 func TestQROrthonormalizeDegenerate(t *testing.T) {
-	// Two identical columns: the second must be replaced, keeping full rank.
-	q := FromSlice(3, 2, []float64{1, 1, 0, 0, 0, 0})
-	qrOrthonormalize(q)
-	if !q.Gram().Equalf(Identity(2), 1e-10) {
-		t.Fatalf("degenerate columns must still produce an orthonormal basis, got %v", q.Gram())
+	// Two identical vectors (one per row): the second must be replaced,
+	// keeping full rank. In the second case the first substitute, e_1,
+	// overlaps the first vector and must be orthogonalized against it.
+	s := 1 / math.Sqrt2
+	for _, data := range [][]float64{
+		{1, 0, 0, 1, 0, 0},
+		{s, s, 0, s, s, 0},
+	} {
+		q := FromSlice(2, 3, data)
+		qrOrthonormalize(q)
+		if !q.GramT().Equalf(Identity(2), 1e-10) {
+			t.Fatalf("degenerate vectors must still produce an orthonormal basis, got %v", q.GramT())
+		}
+	}
+}
+
+// TestTopEigenvectorsRankOne: on a rank-1 matrix every basis vector but the
+// first vanishes under the power step, and the substitutes must still come
+// out orthonormal.
+func TestTopEigenvectorsRankOne(t *testing.T) {
+	const n = 80
+	a := New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, float64((i%3+1)*(j%3+1)))
+		}
+	}
+	res, err := TopEigenvectors(a, 4, 300, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := res.Vectors.Gram(); !g.Equalf(Identity(4), 1e-9) {
+		t.Fatalf("VᵀV = %v, want I", g)
+	}
+	// The one nonzero eigenvalue is ‖u‖² for u_i = i mod 3 + 1.
+	var want float64
+	for i := 0; i < n; i++ {
+		want += float64((i%3 + 1) * (i%3 + 1))
+	}
+	if math.Abs(res.Values[0]-want) > 1e-9*want {
+		t.Fatalf("leading eigenvalue %g, want %g", res.Values[0], want)
 	}
 }

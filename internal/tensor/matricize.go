@@ -65,7 +65,9 @@ func (t *COO) fiberCoord(mode Mode, e Entry) (row int, fiber int64) {
 // The computation groups entries by unfolding column (fiber) and accumulates
 // the outer product of each fiber's sparse column, costing
 // O(Σ_fibers nnz(fiber)²) instead of O(dim² · JK). This is the input to the
-// TCSS spectral initialization (after zeroing the diagonal).
+// TCSS spectral initialization (after zeroing the diagonal). Fibers are
+// accumulated in order of first appearance among the stored entries, so the
+// sums, and with them the bits of a fractional-valued Gram, are reproducible.
 func (t *COO) GramOfUnfolding(mode Mode) *mat.Matrix {
 	var dim int
 	switch mode {
@@ -82,10 +84,17 @@ func (t *COO) GramOfUnfolding(mode Mode) *mat.Matrix {
 		row int
 		val float64
 	}
-	fibers := make(map[int64][]cell)
+	slot := make(map[int64]int) // fiber key -> index in fibers
+	var fibers [][]cell
 	for _, e := range t.entries {
 		row, fiber := t.fiberCoord(mode, e)
-		fibers[fiber] = append(fibers[fiber], cell{row: row, val: e.Val})
+		s, ok := slot[fiber]
+		if !ok {
+			s = len(fibers)
+			slot[fiber] = s
+			fibers = append(fibers, nil)
+		}
+		fibers[s] = append(fibers[s], cell{row: row, val: e.Val})
 	}
 	out := mat.New(dim, dim)
 	for _, cells := range fibers {

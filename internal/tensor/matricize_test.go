@@ -70,6 +70,31 @@ func TestGramOfUnfoldingMatchesDense(t *testing.T) {
 	}
 }
 
+// TestGramOfUnfoldingReproducible: with fractional values the fiber sums
+// are order-sensitive at the ulp level, so every rebuild must add the fibers
+// in the same order to come out bit-equal.
+func TestGramOfUnfoldingReproducible(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	x := NewCOO(50, 80, 12)
+	for n := 0; n < 2000; n++ {
+		x.Set(rng.Intn(50), rng.Intn(80), rng.Intn(12), rng.Float64())
+	}
+	for _, mode := range []Mode{ModeUser, ModePOI, ModeTime} {
+		first := x.GramOfUnfolding(mode)
+		for rebuild := 0; rebuild < 20; rebuild++ {
+			var differ int
+			for i, v := range x.GramOfUnfolding(mode).Data {
+				if math.Float64bits(v) != math.Float64bits(first.Data[i]) {
+					differ++
+				}
+			}
+			if differ > 0 {
+				t.Fatalf("mode %d rebuild %d: %d cells differ from the first build", mode, rebuild, differ)
+			}
+		}
+	}
+}
+
 func TestKhatriRaoKnown(t *testing.T) {
 	a := mat.FromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := mat.FromSlice(2, 2, []float64{5, 6, 7, 8})
