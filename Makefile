@@ -5,7 +5,7 @@ GO ?= go
 # `make bench-all`; the repository's benchmark is `make benchmark`.
 KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkMulBlocked|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)'
 
-.PHONY: build test race vet bench bench-all bench-test benchmark check gradcheck fuzz \
+.PHONY: build test race vet fmt bench bench-all bench-test benchmark check gradcheck fuzz \
 	golden-update serve loadgen smoke
 
 build:
@@ -22,6 +22,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any tracked Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # Kernel benchmarks; raw output lands in bench_kernels.txt.
 bench:
@@ -103,4 +107,4 @@ smoke:
 %-smoke:
 	bash scripts/smoke.sh $* $(SMOKE_DIR)
 
-check: build vet test bench-test race gradcheck fuzz
+check: build fmt vet test bench-test race gradcheck fuzz

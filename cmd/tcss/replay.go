@@ -195,7 +195,7 @@ func runReplay(o replayOpts) error {
 		}
 		fmt.Printf("base model: users=%d pois=%d rank=%d; replaying %d weeks (warm growth init)...\n",
 			rec.Model.I, rec.Model.J, rec.Model.Rank, len(d.Weeks))
-		warm, err := replay.Run(d, g, replay.NewLocalTarget(rec, ocfg), rcfg)
+		warm, err := replay.Run(d, g, &replay.LocalTarget{Rec: rec, Online: ocfg}, rcfg)
 		if err != nil {
 			return err
 		}
@@ -208,9 +208,9 @@ func runReplay(o replayOpts) error {
 				return err
 			}
 			rcfg2 := ocfg
-			rcfg2.GrowHints = &tcss.GrowthHints{Random: true}
+			rcfg2.RandomGrowth = true
 			fmt.Printf("replaying %d weeks again (random growth init)...\n", len(d.Weeks))
-			random, err := replay.Run(d, g, replay.NewLocalTarget(rec2, rcfg2), rcfg)
+			random, err := replay.Run(d, g, &replay.LocalTarget{Rec: rec2, Online: rcfg2}, rcfg)
 			if err != nil {
 				return err
 			}

@@ -60,6 +60,6 @@ func main() {
 	fmt.Printf("folded in %d new cells\n", added)
 	fmt.Printf("mean score of the new cells: %.3f -> %.3f\n", beforeSum/n, afterSum/n)
 	fmt.Printf("held-out accuracy after update: %v\n", rec.Evaluate())
-	fmt.Println("\n(the update touched only the affected user rows plus the shared")
-	fmt.Println(" POI/time factors — no full retraining)")
+	fmt.Println("\n(a few warm-start epochs on the new check-ins and sampled negatives")
+	fmt.Println(" — no full retraining)")
 }

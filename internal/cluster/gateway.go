@@ -38,10 +38,6 @@ type GatewayOptions struct {
 	// backends are bounded by the per-hop deadlines the gateway derives from
 	// each request's budget, not by a client-wide timeout.
 	Client *http.Client
-	// DownCooldown is how long a failed endpoint is skipped before being
-	// retried (2s when zero). Failover still works inside the cooldown — the
-	// mark only changes which endpoint is tried first.
-	DownCooldown time.Duration
 	// ReadBudget is the total deadline budget of a read that arrives without
 	// an X-Deadline-Budget header (2s when zero). The budget spans every
 	// failover attempt; when it drains the gateway answers 504.
@@ -151,9 +147,6 @@ func NewGateway(sets []ShardSet, opts GatewayOptions) (*Gateway, error) {
 	if opts.Client == nil {
 		opts.Client = http.DefaultClient
 	}
-	if opts.DownCooldown <= 0 {
-		opts.DownCooldown = 2 * time.Second
-	}
 	if opts.ReadBudget <= 0 {
 		opts.ReadBudget = 2 * time.Second
 	}
@@ -207,6 +200,11 @@ func (g *Gateway) writeError(w http.ResponseWriter, status int, format string, a
 	json.NewEncoder(w).Encode(wire.Error{Error: fmt.Sprintf(format, args...)})
 }
 
+// downCooldown is how long a failed endpoint is skipped before being retried.
+// Failover still works inside the cooldown — the mark only changes which
+// endpoint is tried first.
+const downCooldown = 2 * time.Second
+
 // markDown records an endpoint failure; the endpoint is deprioritized until
 // the cooldown elapses. Expired marks are swept on every call so the map
 // stays bounded by the live endpoint count across long deployments with
@@ -219,7 +217,7 @@ func (g *Gateway) markDown(endpoint string) {
 			delete(g.down, ep)
 		}
 	}
-	g.down[endpoint] = now.Add(g.opts.DownCooldown)
+	g.down[endpoint] = now.Add(downCooldown)
 	g.mu.Unlock()
 }
 

@@ -15,9 +15,10 @@ import (
 // 503 rather than a generic failure.
 var ErrCompactModel = errors.New("core: model factors are not float64 storage")
 
-// ErrOutOfRange marks an online entry outside the model's dimensions when
-// growth is not enabled. Serving maps this to 409 so clients can distinguish
-// "the model has not grown yet" from a malformed request.
+// ErrOutOfRange marks an online entry outside the model's dimensions:
+// UpdateOnline never grows the model, so its caller must grow it first (the
+// tcss observe transaction does). Serving maps this to 409 so clients can
+// distinguish "the model has not grown yet" from a malformed request.
 var ErrOutOfRange = errors.New("core: entry outside model dimensions")
 
 // GrowthHints supplies the side knowledge Grow uses to warm-start appended
@@ -35,7 +36,8 @@ type GrowthHints struct {
 	// similar crowds).
 	NearPOIs map[int][]int
 	// Random disables warm-starting entirely: new rows are drawn uniform on
-	// [0, 1/√r) as RandomInit would. Exists for the warm-vs-random ablation.
+	// [0, 1/√r) as RandomInit would. Exists for the warm-vs-random ablation
+	// (OnlineConfig.RandomGrowth).
 	Random bool
 	// Seed drives the symmetry-breaking noise blended into warm rows.
 	Seed int64

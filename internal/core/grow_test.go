@@ -108,35 +108,20 @@ func TestUpdateOnlineGrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldI, oldJ := m.I, m.J
+	nnz := fx.x.NNZ()
 	entries := []tensor.Entry{
 		{I: oldI + 1, J: oldJ, K: 0, Val: 1},
 		{I: 0, J: oldJ, K: 1, Val: 1},
 	}
-	// Without Grow: typed sentinel.
-	ocfg := DefaultOnlineConfig()
-	if _, err := m.UpdateOnline(fx.x, entries, fx.side, ocfg); !errors.Is(err, ErrOutOfRange) {
+	// UpdateOnline never grows: entries beyond the model fail with the typed
+	// sentinel and leave model and tensor alone. Growth is the observe
+	// transaction's step (TestObserveOpenGrowsEverythingTogether in tcss).
+	if _, err := m.UpdateOnline(fx.x, entries, fx.side, DefaultOnlineConfig()); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("err = %v, want ErrOutOfRange", err)
 	}
-	// With Grow: dims extend, entries land, predictions work everywhere.
-	ocfg.Grow = true
-	ocfg.GrowHints = &GrowthHints{Friends: map[int][]int{oldI + 1: {0}}, Seed: 3}
-	added, err := m.UpdateOnline(fx.x, entries, fx.side, ocfg)
-	if err != nil {
-		t.Fatal(err)
+	if m.I != oldI || m.J != oldJ || fx.x.DimI != oldI || fx.x.DimJ != oldJ || fx.x.NNZ() != nnz {
+		t.Fatal("a rejected update changed the model or tensor")
 	}
-	if added != 2 {
-		t.Fatalf("added = %d, want 2", added)
-	}
-	if m.I != oldI+2 || m.J != oldJ+1 {
-		t.Fatalf("model dims = %dx%d, want %dx%d", m.I, m.J, oldI+2, oldJ+1)
-	}
-	if fx.x.DimI != m.I || fx.x.DimJ != m.J {
-		t.Fatalf("tensor dims = %dx%d did not follow model", fx.x.DimI, fx.x.DimJ)
-	}
-	if !fx.x.Has(oldI+1, oldJ, 0) {
-		t.Fatal("grown entry not inserted")
-	}
-	_ = m.Predict(m.I-1, m.J-1, 0) // must not panic
 }
 
 func TestUpdateOnlineHonorsEntryWeight(t *testing.T) {

@@ -11,9 +11,11 @@ import (
 )
 
 // OnlineConfig controls incremental updates of an already-trained model when
-// new check-ins arrive, without retraining from scratch. Only the rows of
-// the affected users and POIs (and the shared time factors and h) receive
-// gradient updates, so an update is cheap even on large models.
+// new check-ins arrive, without retraining from scratch. Gradients reach the
+// rows of the new check-ins, of the sampled negatives, and of the batch's
+// users under the social head, plus the shared time factors and h; the
+// optimizer still steps every factor entry, so an epoch costs O(model), not
+// O(batch).
 type OnlineConfig struct {
 	Epochs     int     // update passes over the combined objective
 	LR         float64 // Adam learning rate for the update
@@ -22,30 +24,26 @@ type OnlineConfig struct {
 	NegPerNew  float64 // sampled negatives per new check-in for contrast
 	Seed       int64
 
-	// Grow lets entries beyond the model's current (I, J) extend it via
-	// Model.Grow instead of failing with ErrOutOfRange. GrowHints, when
-	// set, warm-starts the appended rows (see GrowthHints); the time axis K
-	// never grows.
-	Grow      bool
-	GrowHints *GrowthHints
+	// RandomGrowth starts the rows that open-world growth appends uniform
+	// on [0, 1/√r), as RandomInit would, instead of warm-starting them from
+	// friends and nearby POIs (GrowthHints.Random). It exists for the
+	// warm-vs-random ablation.
+	RandomGrowth bool
 
 	// DecayHalfLife, when positive, exponentially decays the existing
 	// training positives before folding in the new batch: every stored
 	// value is multiplied by 2^(-1/DecayHalfLife) per update, so a
 	// check-in's training weight halves every DecayHalfLife observe steps
-	// and stale positives stop dominating the loss. Re-observing a decayed
-	// cell refreshes its weight to the new entry's value. 0 disables decay
-	// (the historical behaviour).
+	// and stale positives stop dominating the loss. Cells that fall below
+	// decayFloor are dropped. Re-observing a decayed cell refreshes its
+	// weight to the new entry's value. 0 disables decay.
 	DecayHalfLife float64
-	// DecayFloor drops entries once decay pushes them below it; 0 means
-	// the default of 0.05 when decay is enabled.
-	DecayFloor float64
 }
 
-// defaultDecayFloor is the weight below which decayed positives are dropped
-// from the training tensor when DecayHalfLife is set without an explicit
-// floor: 1/20th of a fresh check-in, reached after ~4.3 half-lives.
-const defaultDecayFloor = 0.05
+// decayFloor is the weight below which decayed positives are dropped from
+// the training tensor: 1/20th of a fresh check-in, reached after ~4.3
+// half-lives.
+const decayFloor = 0.05
 
 // DefaultOnlineConfig returns update hyperparameters matched to
 // DefaultConfig's training regime.
@@ -62,9 +60,9 @@ func DefaultOnlineConfig() OnlineConfig {
 // number of genuinely new cells. Entry values are honoured as gradient
 // targets and stored weights — they must be positive.
 //
-// With cfg.Grow set, entries beyond (I, J) first extend the model and x via
-// Model.Grow; without it they fail with ErrOutOfRange. Compact models fail
-// with ErrCompactModel.
+// Entries beyond the model's dimensions fail with ErrOutOfRange: growth is
+// the caller's step (Model.Grow, tensor.COO.Grow) and happens before this
+// call. Compact models fail with ErrCompactModel.
 //
 // The refinement is a warm-start run of the internal/train engine: the same
 // driver that powers offline training executes a short full-batch schedule
@@ -78,38 +76,17 @@ func (m *Model) UpdateOnline(x *tensor.COO, newEntries []tensor.Entry, side *Sid
 	if m.Mode != StorageFloat64 {
 		return 0, fmt.Errorf("core: online update on %v storage (Decompress first, re-compact after): %w", m.Mode, ErrCompactModel)
 	}
-	needI, needJ := m.I, m.J
 	for _, e := range newEntries {
-		if e.I < 0 || e.J < 0 || e.K < 0 || e.K >= m.K {
+		if e.I < 0 || e.J < 0 || e.K < 0 || e.I >= m.I || e.J >= m.J || e.K >= m.K {
 			return 0, fmt.Errorf("core: online entry (%d,%d,%d) invalid for model %dx%dx%d: %w",
 				e.I, e.J, e.K, m.I, m.J, m.K, ErrOutOfRange)
 		}
 		if e.Val <= 0 {
 			return 0, fmt.Errorf("core: online entry (%d,%d,%d) has non-positive weight %g", e.I, e.J, e.K, e.Val)
 		}
-		if e.I >= needI {
-			needI = e.I + 1
-		}
-		if e.J >= needJ {
-			needJ = e.J + 1
-		}
-	}
-	if needI > m.I || needJ > m.J {
-		if !cfg.Grow {
-			return 0, fmt.Errorf("core: online entries need %dx%d but model is %dx%d and growth is disabled: %w",
-				needI, needJ, m.I, m.J, ErrOutOfRange)
-		}
-		if err := m.Grow(needI, needJ, cfg.GrowHints); err != nil {
-			return 0, err
-		}
-		x.Grow(needI, needJ, x.DimK)
 	}
 	if cfg.DecayHalfLife > 0 {
-		floor := cfg.DecayFloor
-		if floor == 0 {
-			floor = defaultDecayFloor
-		}
-		x.DecayScale(math.Exp2(-1/cfg.DecayHalfLife), floor)
+		x.DecayScale(math.Exp2(-1/cfg.DecayHalfLife), decayFloor)
 	}
 	var fresh []tensor.Entry
 	affected := make(map[int]struct{})
@@ -129,15 +106,12 @@ func (m *Model) UpdateOnline(x *tensor.COO, newEntries []tensor.Entry, side *Sid
 
 	var head *Hausdorff
 	if side != nil && cfg.Lambda > 0 {
-		// Rebuild friend sets only for the affected users? The side info
-		// passed in already reflects the updated training data if the
-		// caller rebuilt it; we use it as-is to keep the update cheap.
 		head = NewHausdorff(side.Dist, side.EntropyW, side.FriendPOIs)
 	}
 	users := make([]int, 0, len(affected))
 	for u := range affected {
-		// A stale side info (built before growth) has no friend sets for
-		// newly-grown users; keep the head restricted to covered rows.
+		// A side info that predates growth has no friend sets for the grown
+		// users; keep the head restricted to covered rows.
 		if head != nil && u >= len(side.FriendPOIs) {
 			continue
 		}

@@ -104,11 +104,11 @@ func TestGemmShapePanics(t *testing.T) {
 	a := New(2, 3)
 	b := New(3, 4)
 	for name, fn := range map[string]func(){
-		"MulInto-out":     func() { MulInto(New(2, 3), a, b) },
-		"MulInto-inner":   func() { MulInto(New(2, 2), a, New(2, 2)) },
-		"MulTInto-out":    func() { MulTInto(New(3, 3), a, New(4, 3)) },
-		"MulBlocked-out":  func() { MulBlocked(New(4, 4), a, b) },
-		"MulDiagT-w":      func() { MulDiagTInto(New(2, 5), a, make([]float64, 2), New(5, 3), make([]float64, 3)) },
+		"MulInto-out":    func() { MulInto(New(2, 3), a, b) },
+		"MulInto-inner":  func() { MulInto(New(2, 2), a, New(2, 2)) },
+		"MulTInto-out":   func() { MulTInto(New(3, 3), a, New(4, 3)) },
+		"MulBlocked-out": func() { MulBlocked(New(4, 4), a, b) },
+		"MulDiagT-w":     func() { MulDiagTInto(New(2, 5), a, make([]float64, 2), New(5, 3), make([]float64, 3)) },
 		"MulDiagT-scratch": func() {
 			MulDiagTInto(New(2, 5), a, make([]float64, 3), New(5, 3), make([]float64, 1))
 		},

@@ -11,17 +11,11 @@ import (
 // node would mint for the same stream.
 type LocalTarget struct {
 	Rec *tcss.Recommender
-	// Online configures every fold; tcss.DefaultOnlineConfig() plus
-	// Grow=true is the usual choice.
+	// Online configures every fold; tcss.DefaultOnlineConfig() is the usual
+	// choice.
 	Online tcss.OnlineConfig
 
 	gen uint64
-}
-
-// NewLocalTarget wraps rec with growth enabled on top of cfg.
-func NewLocalTarget(rec *tcss.Recommender, cfg tcss.OnlineConfig) *LocalTarget {
-	cfg.Grow = true
-	return &LocalTarget{Rec: rec, Online: cfg}
 }
 
 func (t *LocalTarget) Dims() (int, int, error) {

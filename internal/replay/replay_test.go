@@ -56,7 +56,7 @@ func TestReplayLocalGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := fitBase(t, d.Base)
-	target := NewLocalTarget(rec, onlineConfig())
+	target := &LocalTarget{Rec: rec, Online: onlineConfig()}
 
 	out, err := Run(d, lbsn.Month, target, Config{})
 	if err != nil {
@@ -104,7 +104,7 @@ func TestReplayHTTPMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	local, err := Run(d, lbsn.Month, NewLocalTarget(fitBase(t, d.Base), onlineConfig()), Config{})
+	local, err := Run(d, lbsn.Month, &LocalTarget{Rec: fitBase(t, d.Base), Online: onlineConfig()}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,21 +34,28 @@ func (st breakerState) String() string {
 	}
 }
 
+// The breaker's schedule: breakerThreshold consecutive write failures trip
+// it open; breakerBaseBackoff is the first open interval, doubling per
+// re-trip up to breakerMaxBackoff (both jittered).
+const (
+	breakerThreshold   = 3
+	breakerBaseBackoff = 100 * time.Millisecond
+	breakerMaxBackoff  = 5 * time.Second
+)
+
 // breaker is the write-path circuit breaker. The writer goroutine owns the
 // allow/success/failure cycle (writes are serialized, so at most one probe is
 // ever in flight); status is read concurrently by /healthz and /metrics,
 // hence the mutex.
 //
-// Closed until threshold consecutive failures; then open for an
+// Closed until breakerThreshold consecutive failures; then open for an
 // exponentially growing, jittered, capped backoff; then half-open, admitting
 // exactly one probe whose outcome either closes the breaker (recovery) or
 // re-opens it with a doubled backoff.
 type breaker struct {
-	mu        sync.Mutex
-	now       func() time.Time
-	rng       *rand.Rand // jitter; seeded, so tests are deterministic
-	threshold int
-	base, max time.Duration
+	mu  sync.Mutex
+	now func() time.Time
+	rng *rand.Rand // jitter; fixed seed, so runs are reproducible
 
 	state       breakerState
 	consecutive int
@@ -57,11 +64,8 @@ type breaker struct {
 	lastErr     error
 }
 
-func newBreaker(threshold int, base, max time.Duration, seed int64, now func() time.Time) *breaker {
-	return &breaker{
-		now: now, rng: rand.New(rand.NewSource(seed)),
-		threshold: threshold, base: base, max: max,
-	}
+func newBreaker(now func() time.Time) *breaker {
+	return &breaker{now: now, rng: rand.New(rand.NewSource(0))}
 }
 
 // allow reports whether a write may proceed. While open it returns an error
@@ -101,19 +105,17 @@ func (b *breaker) failure(err error) (tripped bool) {
 	defer b.mu.Unlock()
 	b.consecutive++
 	b.lastErr = err
-	if b.state == breakerClosed && b.consecutive < b.threshold {
+	if b.state == breakerClosed && b.consecutive < breakerThreshold {
 		return false
 	}
 	wasOpen := b.state == breakerOpen
 	b.state = breakerOpen
 	if b.backoff == 0 {
-		b.backoff = b.base
+		b.backoff = breakerBaseBackoff
 	} else {
 		b.backoff *= 2
 	}
-	if b.backoff > b.max {
-		b.backoff = b.max
-	}
+	b.backoff = min(b.backoff, breakerMaxBackoff)
 	// Jitter: [backoff, 1.25*backoff), so synchronized clients desynchronize.
 	jittered := b.backoff + time.Duration(b.rng.Int63n(int64(b.backoff)/4+1))
 	b.until = b.now().Add(jittered)

@@ -37,13 +37,7 @@ func getRaw(t *testing.T, url string) (int, []byte) {
 // write recovers the breaker.
 func TestDegradedModeBreaker(t *testing.T) {
 	hooks := fault.NewHooks(7)
-	srv, hs := newTestServer(t, Options{
-		Faults:             hooks,
-		BreakerThreshold:   2,
-		BreakerBaseBackoff: 50 * time.Millisecond,
-		BreakerMaxBackoff:  time.Second,
-		BreakerSeed:        11,
-	})
+	srv, hs := newTestServer(t, Options{Faults: hooks})
 	fresh := findFreshCell(t, srv)
 
 	readURL := hs.URL + "/v1/recommend?user=1&t=0&n=5"
@@ -87,9 +81,9 @@ func TestDegradedModeBreaker(t *testing.T) {
 		}()
 	}
 
-	// Two injected failures trip the threshold-2 breaker.
-	hooks.FailNext(2, nil)
-	for i := 0; i < 2; i++ {
+	// breakerThreshold injected failures trip the breaker.
+	hooks.FailNext(breakerThreshold, nil)
+	for i := 0; i < breakerThreshold; i++ {
 		resp, _ := postObserve(t, hs.URL, observeRequest{CheckIns: []observeCheckIn{fresh}})
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("injected failure %d: status %d, want 500", i, resp.StatusCode)
@@ -125,8 +119,9 @@ func TestDegradedModeBreaker(t *testing.T) {
 	default:
 	}
 
-	// Past the (jittered, <= 1.25x) backoff the next write is the probe; the
-	// injection script is exhausted, so it succeeds and closes the breaker.
+	// Past the (jittered, < 1.25x breakerBaseBackoff) backoff the next write
+	// is the probe; the injection script is exhausted, so it succeeds and
+	// closes the breaker.
 	time.Sleep(150 * time.Millisecond)
 	resp, got := postObserve(t, hs.URL, observeRequest{CheckIns: []observeCheckIn{fresh}})
 	if resp.StatusCode != http.StatusOK || got.Added != 1 || got.Generation != 1 {
@@ -140,8 +135,8 @@ func TestDegradedModeBreaker(t *testing.T) {
 	var met metricsSnapshot
 	getJSON(t, hs.URL+"/metrics", &met)
 	rel := &met.Reliability
-	if rel.ObserveFailures.Load() != 2 {
-		t.Fatalf("observe_failures = %d, want 2", rel.ObserveFailures.Load())
+	if rel.ObserveFailures.Load() != breakerThreshold {
+		t.Fatalf("observe_failures = %d, want %d", rel.ObserveFailures.Load(), breakerThreshold)
 	}
 	if rel.BreakerTrips.Load() != 1 || rel.BreakerRecoveries.Load() != 1 {
 		t.Fatalf("breaker trips/recoveries = %d/%d, want 1/1", rel.BreakerTrips.Load(), rel.BreakerRecoveries.Load())
@@ -167,13 +162,7 @@ func TestMetricsMoveUnderInjectedFaults(t *testing.T) {
 	// (the first fault.FixedHeaderSize bytes are the fixed header, whose pad
 	// region tolerates flips by design).
 	inj := fault.NewInjectFS(nil, fault.Plan{FlipByteAt: 200})
-	srv, hs := newTestServer(t, Options{
-		SnapshotPath:     path,
-		FS:               inj,
-		Faults:           hooks,
-		SaveRetries:      2,
-		SaveRetryBackoff: time.Millisecond,
-	})
+	srv, hs := newTestServer(t, Options{SnapshotPath: path, FS: inj, Faults: hooks})
 	_ = srv
 
 	var met metricsSnapshot

@@ -535,6 +535,12 @@ func (s *Server) spawnShadow(name string, q *readRequest, primary []core.Recomme
 	})
 }
 
+// maxGrowPerBatch bounds how many rows one observe batch may append to the
+// user or the POI dimension (DESIGN §13): an id near MaxInt would overflow
+// the dimension arithmetic, and a far POI id would size the quadratic POI
+// distance matrix (id 100 000 asks for ~81 GB).
+const maxGrowPerBatch = 1024
+
 // observeBatch validates a decoded observe request against the snapshot's
 // dimensions, this node's partition and its growth setting, and converts it
 // to the writer's batch.
@@ -543,6 +549,8 @@ func (s *Server) observeBatch(req *wire.ObserveRequest, m *core.Model) (*tcss.Ob
 	if !grow && (len(req.NewUsers) > 0 || len(req.NewPOIs) > 0) {
 		return nil, failf(errConflict, "open-world arrivals rejected: growth is disabled on this node")
 	}
+	// tooFar compares id-dim, which cannot overflow for a non-negative id.
+	tooFar := func(id, dim int) bool { return id-dim >= maxGrowPerBatch }
 	// needI tracks the user dimension the batch implies, so friend references
 	// can chain through same-batch arrivals.
 	needI := m.I
@@ -554,6 +562,9 @@ func (s *Server) observeBatch(req *wire.ObserveRequest, m *core.Model) (*tcss.Ob
 	for i, u := range req.NewUsers {
 		if u.ID < 0 {
 			return nil, failf(errBadRequest, "new_user %d: negative id %d", i, u.ID)
+		}
+		if tooFar(u.ID, m.I) {
+			return nil, failf(errBadRequest, "new_user %d: id %d grows %d users by more than %d", i, u.ID, m.I, maxGrowPerBatch)
 		}
 		if !s.owns(u.ID) {
 			return nil, failf(errMisrouted, "new_user %d: user %d is not in shard %q's partition", i, u.ID, s.opts.ShardName)
@@ -572,6 +583,9 @@ func (s *Server) observeBatch(req *wire.ObserveRequest, m *core.Model) (*tcss.Ob
 		if p.ID < 0 {
 			return nil, failf(errBadRequest, "new_poi %d: negative id %d", i, p.ID)
 		}
+		if tooFar(p.ID, m.J) {
+			return nil, failf(errBadRequest, "new_poi %d: id %d grows %d POIs by more than %d", i, p.ID, m.J, maxGrowPerBatch)
+		}
 		batch.NewPOIs[i] = lbsn.POI{
 			ID: p.ID, Loc: geo.Point{Lat: p.Lat, Lon: p.Lon},
 			Category: lbsn.Category(p.Category),
@@ -585,6 +599,9 @@ func (s *Server) observeBatch(req *wire.ObserveRequest, m *core.Model) (*tcss.Ob
 		if c.User >= m.I && !grow {
 			return nil, failf(errConflict, "checkin %d: user %d beyond model dimension %d and growth is disabled", i, c.User, m.I)
 		}
+		if tooFar(c.User, m.I) {
+			return nil, failf(errBadRequest, "checkin %d: user %d grows %d users by more than %d", i, c.User, m.I, maxGrowPerBatch)
+		}
 		if !s.owns(c.User) {
 			return nil, failf(errMisrouted, "checkin %d: user %d is not in shard %q's partition", i, c.User, s.opts.ShardName)
 		}
@@ -593,6 +610,9 @@ func (s *Server) observeBatch(req *wire.ObserveRequest, m *core.Model) (*tcss.Ob
 		}
 		if c.POI >= m.J && !grow {
 			return nil, failf(errConflict, "checkin %d: poi %d beyond model dimension %d and growth is disabled", i, c.POI, m.J)
+		}
+		if tooFar(c.POI, m.J) {
+			return nil, failf(errBadRequest, "checkin %d: poi %d grows %d POIs by more than %d", i, c.POI, m.J, maxGrowPerBatch)
 		}
 		if k := s.gran.Index(ci); k < 0 || k >= m.K {
 			return nil, failf(errBadRequest, "checkin %d: time unit %d out of range [0, %d)", i, k, m.K)

@@ -330,6 +330,43 @@ func TestObserveHandler(t *testing.T) {
 	}
 }
 
+// TestObserveGrowthBound: a growth-enabled node answers 400, before the
+// writer queue, any batch whose ids would grow a dimension by more than
+// maxGrowPerBatch rows. An id at MaxInt used to overflow the dimension
+// arithmetic and fail in the writer as a 500 that counted toward the
+// breaker; a far POI id asked for a distance matrix of ~81 GB. A batch that
+// grows by exactly maxGrowPerBatch rows still applies.
+func TestObserveGrowthBound(t *testing.T) {
+	srv, hs := newTestServer(t, Options{Grow: true})
+	J := srv.snap.load().Model.J
+	for name, body := range map[string]string{
+		"max user id": `{"new_users":[{"id":9223372036854775807}]}`,
+		"far poi id":  `{"new_pois":[{"id":100000}]}`,
+	} {
+		resp, err := http.Post(hs.URL+"/v1/observe", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	var met metricsSnapshot
+	getJSON(t, hs.URL+"/metrics", &met)
+	if n := met.Reliability.ObserveFailures.Load(); n != 0 {
+		t.Fatalf("observe_failures = %d, want 0: rejected batches must not reach the writer", n)
+	}
+	if n := met.BadRequests.Load(); n != 2 {
+		t.Fatalf("bad_requests = %d, want 2", n)
+	}
+
+	edge := observeRequest{NewPOIs: []observePOI{{ID: J + maxGrowPerBatch - 1, Lat: 38.83, Lon: -77.31, Category: 2}}}
+	if resp, got := postObserve(t, hs.URL, edge); resp.StatusCode != http.StatusOK || got.POIs != J+maxGrowPerBatch {
+		t.Fatalf("growth to J+%d: %d %+v, want 200 with %d POIs", maxGrowPerBatch, resp.StatusCode, got, J+maxGrowPerBatch)
+	}
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	var health healthResponse

@@ -267,7 +267,8 @@ func TestObserveReplyDimsMatchItsGeneration(t *testing.T) {
 // FuzzObserveValidate is the node's half of wire.FuzzObserveDecode: whatever
 // body decodes, validating it against a snapshot's dimensions never panics,
 // and a batch that passes mirrors the request, names only users this node
-// owns and — with growth off — only ids inside the model.
+// owns, only ids below dim+maxGrowPerBatch and — with growth off — only ids
+// inside the model.
 func FuzzObserveValidate(f *testing.F) {
 	for _, seed := range []string{
 		`{"checkins":[{"user":1,"poi":2,"month":3,"week":13,"hour":9}]}`,
@@ -275,6 +276,8 @@ func FuzzObserveValidate(f *testing.F) {
 		`{"new_pois":[{"id":36,"lat":38.83,"lon":-77.31,"category":2}]}`,
 		`{"new_users":[{"id":9223372036854775807,"friends":[-1]}]}`,
 		`{"checkins":[{"user":7,"poi":-1,"month":99}]}`,
+		`{"new_users":[{"id":9223372036854775807}]}`,
+		`{"new_pois":[{"id":100000}]}`,
 	} {
 		f.Add([]byte(seed), true)
 		f.Add([]byte(seed), false)
@@ -301,6 +304,19 @@ func FuzzObserveValidate(f *testing.F) {
 			}
 			if !grow && (c.User >= m.I || c.POI >= m.J) {
 				t.Fatalf("accepted out-of-model check-in %+v with growth off", c)
+			}
+			if c.User >= m.I+maxGrowPerBatch || c.POI >= m.J+maxGrowPerBatch {
+				t.Fatalf("accepted check-in %+v beyond the growth bound", c)
+			}
+		}
+		for _, u := range batch.NewUsers {
+			if u.ID >= m.I+maxGrowPerBatch {
+				t.Fatalf("accepted new user %d beyond the growth bound", u.ID)
+			}
+		}
+		for _, p := range batch.NewPOIs {
+			if p.ID >= m.J+maxGrowPerBatch {
+				t.Fatalf("accepted new POI %d beyond the growth bound", p.ID)
 			}
 		}
 		if !grow && len(batch.NewUsers)+len(batch.NewPOIs) > 0 {

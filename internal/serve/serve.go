@@ -8,7 +8,7 @@
 // that snapshot for the whole request — lock-free, wait-free, and immune to
 // concurrent updates. All writes (observe batches, snapshot saves) funnel
 // through a single-writer update goroutine that applies
-// Recommender.Observe — itself transactional, producing fresh model/side
+// Recommender.ObserveOpen — itself transactional, producing fresh model/side
 // objects instead of mutating published ones — and atomically swaps in the
 // next-generation snapshot. Readers therefore never block on writers and
 // never see a half-updated model; every response is internally consistent
@@ -75,10 +75,6 @@ type Options struct {
 	CoalesceWindow time.Duration // max wait for co-travellers; default 200µs
 	CoalesceBatch  int           // flush threshold; default 32
 
-	// ObserveQueue bounds buffered writer commands (observe/save batches);
-	// a full queue sheds observes with 503.
-	ObserveQueue int
-
 	// Online configures the incremental model update per observe batch.
 	Online tcss.OnlineConfig
 
@@ -102,10 +98,6 @@ type Options struct {
 	// fresh single-model registry, which behaves exactly like the
 	// pre-registry server.
 	Registry *registry.Registry
-
-	// ModelName is the registry name of the server's own TCSS snapshot
-	// model; default "tcss".
-	ModelName string
 
 	// SnapshotPath, when set, enables POST /v1/snapshot/save, which persists
 	// the current model (with its generation) there via the versioned format.
@@ -157,21 +149,6 @@ type Options struct {
 	// check.
 	Faults *fault.Hooks
 
-	// BreakerThreshold is how many consecutive write failures trip the
-	// circuit breaker open; BreakerBaseBackoff is the first open interval,
-	// doubling per re-trip up to BreakerMaxBackoff (both jittered).
-	// BreakerSeed seeds the jitter for deterministic tests.
-	BreakerThreshold   int
-	BreakerBaseBackoff time.Duration
-	BreakerMaxBackoff  time.Duration
-	BreakerSeed        int64
-
-	// SaveRetries is how many times a failed snapshot save is retried by the
-	// writer before reporting failure (negative: no retries);
-	// SaveRetryBackoff is the jitter-free pause between attempts.
-	SaveRetries      int
-	SaveRetryBackoff time.Duration
-
 	// now substitutes time.Now in tests.
 	now func() time.Time
 	// holdForTest, when set, runs on the read path after admission; tests
@@ -191,14 +168,7 @@ func DefaultOptions() Options {
 		CacheSize:      8192,
 		CoalesceWindow: 200 * time.Microsecond,
 		CoalesceBatch:  32,
-		ObserveQueue:   64,
 		Online:         tcss.DefaultOnlineConfig(),
-
-		BreakerThreshold:   3,
-		BreakerBaseBackoff: 100 * time.Millisecond,
-		BreakerMaxBackoff:  5 * time.Second,
-		SaveRetries:        2,
-		SaveRetryBackoff:   50 * time.Millisecond,
 	}
 }
 
@@ -276,34 +246,25 @@ func (o Options) withDefaults() Options {
 	if o.CoalesceBatch <= 0 {
 		o.CoalesceBatch = def.CoalesceBatch
 	}
-	if o.ObserveQueue <= 0 {
-		o.ObserveQueue = def.ObserveQueue
-	}
 	if o.Online == (tcss.OnlineConfig{}) {
 		o.Online = def.Online
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = def.BreakerThreshold
-	}
-	if o.BreakerBaseBackoff <= 0 {
-		o.BreakerBaseBackoff = def.BreakerBaseBackoff
-	}
-	if o.BreakerMaxBackoff <= 0 {
-		o.BreakerMaxBackoff = def.BreakerMaxBackoff
-	}
-	if o.SaveRetries == 0 {
-		o.SaveRetries = def.SaveRetries
-	} else if o.SaveRetries < 0 {
-		o.SaveRetries = 0
-	}
-	if o.SaveRetryBackoff <= 0 {
-		o.SaveRetryBackoff = def.SaveRetryBackoff
 	}
 	if o.now == nil {
 		o.now = time.Now
 	}
 	return o
 }
+
+// The writer's fixed settings: observeQueue bounds buffered writer commands
+// (observe/save batches), and a full queue sheds observes with 503; a failed
+// snapshot save is retried saveRetries times, saveRetryBackoff apart; and
+// modelName is the registry name of the server's own TCSS snapshot model.
+const (
+	observeQueue     = 64
+	saveRetries      = 2
+	saveRetryBackoff = 50 * time.Millisecond
+	modelName        = "tcss"
+)
 
 // writerCmd is a command for the single-writer update goroutine.
 type writerCmd struct {
@@ -420,8 +381,8 @@ func NewFromSource(src Source, opts Options) (*Server, error) {
 		cache: newLRUCache(opts.CacheSize),
 		start: opts.now(),
 		adm:   newAdmission(opts.MaxInflight, opts.MaxQueue),
-		brk:   newBreaker(opts.BreakerThreshold, opts.BreakerBaseBackoff, opts.BreakerMaxBackoff, opts.BreakerSeed, opts.now),
-		cmds:  make(chan writerCmd, opts.ObserveQueue),
+		brk:   newBreaker(opts.now),
+		cmds:  make(chan writerCmd, observeQueue),
 		quit:  make(chan struct{}),
 		drain: make(chan struct{}),
 	}
@@ -441,11 +402,7 @@ func NewFromSource(src Source, opts Options) (*Server, error) {
 	if s.reg == nil {
 		s.reg = registry.New()
 	}
-	name := opts.ModelName
-	if name == "" {
-		name = "tcss"
-	}
-	if err := s.reg.RegisterPrimary(&snapshotScorer{s: s, name: name}); err != nil {
+	if err := s.reg.RegisterPrimary(&snapshotScorer{s: s, name: modelName}); err != nil {
 		close(s.quit)
 		return nil, err
 	}
@@ -675,7 +632,7 @@ func (s *Server) handleSave() writerResult {
 		if attempt > 0 {
 			s.met.Reliability.SaveRetries.Add(1)
 			select {
-			case <-time.After(s.opts.SaveRetryBackoff):
+			case <-time.After(saveRetryBackoff):
 			case <-s.quit:
 				return writerResult{gen: snap.Gen, err: err}
 			}
@@ -684,7 +641,7 @@ func (s *Server) handleSave() writerResult {
 			s.met.Snapshot.Saves.Add(1)
 			return writerResult{gen: snap.Gen}
 		}
-		if attempt >= s.opts.SaveRetries {
+		if attempt >= saveRetries {
 			break
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // updated) against, tagged with a monotonically increasing generation. A
 // snapshot is published once behind the server's atomic pointer and never
 // mutated afterwards — the single-writer update goroutine builds a fresh
-// model/side pair (Recommender.Observe swaps in new objects rather than
+// model/side pair (Recommender.ObserveOpen swaps in new objects rather than
 // editing published ones) and swaps the pointer, so readers either see the
 // old generation or the new one, never a half-updated model.
 type Snapshot struct {

@@ -24,7 +24,7 @@ var ErrReadOnly = errors.New("serve: node is read-only, observe at the shard pri
 // This seam is what lets one Server implementation serve three roles:
 //
 //   - single node / shard primary: RecommenderSource applies observes via
-//     the transactional tcss.Recommender.Observe;
+//     the transactional tcss.Recommender.ObserveOpen;
 //   - shard replica: StaticSource rejects observes with ErrReadOnly and the
 //     snapshot-shipping Replicator publishes shipped generations through
 //     Server.Publish;
@@ -62,11 +62,10 @@ func (s *RecommenderSource) Snapshot() (*core.Model, *core.SideInfo) {
 // Granularity returns the granularity the recommender was fitted at.
 func (s *RecommenderSource) Granularity() lbsn.Granularity { return s.Rec.Gran }
 
-// Observe applies the batch transactionally via the open-world path — model
-// and side information grow when the batch references users or POIs beyond
-// the current dimensions — and returns the recommender's fresh model/side
-// objects (ObserveOpen swaps in new values, never mutates published ones, so
-// earlier snapshots stay internally consistent).
+// Observe applies the batch through the recommender's one observe
+// transaction, ObserveOpen, and returns the recommender's model/side: fresh
+// objects whenever anything changed (published ones are never mutated), the
+// unchanged ones when nothing grew and no cell was added.
 func (s *RecommenderSource) Observe(batch tcss.ObserveBatch, cfg tcss.OnlineConfig) (int, *core.Model, *core.SideInfo, error) {
 	added, err := s.Rec.ObserveOpen(batch, cfg)
 	if err != nil {

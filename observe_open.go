@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tcss/internal/core"
+	"tcss/internal/geo"
 	"tcss/internal/lbsn"
 	"tcss/internal/tensor"
 )
@@ -22,25 +23,28 @@ type ObserveBatch struct {
 // a new POI's factor row.
 const growNeighborK = 8
 
-// ObserveOpen is Observe for an open world: check-ins may reference users and
-// POIs beyond the model's current dimensions, and the batch may carry the
-// arrival metadata that makes warm initialization possible. The model, the
-// training tensor, the side information and the dataset all grow together;
-// new user rows start at the mean of their friends' factors and new POI rows
-// at the mean of their geographic neighbours' (see core.GrowthHints), so a
-// newcomer's first recommendations reflect their social circle instead of
-// noise.
+// ObserveOpen folds one batch into the trained model without retraining from
+// scratch and returns the number of genuinely new tensor cells; it is the
+// Recommender's one observe transaction. Check-ins may reference users and
+// POIs beyond the model's dimensions, and the batch may carry the arrivals'
+// metadata. When the batch needs it, model, training tensor and dataset grow
+// first, new user rows starting at the mean of their friends' factors and new
+// POI rows at their geographic neighbours' (core.GrowthHints;
+// OnlineConfig.RandomGrowth ablates this). The check-ins are then inserted
+// and the factors refined (core.Model.UpdateOnline), and the side information
+// is refolded so later updates and explanations see the new data.
 //
-// Without any growth the call reduces to Observe. Growth requires float64
-// factor storage: unlike an in-range update, which transparently widens and
-// re-compacts, growing a quantized model would warm-start rows from lossy
-// factors and re-quantize every slab each batch — route open-world writes to
-// a float64 primary instead. The returned error wraps core.ErrCompactModel so
-// callers can tell this apart from a bad request.
+// A compact (float32 / int8) model is widened for the update and re-compacted
+// after it, but it cannot grow: growing would warm-start rows from lossy
+// factors and re-quantize every slab each batch. That fails with an error
+// wrapping core.ErrCompactModel — route open-world writes to a float64 primary.
 //
-// Like Observe, the update is transactional: all state is swapped in together
-// only after every step succeeded, and previously published references to
-// Model/Side stay valid and internally consistent.
+// The update is transactional: it runs on private copies, and model, tensor,
+// side information and dataset are swapped in together only once every step
+// has succeeded. On any error (wrapping ErrObserveReverted if it came after
+// the factor update), and when nothing grew and no cell was added, the
+// Recommender is untouched. Previously published Model/Side references (e.g.
+// a serving snapshot) stay valid and internally consistent.
 func (r *Recommender) ObserveOpen(batch ObserveBatch, cfg OnlineConfig) (int, error) {
 	oldI, oldJ := r.Model.I, r.Model.J
 	// Arrivals whose ids already fit the model are stale duplicates — a
@@ -60,44 +64,93 @@ func (r *Recommender) ObserveOpen(batch ObserveBatch, cfg OnlineConfig) (int, er
 	}
 	needI, needJ := oldI, oldJ
 	for _, c := range batch.CheckIns {
-		if c.User >= needI {
-			needI = c.User + 1
-		}
-		if c.POI >= needJ {
-			needJ = c.POI + 1
-		}
+		needI = max(needI, c.User+1)
+		needJ = max(needJ, c.POI+1)
 	}
 	for _, u := range newUsers {
-		if u.ID >= needI {
-			needI = u.ID + 1
-		}
+		needI = max(needI, u.ID+1)
 	}
 	for _, p := range newPOIs {
-		if p.ID >= needJ {
-			needJ = p.ID + 1
-		}
+		needJ = max(needJ, p.ID+1)
 	}
-	if needI == oldI && needJ == oldJ && len(newUsers) == 0 {
-		return r.Observe(batch.CheckIns, cfg)
-	}
-	if r.Model.Mode != StorageFloat64 {
-		return 0, fmt.Errorf("tcss: open-world observe on %v storage: %w", r.Model.Mode, core.ErrCompactModel)
+	grow := needI > oldI || needJ > oldJ
+	mode := r.Model.Mode
+	if grow && mode != StorageFloat64 {
+		return 0, fmt.Errorf("tcss: open-world observe on %v storage: %w", mode, core.ErrCompactModel)
 	}
 
-	ds, err := r.Dataset.Grown(newUsers, newPOIs, needI, needJ)
+	ds := r.Dataset
+	var err error
+	if grow {
+		if ds, err = r.Dataset.Grown(newUsers, newPOIs, needI, needJ); err != nil {
+			return 0, err
+		}
+	}
+	dist := ds.Distances()
+	model := r.Model.Decompress()
+	if model == r.Model {
+		model = model.Clone()
+	}
+	train := r.Train.Clone()
+	if grow {
+		if err := model.Grow(needI, needJ, growthHints(dist, newUsers, newPOIs, oldJ, needJ, cfg)); err != nil {
+			return 0, err
+		}
+		train.Grow(needI, needJ, train.DimK)
+	}
+
+	entries := make([]tensor.Entry, len(batch.CheckIns))
+	for n, c := range batch.CheckIns {
+		entries[n] = tensor.Entry{I: c.User, J: c.POI, K: r.Gran.Index(c), Val: 1}
+	}
+	// The social head (when enabled) needs side info covering the grown
+	// dimensions before the update, so arrivals are regularized toward their
+	// friends' POIs from their very first gradient step.
+	side := r.Side
+	if grow && cfg.Lambda > 0 {
+		if side, err = core.GrowSideInfo(r.Side, ds.Social, dist, train, entries); err != nil {
+			return 0, err
+		}
+	}
+	added, err := model.UpdateOnline(train, entries, side, cfg)
 	if err != nil {
 		return 0, err
 	}
-	dist := ds.Distances()
+	if added == 0 && !grow {
+		return 0, nil
+	}
 
-	// Warm-init hints: friendship for user rows, geographic proximity for
-	// POI rows. Neighbour candidates are restricted to pre-growth POIs —
-	// placeholders and same-batch arrivals carry no learned signal.
-	random := cfg.GrowHints != nil && cfg.GrowHints.Random
+	// After growth without decay only the batch's rows and the grown rows are
+	// dirty, which GrowSideInfo refolds exactly. Decay (DecayScale inside
+	// UpdateOnline) drops cells of arbitrary users and POIs, so the batch's
+	// entries no longer bound the dirty rows: rebuild everything, as an
+	// in-range batch also does.
+	if grow && cfg.DecayHalfLife == 0 {
+		side, err = core.GrowSideInfo(r.Side, ds.Social, dist, train, entries)
+	} else {
+		side, err = core.BuildSideInfo(ds.Social, dist, train)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("%w: refolding side info: %v", ErrObserveReverted, err)
+	}
+	side.Locs = ds.Locations()
+	if model, err = model.ToStorage(mode); err != nil {
+		return 0, fmt.Errorf("%w: re-compacting model: %v", ErrObserveReverted, err)
+	}
+	r.Model, r.Train, r.Side, r.Dataset = model, train, side, ds
+	r.Dataset.CheckIns = append(r.Dataset.CheckIns, batch.CheckIns...)
+	return added, nil
+}
+
+// growthHints warm-starts the rows growth appends: friendship for user rows,
+// geographic proximity for POI rows. Neighbour candidates are restricted to
+// pre-growth POIs — placeholders and same-batch arrivals carry no learned
+// signal.
+func growthHints(dist *geo.DistanceMatrix, newUsers []lbsn.NewUser, newPOIs []lbsn.POI, oldJ, needJ int, cfg OnlineConfig) *core.GrowthHints {
 	hints := &core.GrowthHints{
 		Friends:  make(map[int][]int),
 		NearPOIs: make(map[int][]int),
-		Random:   random,
+		Random:   cfg.RandomGrowth,
 		Seed:     cfg.Seed,
 	}
 	for _, u := range newUsers {
@@ -116,48 +169,5 @@ func (r *Recommender) ObserveOpen(batch ObserveBatch, cfg OnlineConfig) (int, er
 		}
 		hints.NearPOIs[p.ID] = keep
 	}
-
-	model := r.Model.Clone()
-	if err := model.Grow(needI, needJ, hints); err != nil {
-		return 0, err
-	}
-	train := r.Train.Clone()
-	train.Grow(needI, needJ, train.DimK)
-
-	entries := make([]tensor.Entry, len(batch.CheckIns))
-	for n, c := range batch.CheckIns {
-		entries[n] = tensor.Entry{I: c.User, J: c.POI, K: r.Gran.Index(c), Val: 1}
-	}
-
-	// The social head (when enabled) needs side info covering the grown
-	// dimensions before the update, so arrivals are regularized toward their
-	// friends' POIs from their very first gradient step.
-	var sidePre *core.SideInfo
-	if cfg.Lambda > 0 {
-		sidePre, err = core.GrowSideInfo(r.Side, ds.Social, dist, train, entries)
-		if err != nil {
-			return 0, err
-		}
-	}
-	added, err := model.UpdateOnline(train, entries, sidePre, cfg)
-	if err != nil {
-		return 0, err
-	}
-
-	// Decay (DecayScale inside UpdateOnline) drops cells of arbitrary users
-	// and POIs, so the batch's entries no longer bound the dirty rows: rebuild
-	// everything, as Observe does.
-	var side *core.SideInfo
-	if cfg.DecayHalfLife > 0 {
-		side, err = core.BuildSideInfo(ds.Social, dist, train)
-	} else {
-		side, err = core.GrowSideInfo(r.Side, ds.Social, dist, train, entries)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("%w: growing side info: %v", ErrObserveReverted, err)
-	}
-	side.Locs = ds.Locations()
-	r.Model, r.Train, r.Side, r.Dataset = model, train, side, ds
-	r.Dataset.CheckIns = append(r.Dataset.CheckIns, batch.CheckIns...)
-	return added, nil
+	return hints
 }

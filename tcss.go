@@ -244,64 +244,21 @@ type OnlineConfig = core.OnlineConfig
 // training configuration.
 func DefaultOnlineConfig() OnlineConfig { return core.DefaultOnlineConfig() }
 
-// GrowthHints carries warm-start information for rows appended by open-world
-// growth (see core.GrowthHints). Set OnlineConfig.GrowHints to
-// &GrowthHints{Random: true} to ablate warm initialization.
-type GrowthHints = core.GrowthHints
-
-// ErrObserveReverted is the sentinel wrapped by Observe when the update could
-// not be applied atomically (the side-information rebuild failed after the
-// factor update succeeded). The Recommender is left exactly as it was before
-// the call — model, training tensor and side information all unchanged.
+// ErrObserveReverted is the sentinel wrapped by Observe and ObserveOpen when
+// the update could not be applied atomically (the side-information refold
+// failed after the factor update succeeded). The Recommender is left exactly
+// as it was before the call — model, training tensor, side information and
+// dataset all unchanged.
 var ErrObserveReverted = errors.New("tcss: observe reverted, recommender unchanged")
 
 // Observe folds new check-ins into the trained model without retraining from
-// scratch: the check-ins are added to the training tensor and the affected
-// user/POI factors are refined for a few epochs. Side information (friend
-// sets, entropy weights) is rebuilt so future updates and explanations see
-// the new data. It returns the number of genuinely new tensor cells.
-//
-// The update is transactional: it runs on private copies of the model and
-// training tensor, and the Recommender's model, tensor and side information
-// are swapped together only once every step has succeeded. On any error
-// (wrapped ErrObserveReverted if the failure came after the factor update)
-// the Recommender is untouched — there is no state where the model reflects
-// the new check-ins but the side information does not. Because the swapped-in
-// values are fresh objects, previously published references to Model/Side
-// (e.g. a serving snapshot) remain valid and internally consistent.
+// scratch and returns the number of genuinely new tensor cells. It is
+// ObserveOpen with no arrival metadata, so it is transactional in the same
+// way, and a check-in that references a user or POI beyond the model's
+// dimensions grows the model (float64 storage only) instead of failing with
+// core.ErrOutOfRange.
 func (r *Recommender) Observe(checkIns []lbsn.CheckIn, cfg OnlineConfig) (int, error) {
-	entries := make([]tensor.Entry, len(checkIns))
-	for n, c := range checkIns {
-		entries[n] = tensor.Entry{I: c.User, J: c.POI, K: r.Gran.Index(c), Val: 1}
-	}
-	// Compact models (float32 / int8 storage) cannot take gradient updates
-	// directly: widen to float64, update, then re-compact so the published
-	// model keeps its storage mode. A float64 model skips both conversions.
-	mode := r.Model.Mode
-	model := r.Model.Decompress()
-	if model == r.Model {
-		model = model.Clone()
-	}
-	train := r.Train.Clone()
-	added, err := model.UpdateOnline(train, entries, r.Side, cfg)
-	if err != nil {
-		return 0, err
-	}
-	if added == 0 {
-		return 0, nil
-	}
-	side, err := core.BuildSideInfo(r.Dataset.Social, r.Dataset.Distances(), train)
-	if err != nil {
-		return 0, fmt.Errorf("%w: rebuilding side info: %v", ErrObserveReverted, err)
-	}
-	side.Locs = r.Dataset.Locations()
-	model, err = model.ToStorage(mode)
-	if err != nil {
-		return 0, fmt.Errorf("%w: re-compacting model: %v", ErrObserveReverted, err)
-	}
-	r.Model, r.Train, r.Side = model, train, side
-	r.Dataset.CheckIns = append(r.Dataset.CheckIns, checkIns...)
-	return added, nil
+	return r.ObserveOpen(ObserveBatch{CheckIns: checkIns}, cfg)
 }
 
 // SaveModel persists the trained model parameters as JSON (format v4: exact

@@ -232,6 +232,17 @@ func TestObserveOnlineUpdate(t *testing.T) {
 	if !rec.Train.Has(newCI.User, newCI.POI, newCI.Month) {
 		t.Fatal("tensor must contain the new cell")
 	}
+
+	// Observe is ObserveOpen without arrival metadata: a check-in beyond the
+	// model's dimensions grows the model instead of failing.
+	oldI, oldJ := rec.Model.I, rec.Model.J
+	beyond := lbsn.CheckIn{User: oldI, POI: oldJ + 1, Month: 2, Week: 8, Hour: 10}
+	if added, err := rec.Observe([]lbsn.CheckIn{beyond}, ocfg); err != nil || added != 1 {
+		t.Fatalf("out-of-range observe = %d, %v; want 1 new cell", added, err)
+	}
+	if rec.Model.I != oldI+1 || rec.Model.J != oldJ+2 || !rec.Train.Has(oldI, oldJ+1, 2) {
+		t.Fatalf("model %dx%d after out-of-range observe, want %dx%d holding the cell", rec.Model.I, rec.Model.J, oldI+1, oldJ+2)
+	}
 }
 
 func TestObserveTransactionalRollback(t *testing.T) {
