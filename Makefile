@@ -70,10 +70,11 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/wire || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz FuzzObserveValidate -fuzztime $(FUZZTIME) ./internal/serve
-	@# The two decoders behind every file load and every replica shipment. The
+	@# The decoders behind every file load and every replica shipment. The
 	@# minimizer would otherwise spend up to a minute on the first new input.
 	$(GO) test -run '^$$' -fuzz FuzzReadFramed -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBinary -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDecodeShipment -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/serve
 	@# The drift stream `tcss replay` reads.
 	$(GO) test -run '^$$' -fuzz FuzzReadWeeksJSONL -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/lbsn
 	@# The eigen solver behind the spectral initialization and the SVD

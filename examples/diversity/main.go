@@ -1,9 +1,9 @@
 // Diversity: demonstrates the location-entropy weighting (Eq 11/12). POIs
 // visited by many different users (high location entropy, e.g. a Costco)
 // carry little social signal, so the paper down-weights them by exp(-E_j) in
-// the social Hausdorff head. This example prints the entropy distribution of
-// the generated POIs, then compares the popularity profile of the
-// recommendations produced with and without entropy weighting.
+// the social Hausdorff head. This example prints the distribution of the
+// weights e_j the fitted model uses, then compares the popularity profile of
+// the recommendations produced with and without entropy weighting.
 //
 //	go run ./examples/diversity
 package main
@@ -18,19 +18,6 @@ import (
 
 func main() {
 	ds := tcss.GenerateDataset("gowalla", 31)
-
-	// Location entropy per POI from the raw check-ins.
-	entropies := ds.LocationEntropies()
-	sorted := append([]float64(nil), entropies...)
-	sort.Float64s(sorted)
-	fmt.Println("location entropy distribution over POIs:")
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0} {
-		idx := int(q*float64(len(sorted))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		fmt.Printf("  p%-3.0f  %.3f\n", q*100, sorted[idx])
-	}
 
 	// Distinct visitors per POI, to relate entropy to popularity.
 	visitors := make([]map[int]bool, len(ds.POIs))
@@ -56,6 +43,20 @@ func main() {
 	}
 	weighted := fit(false)
 	unweighted := fit(true)
+
+	// The weights e_j = exp(-E_j) the fitted head applies, folded from the
+	// training split: 1 for a POI at most one user visits, smaller the more
+	// users share it.
+	sorted := append([]float64(nil), weighted.Side.EntropyW...)
+	sort.Float64s(sorted)
+	fmt.Println("location-entropy weight e_j over POIs:")
+	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0} {
+		idx := int(q*float64(len(sorted))) - 1
+		if idx < 0 {
+			idx = 0
+		}
+		fmt.Printf("  p%-3.0f  %.3f\n", q*100, sorted[idx])
+	}
 
 	// Mean popularity (distinct visitors) of the top-10 recommendations
 	// across users: entropy weighting should surface less-crowded POIs.

@@ -35,16 +35,6 @@ type Context struct {
 	// when available. Must cover exactly the cells of Train.
 	Counts *tensor.COO
 
-	// CheckpointPath, when non-empty, makes the engine-trained baselines
-	// (NCF, NTM, CoSTCo) write generic internal/train checkpoints after
-	// every CheckpointEvery-th epoch and after the final one; ResumePath
-	// restores such a checkpoint before training, continuing the run
-	// bit-identically to an uninterrupted one. Baselines with closed-form or
-	// non-gradient fitting ignore these fields.
-	CheckpointPath  string
-	CheckpointEvery int
-	ResumePath      string
-
 	seqCache [][]Visit
 }
 

@@ -29,8 +29,7 @@ func layerGroups(raw train.GroupSet, layers ...nn.Layer) train.GroupSet {
 // baselines (NCF, NTM, CoSTCo): each epoch pairs every observed positive
 // with one sampled negative, shuffles, and applies per-example BCE steps
 // with gradient accumulation every batchSize examples — all driven by the
-// internal/train engine, which also provides checkpoint/resume via the
-// Context fields.
+// internal/train engine.
 func fitEngine(ctx *Context, lr float64, groups train.GroupSet, step func(tensor.Entry) float64, rng *train.RNG) error {
 	x := ctx.Train
 	epochs := ctx.Epochs
@@ -51,19 +50,9 @@ func fitEngine(ctx *Context, lr float64, groups train.GroupSet, step func(tensor
 		Step:      step,
 		BatchSize: batchSize,
 	}
-	d, err := train.New(groups, nil, mb, opt.NewAdam(lr, 0), rng, train.Config{
-		Epochs:          epochs,
-		CheckpointPath:  ctx.CheckpointPath,
-		CheckpointEvery: ctx.CheckpointEvery,
-	})
+	d, err := train.New(groups, nil, mb, opt.NewAdam(lr, 0), rng, train.Config{Epochs: epochs})
 	if err != nil {
 		return err
-	}
-	if ctx.ResumePath != "" {
-		// Fall back down the rotation ladder if the newest checkpoint is torn.
-		if _, err := d.LoadCheckpointFallback(ctx.ResumePath); err != nil {
-			return err
-		}
 	}
 	return d.Run()
 }

@@ -348,12 +348,6 @@ func (c *Cluster) MustSync() {
 	}
 }
 
-// ShardFor returns the shard owning the given user.
-func (c *Cluster) ShardFor(user int) *Shard {
-	idx := c.Ring.OwnerIndex(user)
-	return c.Shards[idx]
-}
-
 // Reference builds a standalone single-node server over the identical
 // fitted model, for bit-identity comparisons against cluster responses.
 func (c *Cluster) Reference(t *testing.T) (*serve.Server, string) {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tcss/internal/geo"
 	"tcss/internal/tensor"
 )
 
@@ -198,78 +197,4 @@ func TestUpdateOnlineDecay(t *testing.T) {
 	if got := fx.x.At(old.I, old.J, old.K); got != 1 {
 		t.Fatalf("re-observed weight = %g, want refreshed to 1", got)
 	}
-}
-
-func TestGrowSideInfoMatchesFullRebuild(t *testing.T) {
-	fx := newTrainFixture(43)
-	rng := rand.New(rand.NewSource(9))
-	I, J := fx.x.DimI, fx.x.DimJ
-
-	// Grow the world: two new users (friends with 0 and 1), one new POI.
-	social := fx.social.Clone()
-	first := social.AddVertices(2)
-	social.AddEdge(first, 0)
-	social.AddEdge(first+1, 1)
-	pts := make([]geo.Point, J+1)
-	for j := 0; j < J; j++ {
-		base := geo.Point{Lat: 30, Lon: -97}
-		if j >= J/2 {
-			base = geo.Point{Lat: 30.4, Lon: -97.5}
-		}
-		pts[j] = base
-	}
-	pts[J] = geo.Point{Lat: 30.2, Lon: -97.2}
-	dist := geo.NewDistanceMatrix(pts)
-
-	grownTrain := fx.x.Clone()
-	grownTrain.Grow(I+2, J+1, fx.x.DimK)
-	touched := []tensor.Entry{
-		{I: first, J: J, K: 0, Val: 1},
-		{I: 2, J: 1, K: 1, Val: 1},
-		{I: first + 1, J: rng.Intn(J), K: 2, Val: 1},
-	}
-	for _, e := range touched {
-		grownTrain.Set(e.I, e.J, e.K, e.Val)
-	}
-
-	got, err := GrowSideInfo(fx.side, social, dist, grownTrain, touched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := BuildSideInfo(social, dist, grownTrain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.EntropyW) != len(want.EntropyW) {
-		t.Fatalf("EntropyW len %d vs %d", len(got.EntropyW), len(want.EntropyW))
-	}
-	for j := range want.EntropyW {
-		if math.Abs(got.EntropyW[j]-want.EntropyW[j]) > 1e-12 {
-			t.Errorf("EntropyW[%d] = %g, want %g", j, got.EntropyW[j], want.EntropyW[j])
-		}
-	}
-	for i := range want.OwnPOIs {
-		if !equalInts(got.OwnPOIs[i], want.OwnPOIs[i]) {
-			t.Errorf("OwnPOIs[%d] = %v, want %v", i, got.OwnPOIs[i], want.OwnPOIs[i])
-		}
-		if !equalInts(got.FriendPOIs[i], want.FriendPOIs[i]) {
-			t.Errorf("FriendPOIs[%d] = %v, want %v", i, got.FriendPOIs[i], want.FriendPOIs[i])
-		}
-	}
-	// Copy-on-write: the original side info must be untouched.
-	if len(fx.side.OwnPOIs) != I || len(fx.side.EntropyW) != J {
-		t.Error("GrowSideInfo mutated its input")
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -15,7 +15,6 @@ package lbsn
 
 import (
 	"fmt"
-	"sort"
 
 	"tcss/internal/geo"
 	"tcss/internal/graph"
@@ -242,77 +241,6 @@ func (d *Dataset) CategorySlice(cat Category) *Dataset {
 			c.POI = nj
 			out.CheckIns = append(out.CheckIns, c)
 		}
-	}
-	return out
-}
-
-// LocationEntropies computes Eq (11) for every POI from the raw check-ins
-// (counting repeat visits, as the paper's Φ multisets do). The result is
-// indexed by POI ID.
-func (d *Dataset) LocationEntropies() []float64 {
-	perPOI := make([]map[int]int, len(d.POIs))
-	for _, c := range d.CheckIns {
-		if perPOI[c.POI] == nil {
-			perPOI[c.POI] = make(map[int]int)
-		}
-		perPOI[c.POI][c.User]++
-	}
-	out := make([]float64, len(d.POIs))
-	for j, m := range perPOI {
-		if m == nil {
-			continue
-		}
-		visits := make([]int, 0, len(m))
-		for _, v := range m {
-			visits = append(visits, v)
-		}
-		// Sort so the entropy sum does not depend on map iteration order.
-		sort.Ints(visits)
-		out[j] = geo.LocationEntropy(visits)
-	}
-	return out
-}
-
-// VisitedPOIs returns, for each user, the sorted set of distinct POIs the
-// user checked in at.
-func (d *Dataset) VisitedPOIs() [][]int {
-	seen := make([]map[int]struct{}, d.NumUsers)
-	for i := range seen {
-		seen[i] = make(map[int]struct{})
-	}
-	for _, c := range d.CheckIns {
-		seen[c.User][c.POI] = struct{}{}
-	}
-	out := make([][]int, d.NumUsers)
-	for i, m := range seen {
-		lst := make([]int, 0, len(m))
-		for j := range m {
-			lst = append(lst, j)
-		}
-		sort.Ints(lst)
-		out[i] = lst
-	}
-	return out
-}
-
-// FriendVisitedPOIs returns, for each user v, the sorted union of POIs
-// visited by v's friends — the set N(v) of Eq (8).
-func (d *Dataset) FriendVisitedPOIs() [][]int {
-	visited := d.VisitedPOIs()
-	out := make([][]int, d.NumUsers)
-	for v := 0; v < d.NumUsers; v++ {
-		set := make(map[int]struct{})
-		for _, f := range d.Social.Neighbors(v) {
-			for _, j := range visited[f] {
-				set[j] = struct{}{}
-			}
-		}
-		lst := make([]int, 0, len(set))
-		for j := range set {
-			lst = append(lst, j)
-		}
-		sort.Ints(lst)
-		out[v] = lst
 	}
 	return out
 }

@@ -165,15 +165,17 @@ func TestFriendCoVisitation(t *testing.T) {
 	cfg := smallConfig(5)
 	cfg.Users, cfg.CheckInsPerUser = 60, 30
 	ds := MustGenerate(cfg)
-	visited := ds.VisitedPOIs()
+	visited := make([]map[int]bool, ds.NumUsers) // each user's distinct POIs
+	for u := range visited {
+		visited[u] = make(map[int]bool)
+	}
+	for _, c := range ds.CheckIns {
+		visited[c.User][c.POI] = true
+	}
 	overlap := func(u, v int) float64 {
-		set := make(map[int]struct{}, len(visited[u]))
-		for _, j := range visited[u] {
-			set[j] = struct{}{}
-		}
 		var c int
-		for _, j := range visited[v] {
-			if _, ok := set[j]; ok {
+		for j := range visited[u] {
+			if visited[v][j] {
 				c++
 			}
 		}
@@ -253,52 +255,6 @@ func TestFriendshipGeographicHomophily(t *testing.T) {
 	friendAvg, randAvg := friendSum/float64(friendN), randSum/float64(randN)
 	if friendAvg >= randAvg/2 {
 		t.Fatalf("friend centroid distance %g km should be far below random pairs %g km", friendAvg, randAvg)
-	}
-}
-
-func TestLocationEntropies(t *testing.T) {
-	ds := MustGenerate(smallConfig(6))
-	ent := ds.LocationEntropies()
-	if len(ent) != len(ds.POIs) {
-		t.Fatal("entropy vector length mismatch")
-	}
-	visitors := make(map[int]map[int]struct{})
-	for _, c := range ds.CheckIns {
-		if visitors[c.POI] == nil {
-			visitors[c.POI] = make(map[int]struct{})
-		}
-		visitors[c.POI][c.User] = struct{}{}
-	}
-	for j, h := range ent {
-		if h < 0 {
-			t.Fatalf("negative entropy at POI %d", j)
-		}
-		if n := len(visitors[j]); n > 0 && h > math.Log(float64(n))+1e-9 {
-			t.Fatalf("entropy %g exceeds log(visitors=%d) at POI %d", h, n, j)
-		}
-	}
-}
-
-func TestVisitedAndFriendVisited(t *testing.T) {
-	ds := MustGenerate(smallConfig(9))
-	visited := ds.VisitedPOIs()
-	friendVisited := ds.FriendVisitedPOIs()
-	// N(v) must equal the union of friends' visited sets.
-	for v := 0; v < ds.NumUsers; v++ {
-		want := make(map[int]struct{})
-		for _, f := range ds.Social.Neighbors(v) {
-			for _, j := range visited[f] {
-				want[j] = struct{}{}
-			}
-		}
-		if len(want) != len(friendVisited[v]) {
-			t.Fatalf("user %d: friend-visited size %d, want %d", v, len(friendVisited[v]), len(want))
-		}
-		for _, j := range friendVisited[v] {
-			if _, ok := want[j]; !ok {
-				t.Fatalf("user %d: POI %d not actually friend-visited", v, j)
-			}
-		}
 	}
 }
 

@@ -209,13 +209,6 @@ func (r *Registry) Finalize() error {
 	return nil
 }
 
-// Names returns the registered model names in registration order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
 // Get returns the named scorer.
 func (r *Registry) Get(name string) (Scorer, bool) {
 	e, ok := r.entries[name]

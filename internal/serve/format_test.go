@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,19 +10,14 @@ import (
 	"tcss/internal/baselines"
 	"tcss/internal/core"
 	"tcss/internal/geo"
-	"tcss/internal/opt"
-	"tcss/internal/train"
 )
-
-// fixtureModel is the one-group model of internal/train's checkpoint fixture.
-type fixtureModel struct{ train.GroupSet }
 
 // TestReadersAcceptExactlyWhatTheirWritersEmit crosses every kind of sealed
 // file the repository writes with every reader: a reader loads the kinds its
 // own writer emits and nothing else. Wherever the frame version is not one
-// of the reader's, the error is the reader's version sentinel — an engine
-// checkpoint given to -model is "unsupported format", not "invalid shape
-// 0x0x0" — and where two kinds share a frame version (state and shipment are
+// of the reader's, the error is the reader's version sentinel — a sequential
+// state given to -model is "unsupported format", not "invalid shape 0x0x0" —
+// and where two kinds share a frame version (state and shipment are
 // both v1) the payload decoder still refuses. No cell panics.
 func TestReadersAcceptExactlyWhatTheirWritersEmit(t *testing.T) {
 	read := func(parts ...string) []byte {
@@ -43,8 +37,12 @@ func TestReadersAcceptExactlyWhatTheirWritersEmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	entropyW := make([]float64, shipped.J)
+	for j := range entropyW {
+		entropyW[j] = 1
+	}
 	shipment, err := EncodeShipment(&Snapshot{Gen: 9, Model: shipped, Side: &core.SideInfo{
-		EntropyW: make([]float64, shipped.J), OwnPOIs: make([][]int, shipped.I), FriendPOIs: make([][]int, shipped.I),
+		EntropyW: entropyW, OwnPOIs: make([][]int, shipped.I), FriendPOIs: make([][]int, shipped.I),
 		Locs: pts[:shipped.J],
 	}})
 	if err != nil {
@@ -62,7 +60,6 @@ func TestReadersAcceptExactlyWhatTheirWritersEmit(t *testing.T) {
 		{"model v5 f64", "core", core.BinaryVersion, read("..", "core", "testdata", "model_v5_f64.bin")},
 		{"model v5 f32", "core", core.BinaryVersion, read("..", "core", "testdata", "model_v5_f32.bin")},
 		{"model v5 int8", "core", core.BinaryVersion, read("..", "core", "testdata", "model_v5_int8.bin")},
-		{"engine checkpoint v2", "train", train.CheckpointVersion, read("..", "train", "testdata", "engine_checkpoint_v2.json")},
 		{"STRNN state v1", "baselines", baselines.SeqStateVersion, read("..", "baselines", "testdata", "strnn_state_v1.json")},
 		{"shipment v1", "serve", ShipVersion, shipment},
 	}
@@ -91,15 +88,6 @@ func TestReadersAcceptExactlyWhatTheirWritersEmit(t *testing.T) {
 				f.Close()
 			}
 			return err
-		}},
-		{"Driver.LoadCheckpoint", "train", []int{train.CheckpointVersion}, train.ErrCheckpointVersion, func(data []byte) error {
-			m := &fixtureModel{train.GroupSet{{Name: "w", Value: make([]float64, 3), Grad: make([]float64, 3)}}}
-			d, err := train.New(m, []train.Head{train.HeadFunc{W: 1, F: func(int) (float64, error) { return 0, nil }}},
-				nil, opt.NewAdam(0.1, 0), train.NewRNG(1), train.Config{Epochs: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d.LoadCheckpoint(bytes.NewReader(data))
 		}},
 		{"LoadSeqState", "baselines", []int{baselines.SeqStateVersion}, baselines.ErrSeqStateVersion, func(data []byte) error {
 			_, _, err := baselines.LoadSeqState(onDisk(data), dist)

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"tcss/internal/core"
@@ -116,11 +115,21 @@ func DecodeShipment(data []byte, dist *geo.DistanceMatrix) (*core.Model, *core.S
 		return nil, nil, 0, fmt.Errorf("serve: shipped side info shape (%d users, %d POIs) does not match model %dx%d",
 			len(shipped.OwnPOIs), len(shipped.EntropyW), model.I, model.J)
 	}
-	// The scoring kernel walks each own-POI list with a cursor and panics on
-	// an unsorted one; a shipment is outside input, so refuse it here.
-	for u, own := range shipped.OwnPOIs {
-		if !sort.IntsAreSorted(own) {
-			return nil, nil, 0, fmt.Errorf("serve: shipped own-POI list of user %d is not sorted ascending", u)
+	// A shipment is outside input. The scoring kernel walks each own-POI list
+	// with a cursor and panics on an unsorted one, and Explain indexes the
+	// distance matrix with both lists and reads e_j, so refuse anything a
+	// fold of the training tensor cannot produce.
+	for u := range shipped.OwnPOIs {
+		if err := checkShippedPOIs("own", u, shipped.OwnPOIs[u], model.J); err != nil {
+			return nil, nil, 0, err
+		}
+		if err := checkShippedPOIs("friend", u, shipped.FriendPOIs[u], model.J); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	for j, w := range shipped.EntropyW {
+		if !(w > 0 && w <= 1) {
+			return nil, nil, 0, fmt.Errorf("serve: shipped entropy weight of POI %d is %v, outside (0, 1]", j, w)
 		}
 	}
 	var pts []geo.Point
@@ -152,6 +161,19 @@ func DecodeShipment(data []byte, dist *geo.DistanceMatrix) (*core.Model, *core.S
 		Locs:       pts,
 	}
 	return model, side, gen, nil
+}
+
+// checkShippedPOIs reports a shipped POI list of user u that is not strictly
+// ascending within [0, J).
+func checkShippedPOIs(kind string, u int, list []int, J int) error {
+	prev := -1
+	for _, j := range list {
+		if j <= prev || j >= J {
+			return fmt.Errorf("serve: shipped %s-POI list of user %d is not strictly ascending within [0, %d) at POI %d", kind, u, J, j)
+		}
+		prev = j
+	}
+	return nil
 }
 
 // RecordReplication feeds the replica-side replication counters after one

@@ -3,18 +3,22 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"tcss"
 	"tcss/internal/core"
 	"tcss/internal/fault"
+	"tcss/internal/geo"
 )
 
 // shipTestSnapshot builds a snapshot from a freshly fitted recommender.
@@ -95,6 +99,115 @@ func TestShipmentUnsortedOwnPOIsRejected(t *testing.T) {
 	if _, _, _, err := DecodeShipment(wire, side.Dist); err == nil || !strings.Contains(err.Error(), "user 3") {
 		t.Fatalf("unsorted own-POI list decoded: err = %v", err)
 	}
+}
+
+// sealShipment frames a binary model and a raw side-information document the
+// way EncodeShipment does, so the outer CRC passes whatever the document says.
+func sealShipment(t testing.TB, modelBin, side []byte) []byte {
+	payload := binary.LittleEndian.AppendUint64(nil, uint64(len(modelBin)))
+	payload = append(append(payload, modelBin...), side...)
+	var out bytes.Buffer
+	if err := fault.WriteFramed(&out, ShipVersion, payload); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// tinyShipmentModel is a 4×6 synthetic model in the v5 binary format, with
+// side information any fold of a 4×6 training tensor could produce.
+func tinyShipmentModel(t testing.TB) (modelBin []byte, dist *geo.DistanceMatrix, side ShippedSide) {
+	m, synth, err := tcss.SynthServing(4, 6, 12, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.SaveBinary(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	side = ShippedSide{
+		EntropyW:   []float64{1, 0.5, 1, 0.25, 1, 1},
+		OwnPOIs:    [][]int{{0, 2}, {1}, {}, {5}},
+		FriendPOIs: [][]int{{1}, {0, 2, 5}, {3}, {}},
+	}
+	return buf.Bytes(), synth.Dist, side
+}
+
+// TestShipmentSideInfoOutOfRangeRejected: Explain indexes the distance matrix
+// with every own and friend POI and reads e_j, so a CRC-valid shipment whose
+// lists leave [0, J), repeat or descend, or whose weights leave (0, 1], must
+// fail to decode and name the offending user or POI.
+func TestShipmentSideInfoOutOfRangeRejected(t *testing.T) {
+	modelBin, dist, base := tinyShipmentModel(t)
+	cases := []struct {
+		name    string
+		edit    func(s *ShippedSide)
+		wantErr string // "" accepts
+	}{
+		{"valid", func(*ShippedSide) {}, ""},
+		{"friend id 1<<40", func(s *ShippedSide) { s.FriendPOIs[0] = []int{1 << 40} }, "user 0"},
+		{"own id past J", func(s *ShippedSide) { s.OwnPOIs[0] = []int{0, 7} }, "user 0"},
+		{"own id J", func(s *ShippedSide) { s.OwnPOIs[3] = []int{6} }, "user 3"},
+		{"negative friend id", func(s *ShippedSide) { s.FriendPOIs[2] = []int{-1, 3} }, "user 2"},
+		{"repeated friend id", func(s *ShippedSide) { s.FriendPOIs[1] = []int{2, 2} }, "user 1"},
+		{"zero weight", func(s *ShippedSide) { s.EntropyW[4] = 0 }, "POI 4"},
+		{"weight above 1", func(s *ShippedSide) { s.EntropyW[2] = 1.5 }, "POI 2"},
+		{"negative weight", func(s *ShippedSide) { s.EntropyW[5] = -0.5 }, "POI 5"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := ShippedSide{
+				EntropyW:   slices.Clone(base.EntropyW),
+				OwnPOIs:    slices.Clone(base.OwnPOIs),
+				FriendPOIs: slices.Clone(base.FriendPOIs),
+			}
+			tc.edit(&s)
+			doc, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model, side, _, err := DecodeShipment(sealShipment(t, modelBin, doc), dist)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				for u := 0; u < model.I; u++ {
+					model.Explain(side, u, 0, 0)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want a rejection naming %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// FuzzDecodeShipment seals each fuzzed side-information document with a valid
+// model in a correct frame, so decoding gets past the CRC check to the
+// document itself. Every shipment it accepts must answer Explain and a
+// top-N scan for every user without panicking.
+func FuzzDecodeShipment(f *testing.F) {
+	modelBin, dist, base := tinyShipmentModel(f)
+	valid, err := json.Marshal(base)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"entropy_w":[1,1,1,1,1,1],"own_pois":[[],[],[],[]],"friend_pois":[[1099511627776],[],[],[]]}`))
+	f.Add([]byte(`{"entropy_w":[1,1,1,1,1,1],"own_pois":[[7],[],[],[]],"friend_pois":[[],[],[],[]]}`))
+	f.Add([]byte(`{"entropy_w":[0,1,1,1,1,1],"own_pois":[[],[],[],[]],"friend_pois":[[],[],[],[]],"lats":[1,2,3,4,5,6],"lons":[1,2,3,4,5,6]}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		model, side, _, err := DecodeShipment(sealShipment(t, modelBin, doc), dist)
+		if err != nil {
+			return
+		}
+		scratch := core.NewRecScratch(model)
+		for u := 0; u < model.I; u++ {
+			model.Explain(side, u, 0, 0)
+			model.TopNScratch(u, 0, 3, side.OwnPOIs[u], scratch)
+		}
+	})
 }
 
 func TestServeSnapshotBin(t *testing.T) {

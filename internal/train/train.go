@@ -10,8 +10,8 @@
 //
 //   - A model exposes its parameters as named flat float64 groups
 //     (Trainable/Group — the same shape internal/opt steps and internal/nn's
-//     Param already uses), so the driver can zero, clip, step, and serialize
-//     them without knowing the model type.
+//     Param already uses), so the driver can zero, clip and step them
+//     without knowing the model type.
 //   - The objective is a sum of weighted Heads (full-batch regime: the
 //     whole-data/negative-sampling L2 head plus the social Hausdorff L1
 //     head), or a MiniBatch specification (example-level SGD with gradient
@@ -20,19 +20,17 @@
 //     batch sweeps, global gradient clipping, optimizer steps with an
 //     optional LR schedule, epoch callbacks, and checkpoint/resume.
 //
-// Checkpointing records the parameter groups (or defers them to the caller's
-// own persistence format — core embeds them in its versioned model files),
-// the optimizer moment state, the RNG stream position, and the number of
-// completed epochs. Restoring all four makes a resumed run bit-identical to
-// an uninterrupted one, which the resume-determinism tests assert for every
-// model on the engine.
+// Checkpointing records the optimizer moment state, the RNG stream position,
+// and the number of completed epochs (State); the parameter groups travel in
+// the caller's own persistence format — core embeds both in its versioned
+// model files. Restoring all of it makes a resumed run bit-identical to an
+// uninterrupted one, which core's resume-determinism tests assert.
 package train
 
 import (
 	"fmt"
 	"math/rand"
 
-	"tcss/internal/fault"
 	"tcss/internal/opt"
 )
 
@@ -110,27 +108,13 @@ type Config struct {
 
 	// Save, when non-nil, persists a checkpoint of the given engine state;
 	// it runs after every CheckpointEvery-th epoch and after the final one.
-	// Callers that own their parameter persistence (core's versioned model
-	// files) write the state next to the parameters themselves.
+	// The engine stores no parameters: the caller writes the state next to
+	// them in its own persistence format (core's versioned model files).
 	Save func(st State) error
-
-	// CheckpointPath, when Save is nil, enables the generic self-contained
-	// checkpoint format (engine state + parameter groups) at this path.
-	CheckpointPath string
 
 	// CheckpointEvery is the epoch period of checkpoints (<= 0: final epoch
 	// only).
 	CheckpointEvery int
-
-	// CheckpointKeep is how many rotated prior checkpoints to retain next to
-	// CheckpointPath (path.1 … path.N) as a recovery fallback ladder; 0 keeps
-	// only the newest file. Applies to the generic CheckpointPath writer.
-	CheckpointKeep int
-
-	// FS, when non-nil, routes the generic checkpoint writer's filesystem
-	// operations through an injectable seam (fault.InjectFS in crash
-	// harnesses); nil uses the real filesystem.
-	FS fault.FS
 }
 
 // Driver runs the epoch loop over one model. Construct with New, optionally
@@ -199,12 +183,7 @@ func New(model Trainable, heads []Head, batch *MiniBatch, optim opt.Optimizer, r
 		d.sched = sched
 		d.optim = sched
 	}
-	if cfg.Save == nil && cfg.CheckpointPath != "" {
-		d.cfg.Save = func(State) error {
-			return d.SaveCheckpointRotate(cfg.FS, cfg.CheckpointPath, cfg.CheckpointKeep)
-		}
-	}
-	if d.cfg.Save != nil {
+	if cfg.Save != nil {
 		if _, ok := d.inner.(opt.Stateful); !ok {
 			return nil, fmt.Errorf("train: checkpointing needs a stateful optimizer, got %T", d.inner)
 		}

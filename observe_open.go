@@ -86,14 +86,13 @@ func (r *Recommender) ObserveOpen(batch ObserveBatch, cfg OnlineConfig) (int, er
 			return 0, err
 		}
 	}
-	dist := ds.Distances()
 	model := r.Model.Decompress()
 	if model == r.Model {
 		model = model.Clone()
 	}
 	train := r.Train.Clone()
 	if grow {
-		if err := model.Grow(needI, needJ, growthHints(dist, newUsers, newPOIs, oldJ, needJ, cfg)); err != nil {
+		if err := model.Grow(needI, needJ, growthHints(ds.Distances(), newUsers, newPOIs, oldJ, needJ, cfg)); err != nil {
 			return 0, err
 		}
 		train.Grow(needI, needJ, train.DimK)
@@ -108,7 +107,7 @@ func (r *Recommender) ObserveOpen(batch ObserveBatch, cfg OnlineConfig) (int, er
 	// friends' POIs from their very first gradient step.
 	side := r.Side
 	if grow && cfg.Lambda > 0 {
-		if side, err = core.GrowSideInfo(r.Side, ds.Social, dist, train, entries); err != nil {
+		if side, err = foldSide(r.Side, ds, train, entries); err != nil {
 			return 0, err
 		}
 	}
@@ -120,20 +119,18 @@ func (r *Recommender) ObserveOpen(batch ObserveBatch, cfg OnlineConfig) (int, er
 		return 0, nil
 	}
 
-	// After growth without decay only the batch's rows and the grown rows are
-	// dirty, which GrowSideInfo refolds exactly. Decay (DecayScale inside
-	// UpdateOnline) drops cells of arbitrary users and POIs, so the batch's
-	// entries no longer bound the dirty rows: rebuild everything, as an
-	// in-range batch also does.
+	// The refold's base: after growth without decay only the batch's rows and
+	// the grown rows are dirty, which the fold recomputes exactly on top of
+	// r.Side. Decay (DecayScale inside UpdateOnline) drops cells of arbitrary
+	// users and POIs, so the batch's entries no longer bound the dirty rows:
+	// refold every row, as an in-range batch also does.
+	var base *core.SideInfo
 	if grow && cfg.DecayHalfLife == 0 {
-		side, err = core.GrowSideInfo(r.Side, ds.Social, dist, train, entries)
-	} else {
-		side, err = core.BuildSideInfo(ds.Social, dist, train)
+		base = r.Side
 	}
-	if err != nil {
+	if side, err = foldSide(base, ds, train, entries); err != nil {
 		return 0, fmt.Errorf("%w: refolding side info: %v", ErrObserveReverted, err)
 	}
-	side.Locs = ds.Locations()
 	if model, err = model.ToStorage(mode); err != nil {
 		return 0, fmt.Errorf("%w: re-compacting model: %v", ErrObserveReverted, err)
 	}

@@ -135,11 +135,10 @@ func FitSplit(ds *Dataset, gran Granularity, cfg Config, trainFrac float64) (*Re
 	}
 	full := ds.Tensor(gran)
 	train, test := full.Split(trainFrac, rand.New(rand.NewSource(cfg.Seed)))
-	side, err := core.BuildSideInfo(ds.Social, ds.Distances(), train)
+	side, err := foldSide(nil, ds, train, nil)
 	if err != nil {
 		return nil, err
 	}
-	side.Locs = ds.Locations()
 	m, err := core.Train(train, side, cfg)
 	if err != nil {
 		return nil, err
@@ -180,26 +179,33 @@ func AttachModel(m *Model, ds *Dataset, gran Granularity, cfg Config, trainFrac 
 		ds = grown
 		train.Grow(m.I, m.J, train.DimK)
 	}
-	side, err := core.BuildSideInfo(ds.Social, ds.Distances(), train)
+	side, err := foldSide(nil, ds, train, nil)
 	if err != nil {
 		return nil, err
 	}
-	side.Locs = ds.Locations()
 	return &Recommender{
 		Model: m, Dataset: ds, Gran: gran,
 		Train: train, Test: test, Side: side, cfg: cfg,
 	}, nil
 }
 
+// foldSide folds the training tensor into side information over the
+// dataset's social graph and geography — every row when old is nil,
+// otherwise the rows touched affects and the grown ones — and records the POI
+// coordinates snapshot shipping sends along.
+func foldSide(old *core.SideInfo, ds *Dataset, train *tensor.COO, touched []tensor.Entry) (*core.SideInfo, error) {
+	side, err := core.GrowSideInfo(old, ds.Social, ds.Distances(), train, touched)
+	if err != nil {
+		return nil, err
+	}
+	side.Locs = ds.Locations()
+	return side, nil
+}
+
 // Evaluate runs the paper's ranking protocol (100 random negatives, Hit@10,
 // per-user MRR) on the held-out check-ins.
 func (r *Recommender) Evaluate() Result {
 	return eval.Rank(scorer{r.Model}, r.Test, r.Train.DimJ, eval.DefaultConfig())
-}
-
-// EvaluateWith runs the protocol with a custom configuration.
-func (r *Recommender) EvaluateWith(cfg eval.Config) Result {
-	return eval.Rank(scorer{r.Model}, r.Test, r.Train.DimJ, cfg)
 }
 
 type scorer struct{ m *Model }

@@ -267,9 +267,9 @@ func TestObserveTransactionalRollback(t *testing.T) {
 	if !found {
 		t.Skip("no unobserved cell")
 	}
-	// Sabotage the side-information rebuild: a social graph that no longer
-	// covers the user dimension makes core.BuildSideInfo fail AFTER the
-	// factor update has succeeded.
+	// Sabotage the side-information refold: a social graph that no longer
+	// covers the user dimension makes the fold fail AFTER the factor update
+	// has succeeded.
 	goodSocial := rec.Dataset.Social
 	rec.Dataset.Social = graph.New(1)
 	modelBefore, trainBefore, sideBefore := rec.Model, rec.Train, rec.Side
