@@ -31,8 +31,9 @@ fmt:
 bench:
 	$(GO) test -run '^$$' -bench $(KERNEL_BENCH) -benchmem -benchtime=1x -count=1 . ./internal/core | tee bench_kernels.txt
 	@# One cold call says little about a 1 ms scan: repeat the J = 131 072
-	@# top-N runs (f64/f32/int8, single request and batch of 8) 200 times.
-	$(GO) test -run '^$$' -bench 'BenchmarkTopN(Scratch|Batch)/j128k' -benchmem -benchtime=200x -count=1 ./internal/core | tee -a bench_kernels.txt
+	@# top-N runs (f64/f32/int8, single request and batch of 8) 200 times,
+	@# on one core (the serial scan) and on two (split into POI ranges).
+	$(GO) test -run '^$$' -bench 'BenchmarkTopN(Scratch|Batch)/j128k' -benchmem -benchtime=200x -count=1 -cpu 1,2 ./internal/core | tee -a bench_kernels.txt
 
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=1x -count=1 .

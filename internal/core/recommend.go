@@ -22,7 +22,7 @@ type RecScratch struct {
 func NewRecScratch(m *Model) *RecScratch {
 	s := &RecScratch{}
 	if m != nil {
-		s.batch.ensure(m, 1)
+		s.batch.ensure(m, 1, m.scanParts())
 	}
 	return s
 }
@@ -141,24 +141,30 @@ func (h *topKHeap) drain() []Recommendation {
 }
 
 // TopNScratch returns the n highest-scoring POIs for user i at time unit k,
-// excluding the POIs listed in skip, reusing s's buffers so steady-state calls
-// allocate only the returned slice. It is the scoring kernel behind both
-// Model.TopN and the serving layer's recommend handler, and it is TopNBatch's
-// scan run on a batch of one: the per-(user,time) weights w = h ⊙ U1ᵢ ⊙ U3ₖ
-// are factored out once, each candidate POI costs a single rank-length inner
-// product and one compare against the current n-th best score, and the few
-// survivors go through the skip list, the zero-out filter (applied exactly as
-// in Score) and a bounded top-K heap. skip must be sorted ascending (an
-// unsorted list panics); out-of-range and duplicate ids are ignored. Results
-// are ordered by score descending with POI id ascending as the tie-break —
-// identical to sorting all candidates.
+// excluding the POIs listed in skip, reusing s's buffers. It is the scoring
+// kernel behind both Model.TopN and the serving layer's recommend handler,
+// and it is TopNBatch's scan run on a batch of one: the per-(user,time)
+// weights w = h ⊙ U1ᵢ ⊙ U3ₖ are factored out once, each candidate POI costs a
+// single rank-length inner product and one compare against the current n-th
+// best score, and the few survivors go through the skip list, the zero-out
+// filter (applied exactly as in Score) and a bounded top-K heap. On a large
+// catalogue the scan is split into contiguous POI ranges on idle cores and
+// the ranges' heaps are merged exactly (see scanSplit). skip must be sorted
+// ascending (an unsorted list panics); out-of-range and duplicate ids are
+// ignored. Results are ordered by score descending with POI id ascending as
+// the tie-break — identical to sorting all candidates.
+//
+// Steady-state calls allocate at most 4 objects, whatever J and the number
+// of ranges: the returned slice, and on a split scan whatever the runtime
+// allocates to start the helper goroutines when it has no exited one to
+// reuse.
 func (m *Model) TopNScratch(i, k, n int, skip []int, s *RecScratch) []Recommendation {
 	s.req[0] = BatchReq{User: i, T: k, N: n, Skip: skip}
-	m.scan("TopNScratch", s.req[:], &s.batch)
+	m.scan("TopNScratch", s.req[:], &s.batch, m.scanParts())
 	if n <= 0 {
 		return nil
 	}
-	return s.batch.heaps[0].drain()
+	return s.batch.parts[0].heaps[0].drain()
 }
 
 // TopN returns the n highest-scoring POIs for user i at time unit k,

@@ -3,7 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"tcss/internal/mat"
@@ -165,18 +167,66 @@ func TestTopNScratchReuseAcrossCalls(t *testing.T) {
 	}
 }
 
+// TestTopNScratchAllocs pins TopNScratch's allocation contract: only the
+// returned slice on a small catalogue, and a bound that grows with neither J
+// nor the number of POI ranges on a large one. AllocsPerRun runs at
+// GOMAXPROCS 1, where TopNScratch picks the serial scan, so the J = 131 072
+// cases fix the range count; their helpers still start as goroutines.
 func TestTopNScratchAllocs(t *testing.T) {
-	m := randomRecModel(4, 100, 4, 8, 5)
-	s := NewRecScratch(m)
 	skip := []int{3, 17, 42}
-	m.TopNScratch(0, 0, 10, skip, s) // warm buffer growth
+	small := randomRecModel(4, 100, 4, 8, 5)
+	s := NewRecScratch(small)
+	small.TopNScratch(0, 0, 10, skip, s) // warm buffer growth
 	allocs := testing.AllocsPerRun(100, func() {
-		m.TopNScratch(1, 1, 10, skip, s)
+		small.TopNScratch(1, 1, 10, skip, s)
 	})
 	// Only the returned slice may allocate.
 	if allocs > 1 {
 		t.Fatalf("TopNScratch allocates %v objects/op, want <= 1", allocs)
 	}
+
+	big := randomRecModel(4, 131072, 4, 8, 5)
+	for _, parts := range []int{1, 2, 8} {
+		s := NewRecScratch(big)
+		topNParts(big, 0, 0, 10, skip, s, parts)
+		allocs := testing.AllocsPerRun(20, func() {
+			topNParts(big, 1, 1, 10, skip, s, parts)
+		})
+		if allocs > 4 {
+			t.Fatalf("J=%d in %d ranges: TopNScratch allocates %v objects/op, want <= 4", big.J, parts, allocs)
+		}
+	}
+}
+
+// TestTopNScratchConcurrentSplit: concurrent callers, each with its own
+// RecScratch, on a model the public entry point splits, get exactly the
+// serial answer. Run it under -race -count=10.
+func TestTopNScratchConcurrentSplit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	m := randomRecModel(8, 32768, 4, 8, 9)
+	if p := m.scanParts(); p < 2 {
+		t.Fatalf("J=%d rank %d scans in %d range(s); the test needs a split", m.J, m.Rank, p)
+	}
+	const callers, calls = 4, 6
+	want := make([][]Recommendation, callers*calls)
+	ref := NewRecScratch(m)
+	for q := range want {
+		want[q] = topNParts(m, q%m.I, q%m.K, 10, nil, ref, 1)
+	}
+	var wg sync.WaitGroup
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := NewRecScratch(m)
+			for q := c * calls; q < (c+1)*calls; q++ {
+				if got := m.TopNScratch(q%m.I, q%m.K, 10, nil, s); !sameRecs(got, want[q]) {
+					t.Errorf("caller %d query %d: split %+v, serial %+v", c, q, got, want[q])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestTopNScoresMatchPredict(t *testing.T) {

@@ -71,9 +71,10 @@ func sameRecs(a, b []Recommendation) bool {
 
 // TestScanMatchesFullSort is the differential test of the one scan kernel:
 // TopNScratch and TopNBatch (five requests, so a quad group and a single
-// lane) against "score every POI, sort, drop the excluded", over storage
-// modes × ranks 1…13 (every unroll remainder) × n × skip shapes × a zero-out
-// filter × tied scores × NaN/±Inf weights.
+// lane), serial and split into 2, 3 and 7 POI ranges, against "score every
+// POI, sort, drop the excluded", over storage modes × ranks 1…13 (every
+// unroll remainder) × n × skip shapes × a zero-out filter × tied scores ×
+// NaN/±Inf weights.
 func TestScanMatchesFullSort(t *testing.T) {
 	const I, J, K = 5, 23, 3
 	all := make([]int, J)
@@ -146,29 +147,55 @@ func TestScanMatchesFullSort(t *testing.T) {
 	}
 }
 
+// scanPartCounts are the numbers of POI ranges the differential tests run the
+// scan in: serial, two and three ranges, and ranges only a few rows long.
+var scanPartCounts = []int{1, 2, 3, 7}
+
+// topNParts is TopNScratch with the number of POI ranges fixed.
+func topNParts(m *Model, i, k, n int, skip []int, s *RecScratch, parts int) []Recommendation {
+	s.req[0] = BatchReq{User: i, T: k, N: n, Skip: skip}
+	m.scan("TopNScratch", s.req[:], &s.batch, parts)
+	return s.batch.parts[0].heaps[0].drain()
+}
+
+// batchParts is TopNBatch with the number of POI ranges fixed.
+func batchParts(m *Model, reqs []BatchReq, s *BatchScratch, parts int) [][]Recommendation {
+	out := make([][]Recommendation, len(reqs))
+	m.scan("TopNBatch", reqs, s, parts)
+	for _, b := range s.act {
+		out[b] = s.parts[0].heaps[b].drain()
+	}
+	return out
+}
+
 // checkScan runs one (model, n, skip) cell for five (user, time) pairs through
-// both entry points and both references.
+// both entry points at every part count and both references.
 func checkScan(t *testing.T, name string, m *Model, n int, skip []int, finite bool) {
 	t.Helper()
 	reqs := make([]BatchReq, 5)
 	for b := range reqs {
 		reqs[b] = BatchReq{User: b % m.I, T: (2 * b) % m.K, N: n, Skip: skip}
 	}
-	batch := m.TopNBatch(reqs, NewBatchScratch(m, len(reqs)))
-	s := NewRecScratch(m)
+	want := make([][]Recommendation, len(reqs))
 	for b, rq := range reqs {
 		cands := scanCandidates(m, rq.User, rq.T, skip)
-		want := offeredTopN(cands, n)
+		want[b] = offeredTopN(cands, n)
 		if finite {
-			if spec := sortedTopN(cands, n); !sameRecs(want, spec) {
-				t.Fatalf("%s req %d: heap reference %+v, full sort %+v", name, b, want, spec)
+			if spec := sortedTopN(cands, n); !sameRecs(want[b], spec) {
+				t.Fatalf("%s req %d: heap reference %+v, full sort %+v", name, b, want[b], spec)
 			}
 		}
-		if got := m.TopNScratch(rq.User, rq.T, n, skip, s); !sameRecs(got, want) {
-			t.Fatalf("%s req %d: TopNScratch %+v, want %+v", name, b, got, want)
-		}
-		if !sameRecs(batch[b], want) {
-			t.Fatalf("%s req %d: TopNBatch %+v, want %+v", name, b, batch[b], want)
+	}
+	s, bs := NewRecScratch(m), NewBatchScratch(m, len(reqs))
+	for _, parts := range scanPartCounts {
+		batch := batchParts(m, reqs, bs, parts)
+		for b, rq := range reqs {
+			if got := topNParts(m, rq.User, rq.T, n, skip, s, parts); !sameRecs(got, want[b]) {
+				t.Fatalf("%s parts=%d req %d: TopNScratch %+v, want %+v", name, parts, b, got, want[b])
+			}
+			if !sameRecs(batch[b], want[b]) {
+				t.Fatalf("%s parts=%d req %d: TopNBatch %+v, want %+v", name, parts, b, batch[b], want[b])
+			}
 		}
 	}
 }
