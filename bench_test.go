@@ -21,7 +21,6 @@ import (
 	"tcss/internal/eval"
 	"tcss/internal/experiments"
 	"tcss/internal/lbsn"
-	"tcss/internal/mat"
 	"tcss/internal/tensor"
 )
 
@@ -191,26 +190,6 @@ func BenchmarkScoreSlab(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.ScoreSlabScratch(i%m.I, out, scratch)
 	}
-}
-
-// BenchmarkMulBlocked compares the cache-blocked GEMM against the row-wise
-// kernel at a size where all three operands overflow L1.
-func BenchmarkMulBlocked(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	const n = 192
-	x := mat.Random(n, n, 1, rng)
-	y := mat.Random(n, n, 1, rng)
-	out := mat.New(n, n)
-	b.Run("blocked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mat.MulBlocked(out, x, y)
-		}
-	})
-	b.Run("rowwise", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mat.MulInto(out, x, y)
-		}
-	})
 }
 
 // BenchmarkRank measures the §V-C ranking protocol (100 sampled negatives

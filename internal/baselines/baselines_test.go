@@ -141,7 +141,7 @@ func TestCPFitErrorDecreasesWithSweeps(t *testing.T) {
 		if err := cp.Fit(fx.ctx); err != nil {
 			t.Fatal(err)
 		}
-		return cp.FitError(fx.ctx.Train)
+		return cp.fitError(fx.ctx.Train)
 	}
 	e1, e8 := errAt(1), errAt(8)
 	if e8 > e1+1e-9 {
@@ -448,12 +448,12 @@ func TestTenIntSocialRegularization(t *testing.T) {
 	if len(friendPairs) == 0 {
 		t.Skip("fixture has no friendships")
 	}
-	df := ti.UserFactorDistance(friendPairs)
-	do := ti.UserFactorDistance(otherPairs)
+	df := ti.userFactorDistance(friendPairs)
+	do := ti.userFactorDistance(otherPairs)
 	if df >= do {
 		t.Fatalf("friend factor distance %g must be below non-friend %g", df, do)
 	}
-	if ti.UserFactorDistance(nil) != 0 {
+	if ti.userFactorDistance(nil) != 0 {
 		t.Fatal("empty pair list must give 0")
 	}
 }
@@ -483,7 +483,7 @@ func TestTenIntSocialWeightEffect(t *testing.T) {
 	for _, e := range fx.ctx.Social.Edges() {
 		pairs = append(pairs, e)
 	}
-	if strong.UserFactorDistance(pairs) >= weak.UserFactorDistance(pairs) {
+	if strong.userFactorDistance(pairs) >= weak.userFactorDistance(pairs) {
 		t.Fatal("stronger social weight must shrink friend factor distances")
 	}
 }

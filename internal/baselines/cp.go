@@ -93,11 +93,11 @@ func (c *CP) Score(i, j, k int) float64 {
 	return tensor.CPValue(c.u1, c.u2, c.u3, nil, i, j, k)
 }
 
-// FitError returns the full-tensor squared reconstruction error
+// fitError returns the full-tensor squared reconstruction error
 // ‖X − X̂‖²_F, computed sparsely through the Gram identity
 // ‖X̂‖² = Σ_{ab} (U1ᵀU1 ⊙ U2ᵀU2 ⊙ U3ᵀU3)_{ab}. Tests use it to check that
 // ALS sweeps never increase the objective.
-func (c *CP) FitError(x *tensor.COO) float64 {
+func (c *CP) fitError(x *tensor.COO) float64 {
 	g1, g2, g3 := c.u1.Gram(), c.u2.Gram(), c.u3.Gram()
 	var normSq float64
 	for i := range g1.Data {

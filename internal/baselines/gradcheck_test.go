@@ -170,7 +170,7 @@ func denseResidual(x *tensor.COO, score func(i, j, k int) float64) float64 {
 	return sum
 }
 
-// TestCPFitErrorMatchesDense differentially checks CP.FitError's sparse Gram
+// TestCPFitErrorMatchesDense differentially checks CP.fitError's sparse Gram
 // identity against the brute-force dense residual.
 func TestCPFitErrorMatchesDense(t *testing.T) {
 	fx := check.NewTrainFixture(21)
@@ -178,10 +178,10 @@ func TestCPFitErrorMatchesDense(t *testing.T) {
 	if err := c.Fit(&Context{Train: fx.Train, Rank: 3, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
-	got := c.FitError(fx.Train)
+	got := c.fitError(fx.Train)
 	want := denseResidual(fx.Train, c.Score)
 	if rel := math.Abs(got-want) / (1 + math.Abs(want)); rel > 1e-9 {
-		t.Fatalf("FitError %.12g vs dense residual %.12g (rel %g)", got, want, rel)
+		t.Fatalf("fitError %.12g vs dense residual %.12g (rel %g)", got, want, rel)
 	}
 }
 

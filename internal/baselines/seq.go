@@ -180,7 +180,7 @@ func (m *recurrent) Fit(ctx *Context) error {
 			})
 			// One optimizer step per user trajectory (gradients accumulated
 			// across its steps).
-			stepSeq(optim, m.cell, m.embPOI, m.embTime)
+			nn.StepAll(optim, m.cell, m.embPOI, m.embTime)
 		}
 	}
 	m.finalH = make([][]float64, len(seqs))
@@ -291,7 +291,7 @@ func (s *STAN) Fit(ctx *Context) error {
 					s.embTime.Accumulate(visit.TimeIndex, dMem)
 				}
 			}
-			stepSeq(optim, s.embUser, s.embPOI, s.embTime)
+			nn.StepAll(optim, s.embUser, s.embPOI, s.embTime)
 		}
 	}
 	s.seqs = seqs
@@ -368,18 +368,4 @@ func seqEpochs(ctx *Context) int {
 		return 10
 	}
 	return ctx.Epochs
-}
-
-// stepSeq applies one optimizer step to every parameter of the given layers,
-// then clears their gradients.
-func stepSeq(optim opt.Optimizer, layers ...interface {
-	Params() []nn.Param
-	ZeroGrad()
-}) {
-	for _, l := range layers {
-		for _, p := range l.Params() {
-			optim.Step(p.Name, p.Value, p.Grad)
-		}
-		l.ZeroGrad()
-	}
 }

@@ -125,10 +125,10 @@ func (t *TenInt) Score(i, j, k int) float64 {
 	return tensor.CPValue(t.u1, t.u2, t.u3, nil, i, j, k)
 }
 
-// UserFactorDistance returns the mean squared distance between friend user
+// userFactorDistance returns the mean squared distance between friend user
 // factors, the quantity TenInt's regularizer minimizes; tests assert it is
 // smaller than for non-friend pairs.
-func (t *TenInt) UserFactorDistance(pairs [][2]int) float64 {
+func (t *TenInt) userFactorDistance(pairs [][2]int) float64 {
 	if len(pairs) == 0 {
 		return 0
 	}

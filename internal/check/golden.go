@@ -19,11 +19,6 @@ import (
 // binary that links the harness.
 var update = flag.Bool("update", false, "rewrite golden files instead of comparing against them")
 
-// Updating reports whether the current test run was invoked with -update.
-// Tests that deliberately diverge from a golden (mutation tests) skip
-// themselves while recording.
-func Updating() bool { return *update }
-
 // Series is a named set of recorded trajectories: loss per epoch, final
 // metrics, probe scores — anything float-valued a training run produces
 // deterministically.

@@ -136,7 +136,7 @@ func TestGoldenL2Adam(t *testing.T) {
 // exactly — a class of bug only the gradient checker can see, which is why
 // the harness needs both layers.
 func TestGoldenCatchesSabotagedGradient(t *testing.T) {
-	if Updating() {
+	if *update {
 		t.Skip("golden files being rewritten")
 	}
 	want, err := ReadGolden(goldenPath("l2-adam"))

@@ -276,7 +276,7 @@ func (c *Cluster) fitSeq(t *testing.T) baselines.SeqServer {
 
 func (c *Cluster) newNode(t *testing.T, name, shard, role string, ring *cluster.Ring) *Node {
 	t.Helper()
-	n := &Node{Name: name, Shard: shard, Role: role, Faults: fault.NewHooks(c.Config.Seed)}
+	n := &Node{Name: name, Shard: shard, Role: role, Faults: fault.NewHooks()}
 
 	opts := c.Config.Serve
 	opts.ShardName = shard

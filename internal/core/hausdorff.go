@@ -154,15 +154,10 @@ func newHausdorffScratch(m *Model) *hausdorffScratch {
 	}
 }
 
-// UserLoss computes d_WH(S(v_i), N(v_i)) of Eq (12) for one user and, when
+// userLoss computes d_WH(S(v_i), N(v_i)) of Eq (12) for one user and, when
 // grads is non-nil, accumulates its gradient with respect to every model
-// parameter. Users without friend-visited POIs contribute zero. It allocates
-// a fresh scratch; epoch loops go through Loss, which reuses one scratch per
-// worker.
-func (h *Hausdorff) UserLoss(m *Model, i int, grads *Grads) float64 {
-	return h.userLoss(m, i, grads, newHausdorffScratch(m))
-}
-
+// parameter. Users without friend-visited POIs contribute zero. sc is the
+// calling worker's scratch.
 func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch) float64 {
 	friendSet := h.FriendPOIs[i]
 	if len(friendSet) == 0 {

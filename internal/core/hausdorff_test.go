@@ -76,10 +76,10 @@ func TestHausdorffSkipsUsersWithoutFriendsPOIs(t *testing.T) {
 	h := testHausdorffSetup([][]int{{}, {0}})
 	rng := rand.New(rand.NewSource(1))
 	m := randomModel(2, 4, 3, 2, rng)
-	if got := h.UserLoss(m, 0, nil); got != 0 {
+	if got := h.userLoss(m, 0, nil, newHausdorffScratch(m)); got != 0 {
 		t.Fatalf("user without friend POIs must contribute 0, got %g", got)
 	}
-	if got := h.UserLoss(m, 1, nil); got <= 0 {
+	if got := h.userLoss(m, 1, nil, newHausdorffScratch(m)); got <= 0 {
 		t.Fatalf("user with friend POIs should have positive loss, got %g", got)
 	}
 }
@@ -162,9 +162,9 @@ func TestHausdorffPenalizesExtremes(t *testing.T) {
 	allOnes := makeConst(0.9)  // visits everything, including far POIs
 	allZeros := makeConst(0.0) // visits nothing
 
-	lf := h.UserLoss(focused, 0, nil)
-	l1 := h.UserLoss(allOnes, 0, nil)
-	l0 := h.UserLoss(allZeros, 0, nil)
+	lf := h.userLoss(focused, 0, nil, newHausdorffScratch(focused))
+	l1 := h.userLoss(allOnes, 0, nil, newHausdorffScratch(allOnes))
+	l0 := h.userLoss(allZeros, 0, nil, newHausdorffScratch(allZeros))
 	if !(lf < l1 && lf < l0) {
 		t.Fatalf("focused model must beat extremes: focused=%g all-ones=%g all-zeros=%g", lf, l1, l0)
 	}
@@ -182,7 +182,7 @@ func TestHausdorffParallelMatchesSerial(t *testing.T) {
 	gSerial, gParallel := NewGrads(m), NewGrads(m)
 	var serial float64
 	for _, u := range users {
-		serial += h.UserLoss(m, u, gSerial)
+		serial += h.userLoss(m, u, gSerial, newHausdorffScratch(m))
 	}
 	parallel := h.Loss(m, users, gParallel)
 	if math.Abs(serial-parallel) > 1e-9 {

@@ -163,8 +163,8 @@ func TestHausdorffRewardsFriendAlignment(t *testing.T) {
 	}
 	aligned := mk([]float64{0.9, 0.9, 0.05, 0.05})
 	inverted := mk([]float64{0.05, 0.05, 0.9, 0.9})
-	la := h.UserLoss(aligned, 0, nil)
-	li := h.UserLoss(inverted, 0, nil)
+	la := h.userLoss(aligned, 0, nil, newHausdorffScratch(aligned))
+	li := h.userLoss(inverted, 0, nil, newHausdorffScratch(inverted))
 	if la >= li {
 		t.Fatalf("friend-aligned model must have lower loss: aligned %g vs inverted %g", la, li)
 	}

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"tcss/internal/opt"
+	"tcss/internal/train"
 )
 
 func TestConfigValidateTable(t *testing.T) {
@@ -140,7 +140,6 @@ func TestTrainResumeBitIdentical(t *testing.T) {
 		{"zero-out", func(c *Config) { c.Variant = ZeroOut }},
 		{"negsampling", func(c *Config) { c.NegSampling = true }},
 		{"subsample", func(c *Config) { c.UsersPerEpoch = 7 }},
-		{"scheduled", func(c *Config) { c.LRSchedule = opt.ExponentialSchedule{Gamma: 0.9} }},
 	}
 	fx := newTrainFixture(31)
 	for _, tc := range cases {
@@ -207,6 +206,52 @@ func TestTrainResumeRejectsMismatch(t *testing.T) {
 	noState.ResumePath = plain
 	if _, err := Train(fx.x.Clone(), fx.side, noState); err == nil {
 		t.Fatal("resume from a stateless model file must fail")
+	}
+}
+
+// TestTrainResumeRejectsMismatchedMoments resumes from checkpoints whose Adam
+// state does not fit the model. Each must be refused with an error naming
+// the group; a truncated moment used to panic inside the first Adam step.
+func TestTrainResumeRejectsMismatchedMoments(t *testing.T) {
+	fx := newTrainFixture(31)
+	cfg := resumeCase(NoHausdorff)
+	cfg.Epochs = 2
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	cfg.CheckpointPath = ck
+	if _, err := Train(fx.x.Clone(), fx.side, cfg); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(st *train.State)
+	}{
+		{"truncated moments", func(st *train.State) {
+			st.Opt.M["U1"], st.Opt.V["U1"] = st.Opt.M["U1"][:1], st.Opt.V["U1"][:1]
+		}},
+		{"first moment only truncated", func(st *train.State) { st.Opt.M["U2"] = st.Opt.M["U2"][:3] }},
+		{"unknown group", func(st *train.State) {
+			st.Opt.Steps["W"], st.Opt.M["W"], st.Opt.V["W"] = 1, []float64{0}, []float64{0}
+		}},
+		{"steps without moments", func(st *train.State) { delete(st.Opt.M, "h"); delete(st.Opt.V, "h") }},
+		{"moments without steps", func(st *train.State) { delete(st.Opt.Steps, "U3") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, st, err := loadCheckpointFile(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(st)
+			bad := filepath.Join(t.TempDir(), "bad.json")
+			if err := m.SaveCheckpointRotate(nil, bad, 0, st); err != nil {
+				t.Fatal(err)
+			}
+			resumed := cfg
+			resumed.CheckpointPath, resumed.ResumePath, resumed.Epochs = "", bad, 4
+			if _, err := Train(fx.x.Clone(), fx.side, resumed); err == nil || !strings.Contains(err.Error(), "group") {
+				t.Fatalf("resume from %s gave %v, want a group error", tc.name, err)
+			}
+		})
 	}
 }
 

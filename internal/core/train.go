@@ -83,10 +83,6 @@ type Config struct {
 	// their contribution in ablation benches.
 	DisableEntropy bool
 
-	// LRSchedule optionally anneals the learning rate across epochs
-	// (see internal/opt); nil keeps the rate constant, the paper's setting.
-	LRSchedule opt.Schedule
-
 	// Workers bounds the goroutines used by the parallel loss kernels and the
 	// zero-out filter build (0 = par.DefaultWorkers, i.e. GOMAXPROCS).
 	// Results are reproducible for a fixed value and bit-for-bit identical to
@@ -232,8 +228,8 @@ func permInto(rng *rand.Rand, buf []int, n int) []int {
 // Train is a composition over the internal/train engine: it builds the L2
 // head (whole-data or negative-sampling) and, for the social variants, the
 // weighted Hausdorff L1 head, exposes the factor matrices as named parameter
-// groups, and lets the engine drive epochs, clipping, Adam steps, LR
-// scheduling, callbacks, and checkpoint/resume.
+// groups, and lets the engine drive epochs, clipping, Adam steps,
+// callbacks, and checkpoint/resume.
 func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -345,7 +341,6 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 	tcfg := train.Config{
 		Epochs:          cfg.Epochs,
 		GradClip:        cfg.GradClip,
-		LRSchedule:      cfg.LRSchedule,
 		CheckpointEvery: cfg.CheckpointEvery,
 	}
 	if cfg.EpochCallback != nil {

@@ -9,7 +9,6 @@ import (
 	"tcss/internal/geo"
 	"tcss/internal/graph"
 	"tcss/internal/mat"
-	"tcss/internal/opt"
 	"tcss/internal/tensor"
 )
 
@@ -234,22 +233,6 @@ func TestTrainUserSubsampling(t *testing.T) {
 		if math.IsNaN(l) {
 			t.Fatal("subsampled training produced NaN loss")
 		}
-	}
-}
-
-func TestTrainWithLRSchedule(t *testing.T) {
-	fx := newTrainFixture(15)
-	cfg := DefaultConfig()
-	cfg.Epochs = 20
-	cfg.Rank = 3
-	cfg.LRSchedule = opt.CosineSchedule{TotalEpochs: 20, MinFactor: 0.1}
-	var losses []float64
-	cfg.EpochCallback = func(_ int, _ *Model, loss float64) { losses = append(losses, loss) }
-	if _, err := Train(fx.x, fx.side, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if losses[len(losses)-1] >= losses[0] {
-		t.Fatal("scheduled training must still reduce the loss")
 	}
 }
 

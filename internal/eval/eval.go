@@ -234,25 +234,6 @@ func RMSE(s Scorer, test []tensor.Entry) float64 {
 	return math.Sqrt(sum / float64(len(test)))
 }
 
-// TopNOverlap reports |topA ∩ topB| / n for two ranked POI lists, a utility
-// for the diversity analyses.
-func TopNOverlap(a, b []int) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	set := make(map[int]bool, len(a))
-	for _, j := range a {
-		set[j] = true
-	}
-	var c int
-	for _, j := range b {
-		if set[j] {
-			c++
-		}
-	}
-	return float64(c) / float64(len(a))
-}
-
 // RankAll returns the POIs 0..dimJ-1 sorted by descending score for user i at
 // time k, a helper for case studies.
 func RankAll(s Scorer, i, k, dimJ int) []int {

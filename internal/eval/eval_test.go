@@ -153,15 +153,6 @@ func TestRMSE(t *testing.T) {
 	}
 }
 
-func TestTopNOverlap(t *testing.T) {
-	if got := TopNOverlap([]int{1, 2, 3}, []int{3, 4, 5}); math.Abs(got-1.0/3) > 1e-12 {
-		t.Fatalf("overlap = %g, want 1/3", got)
-	}
-	if TopNOverlap(nil, []int{1}) != 0 {
-		t.Fatal("empty overlap must be 0")
-	}
-}
-
 func TestRankAll(t *testing.T) {
 	s := ScorerFunc(func(i, j, k int) float64 { return float64(-j) })
 	got := RankAll(s, 0, 0, 4)

@@ -221,9 +221,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Cell returns the value at (row, col) for programmatic assertions in tests.
-func (t *Table) Cell(row, col int) string { return t.Rows[row][col] }
-
 func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 
 // blockMeanSimilarity measures how "blocky" a time-factor similarity matrix

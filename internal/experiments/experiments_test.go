@@ -64,8 +64,8 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(s, "== T ==") || !strings.Contains(s, "3") {
 		t.Fatalf("rendering wrong:\n%s", s)
 	}
-	if tb.Cell(1, 1) != "4" {
-		t.Fatal("Cell accessor wrong")
+	if tb.Rows[1][1] != "4" {
+		t.Fatal("row 1 column 1 wrong")
 	}
 }
 

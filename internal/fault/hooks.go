@@ -1,43 +1,23 @@
 package fault
 
-import (
-	"math/rand"
-	"sync"
-	"time"
-)
+import "sync"
 
-// Hooks injects latency and transient errors into an arbitrary code path —
-// the seam the serving writer loop exposes so its circuit breaker and retry
-// logic can be exercised under deterministic failure. A nil *Hooks is a
-// no-op, so production paths pay a single pointer check.
-//
-// Two scheduling modes compose: FailNext scripts an exact number of
-// consecutive failures (what a test asserting breaker transitions wants),
-// and SetFailRate draws failures from a seeded RNG (what a soak run wants).
+// Hooks injects transient errors into an arbitrary code path — the seam the
+// serving writer loop exposes so its circuit breaker and retry logic can be
+// exercised under deterministic failure. FailNext scripts an exact number of
+// consecutive failures, which is what a test asserting breaker transitions
+// wants. A nil *Hooks is a no-op, so production paths pay a single pointer
+// check.
 type Hooks struct {
 	mu       sync.Mutex
-	rng      *rand.Rand
-	latency  time.Duration
 	failNext int
-	failRate float64
 	failErr  error
-	sleep    func(time.Duration) // test seam; time.Sleep by default
 
 	injected int64 // total errors injected
 }
 
-// NewHooks returns hooks whose rate-based failures draw from a stream seeded
-// deterministically.
-func NewHooks(seed int64) *Hooks {
-	return &Hooks{rng: rand.New(rand.NewSource(seed)), sleep: time.Sleep}
-}
-
-// SetLatency makes every Before call sleep d before proceeding.
-func (h *Hooks) SetLatency(d time.Duration) {
-	h.mu.Lock()
-	h.latency = d
-	h.mu.Unlock()
-}
+// NewHooks returns hooks with nothing armed.
+func NewHooks() *Hooks { return &Hooks{} }
 
 // FailNext scripts the next n Before calls to return err (ErrInjected when
 // err is nil).
@@ -45,22 +25,6 @@ func (h *Hooks) FailNext(n int, err error) {
 	h.mu.Lock()
 	h.failNext = n
 	h.failErr = err
-	h.mu.Unlock()
-}
-
-// SetFailRate makes each Before call fail with probability p, drawing from
-// the seeded stream, with err (ErrInjected when nil).
-func (h *Hooks) SetFailRate(p float64, err error) {
-	h.mu.Lock()
-	h.failRate = p
-	h.failErr = err
-	h.mu.Unlock()
-}
-
-// Clear removes every armed injection.
-func (h *Hooks) Clear() {
-	h.mu.Lock()
-	h.latency, h.failNext, h.failRate, h.failErr = 0, 0, 0, nil
 	h.mu.Unlock()
 }
 
@@ -72,34 +36,22 @@ func (h *Hooks) Injected() int64 {
 }
 
 // Before is called by the guarded code path at the top of the operation
-// named op (informational). It sleeps any injected latency, then returns an
-// injected error or nil. Safe on a nil receiver.
+// named op (informational). It returns an injected error or nil. Safe on a
+// nil receiver.
 func (h *Hooks) Before(op string) error {
 	if h == nil {
 		return nil
 	}
 	_ = op
 	h.mu.Lock()
-	d := h.latency
-	fail := false
-	if h.failNext > 0 {
-		h.failNext--
-		fail = true
-	} else if h.failRate > 0 && h.rng.Float64() < h.failRate {
-		fail = true
+	defer h.mu.Unlock()
+	if h.failNext <= 0 {
+		return nil
 	}
-	var err error
-	if fail {
-		err = h.failErr
-		if err == nil {
-			err = ErrInjected
-		}
-		h.injected++
+	h.failNext--
+	h.injected++
+	if h.failErr != nil {
+		return h.failErr
 	}
-	sleep := h.sleep
-	h.mu.Unlock()
-	if d > 0 {
-		sleep(d)
-	}
-	return err
+	return ErrInjected
 }

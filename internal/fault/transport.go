@@ -58,8 +58,7 @@ func (f NetFault) terminal() bool { return f.Hang || f.Drop || f.Status != 0 }
 // NetFault steps. The head step applies until its Count drains (Count 0 pins
 // it until healed), then the next step takes over; an empty queue is healthy.
 type netFaultState struct {
-	steps    []NetFault
-	injected int64
+	steps []NetFault
 }
 
 // Transport is a seeded, plan-driven http.RoundTripper that injects network
@@ -146,16 +145,6 @@ func (t *Transport) Injected() int64 {
 	return t.total
 }
 
-// InjectedTo reports how many requests toward target were affected.
-func (t *Transport) InjectedTo(target string) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if st := t.faults[hostKey(target)]; st != nil {
-		return st.injected
-	}
-	return 0
-}
-
 // take decides under the lock whether this request is affected and by which
 // fault, consuming schedule state (Count, seeded Rate draws) as it goes.
 func (t *Transport) take(host string) (NetFault, time.Duration, bool) {
@@ -181,7 +170,6 @@ func (t *Transport) take(host string) (NetFault, time.Duration, bool) {
 			st.steps[0] = f
 		}
 	}
-	st.injected++
 	t.total++
 	return f, jitter, true
 }

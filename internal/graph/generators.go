@@ -3,25 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
-
-// ErdosRenyi returns a G(n, p) random graph: each of the n·(n-1)/2 possible
-// edges is present independently with probability p.
-func ErdosRenyi(n int, p float64, rng *rand.Rand) *Graph {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("graph: ErdosRenyi p=%g out of [0,1]", p))
-	}
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if rng.Float64() < p {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	return g
-}
 
 // WattsStrogatz returns a small-world graph: a ring lattice where every
 // vertex connects to its k nearest neighbours (k must be even and < n), with
@@ -57,70 +39,6 @@ func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) *Graph {
 			}
 			g.RemoveEdge(u, v)
 			g.AddEdge(u, w)
-		}
-	}
-	return g
-}
-
-// BarabasiAlbert returns a preferential-attachment graph: starting from a
-// clique on m+1 vertices, each new vertex attaches m edges to existing
-// vertices with probability proportional to their degree. It produces the
-// heavy-tailed degree distributions seen in large follower networks.
-func BarabasiAlbert(n, m int, rng *rand.Rand) *Graph {
-	if m <= 0 || m >= n {
-		panic(fmt.Sprintf("graph: BarabasiAlbert m=%d must be in (0,%d)", m, n))
-	}
-	g := New(n)
-	// Repeated-endpoint list: picking uniformly from it is degree-biased.
-	var endpoints []int
-	for u := 0; u <= m; u++ {
-		for v := u + 1; v <= m; v++ {
-			g.AddEdge(u, v)
-			endpoints = append(endpoints, u, v)
-		}
-	}
-	for u := m + 1; u < n; u++ {
-		chosen := make(map[int]struct{}, m)
-		for len(chosen) < m {
-			t := endpoints[rng.Intn(len(endpoints))]
-			if t != u {
-				chosen[t] = struct{}{}
-			}
-		}
-		// Iterate the chosen set in sorted order: map order is randomized
-		// per process, and the append order below feeds later rng.Intn
-		// index lookups, so an unsorted walk would make the whole graph
-		// irreproducible across runs with the same seed.
-		picks := make([]int, 0, m)
-		for v := range chosen {
-			picks = append(picks, v)
-		}
-		sort.Ints(picks)
-		for _, v := range picks {
-			g.AddEdge(u, v)
-			endpoints = append(endpoints, u, v)
-		}
-	}
-	return g
-}
-
-// HomophilousFriendship wires a friendship graph where the probability of an
-// edge between u and v decays with the distance between their home positions:
-// p(u,v) = pNear if affinity(u,v) < threshold, else pFar. affinity is any
-// symmetric dissimilarity (the LBSN simulator passes home-location distance),
-// which plants the friends-live-and-check-in-nearby structure the social
-// Hausdorff loss exploits.
-func HomophilousFriendship(n int, affinity func(u, v int) float64, threshold, pNear, pFar float64, rng *rand.Rand) *Graph {
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			p := pFar
-			if affinity(u, v) < threshold {
-				p = pNear
-			}
-			if rng.Float64() < p {
-				g.AddEdge(u, v)
-			}
 		}
 	}
 	return g

@@ -1,7 +1,7 @@
 // Package graph implements the undirected social graph of an LBSN: an
-// adjacency-list structure with neighbour queries, traversal, and similarity
-// statistics, plus the random-graph generators (Erdős–Rényi, Watts–Strogatz,
-// Barabási–Albert) the LBSN simulator uses to wire friendships.
+// adjacency-list structure with neighbour queries and degree statistics, plus
+// the generators the LBSN simulator uses to wire friendships (Watts–Strogatz,
+// minimum-degree repair, preferential attachment for arriving users).
 package graph
 
 import (
@@ -110,102 +110,7 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// Components returns the connected components as sorted vertex lists, largest
-// first (ties broken by smallest vertex).
-func (g *Graph) Components() [][]int {
-	visited := make([]bool, g.n)
-	var comps [][]int
-	queue := make([]int, 0, g.n)
-	for s := 0; s < g.n; s++ {
-		if visited[s] {
-			continue
-		}
-		visited[s] = true
-		queue = queue[:0]
-		queue = append(queue, s)
-		comp := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for v := range g.adj[u] {
-				if !visited[v] {
-					visited[v] = true
-					queue = append(queue, v)
-					comp = append(comp, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(a, b int) bool {
-		if len(comps[a]) != len(comps[b]) {
-			return len(comps[a]) > len(comps[b])
-		}
-		return comps[a][0] < comps[b][0]
-	})
-	return comps
-}
-
-// CommonNeighbors returns the number of shared neighbours of u and v.
-func (g *Graph) CommonNeighbors(u, v int) int {
-	g.checkVertex(u)
-	g.checkVertex(v)
-	a, b := g.adj[u], g.adj[v]
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var c int
-	for w := range a {
-		if _, ok := b[w]; ok {
-			c++
-		}
-	}
-	return c
-}
-
-// Jaccard returns the Jaccard similarity of the neighbourhoods of u and v,
-// or 0 when both are isolated.
-func (g *Graph) Jaccard(u, v int) float64 {
-	common := g.CommonNeighbors(u, v)
-	union := g.Degree(u) + g.Degree(v) - common
-	if union == 0 {
-		return 0
-	}
-	return float64(common) / float64(union)
-}
-
 // AverageDegree returns the mean vertex degree.
 func (g *Graph) AverageDegree() float64 {
 	return 2 * float64(g.EdgeCount()) / float64(g.n)
-}
-
-// LocalClustering returns the clustering coefficient of v: the fraction of
-// pairs of v's neighbours that are themselves connected, or 0 for degree < 2.
-func (g *Graph) LocalClustering(v int) float64 {
-	nbrs := g.Neighbors(v)
-	if len(nbrs) < 2 {
-		return 0
-	}
-	var closed int
-	for a := 0; a < len(nbrs); a++ {
-		for b := a + 1; b < len(nbrs); b++ {
-			if g.HasEdge(nbrs[a], nbrs[b]) {
-				closed++
-			}
-		}
-	}
-	return float64(closed) / float64(len(nbrs)*(len(nbrs)-1)/2)
-}
-
-// AverageClustering returns the mean local clustering coefficient, the
-// standard small-world statistic. Social networks have high clustering;
-// Erdős–Rényi graphs of the same density do not — the LBSN generator's
-// Watts-Strogatz backbone is verified against this.
-func (g *Graph) AverageClustering() float64 {
-	var sum float64
-	for v := 0; v < g.n; v++ {
-		sum += g.LocalClustering(v)
-	}
-	return sum / float64(g.n)
 }

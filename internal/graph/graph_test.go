@@ -59,56 +59,6 @@ func TestEdgesDeterministic(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("Components = %v, want 3 components", comps)
-	}
-	if len(comps[0]) != 3 || comps[0][0] != 0 {
-		t.Fatalf("largest component = %v, want [0 1 2]", comps[0])
-	}
-	if len(comps[2]) != 1 || comps[2][0] != 5 {
-		t.Fatalf("isolated vertex component = %v", comps[2])
-	}
-}
-
-func TestCommonNeighborsJaccard(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 2)
-	g.AddEdge(0, 3)
-	g.AddEdge(1, 2)
-	g.AddEdge(1, 4)
-	if got := g.CommonNeighbors(0, 1); got != 1 {
-		t.Fatalf("CommonNeighbors = %d, want 1", got)
-	}
-	// |N(0) ∩ N(1)| = 1, |N(0) ∪ N(1)| = 3.
-	if got := g.Jaccard(0, 1); got != 1.0/3 {
-		t.Fatalf("Jaccard = %g, want 1/3", got)
-	}
-	if g.Jaccard(2, 2) != 1 {
-		t.Fatal("self Jaccard of non-isolated vertex must be 1")
-	}
-	h := New(2)
-	if h.Jaccard(0, 1) != 0 {
-		t.Fatal("isolated vertices must have Jaccard 0")
-	}
-}
-
-func TestErdosRenyiEdgeCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n, p := 60, 0.1
-	g := ErdosRenyi(n, p, rng)
-	want := p * float64(n*(n-1)/2)
-	got := float64(g.EdgeCount())
-	if got < want*0.6 || got > want*1.4 {
-		t.Fatalf("ER edge count = %g, expected near %g", got, want)
-	}
-}
-
 func TestWattsStrogatzContracts(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -126,46 +76,6 @@ func TestWattsStrogatzContracts(t *testing.T) {
 		if g.Degree(v) != 4 {
 			t.Fatalf("lattice degree(%d) = %d, want 4", v, g.Degree(v))
 		}
-	}
-}
-
-func TestBarabasiAlbertContracts(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n, m := 50, 3
-	g := BarabasiAlbert(n, m, rng)
-	// Seed clique has m(m+1)/2 edges; each of the n-m-1 later vertices adds m.
-	want := m*(m+1)/2 + (n-m-1)*m
-	if g.EdgeCount() != want {
-		t.Fatalf("BA edge count = %d, want %d", g.EdgeCount(), want)
-	}
-	for v := 0; v < n; v++ {
-		if g.Degree(v) < m {
-			t.Fatalf("BA degree(%d) = %d < m", v, g.Degree(v))
-		}
-	}
-}
-
-func TestHomophilousFriendship(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	// Vertices 0..9 near each other, 10..19 near each other, groups far apart.
-	aff := func(u, v int) float64 {
-		if (u < 10) == (v < 10) {
-			return 0
-		}
-		return 100
-	}
-	g := HomophilousFriendship(20, aff, 1, 0.8, 0.0, rng)
-	var cross int
-	for _, e := range g.Edges() {
-		if (e[0] < 10) != (e[1] < 10) {
-			cross++
-		}
-	}
-	if cross != 0 {
-		t.Fatalf("pFar=0 must produce no cross-group edges, got %d", cross)
-	}
-	if g.EdgeCount() == 0 {
-		t.Fatal("pNear=0.8 should produce within-group edges")
 	}
 }
 
@@ -187,28 +97,51 @@ func TestLocalClustering(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(0, 2)
 	g.AddEdge(2, 3)
-	if got := g.LocalClustering(0); got != 1 {
+	if got := localClustering(g, 0); got != 1 {
 		t.Fatalf("triangle vertex clustering = %g, want 1", got)
 	}
 	// Vertex 2 has neighbours {0,1,3}; only (0,1) connected: 1/3.
-	if got := g.LocalClustering(2); got != 1.0/3 {
+	if got := localClustering(g, 2); got != 1.0/3 {
 		t.Fatalf("clustering(2) = %g, want 1/3", got)
 	}
-	if got := g.LocalClustering(3); got != 0 {
+	if got := localClustering(g, 3); got != 0 {
 		t.Fatalf("pendant clustering = %g, want 0", got)
 	}
 }
 
+// localClustering is the clustering coefficient of v: the fraction of pairs
+// of v's neighbours that are themselves connected, or 0 for degree < 2.
+func localClustering(g *Graph, v int) float64 {
+	nbrs := g.Neighbors(v)
+	if len(nbrs) < 2 {
+		return 0
+	}
+	var closed int
+	for a := 0; a < len(nbrs); a++ {
+		for b := a + 1; b < len(nbrs); b++ {
+			if g.HasEdge(nbrs[a], nbrs[b]) {
+				closed++
+			}
+		}
+	}
+	return float64(closed) / float64(len(nbrs)*(len(nbrs)-1)/2)
+}
+
+// TestSmallWorldClusteringExceedsER checks the property the LBSN simulator
+// picks Watts–Strogatz for: its mean clustering far exceeds that of an
+// Erdős–Rényi graph of the same density, whose expected clustering is the
+// edge probability p itself.
 func TestSmallWorldClusteringExceedsER(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n, k := 200, 8
 	ws := WattsStrogatz(n, k, 0.1, rng)
-	// ER with matched edge count.
 	p := float64(2*ws.EdgeCount()) / float64(n*(n-1))
-	er := ErdosRenyi(n, p, rng)
-	if ws.AverageClustering() <= 2*er.AverageClustering() {
-		t.Fatalf("WS clustering %g should far exceed ER %g",
-			ws.AverageClustering(), er.AverageClustering())
+	var sum float64
+	for v := 0; v < n; v++ {
+		sum += localClustering(ws, v)
+	}
+	if avg := sum / float64(n); avg <= 2*p {
+		t.Fatalf("WS clustering %g should far exceed the ER expectation %g", avg, p)
 	}
 }
 

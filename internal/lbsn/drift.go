@@ -37,16 +37,6 @@ type Drift struct {
 	Weeks []WeekBatch
 }
 
-// FinalDims returns the user and POI counts after every batch is applied.
-func (d *Drift) FinalDims() (users, pois int) {
-	users, pois = d.Base.NumUsers, len(d.Base.POIs)
-	for _, w := range d.Weeks {
-		users += len(w.NewUsers)
-		pois += len(w.NewPOIs)
-	}
-	return users, pois
-}
-
 // DriftConfig controls the open-world stream generator. The zero values of
 // the optional fields select the documented defaults.
 type DriftConfig struct {

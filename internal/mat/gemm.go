@@ -2,15 +2,15 @@ package mat
 
 import "fmt"
 
-// This file holds the allocation-free GEMM kernels behind the repository's
-// hot paths: the slab scoring kernel of core.Model.ScoreSlab and the batch
-// scorers of internal/eval. The kernels differ from the allocating Mul/MulT
-// methods in two ways: the caller owns the output (so epoch loops reuse one
-// buffer), and the inner products run with four independent accumulators,
-// which breaks the floating-point dependency chain and roughly doubles
-// throughput on short rank-sized vectors. Four-way accumulation regroups
-// additions relative to the sequential Dot, so results may differ from the
-// naive kernels by O(machine epsilon); every user of these kernels compares
+// This file holds the allocation-free kernels behind the repository's hot
+// paths: the slab scoring kernel of core.Model.ScoreSlab and the per-POI
+// scores of core.Model. They differ from the allocating Mul/MulT methods in
+// two ways: the caller owns the output (so epoch loops reuse one buffer),
+// and the inner products run with four independent accumulators, which
+// breaks the floating-point dependency chain and roughly doubles throughput
+// on short rank-sized vectors. Four-way accumulation regroups additions
+// relative to the sequential Dot, so results may differ from the naive
+// kernels by O(machine epsilon); every user of these kernels compares
 // against references with a tolerance, never bit-for-bit.
 
 // DotUnrolled returns the inner product of a and b using four independent
@@ -34,123 +34,14 @@ func DotUnrolled(a, b []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-func mustShape(m *Matrix, r, c int, op string) {
-	if m.Rows != r || m.Cols != c {
-		panic(fmt.Sprintf("mat: %s output shape %dx%d, want %dx%d", op, m.Rows, m.Cols, r, c))
-	}
-}
-
-// MulInto computes out = a*b without allocating. out must be a.Rows×b.Cols
-// and is overwritten; it must not alias a or b. The loop order (ikj with
-// row-wise accumulation) matches Mul, so MulInto is bit-for-bit identical to
-// Mul on the same inputs.
-func MulInto(out, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulInto inner mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	mustShape(out, a.Rows, b.Cols, "MulInto")
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// MulTInto computes out = a*bᵀ without allocating, using the four-accumulator
-// dot kernel. out must be a.Rows×b.Rows and must not alias a or b.
-func MulTInto(out, a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulTInto inner mismatch %dx%d * (%dx%d)^T", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	mustShape(out, a.Rows, b.Rows, "MulTInto")
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] = DotUnrolled(arow, b.Row(j))
-		}
-	}
-	return out
-}
-
-// blockDim is the square tile edge used by MulBlocked: 3 tiles of 64×64
-// float64 (96 KiB total for the a-, b- and out-panels) stay resident in a
-// typical 256 KiB-1 MiB L2 while streaming.
-const blockDim = 64
-
-// MulBlocked computes out = a*b with cache blocking over all three loop
-// dimensions. out must be a.Rows×b.Cols and must not alias a or b. For
-// operands that exceed the cache (hundreds of rows/cols) it outperforms
-// MulInto by keeping one out-tile and one b-panel hot; for rank-sized
-// operands it falls back to MulInto, whose overhead is lower.
-//
-// Within each output tile the k-blocks accumulate in ascending order, so the
-// result is deterministic for fixed shapes (though it regroups additions
-// relative to MulInto).
-func MulBlocked(out, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulBlocked inner mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	mustShape(out, a.Rows, b.Cols, "MulBlocked")
-	if a.Rows <= blockDim && a.Cols <= blockDim && b.Cols <= blockDim {
-		return MulInto(out, a, b)
-	}
-	for i := range out.Data {
-		out.Data[i] = 0
-	}
-	for i0 := 0; i0 < a.Rows; i0 += blockDim {
-		iMax := min(i0+blockDim, a.Rows)
-		for k0 := 0; k0 < a.Cols; k0 += blockDim {
-			kMax := min(k0+blockDim, a.Cols)
-			for j0 := 0; j0 < b.Cols; j0 += blockDim {
-				jMax := min(j0+blockDim, b.Cols)
-				for i := i0; i < iMax; i++ {
-					arow := a.Row(i)
-					orow := out.Row(i)[j0:jMax]
-					for k := k0; k < kMax; k++ {
-						av := arow[k]
-						if av == 0 {
-							continue
-						}
-						brow := b.Row(k)[j0:jMax]
-						for j, bv := range brow {
-							orow[j] += av * bv
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// MulDiagTInto computes out = a · diag(w) · bᵀ without materializing the
+// MulDiagTSlice computes out = a · diag(w) · bᵀ without materializing the
 // scaled operand: out[i][j] = Σ_t a[i][t]·w[t]·b[j][t]. It is the slab
 // scoring primitive — with a = U2 (J×r), w = h ⊙ U1[i], b = U3 (K×r) the
-// result is the full J×K prediction slice X̂[i,·,·] of Eq (6). scratch must
-// have length a.Cols (= len(w) = b.Cols) and is clobbered; passing it in lets
-// per-worker callers run allocation-free.
-func MulDiagTInto(out, a *Matrix, w []float64, b *Matrix, scratch []float64) *Matrix {
-	mustShape(out, a.Rows, b.Rows, "MulDiagTInto")
-	MulDiagTSlice(out.Data, a, w, b, scratch)
-	return out
-}
-
-// MulDiagTSlice is MulDiagTInto writing into a raw row-major slice of length
-// a.Rows·b.Rows, avoiding the Matrix header allocation in per-call hot paths
-// (one slab score per user per epoch adds up).
+// result is the full J×K prediction slice X̂[i,·,·] of Eq (6). out is a raw
+// row-major slice of length a.Rows·b.Rows, which avoids a Matrix header
+// allocation per call (one slab score per user per epoch adds up). scratch
+// must have length a.Cols (= len(w) = b.Cols) and is clobbered; passing it
+// in lets per-worker callers run allocation-free.
 func MulDiagTSlice(out []float64, a *Matrix, w []float64, b *Matrix, scratch []float64) {
 	r := a.Cols
 	if len(w) != r || b.Cols != r {

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// naiveMul is the reference triple loop every GEMM kernel is checked against.
+// naiveMul is the reference triple loop Mul is checked against.
 func naiveMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -21,9 +21,9 @@ func naiveMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// TestGEMMShapeEdgeCases sweeps the kernels over degenerate and
-// block-straddling shapes: single rows/columns, extreme aspect ratios, inner
-// dimension 1, and sizes just past the 64-wide MulBlocked tile edge.
+// TestGEMMShapeEdgeCases sweeps Mul over degenerate and 64-straddling
+// shapes: single rows/columns, extreme aspect ratios, inner
+// dimension 1, and sizes just past a 64-wide tile edge.
 func TestGEMMShapeEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := []struct {
@@ -49,17 +49,6 @@ func TestGEMMShapeEdgeCases(t *testing.T) {
 
 			if got := a.Mul(b); !got.Equalf(want, tol) {
 				t.Fatal("Mul deviates from naive reference")
-			}
-			if got := MulInto(New(sh.m, sh.n), a, b); !got.Equalf(want, tol) {
-				t.Fatal("MulInto deviates from naive reference")
-			}
-			if got := MulBlocked(New(sh.m, sh.n), a, b); !got.Equalf(want, tol) {
-				t.Fatal("MulBlocked deviates from naive reference")
-			}
-			// a·bᵀ via MulTInto against the same reference on b transposed.
-			bt := b.T()
-			if got := MulTInto(New(sh.m, sh.n), a, bt); !got.Equalf(want, tol) {
-				t.Fatal("MulTInto deviates from naive reference")
 			}
 		})
 	}
@@ -109,12 +98,8 @@ func TestGEMMPanicsOnBadShapes(t *testing.T) {
 	mustPanic("New(0,3)", func() { New(0, 3) })
 	mustPanic("New(3,0)", func() { New(3, 0) })
 	mustPanic("New(-1,2)", func() { New(-1, 2) })
-	a23, a32 := New(2, 3), New(3, 2)
+	a23 := New(2, 3)
 	mustPanic("Mul inner mismatch", func() { a23.Mul(a23) })
-	mustPanic("MulInto inner mismatch", func() { MulInto(New(2, 3), a23, a23) })
-	mustPanic("MulInto out shape", func() { MulInto(New(3, 3), a23, a32) })
-	mustPanic("MulBlocked inner mismatch", func() { MulBlocked(New(2, 3), a23, a23) })
-	mustPanic("MulTInto inner mismatch", func() { MulTInto(New(2, 3), a23, a32) })
 	mustPanic("MulDiagTSlice bad scratch", func() {
 		MulDiagTSlice(make([]float64, 4), New(2, 3), make([]float64, 3), New(2, 3), make([]float64, 2))
 	})

@@ -214,36 +214,6 @@ func (m *Matrix) Gram() *Matrix { return m.TMul(m) }
 // GramT returns m·mᵀ, the r-by-r Gram matrix of the rows of m.
 func (m *Matrix) GramT() *Matrix { return m.MulT(m) }
 
-// MulVec returns the matrix-vector product m*x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVec mismatch %dx%d * %d", m.Rows, m.Cols, len(x)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
-	return out
-}
-
-// TMulVec returns mᵀ*x.
-func (m *Matrix) TMulVec(x []float64) []float64 {
-	if m.Rows != len(x) {
-		panic(fmt.Sprintf("mat: TMulVec mismatch (%dx%d)^T * %d", m.Rows, m.Cols, len(x)))
-	}
-	out := make([]float64, m.Cols)
-	for k, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := m.Row(k)
-		for j, v := range row {
-			out[j] += xv * v
-		}
-	}
-	return out
-}
-
 // FrobNorm returns the Frobenius norm of m.
 func (m *Matrix) FrobNorm() float64 {
 	var s float64

@@ -81,26 +81,6 @@ func TestGramSymmetry(t *testing.T) {
 	}
 }
 
-func TestMulVecAgainstMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := Random(4, 3, 1, rng)
-	x := []float64{1, -2, 0.5}
-	got := a.MulVec(x)
-	want := a.Mul(FromSlice(3, 1, x))
-	for i, v := range got {
-		if math.Abs(v-want.At(i, 0)) > 1e-12 {
-			t.Fatalf("MulVec[%d] = %g, want %g", i, v, want.At(i, 0))
-		}
-	}
-	gotT := a.TMulVec([]float64{1, 2, 3, 4})
-	wantT := a.T().MulVec([]float64{1, 2, 3, 4})
-	for i, v := range gotT {
-		if math.Abs(v-wantT[i]) > 1e-12 {
-			t.Fatalf("TMulVec[%d] = %g, want %g", i, v, wantT[i])
-		}
-	}
-}
-
 func TestZeroDiagonal(t *testing.T) {
 	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	m.ZeroDiagonal()

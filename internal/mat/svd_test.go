@@ -149,9 +149,9 @@ func TestSolveSPDProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back := a.MulVec(x)
-		for i := range back {
-			if math.Abs(back[i]-rhs[i]) > 1e-8 {
+		back := a.Mul(FromSlice(n, 1, x))
+		for i := range rhs {
+			if math.Abs(back.Data[i]-rhs[i]) > 1e-8 {
 				return false
 			}
 		}

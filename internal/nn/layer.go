@@ -4,8 +4,7 @@
 // gated LSTM of STGN), and scaled dot-product attention. It exists so the
 // paper's neural baselines (NCF, NTM, CoSTCo, STRNN, STGN, STAN) can be
 // implemented from scratch without any framework; every layer exposes its
-// parameters as named flat slices consumable by the optimizers in
-// internal/opt.
+// parameters as named flat slices consumable by internal/opt's Adam.
 //
 // Layers operate on single examples ([]float64); the training loops in
 // internal/baselines batch by accumulating gradients across examples before

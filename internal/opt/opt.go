@@ -1,7 +1,7 @@
-// Package opt implements the first-order optimizers used to train the TCSS
-// model and the neural baselines: SGD with momentum and Adam with decoupled
-// weight decay, plus global gradient-norm clipping. Parameters are flat
-// float64 slices grouped by name; an optimizer keeps per-group moment state
+// Package opt implements the one optimizer every gradient-trained model in
+// this repository uses: Adam with decoupled weight decay (AdamW) at a fixed
+// learning rate, plus global gradient-norm clipping. Parameters are flat
+// float64 slices grouped by name; the optimizer keeps per-group moment state
 // keyed on the group name, so the caller just calls Step with the same names
 // every iteration.
 package opt
@@ -11,36 +11,18 @@ import (
 	"math"
 )
 
-// Optimizer updates a named parameter group in place given its gradient.
-type Optimizer interface {
-	// Step applies one update to params using grads. Both slices must have
-	// the same (per-name stable) length.
-	Step(name string, params, grads []float64)
-}
-
-// State is the serializable moment state of an optimizer, keyed by parameter
-// group name. Adam stores per-group step counts and first/second moments; SGD
-// stores its momentum velocities in M. The hyperparameters (learning rate,
-// betas, decay) are not part of the state — they belong to the training
-// configuration, which a resumed run must supply unchanged.
+// State is the serializable moment state of Adam, keyed by parameter group
+// name: per-group step counts and first/second moments. The hyperparameters
+// (learning rate, betas, decay) are not part of the state — they belong to
+// the training configuration, which a resumed run must supply unchanged.
 type State struct {
-	// Algo names the algorithm that produced the state ("adam" or "sgd");
-	// Import rejects a mismatch so a checkpoint cannot silently resume under
-	// a different update rule.
+	// Algo names the algorithm that produced the state ("adam"); Import
+	// rejects any other so a checkpoint cannot silently resume under a
+	// different update rule.
 	Algo  string               `json:"algo"`
 	Steps map[string]int       `json:"steps,omitempty"`
 	M     map[string][]float64 `json:"m,omitempty"`
 	V     map[string][]float64 `json:"v,omitempty"`
-}
-
-// Stateful is implemented by optimizers whose moment state can round-trip
-// through a training checkpoint.
-type Stateful interface {
-	Optimizer
-	// Export returns a deep copy of the moment state.
-	Export() State
-	// Import replaces the moment state with a deep copy of st.
-	Import(st State) error
 }
 
 func copyFloats(src map[string][]float64) map[string][]float64 {
@@ -59,57 +41,9 @@ func copyInts(src map[string]int) map[string]int {
 	return out
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[string][]float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and momentum
-// (0 disables momentum).
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[string][]float64)}
-}
-
-// Export implements Stateful: the velocities land in State.M.
-func (s *SGD) Export() State {
-	return State{Algo: "sgd", M: copyFloats(s.velocity)}
-}
-
-// Import implements Stateful.
-func (s *SGD) Import(st State) error {
-	if st.Algo != "sgd" {
-		return fmt.Errorf("opt: cannot import %q state into SGD", st.Algo)
-	}
-	s.velocity = copyFloats(st.M)
-	return nil
-}
-
-// Step applies one SGD update.
-func (s *SGD) Step(name string, params, grads []float64) {
-	checkLens(name, params, grads)
-	if s.Momentum == 0 {
-		for i, g := range grads {
-			params[i] -= s.LR * g
-		}
-		return
-	}
-	v := s.velocity[name]
-	if v == nil {
-		v = make([]float64, len(params))
-		s.velocity[name] = v
-	}
-	for i, g := range grads {
-		v[i] = s.Momentum*v[i] - s.LR*g
-		params[i] += v[i]
-	}
-}
-
 // Adam implements the Adam optimizer with decoupled weight decay (AdamW).
-// The paper trains with Adam, lr = 0.001 and weight decay 0.1; NewAdamPaper
-// returns exactly that configuration.
+// The paper trains with Adam, lr = 0.001 and weight decay 0.1
+// (core.PaperConfig).
 type Adam struct {
 	LR          float64
 	Beta1       float64
@@ -131,10 +65,6 @@ func NewAdam(lr, weightDecay float64) *Adam {
 		v:     make(map[string][]float64),
 	}
 }
-
-// NewAdamPaper returns Adam configured as in the paper's experiments:
-// learning rate 0.001 and weight decay 0.1.
-func NewAdamPaper() *Adam { return NewAdam(0.001, 0.1) }
 
 // Step applies one Adam update with bias correction and decoupled decay.
 func (a *Adam) Step(name string, params, grads []float64) {
@@ -158,13 +88,13 @@ func (a *Adam) Step(name string, params, grads []float64) {
 	}
 }
 
-// Export implements Stateful: a deep copy of the per-group step counts and
+// Export returns a deep copy of the per-group step counts and
 // first/second moments, sufficient to continue a run bit-identically.
 func (a *Adam) Export() State {
 	return State{Algo: "adam", Steps: copyInts(a.steps), M: copyFloats(a.m), V: copyFloats(a.v)}
 }
 
-// Import implements Stateful.
+// Import replaces the moment state with a deep copy of st.
 func (a *Adam) Import(st State) error {
 	if st.Algo != "adam" {
 		return fmt.Errorf("opt: cannot import %q state into Adam", st.Algo)
@@ -179,14 +109,6 @@ func (a *Adam) Import(st State) error {
 	a.m = copyFloats(st.M)
 	a.v = copyFloats(st.V)
 	return nil
-}
-
-// Reset clears all moment state, e.g. between independent training runs that
-// reuse the same optimizer.
-func (a *Adam) Reset() {
-	a.steps = make(map[string]int)
-	a.m = make(map[string][]float64)
-	a.v = make(map[string][]float64)
 }
 
 func checkLens(name string, params, grads []float64) {

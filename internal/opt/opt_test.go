@@ -14,34 +14,6 @@ func quadGrad(x, target []float64) []float64 {
 	return g
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	x := []float64{5, -3}
-	target := []float64{1, 2}
-	s := NewSGD(0.1, 0)
-	for i := 0; i < 200; i++ {
-		s.Step("x", x, quadGrad(x, target))
-	}
-	for i := range x {
-		if math.Abs(x[i]-target[i]) > 1e-6 {
-			t.Fatalf("SGD failed to converge: %v", x)
-		}
-	}
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	x := []float64{5, -3}
-	target := []float64{1, 2}
-	s := NewSGD(0.05, 0.9)
-	for i := 0; i < 500; i++ {
-		s.Step("x", x, quadGrad(x, target))
-	}
-	for i := range x {
-		if math.Abs(x[i]-target[i]) > 1e-4 {
-			t.Fatalf("momentum SGD failed to converge: %v", x)
-		}
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	x := []float64{5, -3}
 	target := []float64{1, 2}
@@ -80,30 +52,13 @@ func TestAdamIndependentGroups(t *testing.T) {
 	}
 }
 
-func TestAdamReset(t *testing.T) {
-	a := NewAdam(0.1, 0)
-	x := []float64{1}
-	a.Step("x", x, []float64{1})
-	a.Reset()
-	if len(a.m) != 0 || len(a.steps) != 0 {
-		t.Fatal("Reset must clear state")
-	}
-}
-
-func TestAdamPaperDefaults(t *testing.T) {
-	a := NewAdamPaper()
-	if a.LR != 0.001 || a.WeightDecay != 0.1 {
-		t.Fatalf("paper config wrong: lr=%g wd=%g", a.LR, a.WeightDecay)
-	}
-}
-
 func TestStepPanicsOnLengthMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("length mismatch must panic")
 		}
 	}()
-	NewSGD(0.1, 0).Step("x", []float64{1, 2}, []float64{1})
+	NewAdam(0.1, 0).Step("x", []float64{1, 2}, []float64{1})
 }
 
 func TestClipGradNorm(t *testing.T) {
@@ -180,54 +135,6 @@ func TestAdamStateRoundTrip(t *testing.T) {
 
 func TestStateImportRejectsWrongAlgo(t *testing.T) {
 	if err := NewAdam(0.1, 0).Import(State{Algo: "sgd"}); err == nil {
-		t.Fatal("Adam must reject SGD state")
-	}
-	if err := NewSGD(0.1, 0.9).Import(State{Algo: "adam"}); err == nil {
-		t.Fatal("SGD must reject Adam state")
-	}
-}
-
-func TestSGDStateRoundTrip(t *testing.T) {
-	p1 := []float64{1, 2}
-	g := []float64{0.5, -0.5}
-	s1 := NewSGD(0.1, 0.9)
-	s1.Step("w", p1, g)
-	st := s1.Export()
-	s2 := NewSGD(0.1, 0.9)
-	if err := s2.Import(st); err != nil {
-		t.Fatal(err)
-	}
-	p2 := append([]float64(nil), p1...)
-	s1.Step("w", p1, g)
-	s2.Step("w", p2, g)
-	if p1[0] != p2[0] || p1[1] != p2[1] {
-		t.Fatalf("SGD velocity import diverged: %v vs %v", p1, p2)
-	}
-}
-
-// TestScheduledStateDelegates verifies Scheduled round-trips its inner
-// optimizer's state.
-func TestScheduledStateDelegates(t *testing.T) {
-	inner := NewAdam(0.1, 0)
-	sch, err := NewScheduled(inner, ExponentialSchedule{Gamma: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := []float64{1}
-	sch.Step("w", p, []float64{0.5})
-	st := sch.Export()
-	if st.Algo != "adam" || st.Steps["w"] != 1 {
-		t.Fatalf("Scheduled.Export = %+v, want delegated adam state", st)
-	}
-	inner2 := NewAdam(0.1, 0)
-	sch2, err := NewScheduled(inner2, ExponentialSchedule{Gamma: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sch2.Import(st); err != nil {
-		t.Fatal(err)
-	}
-	if inner2.steps["w"] != 1 {
-		t.Fatal("Scheduled.Import must reach the wrapped optimizer")
+		t.Fatal("Adam must reject another algorithm's state")
 	}
 }

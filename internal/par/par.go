@@ -116,30 +116,10 @@ func Do(n, workers int, fn func(s Shard)) {
 	wg.Wait()
 }
 
-// SumFloat runs fn per shard and returns the per-shard partial sums combined
-// in ascending shard order. At a fixed worker count the result is bit-for-bit
-// reproducible; across worker counts partial-sum regrouping perturbs the
-// result by O(machine epsilon) only.
-func SumFloat(n, workers int, fn func(s Shard) float64) float64 {
-	shards := Shards(n, workers)
-	if len(shards) == 0 {
-		return 0
-	}
-	partial := make([]float64, len(shards))
-	Do(n, workers, func(s Shard) {
-		partial[s.Index] = fn(s)
-	})
-	var total float64
-	for _, p := range partial {
-		total += p
-	}
-	return total
-}
-
 // Reduce runs produce once per shard (concurrently) and then folds the
 // per-shard results into acc by calling merge in ascending shard order on the
-// calling goroutine. It generalizes SumFloat to arbitrary accumulators such
-// as gradient shards.
+// calling goroutine, so a floating-point reduction (a loss sum, gradient
+// shards) is bit-for-bit reproducible at a fixed worker count.
 func Reduce[T any](n, workers int, produce func(s Shard) T, merge func(shard T)) {
 	shards := Shards(n, workers)
 	if len(shards) == 0 {

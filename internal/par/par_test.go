@@ -1,7 +1,6 @@
 package par
 
 import (
-	"math/rand"
 	"sync/atomic"
 	"testing"
 )
@@ -69,55 +68,6 @@ func TestDoRunsEveryIndex(t *testing.T) {
 		})
 		if count.Load() != 1000 {
 			t.Fatalf("w=%d: ran %d of 1000", w, count.Load())
-		}
-	}
-}
-
-func TestSumFloatMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 10007)
-	var serial float64
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-		serial += xs[i]
-	}
-	shardSum := func(s Shard) float64 {
-		var v float64
-		for i := s.Start; i < s.End; i++ {
-			v += xs[i]
-		}
-		return v
-	}
-	// workers=1 is bit-for-bit the serial loop.
-	if got := SumFloat(len(xs), 1, shardSum); got != serial {
-		t.Fatalf("workers=1 sum %v != serial %v", got, serial)
-	}
-	// Higher worker counts only regroup additions.
-	for _, w := range []int{2, 4, 8} {
-		got := SumFloat(len(xs), w, shardSum)
-		if diff := got - serial; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("workers=%d sum %v vs serial %v", w, got, serial)
-		}
-	}
-}
-
-func TestSumFloatReproducibleAtFixedWorkers(t *testing.T) {
-	xs := make([]float64, 5000)
-	rng := rand.New(rand.NewSource(7))
-	for i := range xs {
-		xs[i] = rng.Float64()*2 - 1
-	}
-	shardSum := func(s Shard) float64 {
-		var v float64
-		for i := s.Start; i < s.End; i++ {
-			v += xs[i]
-		}
-		return v
-	}
-	first := SumFloat(len(xs), 4, shardSum)
-	for run := 0; run < 20; run++ {
-		if got := SumFloat(len(xs), 4, shardSum); got != first {
-			t.Fatalf("run %d: %v != first %v", run, got, first)
 		}
 	}
 }

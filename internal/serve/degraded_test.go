@@ -36,7 +36,7 @@ func getRaw(t *testing.T, url string) (int, []byte) {
 // good snapshot byte-identically throughout, and after the backoff a probe
 // write recovers the breaker.
 func TestDegradedModeBreaker(t *testing.T) {
-	hooks := fault.NewHooks(7)
+	hooks := fault.NewHooks()
 	srv, hs := newTestServer(t, Options{Faults: hooks})
 	fresh := findFreshCell(t, srv)
 
@@ -155,7 +155,7 @@ func TestDegradedModeBreaker(t *testing.T) {
 // the retry then succeeds; an injected observe failure moves
 // observe_failures without tripping the threshold-3 breaker.
 func TestMetricsMoveUnderInjectedFaults(t *testing.T) {
-	hooks := fault.NewHooks(3)
+	hooks := fault.NewHooks()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.json")
 	// Byte 200 sits inside the CRC-framed payload of the v5 binary snapshot

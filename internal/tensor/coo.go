@@ -176,23 +176,6 @@ func (t *COO) Scale(s float64) {
 	}
 }
 
-// SliceJ returns a new tensor containing only the entries whose POI index
-// appears in keep, with POIs re-indexed densely in the order given. It backs
-// the per-category experiments of Figures 4, 5 and 7.
-func (t *COO) SliceJ(keep []int) (*COO, map[int]int) {
-	remap := make(map[int]int, len(keep))
-	for newJ, oldJ := range keep {
-		remap[oldJ] = newJ
-	}
-	out := NewCOO(t.DimI, len(keep), t.DimK)
-	for _, e := range t.entries {
-		if nj, ok := remap[e.J]; ok {
-			out.Set(e.I, nj, e.K, e.Val)
-		}
-	}
-	return out, remap
-}
-
 // Split partitions the observed entries into a training tensor and a held-out
 // test slice, keeping trainFrac of the entries (at least one) in training.
 // The split is deterministic for a given rng. It mirrors the paper's 80/20

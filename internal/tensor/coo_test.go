@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestSetAtHas(t *testing.T) {
@@ -85,20 +84,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestSliceJ(t *testing.T) {
-	x := NewCOO(2, 4, 2)
-	x.Set(0, 0, 0, 1)
-	x.Set(0, 2, 1, 2)
-	x.Set(1, 3, 0, 3)
-	sliced, remap := x.SliceJ([]int{2, 3})
-	if sliced.DimJ != 2 || sliced.NNZ() != 2 {
-		t.Fatalf("SliceJ dims/nnz wrong: %d, %d", sliced.DimJ, sliced.NNZ())
-	}
-	if sliced.At(0, remap[2], 1) != 2 || sliced.At(1, remap[3], 0) != 3 {
-		t.Fatal("SliceJ values wrong")
-	}
-}
-
 func TestSplitPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := NewCOO(10, 10, 4)
@@ -146,38 +131,11 @@ func TestSortedEntries(t *testing.T) {
 	}
 }
 
-func TestToDenseRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		x := NewCOO(4, 3, 2)
-		for n := 0; n < 10; n++ {
-			x.Set(rng.Intn(4), rng.Intn(3), rng.Intn(2), rng.Float64()+0.1)
-		}
-		d := x.ToDense()
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 3; j++ {
-				for k := 0; k < 2; k++ {
-					if d.At(i, j, k) != x.At(i, j, k) {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFrobNormSq(t *testing.T) {
 	x := NewCOO(2, 2, 1)
 	x.Set(0, 0, 0, 3)
 	x.Set(1, 1, 0, 4)
 	if got := x.FrobNormSq(); got != 25 {
 		t.Fatalf("FrobNormSq = %g, want 25", got)
-	}
-	if got := x.ToDense().FrobNorm(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("dense FrobNorm = %g, want 5", got)
 	}
 }

@@ -13,21 +13,17 @@ import (
 type State struct {
 	// Epoch is the number of completed epochs.
 	Epoch int `json:"epoch"`
-	// Opt is the optimizer's moment state (Adam first/second moments and
-	// per-group step counts, or SGD velocities).
+	// Opt is Adam's moment state: per-group step counts and first/second
+	// moments.
 	Opt opt.State `json:"opt"`
 	// RNG is the engine RNG's stream position (zero-valued when the run is
 	// deterministic without randomness).
 	RNG RNGState `json:"rng"`
 }
 
-// State returns the driver's current engine state. The optimizer must be
-// stateful (enforced at New when checkpointing is configured).
+// State returns the driver's current engine state.
 func (d *Driver) State() State {
-	st := State{Epoch: d.epoch}
-	if s, ok := d.inner.(opt.Stateful); ok {
-		st.Opt = s.Export()
-	}
+	st := State{Epoch: d.epoch, Opt: d.optim.Export()}
 	if d.rng != nil {
 		st.RNG = d.rng.State()
 	}
@@ -37,21 +33,57 @@ func (d *Driver) State() State {
 // Restore repositions the driver at a previously exported State: the
 // optimizer moments are imported, the RNG is fast-forwarded to its recorded
 // draw count, and Run will continue from st.Epoch. The caller must have
-// already restored the parameter values.
+// already restored the parameter values. Moments that do not fit the
+// model's groups are refused here, before a step could index past them.
 func (d *Driver) Restore(st State) error {
 	if st.Epoch < 0 || st.Epoch > d.cfg.Epochs {
 		return fmt.Errorf("train: checkpoint epoch %d outside run of %d epochs", st.Epoch, d.cfg.Epochs)
 	}
-	s, ok := d.inner.(opt.Stateful)
-	if !ok {
-		return fmt.Errorf("train: restore needs a stateful optimizer, got %T", d.inner)
+	if err := d.checkMoments(st.Opt); err != nil {
+		return err
 	}
-	if err := s.Import(st.Opt); err != nil {
+	if err := d.optim.Import(st.Opt); err != nil {
 		return err
 	}
 	if d.rng != nil {
 		d.rng.Restore(st.RNG)
 	}
 	d.epoch = st.Epoch
+	return nil
+}
+
+// checkMoments rejects optimizer state that does not describe the model's
+// parameter groups: an unknown group, moments whose length is not the
+// group's, or a step count without moments (or moments without one).
+func (d *Driver) checkMoments(st opt.State) error {
+	size := make(map[string]int)
+	for _, g := range d.model.Groups() {
+		size[g.Name] = len(g.Value)
+	}
+	names := make(map[string]struct{})
+	for name := range st.Steps {
+		names[name] = struct{}{}
+	}
+	for name := range st.M {
+		names[name] = struct{}{}
+	}
+	for name := range st.V {
+		names[name] = struct{}{}
+	}
+	for name := range names {
+		n, ok := size[name]
+		if !ok {
+			return fmt.Errorf("train: checkpoint has optimizer state for unknown group %q", name)
+		}
+		_, stepped := st.Steps[name]
+		m, hasM := st.M[name]
+		v, hasV := st.V[name]
+		if stepped != hasM || hasM != hasV {
+			return fmt.Errorf("train: checkpoint group %q has a step count or moments without the other", name)
+		}
+		if len(m) != n || len(v) != n {
+			return fmt.Errorf("train: checkpoint group %q has moments of length %d/%d for %d parameters", name, len(m), len(v), n)
+		}
+	}
 	return nil
 }

@@ -3,8 +3,7 @@
 // warm-start online updates (Model.UpdateOnline, and through it the serving
 // writer path), and the neural baselines (NCF, NTM, CoSTCo). Before the
 // engine existed each of those carried its own hand-rolled epoch loop; none
-// could checkpoint, resume, or share learning-rate scheduling, gradient
-// clipping, or callback logic.
+// could checkpoint, resume, or share gradient clipping or callback logic.
 //
 // The engine separates three concerns:
 //
@@ -17,8 +16,8 @@
 //     head), or a MiniBatch specification (example-level SGD with gradient
 //     accumulation, the neural baselines' regime).
 //   - The Driver owns the epoch loop: gradient zeroing, head evaluation or
-//     batch sweeps, global gradient clipping, optimizer steps with an
-//     optional LR schedule, epoch callbacks, and checkpoint/resume.
+//     batch sweeps, global gradient clipping, Adam steps at a fixed rate,
+//     epoch callbacks, and checkpoint/resume.
 //
 // Checkpointing records the optimizer moment state, the RNG stream position,
 // and the number of completed epochs (State); the parameter groups travel in
@@ -98,10 +97,6 @@ type Config struct {
 	// regime only; the mini-batch baselines never clipped).
 	GradClip float64
 
-	// LRSchedule optionally anneals the optimizer's learning rate across
-	// epochs; nil keeps it constant.
-	LRSchedule opt.Schedule
-
 	// Callback, when non-nil, observes every completed epoch with its total
 	// weighted loss.
 	Callback func(epoch int, loss float64)
@@ -125,19 +120,15 @@ type Driver struct {
 	heads []Head
 	batch *MiniBatch
 	rng   *RNG
-
-	optim opt.Optimizer // the stepping optimizer (scheduled wrapper if any)
-	inner opt.Optimizer // the unwrapped optimizer holding moment state
-	sched *opt.Scheduled
+	optim *opt.Adam
 
 	epoch int // completed epochs; the next epoch to run
 }
 
 // New builds a driver over the model with either a full-batch objective
-// (heads) or a mini-batch one (batch) — exactly one must be given. The
-// optimizer must implement opt.Stateful if the run will checkpoint or
-// resume. rng may be nil when no component draws randomness.
-func New(model Trainable, heads []Head, batch *MiniBatch, optim opt.Optimizer, rng *RNG, cfg Config) (*Driver, error) {
+// (heads) or a mini-batch one (batch) — exactly one must be given. rng may
+// be nil when no component draws randomness.
+func New(model Trainable, heads []Head, batch *MiniBatch, optim *opt.Adam, rng *RNG, cfg Config) (*Driver, error) {
 	if model == nil {
 		return nil, fmt.Errorf("train: nil model")
 	}
@@ -174,21 +165,7 @@ func New(model Trainable, heads []Head, batch *MiniBatch, optim opt.Optimizer, r
 		}
 		seen[g.Name] = struct{}{}
 	}
-	d := &Driver{cfg: cfg, model: model, heads: heads, batch: batch, optim: optim, inner: optim, rng: rng}
-	if cfg.LRSchedule != nil {
-		sched, err := opt.NewScheduled(optim, cfg.LRSchedule)
-		if err != nil {
-			return nil, err
-		}
-		d.sched = sched
-		d.optim = sched
-	}
-	if cfg.Save != nil {
-		if _, ok := d.inner.(opt.Stateful); !ok {
-			return nil, fmt.Errorf("train: checkpointing needs a stateful optimizer, got %T", d.inner)
-		}
-	}
-	return d, nil
+	return &Driver{cfg: cfg, model: model, heads: heads, batch: batch, optim: optim, rng: rng}, nil
 }
 
 // Epoch returns the number of completed epochs.
@@ -202,9 +179,6 @@ func (d *Driver) Epoch() int { return d.epoch }
 func (d *Driver) Run() error {
 	for d.epoch < d.cfg.Epochs {
 		epoch := d.epoch
-		if d.sched != nil {
-			d.sched.SetEpoch(epoch)
-		}
 		var total float64
 		var err error
 		if d.batch != nil {

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -151,37 +150,39 @@ func TestDriverHeadWeights(t *testing.T) {
 }
 
 // TestDriverGradClip verifies the driver clips the joint norm across groups
-// before stepping, matching a hand-rolled SGD step on the clipped gradient.
+// before stepping, matching hand-rolled Adam steps on the clipped gradient.
+// Adam's first step does not depend on the gradient's scale, so the run takes
+// several: clipping every gradient to norm 1 changes the later ones.
 func TestDriverGradClip(t *testing.T) {
-	q := newQuad([]float64{10, 0}, []float64{0, 0})
-	d, err := New(q, []Head{HeadFunc{W: 1, F: func(int) (float64, error) { return q.loss(), nil }}},
-		nil, opt.NewSGD(1, 0), nil, Config{Epochs: 1, GradClip: 1})
-	if err != nil {
-		t.Fatal(err)
+	const epochs = 4
+	run := func(clip float64) []float64 {
+		q := newQuad([]float64{10, 3}, []float64{0, 0})
+		d, err := New(q, []Head{HeadFunc{W: 1, F: func(int) (float64, error) { return q.loss(), nil }}},
+			nil, opt.NewAdam(1, 0), nil, Config{Epochs: epochs, GradClip: clip})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return q.GroupSet[0].Value
 	}
-	if err := d.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Gradient was (20, 0), clipped to (1, 0); SGD at lr 1 gives p = 9.
-	if p := q.GroupSet[0].Value[0]; math.Abs(p-9) > 1e-12 {
-		t.Fatalf("clipped step produced %g, want 9", p)
-	}
-}
 
-func TestDriverLRSchedule(t *testing.T) {
-	q := newQuad([]float64{1}, []float64{0})
-	// Gamma 0 zeroes the LR from epoch 1 on: only the first step moves.
-	d, err := New(q, []Head{HeadFunc{W: 1, F: func(int) (float64, error) { return q.loss(), nil }}},
-		nil, opt.NewSGD(0.25, 0), nil, Config{Epochs: 5, LRSchedule: opt.ExponentialSchedule{Gamma: 0}})
-	if err != nil {
-		t.Fatal(err)
+	p := []float64{10, 3}
+	ref := opt.NewAdam(1, 0)
+	for e := 0; e < epochs; e++ {
+		g := []float64{2 * p[0], 2 * p[1]}
+		opt.ClipGradNorm(1, g)
+		ref.Step("p", p, g)
 	}
-	if err := d.Run(); err != nil {
-		t.Fatal(err)
+	clipped, unclipped := run(1), run(0)
+	for i := range p {
+		if clipped[i] != p[i] {
+			t.Fatalf("clipped run ended at %v, hand-rolled at %v", clipped, p)
+		}
 	}
-	// Epoch 0: p = 1 − 0.25·2 = 0.5; epochs 1-4: lr 0 → unchanged.
-	if p := q.GroupSet[0].Value[0]; p != 0.5 {
-		t.Fatalf("scheduled run ended at %g, want 0.5", p)
+	if clipped[0] == unclipped[0] && clipped[1] == unclipped[1] {
+		t.Fatal("clipping left the trajectory unchanged")
 	}
 }
 

@@ -97,12 +97,9 @@ func GenerateDataset(preset string, seed int64) *Dataset {
 	return lbsn.MustPreset(preset, seed)
 }
 
-// LoadDataset reads a dataset previously saved with SaveDataset (or
+// LoadDataset reads a dataset previously written with Dataset.WriteDir (or
 // converted from a real LBSN dump into the three-CSV layout).
 func LoadDataset(dir, name string) (*Dataset, error) { return lbsn.ReadDir(dir, name) }
-
-// SaveDataset persists a dataset as CSV files under dir.
-func SaveDataset(ds *Dataset, dir string) error { return ds.WriteDir(dir) }
 
 // Recommender is a TCSS model fitted to a dataset, bundled with the
 // train/test split and side information it was trained on.

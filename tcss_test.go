@@ -91,7 +91,7 @@ func TestGenerateSaveLoadDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := SaveDataset(ds, dir); err != nil {
+	if err := ds.WriteDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadDataset(dir, ds.Name)
