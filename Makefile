@@ -3,7 +3,7 @@ GO ?= go
 # Kernel micro-benchmarks for measuring while you work. The experiment
 # benchmarks (BenchmarkTable*, BenchmarkFig*) are much slower and run via
 # `make bench-all`; the repository's benchmark is `make benchmark`.
-KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)'
+KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)|BenchmarkDotRows'
 
 .PHONY: build test race vet fmt bench bench-all bench-test benchmark check gradcheck fuzz \
 	golden-update serve loadgen smoke
@@ -20,8 +20,11 @@ test:
 race:
 	$(GO) test -race -count=1 ./internal/... ./cmd/...
 
+# The second pass vets the build without assembly (internal/mat's AVX2
+# bodies are amd64-only), so the portable Go path always compiles.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Fails when any tracked Go file is not gofmt-clean.
 fmt:
@@ -29,7 +32,7 @@ fmt:
 
 # Kernel benchmarks; raw output lands in bench_kernels.txt.
 bench:
-	$(GO) test -run '^$$' -bench $(KERNEL_BENCH) -benchmem -benchtime=1x -count=1 . ./internal/core | tee bench_kernels.txt
+	$(GO) test -run '^$$' -bench $(KERNEL_BENCH) -benchmem -benchtime=1x -count=1 . ./internal/core ./internal/mat | tee bench_kernels.txt
 	@# One cold call says little about a 1 ms scan: repeat the J = 131 072
 	@# top-N runs (f64/f32/int8, single request and batch of 8) 200 times,
 	@# on one core (the serial scan) and on two (split into POI ranges).
@@ -81,6 +84,9 @@ fuzz:
 	@# The eigen solver behind the spectral initialization and the SVD
 	@# baselines, on low-rank inputs that annihilate basis vectors.
 	$(GO) test -run '^$$' -fuzz FuzzTopEigenvectors -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mat
+	@# The one row-dot kernel: assembly and Go bodies against the reference
+	@# order, bit for bit, on special values.
+	$(GO) test -run '^$$' -fuzz FuzzDotRows -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mat
 
 # Re-record the golden trajectories after an INTENDED change to training math.
 golden-update:

@@ -48,11 +48,12 @@ type BatchScratch struct {
 }
 
 // scanPart is one part of a scan: a bounded heap and a cursor into the
-// sorted Skip list per request. Whatever rows it is given, it visits them in
-// ascending order.
+// sorted Skip list per request, and the scores of the tile in hand. Whatever
+// rows it is given, it visits them in ascending order.
 type scanPart struct {
 	ptr   []int
 	heaps []topKHeap
+	dots  []float64 // batchTileJ(Rank) row scores of one request
 }
 
 // NewBatchScratch allocates a scratch sized for batches of up to hint
@@ -90,6 +91,9 @@ func (s *BatchScratch) ensure(m *Model, batch, parts int) {
 			part.heaps = heaps
 		}
 		part.heaps = part.heaps[:cap(part.heaps)]
+		if tile := batchTileJ(m.Rank); len(part.dots) < tile {
+			part.dots = make([]float64, tile)
+		}
 	}
 	if len(s.first) < parts {
 		s.first = make([]atomic.Bool, parts)
@@ -134,27 +138,20 @@ func (m *Model) buildWeights(i, k int, w, rowbuf []float64) {
 
 // scanSlab is the one top-N scan behind TopNScratch (a batch of one) and
 // TopNBatch, generic over the factor slab element type (float64, float32,
-// int8 — widened to float64 lane by lane). scales is the per-row
+// int8 — widened to float64 inside mat.DotRows). scales is the per-row
 // dequantization scale slab (int8 mode) or nil.
 //
-// The scan is threshold-first: a row's score is compared with the request's
-// heap minimum, held in a local, before anything else is asked about the row.
-// All but a handful of rows per request lose that one compare; only the
-// survivors reach topKHeap.admit (skip list, zero-out filter, heap). That is
-// exact, not approximate — see topKHeap.threshold.
-//
-// Two levels of batching, both invisible to per-request results:
-//
-//   - The POI axis is tiled (batchTileJ) so each slab tile is read from
-//     memory once and served to every request from cache.
-//   - Within a tile, active requests are processed four at a time through
-//     mat.Dot4, which loads each row element once for all four lanes —
-//     register reuse only a batched caller can have. The remaining zero to
-//     three requests (all of a batch of one) take the single-lane loop, whose
-//     dot is written out in place because no Go function holding that loop
-//     fits the inlining budget. Every lane of either loop accumulates in
-//     exactly mat.DotWiden's order, and every request visits j ascending with
-//     the same heap semantics, so results do not depend on batch composition.
+// The POI axis is tiled (batchTileJ) so each slab tile is read from memory
+// once and served to every request from cache. Per tile and active request,
+// mat.DotRows scores every row of the tile into part.dots — the int8 scale
+// is multiplied last, after the kernel — and a threshold-first loop walks
+// the scores: a row's score is compared with the request's heap minimum,
+// held in a local, before anything else is asked about the row. All but a
+// handful of rows per request lose that one compare; only the survivors
+// reach topKHeap.admit (skip list, zero-out filter, heap). That is exact,
+// not approximate — see topKHeap.threshold. Every request visits j ascending
+// with the same arithmetic and heap semantics, so results do not depend on
+// batch composition.
 //
 // Skip lists are sorted; each request's cursor (part.ptr) moves monotonically
 // across tiles, and only on admitted rows.
@@ -163,83 +160,31 @@ func (m *Model) buildWeights(i, k int, w, rowbuf []float64) {
 // read, so the parts of a split scan (scanSplit) run it concurrently.
 func scanSlab[E mat.Elem](m *Model, reqs []BatchReq, s *BatchScratch, part *scanPart, lo, hi int, slab []E, scales []float64) {
 	r := m.Rank
-	act := s.act
-	zf := func(b int) []bool {
-		if m.ZeroOutFilter == nil {
-			return nil
-		}
-		return m.ZeroOutFilter[reqs[b].User]
-	}
 	tile := batchTileJ(r)
 	for j0 := lo; j0 < hi; j0 += tile {
 		j1 := min(j0+tile, hi)
-		g := 0
-		for ; g+4 <= len(act); g += 4 {
-			q0, q1, q2, q3 := act[g], act[g+1], act[g+2], act[g+3]
-			w0 := s.w[q0*r : q0*r+r]
-			w1 := s.w[q1*r : q1*r+r]
-			w2 := s.w[q2*r : q2*r+r]
-			w3 := s.w[q3*r : q3*r+r]
-			h0, h1, h2, h3 := &part.heaps[q0], &part.heaps[q1], &part.heaps[q2], &part.heaps[q3]
-			n0, n1, n2, n3 := reqs[q0].N, reqs[q1].N, reqs[q2].N, reqs[q3].N
-			sk0, sk1, sk2, sk3 := reqs[q0].Skip, reqs[q1].Skip, reqs[q2].Skip, reqs[q3].Skip
-			z0, z1, z2, z3 := zf(q0), zf(q1), zf(q2), zf(q3)
-			p0, p1, p2, p3 := part.ptr[q0], part.ptr[q1], part.ptr[q2], part.ptr[q3]
-			t0, t1, t2, t3 := h0.threshold(n0), h1.threshold(n1), h2.threshold(n2), h3.threshold(n3)
-			for j := j0; j < j1; j++ {
-				d0, d1, d2, d3 := mat.Dot4(w0, w1, w2, w3, slab[j*r:(j+1)*r])
-				if scales != nil {
-					sc := scales[j]
-					d0, d1, d2, d3 = sc*d0, sc*d1, sc*d2, sc*d3
-				}
-				if !(d0 <= t0) {
-					p0, t0 = h0.admit(j, d0, n0, sk0, p0, z0)
-				}
-				if !(d1 <= t1) {
-					p1, t1 = h1.admit(j, d1, n1, sk1, p1, z1)
-				}
-				if !(d2 <= t2) {
-					p2, t2 = h2.admit(j, d2, n2, sk2, p2, z2)
-				}
-				if !(d3 <= t3) {
-					p3, t3 = h3.admit(j, d3, n3, sk3, p3, z3)
+		dots := part.dots[:j1-j0]
+		for _, b := range s.act {
+			mat.DotRows(dots, s.w[b*r:b*r+r], slab[j0*r:j1*r])
+			if scales != nil {
+				for i, sc := range scales[j0:j1] {
+					dots[i] = sc * dots[i]
 				}
 			}
-			part.ptr[q0], part.ptr[q1], part.ptr[q2], part.ptr[q3] = p0, p1, p2, p3
-		}
-		for ; g < len(act); g++ {
-			b := act[g]
-			part.ptr[b] = scanLane(s.w[b*r:b*r+r], slab, scales, j0, j1, &part.heaps[b], reqs[b].N, reqs[b].Skip, part.ptr[b], zf(b))
-		}
-	}
-}
-
-// scanLane scores rows j0..j1-1 of slab against one weight vector.
-func scanLane[E mat.Elem](w []float64, slab []E, scales []float64, j0, j1 int, h *topKHeap, n int, skip []int, p int, zf []bool) int {
-	r := len(w)
-	thr := h.threshold(n)
-	for j := j0; j < j1; j++ {
-		row := slab[j*r : j*r+r]
-		var s0, s1, s2, s3 float64
-		t := 0
-		for ; t+4 <= r; t += 4 {
-			s0 += w[t] * float64(row[t])
-			s1 += w[t+1] * float64(row[t+1])
-			s2 += w[t+2] * float64(row[t+2])
-			s3 += w[t+3] * float64(row[t+3])
-		}
-		for ; t < r; t++ {
-			s0 += w[t] * float64(row[t])
-		}
-		d := (s0 + s1) + (s2 + s3)
-		if scales != nil {
-			d = scales[j] * d
-		}
-		if !(d <= thr) {
-			p, thr = h.admit(j, d, n, skip, p, zf)
+			h, n, skip := &part.heaps[b], reqs[b].N, reqs[b].Skip
+			var zf []bool
+			if m.ZeroOutFilter != nil {
+				zf = m.ZeroOutFilter[reqs[b].User]
+			}
+			p, thr := part.ptr[b], h.threshold(n)
+			for i, d := range dots {
+				if !(d <= thr) {
+					p, thr = h.admit(j0+i, d, n, skip, p, zf)
+				}
+			}
+			part.ptr[b] = p
 		}
 	}
-	return p
 }
 
 // batchTileJ is the POI-axis tile width of TopNBatch: enough rows that the
@@ -256,8 +201,13 @@ func batchTileJ(rank int) int {
 }
 
 // splitMinElems is the fewest slab elements each part of a split scan must
-// have to itself (≈ 45 µs of scan at rank 10), so that starting a helper and
-// merging its heaps stay small beside the work it takes off the caller.
+// have to itself, so that starting a helper and merging its heaps stay small
+// beside the work it takes off the caller. It sits at the measured
+// break-even: with mat.DotRows scoring the rows, a rank-10 f64 scan at
+// GOMAXPROCS 2 on a 2-vCPU box took 74 µs serial and 75 µs in two parts at
+// J·Rank = 2¹⁷ (two parts of 2¹⁶), 112 vs 108 µs at 1.5·2¹⁷, 170 vs 156 µs at
+// 2¹⁸ and 406 vs 275 µs at 2¹⁹ — so 2¹⁶ elements, ≈ 37 µs of scan, is where
+// a second part starts to pay.
 const splitMinElems = 1 << 16
 
 // rangesPerPart is how many contiguous POI ranges a split scan cuts [0, J)

@@ -102,11 +102,11 @@ func TestTopNBatchPanicsOutOfRange(t *testing.T) {
 }
 
 // BenchmarkTopNBatch quantifies the batch-scoring win per storage mode: the
-// quad-lane kernel (mat.Dot4) loads and widens each POI factor element once
-// for four requests, so the largest gains are in the compact modes, where
-// the per-request path pays the float32/int8 widening per request. The
-// bit-identity contract (TestTopNBatchBitIdentical) pins both sides to
-// the same floating-point results.
+// scan reads each POI tile from memory once and scores it for every request
+// of the batch (mat.DotRows per request) while it is cache-resident, so the
+// largest gains are where the slab stream, not the arithmetic, bounds a lone
+// request. The bit-identity contract (TestTopNBatchBitIdentical) pins both
+// sides to the same floating-point results.
 func BenchmarkTopNBatch(b *testing.B) {
 	base := NewModel(512, 32768, 12, 32)
 	rng := rand.New(rand.NewSource(1))

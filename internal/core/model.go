@@ -101,7 +101,7 @@ func (m *Model) Score(i, j, k int) float64 {
 // prediction slice X̂[i,·,·] of Eq (6), computed as the dense slab product
 // U2 · diag(h ⊙ U1ᵢ) · U3ᵀ instead of J·K scalar Predict calls. It allocates
 // a small rank-sized scratch; hot loops that score many users should use
-// ScoreSlabScratch with a reused buffer. The kernel's four-way accumulation
+// ScoreSlabScratch with a reused buffer. mat.DotRows' four-way accumulation
 // regroups additions, so entries match Predict to O(machine epsilon), not
 // bit-for-bit.
 func (m *Model) ScoreSlab(i int, out []float64) {
@@ -137,9 +137,7 @@ func (m *Model) ScoreSlabScratch(i int, out, scratch []float64) {
 		for t := range wj {
 			wj[t] *= w[t]
 		}
-		for k := 0; k < m.K; k++ {
-			out[j*m.K+k] = mat.DotUnrolled(wj, u3[k*m.Rank:(k+1)*m.Rank])
-		}
+		mat.DotRows(out[j*m.K:(j+1)*m.K], wj, u3)
 	}
 }
 
@@ -156,20 +154,34 @@ func (m *Model) ScoreCandidates(i, k int, js []int, out []float64) {
 	buf := make([]float64, 3*m.Rank)
 	w := buf[:m.Rank]
 	m.buildWeights(i, k, w, buf[m.Rank:])
-	filter := m.ZeroOutFilter
-	r := m.Rank
+	var keep []bool
+	if m.ZeroOutFilter != nil {
+		keep = m.ZeroOutFilter[i]
+	}
+	switch m.Mode {
+	case StorageFloat32:
+		scoreRows(out, w, m.Compact[axPOI].f32, nil, js, keep)
+	case StorageInt8:
+		scoreRows(out, w, m.Compact[axPOI].i8, m.Compact[axPOI].scale, js, keep)
+	default:
+		scoreRows(out, w, m.U2.Data, nil, js, keep)
+	}
+}
+
+// scoreRows writes scales[j]·⟨w, slab row j⟩ (without the scale when scales
+// is nil) into out[n] for each candidate j = js[n], and −Inf where keep
+// excludes j: ScoreCandidates on the storage mode's own slab, one mat.DotRows
+// row per candidate.
+func scoreRows[E mat.Elem](out, w []float64, slab []E, scales []float64, js []int, keep []bool) {
+	r := len(w)
 	for n, j := range js {
-		if filter != nil && !filter[i][j] {
+		if keep != nil && !keep[j] {
 			out[n] = math.Inf(-1)
 			continue
 		}
-		switch m.Mode {
-		case StorageFloat32:
-			out[n] = mat.DotWiden(w, m.Compact[axPOI].f32[j*r:(j+1)*r])
-		case StorageInt8:
-			out[n] = m.Compact[axPOI].scale[j] * mat.DotWiden(w, m.Compact[axPOI].i8[j*r:(j+1)*r])
-		default:
-			out[n] = mat.DotUnrolled(w, m.U2.Row(j))
+		mat.DotRows(out[n:n+1], w, slab[j*r:(j+1)*r])
+		if scales != nil {
+			out[n] = scales[j] * out[n]
 		}
 	}
 }

@@ -72,14 +72,16 @@ func prunableFrac(m *Model, skip [][]int, queries, n int, rng *rand.Rand) float6
 		}
 		bound := mat.Norm2(w) * (1 + 1e-9)
 		var h topKHeap
+		var d [1]float64
 		thr, p := h.threshold(n), 0
 		for j := range m.J {
 			if bound*norms[j] < thr {
 				pruned++
 				continue
 			}
-			if d := mat.DotUnrolled(w, m.U2.Row(j)); !(d <= thr) {
-				p, thr = h.admit(j, d, n, own, p, nil)
+			mat.DotRows(d[:], w, m.U2.Row(j))
+			if !(d[0] <= thr) {
+				p, thr = h.admit(j, d[0], n, own, p, nil)
 			}
 		}
 	}

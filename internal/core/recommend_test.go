@@ -39,6 +39,8 @@ func referenceTopN(m *Model, i, k, n int, skip map[int]bool) []Recommendation {
 	for t := range w {
 		w[t] = m.H[t] * u1[t] * u3[t]
 	}
+	scores := make([]float64, m.J)
+	mat.DotRows(scores, w, m.U2.Data)
 	recs := make([]Recommendation, 0, m.J)
 	for j := 0; j < m.J; j++ {
 		if skip[j] {
@@ -47,7 +49,7 @@ func referenceTopN(m *Model, i, k, n int, skip map[int]bool) []Recommendation {
 		if m.ZeroOutFilter != nil && !m.ZeroOutFilter[i][j] {
 			continue
 		}
-		recs = append(recs, Recommendation{POI: j, Score: mat.DotUnrolled(w, m.U2.Row(j))})
+		recs = append(recs, Recommendation{POI: j, Score: scores[j]})
 	}
 	sort.Slice(recs, func(a, b int) bool {
 		if recs[a].Score != recs[b].Score {

@@ -9,8 +9,7 @@ import (
 )
 
 // scanCandidates lists the POIs a request may return, ascending, with their
-// scores the slow way (ScoreCandidates: one mat.DotWiden/DotUnrolled call per
-// row on the storage mode's own slab, int8 scale multiplied last): everything
+// scores the slow way (ScoreCandidates: one mat.DotRows call per row on the storage mode's own slab, int8 scale multiplied last): everything
 // not in skip and not zeroed out for user i.
 func scanCandidates(m *Model, i, k int, skip []int) []Recommendation {
 	excluded := make(map[int]bool, len(skip))
@@ -70,11 +69,11 @@ func sameRecs(a, b []Recommendation) bool {
 }
 
 // TestScanMatchesFullSort is the differential test of the one scan kernel:
-// TopNScratch and TopNBatch (five requests, so a quad group and a single
-// lane), serial and split into 2, 3 and 7 POI ranges, against "score every
-// POI, sort, drop the excluded", over storage modes × ranks 1…13 (every
-// unroll remainder) × n × skip shapes × a zero-out filter × tied scores ×
-// NaN/±Inf weights.
+// TopNScratch and TopNBatch (five requests), serial and split into 2, 3 and
+// 7 POI ranges, against "score every POI, sort, drop the excluded", over
+// storage modes × ranks 1…13 (every unroll remainder) × n × skip shapes × a
+// zero-out filter × tied scores × NaN/±Inf weights, and on catalogues that
+// span several scan tiles.
 func TestScanMatchesFullSort(t *testing.T) {
 	const I, J, K = 5, 23, 3
 	all := make([]int, J)
@@ -141,6 +140,40 @@ func TestScanMatchesFullSort(t *testing.T) {
 							}
 						}
 					}
+				}
+			}
+		}
+	}
+
+	// Across tiles: mat.DotRows scores rows four at a time, and a tile of
+	// batchTileJ(10) = 409 rows ends in a partial group, so on a catalogue of
+	// two full tiles and three rows every tile, and every range of a split,
+	// ends mid-group.
+	for _, rank := range []int{3, 10} {
+		tile := batchTileJ(rank)
+		J := 2*tile + 3
+		base := storageTestModel(t, I, J, K, rank, int64(200+rank))
+		filter := make([][]bool, I)
+		for i := range filter {
+			filter[i] = make([]bool, J)
+			for j := range filter[i] {
+				filter[i][j] = (i+2*j)%3 != 0
+			}
+		}
+		skip := []int{0, 5, tile - 1, tile, tile + 1, 2 * tile, J - 1}
+		for _, mode := range []StorageMode{StorageFloat64, StorageFloat32, StorageInt8} {
+			m, err := base.ToStorage(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, withFilter := range []bool{false, true} {
+				m.ZeroOutFilter = nil
+				if withFilter {
+					m.ZeroOutFilter = filter
+				}
+				for _, n := range []int{1, 10, J} {
+					name := fmt.Sprintf("J=%d rank %d %v filter=%v n=%d", J, rank, mode, withFilter, n)
+					checkScan(t, name, m, n, skip, true)
 				}
 			}
 		}
