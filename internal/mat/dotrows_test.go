@@ -201,3 +201,15 @@ func BenchmarkDotRows(b *testing.B) {
 		}
 	})
 }
+
+// TestDotRowsLengthMismatchPanics checks the single-row call, which never
+// reaches the four-row body: a row one element longer than w must panic, not
+// be summed short. TestGemmShapePanics covers the multi-row slabs.
+func TestDotRowsLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DotRows accepted a row of a different length than w")
+		}
+	}()
+	DotRows(make([]float64, 1), make([]float64, 3), make([]int8, 4))
+}
