@@ -10,6 +10,7 @@ import (
 
 	"tcss/internal/lbsn"
 	"tcss/internal/mat"
+	"tcss/internal/tensor"
 )
 
 // TestSpectralInitPinned pins, bit for bit, what the spectral
@@ -22,6 +23,7 @@ func TestSpectralInitPinned(t *testing.T) {
 		"init":      "8a42228437dfaf3232bcea511c9167bbe1f84485afa5968fbb4e299e30b76dec",
 		"svd":       "4ea6c6ff744cc694e8adc389b9ca70f555e8edaf541533d6a8a149762203232b",
 		"hausdorff": "408b617ee6a9ce03bcd705f2a1969983c80ee58c1577e333014116526c60220c",
+		"init-frac": "f3b8d7f45c428014b5cef0023f4e3e1ff543b0ec9647722064846cdb6c75efd5",
 	}
 	got := map[string]string{}
 	digest := func(name string, fill func(word func(float64))) {
@@ -53,6 +55,27 @@ func TestSpectralInitPinned(t *testing.T) {
 		}
 		for _, v := range m.H {
 			word(v)
+		}
+	})
+
+	// The gowalla tensor is binary, so its Gram sums are integers that no
+	// change of addition order could move. Fractional values in (0, 1] make
+	// every reordered sum visible, on a user Gram small enough for Jacobi
+	// (50 ≤ 64) and a POI Gram that takes orthogonal iteration (120 > 64).
+	frng := rand.New(rand.NewSource(7))
+	frac := tensor.NewCOO(50, 120, 12)
+	for n := 0; n < 1500; n++ {
+		frac.Set(frng.Intn(50), frng.Intn(120), frng.Intn(12), 1-frng.Float64())
+	}
+	fm := NewModel(frac.DimI, frac.DimJ, frac.DimK, 8)
+	if err := fm.Initialize(SpectralInit, frac, rand.New(rand.NewSource(3))); err != nil {
+		t.Fatal(err)
+	}
+	digest("init-frac", func(word func(float64)) {
+		for _, u := range []*mat.Matrix{fm.U1, fm.U2, fm.U3} {
+			for _, v := range u.Data {
+				word(v)
+			}
 		}
 	})
 
@@ -109,7 +132,7 @@ func TestSpectralInitPinned(t *testing.T) {
 		}
 	})
 
-	for _, name := range []string{"init", "svd", "hausdorff"} {
+	for _, name := range []string{"init", "init-frac", "svd", "hausdorff"} {
 		if got[name] != want[name] {
 			t.Errorf("%s digest %s, want %s", name, got[name], want[name])
 		}
