@@ -84,6 +84,9 @@ fuzz:
 	@# The eigen solver behind the spectral initialization and the SVD
 	@# baselines, on low-rank inputs that annihilate basis vectors.
 	$(GO) test -run '^$$' -fuzz FuzzTopEigenvectors -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mat
+	@# The sparse Gram rows the spectral initialization reads, bit for bit
+	@# against the dense accumulation they replaced.
+	$(GO) test -run '^$$' -fuzz FuzzGramOfUnfolding -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/tensor
 	@# The one row-dot kernel: assembly and Go bodies against the reference
 	@# order, bit for bit, on special values.
 	$(GO) test -run '^$$' -fuzz FuzzDotRows -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mat

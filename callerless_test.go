@@ -15,8 +15,6 @@ import (
 // would flag, one reason per entry. Keys are package.Name or
 // package.Receiver.Name.
 var callerlessAllowed = map[string]string{
-	"tensor.COO.Matricize":  "reference unfolding the Gram and MTTKRP tests compare against (ROADMAP item 10 moves it into matricize_test.go)",
-	"tensor.KhatriRao":      "reference product the MTTKRP tests compare against (ROADMAP item 10 moves it into matricize_test.go)",
 	"serve.reqError.Unwrap": "errors.Is and errors.As call it through the unwrap interface",
 }
 

@@ -85,7 +85,7 @@ func oneHotFill(u *mat.Matrix, rng *rand.Rand) {
 }
 
 // spectralInit implements Eq (4): for each mode, compute the Gram matrix of
-// the unfolding, zero its diagonal, and take the top-r eigenvectors as the
+// the unfolding without its diagonal, and take the top-r eigenvectors as the
 // factor estimate. Columns are rescaled by |λ_t|^(1/6) so the three modes
 // jointly reproduce the singular-value magnitude of the data (each mode
 // carries a third of σ_t = √λ_t), which puts the initial predictions on the
@@ -104,9 +104,7 @@ func (m *Model) spectralInit(x *tensor.COO, rng *rand.Rand) error {
 		{tensor.ModeTime, m.U3},
 	}
 	for _, md := range modes {
-		gram := x.GramOfUnfolding(md.mode)
-		gram.ZeroDiagonal()
-		eig, err := topEigen(gram, m.Rank, rng)
+		eig, err := topEigen(x.GramOfUnfolding(md.mode), m.Rank, rng)
 		if err != nil {
 			return fmt.Errorf("core: spectral init mode %d: %w", md.mode, err)
 		}
@@ -162,25 +160,19 @@ func (m *Model) spectralInit(x *tensor.COO, rng *rand.Rand) error {
 	return nil
 }
 
-// topEigen picks the full Jacobi solver for small matrices (the K×K time
-// Gram) and block orthogonal iteration for the larger user/POI Grams.
-func topEigen(gram *mat.Matrix, r int, rng *rand.Rand) (*mat.EigenResult, error) {
+// topEigen picks full Jacobi on a dense copy for small Grams (the K×K time
+// one) and block orthogonal iteration for the larger user/POI Grams.
+func topEigen(gram *mat.CSR, r int, rng *rand.Rand) (*mat.EigenResult, error) {
 	n := gram.Rows
 	if r > n {
 		return nil, fmt.Errorf("rank %d exceeds matrix side %d", r, n)
 	}
 	if n <= 64 {
-		full, err := mat.SymEigen(gram)
+		full, err := mat.SymEigen(gram.Dense())
 		if err != nil {
 			return nil, err
 		}
-		vec := mat.New(n, r)
-		for i := 0; i < n; i++ {
-			for t := 0; t < r; t++ {
-				vec.Set(i, t, full.Vectors.At(i, t))
-			}
-		}
-		return &mat.EigenResult{Values: full.Values[:r], Vectors: vec}, nil
+		return full.Leading(r), nil
 	}
 	return mat.TopEigenvectors(gram, r, 300, rng)
 }

@@ -208,7 +208,7 @@ func SampleNegatives(x *tensor.COO, n int, rng *rand.Rand) ([]tensor.Entry, erro
 	if int64(x.NNZ()) >= x.Size() {
 		return nil, fmt.Errorf("core: cannot sample %d negatives: tensor %dx%dx%d is full", n, x.DimI, x.DimJ, x.DimK)
 	}
-	maxAttempts := 50*n + 1000
+	maxAttempts := negAttemptCap(n)
 	out := make([]tensor.Entry, 0, n)
 	for attempts := 0; len(out) < n; attempts++ {
 		if attempts >= maxAttempts {
@@ -222,6 +222,9 @@ func SampleNegatives(x *tensor.COO, n int, rng *rand.Rand) ([]tensor.Entry, erro
 	}
 	return out, nil
 }
+
+// negAttemptCap is the most candidates SampleNegatives draws for n negatives.
+func negAttemptCap(n int) int { return 50*n + 1000 }
 
 // NegSamplingLoss is the ablation counterpart of WholeDataLoss: the weighted
 // squared error over the observed entries plus the given sampled negatives

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"tcss/internal/train"
 )
@@ -222,18 +223,20 @@ func TestTrainResumeRejectsMismatchedMoments(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name   string
-		mutate func(st *train.State)
+		name, want string
+		mutate     func(st *train.State)
 	}{
-		{"truncated moments", func(st *train.State) {
+		{"truncated moments", "group", func(st *train.State) {
 			st.Opt.M["U1"], st.Opt.V["U1"] = st.Opt.M["U1"][:1], st.Opt.V["U1"][:1]
 		}},
-		{"first moment only truncated", func(st *train.State) { st.Opt.M["U2"] = st.Opt.M["U2"][:3] }},
-		{"unknown group", func(st *train.State) {
+		{"first moment only truncated", "group", func(st *train.State) { st.Opt.M["U2"] = st.Opt.M["U2"][:3] }},
+		{"unknown group", "group", func(st *train.State) {
 			st.Opt.Steps["W"], st.Opt.M["W"], st.Opt.V["W"] = 1, []float64{0}, []float64{0}
 		}},
-		{"steps without moments", func(st *train.State) { delete(st.Opt.M, "h"); delete(st.Opt.V, "h") }},
-		{"moments without steps", func(st *train.State) { delete(st.Opt.Steps, "U3") }},
+		{"steps without moments", "group", func(st *train.State) { delete(st.Opt.M, "h"); delete(st.Opt.V, "h") }},
+		{"moments without steps", "group", func(st *train.State) { delete(st.Opt.Steps, "U3") }},
+		// Replaying 2⁶² draws would take centuries; the count is refused.
+		{"draws beyond the epoch", "draws", func(st *train.State) { st.RNG.Draws = 1 << 62 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,8 +251,18 @@ func TestTrainResumeRejectsMismatchedMoments(t *testing.T) {
 			}
 			resumed := cfg
 			resumed.CheckpointPath, resumed.ResumePath, resumed.Epochs = "", bad, 4
-			if _, err := Train(fx.x.Clone(), fx.side, resumed); err == nil || !strings.Contains(err.Error(), "group") {
-				t.Fatalf("resume from %s gave %v, want a group error", tc.name, err)
+			done := make(chan error, 1)
+			go func() {
+				_, err := Train(fx.x.Clone(), fx.side, resumed)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("resume from %s gave %v, want an error naming %q", tc.name, err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("resume from %s still running after 5 s", tc.name)
 			}
 		})
 	}

@@ -357,7 +357,7 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 		return nil, err
 	}
 	if resume != nil {
-		if err := driver.Restore(*resume); err != nil {
+		if err := driver.Restore(*resume, drawCeiling(m, x, cfg, resume.Epoch)); err != nil {
 			return nil, err
 		}
 	}
@@ -369,6 +369,24 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 		m.ZeroOutFilter = buildZeroOutFilter(m, side, cfg.ZeroOutSigmaFrac, cfg.Workers)
 	}
 	return m.ToStorage(cfg.Storage)
+}
+
+// drawCeiling bounds the engine RNG draws a run of this configuration can
+// have consumed after epochs epochs: at most two rand calls per factor cell
+// in initialization, three Intn calls per negative-sampling attempt and one
+// per subsampled Hausdorff user each epoch. The rejection loops of Intn,
+// Float64 and NormFloat64 repeat with probability below 2 % at these sizes;
+// the safety factor 4 and the 1 024 spare draws cover them.
+func drawCeiling(m *Model, x *tensor.COO, cfg Config, epochs int) uint64 {
+	var perEpoch uint64
+	if cfg.NegSampling {
+		perEpoch += 3 * uint64(negAttemptCap(int(cfg.NegPerPos*float64(x.NNZ()))))
+	}
+	if cfg.UsersPerEpoch > 0 {
+		perEpoch += uint64(m.I)
+	}
+	init := 2 * uint64(m.I+m.J+m.K) * uint64(m.Rank)
+	return 4*(init+uint64(epochs)*perEpoch) + 1024
 }
 
 // buildZeroOutFilter marks, per user, the POIs within σ = sigmaFrac·d_max of

@@ -15,6 +15,15 @@ type EigenResult struct {
 	Vectors *Matrix
 }
 
+// Leading returns the first k eigenpairs, the k largest of a SymEigen result.
+func (e *EigenResult) Leading(k int) *EigenResult {
+	vec := New(e.Vectors.Rows, k)
+	for i := 0; i < vec.Rows; i++ {
+		copy(vec.Row(i), e.Vectors.Row(i)[:k])
+	}
+	return &EigenResult{Values: e.Values[:k], Vectors: vec}
+}
+
 // SymEigen computes the full eigendecomposition of the symmetric matrix a
 // using the cyclic Jacobi method. It is cubic per sweep and intended for
 // matrices up to a few hundred rows; use TopEigenvectors for leading
@@ -102,8 +111,8 @@ func applyJacobiRotation(w, v *Matrix, p, q int, c, s float64) {
 	}
 }
 
-// TopEigenvectors returns the r leading eigenpairs of the symmetric matrix a
-// by block orthogonal iteration (subspace power iteration with QR
+// TopEigenvectors returns the r leading eigenpairs of the symmetric sparse
+// matrix a by block orthogonal iteration (subspace power iteration with QR
 // re-orthonormalization). Eigenvalues are returned in descending order of
 // magnitude of the Rayleigh quotients. The method converges geometrically with
 // ratio |λ_{r+1}/λ_r|; maxIter bounds the sweeps. It is the workhorse behind
@@ -115,7 +124,7 @@ func applyJacobiRotation(w, v *Matrix, p, q int, c, s float64) {
 // next step's power iterate; the last one also forms qᵀAq. Every sum runs in
 // a fixed order, a row's nonzeros by ascending column as Matrix.Mul adds
 // them, so the result depends on nothing but the arguments.
-func TopEigenvectors(a *Matrix, r, maxIter int, rng *rand.Rand) (*EigenResult, error) {
+func TopEigenvectors(a *CSR, r, maxIter int, rng *rand.Rand) (*EigenResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("mat: TopEigenvectors requires square matrix, got %dx%d", a.Rows, a.Cols)
 	}
@@ -126,18 +135,17 @@ func TopEigenvectors(a *Matrix, r, maxIter int, rng *rand.Rand) (*EigenResult, e
 	if maxIter <= 0 {
 		maxIter = 200
 	}
-	sp := nonzeroRows(a)
 	// The basis and its image are held transposed (r×n, one vector per row)
 	// so the QR, the probe and qᵀAq walk contiguous memory.
 	q := RandomNormal(n, r, 1, rng).T()
 	qrOrthonormalize(q)
 	aq := New(r, n)
-	sp.mulInto(aq, q)
+	a.mulInto(aq, q)
 	vals, prev := make([]float64, r), make([]float64, r)
 	for it := 0; it < maxIter; it++ {
 		q, aq = aq, q
 		qrOrthonormalize(q)
-		sp.mulInto(aq, q)
+		a.mulInto(aq, q)
 		// Rayleigh quotients along the current basis as a convergence probe.
 		for j := range vals {
 			vals[j] = Dot(q.Row(j), aq.Row(j))
@@ -164,38 +172,52 @@ func TopEigenvectors(a *Matrix, r, maxIter int, rng *rand.Rand) (*EigenResult, e
 	return &EigenResult{Values: small.Values, Vectors: vectors}, nil
 }
 
-// sparseRows holds a matrix's nonzeros row by row: row i's column indices,
-// ascending, are idx[ptr[i]:ptr[i+1]] and its values val[ptr[i]:ptr[i+1]].
-type sparseRows struct {
-	ptr []int
-	idx []int32
-	val []float64
+// CSR holds a matrix's nonzeros row by row: row i's column indices,
+// ascending, are Idx[Ptr[i]:Ptr[i+1]] and its values Val[Ptr[i]:Ptr[i+1]].
+type CSR struct {
+	Rows, Cols int
+	Ptr        []int
+	Idx        []int32
+	Val        []float64
 }
 
-func nonzeroRows(a *Matrix) sparseRows {
-	s := sparseRows{ptr: make([]int, a.Rows+1)}
+// nonzeroRows is the dense-to-CSR step: a's nonzeros by ascending column.
+func nonzeroRows(a *Matrix) *CSR {
+	s := &CSR{Rows: a.Rows, Cols: a.Cols, Ptr: make([]int, a.Rows+1)}
 	for i := 0; i < a.Rows; i++ {
 		for k, v := range a.Row(i) {
 			if v != 0 {
-				s.idx = append(s.idx, int32(k))
-				s.val = append(s.val, v)
+				s.Idx = append(s.Idx, int32(k))
+				s.Val = append(s.Val, v)
 			}
 		}
-		s.ptr[i+1] = len(s.idx)
+		s.Ptr[i+1] = len(s.Idx)
 	}
 	return s
 }
 
-// mulInto writes (a·x)ᵀ into dst, where x holds the operand's columns as its
+// Dense returns the matrix with zeros in every cell s does not hold.
+func (s *CSR) Dense() *Matrix {
+	out := New(s.Rows, s.Cols)
+	for i := 0; i < s.Rows; i++ {
+		row := out.Row(i)
+		for p := s.Ptr[i]; p < s.Ptr[i+1]; p++ {
+			row[s.Idx[p]] = s.Val[p]
+		}
+	}
+	return out
+}
+
+// mulInto writes (s·x)ᵀ into dst, where x holds the operand's columns as its
 // rows. Each entry sums its row's nonzeros from zero in ascending column
 // order, exactly the additions of Matrix.Mul.
-func (s sparseRows) mulInto(dst, x *Matrix) {
+func (s *CSR) mulInto(dst, x *Matrix) {
 	for t := 0; t < x.Rows; t++ {
 		xr, out := x.Row(t), dst.Row(t)
 		for i := range out {
 			var sum float64
-			for p := s.ptr[i]; p < s.ptr[i+1]; p++ {
-				sum += s.val[p] * xr[s.idx[p]]
+			for p := s.Ptr[i]; p < s.Ptr[i+1]; p++ {
+				sum += s.Val[p] * xr[s.Idx[p]]
 			}
 			out[i] = sum
 		}

@@ -223,18 +223,6 @@ func (m *Matrix) FrobNorm() float64 {
 	return math.Sqrt(s)
 }
 
-// ZeroDiagonal sets the diagonal entries of a square matrix to zero in place.
-// The TCSS spectral initialization zeroes the diagonals of the unfoldings'
-// Gram matrices because they dominate the principal directions.
-func (m *Matrix) ZeroDiagonal() {
-	if m.Rows != m.Cols {
-		panic("mat: ZeroDiagonal requires a square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		m.Data[i*m.Cols+i] = 0
-	}
-}
-
 // Equalf reports whether m and b agree entrywise within tol.
 func (m *Matrix) Equalf(b *Matrix, tol float64) bool {
 	if m.Rows != b.Rows || m.Cols != b.Cols {

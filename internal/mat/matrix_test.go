@@ -81,14 +81,6 @@ func TestGramSymmetry(t *testing.T) {
 	}
 }
 
-func TestZeroDiagonal(t *testing.T) {
-	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	m.ZeroDiagonal()
-	if m.At(0, 0) != 0 || m.At(1, 1) != 0 || m.At(0, 1) != 2 || m.At(1, 0) != 3 {
-		t.Fatalf("ZeroDiagonal wrong: %v", m)
-	}
-}
-
 func TestAddSubScale(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := FromSlice(2, 2, []float64{4, 3, 2, 1})

@@ -31,44 +31,32 @@ func ThinSVD(a *Matrix, k int, rng *rand.Rand) (*SVDResult, error) {
 		return nil, fmt.Errorf("mat: ThinSVD rank %d out of range (1..%d)", k, minDim)
 	}
 
-	if n <= m {
-		// Diagonalize AᵀA (n-by-n); V from eigenvectors, U = A·V·Σ⁻¹.
-		gram := a.Gram()
-		eig, err := gramEigen(gram, k, rng)
-		if err != nil {
-			return nil, err
-		}
-		v := eig.Vectors
-		s := make([]float64, k)
-		for i := 0; i < k; i++ {
-			ev := eig.Values[i]
-			if ev < 0 {
-				ev = 0
-			}
-			s[i] = math.Sqrt(ev)
-		}
-		u := a.Mul(v)
-		normalizeColumns(u, s)
-		return &SVDResult{U: u, S: s, V: v}, nil
+	// Diagonalize the smaller Gram: AᵀA (n-by-n) gives V, and U = A·V·Σ⁻¹;
+	// AAᵀ (m-by-m) gives U, and V = Aᵀ·U·Σ⁻¹.
+	gram := a.Gram
+	if n > m {
+		gram = a.GramT
 	}
-	// Diagonalize AAᵀ (m-by-m); U from eigenvectors, V = Aᵀ·U·Σ⁻¹.
-	gram := a.GramT()
-	eig, err := gramEigen(gram, k, rng)
+	eig, err := gramEigen(gram(), k, rng)
 	if err != nil {
 		return nil, err
 	}
-	u := eig.Vectors
 	s := make([]float64, k)
-	for i := 0; i < k; i++ {
+	for i := range s {
 		ev := eig.Values[i]
 		if ev < 0 {
 			ev = 0
 		}
 		s[i] = math.Sqrt(ev)
 	}
-	v := a.TMul(u)
+	if n <= m {
+		u := a.Mul(eig.Vectors)
+		normalizeColumns(u, s)
+		return &SVDResult{U: u, S: s, V: eig.Vectors}, nil
+	}
+	v := a.TMul(eig.Vectors)
 	normalizeColumns(v, s)
-	return &SVDResult{U: u, S: s, V: v}, nil
+	return &SVDResult{U: eig.Vectors, S: s, V: v}, nil
 }
 
 // gramEigen picks the right eigensolver for a symmetric PSD Gram matrix: full
@@ -80,18 +68,12 @@ func gramEigen(gram *Matrix, k int, rng *rand.Rand) (*EigenResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		vec := New(gram.Rows, k)
-		for i := 0; i < gram.Rows; i++ {
-			for j := 0; j < k; j++ {
-				vec.Set(i, j, full.Vectors.At(i, j))
-			}
-		}
-		return &EigenResult{Values: full.Values[:k], Vectors: vec}, nil
+		return full.Leading(k), nil
 	}
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	return TopEigenvectors(gram, k, 300, rng)
+	return TopEigenvectors(nonzeroRows(gram), k, 300, rng)
 }
 
 // normalizeColumns divides column j of m by s[j]; columns with a (near) zero

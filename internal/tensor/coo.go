@@ -1,8 +1,8 @@
-// Package tensor implements sparse and dense order-3 tensors together with
-// the algebra the paper's models need: mode-n matricization, Khatri-Rao
-// products, MTTKRP (matricized tensor times Khatri-Rao product) for ALS
-// sweeps, sparse Gram matrices of unfoldings for the TCSS spectral
-// initialization, and train/test splitting of observed entries.
+// Package tensor implements sparse order-3 tensors together with the
+// algebra the paper's models need: MTTKRP (matricized tensor times
+// Khatri-Rao product) for ALS sweeps, sparse Gram matrices of unfoldings for
+// the TCSS spectral initialization, and train/test splitting of observed
+// entries. No dense unfolding is ever built.
 //
 // Axis convention follows the paper: mode 1 indexes users (I), mode 2 indexes
 // POIs (J), mode 3 indexes time units (K).

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 
 	"tcss/internal/mat"
 )
@@ -15,35 +16,6 @@ const (
 	ModePOI  Mode = 2
 	ModeTime Mode = 3
 )
-
-// Matricize returns the dense mode-n unfolding of the sparse tensor,
-// following the paper's layout: mode 1 gives A ∈ R^{I×(JK)} with
-// A[i, j*K+k] = X[i,j,k]; mode 2 gives B ∈ R^{J×(IK)} with
-// B[j, i*K+k] = X[i,j,k]; mode 3 gives C ∈ R^{K×(IJ)} with
-// C[k, i*J+j] = X[i,j,k].
-func (t *COO) Matricize(mode Mode) *mat.Matrix {
-	var out *mat.Matrix
-	switch mode {
-	case ModeUser:
-		out = mat.New(t.DimI, t.DimJ*t.DimK)
-		for _, e := range t.entries {
-			out.Set(e.I, e.J*t.DimK+e.K, e.Val)
-		}
-	case ModePOI:
-		out = mat.New(t.DimJ, t.DimI*t.DimK)
-		for _, e := range t.entries {
-			out.Set(e.J, e.I*t.DimK+e.K, e.Val)
-		}
-	case ModeTime:
-		out = mat.New(t.DimK, t.DimI*t.DimJ)
-		for _, e := range t.entries {
-			out.Set(e.K, e.I*t.DimJ+e.J, e.Val)
-		}
-	default:
-		panic(fmt.Sprintf("tensor: unknown mode %d", mode))
-	}
-	return out
-}
 
 // fiberCoord returns, for an entry, the (rowIndex, fiberKey) pair of the
 // given mode, where rowIndex is the mode index and fiberKey identifies the
@@ -60,76 +32,93 @@ func (t *COO) fiberCoord(mode Mode, e Entry) (row int, fiber int64) {
 	panic(fmt.Sprintf("tensor: unknown mode %d", mode))
 }
 
-// GramOfUnfolding computes M·Mᵀ for the mode-n unfolding M without ever
-// materializing M. The result is a dense square matrix of side I, J or K.
-// The computation groups entries by unfolding column (fiber) and accumulates
-// the outer product of each fiber's sparse column, costing
-// O(Σ_fibers nnz(fiber)²) instead of O(dim² · JK). This is the input to the
-// TCSS spectral initialization (after zeroing the diagonal). Fibers are
-// accumulated in order of first appearance among the stored entries, so the
-// sums, and with them the bits of a fractional-valued Gram, are reproducible.
-func (t *COO) GramOfUnfolding(mode Mode) *mat.Matrix {
-	var dim int
-	switch mode {
-	case ModeUser:
-		dim = t.DimI
-	case ModePOI:
-		dim = t.DimJ
-	case ModeTime:
-		dim = t.DimK
-	default:
+// GramOfUnfolding computes M·Mᵀ for the mode-n unfolding M, without its
+// diagonal, as the sparse rows the eigensolver reads: the input to the TCSS
+// spectral initialization (Eq 4). Neither M nor a dim×dim matrix is built:
+// scratch is O(dim + nnz), work O(Σ_fibers nnz(fiber)²). Entry (a, b) sums
+// val(a)·val(b) over the fibers (unfolding columns) holding both rows, in
+// order of first appearance among the stored entries, so the bits of a
+// fractional-valued Gram are reproducible. Exact zeros are left out.
+func (t *COO) GramOfUnfolding(mode Mode) *mat.CSR {
+	dim, ok := map[Mode]int{ModeUser: t.DimI, ModePOI: t.DimJ, ModeTime: t.DimK}[mode]
+	if !ok {
 		panic(fmt.Sprintf("tensor: unknown mode %d", mode))
 	}
-	type cell struct {
-		row int
-		val float64
-	}
-	slot := make(map[int64]int) // fiber key -> index in fibers
-	var fibers [][]cell
-	for _, e := range t.entries {
-		row, fiber := t.fiberCoord(mode, e)
-		s, ok := slot[fiber]
+	slot := make(map[int64]int32) // fiber key -> fiber number
+	nnz := len(t.entries)
+	fiber, row, all := make([]int32, nnz), make([]int32, nnz), make([]int32, nnz)
+	for n, e := range t.entries {
+		r, key := t.fiberCoord(mode, e)
+		s, ok := slot[key]
 		if !ok {
-			s = len(fibers)
-			slot[fiber] = s
-			fibers = append(fibers, nil)
+			s = int32(len(slot))
+			slot[key] = s
 		}
-		fibers[s] = append(fibers[s], cell{row: row, val: e.Val})
+		fiber[n], row[n], all[n] = s, int32(r), int32(n)
 	}
-	out := mat.New(dim, dim)
-	for _, cells := range fibers {
-		for a := 0; a < len(cells); a++ {
-			ca := cells[a]
-			rowData := out.Row(ca.row)
-			for b := 0; b < len(cells); b++ {
-				cb := cells[b]
-				rowData[cb.row] += ca.val * cb.val
+	// Both groupings keep order within a group, so each row lists its
+	// entries by ascending fiber number.
+	fptr, byFiber := bucket(all, fiber, len(slot))
+	rptr, byRow := bucket(byFiber, row, dim)
+	out := &mat.CSR{Rows: dim, Cols: dim, Ptr: make([]int, dim+1)}
+	acc := make([]float64, dim)
+	seen := make([]bool, dim)
+	var cols []int32
+	for a := 0; a < dim; a++ {
+		for _, n := range byRow[rptr[a]:rptr[a+1]] {
+			s, va := fiber[n], t.entries[n].Val
+			for _, m := range byFiber[fptr[s]:fptr[s+1]] {
+				b := row[m]
+				if !seen[b] {
+					seen[b] = true
+					cols = append(cols, b)
+				}
+				acc[b] += va * t.entries[m].Val
 			}
 		}
+		if n := len(out.Idx); cap(out.Idx)-n < len(cols) { // grow by doubling
+			out.Idx, out.Val = slices.Grow(out.Idx, n+len(cols)), slices.Grow(out.Val, n+len(cols))
+		}
+		if 32*len(cols) > dim { // a dense row: a scan is cheaper than a sort
+			cols = cols[:0]
+			for b, ok := range seen {
+				if ok {
+					cols = append(cols, int32(b))
+				}
+			}
+		} else {
+			slices.Sort(cols)
+		}
+		for _, b := range cols {
+			if v := acc[b]; v != 0 && int(b) != a {
+				out.Idx = append(out.Idx, b)
+				out.Val = append(out.Val, v)
+			}
+			acc[b], seen[b] = 0, false
+		}
+		cols = cols[:0]
+		out.Ptr[a+1] = len(out.Idx)
 	}
 	return out
 }
 
-// KhatriRao returns the column-wise Khatri-Rao product A ⊙ B of an m-by-r and
-// an n-by-r matrix: an (m*n)-by-r matrix whose column c is the Kronecker
-// product of the c-th columns of A and B, with the row index of A varying
-// slowest.
-func KhatriRao(a, b *mat.Matrix) *mat.Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: KhatriRao rank mismatch %d vs %d", a.Cols, b.Cols))
+// bucket groups the items by key, keeping their order within a group: the
+// items with key k are out[ptr[k]:ptr[k+1]].
+func bucket(items, key []int32, groups int) (ptr []int, out []int32) {
+	ptr = make([]int, groups+1)
+	for _, it := range items {
+		ptr[key[it]+1]++
 	}
-	out := mat.New(a.Rows*b.Rows, a.Cols)
-	for ia := 0; ia < a.Rows; ia++ {
-		arow := a.Row(ia)
-		for ib := 0; ib < b.Rows; ib++ {
-			brow := b.Row(ib)
-			orow := out.Row(ia*b.Rows + ib)
-			for c := range orow {
-				orow[c] = arow[c] * brow[c]
-			}
-		}
+	for k := 0; k < groups; k++ {
+		ptr[k+1] += ptr[k]
 	}
-	return out
+	next := slices.Clone(ptr[:groups])
+	out = make([]int32, len(items))
+	for _, it := range items {
+		out[next[key[it]]] = it
+		next[key[it]]++
+	}
+	return ptr, out
 }
 
 // MTTKRP computes the matricized-tensor-times-Khatri-Rao-product for the

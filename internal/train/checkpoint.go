@@ -34,13 +34,18 @@ func (d *Driver) State() State {
 // optimizer moments are imported, the RNG is fast-forwarded to its recorded
 // draw count, and Run will continue from st.Epoch. The caller must have
 // already restored the parameter values. Moments that do not fit the
-// model's groups are refused here, before a step could index past them.
-func (d *Driver) Restore(st State) error {
+// model's groups are refused here, before a step could index past them, and
+// so is a draw count above maxDraws, the most the caller's run can have
+// consumed by st.Epoch: the fast-forward takes one source step per draw.
+func (d *Driver) Restore(st State, maxDraws uint64) error {
 	if st.Epoch < 0 || st.Epoch > d.cfg.Epochs {
 		return fmt.Errorf("train: checkpoint epoch %d outside run of %d epochs", st.Epoch, d.cfg.Epochs)
 	}
 	if err := d.checkMoments(st.Opt); err != nil {
 		return err
+	}
+	if d.rng != nil && st.RNG.Draws > maxDraws {
+		return fmt.Errorf("train: checkpoint records %d RNG draws, more than the %d its %d epochs can consume", st.RNG.Draws, maxDraws, st.Epoch)
 	}
 	if err := d.optim.Import(st.Opt); err != nil {
 		return err

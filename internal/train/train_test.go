@@ -306,7 +306,7 @@ func TestRestoreRejectsEpochBeyondRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := short.Restore(State{Epoch: 7, Opt: opt.State{Algo: "adam"}}); err == nil {
+	if err := short.Restore(State{Epoch: 7, Opt: opt.State{Algo: "adam"}}, 0); err == nil {
 		t.Fatal("epoch beyond run must be rejected")
 	}
 }
