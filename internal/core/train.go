@@ -385,8 +385,8 @@ func drawCeiling(m *Model, x *tensor.COO, cfg Config, epochs int) uint64 {
 	if cfg.UsersPerEpoch > 0 {
 		perEpoch += uint64(m.I)
 	}
-	init := 2 * uint64(m.I+m.J+m.K) * uint64(m.Rank)
-	return 4*(init+uint64(epochs)*perEpoch) + 1024
+	initCalls := 2 * uint64(m.I+m.J+m.K) * uint64(m.Rank)
+	return 4*(initCalls+uint64(epochs)*perEpoch) + 1024
 }
 
 // buildZeroOutFilter marks, per user, the POIs within σ = sigmaFrac·d_max of

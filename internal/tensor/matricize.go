@@ -76,7 +76,8 @@ func (t *COO) GramOfUnfolding(mode Mode) *mat.CSR {
 				acc[b] += va * t.entries[m].Val
 			}
 		}
-		if n := len(out.Idx); cap(out.Idx)-n < len(cols) { // grow by doubling
+		// Double the room: append would grow big slices by 1.25× at a time.
+		if n := len(out.Idx); min(cap(out.Idx), cap(out.Val))-n < len(cols) {
 			out.Idx, out.Val = slices.Grow(out.Idx, n+len(cols)), slices.Grow(out.Val, n+len(cols))
 		}
 		if 32*len(cols) > dim { // a dense row: a scan is cheaper than a sort
