@@ -32,21 +32,27 @@ func (t *COO) fiberCoord(mode Mode, e Entry) (row int, fiber int64) {
 	panic(fmt.Sprintf("tensor: unknown mode %d", mode))
 }
 
-// GramOfUnfolding computes M·Mᵀ for the mode-n unfolding M, without its
-// diagonal, as the sparse rows the eigensolver reads: the input to the TCSS
-// spectral initialization (Eq 4). Neither M nor a dim×dim matrix is built:
-// scratch is O(dim + nnz), work O(Σ_fibers nnz(fiber)²). Entry (a, b) sums
-// val(a)·val(b) over the fibers (unfolding columns) holding both rows, in
-// order of first appearance among the stored entries, so the bits of a
-// fractional-valued Gram are reproducible. Exact zeros are left out.
+// GramOfUnfolding computes M·Mᵀ without its diagonal for the mode-n
+// unfolding M, the input to the TCSS spectral initialization (Eq 4), as
+// sparse rows with ascending columns and no exact zeros, in O(dim + nnz)
+// scratch and O(Σ_fibers nnz(fiber)²) work. Entry (a, b) sums val(a)·val(b)
+// over the fibers (unfolding columns) holding both rows in order of their
+// first appearance among the stored entries, so its bits are reproducible.
 func (t *COO) GramOfUnfolding(mode Mode) *mat.CSR {
-	dim, ok := map[Mode]int{ModeUser: t.DimI, ModePOI: t.DimJ, ModeTime: t.DimK}[mode]
-	if !ok {
+	var dim int
+	switch mode {
+	case ModeUser:
+		dim = t.DimI
+	case ModePOI:
+		dim = t.DimJ
+	case ModeTime:
+		dim = t.DimK
+	default:
 		panic(fmt.Sprintf("tensor: unknown mode %d", mode))
 	}
 	slot := make(map[int64]int32) // fiber key -> fiber number
 	nnz := len(t.entries)
-	fiber, row, all := make([]int32, nnz), make([]int32, nnz), make([]int32, nnz)
+	fiber, row, rowAt := make([]int32, nnz), make([]int32, nnz), make([]int32, nnz)
 	for n, e := range t.entries {
 		r, key := t.fiberCoord(mode, e)
 		s, ok := slot[key]
@@ -54,18 +60,21 @@ func (t *COO) GramOfUnfolding(mode Mode) *mat.CSR {
 			s = int32(len(slot))
 			slot[key] = s
 		}
-		fiber[n], row[n], all[n] = s, int32(r), int32(n)
+		fiber[n], row[n] = s, int32(r)
 	}
-	// Both groupings keep order within a group, so each row lists its
-	// entries by ascending fiber number.
-	fptr, byFiber := bucket(all, fiber, len(slot))
-	rptr, byRow := bucket(byFiber, row, dim)
+	// List the entries fiber by fiber, then group those positions by row:
+	// each row lists its entries by ascending fiber number.
+	fptr, byFiber := bucket(fiber, len(slot))
+	for p, n := range byFiber {
+		rowAt[p] = row[n]
+	}
+	rptr, byRow := bucket(rowAt, dim)
 	out := &mat.CSR{Rows: dim, Cols: dim, Ptr: make([]int, dim+1)}
-	acc := make([]float64, dim)
-	seen := make([]bool, dim)
+	acc, seen := make([]float64, dim), make([]bool, dim)
 	var cols []int32
 	for a := 0; a < dim; a++ {
-		for _, n := range byRow[rptr[a]:rptr[a+1]] {
+		for _, p := range byRow[rptr[a]:rptr[a+1]] {
+			n := byFiber[p]
 			s, va := fiber[n], t.entries[n].Val
 			for _, m := range byFiber[fptr[s]:fptr[s+1]] {
 				b := row[m]
@@ -80,20 +89,10 @@ func (t *COO) GramOfUnfolding(mode Mode) *mat.CSR {
 		if n := len(out.Idx); min(cap(out.Idx), cap(out.Val))-n < len(cols) {
 			out.Idx, out.Val = slices.Grow(out.Idx, n+len(cols)), slices.Grow(out.Val, n+len(cols))
 		}
-		if 32*len(cols) > dim { // a dense row: a scan is cheaper than a sort
-			cols = cols[:0]
-			for b, ok := range seen {
-				if ok {
-					cols = append(cols, int32(b))
-				}
-			}
-		} else {
-			slices.Sort(cols)
-		}
+		slices.Sort(cols)
 		for _, b := range cols {
 			if v := acc[b]; v != 0 && int(b) != a {
-				out.Idx = append(out.Idx, b)
-				out.Val = append(out.Val, v)
+				out.Idx, out.Val = append(out.Idx, b), append(out.Val, v)
 			}
 			acc[b], seen[b] = 0, false
 		}
@@ -103,21 +102,21 @@ func (t *COO) GramOfUnfolding(mode Mode) *mat.CSR {
 	return out
 }
 
-// bucket groups the items by key, keeping their order within a group: the
-// items with key k are out[ptr[k]:ptr[k+1]].
-func bucket(items, key []int32, groups int) (ptr []int, out []int32) {
+// bucket groups the indices 0..len(key)-1 by key, keeping them ascending
+// within a group: the indices with key k are out[ptr[k]:ptr[k+1]].
+func bucket(key []int32, groups int) (ptr []int, out []int32) {
 	ptr = make([]int, groups+1)
-	for _, it := range items {
-		ptr[key[it]+1]++
+	for _, k := range key {
+		ptr[k+1]++
 	}
 	for k := 0; k < groups; k++ {
 		ptr[k+1] += ptr[k]
 	}
 	next := slices.Clone(ptr[:groups])
-	out = make([]int32, len(items))
-	for _, it := range items {
-		out[next[key[it]]] = it
-		next[key[it]]++
+	out = make([]int32, len(key))
+	for i, k := range key {
+		out[next[k]] = int32(i)
+		next[k]++
 	}
 	return ptr, out
 }

@@ -189,19 +189,18 @@ func TestGramOfUnfoldingReproducible(t *testing.T) {
 // FuzzGramOfUnfolding: on any small tensor with fractional entries, of
 // either sign so that sums can cancel to zero, the sparse rows hold exactly
 // the nonzero cells of the dense reference, bit for bit, with columns
-// strictly ascending. Bytes 0-2 set the dims, up to 256 so that rows take
-// both the sort and the scan path; every further four bytes set one cell
-// (i, j, k, value/7).
+// strictly ascending. Bytes 0-2 set the dims (1 to 32); every further four
+// bytes set one cell (i, j, k, value/7).
 func FuzzGramOfUnfolding(f *testing.F) {
 	f.Add([]byte{3, 4, 2, 0, 1, 0, 9, 1, 1, 0, 200, 2, 1, 1, 7, 0, 3, 1, 250})
 	f.Add([]byte{1, 1, 1, 0, 0, 0, 5})
 	f.Add([]byte{5, 5, 5, 1, 2, 3, 4, 2, 2, 3, 252, 4, 2, 3, 11, 1, 0, 3, 3, 2, 0, 3, 3, 4, 0, 3, 250})
-	f.Add([]byte{255, 3, 0, 9, 0, 0, 3, 200, 0, 0, 250, 7, 0, 0, 5, 100, 0, 0, 8, 9, 1, 0, 9, 7, 1, 0, 13})
+	f.Add([]byte{31, 3, 0, 9, 0, 0, 3, 20, 0, 0, 250, 7, 0, 0, 5, 30, 0, 0, 8, 9, 1, 0, 9, 7, 1, 0, 13})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
-		x := NewCOO(1+int(data[0]), 1+int(data[1]), 1+int(data[2]))
+		x := NewCOO(1+int(data[0])%32, 1+int(data[1])%32, 1+int(data[2])%32)
 		for p := 3; p+4 <= len(data); p += 4 {
 			c := data[p:]
 			x.Set(int(c[0])%x.DimI, int(c[1])%x.DimJ, int(c[2])%x.DimK, float64(int8(c[3]))/7)
