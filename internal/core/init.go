@@ -108,11 +108,7 @@ func (m *Model) spectralInit(x *tensor.COO, rng *rand.Rand) error {
 		if err != nil {
 			return fmt.Errorf("core: spectral init mode %d: %w", md.mode, err)
 		}
-		for t := 0; t < m.Rank; t++ {
-			for i := 0; i < md.dst.Rows; i++ {
-				md.dst.Set(i, t, eig.Vectors.At(i, t))
-			}
-		}
+		copy(md.dst.Data, eig.Vectors.Data) // both dst.Rows × Rank
 		// The check-in tensor is non-negative, so the useful part of each
 		// eigenvector is one sign lobe (the leading one is non-negative
 		// outright by Perron-Frobenius). As in the NNDSVD initialization for

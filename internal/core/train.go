@@ -372,11 +372,10 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 }
 
 // drawCeiling bounds the engine RNG draws a run of this configuration can
-// have consumed after epochs epochs: at most two rand calls per factor cell
-// in initialization, three Intn calls per negative-sampling attempt and one
-// per subsampled Hausdorff user each epoch. The rejection loops of Intn,
-// Float64 and NormFloat64 repeat with probability below 2 % at these sizes;
-// the safety factor 4 and the 1 024 spare draws cover them.
+// have consumed after epochs epochs: two rand calls per factor cell at
+// initialization, then each epoch three Intn calls per negative-sampling
+// attempt and one per subsampled Hausdorff user. The safety factor 4 and the
+// 1 024 spare draws cover the retries of rand's rejection loops (below 2 %).
 func drawCeiling(m *Model, x *tensor.COO, cfg Config, epochs int) uint64 {
 	var perEpoch uint64
 	if cfg.NegSampling {

@@ -132,9 +132,6 @@ func TopEigenvectors(a *CSR, r, maxIter int, rng *rand.Rand) (*EigenResult, erro
 	if r <= 0 || r > n {
 		return nil, fmt.Errorf("mat: TopEigenvectors rank %d out of range (1..%d)", r, n)
 	}
-	if maxIter <= 0 {
-		maxIter = 200
-	}
 	// The basis and its image are held transposed (r×n, one vector per row)
 	// so the QR, the probe and qᵀAq walk contiguous memory.
 	q := RandomNormal(n, r, 1, rng).T()
@@ -187,8 +184,7 @@ func nonzeroRows(a *Matrix) *CSR {
 	for i := 0; i < a.Rows; i++ {
 		for k, v := range a.Row(i) {
 			if v != 0 {
-				s.Idx = append(s.Idx, int32(k))
-				s.Val = append(s.Val, v)
+				s.Idx, s.Val = append(s.Idx, int32(k)), append(s.Val, v)
 			}
 		}
 		s.Ptr[i+1] = len(s.Idx)
@@ -200,9 +196,8 @@ func nonzeroRows(a *Matrix) *CSR {
 func (s *CSR) Dense() *Matrix {
 	out := New(s.Rows, s.Cols)
 	for i := 0; i < s.Rows; i++ {
-		row := out.Row(i)
 		for p := s.Ptr[i]; p < s.Ptr[i+1]; p++ {
-			row[s.Idx[p]] = s.Val[p]
+			out.Set(i, int(s.Idx[p]), s.Val[p])
 		}
 	}
 	return out

@@ -31,32 +31,44 @@ func ThinSVD(a *Matrix, k int, rng *rand.Rand) (*SVDResult, error) {
 		return nil, fmt.Errorf("mat: ThinSVD rank %d out of range (1..%d)", k, minDim)
 	}
 
-	// Diagonalize the smaller Gram: AᵀA (n-by-n) gives V, and U = A·V·Σ⁻¹;
-	// AAᵀ (m-by-m) gives U, and V = Aᵀ·U·Σ⁻¹.
-	gram := a.Gram
-	if n > m {
-		gram = a.GramT
+	if n <= m {
+		// Diagonalize AᵀA (n-by-n); V from eigenvectors, U = A·V·Σ⁻¹.
+		gram := a.Gram()
+		eig, err := gramEigen(gram, k, rng)
+		if err != nil {
+			return nil, err
+		}
+		v := eig.Vectors
+		s := make([]float64, k)
+		for i := 0; i < k; i++ {
+			ev := eig.Values[i]
+			if ev < 0 {
+				ev = 0
+			}
+			s[i] = math.Sqrt(ev)
+		}
+		u := a.Mul(v)
+		normalizeColumns(u, s)
+		return &SVDResult{U: u, S: s, V: v}, nil
 	}
-	eig, err := gramEigen(gram(), k, rng)
+	// Diagonalize AAᵀ (m-by-m); U from eigenvectors, V = Aᵀ·U·Σ⁻¹.
+	gram := a.GramT()
+	eig, err := gramEigen(gram, k, rng)
 	if err != nil {
 		return nil, err
 	}
+	u := eig.Vectors
 	s := make([]float64, k)
-	for i := range s {
+	for i := 0; i < k; i++ {
 		ev := eig.Values[i]
 		if ev < 0 {
 			ev = 0
 		}
 		s[i] = math.Sqrt(ev)
 	}
-	if n <= m {
-		u := a.Mul(eig.Vectors)
-		normalizeColumns(u, s)
-		return &SVDResult{U: u, S: s, V: eig.Vectors}, nil
-	}
-	v := a.TMul(eig.Vectors)
+	v := a.TMul(u)
 	normalizeColumns(v, s)
-	return &SVDResult{U: eig.Vectors, S: s, V: v}, nil
+	return &SVDResult{U: u, S: s, V: v}, nil
 }
 
 // gramEigen picks the right eigensolver for a symmetric PSD Gram matrix: full

@@ -1,8 +1,7 @@
-// Package tensor implements sparse order-3 tensors together with the
-// algebra the paper's models need: MTTKRP (matricized tensor times
-// Khatri-Rao product) for ALS sweeps, sparse Gram matrices of unfoldings for
-// the TCSS spectral initialization, and train/test splitting of observed
-// entries. No dense unfolding is ever built.
+// Package tensor implements sparse order-3 tensors with the algebra the
+// paper's models need: MTTKRP (matricized tensor times Khatri-Rao product)
+// for ALS sweeps, sparse Gram matrices of unfoldings for the TCSS spectral
+// initialization, and train/test splitting of observed entries.
 //
 // Axis convention follows the paper: mode 1 indexes users (I), mode 2 indexes
 // POIs (J), mode 3 indexes time units (K).
