@@ -24,6 +24,7 @@ func TestSpectralInitPinned(t *testing.T) {
 		"svd":       "4ea6c6ff744cc694e8adc389b9ca70f555e8edaf541533d6a8a149762203232b",
 		"hausdorff": "408b617ee6a9ce03bcd705f2a1969983c80ee58c1577e333014116526c60220c",
 		"init-frac": "f3b8d7f45c428014b5cef0023f4e3e1ff543b0ec9647722064846cdb6c75efd5",
+		"svd-wide":  "f0b8cf060ed3cd9386925605f534ef510401889d459c1d96cc43b27748da8d6d",
 	}
 	got := map[string]string{}
 	digest := func(name string, fill func(word func(float64))) {
@@ -89,23 +90,36 @@ func TestSpectralInitPinned(t *testing.T) {
 			sparse.Data[i] = 1
 		}
 	}
-	digest("svd", func(word func(float64)) {
-		for _, a := range []*mat.Matrix{dense, sparse} {
-			svd, err := mat.ThinSVD(a, 8, rand.New(rand.NewSource(2)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range svd.S {
-				word(v)
-			}
-			for _, v := range svd.U.Data {
-				word(v)
-			}
-			for _, v := range svd.V.Data {
-				word(v)
+	svds := func(as ...*mat.Matrix) func(word func(float64)) {
+		return func(word func(float64)) {
+			for _, a := range as {
+				svd, err := mat.ThinSVD(a, 8, rand.New(rand.NewSource(2)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range svd.S {
+					word(v)
+				}
+				for _, v := range svd.U.Data {
+					word(v)
+				}
+				for _, v := range svd.V.Data {
+					word(v)
+				}
 			}
 		}
-	})
+	}
+	digest("svd", svds(dense, sparse))
+	// The same shapes transposed, wider than tall: ThinSVD then diagonalises
+	// the row Gram A·Aᵀ (Jacobi at 90, orthogonal iteration at 180).
+	wideDense := mat.Random(90, 120, 1, rng)
+	wideSparse := mat.New(180, 240)
+	for i := range wideSparse.Data {
+		if rng.Float64() < 0.05 {
+			wideSparse.Data[i] = 1
+		}
+	}
+	digest("svd-wide", svds(wideDense, wideSparse))
 
 	// The Hausdorff head on that initial model, serially so the digest does
 	// not depend on the machine's core count.
@@ -132,7 +146,7 @@ func TestSpectralInitPinned(t *testing.T) {
 		}
 	})
 
-	for _, name := range []string{"init", "init-frac", "svd", "hausdorff"} {
+	for _, name := range []string{"init", "init-frac", "svd", "svd-wide", "hausdorff"} {
 		if got[name] != want[name] {
 			t.Errorf("%s digest %s, want %s", name, got[name], want[name])
 		}
