@@ -62,6 +62,7 @@ type Hausdorff struct {
 	cacheInit sync.Once
 	minD      [][]float64
 	minDOnce  []sync.Once
+	rows      *distRows // the friend-POI rows the head reads
 }
 
 // NewHausdorff builds the loss head with the paper's default α = −1 and
@@ -72,8 +73,28 @@ func NewHausdorff(dist *geo.DistanceMatrix, entropyW []float64, friendPOIs [][]i
 	}
 	return &Hausdorff{
 		Dist: dist, EntropyW: entropyW, FriendPOIs: friendPOIs,
-		Alpha: -1, Epsilon: 1e-6,
+		Alpha: -1, Epsilon: 1e-6, rows: newDistRows(dist),
 	}
+}
+
+// distRows caches whole distance rows for the training loops that sweep
+// them: each row is computed from the coordinates on its first read, under
+// its own sync.Once, so it costs N Haversines once and concurrent readers of
+// different rows never contend. Only the rows read are ever held.
+type distRows struct {
+	dist *geo.DistanceMatrix
+	once []sync.Once
+	rows [][]float64
+}
+
+func newDistRows(dist *geo.DistanceMatrix) *distRows {
+	return &distRows{dist: dist, once: make([]sync.Once, dist.N), rows: make([][]float64, dist.N)}
+}
+
+// row returns the distances from POI j to every POI.
+func (c *distRows) row(j int) []float64 {
+	c.once[j].Do(func() { c.rows[j] = c.dist.Row(j, make([]float64, c.dist.N)) })
+	return c.rows[j]
 }
 
 func (h *Hausdorff) entropy(j int) float64 {
@@ -92,17 +113,20 @@ func (h *Hausdorff) minDistances(i int) []float64 {
 		h.minDOnce = make([]sync.Once, len(h.FriendPOIs))
 	})
 	h.minDOnce[i].Do(func() {
-		n := h.FriendPOIs[i]
-		inv := h.invDMax()
 		out := make([]float64, h.Dist.N)
 		for j := range out {
-			best := math.Inf(1)
-			for _, jp := range n {
-				if d := h.Dist.At(j, jp); d < best {
-					best = d
+			out[j] = math.Inf(1)
+		}
+		for _, jp := range h.FriendPOIs[i] {
+			for j, d := range h.rows.row(jp) {
+				if d < out[j] {
+					out[j] = d
 				}
 			}
-			out[j] = best * inv
+		}
+		inv := h.invDMax()
+		for j := range out {
+			out[j] *= inv
 		}
 		h.minD[i] = out
 	})
@@ -233,7 +257,7 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 	scale := h.invDMax()
 	for _, jp := range friendSet {
 		var s float64
-		drow := h.Dist.D[jp*h.Dist.N : jp*h.Dist.N+J]
+		drow := h.rows.row(jp)[:J]
 		if harmonic {
 			// Cache each reciprocal: the gradient pass needs 1/f_j² and a
 			// multiply by the stored reciprocal replaces a second division,

@@ -395,8 +395,10 @@ func drawCeiling(m *Model, x *tensor.COO, cfg Config, epochs int) uint64 {
 // bit-for-bit identical result at any worker count.
 func buildZeroOutFilter(m *Model, side *SideInfo, sigmaFrac float64, workers int) [][]bool {
 	sigma := sigmaFrac * side.Dist.DMax
+	rows := newDistRows(side.Dist)
 	filter := make([][]bool, m.I)
 	par.Do(m.I, par.Clamp(workers, m.I), func(s par.Shard) {
+		near := make([]float64, m.J) // distance to the nearest own POI, as Nearest takes it
 		for i := s.Start; i < s.End; i++ {
 			row := make([]bool, m.J)
 			own := side.OwnPOIs[i]
@@ -404,11 +406,19 @@ func buildZeroOutFilter(m *Model, side *SideInfo, sigmaFrac float64, workers int
 				for j := range row {
 					row[j] = true
 				}
-			} else {
-				for j := 0; j < m.J; j++ {
-					_, d := side.Dist.Nearest(j, own)
-					row[j] = d <= sigma
+				filter[i] = row
+				continue
+			}
+			copy(near, rows.row(own[0]))
+			for _, c := range own[1:] {
+				for j, d := range rows.row(c)[:m.J] {
+					if d < near[j] {
+						near[j] = d
+					}
 				}
+			}
+			for j, d := range near {
+				row[j] = d <= sigma
 			}
 			filter[i] = row
 		}

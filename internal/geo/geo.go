@@ -1,8 +1,9 @@
 // Package geo provides the geospatial primitives of the reproduction:
 // lat/lon points, Haversine great-circle distance (the paper's POI distance
-// function), dense POI distance matrices with the maximum pairwise distance
-// d_max, location entropy (Eq 11) for diversity weighting, and clustering
-// statistics used by the Figure 12 case study.
+// function), POI distances computed from the coordinates when read together
+// with the maximum pairwise distance d_max, location entropy (Eq 11) for
+// diversity weighting, and clustering statistics used by the Figure 12 case
+// study.
 package geo
 
 import (
@@ -40,11 +41,6 @@ type BoundingBox struct {
 	MinLat, MaxLat, MinLon, MaxLon float64
 }
 
-// Contains reports whether p lies inside the box (inclusive).
-func (b BoundingBox) Contains(p Point) bool {
-	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat && p.Lon >= b.MinLon && p.Lon <= b.MaxLon
-}
-
 // RandomPoint draws a uniform point inside the box.
 func (b BoundingBox) RandomPoint(rng *rand.Rand) Point {
 	return Point{
@@ -63,29 +59,28 @@ func Jitter(p Point, sigmaDeg float64, rng *rand.Rand) Point {
 	}
 }
 
-// DistanceMatrix holds pairwise Haversine distances between a POI set plus
-// the maximum distance d_max, which the social Hausdorff loss uses as the
-// penalty for improbable POIs (Eq 10).
+// DistanceMatrix is the Haversine distance between every pair of a POI
+// set, held as the points themselves plus the maximum distance d_max, which
+// the social Hausdorff loss uses as the penalty for improbable POIs (Eq 10).
+// A distance is computed when it is read; a caller that reads whole rows in a
+// hot loop caches them itself (Row).
 type DistanceMatrix struct {
 	N    int
-	D    []float64 // row-major n*n
+	Pts  []Point
 	DMax float64
 }
 
-// NewDistanceMatrix computes all pairwise distances between pts. It costs
-// O(n²) time and memory and is computed once per dataset.
+// NewDistanceMatrix copies pts and computes d_max over all pairs, in O(n²)
+// time and O(1) extra memory.
 func NewDistanceMatrix(pts []Point) *DistanceMatrix {
 	n := len(pts)
 	if n == 0 {
 		panic("geo: NewDistanceMatrix with no points")
 	}
-	dm := &DistanceMatrix{N: n, D: make([]float64, n*n)}
+	dm := &DistanceMatrix{N: n, Pts: append([]Point(nil), pts...)}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := Haversine(pts[i], pts[j])
-			dm.D[i*n+j] = d
-			dm.D[j*n+i] = d
-			if d > dm.DMax {
+			if d := Haversine(pts[i], pts[j]); d > dm.DMax {
 				dm.DMax = d
 			}
 		}
@@ -93,8 +88,24 @@ func NewDistanceMatrix(pts []Point) *DistanceMatrix {
 	return dm
 }
 
-// At returns the distance between POIs i and j in kilometers.
-func (dm *DistanceMatrix) At(i, j int) float64 { return dm.D[i*dm.N+j] }
+// At returns the distance between POIs i and j in kilometers: 0 on the
+// diagonal, Haversine otherwise. Haversine is bitwise symmetric, so
+// At(i, j) and At(j, i) are the same bits.
+func (dm *DistanceMatrix) At(i, j int) float64 {
+	if i == j {
+		return 0
+	}
+	return Haversine(dm.Pts[i], dm.Pts[j])
+}
+
+// Row fills dst (length N) with the distances from POI j to every POI and
+// returns it.
+func (dm *DistanceMatrix) Row(j int, dst []float64) []float64 {
+	for i := range dst {
+		dst[i] = dm.At(j, i)
+	}
+	return dst
+}
 
 // Nearest returns the index in candidates whose distance to j is smallest,
 // together with that distance. candidates must be non-empty.

@@ -2,12 +2,12 @@ package geo
 
 import "fmt"
 
-// Grown returns a new distance matrix over pts, reusing the receiver's
-// already-computed block: pts must be the full grown point list whose first
-// dm.N entries are the points dm was built from. Only the new-vs-all
-// distances are computed, so growing by Δ POIs costs O(n·Δ) instead of the
-// O(n²) of a full rebuild. The receiver is not modified — published snapshots
-// may keep referencing it.
+// Grown returns the distances over pts, which must be the full grown point
+// list whose first dm.N entries are the points dm was built from. Only the
+// new-vs-all pairs are measured, to extend d_max, so growing by Δ POIs costs
+// O(n·Δ) time. A strict-greater maximum does not depend on the order pairs are
+// visited in, so the result equals a full rebuild bit for bit. The receiver
+// is not modified — published snapshots may keep referencing it.
 func (dm *DistanceMatrix) Grown(pts []Point) *DistanceMatrix {
 	n := len(pts)
 	if n < dm.N {
@@ -16,16 +16,10 @@ func (dm *DistanceMatrix) Grown(pts []Point) *DistanceMatrix {
 	if n == dm.N {
 		return dm
 	}
-	out := &DistanceMatrix{N: n, D: make([]float64, n*n), DMax: dm.DMax}
-	for i := 0; i < dm.N; i++ {
-		copy(out.D[i*n:i*n+dm.N], dm.D[i*dm.N:(i+1)*dm.N])
-	}
+	out := &DistanceMatrix{N: n, Pts: append([]Point(nil), pts...), DMax: dm.DMax}
 	for i := dm.N; i < n; i++ {
 		for j := 0; j < i; j++ {
-			d := Haversine(pts[i], pts[j])
-			out.D[i*n+j] = d
-			out.D[j*n+i] = d
-			if d > out.DMax {
+			if d := Haversine(pts[i], pts[j]); d > out.DMax {
 				out.DMax = d
 			}
 		}

@@ -1,9 +1,50 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
+
+// denseDistances is the dense n×n fill NewDistanceMatrix made while it held
+// an array: Haversine(small, large) mirrored into both halves, and d_max as
+// the strict-greater maximum over the upper triangle. It is the bit-for-bit
+// reference for the points-backed distances.
+func denseDistances(pts []Point) (d []float64, dmax float64) {
+	n := len(pts)
+	d = make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := Haversine(pts[i], pts[j])
+			d[i*n+j] = v
+			d[j*n+i] = v
+			if v > dmax {
+				dmax = v
+			}
+		}
+	}
+	return d, dmax
+}
+
+// sameAsDense fails unless At, Row and DMax of dm equal the dense reference
+// over pts bit for bit.
+func sameAsDense(t *testing.T, name string, dm *DistanceMatrix, pts []Point) {
+	t.Helper()
+	want, wantMax := denseDistances(pts)
+	n := len(pts)
+	if dm.N != n || math.Float64bits(dm.DMax) != math.Float64bits(wantMax) {
+		t.Fatalf("%s: N = %d, DMax = %v; want %d, %v", name, dm.N, dm.DMax, n, wantMax)
+	}
+	row := make([]float64, n)
+	for i := 0; i < n; i++ {
+		dm.Row(i, row)
+		for j, w := range want[i*n : (i+1)*n] {
+			if math.Float64bits(dm.At(i, j)) != math.Float64bits(w) || math.Float64bits(row[j]) != math.Float64bits(w) {
+				t.Fatalf("%s: At(%d,%d) = %v, Row = %v, dense = %v", name, i, j, dm.At(i, j), row[j], w)
+			}
+		}
+	}
+}
 
 func TestDistanceMatrixGrown(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -14,25 +55,31 @@ func TestDistanceMatrixGrown(t *testing.T) {
 	}
 	base := NewDistanceMatrix(pts[:8])
 	grown := base.Grown(pts)
-	full := NewDistanceMatrix(pts)
-	if grown.N != 12 {
-		t.Fatalf("grown.N = %d", grown.N)
-	}
-	for i := 0; i < 12; i++ {
-		for j := 0; j < 12; j++ {
-			if grown.At(i, j) != full.At(i, j) {
-				t.Fatalf("Grown.At(%d,%d) = %g, full rebuild = %g", i, j, grown.At(i, j), full.At(i, j))
-			}
-		}
-	}
-	if grown.DMax != full.DMax {
-		t.Errorf("DMax = %g, want %g", grown.DMax, full.DMax)
-	}
-	if base.N != 8 {
-		t.Error("Grown mutated the receiver")
-	}
+	sameAsDense(t, "grown", grown, pts)
+	sameAsDense(t, "base", base, pts[:8])
 	if same := base.Grown(pts[:8]); same != base {
 		t.Error("no-op Grown should return the receiver")
+	}
+}
+
+// TestDistanceMatrixMatchesDense reads every distance of seeded point sets,
+// within one city (a 0.2° box) and over the globe, built at once and grown in
+// two steps, against the dense reference.
+func TestDistanceMatrixMatchesDense(t *testing.T) {
+	for _, scale := range []struct {
+		name string
+		box  BoundingBox
+	}{
+		{"city", BoundingBox{MinLat: 38.8, MaxLat: 39, MinLon: -77.2, MaxLon: -77}},
+		{"global", BoundingBox{MinLat: -80, MaxLat: 80, MinLon: -180, MaxLon: 180}},
+	} {
+		rng := rand.New(rand.NewSource(9))
+		pts := make([]Point, 300)
+		for i := range pts {
+			pts[i] = scale.box.RandomPoint(rng)
+		}
+		sameAsDense(t, scale.name, NewDistanceMatrix(pts), pts)
+		sameAsDense(t, scale.name+" grown", NewDistanceMatrix(pts[:150]).Grown(pts[:290]).Grown(pts), pts)
 	}
 }
 
