@@ -97,6 +97,16 @@ func (c *distRows) row(j int) []float64 {
 	return c.rows[j]
 }
 
+// lower sets each dst[k] to the distance between POIs j and k where that is
+// smaller, as Nearest compares (a NaN distance never wins).
+func (c *distRows) lower(dst []float64, j int) {
+	for k, d := range c.row(j)[:len(dst)] {
+		if d < dst[k] {
+			dst[k] = d
+		}
+	}
+}
+
 func (h *Hausdorff) entropy(j int) float64 {
 	if h.EntropyW == nil {
 		return 1
@@ -118,11 +128,7 @@ func (h *Hausdorff) minDistances(i int) []float64 {
 			out[j] = math.Inf(1)
 		}
 		for _, jp := range h.FriendPOIs[i] {
-			for j, d := range h.rows.row(jp) {
-				if d < out[j] {
-					out[j] = d
-				}
-			}
+			h.rows.lower(out, jp)
 		}
 		inv := h.invDMax()
 		for j := range out {

@@ -401,26 +401,21 @@ func buildZeroOutFilter(m *Model, side *SideInfo, sigmaFrac float64, workers int
 		near := make([]float64, m.J) // distance to the nearest own POI, as Nearest takes it
 		for i := s.Start; i < s.End; i++ {
 			row := make([]bool, m.J)
+			filter[i] = row
 			own := side.OwnPOIs[i]
 			if len(own) == 0 {
 				for j := range row {
 					row[j] = true
 				}
-				filter[i] = row
 				continue
 			}
 			copy(near, rows.row(own[0]))
 			for _, c := range own[1:] {
-				for j, d := range rows.row(c)[:m.J] {
-					if d < near[j] {
-						near[j] = d
-					}
-				}
+				rows.lower(near, c)
 			}
 			for j, d := range near {
 				row[j] = d <= sigma
 			}
-			filter[i] = row
 		}
 	})
 	return filter
