@@ -23,41 +23,22 @@ type SVDResult struct {
 // check-in matrices and is entirely self-contained.
 func ThinSVD(a *Matrix, k int, rng *rand.Rand) (*SVDResult, error) {
 	m, n := a.Rows, a.Cols
-	minDim := m
-	if n < minDim {
-		minDim = n
-	}
+	minDim := min(m, n)
 	if k <= 0 || k > minDim {
 		return nil, fmt.Errorf("mat: ThinSVD rank %d out of range (1..%d)", k, minDim)
 	}
 
-	if n <= m {
-		// Diagonalize AᵀA (n-by-n); V from eigenvectors, U = A·V·Σ⁻¹.
-		gram := a.Gram()
-		eig, err := gramEigen(gram, k, rng)
-		if err != nil {
-			return nil, err
-		}
-		v := eig.Vectors
-		s := make([]float64, k)
-		for i := 0; i < k; i++ {
-			ev := eig.Values[i]
-			if ev < 0 {
-				ev = 0
-			}
-			s[i] = math.Sqrt(ev)
-		}
-		u := a.Mul(v)
-		normalizeColumns(u, s)
-		return &SVDResult{U: u, S: s, V: v}, nil
+	// A tall matrix diagonalizes AᵀA (n-by-n) for V and recovers U = A·V·Σ⁻¹;
+	// a wide one diagonalizes AAᵀ (m-by-m) for U and recovers V = Aᵀ·U·Σ⁻¹.
+	tall := n <= m
+	gram, product := a.GramT, a.TMul
+	if tall {
+		gram, product = a.Gram, a.Mul
 	}
-	// Diagonalize AAᵀ (m-by-m); U from eigenvectors, V = Aᵀ·U·Σ⁻¹.
-	gram := a.GramT()
-	eig, err := gramEigen(gram, k, rng)
+	eig, err := gramEigen(gram(), k, rng)
 	if err != nil {
 		return nil, err
 	}
-	u := eig.Vectors
 	s := make([]float64, k)
 	for i := 0; i < k; i++ {
 		ev := eig.Values[i]
@@ -66,9 +47,12 @@ func ThinSVD(a *Matrix, k int, rng *rand.Rand) (*SVDResult, error) {
 		}
 		s[i] = math.Sqrt(ev)
 	}
-	v := a.TMul(u)
-	normalizeColumns(v, s)
-	return &SVDResult{U: u, S: s, V: v}, nil
+	other := product(eig.Vectors)
+	normalizeColumns(other, s)
+	if tall {
+		return &SVDResult{U: other, S: s, V: eig.Vectors}, nil
+	}
+	return &SVDResult{U: eig.Vectors, S: s, V: other}, nil
 }
 
 // gramEigen picks the right eigensolver for a symmetric PSD Gram matrix: full
