@@ -5,7 +5,7 @@ GO ?= go
 # `make bench-all`; the repository's benchmark is `make benchmark`.
 KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)|BenchmarkDotRows'
 
-.PHONY: build test race vet fmt bench bench-all bench-test benchmark check gradcheck fuzz \
+.PHONY: build test race vet fmt loc bench bench-all bench-test benchmark check gradcheck fuzz \
 	golden-update serve loadgen smoke
 
 build:
@@ -29,6 +29,13 @@ vet:
 # Fails when any tracked Go file is not gofmt-clean.
 fmt:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
+
+# Size of the program: non-test Go outside bench/, as raw lines and as
+# non-blank lines that are not // comments.
+GO_SOURCES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat
+loc:
+	@echo "raw  $$($(GO_SOURCES) | wc -l)"
+	@echo "code $$($(GO_SOURCES) | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l)"
 
 # Kernel benchmarks; raw output lands in bench_kernels.txt.
 bench:
