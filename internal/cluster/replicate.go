@@ -26,9 +26,8 @@ type Replicator struct {
 	Server *serve.Server
 	// Primary is the base URL of the shard primary, e.g. "http://127.0.0.1:8001".
 	Primary string
-	// Dist is the replica's local POI distance matrix, grafted into shipped
-	// side information (the wire format deliberately excludes the O(J²)
-	// static matrix).
+	// Dist is the replica's local POI geography (coordinates and d_max),
+	// grafted into shipped side information, which does not carry it.
 	Dist *geo.DistanceMatrix
 	// Client is the HTTP client for fetches; http.DefaultClient when nil.
 	// Hung primaries are bounded by SyncTimeout, not a client-wide timeout.
@@ -143,9 +142,9 @@ func (r *Replicator) SyncOnce(ctx context.Context) (gen uint64, applied bool, er
 		r.Server.RecordReplication(err)
 		return after, false, err
 	}
-	// Open-world growth at the primary may have extended the distance matrix
+	// Open-world growth at the primary may have extended the POI geography
 	// (DecodeShipment grew or rebuilt it from shipped coordinates); keep the
-	// grown matrix as the local baseline so the next sync grafts it directly.
+	// grown one as the local baseline so the next sync grafts it directly.
 	if side.Dist != nil && (r.Dist == nil || side.Dist.N > r.Dist.N) {
 		r.Dist = side.Dist
 	}

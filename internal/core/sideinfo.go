@@ -11,7 +11,7 @@ import (
 )
 
 // SideInfo bundles the social-spatial side information the TCSS loss heads
-// consume: the POI distance matrix, the location-entropy weights e_j, and
+// consume: the POI distances, the location-entropy weights e_j, and
 // the per-user POI sets derived from the TRAINING tensor only (so no test
 // information leaks into the regularizer).
 type SideInfo struct {
@@ -22,15 +22,14 @@ type SideInfo struct {
 	// FriendPOIs[v] is N(v): the sorted union of training POIs visited by
 	// v's friends (Eq 8).
 	FriendPOIs [][]int
-	// Locs, when non-nil, holds the POI coordinates Dist was computed from
-	// (len == Dist.N). The fold leaves it nil; the tcss layer fills it in so
-	// snapshot shipping can extend a replica's distance matrix when the
-	// shipped model has grown beyond it.
+	// Locs, when non-nil, holds the POI coordinates of Dist (len == Dist.N)
+	// for snapshot shipping, so a replica whose distances predate growth can
+	// extend them. The fold leaves it nil; the tcss layer fills it in.
 	Locs []geo.Point
 }
 
 // BuildSideInfo derives side information from the social graph, the POI
-// distance matrix and the observed training tensor: GrowSideInfo with every
+// distances and the observed training tensor: GrowSideInfo with every
 // row recomputed.
 func BuildSideInfo(social *graph.Graph, dist *geo.DistanceMatrix, train *tensor.COO) (*SideInfo, error) {
 	return GrowSideInfo(nil, social, dist, train, nil)
@@ -51,7 +50,9 @@ func BuildSideInfo(social *graph.Graph, dist *geo.DistanceMatrix, train *tensor.
 // (copy-on-write at row granularity).
 //
 // social and dist must already cover train's dimensions (grow them first with
-// graph.AddVertices / geo.DistanceMatrix.Grown).
+// graph.AddVertices / geo.DistanceMatrix.Grown). dist is shared, not copied:
+// it holds only the coordinates and d_max, so a fold costs nothing
+// quadratic.
 func GrowSideInfo(old *SideInfo, social *graph.Graph, dist *geo.DistanceMatrix, train *tensor.COO, touched []tensor.Entry) (*SideInfo, error) {
 	if social.N() != train.DimI {
 		return nil, fmt.Errorf("core: social graph covers %d users, tensor has %d", social.N(), train.DimI)

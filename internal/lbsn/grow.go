@@ -15,9 +15,10 @@ import (
 // entities if check-ins ever arrive for them.
 //
 // The receiver is not mutated — it may back already-published state. The
-// check-in history is shared with the receiver; the distance cache, when
-// already computed, is extended incrementally (O(n·Δ), see
-// geo.DistanceMatrix.Grown) rather than rebuilt.
+// check-in history is shared with the receiver; the cached distances, when
+// already computed, are extended to the grown coordinates, with d_max taken
+// over the new pairs only (O(n·Δ), see geo.DistanceMatrix.Grown) rather than
+// all pairs again.
 func (d *Dataset) Grown(newUsers []NewUser, newPOIs []POI, minUsers, minPOIs int) (*Dataset, error) {
 	if minUsers < d.NumUsers {
 		minUsers = d.NumUsers

@@ -185,7 +185,8 @@ func (d *Dataset) Locations() []geo.Point {
 	return pts
 }
 
-// Distances returns the (cached) pairwise POI distance matrix.
+// Distances returns the (cached) POI distances: the coordinates and d_max,
+// which costs O(J²) Haversines on the first call.
 func (d *Dataset) Distances() *geo.DistanceMatrix {
 	if d.distCache == nil {
 		d.distCache = geo.NewDistanceMatrix(d.Locations())

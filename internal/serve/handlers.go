@@ -537,8 +537,9 @@ func (s *Server) spawnShadow(name string, q *readRequest, primary []core.Recomme
 
 // maxGrowPerBatch bounds how many rows one observe batch may append to the
 // user or the POI dimension (DESIGN §13): an id near MaxInt would overflow
-// the dimension arithmetic, and a far POI id would size the quadratic POI
-// distance matrix (id 100 000 asks for ~81 GB).
+// the dimension arithmetic, and every id below a far one becomes a
+// placeholder row whose d_max pairs are measured against all POIs (Δ·J
+// Haversines: minutes for a POI id of 100 000).
 const maxGrowPerBatch = 1024
 
 // observeBatch validates a decoded observe request against the snapshot's

@@ -23,19 +23,18 @@ const ShipVersion = 1
 var errShipVersion = errors.New("serve: unsupported shipment wire version")
 
 // ShippedSide is the dynamic part of core.SideInfo that travels with a
-// shipped snapshot. The POI distance matrix is deliberately excluded: it is
-// derived from static POI geography, identical on every node that loaded the
-// same dataset, and O(J²) — shipping it would dominate the wire size for no
-// information. DecodeShipment grafts the receiver's local distance matrix
-// back in.
+// shipped snapshot. The POI distances are not part of it: they derive from
+// static POI geography, identical on every node that loaded the same
+// dataset, and d_max over them costs O(J²) Haversines to recompute.
+// DecodeShipment grafts the receiver's local geo.DistanceMatrix back in.
 type ShippedSide struct {
 	EntropyW   []float64 `json:"entropy_w"`
 	OwnPOIs    [][]int   `json:"own_pois"`
 	FriendPOIs [][]int   `json:"friend_pois"`
 	// Lats/Lons, when present, are the POI coordinates (len == model.J).
-	// They are O(J) — unlike the O(J²) matrix — and let a replica whose
-	// static distance matrix predates open-world growth extend it
-	// incrementally instead of rejecting the shipment. Optional and
+	// They let a replica whose local distances predate open-world growth
+	// extend them (d_max over the new pairs only) instead of rejecting the
+	// shipment. Optional and
 	// backward compatible: pre-growth shipments simply omit them, and the
 	// wire version stays ShipVersion 1.
 	Lats []float64 `json:"lats,omitempty"`
@@ -84,13 +83,14 @@ func EncodeShipment(snap *Snapshot) ([]byte, error) {
 }
 
 // DecodeShipment verifies and decodes a shipment produced by EncodeShipment,
-// grafting dist (the receiver's static POI distance matrix) into the side
+// grafting dist (the receiver's POI coordinates and d_max) into the side
 // information. When the shipped model has grown past dist (open-world
-// growth at the primary) and the shipment carries POI coordinates, the
-// matrix is extended incrementally (geo.DistanceMatrix.Grown) — or built
-// from scratch when dist is nil; without coordinates a dimension mismatch
-// is an error. Corruption fails with an error wrapping fault.ErrChecksum;
-// callers keep serving their last good snapshot in that case.
+// growth at the primary) and the shipment carries POI coordinates, dist is
+// extended to them (geo.DistanceMatrix.Grown: d_max over the new pairs, no
+// array) — or built from them when dist is nil, at O(J²) time for d_max;
+// without coordinates a dimension mismatch is an error. Corruption fails
+// with an error wrapping fault.ErrChecksum; callers keep serving their last
+// good snapshot in that case.
 func DecodeShipment(data []byte, dist *geo.DistanceMatrix) (*core.Model, *core.SideInfo, uint64, error) {
 	_, payload, err := fault.Unseal(data, errShipVersion, ShipVersion)
 	if err != nil {
@@ -117,7 +117,7 @@ func DecodeShipment(data []byte, dist *geo.DistanceMatrix) (*core.Model, *core.S
 	}
 	// A shipment is outside input. The scoring kernel walks each own-POI list
 	// with a cursor and panics on an unsorted one, and Explain indexes the
-	// distance matrix with both lists and reads e_j, so refuse anything a
+	// POI coordinates with both lists and reads e_j, so refuse anything a
 	// fold of the training tensor cannot produce.
 	for u := range shipped.OwnPOIs {
 		if err := checkShippedPOIs("own", u, shipped.OwnPOIs[u], model.J); err != nil {

@@ -15,7 +15,7 @@ type SideInfo = core.SideInfo
 
 // SynthServing builds a deterministic synthetic serving model: seeded random
 // factor matrices of the requested shape plus minimal side information (a
-// generated POI geography for the distance matrix, uniform entropy weights,
+// generated POI geography for the distances, uniform entropy weights,
 // empty own/friend POI sets). It skips training entirely, which makes
 // production-scale serving shapes — millions of users — constructible in
 // well under a second.
