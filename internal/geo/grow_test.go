@@ -46,40 +46,38 @@ func sameAsDense(t *testing.T, name string, dm *DistanceMatrix, pts []Point) {
 	}
 }
 
+// TestDistanceMatrixGrown reads every distance of seeded point sets, built at
+// once and grown, against the dense reference: 12 points in a 10° box grown
+// from 8, and 300 points within one city (a 0.2° box) or over the globe grown
+// from 150 in two steps.
 func TestDistanceMatrixGrown(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	box := BoundingBox{MinLat: 30, MaxLat: 40, MinLon: -100, MaxLon: -90}
-	pts := make([]Point, 12)
-	for i := range pts {
-		pts[i] = box.RandomPoint(rng)
-	}
-	base := NewDistanceMatrix(pts[:8])
-	grown := base.Grown(pts)
-	sameAsDense(t, "grown", grown, pts)
-	sameAsDense(t, "base", base, pts[:8])
-	if same := base.Grown(pts[:8]); same != base {
-		t.Error("no-op Grown should return the receiver")
-	}
-}
-
-// TestDistanceMatrixMatchesDense reads every distance of seeded point sets,
-// within one city (a 0.2° box) and over the globe, built at once and grown in
-// two steps, against the dense reference.
-func TestDistanceMatrixMatchesDense(t *testing.T) {
-	for _, scale := range []struct {
-		name string
-		box  BoundingBox
+	for _, tc := range []struct {
+		name  string
+		box   BoundingBox
+		n     int
+		steps []int // the prefixes built, then grown through, before all n
 	}{
-		{"city", BoundingBox{MinLat: 38.8, MaxLat: 39, MinLon: -77.2, MaxLon: -77}},
-		{"global", BoundingBox{MinLat: -80, MaxLat: 80, MinLon: -180, MaxLon: 180}},
+		{"region", BoundingBox{MinLat: 30, MaxLat: 40, MinLon: -100, MaxLon: -90}, 12, []int{8}},
+		{"city", BoundingBox{MinLat: 38.8, MaxLat: 39, MinLon: -77.2, MaxLon: -77}, 300, []int{150, 290}},
+		{"global", BoundingBox{MinLat: -80, MaxLat: 80, MinLon: -180, MaxLon: 180}, 300, []int{150, 290}},
 	} {
-		rng := rand.New(rand.NewSource(9))
-		pts := make([]Point, 300)
+		rng := rand.New(rand.NewSource(5))
+		pts := make([]Point, tc.n)
 		for i := range pts {
-			pts[i] = scale.box.RandomPoint(rng)
+			pts[i] = tc.box.RandomPoint(rng)
 		}
-		sameAsDense(t, scale.name, NewDistanceMatrix(pts), pts)
-		sameAsDense(t, scale.name+" grown", NewDistanceMatrix(pts[:150]).Grown(pts[:290]).Grown(pts), pts)
+		sameAsDense(t, tc.name, NewDistanceMatrix(pts), pts)
+		base := NewDistanceMatrix(pts[:tc.steps[0]])
+		grown := base
+		for _, n := range tc.steps[1:] {
+			grown = grown.Grown(pts[:n])
+		}
+		grown = grown.Grown(pts)
+		sameAsDense(t, tc.name+" grown", grown, pts)
+		sameAsDense(t, tc.name+" receiver", base, pts[:tc.steps[0]])
+		if same := grown.Grown(pts); same != grown {
+			t.Errorf("%s: no-op Grown should return the receiver", tc.name)
+		}
 	}
 }
 
