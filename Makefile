@@ -31,11 +31,14 @@ fmt:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # Size of the program: non-test Go outside bench/, as raw lines and as
-# non-blank lines that are not // comments.
+# non-blank lines that are not // comments; then raw lines of test Go outside
+# bench/, so a move into a test file shows on both sides.
 GO_SOURCES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat
+GO_TESTS = find . -name '*_test.go' ! -path './bench/*' | xargs cat
 loc:
 	@echo "raw  $$($(GO_SOURCES) | wc -l)"
 	@echo "code $$($(GO_SOURCES) | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l)"
+	@echo "test $$($(GO_TESTS) | wc -l)"
 
 # Kernel benchmarks; raw output lands in bench_kernels.txt.
 bench:
@@ -76,11 +79,13 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) ./internal/check || exit 1; \
 	done
 	@# The wire decoders every process trusts (the gateway decodes NodeMetrics
-	@# from every shard on every scrape), and the node's observe validation.
+	@# from every shard on every scrape), and the node's observe and read
+	@# validation.
 	for t in FuzzDeadlineBudget FuzzObserveDecode FuzzNodeMetricsDecode; do \
 		$(GO) test -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/wire || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz FuzzObserveValidate -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzReadRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/serve
 	@# The decoders behind every file load and every replica shipment. The
 	@# minimizer would otherwise spend up to a minute on the first new input.
 	$(GO) test -run '^$$' -fuzz FuzzReadFramed -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/fault

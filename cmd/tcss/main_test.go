@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tcss"
+	"tcss/internal/core"
 )
 
 func TestParseGranularity(t *testing.T) {
@@ -44,7 +45,7 @@ func TestApplyVariant(t *testing.T) {
 
 func TestApplyInit(t *testing.T) {
 	cfg := tcss.DefaultConfig()
-	for in, want := range map[string]tcss.InitMethod{
+	for in, want := range map[string]core.InitMethod{
 		"spectral": tcss.SpectralInit, "random": tcss.RandomInit, "one-hot": tcss.OneHotInit,
 	} {
 		if err := applyInit(&cfg, in); err != nil || cfg.Init != want {
@@ -181,7 +182,7 @@ func TestServeRejectsCompactModelFileWithGrow(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := tcss.DefaultConfig()
-	cfg.Epochs, cfg.Rank, cfg.Storage = 1, 2, tcss.StorageInt8
+	cfg.Epochs, cfg.Rank, cfg.Storage = 1, 2, core.StorageInt8
 	rec, err := tcss.Fit(ds, tcss.Month, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func TestLargeCatalogueHeap(t *testing.T) {
 		t.Fatalf("Recommend returned %d POIs", len(recs))
 	}
 	live("Recommend")
-	if ex := rec.Explain(0, 1, 0); ex.NearestOwnPOI < 0 {
+	if ex := rec.Model.Explain(rec.Side, 0, 1, 0); ex.NearestOwnPOI < 0 {
 		t.Fatalf("Explain found no own POI: %+v", ex)
 	}
 	live("Explain")

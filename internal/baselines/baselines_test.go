@@ -148,8 +148,8 @@ func TestCPFitErrorDecreasesWithSweeps(t *testing.T) {
 		t.Fatalf("more ALS sweeps must not increase fit error: 1 sweep %g, 8 sweeps %g", e1, e8)
 	}
 	// The rank-4 fit must explain some of the data.
-	if e8 >= fx.ctx.Train.FrobNormSq() {
-		t.Fatalf("CP fit error %g no better than the zero model %g", e8, fx.ctx.Train.FrobNormSq())
+	if e8 >= frobNormSq(fx.ctx.Train) {
+		t.Fatalf("CP fit error %g no better than the zero model %g", e8, frobNormSq(fx.ctx.Train))
 	}
 }
 
@@ -506,4 +506,22 @@ func TestScoreIsSafeAcrossRankingWorkers(t *testing.T) {
 			t.Errorf("%s: Workers 1 ranked %+v, Workers 4 ranked %+v", m.Name(), one, four)
 		}
 	}
+}
+
+// userFactorDistance returns the mean squared distance between friend user
+// factors, the quantity TenInt's regularizer minimizes; tests assert it is
+// smaller than for non-friend pairs.
+func (t *TenInt) userFactorDistance(pairs [][2]int) float64 {
+	if len(pairs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, p := range pairs {
+		a, b := t.u1.Row(p[0]), t.u1.Row(p[1])
+		for d := range a {
+			diff := a[d] - b[d]
+			sum += diff * diff
+		}
+	}
+	return sum / float64(len(pairs))
 }

@@ -92,19 +92,6 @@ func (c *CoSTCo) build(dims [3]int, r int, rng *rand.Rand) {
 	c.head = nn.NewMLP("costco.head", ch, []int{ch}, 1, nn.ReLU, rng)
 }
 
-// zeroGrad clears every gradient accumulator, the test-facing counterpart of
-// step's post-update clear.
-func (c *CoSTCo) zeroGrad() {
-	zeroSlice(c.gw1)
-	zeroSlice(c.gb1)
-	zeroSlice(c.gw2)
-	zeroSlice(c.gb2)
-	c.emb[0].ZeroGrad()
-	c.emb[1].ZeroGrad()
-	c.emb[2].ZeroGrad()
-	c.head.ZeroGrad()
-}
-
 func xavierSlice(n, fan int, rng *rand.Rand) []float64 {
 	w := make([]float64, n)
 	limit := math.Sqrt(6 / float64(fan))
@@ -217,12 +204,6 @@ func (c *CoSTCo) trainStep(e tensor.Entry) float64 {
 	c.emb[1].Accumulate(e.J, dStack[r:2*r])
 	c.emb[2].Accumulate(e.K, dStack[2*r:])
 	return logLoss(cc.logit, e.Val)
-}
-
-func zeroSlice(x []float64) {
-	for i := range x {
-		x[i] = 0
-	}
 }
 
 // Score implements Recommender.

@@ -92,20 +92,3 @@ func hadamardGram(a, b *mat.Matrix) *mat.Matrix {
 func (c *CP) Score(i, j, k int) float64 {
 	return tensor.CPValue(c.u1, c.u2, c.u3, nil, i, j, k)
 }
-
-// fitError returns the full-tensor squared reconstruction error
-// ‖X − X̂‖²_F, computed sparsely through the Gram identity
-// ‖X̂‖² = Σ_{ab} (U1ᵀU1 ⊙ U2ᵀU2 ⊙ U3ᵀU3)_{ab}. Tests use it to check that
-// ALS sweeps never increase the objective.
-func (c *CP) fitError(x *tensor.COO) float64 {
-	g1, g2, g3 := c.u1.Gram(), c.u2.Gram(), c.u3.Gram()
-	var normSq float64
-	for i := range g1.Data {
-		normSq += g1.Data[i] * g2.Data[i] * g3.Data[i]
-	}
-	var cross float64
-	for _, e := range x.Entries() {
-		cross += e.Val * c.Score(e.I, e.J, e.K)
-	}
-	return x.FrobNormSq() - 2*cross + normSq
-}

@@ -207,3 +207,42 @@ func TestTuckerResidualNonIncreasing(t *testing.T) {
 		prev = cur
 	}
 }
+
+// zeroGrad clears every gradient accumulator, the test-facing counterpart of
+// step's post-update clear.
+func (c *CoSTCo) zeroGrad() {
+	clear(c.gw1)
+	clear(c.gb1)
+	clear(c.gw2)
+	clear(c.gb2)
+	c.emb[0].ZeroGrad()
+	c.emb[1].ZeroGrad()
+	c.emb[2].ZeroGrad()
+	c.head.ZeroGrad()
+}
+
+// fitError returns the full-tensor squared reconstruction error
+// ‖X − X̂‖²_F, computed sparsely through the Gram identity
+// ‖X̂‖² = Σ_{ab} (U1ᵀU1 ⊙ U2ᵀU2 ⊙ U3ᵀU3)_{ab}. Tests use it to check that
+// ALS sweeps never increase the objective.
+func (c *CP) fitError(x *tensor.COO) float64 {
+	g1, g2, g3 := c.u1.Gram(), c.u2.Gram(), c.u3.Gram()
+	var normSq float64
+	for i := range g1.Data {
+		normSq += g1.Data[i] * g2.Data[i] * g3.Data[i]
+	}
+	var cross float64
+	for _, e := range x.Entries() {
+		cross += e.Val * c.Score(e.I, e.J, e.K)
+	}
+	return frobNormSq(x) - 2*cross + normSq
+}
+
+// frobNormSq is the squared Frobenius norm of x's stored entries.
+func frobNormSq(x *tensor.COO) float64 {
+	var s float64
+	for _, e := range x.Entries() {
+		s += e.Val * e.Val
+	}
+	return s
+}

@@ -124,21 +124,3 @@ func (t *TenInt) Score(i, j, k int) float64 {
 	}
 	return tensor.CPValue(t.u1, t.u2, t.u3, nil, i, j, k)
 }
-
-// userFactorDistance returns the mean squared distance between friend user
-// factors, the quantity TenInt's regularizer minimizes; tests assert it is
-// smaller than for non-friend pairs.
-func (t *TenInt) userFactorDistance(pairs [][2]int) float64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range pairs {
-		a, b := t.u1.Row(p[0]), t.u1.Row(p[1])
-		for d := range a {
-			diff := a[d] - b[d]
-			sum += diff * diff
-		}
-	}
-	return sum / float64(len(pairs))
-}

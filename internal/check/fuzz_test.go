@@ -28,10 +28,9 @@ func (r *fuzzRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
 func (r *fuzzRNG) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
-// FuzzCOOInvariants drives a random Set/Add/Scale script against a plain map
-// reference and asserts the tensor agrees cell-for-cell, that NNZ matches the
-// reference support exactly (Set-to-zero must delete), and that FrobNormSq
-// matches the reference sum.
+// FuzzCOOInvariants drives a random Set/Add script against a plain map
+// reference and asserts the tensor agrees cell-for-cell and that NNZ matches
+// the reference support exactly (Set-to-zero must delete).
 func FuzzCOOInvariants(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(3), uint8(2), uint16(12))
 	f.Add(uint64(99), uint8(1), uint8(1), uint8(1), uint16(3))
@@ -45,7 +44,7 @@ func FuzzCOOInvariants(f *testing.F) {
 		for op := 0; op < n; op++ {
 			i, j, k := rng.intn(I), rng.intn(J), rng.intn(K)
 			v := math.Round(rng.float()*8-4) / 2 // small half-integers incl. 0
-			switch rng.intn(3) {
+			switch rng.intn(2) {
 			case 0:
 				x.Set(i, j, k, v)
 				if v == 0 {
@@ -60,27 +59,15 @@ func FuzzCOOInvariants(f *testing.F) {
 				} else {
 					ref[[3]int{i, j, k}] = nv
 				}
-			case 2:
-				s := math.Round(rng.float()*4-2)/2 + 1 // in {0, ±0.5, …}, usually ≠ 1
-				x.Scale(s)
-				for key, v := range ref {
-					if nv := v * s; nv == 0 {
-						delete(ref, key)
-					} else {
-						ref[key] = nv
-					}
-				}
 			}
 		}
 		if x.NNZ() != len(ref) {
 			t.Fatalf("NNZ %d, reference support %d", x.NNZ(), len(ref))
 		}
-		var wantFrob float64
 		for key, v := range ref {
 			if got := x.At(key[0], key[1], key[2]); got != v {
 				t.Fatalf("At(%v) = %g, reference %g", key, got, v)
 			}
-			wantFrob += v * v
 		}
 		for _, e := range x.Entries() {
 			if ref[[3]int{e.I, e.J, e.K}] != e.Val {
@@ -89,9 +76,6 @@ func FuzzCOOInvariants(f *testing.F) {
 			if !x.Has(e.I, e.J, e.K) {
 				t.Fatalf("Has(%d,%d,%d) false for stored entry", e.I, e.J, e.K)
 			}
-		}
-		if got := x.FrobNormSq(); math.Abs(got-wantFrob) > 1e-9*(1+wantFrob) {
-			t.Fatalf("FrobNormSq %g, reference %g", got, wantFrob)
 		}
 	})
 }
@@ -230,9 +214,8 @@ func FuzzScoreSlabVsPredict(f *testing.F) {
 
 // FuzzHausdorffSymmetry asserts the social head's structural invariants on
 // random geometry: the distance matrix is symmetric with zero diagonal, the
-// loss is identical at any worker count, finite and non-negative, invariant
-// under permuting a user's friend-POI set, and the generalized mean stays
-// within [min, max] of the distances it aggregates.
+// loss is identical at any worker count, finite and non-negative, and
+// invariant under permuting a user's friend-POI set.
 func FuzzHausdorffSymmetry(f *testing.F) {
 	f.Add(uint64(3), uint8(5), uint8(6), uint8(2))
 	f.Add(uint64(77), uint8(3), uint8(4), uint8(3))
@@ -322,17 +305,5 @@ func FuzzHausdorffSymmetry(f *testing.F) {
 			t.Fatalf("loss changed under friend-set permutation: %.17g vs %.17g", permuted, serial)
 		}
 
-		// GeneralizedMean must stay within the range of its inputs.
-		vals := make([]float64, rng.intn(5)+1)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for idx := range vals {
-			vals[idx] = 0.1 + rng.float()
-			lo = math.Min(lo, vals[idx])
-			hi = math.Max(hi, vals[idx])
-		}
-		gm := core.GeneralizedMean(vals, -1)
-		if gm < lo-1e-12 || gm > hi+1e-12 {
-			t.Fatalf("GeneralizedMean(%v) = %g outside [%g, %g]", vals, gm, lo, hi)
-		}
 	})
 }

@@ -13,18 +13,38 @@
 package check
 
 import (
+	"math"
 	"testing"
 
 	"tcss/internal/baselines"
 	"tcss/internal/core"
 	"tcss/internal/eval"
 	"tcss/internal/opt"
+	"tcss/internal/tensor"
 )
 
 // goldenEvalConfig keeps the ranking protocol small enough for the fixture
 // (10 POIs) but generic: 7 sampled negatives, top-3 cutoff.
 func goldenEvalConfig() eval.Config {
 	return eval.Config{Negatives: 7, TopK: 3, Seed: 9}
+}
+
+// scorerFunc adapts a scoring method to eval.Scorer.
+type scorerFunc func(i, j, k int) float64
+
+func (f scorerFunc) Score(i, j, k int) float64 { return f(i, j, k) }
+
+// rmse is the root-mean-squared error of s against the entries' values.
+func rmse(s eval.Scorer, test []tensor.Entry) float64 {
+	if len(test) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, e := range test {
+		d := s.Score(e.I, e.J, e.K) - e.Val
+		sum += d * d
+	}
+	return math.Sqrt(sum / float64(len(test)))
 }
 
 // TestGoldenTCSSVariants pins a 6-epoch single-worker trajectory of every
@@ -57,13 +77,13 @@ func TestGoldenTCSSVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := eval.Rank(eval.ScorerFunc(m.Score), fx.Test, fx.Train.DimJ, goldenEvalConfig())
+			res := eval.Rank(scorerFunc(m.Score), fx.Test, fx.Train.DimJ, goldenEvalConfig())
 			got.Add("hit", res.HitAtK)
 			got.Add("mrr", res.MRR)
 			// RMSE on the raw prediction: the zero-out Score is −Inf on
 			// filtered POIs by design, which is a ranking device, not a
 			// regression value.
-			got.Add("rmse", eval.RMSE(eval.ScorerFunc(m.Predict), fx.Test))
+			got.Add("rmse", rmse(scorerFunc(m.Predict), fx.Test))
 			Golden(t, "tcss-"+tc.name, got)
 		})
 	}
@@ -87,11 +107,11 @@ func TestGoldenBaselines(t *testing.T) {
 			if err := rec.Fit(ctx); err != nil {
 				t.Fatal(err)
 			}
-			res := eval.Rank(eval.ScorerFunc(rec.Score), fx.Test, fx.Train.DimJ, goldenEvalConfig())
+			res := eval.Rank(scorerFunc(rec.Score), fx.Test, fx.Train.DimJ, goldenEvalConfig())
 			got := Series{}
 			got.Add("hit", res.HitAtK)
 			got.Add("mrr", res.MRR)
-			got.Add("rmse", eval.RMSE(eval.ScorerFunc(rec.Score), fx.Test))
+			got.Add("rmse", rmse(scorerFunc(rec.Score), fx.Test))
 			Golden(t, "baseline-"+rec.Name(), got)
 		})
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -91,9 +90,6 @@ type Node struct {
 	http        *httptest.Server
 	dead        atomic.Bool
 	corruptNext atomic.Bool
-
-	mu    sync.Mutex
-	swaps []*serve.Snapshot
 }
 
 // Kill makes the node drop every connection mid-request, as a crashed
@@ -106,14 +102,6 @@ func (n *Node) Revive() { n.dead.Store(false) }
 // CorruptNextShipment arms a one-shot byte flip in the next snapshot
 // shipment this node serves; the replica's CRC frame must reject it.
 func (n *Node) CorruptNextShipment() { n.corruptNext.Store(true) }
-
-// Swaps returns every snapshot the node has published, oldest first,
-// including the bootstrap snapshot.
-func (n *Node) Swaps() []*serve.Snapshot {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]*serve.Snapshot(nil), n.swaps...)
-}
 
 // middleware wires the kill switch and shipment corruption around the
 // server's handler.
@@ -283,11 +271,6 @@ func (c *Cluster) newNode(t *testing.T, name, shard, role string, ring *cluster.
 	opts.Role = role
 	opts.Owns = ring.Owns(shard)
 	opts.Faults = n.Faults
-	opts.OnSwap = func(snap *serve.Snapshot) {
-		n.mu.Lock()
-		n.swaps = append(n.swaps, snap)
-		n.mu.Unlock()
-	}
 	if opts.Online.Epochs == 0 {
 		opts.Online = tcss.DefaultOnlineConfig()
 		opts.Online.Epochs = 3

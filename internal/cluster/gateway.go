@@ -188,9 +188,6 @@ func NewGateway(sets []ShardSet, opts GatewayOptions) (*Gateway, error) {
 	return g, nil
 }
 
-// Ring exposes the gateway's ring (tests assert routing against it).
-func (g *Gateway) Ring() *Ring { return g.ring }
-
 // Handler returns the gateway's HTTP handler.
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
@@ -232,13 +229,6 @@ func (g *Gateway) isDown(endpoint string) bool {
 		return false
 	}
 	return ok
-}
-
-// downLen reports the current down-mark count (tests assert the sweep).
-func (g *Gateway) downLen() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.down)
 }
 
 // noteGen records the snapshot generation an endpoint last reported, feeding

@@ -80,3 +80,15 @@ func TestRetryBudgetRefill(t *testing.T) {
 		t.Fatal("bucket exceeded its burst cap after idling")
 	}
 }
+
+// downLen reports the current down-mark count (tests assert the sweep).
+func (g *Gateway) downLen() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.down)
+}
+
+// PrimaryGeneration returns the newest generation the primary has advertised
+// to this replicator (zero before the first reachable sync). The gap between
+// it and the replica's own generation is the replica's staleness.
+func (r *Replicator) PrimaryGeneration() uint64 { return r.primaryGen.Load() }

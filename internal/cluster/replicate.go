@@ -50,22 +50,12 @@ type Replicator struct {
 	primaryGen atomic.Uint64 // newest generation the primary has advertised
 }
 
-// Generation returns the last generation this replicator applied (zero before
-// the first successful sync; the replica's own bootstrap snapshot may be
-// newer).
-func (r *Replicator) Generation() uint64 { return r.last.Load() }
-
 func (r *Replicator) client() *http.Client {
 	if r.Client != nil {
 		return r.Client
 	}
 	return http.DefaultClient
 }
-
-// PrimaryGeneration returns the newest generation the primary has advertised
-// to this replicator (zero before the first reachable sync). The gap between
-// it and the replica's own generation is the replica's staleness.
-func (r *Replicator) PrimaryGeneration() uint64 { return r.primaryGen.Load() }
 
 // notePrimaryGen records the generation the primary advertised in a shipment
 // response and forwards it to the replica server so /healthz and /metrics can

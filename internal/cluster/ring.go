@@ -102,9 +102,6 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 // Shards returns the shard names in their configured order.
 func (r *Ring) Shards() []string { return append([]string(nil), r.shards...) }
 
-// Vnodes returns the virtual-node count per shard.
-func (r *Ring) Vnodes() int { return r.vnodes }
-
 // OwnerIndex returns the index (into the configured shard list) of the shard
 // owning user: the shard of the first ring point at or clockwise past the
 // user's hash.

@@ -156,7 +156,7 @@ func TestRingGolden(t *testing.T) {
 	}
 	got := goldenRing{
 		Shards: ring.Shards(),
-		Vnodes: ring.Vnodes(),
+		Vnodes: ring.vnodes,
 		Owners: make(map[string]string),
 	}
 	for u := 0; u < 64; u++ {

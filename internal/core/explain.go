@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Explanation decomposes why the model recommends a POI to a user: the raw
 // score at the queried time unit, the all-time visit probability (Eq 10's
@@ -26,18 +23,6 @@ type Explanation struct {
 	OwnVisited         bool    // user already visited j in training
 	NearestOwnPOI      int     // closest own POI, -1 if none
 	NearestOwnDistance float64 // kilometres; +Inf if none
-}
-
-// String renders a one-line human-readable explanation.
-func (e Explanation) String() string {
-	social := "no friend signal"
-	if e.FriendVisited {
-		social = "visited by friends"
-	} else if e.NearestFriendPOI >= 0 && !math.IsInf(e.NearestFriendDist, 1) {
-		social = fmt.Sprintf("%.1f km from friend POI %d", e.NearestFriendDist, e.NearestFriendPOI)
-	}
-	return fmt.Sprintf("POI %d for user %d at t=%d: score %.3f (peak t=%d), p(visit)=%.3f, %s, e_j=%.3f",
-		e.POI, e.User, e.TimeUnit, e.Score, e.PeakTimeUnit, e.VisitProbability, social, e.LocationEntropyW)
 }
 
 // Explain builds the explanation of scoring (i, j, k) against the given side

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -111,4 +112,16 @@ func TestExplanationString(t *testing.T) {
 	if !strings.Contains(s, "no friend signal") {
 		t.Fatalf("String missing no-signal clause: %s", s)
 	}
+}
+
+// String renders a one-line human-readable explanation.
+func (e Explanation) String() string {
+	social := "no friend signal"
+	if e.FriendVisited {
+		social = "visited by friends"
+	} else if e.NearestFriendPOI >= 0 && !math.IsInf(e.NearestFriendDist, 1) {
+		social = fmt.Sprintf("%.1f km from friend POI %d", e.NearestFriendDist, e.NearestFriendPOI)
+	}
+	return fmt.Sprintf("POI %d for user %d at t=%d: score %.3f (peak t=%d), p(visit)=%.3f, %s, e_j=%.3f",
+		e.POI, e.User, e.TimeUnit, e.Score, e.PeakTimeUnit, e.VisitProbability, social, e.LocationEntropyW)
 }

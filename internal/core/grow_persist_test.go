@@ -38,7 +38,7 @@ func TestGrownModelJSONRoundTrip(t *testing.T) {
 	m := grownTestModel(t)
 
 	var buf bytes.Buffer
-	if err := m.SaveVersioned(&buf, 7); err != nil {
+	if err := m.encode(&buf, 7, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, info, err := Decode(buf.Bytes())

@@ -10,30 +10,6 @@ import (
 	"tcss/internal/par"
 )
 
-// GeneralizedMean computes M_α[x₁..x_n] = ((1/n)·Σ xᵢ^α)^(1/α), the smooth
-// minimum surrogate of Eq (10). As α → −∞ it converges to min(x); the paper
-// uses α = −1 as the balance between approximation quality and gradient
-// smoothness. All inputs must be positive (the Hausdorff head guards its
-// distances away from zero before calling).
-func GeneralizedMean(xs []float64, alpha float64) float64 {
-	if len(xs) == 0 {
-		panic("core: GeneralizedMean of empty slice")
-	}
-	if alpha == 0 {
-		// Geometric mean, the α→0 limit.
-		var s float64
-		for _, x := range xs {
-			s += math.Log(x)
-		}
-		return math.Exp(s / float64(len(xs)))
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Pow(x, alpha)
-	}
-	return math.Pow(s/float64(len(xs)), 1/alpha)
-}
-
 // Hausdorff evaluates the social Hausdorff distance loss head L1 (Eq 12-13):
 // for each user, the location-entropy-weighted, probability-weighted average
 // Hausdorff distance between the user's predicted POI distribution S(v) and

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"tcss/internal/geo"
+	"tcss/internal/mat"
 )
 
 func TestGeneralizedMeanLimits(t *testing.T) {
@@ -188,7 +189,7 @@ func TestHausdorffParallelMatchesSerial(t *testing.T) {
 	if math.Abs(serial-parallel) > 1e-9 {
 		t.Fatalf("parallel loss %g != serial %g", parallel, serial)
 	}
-	if !gSerial.DU1.Equalf(gParallel.DU1, 1e-9) || !gSerial.DU3.Equalf(gParallel.DU3, 1e-9) {
+	if !equalf(gSerial.DU1, gParallel.DU1, 1e-9) || !equalf(gSerial.DU3, gParallel.DU3, 1e-9) {
 		t.Fatal("parallel gradients differ from serial")
 	}
 }
@@ -228,4 +229,42 @@ func TestVisitProbability(t *testing.T) {
 	if got := m.VisitProbability(0, 0); got < 0 || got > 1 {
 		t.Fatalf("clamped probability out of range: %g", got)
 	}
+}
+
+// GeneralizedMean computes M_α[x₁..x_n] = ((1/n)·Σ xᵢ^α)^(1/α), the smooth
+// minimum surrogate of Eq (10). As α → −∞ it converges to min(x); the paper
+// uses α = −1 as the balance between approximation quality and gradient
+// smoothness. All inputs must be positive (the Hausdorff head guards its
+// distances away from zero before calling).
+func GeneralizedMean(xs []float64, alpha float64) float64 {
+	if len(xs) == 0 {
+		panic("core: GeneralizedMean of empty slice")
+	}
+	if alpha == 0 {
+		// Geometric mean, the α→0 limit.
+		var s float64
+		for _, x := range xs {
+			s += math.Log(x)
+		}
+		return math.Exp(s / float64(len(xs)))
+	}
+	var s float64
+	for _, x := range xs {
+		s += math.Pow(x, alpha)
+	}
+	return math.Pow(s/float64(len(xs)), 1/alpha)
+}
+
+// equalf reports whether a and b have the same shape and every element
+// differs by at most tol.
+func equalf(a, b *mat.Matrix, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Abs(v-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

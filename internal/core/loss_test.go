@@ -72,9 +72,9 @@ func TestRewrittenGradEqualsNaiveGrad(t *testing.T) {
 	gFast, gNaive := NewGrads(m), NewGrads(m)
 	m.WholeDataLoss(x, 0.99, 0.01, gFast)
 	m.NaiveWholeDataLoss(x, 0.99, 0.01, gNaive)
-	if !gFast.DU1.Equalf(gNaive.DU1, 1e-9) ||
-		!gFast.DU2.Equalf(gNaive.DU2, 1e-9) ||
-		!gFast.DU3.Equalf(gNaive.DU3, 1e-9) {
+	if !equalf(gFast.DU1, gNaive.DU1, 1e-9) ||
+		!equalf(gFast.DU2, gNaive.DU2, 1e-9) ||
+		!equalf(gFast.DU3, gNaive.DU3, 1e-9) {
 		t.Fatal("factor gradients differ between rewritten and naive loss")
 	}
 	for i := range gFast.DH {

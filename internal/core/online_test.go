@@ -74,7 +74,7 @@ func TestUpdateOnlineIdempotentOnKnownEntries(t *testing.T) {
 	if added != 0 {
 		t.Fatalf("re-adding a known entry reported %d new cells", added)
 	}
-	if !m.U1.Equalf(snapshot.U1, 0) {
+	if !equalf(m.U1, snapshot.U1, 0) {
 		t.Fatal("no-op update must not change the model")
 	}
 }

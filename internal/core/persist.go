@@ -64,12 +64,6 @@ type modelFile struct {
 	Train *train.State `json:"train,omitempty"`
 }
 
-// SaveVersioned writes the model to w as a JSONVersion file recording the
-// given serving-snapshot generation.
-func (m *Model) SaveVersioned(w io.Writer, generation uint64) error {
-	return m.encode(w, generation, nil)
-}
-
 func (m *Model) encode(w io.Writer, generation uint64, st *train.State) error {
 	// The JSON format stores float64 factors; compact models are widened to
 	// the exact values their scoring kernels compute with. Round-tripping a

@@ -20,7 +20,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		m.ZeroOutFilter[i][i%6] = true
 	}
 	var buf bytes.Buffer
-	if err := m.SaveVersioned(&buf, 0); err != nil {
+	if err := m.encode(&buf, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	back, _, err := Decode(buf.Bytes())
@@ -118,7 +118,7 @@ func TestSaveVersionedGenerationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomModel(3, 4, 2, 2, rng)
 	var buf bytes.Buffer
-	if err := m.SaveVersioned(&buf, 41); err != nil {
+	if err := m.encode(&buf, 41, nil); err != nil {
 		t.Fatal(err)
 	}
 	back, info, err := Decode(buf.Bytes())

@@ -85,7 +85,7 @@ func TestTrainDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.U1.Equalf(b.U1, 0) || !a.U2.Equalf(b.U2, 0) || !a.U3.Equalf(b.U3, 0) {
+	if !equalf(a.U1, b.U1, 0) || !equalf(a.U2, b.U2, 0) || !equalf(a.U3, b.U3, 0) {
 		t.Fatal("same seed must give identical factors")
 	}
 	for i := range a.H {

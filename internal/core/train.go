@@ -158,19 +158,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// PaperConfig returns the hyperparameters exactly as printed in the paper
-// (§V-D): Adam at lr 1e-3, weight decay 0.1, λ = 0.1, 30 epochs. Provided
-// for reference and ablation; with this repository's full-batch optimizer
-// these values underfit — use DefaultConfig for the equivalent behaviour.
-func PaperConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Lambda = 0.1
-	cfg.Epochs = 30
-	cfg.LR = 0.001
-	cfg.WeightDecay = 0.1
-	return cfg
-}
-
 // Validate reports configuration errors early.
 func (c Config) Validate() error {
 	if c.Rank <= 0 {

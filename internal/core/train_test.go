@@ -122,7 +122,7 @@ func TestInitMethodsDiffer(t *testing.T) {
 	if err := b.Initialize(OneHotInit, fx.x, rng); err != nil {
 		t.Fatal(err)
 	}
-	if a.U1.Equalf(b.U1, 1e-9) {
+	if equalf(a.U1, b.U1, 1e-9) {
 		t.Fatal("random and one-hot init should differ")
 	}
 	// One-hot rows have a dominant coordinate at i mod r.
@@ -356,7 +356,7 @@ func TestTimeFactorSimilarity(t *testing.T) {
 			t.Fatalf("self-similarity = %g, want 1", sim.At(k, k))
 		}
 	}
-	if !sim.Equalf(sim.T(), 1e-12) {
+	if !equalf(sim, sim.T(), 1e-12) {
 		t.Fatal("similarity matrix must be symmetric")
 	}
 }

@@ -2,13 +2,12 @@
 // held-out interaction (i, j, k), sample 100 random other POIs, score all 101
 // candidates, and measure whether the true POI ranks in the top 10 (Hit@10)
 // and its reciprocal rank (MRR). MRR is averaged per user first and then
-// across users, as the paper specifies. The package also provides plain RMSE
-// and a Scorer interface every model in the repository implements.
+// across users, as the paper specifies. The package also provides a Scorer
+// interface every model in the repository implements.
 package eval
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 
@@ -31,12 +30,6 @@ type Scorer interface {
 type CandidateScorer interface {
 	ScoreCandidates(i, k int, js []int, out []float64)
 }
-
-// ScorerFunc adapts a plain function to the Scorer interface.
-type ScorerFunc func(i, j, k int) float64
-
-// Score implements Scorer.
-func (f ScorerFunc) Score(i, j, k int) float64 { return f(i, j, k) }
 
 // Config controls the ranking protocol.
 type Config struct {
@@ -218,20 +211,6 @@ func (a *meanAcc) mean() float64 {
 		return 0
 	}
 	return a.sum / float64(a.n)
-}
-
-// RMSE returns the root-mean-squared error of the scorer against the test
-// entries' values.
-func RMSE(s Scorer, test []tensor.Entry) float64 {
-	if len(test) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, e := range test {
-		d := s.Score(e.I, e.J, e.K) - e.Val
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(test)))
 }
 
 // RankAll returns the POIs 0..dimJ-1 sorted by descending score for user i at

@@ -162,3 +162,23 @@ func TestRankAll(t *testing.T) {
 		}
 	}
 }
+
+// ScorerFunc adapts a plain function to the Scorer interface.
+type ScorerFunc func(i, j, k int) float64
+
+// Score implements Scorer.
+func (f ScorerFunc) Score(i, j, k int) float64 { return f(i, j, k) }
+
+// RMSE returns the root-mean-squared error of the scorer against the test
+// entries' values.
+func RMSE(s Scorer, test []tensor.Entry) float64 {
+	if len(test) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, e := range test {
+		d := s.Score(e.I, e.J, e.K) - e.Val
+		sum += d * d
+	}
+	return math.Sqrt(sum / float64(len(test)))
+}

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"tcss/internal/tensor"
@@ -108,4 +110,130 @@ func TestTopNMetricsEmpty(t *testing.T) {
 	if p != 0 || r != 0 {
 		t.Fatal("empty test must give zeros")
 	}
+}
+
+// Extended holds the full metric set of the extended evaluation: the paper's
+// Hit@K and MRR plus NDCG@K and the top-N precision/recall commonly reported
+// alongside them.
+type Extended struct {
+	HitAtK       float64
+	MRR          float64
+	NDCGAtK      float64
+	PrecisionAtN float64
+	RecallAtN    float64
+}
+
+// RankExtended runs the sampled-negative protocol of Rank and additionally
+// reports NDCG@K (with a single relevant item, NDCG@K = 1/log2(1+rank) when
+// the target ranks within K, else 0, averaged over test entries).
+func RankExtended(s Scorer, test []tensor.Entry, dimJ int, cfg Config) Extended {
+	if len(test) == 0 {
+		return Extended{}
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var hits int
+	var ndcg float64
+	userRR := make(map[int]*meanAcc)
+	for _, e := range test {
+		target := s.Score(e.I, e.J, e.K)
+		rank := 1
+		seen := make(map[int]bool, cfg.Negatives)
+		drawn := 0
+		for drawn < cfg.Negatives {
+			j := rng.Intn(dimJ)
+			if j == e.J || seen[j] {
+				if len(seen) >= dimJ-1 {
+					break
+				}
+				continue
+			}
+			seen[j] = true
+			drawn++
+			if s.Score(e.I, j, e.K) >= target {
+				rank++
+			}
+		}
+		if rank <= cfg.TopK {
+			hits++
+			ndcg += 1 / math.Log2(1+float64(rank))
+		}
+		acc := userRR[e.I]
+		if acc == nil {
+			acc = &meanAcc{}
+			userRR[e.I] = acc
+		}
+		acc.add(1 / float64(rank))
+	}
+	// Iterate users in sorted order so the floating-point sum (and thus the
+	// reported MRR) is bit-for-bit deterministic.
+	users := make([]int, 0, len(userRR))
+	for u := range userRR {
+		users = append(users, u)
+	}
+	sort.Ints(users)
+	var mrr meanAcc
+	for _, u := range users {
+		mrr.add(userRR[u].mean())
+	}
+	return Extended{
+		HitAtK:  float64(hits) / float64(len(test)),
+		MRR:     mrr.mean(),
+		NDCGAtK: ndcg / float64(len(test)),
+	}
+}
+
+// TopNMetrics computes precision@N and recall@N over full rankings: for each
+// user with held-out interactions at a time unit, the top-N recommended POIs
+// are compared against the user's held-out POIs at that time unit. skip
+// optionally removes training POIs per user from the candidate ranking (the
+// usual setting).
+func TopNMetrics(s Scorer, test []tensor.Entry, dimJ, topN int, skip func(user, poi int) bool) (precision, recall float64) {
+	if len(test) == 0 || topN <= 0 {
+		return 0, 0
+	}
+	// Group held-out POIs per (user, time).
+	type key struct{ i, k int }
+	relevant := make(map[key]map[int]bool)
+	for _, e := range test {
+		kk := key{e.I, e.K}
+		if relevant[kk] == nil {
+			relevant[kk] = make(map[int]bool)
+		}
+		relevant[kk][e.J] = true
+	}
+	var pSum, rSum float64
+	var n int
+	for kk, rel := range relevant {
+		ranked := rankAllFiltered(s, kk.i, kk.k, dimJ, skip)
+		limit := topN
+		if limit > len(ranked) {
+			limit = len(ranked)
+		}
+		var hit int
+		for _, j := range ranked[:limit] {
+			if rel[j] {
+				hit++
+			}
+		}
+		pSum += float64(hit) / float64(topN)
+		rSum += float64(hit) / float64(len(rel))
+		n++
+	}
+	return pSum / float64(n), rSum / float64(n)
+}
+
+func rankAllFiltered(s Scorer, i, k, dimJ int, skip func(user, poi int) bool) []int {
+	idx := make([]int, 0, dimJ)
+	for j := 0; j < dimJ; j++ {
+		if skip != nil && skip(i, j) {
+			continue
+		}
+		idx = append(idx, j)
+	}
+	scores := make(map[int]float64, len(idx))
+	for _, j := range idx {
+		scores[j] = s.Score(i, j, k)
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
+	return idx
 }

@@ -1,9 +1,11 @@
-package tcss
+package eval_test
 
 import (
 	"math"
 	"testing"
 
+	"tcss"
+	"tcss/internal/core"
 	"tcss/internal/eval"
 )
 
@@ -25,14 +27,15 @@ const (
 func TestQuantizationRankingDrift(t *testing.T) {
 	for _, preset := range []string{"gowalla", "gmu-5k"} {
 		t.Run(preset, func(t *testing.T) {
-			ds := GenerateDataset(preset, 11)
-			cfg := quickConfig()
+			ds := tcss.GenerateDataset(preset, 11)
+			cfg := tcss.DefaultConfig()
+			cfg.Epochs = 30
 			cfg.Seed = 11
 			// Realistic rank: at tiny ranks the fixed overheads (float64 core
 			// weights, int8 per-row scales) dominate the shrink ratios this
 			// test asserts.
 			cfg.Rank = 12
-			rec, err := Fit(ds, Month, cfg)
+			rec, err := tcss.Fit(ds, tcss.Month, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,9 +54,9 @@ func TestQuantizationRankingDrift(t *testing.T) {
 			skip := func(user, poi int) bool { return own[user][poi] }
 
 			type quality struct{ ndcg, recall float64 }
-			measure := func(m *Model) quality {
-				ext := eval.RankExtended(scorer{m}, rec.Test, base.J, evalCfg)
-				_, recall := eval.TopNMetrics(scorer{m}, rec.Test, base.J, 10, skip)
+			measure := func(m *tcss.Model) quality {
+				ext := eval.RankExtended(eval.ScorerFunc(m.Score), rec.Test, base.J, evalCfg)
+				_, recall := eval.TopNMetrics(eval.ScorerFunc(m.Score), rec.Test, base.J, 10, skip)
 				return quality{ndcg: ext.NDCGAtK, recall: recall}
 			}
 			ref := measure(base)
@@ -62,15 +65,15 @@ func TestQuantizationRankingDrift(t *testing.T) {
 			}
 
 			for _, tc := range []struct {
-				mode StorageMode
+				mode core.StorageMode
 				tol  float64
 				size float64 // minimum factor-bytes shrink ratio vs f64
 			}{
 				// float32 halves every slab but h stays float64, so the
 				// ratio approaches 2 from below; int8 clears 4x once the
 				// rank amortizes its per-row scales.
-				{StorageFloat32, f32DriftTol, 1.95},
-				{StorageInt8, int8DriftTol, 4},
+				{core.StorageFloat32, f32DriftTol, 1.95},
+				{core.StorageInt8, int8DriftTol, 4},
 			} {
 				compact, err := base.ToStorage(tc.mode)
 				if err != nil {

@@ -223,23 +223,6 @@ func (t *Table) String() string {
 
 func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 
-// blockMeanSimilarity measures how "blocky" a time-factor similarity matrix
-// is: the mean cosine similarity of adjacent time units minus that of units
-// half a period apart. Strong seasonality gives a large positive value; it is
-// the scalar summary of the Figure 6/7 heatmaps.
-func blockMeanSimilarity(sim [][]float64) float64 {
-	k := len(sim)
-	if k < 4 {
-		return 0
-	}
-	var adj, far float64
-	for a := 0; a < k; a++ {
-		adj += sim[a][(a+1)%k]
-		far += sim[a][(a+k/2)%k]
-	}
-	return (adj - far) / float64(k)
-}
-
 // simToSlices converts a similarity matrix to [][]float64 for printing and
 // the block summary.
 func simToSlices(m interface {

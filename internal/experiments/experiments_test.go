@@ -307,3 +307,20 @@ func TestTCSSConfigAppliesOptions(t *testing.T) {
 		t.Fatal("rank must come from the default config")
 	}
 }
+
+// blockMeanSimilarity measures how "blocky" a time-factor similarity matrix
+// is: the mean cosine similarity of adjacent time units minus that of units
+// half a period apart. Strong seasonality gives a large positive value; it is
+// the scalar summary of the Figure 6/7 heatmaps.
+func blockMeanSimilarity(sim [][]float64) float64 {
+	k := len(sim)
+	if k < 4 {
+		return 0
+	}
+	var adj, far float64
+	for a := 0; a < k; a++ {
+		adj += sim[a][(a+1)%k]
+		far += sim[a][(a+k/2)%k]
+	}
+	return (adj - far) / float64(k)
+}

@@ -392,3 +392,10 @@ func TestFallbackPaths(t *testing.T) {
 		t.Fatalf("FallbackPaths = %v", got)
 	}
 }
+
+// Injected returns how many errors Before has injected so far.
+func (h *Hooks) Injected() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.injected
+}

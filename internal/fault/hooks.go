@@ -28,13 +28,6 @@ func (h *Hooks) FailNext(n int, err error) {
 	h.mu.Unlock()
 }
 
-// Injected returns how many errors Before has injected so far.
-func (h *Hooks) Injected() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.injected
-}
-
 // Before is called by the guarded code path at the top of the operation
 // named op (informational). It returns an injected error or nil. Safe on a
 // nil receiver.

@@ -51,9 +51,6 @@ type NetFault struct {
 	Count int
 }
 
-// terminal reports whether the fault replaces the forwarded request entirely.
-func (f NetFault) terminal() bool { return f.Hang || f.Drop || f.Status != 0 }
-
 // netFaultState tracks one endpoint's fault schedule: an ordered queue of
 // NetFault steps. The head step applies until its Count drains (Count 0 pins
 // it until healed), then the next step takes over; an empty queue is healthy.

@@ -20,6 +20,12 @@ type Point struct {
 	Lat, Lon float64
 }
 
+// Valid reports whether p is a finite coordinate with |Lat| ≤ 90 and
+// |Lon| ≤ 180. Every entry that takes POI coordinates from outside the
+// program rejects the rest: two points at ±1.7·10³⁰⁸° are already a NaN
+// distance apart.
+func (p Point) Valid() bool { return math.Abs(p.Lat) <= 90 && math.Abs(p.Lon) <= 180 }
+
 // Haversine returns the great-circle distance between a and b in kilometers.
 // It is symmetric, non-negative, and zero only for identical points.
 func Haversine(a, b Point) float64 {

@@ -140,6 +140,9 @@ func (wb *WeekBatch) check() error {
 		if p.ID < 0 {
 			return fmt.Errorf("new POI id %d is negative", p.ID)
 		}
+		if !p.Loc.Valid() {
+			return fmt.Errorf("new POI %d has coordinates %v outside [-90, 90] × [-180, 180]", p.ID, p.Loc)
+		}
 	}
 	for _, j := range wb.ClosedPOIs {
 		if j < 0 {

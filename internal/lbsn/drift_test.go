@@ -231,8 +231,16 @@ func FuzzReadWeeksJSONL(f *testing.F) {
 	f.Add(stream.Bytes())
 	f.Add([]byte(negativeUserLine))
 	f.Add([]byte(month99Line))
+	f.Add([]byte(`{"week":15,"month":3,"new_pois":[{"id":40,"lat":91,"lon":0}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		weeks, err := ReadWeeksJSONL(bytes.NewReader(data))
+		for _, w := range weeks {
+			for _, p := range w.NewPOIs {
+				if !p.Loc.Valid() {
+					t.Fatalf("accepted new POI %d at %v", p.ID, p.Loc)
+				}
+			}
+		}
 		// Re-encoding spells out every field, so a large input of empty
 		// records could outgrow the decoder's 16 MiB line limit.
 		if err != nil || len(data) > 256<<10 {

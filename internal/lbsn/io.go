@@ -97,10 +97,11 @@ func ReadDir(dir, name string) (*Dataset, error) {
 		cat, err3 := strconv.Atoi(row[3])
 		cluster, err4 := strconv.Atoi(row[4])
 		peak, err5 := strconv.Atoi(row[5])
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
+		loc := geo.Point{Lat: lat, Lon: lon}
+		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil || !loc.Valid() {
 			return nil, fmt.Errorf("lbsn: %s: malformed row %v", poisFile, row)
 		}
-		pois = append(pois, POI{ID: vals[0], Loc: geo.Point{Lat: lat, Lon: lon}, Category: Category(cat), Cluster: cluster, PeakMonth: peak})
+		pois = append(pois, POI{ID: vals[0], Loc: loc, Category: Category(cat), Cluster: cluster, PeakMonth: peak})
 	}
 
 	ciRows, err := readCSV(filepath.Join(dir, checkinsFile))

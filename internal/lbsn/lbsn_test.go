@@ -2,6 +2,9 @@ package lbsn
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"tcss/internal/geo"
@@ -336,6 +339,43 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestReadDirMissing(t *testing.T) {
 	if _, err := ReadDir(t.TempDir(), "x"); err == nil {
 		t.Fatal("missing files must error")
+	}
+}
+
+// TestReadDirRejectsBadCoordinates rewrites the first POI's latitude and
+// longitude in a written dataset: ReadDir must refuse every coordinate that
+// is not finite or lies off the globe, and accept the edges of the range.
+func TestReadDirRejectsBadCoordinates(t *testing.T) {
+	ds := MustGenerate(smallConfig(11))
+	for _, tc := range []struct {
+		lat, lon string
+		ok       bool
+	}{
+		{"90", "-180", true},
+		{"NaN", "0", false},
+		{"0", "+Inf", false},
+		{"90.5", "0", false},
+		{"0", "-180.5", false},
+	} {
+		dir := t.TempDir()
+		if err := ds.WriteDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, poisFile)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		fields := strings.Split(lines[1], ",")
+		fields[1], fields[2] = tc.lat, tc.lon
+		lines[1] = strings.Join(fields, ",")
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadDir(dir, "x"); (err == nil) != tc.ok {
+			t.Errorf("lat %s lon %s: err = %v, want ok %v", tc.lat, tc.lon, err, tc.ok)
+		}
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 // randomSymmetric builds a random symmetric n-by-n matrix.
 func randomSymmetric(n int, rng *rand.Rand) *Matrix {
 	a := RandomNormal(n, n, 1, rng)
-	return a.Add(a.T()).Scale(0.5)
+	s := a.T()
+	s.AddInPlace(a)
+	return s.Scale(0.5)
 }
 
 func TestSymEigenDiagonal(t *testing.T) {

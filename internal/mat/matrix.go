@@ -105,26 +105,6 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Add returns m + b as a new matrix. Dimensions must match.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	m.mustSameShape(b, "Add")
-	out := m.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out
-}
-
-// Sub returns m - b as a new matrix. Dimensions must match.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	m.mustSameShape(b, "Sub")
-	out := m.Clone()
-	for i, v := range b.Data {
-		out.Data[i] -= v
-	}
-	return out
-}
-
 // Scale returns s*m as a new matrix.
 func (m *Matrix) Scale(s float64) *Matrix {
 	out := m.Clone()
@@ -221,19 +201,6 @@ func (m *Matrix) FrobNorm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// Equalf reports whether m and b agree entrywise within tol.
-func (m *Matrix) Equalf(b *Matrix, tol float64) bool {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if math.Abs(v-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders a small matrix for debugging; large matrices are summarized.

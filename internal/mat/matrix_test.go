@@ -83,19 +83,12 @@ func TestGramSymmetry(t *testing.T) {
 
 func TestAddSubScale(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	b := FromSlice(2, 2, []float64{4, 3, 2, 1})
-	if got := a.Add(b); !got.Equalf(FromSlice(2, 2, []float64{5, 5, 5, 5}), 0) {
-		t.Fatalf("Add = %v", got)
-	}
-	if got := a.Sub(b); !got.Equalf(FromSlice(2, 2, []float64{-3, -1, 1, 3}), 0) {
-		t.Fatalf("Sub = %v", got)
-	}
 	if got := a.Scale(2); !got.Equalf(FromSlice(2, 2, []float64{2, 4, 6, 8}), 0) {
 		t.Fatalf("Scale = %v", got)
 	}
-	// Originals untouched.
-	if a.At(0, 0) != 1 || b.At(0, 0) != 4 {
-		t.Fatal("Add/Sub/Scale must not mutate inputs")
+	// Original untouched.
+	if a.At(0, 0) != 1 {
+		t.Fatal("Scale must not mutate its input")
 	}
 }
 
@@ -212,4 +205,17 @@ func TestAddRidgePanicsNonSquare(t *testing.T) {
 		}
 	}()
 	New(2, 3).AddRidge(1)
+}
+
+// Equalf reports whether m and b agree entrywise within tol.
+func (m *Matrix) Equalf(b *Matrix, tol float64) bool {
+	if m.Rows != b.Rows || m.Cols != b.Cols {
+		return false
+	}
+	for i, v := range m.Data {
+		if math.Abs(v-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

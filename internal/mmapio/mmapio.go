@@ -51,18 +51,6 @@ func Open(path string) (*Mapping, error) {
 	return &Mapping{Data: data}, nil
 }
 
-// Read loads path onto the heap through the same Mapping interface — the
-// portable fallback path, exported so tests can assert mmap/read parity and
-// so callers can force a copy (e.g. when the file will be replaced while the
-// model must stay live).
-func Read(path string) (*Mapping, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("mmapio: %w", err)
-	}
-	return &Mapping{Data: data}, nil
-}
-
 // Close unmaps the file. It is a no-op for heap-backed and already-closed
 // mappings, and is safe to call on a nil Mapping.
 func (m *Mapping) Close() error {

@@ -18,15 +18,8 @@ func TestOpenReadParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mm.Data, want) || !bytes.Equal(rd.Data, want) {
-		t.Fatal("mapped or read bytes differ from file contents")
-	}
-	if rd.Mapped {
-		t.Fatal("Read must never report a mapping")
+	if !bytes.Equal(mm.Data, want) {
+		t.Fatal("mapped bytes differ from file contents")
 	}
 	if err := mm.Close(); err != nil {
 		t.Fatal(err)
@@ -40,9 +33,6 @@ func TestOpenReadParity(t *testing.T) {
 	}
 	var nilMap *Mapping
 	if err := nilMap.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rd.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

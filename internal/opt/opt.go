@@ -42,8 +42,8 @@ func copyInts(src map[string]int) map[string]int {
 }
 
 // Adam implements the Adam optimizer with decoupled weight decay (AdamW).
-// The paper trains with Adam, lr = 0.001 and weight decay 0.1
-// (core.PaperConfig).
+// The paper trains with Adam, lr = 0.001 and weight decay 0.1 (§V-D);
+// core.DefaultConfig gives the full-batch equivalent.
 type Adam struct {
 	LR          float64
 	Beta1       float64

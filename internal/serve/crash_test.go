@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"testing"
 
@@ -27,12 +26,6 @@ func snapModel(tag float64) *core.Model {
 	return m
 }
 
-func saveSnap(fs fault.FS, m *core.Model, path string, keep int, gen uint64) error {
-	return fault.WriteFileRotate(fs, path, keep, func(w io.Writer) error {
-		return m.SaveVersioned(w, gen)
-	})
-}
-
 // TestCrashKillSweepSnapshotSave is the crash-kill harness for the serving
 // snapshot path: with a good generation-1 snapshot on disk, it sweeps an
 // injected crash through every byte of the generation-2 save (and through
@@ -44,7 +37,7 @@ func TestCrashKillSweepSnapshotSave(t *testing.T) {
 	// Probe: size of one rotated save.
 	probeDir := t.TempDir()
 	probe := fault.NewInjectFS(nil, fault.Plan{})
-	if err := saveSnap(probe, m2, filepath.Join(probeDir, "snap.json"), 1, 2); err != nil {
+	if err := m2.SaveBinaryRotate(probe, filepath.Join(probeDir, "snap.bin"), 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	totalBytes := probe.BytesWritten()
@@ -56,12 +49,12 @@ func TestCrashKillSweepSnapshotSave(t *testing.T) {
 	runPoint := func(name string, plan fault.Plan) {
 		points++
 		dir := t.TempDir()
-		path := filepath.Join(dir, "snap.json")
-		if err := saveSnap(nil, m1, path, 1, 1); err != nil {
+		path := filepath.Join(dir, "snap.bin")
+		if err := m1.SaveBinaryRotate(nil, path, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 		inj := fault.NewInjectFS(nil, plan)
-		err := saveSnap(inj, m2, path, 1, 2)
+		err := m2.SaveBinaryRotate(inj, path, 1, 2)
 		if err == nil {
 			// Only a best-effort-op crash (directory sync) lets the save
 			// complete; the published file must then be generation 2.

@@ -587,10 +587,11 @@ func (s *Server) observeBatch(req *wire.ObserveRequest, m *core.Model) (*tcss.Ob
 		if tooFar(p.ID, m.J) {
 			return nil, failf(errBadRequest, "new_poi %d: id %d grows %d POIs by more than %d", i, p.ID, m.J, maxGrowPerBatch)
 		}
-		batch.NewPOIs[i] = lbsn.POI{
-			ID: p.ID, Loc: geo.Point{Lat: p.Lat, Lon: p.Lon},
-			Category: lbsn.Category(p.Category),
+		loc := geo.Point{Lat: p.Lat, Lon: p.Lon}
+		if !loc.Valid() {
+			return nil, failf(errBadRequest, "new_poi %d: coordinates (%g, %g) outside [-90, 90] × [-180, 180]", i, p.Lat, p.Lon)
 		}
+		batch.NewPOIs[i] = lbsn.POI{ID: p.ID, Loc: loc, Category: lbsn.Category(p.Category)}
 	}
 	for i, c := range req.CheckIns {
 		ci := lbsn.CheckIn{User: c.User, POI: c.POI, Month: c.Month, Week: c.Week, Hour: c.Hour}

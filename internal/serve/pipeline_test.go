@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -278,6 +279,7 @@ func FuzzObserveValidate(f *testing.F) {
 		`{"checkins":[{"user":7,"poi":-1,"month":99}]}`,
 		`{"new_users":[{"id":9223372036854775807}]}`,
 		`{"new_pois":[{"id":100000}]}`,
+		`{"new_pois":[{"id":36,"lat":91,"lon":-77.31}]}`,
 	} {
 		f.Add([]byte(seed), true)
 		f.Add([]byte(seed), false)
@@ -318,9 +320,76 @@ func FuzzObserveValidate(f *testing.F) {
 			if p.ID >= m.J+maxGrowPerBatch {
 				t.Fatalf("accepted new POI %d beyond the growth bound", p.ID)
 			}
+			if !p.Loc.Valid() {
+				t.Fatalf("accepted new POI %d at %v", p.ID, p.Loc)
+			}
 		}
 		if !grow && len(batch.NewUsers)+len(batch.NewPOIs) > 0 {
 			t.Fatal("accepted arrivals with growth off")
+		}
+	})
+}
+
+// FuzzReadRequest drives the read path's decoder — params.parse (parseNext
+// for /v1/next) and Server.validate — with arbitrary query strings and
+// bodies against a 40×36×12 model. Every request it accepts must name a user
+// this node owns and a time, POI and check-ins inside the model, and carry
+// 0 < n ≤ MaxTopN and at most maxNextSeq check-ins.
+func FuzzReadRequest(f *testing.F) {
+	long := `{"checkins":[` + strings.Repeat(`{"poi":1,"t":2},`, maxNextSeq) + `{"poi":1,"t":2}]}`
+	for _, seed := range []struct {
+		kind        uint8
+		query, body string
+	}{
+		{0, "user=1&t=3&n=5", ""},
+		{0, "user=1&t=3&n=100000&model=seq", ""},
+		{0, "user=-1&t=0", ""},
+		{0, "user=9223372036854775808&t=1", ""},
+		{0, "user=1&t=12&n=0", ""},
+		{1, "user=3", `{"checkins":[{"poi":1,"t":2},{"poi":35,"t":11}]}`},
+		{1, "user=3&t=4&n=7", `{"checkins":[{"poi":36,"t":2}]}`},
+		{1, "user=3", `{"checkins":[]}`},
+		{1, "user=3", long},
+		{2, "user=1&poi=35&t=11", ""},
+		{2, "user=1&poi=36&t=0&n=-4", ""},
+	} {
+		f.Add(seed.kind, seed.query, []byte(seed.body))
+	}
+	m := &core.Model{I: 40, J: 36, K: 12}
+	s := &Server{opts: Options{
+		TopNDefault: 10, MaxTopN: 100, ShardName: "s0",
+		Owns: func(user int) bool { return user%5 != 2 },
+	}}
+	f.Fuzz(func(t *testing.T, kind uint8, query string, body []byte) {
+		values, _ := url.ParseQuery(query) // what r.URL.Query() keeps
+		p := params{q: values, topN: s.opts.TopNDefault}
+		q, err := p.parse(readKind(kind%3), bytes.NewReader(body))
+		if err == nil {
+			err = s.validate(&q, m)
+		}
+		if err != nil {
+			return
+		}
+		if q.user < 0 || q.user >= m.I || !s.owns(q.user) || q.t < 0 || q.t >= m.K {
+			t.Fatalf("accepted user %d, t %d", q.user, q.t)
+		}
+		if q.kind == readExplain {
+			if q.poi < 0 || q.poi >= m.J {
+				t.Fatalf("accepted explain poi %d", q.poi)
+			}
+		} else if q.n <= 0 || q.n > s.opts.MaxTopN {
+			t.Fatalf("accepted n %d", q.n)
+		}
+		if q.kind != readNext && len(q.seq) > 0 || len(q.seq) > maxNextSeq {
+			t.Fatalf("accepted %d check-ins for kind %d", len(q.seq), q.kind)
+		}
+		if q.kind == readNext && len(q.seq) == 0 {
+			t.Fatal("accepted an empty next sequence")
+		}
+		for _, c := range q.seq {
+			if c.POI < 0 || c.POI >= m.J || c.T < 0 || c.T >= m.K {
+				t.Fatalf("accepted check-in %+v", c)
+			}
 		}
 	})
 }

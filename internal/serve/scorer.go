@@ -13,9 +13,6 @@ import (
 // /v1/next.
 type Scorer = registry.Scorer
 
-// NextScorer is re-exported alongside Scorer.
-type NextScorer = registry.NextScorer
-
 // snapshotScorer adapts the server's own snapshot path — atomic snapshot
 // load, pooled scratch or the request coalescer — to the Scorer interface.
 // It is registered as the registry's primary model, so the default routing

@@ -137,6 +137,9 @@ func DecodeShipment(data []byte, dist *geo.DistanceMatrix) (*core.Model, *core.S
 		pts = make([]geo.Point, model.J)
 		for j := range pts {
 			pts[j] = geo.Point{Lat: shipped.Lats[j], Lon: shipped.Lons[j]}
+			if !pts[j].Valid() {
+				return nil, nil, 0, fmt.Errorf("serve: shipped coordinates of POI %d are %v, outside [-90, 90] × [-180, 180]", j, pts[j])
+			}
 		}
 	}
 	switch {

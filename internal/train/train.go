@@ -28,7 +28,6 @@ package train
 
 import (
 	"fmt"
-	"math/rand"
 
 	"tcss/internal/opt"
 )
@@ -168,9 +167,6 @@ func New(model Trainable, heads []Head, batch *MiniBatch, optim *opt.Adam, rng *
 	return &Driver{cfg: cfg, model: model, heads: heads, batch: batch, optim: optim, rng: rng}, nil
 }
 
-// Epoch returns the number of completed epochs.
-func (d *Driver) Epoch() int { return d.epoch }
-
 // Run executes epochs from the current position (0, or the restored epoch)
 // through cfg.Epochs. Each epoch: zero gradients, evaluate the objective
 // (heads, or a shuffled mini-batch sweep), clip, step the optimizer, invoke
@@ -248,13 +244,4 @@ func (d *Driver) stepGroups() {
 		d.optim.Step(g.Name, g.Value, g.Grad)
 	}
 	d.model.ZeroGrad()
-}
-
-// Rand returns the engine RNG's rand.Rand, for composing heads that draw
-// from the checkpointed stream.
-func (d *Driver) Rand() *rand.Rand {
-	if d.rng == nil {
-		return nil
-	}
-	return d.rng.Rand
 }

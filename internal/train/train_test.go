@@ -121,8 +121,8 @@ func TestDriverFullBatchConverges(t *testing.T) {
 	if losses[len(losses)-1] > 1e-3 || losses[len(losses)-1] > losses[0] {
 		t.Fatalf("no convergence: first %g last %g", losses[0], losses[len(losses)-1])
 	}
-	if d.Epoch() != 120 {
-		t.Fatalf("Epoch() = %d, want 120", d.Epoch())
+	if d.epoch != 120 {
+		t.Fatalf("epoch = %d, want 120", d.epoch)
 	}
 }
 

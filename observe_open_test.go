@@ -93,7 +93,7 @@ func TestObserveOpenCompactRejected(t *testing.T) {
 	ds := smallDataset(t, 22)
 	cfg := quickConfig()
 	cfg.Epochs = 3
-	cfg.Storage = StorageFloat32
+	cfg.Storage = core.StorageFloat32
 	rec, err := Fit(ds, Month, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package tcss
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -8,11 +9,14 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
+	"tcss/internal/core"
 	"tcss/internal/geo"
 	"tcss/internal/lbsn"
 	"tcss/internal/mat"
+	"tcss/internal/tensor"
 )
 
 // TestObservePinned pins, bit for bit, everything an observe sequence leaves
@@ -36,8 +40,8 @@ func TestObservePinned(t *testing.T) {
 		{"f64", StorageFloat64, 0, 0, "f1293c82cc5e4f4851f7f5fc0a32f762cee339b17a56738a4e015721e169802f"},
 		{"f64-lambda", StorageFloat64, 0.2, 0, "960b55b73b87a52619a1563fd31d9b1686e069cc9031923adccc9580e8d2ad83"},
 		{"f64-decay", StorageFloat64, 0, 0.4, "b9eed75305c81c743d2cf5732907ea641344e8f633497240145a478651b9c69c"},
-		{"f32", StorageFloat32, 0, 0, "e279a0511b2ec70f4b97b083b1f6a3e39d04c659d3022faa9a29ed251293e6ab"},
-		{"int8-decay", StorageInt8, 0, 1, "9245b86e7a5acc34ffb542ee59323ba73129b080428efbf55c78e4b879f2181c"},
+		{"f32", core.StorageFloat32, 0, 0, "e279a0511b2ec70f4b97b083b1f6a3e39d04c659d3022faa9a29ed251293e6ab"},
+		{"int8-decay", core.StorageInt8, 0, 1, "9245b86e7a5acc34ffb542ee59323ba73129b080428efbf55c78e4b879f2181c"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,7 +94,7 @@ func TestObservePinned(t *testing.T) {
 			}
 			// A cell the tensor already holds at full weight adds nothing.
 			var seen lbsn.CheckIn
-			for _, e := range rec.Train.SortedEntries() {
+			for _, e := range sortedEntries(rec.Train) {
 				if e.Val == 1 {
 					seen = lbsn.CheckIn{User: e.I, POI: e.J, Month: e.K, Week: 4 * e.K, Hour: 10}
 					break
@@ -166,7 +170,7 @@ func digestObserveState(h hash.Hash, rec *Recommender, added int, err error, swa
 	}
 	floats(m.H)
 
-	entries := rec.Train.SortedEntries()
+	entries := sortedEntries(rec.Train)
 	ints(rec.Train.DimI, rec.Train.DimJ, rec.Train.DimK, len(entries))
 	for _, e := range entries {
 		ints(e.I, e.J, e.K)
@@ -184,4 +188,13 @@ func digestObserveState(h hash.Hash, rec *Recommender, added int, err error, swa
 	}
 	ints(side.Dist.N, len(side.Locs))
 	ints(rec.Dataset.NumUsers, len(rec.Dataset.POIs), len(rec.Dataset.CheckIns))
+}
+
+// sortedEntries is a copy of x's entries in (i, j, k) order.
+func sortedEntries(x *tensor.COO) []tensor.Entry {
+	out := slices.Clone(x.Entries())
+	slices.SortFunc(out, func(a, b tensor.Entry) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J), cmp.Compare(a.K, b.K))
+	})
+	return out
 }

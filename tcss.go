@@ -40,8 +40,6 @@ type (
 	Model = core.Model
 	// Recommendation is one ranked POI suggestion.
 	Recommendation = core.Recommendation
-	// InitMethod selects the embedding initialization strategy.
-	InitMethod = core.InitMethod
 	// HausdorffVariant selects the social-spatial head variant.
 	HausdorffVariant = core.HausdorffVariant
 	// Dataset is a complete LBSN snapshot.
@@ -73,8 +71,6 @@ const (
 	Hour  = lbsn.Hour
 
 	StorageFloat64 = core.StorageFloat64
-	StorageFloat32 = core.StorageFloat32
-	StorageInt8    = core.StorageInt8
 )
 
 // ParseStorageMode parses a storage-mode name ("f64", "f32", "int8"/"i8") as
@@ -85,9 +81,6 @@ func ParseStorageMode(s string) (StorageMode, error) { return core.ParseStorageM
 // settings adapted to this implementation's full-batch optimizer; see the
 // internal/core documentation for the two documented deviations).
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// PaperConfig returns the hyperparameters exactly as printed in the paper.
-func PaperConfig() Config { return core.PaperConfig() }
 
 // GenerateDataset synthesizes one of the four paper datasets ("gowalla",
 // "yelp", "foursquare", "gmu-5k") at laptop scale with the given seed. It
@@ -229,16 +222,6 @@ func (r *Recommender) Recommend(user, timeUnit, n int) []Recommendation {
 // FriendPOIs returns the POIs the user's friends visited in training — the
 // set N(v) the social Hausdorff head regularizes toward.
 func (r *Recommender) FriendPOIs(user int) []int { return r.Side.FriendPOIs[user] }
-
-// Explanation decomposes a recommendation into its social-spatial evidence.
-type Explanation = core.Explanation
-
-// Explain reports why the model scores (user, poi, timeUnit) the way it
-// does: visit probability, peak time unit, friend visitation, distance to
-// the nearest friend POI, and the location-entropy weight.
-func (r *Recommender) Explain(user, poi, timeUnit int) Explanation {
-	return r.Model.Explain(r.Side, user, poi, timeUnit)
-}
 
 // OnlineConfig controls incremental model updates.
 type OnlineConfig = core.OnlineConfig
