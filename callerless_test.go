@@ -37,10 +37,10 @@ var callerlessSeams = []string{"internal/check", "internal/cluster/clustertest",
 
 // TestNoCallerlessExports keeps dead code from growing back. Every func and
 // method, and every exported type, const and var, declared in a non-test
-// file of a library package of the module must be referred to, as that very
-// object, from a non-test file of the module or of a module nested in it
-// (bench/); see callerless for what counts. A package's own tests do not
-// count: code only they call belongs in them.
+// file of the module must be referred to, as that very object, from a
+// non-test file of the module or of a module nested in it (bench/); see
+// callerless for what counts. A package's own tests do not count: code only
+// they call belongs in them.
 func TestNoCallerlessExports(t *testing.T) {
 	decls, err := callerless(".", callerlessSeams...)
 	if err != nil {
@@ -157,7 +157,7 @@ type callerlessDecl struct {
 // module nested under it, in `go list -deps` order, importing the standard
 // library through go/importer from the export data go list reports. It
 // returns every func and method, and every exported type, const and var,
-// declared in a non-test file of a non-main package of the root module, with
+// declared in a non-test file of the root module (main functions aside), with
 // whether something uses it. A declaration is used when a non-test file of
 // any of the modules refers to that object outside the declaration itself
 // (a method's receiver does not count), including files that build
@@ -212,56 +212,7 @@ func callerless(root string, seams ...string) ([]callerlessDecl, error) {
 		module = append(module, p)
 	}
 
-	var decls []callerlessDecl
-	declare := func(p goPackage, info *types.Info, files []*ast.File) {
-		if p.Module.Path != mainModule || p.Name == "main" {
-			return
-		}
-		for _, f := range files {
-			file := c.fset.Position(f.Package).Filename
-			add := func(key string, id *ast.Ident) {
-				if obj := info.Defs[id]; obj != nil {
-					decls = append(decls, callerlessDecl{key: p.Name + "." + key, file: file, used: c.host.objs[obj.Pos()] || c.seamUse(obj.Pos(), p.Dir, seams)})
-				}
-			}
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					if d.Name.Name == "init" || d.Name.Name == "_" {
-						continue
-					}
-					key := d.Name.Name
-					if d.Recv != nil {
-						key = receiverName(d.Recv.List[0].Type) + "." + key
-					}
-					add(key, d.Name)
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch spec := spec.(type) {
-						case *ast.TypeSpec:
-							if spec.Name.IsExported() {
-								add(spec.Name.Name, spec.Name)
-							}
-						case *ast.ValueSpec:
-							for _, id := range spec.Names {
-								if id.IsExported() {
-									add(id.Name, id)
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-
 	// Host build: every module package, checked strictly.
-	type checked struct {
-		p     goPackage
-		info  *types.Info
-		files []*ast.File
-	}
-	var all []checked
 	for _, p := range module {
 		files, err := c.parse(p.Dir, p.GoFiles)
 		if err != nil {
@@ -275,7 +226,6 @@ func callerless(root string, seams ...string) ([]callerlessDecl, error) {
 		for _, f := range files {
 			c.record(info, f, c.host)
 		}
-		all = append(all, checked{p, info, files})
 	}
 	// Other platforms: each distinct set of non-test files that build
 	// constraints select for another GOOS/GOARCH.
@@ -300,14 +250,9 @@ func callerless(root string, seams ...string) ([]callerlessDecl, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s for %s/%s: %w", p.ImportPath, ctxt.GOOS, ctxt.GOARCH, err)
 				}
-				var extra []*ast.File
-				for i, f := range files {
+				for _, f := range files {
 					c.record(info, f, c.host)
-					if !slices.Contains(p.GoFiles, names[i]) {
-						extra = append(extra, f)
-					}
 				}
-				all = append(all, checked{p, info, extra})
 			}
 		}
 	}
@@ -357,8 +302,52 @@ func callerless(root string, seams ...string) ([]callerlessDecl, error) {
 	for _, u := range c.tests {
 		c.resolve(u)
 	}
-	for _, ch := range all {
-		declare(ch.p, ch.info, ch.files)
+
+	// Each file was parsed once, so a declaring identifier's position is its
+	// object's position in every check that saw the file.
+	var decls []callerlessDecl
+	for _, p := range module {
+		if p.Module.Path != mainModule {
+			continue
+		}
+		for _, name := range append(slices.Clone(p.GoFiles), p.IgnoredGoFiles...) {
+			f := c.parsed[filepath.Join(p.Dir, name)]
+			if f == nil {
+				continue // excluded on every platform checked, or a test
+			}
+			add := func(key string, id *ast.Ident) {
+				used := c.host.objs[id.Pos()] || c.seamUse(id.Pos(), p.Dir, seams)
+				decls = append(decls, callerlessDecl{key: p.Name + "." + key, file: filepath.Join(p.Dir, name), used: used})
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Name.Name == "init" || d.Name.Name == "_" || p.Name == "main" && d.Name.Name == "main" && d.Recv == nil {
+						continue
+					}
+					key := d.Name.Name
+					if d.Recv != nil {
+						key = receiverName(d.Recv.List[0].Type) + "." + key
+					}
+					add(key, d.Name)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							if spec.Name.IsExported() {
+								add(spec.Name.Name, spec.Name)
+							}
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								if id.IsExported() {
+									add(id.Name, id)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 	return decls, nil
 }
@@ -433,11 +422,11 @@ func (c *callers) resolve(u *usage) {
 	seen := map[string]bool{}
 	var reach func(t types.Type)
 	reach = func(t types.Type) {
-		if key := types.TypeString(t, nil); seen[key] || types.IsInterface(t) {
+		key := types.TypeString(t, nil)
+		if seen[key] || types.IsInterface(t) {
 			return
-		} else {
-			seen[key] = true
 		}
+		seen[key] = true
 		for _, t := range []types.Type{t, types.NewPointer(t)} {
 			for _, iface := range ifaces {
 				if types.Implements(t, iface) {
@@ -472,16 +461,11 @@ func (c *callers) resolve(u *usage) {
 func markMethods(t types.Type, iface *types.Interface, objs map[token.Pos]bool) {
 	for i := 0; i < iface.NumMethods(); i++ {
 		m := iface.Method(i)
-		if fn, ok := lookupMethod(t, m); ok {
+		obj, _, _ := types.LookupFieldOrMethod(t, true, m.Pkg(), m.Name())
+		if fn, ok := obj.(*types.Func); ok {
 			objs[fn.Origin().Pos()] = true
 		}
 	}
-}
-
-func lookupMethod(t types.Type, m *types.Func) (*types.Func, bool) {
-	obj, _, _ := types.LookupFieldOrMethod(t, true, m.Pkg(), m.Name())
-	fn, ok := obj.(*types.Func)
-	return fn, ok
 }
 
 func (c *callers) parse(dir string, names []string) ([]*ast.File, error) {
@@ -516,9 +500,9 @@ func (c *callers) check(path string, files []*ast.File, imp types.Importer, stri
 	return pkg, info, err
 }
 
-// record passes use every object the top-level declarations of f refer to,
-// outside the declaration's own object and its receiver, and every method
-// reached by converting a concrete value to an interface.
+// record adds to u every object the top-level declarations of f refer to,
+// outside the declaration's own object and its receiver, the methods their
+// interface conversions reach, and the types they convert and assert to.
 func (c *callers) record(info *types.Info, f *ast.File, u *usage) {
 	for _, d := range f.Decls {
 		switch d := d.(type) {
@@ -549,6 +533,8 @@ func (c *callers) record(info *types.Info, f *ast.File, u *usage) {
 	}
 }
 
+// walk records into u what root refers to; sig is the signature its return
+// statements answer to, outside any function literal.
 func (c *callers) walk(info *types.Info, self types.Object, sig *types.Signature, root ast.Node, u *usage) {
 	typeOf := func(e ast.Expr) types.Type {
 		if e == nil {

@@ -89,6 +89,7 @@ func (g *Gateway) downLen() int {
 }
 
 // PrimaryGeneration returns the newest generation the primary has advertised
-// to this replicator (zero before the first reachable sync). The gap between
-// it and the replica's own generation is the replica's staleness.
+// to this replicator (zero before the first reachable sync). Declared in a
+// test file of package cluster, it is visible to the cluster_test chaos
+// tests.
 func (r *Replicator) PrimaryGeneration() uint64 { return r.primaryGen.Load() }

@@ -234,8 +234,8 @@ func TestVisitProbability(t *testing.T) {
 // GeneralizedMean computes M_α[x₁..x_n] = ((1/n)·Σ xᵢ^α)^(1/α), the smooth
 // minimum surrogate of Eq (10). As α → −∞ it converges to min(x); the paper
 // uses α = −1 as the balance between approximation quality and gradient
-// smoothness. All inputs must be positive (the Hausdorff head guards its
-// distances away from zero before calling).
+// smoothness; the Hausdorff head computes it inline. All inputs must be
+// positive.
 func GeneralizedMean(xs []float64, alpha float64) float64 {
 	if len(xs) == 0 {
 		panic("core: GeneralizedMean of empty slice")

@@ -114,7 +114,9 @@ func TestTopNMetricsEmpty(t *testing.T) {
 
 // Extended holds the full metric set of the extended evaluation: the paper's
 // Hit@K and MRR plus NDCG@K and the top-N precision/recall commonly reported
-// alongside them.
+// alongside them. It, RankExtended and TopNMetrics live in this test file:
+// only tests measure with them, quantdrift_test.go's external package
+// included.
 type Extended struct {
 	HitAtK       float64
 	MRR          float64
