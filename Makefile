@@ -91,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFramed -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBinary -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeShipment -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzLoadSeqState -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/baselines
 	@# The drift stream `tcss replay` reads.
 	$(GO) test -run '^$$' -fuzz FuzzReadWeeksJSONL -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/lbsn
 	@# The eigen solver behind the spectral initialization and the SVD

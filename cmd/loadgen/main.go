@@ -82,16 +82,16 @@ type sample struct {
 func main() {
 	var o options
 	flag.StringVar(&o.url, "url", "", "target server base URL (required: a running tcss serve node or tcssgw gateway)")
-	flag.Int64Var(&o.seed, "seed", 7, "seed for dataset, training and request generation")
+	flag.Int64Var(&o.seed, "seed", 7, "seed for the request stream and for -verify's synthetic model")
 	flag.IntVar(&o.conns, "conns", 8, "closed-loop worker connections")
 	flag.Float64Var(&o.rate, "rate", 0, "open-loop target requests/s (0 = closed loop)")
 	flag.DurationVar(&o.duration, "duration", 10*time.Second, "measurement duration")
 	flag.Float64Var(&o.observeFrac, "observe-frac", 0.001, "fraction of requests that are observe batches")
 	flag.Float64Var(&o.nextFrac, "next-frac", 0, "fraction of requests that are POST /v1/next with a random check-in sequence (requires -url against a server with a sequential model)")
 	flag.IntVar(&o.topN, "n", 10, "top-N per recommend request")
-	flag.IntVar(&o.users, "users", 0, "user id range for -url mode (ignored when self-hosting)")
-	flag.IntVar(&o.pois, "pois", 0, "poi id range for -url mode (ignored when self-hosting)")
-	flag.IntVar(&o.times, "times", 0, "time unit range for -url mode (ignored when self-hosting)")
+	flag.IntVar(&o.users, "users", 0, "user id range: the served model's users (required)")
+	flag.IntVar(&o.pois, "pois", 0, "poi id range: the served model's POIs (required by -observe-frac, -next-frac and -verify)")
+	flag.IntVar(&o.times, "times", 0, "time unit range: the served model's time units (required)")
 	flag.IntVar(&o.retries, "retries", 3, "max retries per request on 503, 504 and transport errors (0 disables)")
 	flag.DurationVar(&o.retryCap, "retry-cap", 500*time.Millisecond, "ceiling on per-retry backoff (Retry-After is clamped to this)")
 	flag.StringVar(&o.out, "out", "loadgen.json", "output JSON path")
@@ -293,7 +293,7 @@ func printServerStats(raw json.RawMessage) {
 		fmt.Printf("server model: %s storage, %d factor bytes (%.1f per user)\n",
 			m.Model.Storage, m.Model.FactorBytes, m.Model.BytesPerUser)
 	}
-	if m.Coalesce.Enabled {
+	if m.Coalesce.Batches.Load() > 0 {
 		fmt.Printf("server coalesce: %d batches, %d requests, avg batch %.2f\n",
 			m.Coalesce.Batches.Load(), m.Coalesce.Requests.Load(), m.Coalesce.AvgBatchSize)
 	}

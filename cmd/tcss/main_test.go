@@ -127,7 +127,7 @@ func TestServeValidate(t *testing.T) {
 		{chaosNode + "-replica-of http://127.0.0.1:19210 -sync-wait 60s -max-gen-lag 64", ""},
 		// The single-node scenarios of scripts/smoke.sh: serve, quant, drift, ab.
 		{"-preset gmu-5k -epochs 40 -addr 127.0.0.1:18092", ""},
-		{"-preset gmu-5k -model model.bin -coalesce -addr 127.0.0.1:18093", ""},
+		{"-preset gmu-5k -model model.bin -addr 127.0.0.1:18093", ""},
 		{"-preset gmu-5k -epochs 40 -grow -half-life 64 -addr 127.0.0.1:18095", ""},
 		{"-preset gmu-5k -epochs 40 -rank 8 -seq STRNN -seq-epochs 3 -seq-rank 8 -seq-save strnn.state " +
 			"-ab STRNN=0.5 -shadow STRNN -addr 127.0.0.1:18094", ""},

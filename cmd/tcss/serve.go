@@ -30,11 +30,11 @@ type serveConfig struct {
 	seqModels, seqState, seqSave, abSpec, shadowOf           string
 	seed                                                     int64
 	epochs, rank, snapKeep, ckEvery, ckKeep, topN, cacheSize int
-	maxInflight, maxQueue, onlineEp, coalesceBatch, vnodes   int
+	maxInflight, maxQueue, onlineEp, vnodes                  int
 	seqEpochs, seqRank                                       int
 	synthUsers, synthPOIs, synthTimes, synthRank             int
-	drainWait, timeout, coalesceWin, syncEvery, syncWait     time.Duration
-	grow, coalesce                                           bool
+	drainWait, timeout, syncEvery, syncWait                  time.Duration
+	grow                                                     bool
 	halfLife                                                 float64
 	firstGen, maxGenLag                                      uint64
 
@@ -86,10 +86,6 @@ Flags:
 	fs.IntVar(&c.onlineEp, "online-epochs", 0, "SGD epochs per observe batch (0 = default)")
 	fs.BoolVar(&c.grow, "grow", false, "open-world mode: /v1/observe accepts new_users/new_pois and check-ins beyond the trained dimensions, growing the model in place")
 	fs.Float64Var(&c.halfLife, "half-life", 0, "check-in decay half-life in observe steps; recent evidence outweighs stale (0 = no decay)")
-
-	fs.BoolVar(&c.coalesce, "coalesce", false, "batch concurrent recommend requests through one factor-slab pass")
-	fs.DurationVar(&c.coalesceWin, "coalesce-window", 0, "max wait for batch co-travellers (0 = server default 200µs)")
-	fs.IntVar(&c.coalesceBatch, "coalesce-batch", 0, "batch flush threshold (0 = server default 32)")
 
 	fs.StringVar(&c.shardName, "shard-name", "", "this node's shard name inside a cluster (enables 421 on non-owned users with -cluster-shards)")
 	fs.StringVar(&c.clusterShards, "cluster-shards", "", "comma-separated shard names forming the consistent-hash ring")
@@ -442,9 +438,6 @@ func (c *serveConfig) options(firstGen uint64, reg *registry.Registry) serve.Opt
 		SnapshotPath:    c.snapshot,
 		SnapshotKeep:    c.snapKeep,
 		FirstGeneration: firstGen,
-		Coalesce:        c.coalesce,
-		CoalesceWindow:  c.coalesceWin,
-		CoalesceBatch:   c.coalesceBatch,
 		ShardName:       c.shardName,
 		MaxGenLag:       c.maxGenLag,
 		Role:            role,

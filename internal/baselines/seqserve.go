@@ -39,6 +39,9 @@ type SeqServer interface {
 	// LoadSeqState both start here.
 	build(users, pois, times, rank int, rng *rand.Rand)
 	captureState() (*seqState, error)
+	// admit refuses a decoded state file whose dims its own parameters do
+	// not carry, before build allocates from them.
+	admit(st *seqState, dist *geo.DistanceMatrix) error
 	// restore fills a freshly built model from a decoded state file.
 	restore(st *seqState, dist *geo.DistanceMatrix) error
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"strings"
 
 	"tcss/internal/fault"
 	"tcss/internal/geo"
@@ -50,12 +51,29 @@ func (m *recurrent) captureState() (*seqState, error) {
 	}, nil
 }
 
-// restore implements SeqServer. The cell reads Δd between any two POIs at
-// query time, so dist must cover exactly the model's POIs.
-func (m *recurrent) restore(st *seqState, dist *geo.DistanceMatrix) error {
+// admit implements SeqServer. The cell reads Δd between any two POIs at
+// query time, so dist must cover exactly the model's POIs. build sizes the
+// POI and time tables from st's dims and the cell from its rank alone (at
+// most 8·rank² values a parameter), so the file must carry both tables whole
+// and at least rank² cell values.
+func (m *recurrent) admit(st *seqState, dist *geo.DistanceMatrix) error {
 	if dist == nil || dist.N != st.POIs {
 		return fmt.Errorf("%s needs the training distance matrix over its %d POIs", m.name, st.POIs)
 	}
+	cell := 0
+	for name, p := range st.Params {
+		if strings.HasPrefix(name, "cell.") {
+			cell += len(p)
+		}
+	}
+	if cell/st.Rank < st.Rank {
+		return fmt.Errorf("cell parameters hold %d values, fewer than rank² at rank %d", cell, st.Rank)
+	}
+	return errors.Join(st.table("poi.W", st.POIs), st.table("time.W", st.Times))
+}
+
+// restore implements SeqServer.
+func (m *recurrent) restore(st *seqState, dist *geo.DistanceMatrix) error {
 	if err := fillParams(st.Params, m.params); err != nil {
 		return err
 	}
@@ -85,7 +103,13 @@ func (s *STAN) captureState() (*seqState, error) {
 	}, nil
 }
 
-// restore implements SeqServer. STAN never reads dist.
+// admit implements SeqServer: build sizes STAN's three tables from st's
+// dims, so the file must carry each one whole. STAN never reads dist.
+func (s *STAN) admit(st *seqState, _ *geo.DistanceMatrix) error {
+	return errors.Join(st.table("user.W", st.Users), st.table("poi.W", st.POIs), st.table("time.W", st.Times))
+}
+
+// restore implements SeqServer.
 func (s *STAN) restore(st *seqState, _ *geo.DistanceMatrix) error {
 	if err := fillParams(st.Params, s.params); err != nil {
 		return err
@@ -168,6 +192,9 @@ func restoreSeq(st *seqState, dist *geo.DistanceMatrix) (SeqServer, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown sequential model kind %q", st.Kind)
 	}
+	if err := m.admit(st, dist); err != nil {
+		return nil, err
+	}
 	// build draws initial weights; every one is then overwritten from the
 	// file, so the seed is irrelevant.
 	m.build(st.Users, st.POIs, st.Times, st.Rank, rand.New(rand.NewSource(1)))
@@ -175,6 +202,16 @@ func restoreSeq(st *seqState, dist *geo.DistanceMatrix) (SeqServer, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// table checks that the file's parameter name holds exactly rows·Rank
+// values. It divides rather than multiplies, so no declared size can
+// overflow into a match.
+func (st *seqState) table(name string, rows int) error {
+	if n := len(st.Params[name]); n%st.Rank != 0 || n/st.Rank != rows {
+		return fmt.Errorf("parameter %q has %d values, want %d rows of %d", name, n, rows, st.Rank)
+	}
+	return nil
 }
 
 // fillParams copies each named parameter from the file into the freshly

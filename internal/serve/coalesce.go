@@ -10,31 +10,34 @@ import (
 
 // coalescer batches concurrent recommend requests through core.TopNBatch so a
 // batch of B requests streams the POI factor slab once instead of B times.
+// The load selects it: snapshotScorer.Recommend joins the coalescer only
+// while another admitted read holds a scoring slot (and the node has a wait
+// queue), and a lone request takes the per-request TopNScratch path (DESIGN
+// §10 has the measurement).
 //
 // Protocol: a request joins the pending batch (creating it, and arming its
 // window timer, if none exists). The batch executes exactly once — flushed
-// by the request that fills it to maxBatch, by the leader's group-commit
-// loop once the batch stops growing, or by the timer after window — against
-// the snapshot loaded at execution time. Each member's skip list is resolved
-// from that same snapshot, so every response in the batch is internally
-// consistent with exactly one generation, the one it reports — the same
-// contract the per-request path gives. The `flushed` flag, guarded by mu,
-// detaches the batch exactly once; joiners then wait on done, which the
-// executor closes after publishing results (the channel close orders the
-// result writes before the waiters' reads).
+// by the request that fills it to coalesceMaxBatch, by the leader's
+// group-commit loop once the batch stops growing, or by the timer after
+// coalesceWindow — against the snapshot loaded at execution time. Each
+// member's skip list is resolved from that same snapshot, so every response
+// in the batch is internally consistent with exactly one generation, the one
+// it reports — the same contract the per-request path gives. The `flushed`
+// flag, guarded by mu, detaches the batch exactly once; joiners then wait on
+// done, which the executor closes after publishing results (the channel
+// close orders the result writes before the waiters' reads).
 //
 // The group-commit loop is what makes the latency cost negligible: the
 // request that creates a batch (the leader) yields the processor and
 // re-checks; while concurrently admitted requests keep joining it keeps
 // yielding, and once the batch stops growing AND an execution slot is free
-// it flushes. A lone request on an idle server therefore pays a couple of
-// scheduler yields, not the window. Execution slots (GOMAXPROCS of them)
-// are the convoy mechanism: while every slot is busy scoring, the pending
-// batch keeps accumulating, so the batch size self-regulates to however
-// many requests arrive during one batch service time — batching emerges
-// exactly when there is queued load, without ever delaying an uncontended
-// request. The timer is only a starvation backstop (a descheduled leader),
-// which is why the default window can stay small.
+// it flushes. A leader nobody joins therefore pays a couple of scheduler
+// yields, not the window. Execution slots (GOMAXPROCS of them) are the
+// convoy mechanism: while every slot is busy scoring, the pending batch
+// keeps accumulating, so the batch size self-regulates to however many
+// requests arrive during one batch service time. The timer is only a
+// starvation backstop (a descheduled leader), which is why the window can
+// stay small.
 //
 // Execution is safe against generation swaps between join and flush because
 // model dimensions only ever grow (open-world observes append rows, never
@@ -46,9 +49,7 @@ import (
 // those waiters (the one that filled the batch, running inline) or the timer
 // goroutine, which needs no slot.
 type coalescer struct {
-	s        *Server
-	window   time.Duration
-	maxBatch int
+	s *Server
 
 	mu      sync.Mutex
 	pending *coalesceBatch
@@ -73,13 +74,15 @@ type coalesceBatch struct {
 	out     [][]core.Recommendation
 }
 
-func newCoalescer(s *Server, window time.Duration, maxBatch int) *coalescer {
-	return &coalescer{
-		s:        s,
-		window:   window,
-		maxBatch: maxBatch,
-		slots:    make(chan struct{}, runtime.GOMAXPROCS(0)),
-	}
+// coalesceWindow is the backstop timer's wait for co-travellers, and
+// coalesceMaxBatch the batch size that flushes at once.
+const (
+	coalesceWindow   = 200 * time.Microsecond
+	coalesceMaxBatch = 32
+)
+
+func newCoalescer(s *Server) *coalescer {
+	return &coalescer{s: s, slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
 }
 
 // do answers one recommend request through the batch path, returning the
@@ -91,13 +94,13 @@ func (c *coalescer) do(user, t, n int) ([]core.Recommendation, *Snapshot) {
 	leader := b == nil
 	if leader {
 		b = &coalesceBatch{done: make(chan struct{})}
-		b.timer = time.AfterFunc(c.window, func() { c.flush(b) })
+		b.timer = time.AfterFunc(coalesceWindow, func() { c.flush(b) })
 		c.pending = b
 	}
 	idx := len(b.reqs)
 	b.reqs = append(b.reqs, core.BatchReq{User: user, T: t, N: n})
 	prev := len(b.reqs)
-	full := prev >= c.maxBatch
+	full := prev >= coalesceMaxBatch
 	if full {
 		b.flushed = true
 		c.pending = nil
@@ -114,10 +117,10 @@ func (c *coalescer) do(user, t, n int) ([]core.Recommendation, *Snapshot) {
 		// or every execution slot is busy; flush once the batch has been
 		// stable for a few consecutive checks and a slot is free. Requiring
 		// several stable checks rides out scheduling gaps between joiners
-		// under queued load (letting the batch grow toward maxBatch) while
-		// costing a lone request only a handful of yields. Another goroutine
-		// may flush first (by filling the batch, or the backstop timer),
-		// which the flushed flag reports.
+		// under queued load (letting the batch grow toward coalesceMaxBatch)
+		// while costing a lone leader only a handful of yields. Another
+		// goroutine may flush first (by filling the batch, or the backstop
+		// timer), which the flushed flag reports.
 		const stableChecks = 4
 		stable := 0
 		for {
@@ -190,7 +193,7 @@ func (c *coalescer) execute(b *coalesceBatch) {
 	}
 	sc, _ := c.scratch.Get().(*core.BatchScratch)
 	if sc == nil {
-		sc = core.NewBatchScratch(snap.Model, c.maxBatch)
+		sc = core.NewBatchScratch(snap.Model, coalesceMaxBatch)
 	}
 	b.snap = snap
 	b.out = snap.Model.TopNBatch(b.reqs, sc)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,94 +14,21 @@ import (
 )
 
 func TestOptionsValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		opts Options
-		ok   bool
-	}{
-		{"zero value", Options{}, true},
-		{"defaults", DefaultOptions(), true},
-		{"coalesce with defaults", Options{Coalesce: true}, true},
-		{"coalesce tuned", Options{Coalesce: true, CoalesceWindow: time.Millisecond, CoalesceBatch: 8}, true},
-		{"batch 0 means default", Options{Coalesce: true, CoalesceBatch: 0}, true},
-		{"negative window", Options{CoalesceWindow: -time.Microsecond}, false},
-		{"negative batch", Options{CoalesceBatch: -3}, false},
-		{"batch of one", Options{CoalesceBatch: 1}, false},
-		{"window at timeout", Options{Coalesce: true, RequestTimeout: time.Second, CoalesceWindow: time.Second}, false},
-		{"window above default timeout", Options{Coalesce: true, CoalesceWindow: 3 * time.Second}, false},
-		{"long window ignored when off", Options{Coalesce: false, CoalesceWindow: 3 * time.Second}, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.opts.Validate()
-			if tc.ok && err != nil {
+	for name, opts := range map[string]Options{"zero value": {}, "defaults": DefaultOptions()} {
+		t.Run(name, func(t *testing.T) {
+			if err := opts.Validate(); err != nil {
 				t.Fatalf("want valid, got %v", err)
-			}
-			if !tc.ok && err == nil {
-				t.Fatal("want validation error, got nil")
 			}
 		})
 	}
-	// New must surface the same rejection.
-	if _, err := New(fitRecommender(t, 21), Options{CoalesceBatch: -1}); err == nil {
-		t.Fatal("New must reject invalid coalescing options")
-	}
 }
 
-// TestCoalesceBatchesForm drives concurrent requests into a wide window and
-// checks batches actually form: /metrics must report every request travelling
-// through the coalescer and at least one multi-request batch.
-func TestCoalesceBatchesForm(t *testing.T) {
-	srv, hs := newTestServer(t, Options{
-		Coalesce:       true,
-		CoalesceWindow: 100 * time.Millisecond,
-		CoalesceBatch:  4,
-		CacheSize:      -1, // every request must reach the coalescer
-		// Coalesced requests hold admission slots for up to the window;
-		// give all 8 concurrent requests slots regardless of GOMAXPROCS.
-		MaxInflight: 16,
-		MaxQueue:    16,
-	})
-	defer hs.Close()
-
-	model := srv.snap.load().Model
-	const reqs = 8
-	var wg sync.WaitGroup
-	for i := 0; i < reqs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			url := fmt.Sprintf("%s/v1/recommend?user=%d&t=%d&n=5", hs.URL, i%model.I, (i/2)%model.K)
-			resp, err := http.Get(url)
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d", i, resp.StatusCode)
-			}
-		}(i)
-	}
-	wg.Wait()
-
+// scrapeCoalesce reads the coalesce block of the server's /metrics document.
+func scrapeCoalesce(t *testing.T, base string) *metricsSnapshot {
+	t.Helper()
 	var m metricsSnapshot
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Coalesce.Enabled {
-		t.Fatal("metrics must report coalescing enabled")
-	}
-	if m.Coalesce.Requests.Load() != reqs {
-		t.Fatalf("coalesced requests = %d, want %d", m.Coalesce.Requests.Load(), reqs)
-	}
-	if m.Coalesce.Batches.Load() < 1 || m.Coalesce.Batches.Load() > reqs {
-		t.Fatalf("batches = %d, want within [1, %d]", m.Coalesce.Batches.Load(), reqs)
+	if resp := getJSON(t, base+"/metrics", &m); resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics status %d", resp.StatusCode)
 	}
 	var histTotal int64
 	for i := range m.Coalesce.BatchSizes {
@@ -109,11 +37,104 @@ func TestCoalesceBatchesForm(t *testing.T) {
 	if histTotal != m.Coalesce.Batches.Load() {
 		t.Fatalf("histogram sums to %d batches, counter says %d", histTotal, m.Coalesce.Batches.Load())
 	}
-	if m.Coalesce.MaxBatch != 4 || m.Coalesce.WindowUs != 100_000 {
-		t.Fatalf("coalesce config in metrics = max %d window %.0fµs", m.Coalesce.MaxBatch, m.Coalesce.WindowUs)
+	return &m
+}
+
+// TestLoneReadSkipsCoalescer: a recommend miss that finds no other read
+// admitted scores on its own, so no batch ever runs.
+func TestLoneReadSkipsCoalescer(t *testing.T) {
+	srv, hs := newTestServer(t, Options{CacheSize: -1, MaxQueue: 8})
+	model := srv.snap.load().Model
+	for i := 0; i < 5; i++ {
+		var got recommendResponse
+		url := fmt.Sprintf("%s/v1/recommend?user=%d&t=%d&n=5", hs.URL, i%model.I, i%model.K)
+		if resp := getJSON(t, url, &got); resp.StatusCode != http.StatusOK || len(got.Results) != 5 {
+			t.Fatalf("request %d: status %d, %d results", i, resp.StatusCode, len(got.Results))
+		}
+	}
+	if m := scrapeCoalesce(t, hs.URL); m.Coalesce.Batches.Load() != 0 || m.Coalesce.Requests.Load() != 0 {
+		t.Fatalf("lone reads ran %d batches of %d requests, want none", m.Coalesce.Batches.Load(), m.Coalesce.Requests.Load())
+	}
+}
+
+// heldReads sends reqs recommend misses to a node with the given wait queue
+// and holds each in its admission slot until all of them are in flight, then
+// lets them score. None releases its slot before it has scored, so the first
+// to reach the scorer sees the others still admitted. Every response must
+// equal TopNScratch on the snapshot; heldReads returns the node's metrics.
+func heldReads(t *testing.T, reqs, queue int) *metricsSnapshot {
+	t.Helper()
+	entered, release := make(chan struct{}), make(chan struct{})
+	opts := Options{CacheSize: -1, MaxInflight: reqs, MaxQueue: queue}
+	opts.holdForTest = func() { entered <- struct{}{}; <-release }
+	srv, hs := newTestServer(t, opts)
+
+	snap := srv.snap.load()
+	got := make([]recommendResponse, reqs)
+	var wg sync.WaitGroup
+	for i := 0; i < reqs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			url := fmt.Sprintf("%s/v1/recommend?user=%d&t=%d&n=5", hs.URL, i%snap.Model.I, (i/2)%snap.Model.K)
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d", i, resp.StatusCode)
+				return
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&got[i]); err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}(i)
+	}
+	for i := 0; i < reqs; i++ {
+		<-entered
+	}
+	close(release)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	sc := core.NewRecScratch(snap.Model)
+	for i, g := range got {
+		want := snap.Model.TopNScratch(g.User, g.T, 5, snap.Side.OwnPOIs[g.User], sc)
+		if g.Generation != snap.Gen || len(g.Results) != len(want) {
+			t.Fatalf("request %d: generation %d with %d results, want %d with %d", i, g.Generation, len(g.Results), snap.Gen, len(want))
+		}
+		for p := range want {
+			if want[p].POI != g.Results[p].POI || want[p].Score != g.Results[p].Score {
+				t.Fatalf("request %d rank %d: got %+v, TopNScratch %+v", i, p, g.Results[p], want[p])
+			}
+		}
+	}
+	return scrapeCoalesce(t, hs.URL)
+}
+
+// TestCoalesceBatchesForm: reads held in flight together form at least one
+// batch, on every run, and answer exactly what TopNScratch does.
+func TestCoalesceBatchesForm(t *testing.T) {
+	const reqs = 8
+	m := heldReads(t, reqs, reqs)
+	if b, r := m.Coalesce.Batches.Load(), m.Coalesce.Requests.Load(); b < 1 || r < b || r > reqs {
+		t.Fatalf("%d batches of %d requests, want ≥ 1 batch and at most %d requests", b, r, reqs)
 	}
 	if m.Model.Storage != "f64" || m.Model.FactorBytes <= 0 || m.Model.BytesPerUser <= 0 {
 		t.Fatalf("model metrics = %+v", m.Model)
+	}
+}
+
+// TestQueuelessNodeNeverBatches: with MaxQueue 0 an arrival that finds every
+// slot held is shed, so reads there never park in a batch, however many are
+// in flight.
+func TestQueuelessNodeNeverBatches(t *testing.T) {
+	if m := heldReads(t, 8, 0); m.Coalesce.Batches.Load() != 0 {
+		t.Fatalf("%d batches on a node without a wait queue, want none", m.Coalesce.Batches.Load())
 	}
 }
 
@@ -125,19 +146,30 @@ func TestCoalesceBatchesForm(t *testing.T) {
 // reports — the coalescer's core contract.
 func TestCoalescedConcurrentReadersBitIdentical(t *testing.T) {
 	var rec genRecorder
-	srv, err := New(fitRecommender(t, 21), Options{
-		Online:         quickOnline(),
-		OnSwap:         rec.record,
-		Coalesce:       true,
-		CoalesceWindow: 150 * time.Microsecond,
-		CoalesceBatch:  5,
-		CacheSize:      -1, // force every response through a live batch
-		// Coalesced requests hold their admission slot for the whole window,
-		// so give the readers explicit headroom instead of relying on the
-		// GOMAXPROCS-derived default.
+	opts := Options{
+		Online:    quickOnline(),
+		OnSwap:    rec.record,
+		CacheSize: -1, // force every response through a live batch
+		// Coalesced requests hold their admission slot until their batch
+		// executes, so give the readers explicit headroom instead of relying
+		// on the GOMAXPROCS-derived default.
 		MaxInflight: 32,
 		MaxQueue:    64,
-	})
+	}
+	// The first two reads wait for each other in their scoring slots, so one
+	// of them reaches the scorer while the other is still admitted: at least
+	// one batch runs however the readers happen to be scheduled.
+	var held atomic.Int32
+	paired := make(chan struct{})
+	opts.holdForTest = func() {
+		switch held.Add(1) {
+		case 1:
+			<-paired
+		case 2:
+			close(paired)
+		}
+	}
+	srv, err := New(fitRecommender(t, 21), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

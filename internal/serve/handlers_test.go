@@ -603,7 +603,7 @@ func TestMetricsDocumentShape(t *testing.T) {
 		"admission: deadline_budget_clamped inflight max_inflight max_queue queued",
 		"bad_requests",
 		"cache: entries hit_rate hits misses",
-		"coalesce: avg_batch_size batch_size_counts batches enabled max_batch requests window_us",
+		"coalesce: avg_batch_size batch_size_counts batches requests",
 		"deadline_504",
 		"explain: count latency_buckets_ns p50_ms p95_ms p99_ms",
 		"internal_500",

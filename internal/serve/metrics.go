@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"time"
 
 	"tcss/internal/wire"
 )
@@ -15,11 +14,6 @@ func (s *Server) newMetrics() *wire.NodeMetrics {
 	m := &wire.NodeMetrics{}
 	m.Shard.Name, m.Shard.Role = s.opts.ShardName, s.opts.Role
 	m.Replication.MaxGenLag = s.opts.MaxGenLag
-	if s.opts.Coalesce {
-		m.Coalesce.Enabled = true
-		m.Coalesce.WindowUs = float64(s.opts.CoalesceWindow) / float64(time.Microsecond)
-		m.Coalesce.MaxBatch = s.opts.CoalesceBatch
-	}
 	m.Coalesce.BatchSizes = make([]wire.CoalesceBucket, len(coalesceBucketLabels))
 	for i, label := range coalesceBucketLabels {
 		m.Coalesce.BatchSizes[i].Bucket = label

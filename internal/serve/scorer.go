@@ -14,10 +14,10 @@ import (
 type Scorer = registry.Scorer
 
 // snapshotScorer adapts the server's own snapshot path — atomic snapshot
-// load, pooled scratch or the request coalescer — to the Scorer interface.
-// It is registered as the registry's primary model, so the default routing
-// behaves exactly like the single-model server did: same scoring path, same
-// bytes.
+// load, then pooled scratch or, under concurrent load, the request coalescer
+// — to the Scorer interface. It is registered as the registry's primary
+// model, so the default routing behaves exactly like the single-model server
+// did: same scoring path, same bytes.
 type snapshotScorer struct {
 	s    *Server
 	name string
@@ -35,12 +35,16 @@ func (t *snapshotScorer) Dims() (int, int, int) {
 	return snap.Model.I, snap.Model.J, snap.Model.K
 }
 
-// Recommend implements Scorer. With coalescing enabled the request joins the
-// pending batch and reports the generation of the snapshot the batch executed
-// on; otherwise it scores the current snapshot with pooled scratch. Both are
-// bit-identical to the pre-registry request path.
+// Recommend implements Scorer. While another admitted read holds a scoring
+// slot the request joins the coalescer's pending batch and reports the
+// generation of the snapshot the batch executed on; a lone request scores the
+// current snapshot with pooled scratch. A node without a wait queue
+// (MaxQueue 0) never batches: a read parked in a batch holds its scoring
+// slot until the batch runs, and there every held slot is one an arrival
+// is shed for. Both paths are bit-identical to TopNScratch on the
+// generation they report.
 func (t *snapshotScorer) Recommend(user, tIdx, n int) ([]core.Recommendation, uint64, error) {
-	if t.s.coal != nil {
+	if t.s.adm.inflight.Load() > 1 && t.s.adm.maxQueue > 0 {
 		recs, esnap := t.s.coal.do(user, tIdx, n)
 		return recs, esnap.Gen, nil
 	}

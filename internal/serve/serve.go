@@ -19,7 +19,10 @@
 // that), per-request deadlines (504 on expiry), a generation-keyed LRU
 // response cache that snapshot swaps invalidate wholesale, and pooled scoring
 // scratch (core.RecScratch) so steady-state requests allocate only their
-// response. Observability comes from /metrics (request counts, latency
+// response. The load picks the scoring path: a recommend miss admitted while
+// another read holds a scoring slot joins a batch that streams the POI slab
+// once for all its members (core.TopNBatch, coalesce.go); a lone miss scores
+// alone. Observability comes from /metrics (request counts, latency
 // percentiles off additive log-scale histograms, cache hit rate, snapshot
 // generation/age, queue depths) and /healthz.
 package serve
@@ -54,26 +57,14 @@ type Options struct {
 
 	// MaxInflight bounds concurrently scoring read requests; MaxQueue bounds
 	// how many more may wait for a slot. Beyond that, requests are shed with
-	// 503 and a Retry-After of RetryAfter.
+	// 503 and a Retry-After of RetryAfter. A node with MaxQueue 0 never
+	// batches recommend misses (see snapshotScorer.Recommend).
 	MaxInflight int
 	MaxQueue    int
 	RetryAfter  time.Duration
 
 	// CacheSize is the LRU capacity in responses; < 0 disables the cache.
 	CacheSize int
-
-	// Coalesce batches concurrent recommend requests through one pass over
-	// the POI factor slab (core.TopNBatch): a request joins the pending batch,
-	// which executes when it reaches CoalesceBatch requests or CoalesceWindow
-	// after its first member arrived, whichever comes first. Per request the
-	// results are bit-identical to the per-request path against the snapshot
-	// the batch executed on (whose generation the response reports). Measured
-	// on a 131 072-POI model: 1.18× requests/s at 8 concurrent connections,
-	// 0.99× at one (DESIGN §10) — off by default because a lone request gains
-	// nothing.
-	Coalesce       bool
-	CoalesceWindow time.Duration // max wait for co-travellers; default 200µs
-	CoalesceBatch  int           // flush threshold; default 32
 
 	// Online configures the incremental model update per observe batch.
 	Online tcss.OnlineConfig
@@ -166,23 +157,16 @@ func DefaultOptions() Options {
 		MaxQueue:       256,
 		RetryAfter:     time.Second,
 		CacheSize:      8192,
-		CoalesceWindow: 200 * time.Microsecond,
-		CoalesceBatch:  32,
 		Online:         tcss.DefaultOnlineConfig(),
 	}
 }
 
 // Validate rejects option combinations that withDefaults cannot repair.
 // Non-positive values generally mean "use the default", so Validate only
-// flags settings that are explicitly nonsensical: negative coalescing knobs
-// (a negative duration or batch size is never a plausible default request), a
-// coalesce batch of one (pays the batching synchronisation for no reuse — set
-// Coalesce false instead), a coalesce window at or beyond the request
-// timeout (every coalesced request would miss its deadline waiting for
-// co-travellers), and a partly filled Online: the all-zero struct means "use
-// the defaults", but one that sets, say, only DecayHalfLife has no usable
-// Epochs or LR, and replacing it whole would silently drop what the caller
-// did set. New calls Validate before applying defaults.
+// flags a partly filled Online: the all-zero struct means "use the
+// defaults", but one that sets, say, only DecayHalfLife has no usable Epochs
+// or LR, and replacing it whole would silently drop what the caller did set.
+// New calls Validate before applying defaults.
 func (o Options) Validate() error {
 	if o.Online != (tcss.OnlineConfig{}) {
 		if o.Online.Epochs <= 0 {
@@ -190,28 +174,6 @@ func (o Options) Validate() error {
 		}
 		if o.Online.LR <= 0 {
 			return fmt.Errorf("serve: Options.Online is set but Online.LR is %v; start from tcss.DefaultOnlineConfig()", o.Online.LR)
-		}
-	}
-	if o.CoalesceWindow < 0 {
-		return fmt.Errorf("serve: coalesce window must not be negative, got %v", o.CoalesceWindow)
-	}
-	if o.CoalesceBatch < 0 {
-		return fmt.Errorf("serve: coalesce batch must not be negative, got %d", o.CoalesceBatch)
-	}
-	if o.CoalesceBatch == 1 {
-		return fmt.Errorf("serve: coalesce batch of 1 defeats coalescing; disable Coalesce instead")
-	}
-	if o.Coalesce {
-		timeout := o.RequestTimeout
-		if timeout <= 0 {
-			timeout = DefaultOptions().RequestTimeout
-		}
-		window := o.CoalesceWindow
-		if window == 0 {
-			window = DefaultOptions().CoalesceWindow
-		}
-		if window >= timeout {
-			return fmt.Errorf("serve: coalesce window %v must be below the request timeout %v", window, timeout)
 		}
 	}
 	return nil
@@ -239,12 +201,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = def.CacheSize
-	}
-	if o.CoalesceWindow <= 0 {
-		o.CoalesceWindow = def.CoalesceWindow
-	}
-	if o.CoalesceBatch <= 0 {
-		o.CoalesceBatch = def.CoalesceBatch
 	}
 	if o.Online == (tcss.OnlineConfig{}) {
 		o.Online = def.Online
@@ -297,7 +253,7 @@ type Server struct {
 
 	snap  holder
 	reg   *registry.Registry
-	coal  *coalescer // nil unless Options.Coalesce
+	coal  *coalescer
 	cache *lruCache
 	rules []errorRule // sentinel → HTTP answer, see errorRules
 	adm   *admission
@@ -395,9 +351,7 @@ func NewFromSource(src Source, opts Options) (*Server, error) {
 		Side:    side,
 		Created: opts.now(),
 	})
-	if opts.Coalesce {
-		s.coal = newCoalescer(s, opts.CoalesceWindow, opts.CoalesceBatch)
-	}
+	s.coal = newCoalescer(s)
 	s.reg = opts.Registry
 	if s.reg == nil {
 		s.reg = registry.New()

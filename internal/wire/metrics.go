@@ -329,15 +329,12 @@ type NodeMetrics struct {
 		POIs         int     `json:"pois"`
 	} `json:"model"`
 
-	// Coalesce reports the request-batching pipeline: whether it is on, how
-	// many batches ran, how many requests travelled in them, the mean batch
-	// size, and a batch-size histogram (per node; the gateway does not merge
-	// it). Mean sizes near 1 mean the window is too short (or load too light)
-	// for requests to share slab passes.
+	// Coalesce reports the request-batching pipeline, which concurrent
+	// recommend misses join: how many batches ran, how many requests
+	// travelled in them, the mean batch size, and a batch-size histogram (per
+	// node; the gateway does not merge it). Zero batches means no miss ever
+	// found another read scoring, or the node has no wait queue.
 	Coalesce struct {
-		Enabled      bool             `json:"enabled"`
-		WindowUs     float64          `json:"window_us"`
-		MaxBatch     int              `json:"max_batch"`
 		Batches      Counter          `json:"batches"`
 		Requests     Counter          `json:"requests"`
 		AvgBatchSize float64          `json:"avg_batch_size"`

@@ -108,19 +108,20 @@ smoke_crash() {
 }
 
 # quant: the whole compact pipeline — train int8-quantized, save in the v5
-# binary slab format, serve it with request coalescing, drive a short burst.
+# binary slab format, serve it, drive a short burst from four connections
+# (concurrent misses take the coalesced batch path).
 # -model reads the format from the file, so the server's own "loaded model"
 # line must say the v5 file was memory-mapped, not copied.
 smoke_quant() {
     local addr="${QUANT_ADDR:-127.0.0.1:18093}"
     "$BIN/tcss" -preset gmu-5k -rank 12 -epochs 40 -storage int8 -save-binary "$DIR/model.bin"
-    spawn "$BIN/tcss" serve -preset gmu-5k -model "$DIR/model.bin" -coalesce -addr "$addr" >"$DIR/serve.log"
+    spawn "$BIN/tcss" serve -preset gmu-5k -model "$DIR/model.bin" -addr "$addr" >"$DIR/serve.log"
     wait_healthy "http://$addr" "int8 node"
     "$BIN/loadgen" -url "http://$addr" -users 220 -times 12 \
         -conns 4 -duration 2s -observe-frac 0 -out "$DIR/loadgen.json"
     grep 'loaded model .*format v5.*memory-mapped: true' "$DIR/serve.log" \
         || { cat "$DIR/serve.log"; die "server did not report a memory-mapped v5 load"; }
-    echo "quant-smoke: PASS — int8 model saved (v5), mmap-served with coalescing"
+    echo "quant-smoke: PASS — int8 model saved (v5), mmap-served under concurrent load"
 }
 
 # ab: TCSS plus an STRNN trained in the same process, behind a 50/50
