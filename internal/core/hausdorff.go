@@ -128,18 +128,19 @@ func (h *Hausdorff) invDMax() float64 {
 // can sweep its whole user shard without allocating. Sized for one (J, K, r)
 // model shape.
 type hausdorffScratch struct {
-	xhat  []float64   // J*K raw predictions, slab layout [j*K+k]
-	dpdx  []float64   // J*K ∂p_j/∂x̂_k partial products
-	p     []float64   // J visit probabilities
-	dn    []float64   // J shifted normalized distances d(j,j')/d_max − 1 to one friend POI
-	f     []float64   // J term-2 operands
-	finv  []float64   // J reciprocals 1/f_j (harmonic fast path)
-	dLdp  []float64   // J loss-probability gradients
-	slab  []float64   // 2r slab-kernel scratch
-	prefs []float64   // 2(K+1): prefix and suffix no-visit products
-	gRow  []float64   // r accumulator for one chain-rule row G[j] = Σ_k C[j][k]·U3[k]
-	hk    *mat.Matrix // K×r chain-rule factor H = Cᵀ·U2
-	q     []float64   // r column sums Σ_j U2[j]⊙G[j]
+	xhat  []float64    // J*K raw predictions, slab layout [j*K+k]
+	dpdx  []float64    // J*K ∂p_j/∂x̂_k partial products
+	p     []float64    // J visit probabilities
+	dn    [2][]float64 // J shifted normalized distances d(j,j')/d_max − 1 to each of two friend POIs
+	f     []float64    // J term-2 operands (α ≠ −1)
+	finv  [2][]float64 // J reciprocals 1/f_j to each of two friend POIs (α = −1)
+	dLdp  []float64    // J loss-probability gradients
+	slab  []float64    // 2r slab-kernel scratch
+	probs []float64    // 4(3K+1) mat.VisitProbs scratch
+	g     []float64    // max(r, K) mat.HeadChainRule scratch
+	ks    []int        // K mat.HeadChainRule slot offsets
+	hk    *mat.Matrix  // K×r chain-rule factor H = Cᵀ·U2
+	q     []float64    // r column sums Σ_j U2[j]⊙G[j]
 }
 
 func newHausdorffScratch(m *Model) *hausdorffScratch {
@@ -148,13 +149,14 @@ func newHausdorffScratch(m *Model) *hausdorffScratch {
 		xhat:  make([]float64, J*K),
 		dpdx:  make([]float64, J*K),
 		p:     make([]float64, J),
-		dn:    make([]float64, J),
+		dn:    [2][]float64{make([]float64, J), make([]float64, J)},
 		f:     make([]float64, J),
-		finv:  make([]float64, J),
+		finv:  [2][]float64{make([]float64, J), make([]float64, J)},
 		dLdp:  make([]float64, J),
 		slab:  make([]float64, 2*r),
-		prefs: make([]float64, 2*(K+1)),
-		gRow:  make([]float64, r),
+		probs: make([]float64, 4*(3*K+1)),
+		g:     make([]float64, max(r, K)),
+		ks:    make([]int, K),
 		hk:    mat.New(K, r),
 		q:     make([]float64, r),
 	}
@@ -179,31 +181,7 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 	// products ∂p_j/∂X̂[i,j,k] = Π_{k'≠k}(1−X̂[i,j,k']).
 	xhat, dpdx, p := sc.xhat, sc.dpdx, sc.p
 	m.ScoreSlabScratch(i, xhat, sc.slab)
-	prefix := sc.prefs[:K+1]
-	oneMinus := sc.prefs[K+1 : K+1+K] // cached 1−clamp01(x̂) per k
-	for j := 0; j < J; j++ {
-		row := xhat[j*K : (j+1)*K]
-		prefix[0] = 1
-		for k, x := range row {
-			om := 1 - clamp01(x)
-			oneMinus[k] = om
-			prefix[k+1] = prefix[k] * om
-		}
-		p[j] = 1 - prefix[K]
-		// ∂p_j/∂x̂_k = prefix[k]·suffix[k+1]; build the suffix product on the
-		// fly right-to-left so no second clamp pass is needed.
-		drow := dpdx[j*K : (j+1)*K]
-		suf := 1.0
-		for k := K - 1; k >= 0; k-- {
-			x := row[k]
-			if x <= 0 || x >= 1-1e-9 {
-				drow[k] = 0 // clamp saturated: no gradient
-			} else {
-				drow[k] = prefix[k] * suf
-			}
-			suf *= oneMinus[k]
-		}
-	}
+	mat.VisitProbs(p, dpdx, xhat, sc.probs)
 
 	minD := h.minDistances(i)
 	dLdp := sc.dLdp
@@ -231,35 +209,51 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 	alpha := h.Alpha
 	harmonic := alpha == -1 // the paper default; avoids math.Pow in the hot loop
 	invN := 1 / float64(len(friendSet))
-	f, finv, dn := sc.f[:J], sc.finv[:J], sc.dn[:J]
 	// With the shifted normalized distances dn_j = d(j,jp)/d_max − 1 the
 	// factor f_j = p_j·d'(j,jp) + (1−p_j)·d_max collapses to p_j·dn_j + 1:
-	// one multiply-add per (friend, POI) pair. The forward loop keeps each
-	// dn_j in a J-length row, where the gradient pass reads ∂f_j/∂p_j = dn_j.
+	// one multiply-add per (friend, POI) pair. The forward sweep keeps each
+	// dn_j in a J-length row, where the gradient sweep reads ∂f_j/∂p_j = dn_j.
 	scale := h.invDMax()
-	for _, jp := range friendSet {
-		var s float64
-		drow := h.rows.row(jp)[:J]
-		if harmonic {
-			// Cache each reciprocal: the gradient pass needs 1/f_j² and a
-			// multiply by the stored reciprocal replaces a second division,
-			// the dominant instruction of this loop. Clamped entries store a
-			// zero reciprocal so the gradient loop below is branch-free (a
-			// clamp has zero gradient, and 0² · dn contributes exactly that).
-			for j := 0; j < J; j++ {
-				dnj := drow[j]*scale - 1
-				dn[j] = dnj
-				fj := p[j]*dnj + 1
-				if fj < fMin {
-					s += 1 / fMin
-					finv[j] = 0
-					continue
-				}
-				inv := 1 / fj
-				finv[j] = inv
-				s += inv
+	if harmonic {
+		// Two friend POIs per sweep, each with its own running sum over
+		// ascending j; a lone last one is passed as both. Each reciprocal is
+		// kept: the gradient sweep needs 1/f_j² and a multiply by the stored
+		// reciprocal replaces a second division, the dominant instruction of
+		// the sweep. Clamped entries store a zero reciprocal so the gradient
+		// sweep is branch-free (a clamp has zero gradient, and 0² · dn
+		// contributes exactly that).
+		dn, finv := sc.dn, sc.finv
+		for n := 0; n < len(friendSet); n += 2 {
+			pair := friendSet[n:min(n+2, len(friendSet))]
+			rowA := h.rows.row(pair[0])
+			rowB := rowA
+			if len(pair) == 2 {
+				rowB = h.rows.row(pair[1])
 			}
-		} else {
+			var s, wb [2]float64
+			s[0], s[1] = mat.HarmonicSums(p, rowA, rowB, dn[0], dn[1], finv[0], finv[1], scale, fMin, 1/fMin)
+			for x, jp := range pair {
+				mean := s[x] / float64(J)
+				mVal := 1 / mean
+				w := h.entropy(jp) * invN
+				loss += w * mVal
+				// ∂M/∂f_j = mean^(1/α−1) · f_j^(α−1) / J.
+				wb[x] = w / (mean * mean * float64(J))
+			}
+			if grads == nil {
+				continue
+			}
+			if len(pair) == 2 {
+				mat.HarmonicGrad(dLdp, wb[0], dn[0], finv[0], wb[1], dn[1], finv[1])
+			} else {
+				mat.HarmonicGrad(dLdp, wb[0], dn[0], finv[0], 0, nil, nil)
+			}
+		}
+	} else {
+		f, dn := sc.f[:J], sc.dn[0][:J]
+		for _, jp := range friendSet {
+			var s float64
+			drow := h.rows.row(jp)[:J]
 			for j := 0; j < J; j++ {
 				dnj := drow[j]*scale - 1
 				dn[j] = dnj
@@ -270,25 +264,12 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 				f[j] = fj
 				s += math.Pow(fj, alpha)
 			}
-		}
-		mean := s / float64(J)
-		var mVal float64
-		if harmonic {
-			mVal = 1 / mean
-		} else {
-			mVal = math.Pow(mean, 1/alpha)
-		}
-		w := h.entropy(jp) * invN
-		loss += w * mVal
-		if grads != nil {
-			// ∂M/∂f_j = mean^(1/α−1) · f_j^(α−1) / J.
-			if harmonic {
-				wb := w / (mean * mean * float64(J))
-				dl := dLdp[:J]
-				for j, iv := range finv {
-					dl[j] += wb * iv * iv * dn[j]
-				}
-			} else {
+			mean := s / float64(J)
+			mVal := math.Pow(mean, 1/alpha)
+			w := h.entropy(jp) * invN
+			loss += w * mVal
+			if grads != nil {
+				// ∂M/∂f_j = mean^(1/α−1) · f_j^(α−1) / J.
 				base := math.Pow(mean, 1/alpha-1) / float64(J)
 				for j := 0; j < J; j++ {
 					if f[j] <= fMin {
@@ -308,12 +289,9 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 	//	H = Cᵀ·U2 (K×r):          ∂L/∂U3[k] = (h ⊙ U1ᵢ) ⊙ H[k]
 	//	q = Σ_j U2[j]⊙G[j]:       ∂L/∂U1[i] = h ⊙ q,  ∂L/∂h = U1ᵢ ⊙ q
 	//
-	// which is O(J·K·r) total in one tight GEMM-style pass over C rather than
-	// J·K bounds-checked row scatters: for each (j,k) with a nonzero
-	// coefficient, one fused inner loop extends both the G[j] accumulator
-	// (axpy over U3[k]) and H[k] (axpy over U2[j]), so C is swept exactly once
-	// and never materialized. G rows are consumed immediately (DU2 and q
-	// updates), so only an r-length accumulator is held.
+	// which is O(J·K·r) total in one pass over C (mat.HeadChainRule) that
+	// never materializes it; the K×r H and the r-length q are folded into
+	// ∂L/∂U3, ∂L/∂U1 and ∂L/∂h afterwards.
 	if grads != nil {
 		r := m.Rank
 		u1row := m.U1.Row(i)
@@ -321,43 +299,9 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 		for t := range q {
 			q[t] = 0
 		}
-		grow := sc.gRow // accumulator for G[j] = Σ_k C[j][k]·U3[k]
 		sc.hk.Fill(0)
 		hkd := sc.hk.Data
-		du2 := grads.DU2
-		for j := 0; j < J; j++ {
-			d := dLdp[j]
-			if d == 0 {
-				continue
-			}
-			crow := dpdx[j*K : (j+1)*K]
-			u2row := m.U2.Row(j)
-			for t := range grow {
-				grow[t] = 0
-			}
-			for k, dp := range crow {
-				cv := dp * d
-				if cv == 0 {
-					continue
-				}
-				u3row := m.U3.Row(k)
-				// Reslicing every operand to the range length lets the
-				// compiler drop the three per-element bounds checks in the
-				// fused axpy below.
-				hrow := hkd[k*r : k*r+r][:len(u3row)]
-				g := grow[:len(u3row)]
-				u2 := u2row[:len(u3row)]
-				for t, u := range u3row {
-					g[t] += cv * u
-					hrow[t] += cv * u2[t]
-				}
-			}
-			drow := du2.Row(j)
-			for t := 0; t < r; t++ {
-				drow[t] += m.H[t] * u1row[t] * grow[t]
-				q[t] += u2row[t] * grow[t]
-			}
-		}
+		mat.HeadChainRule(grads.DU2.Data, hkd, q, dLdp, dpdx, m.U2.Data, m.U3.Data, m.H, u1row, sc.g, sc.ks)
 		du1 := grads.DU1.Row(i)
 		for t := 0; t < r; t++ {
 			du1[t] += m.H[t] * q[t]

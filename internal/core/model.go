@@ -186,26 +186,12 @@ func scoreRows[E mat.Elem](out, w []float64, slab []E, scales []float64, js []in
 	}
 }
 
-// clamp01 limits v to [0, 1-eps] so the no-visit probability product in the
-// Hausdorff head stays in (0, 1]. Values outside the bounds have zero
-// gradient through the clamp.
-func clamp01(v float64) float64 {
-	const hi = 1 - 1e-9
-	if v < 0 {
-		return 0
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // VisitProbability returns p[i,j] = 1 − Π_k (1 − X̂[i,j,k]), the probability
 // that user i ever visits POI j (Eq 10), with predictions clamped to [0, 1).
 func (m *Model) VisitProbability(i, j int) float64 {
 	prod := 1.0
 	for k := 0; k < m.K; k++ {
-		prod *= 1 - clamp01(m.Predict(i, j, k))
+		prod *= 1 - mat.Clamp01(m.Predict(i, j, k))
 	}
 	return 1 - prod
 }
