@@ -92,8 +92,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBinary -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeShipment -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadSeqState -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/baselines
-	@# The drift stream `tcss replay` reads.
+	@# The drift stream `tcss replay` reads, and the dataset directory
+	@# `tcss -data` loads.
 	$(GO) test -run '^$$' -fuzz FuzzReadWeeksJSONL -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/lbsn
+	$(GO) test -run '^$$' -fuzz FuzzReadDir -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/lbsn
 	@# The eigen solver behind the spectral initialization and the SVD
 	@# baselines, on low-rank inputs that annihilate basis vectors.
 	$(GO) test -run '^$$' -fuzz FuzzTopEigenvectors -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mat
@@ -103,6 +105,9 @@ fuzz:
 	@# The one row-dot kernel: assembly and Go bodies against the reference
 	@# order, bit for bit, on special values.
 	$(GO) test -run '^$$' -fuzz FuzzDotRows -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mat
+	@# The social-Hausdorff head's kernels, the same way, at every shape
+	@# remainder and at the clamp bounds.
+	$(GO) test -run '^$$' -fuzz FuzzHausdorffKernels -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mat
 
 # Re-record the golden trajectories after an INTENDED change to training math.
 golden-update:

@@ -268,3 +268,32 @@ func equalf(a, b *mat.Matrix, tol float64) bool {
 	}
 	return true
 }
+
+// TestHausdorffLossAllocatesPerCallNotPerUser holds the head's work buffers
+// to one set per call: a serial LossWorkers over one user must allocate as
+// many objects as one over every user, friend sets of odd and even size
+// alike, once the per-user distance caches are built.
+func TestHausdorffLossAllocatesPerCallNotPerUser(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const I, J = 9, 37
+	pts := make([]geo.Point, J)
+	for j := range pts {
+		pts[j] = geo.Point{Lat: 40 + rng.Float64(), Lon: -74 + rng.Float64()}
+	}
+	friends := make([][]int, I)
+	for i := range friends {
+		friends[i] = rng.Perm(J)[:1+i]
+	}
+	h := NewHausdorff(geo.NewDistanceMatrix(pts), nil, friends)
+	m := randomModel(I, J, 5, 10, rng)
+	grads := NewGrads(m)
+	all := make([]int, I)
+	for i := range all {
+		all[i] = i
+	}
+	one := testing.AllocsPerRun(10, func() { h.LossWorkers(m, all[:1], grads, 1) })
+	every := testing.AllocsPerRun(10, func() { h.LossWorkers(m, all, grads, 1) })
+	if one != every {
+		t.Fatalf("LossWorkers allocated %v objects for 1 user and %v for %d", one, every, I)
+	}
+}

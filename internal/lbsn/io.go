@@ -80,9 +80,13 @@ func writeCSV(path string, rows [][]string) error {
 
 // ReadDir loads a dataset previously written by WriteDir (or converted from a
 // real LBSN dump). name is attached to the result; users are inferred from
-// the maximum user index across check-ins and edges.
+// the maximum user index across check-ins and edges. Each file must have its
+// WriteDir column count; an edge must join two distinct non-negative users
+// (a repeated edge, in either direction, counts once); and the user count
+// may not exceed the user mentions the files carry, one per check-in and two
+// per edge, so a stray large id is refused rather than sized.
 func ReadDir(dir, name string) (*Dataset, error) {
-	poiRows, err := readCSV(filepath.Join(dir, poisFile))
+	poiRows, err := readCSV(filepath.Join(dir, poisFile), 6)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +108,7 @@ func ReadDir(dir, name string) (*Dataset, error) {
 		pois = append(pois, POI{ID: vals[0], Loc: loc, Category: Category(cat), Cluster: cluster, PeakMonth: peak})
 	}
 
-	ciRows, err := readCSV(filepath.Join(dir, checkinsFile))
+	ciRows, err := readCSV(filepath.Join(dir, checkinsFile), 5)
 	if err != nil {
 		return nil, err
 	}
@@ -121,25 +125,33 @@ func ReadDir(dir, name string) (*Dataset, error) {
 		}
 	}
 
-	edgeRows, err := readCSV(filepath.Join(dir, edgesFile))
+	edgeRows, err := readCSV(filepath.Join(dir, edgesFile), 2)
 	if err != nil {
 		return nil, err
 	}
 	edges := make([][2]int, 0, len(edgeRows))
+	seen := make(map[[2]int]bool, len(edgeRows))
 	for _, row := range edgeRows {
 		vals, err := atoiRow(row)
 		if err != nil {
 			return nil, fmt.Errorf("lbsn: %s: %w", edgesFile, err)
 		}
-		edges = append(edges, [2]int{vals[0], vals[1]})
-		for _, v := range vals[:2] {
-			if v > maxUser {
-				maxUser = v
-			}
+		u, v := min(vals[0], vals[1]), max(vals[0], vals[1])
+		if u < 0 || u == v {
+			return nil, fmt.Errorf("lbsn: %s: edge %v must join two distinct users", edgesFile, row)
 		}
+		if seen[[2]int{u, v}] {
+			continue
+		}
+		seen[[2]int{u, v}] = true
+		edges = append(edges, [2]int{vals[0], vals[1]})
+		maxUser = max(maxUser, v)
 	}
 	if maxUser < 0 {
 		return nil, fmt.Errorf("lbsn: dataset in %s has no users", dir)
+	}
+	if mentions := len(checkins) + 2*len(edges); maxUser >= mentions {
+		return nil, fmt.Errorf("lbsn: dataset in %s names user %d but carries %d user mentions", dir, maxUser, mentions)
 	}
 	social := graph.New(maxUser + 1)
 	for _, e := range edges {
@@ -152,13 +164,16 @@ func ReadDir(dir, name string) (*Dataset, error) {
 	return ds, nil
 }
 
-func readCSV(path string) ([][]string, error) {
+// readCSV returns the rows below the header of a CSV file whose header and
+// rows all have cols fields.
+func readCSV(path string, cols int) ([][]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("lbsn: opening %s: %w", path, err)
 	}
 	defer f.Close()
 	r := csv.NewReader(f)
+	r.FieldsPerRecord = cols
 	if _, err := r.Read(); err != nil { // header
 		if err == io.EOF {
 			return nil, nil

@@ -44,8 +44,13 @@ import (
 	"tcss/internal/wire"
 )
 
-// Options configures a Server. The zero value is usable: every field falls
-// back to the DefaultOptions value.
+// Options configures a Server. The zero value is usable: a zero or negative
+// TopNDefault, MaxTopN, RequestTimeout, MaxInflight or RetryAfter, a zero
+// CacheSize and a zero Online take their DefaultOptions value. MaxQueue is
+// the exception: only a negative MaxQueue takes the default (256), and the
+// zero value's MaxQueue 0 builds a node with no wait queue, which sheds
+// every read beyond MaxInflight and never batches recommend misses. Start
+// from DefaultOptions to get the queue.
 type Options struct {
 	// TopNDefault is the result count when ?n= is omitted; MaxTopN caps it.
 	TopNDefault int
@@ -56,9 +61,10 @@ type Options struct {
 	RequestTimeout time.Duration
 
 	// MaxInflight bounds concurrently scoring read requests; MaxQueue bounds
-	// how many more may wait for a slot. Beyond that, requests are shed with
-	// 503 and a Retry-After of RetryAfter. A node with MaxQueue 0 never
-	// batches recommend misses (see snapshotScorer.Recommend).
+	// how many more may wait for a slot (negative: the default 256; 0: no
+	// queue). Beyond that, requests are shed with 503 and a Retry-After of
+	// RetryAfter. A node with MaxQueue 0 never batches recommend misses (see
+	// snapshotScorer.Recommend).
 	MaxInflight int
 	MaxQueue    int
 	RetryAfter  time.Duration
