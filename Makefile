@@ -3,7 +3,7 @@ GO ?= go
 # Kernel micro-benchmarks for measuring while you work. The experiment
 # benchmarks (BenchmarkTable*, BenchmarkFig*) are much slower and run via
 # `make bench-all`; the repository's benchmark is `make benchmark`.
-KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)|BenchmarkDotRows'
+KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)|BenchmarkDotRows|BenchmarkHeadKernels'
 
 .PHONY: build test race vet fmt loc bench bench-all bench-test benchmark check gradcheck fuzz \
 	golden-update serve loadgen smoke

@@ -84,7 +84,7 @@ func writeCSV(path string, rows [][]string) error {
 // WriteDir column count; an edge must join two distinct non-negative users
 // (a repeated edge, in either direction, counts once); and the user count
 // may not exceed the user mentions the files carry, one per check-in and two
-// per edge, so a stray large id is refused rather than sized.
+// per distinct edge, so a stray large id is refused rather than sized.
 func ReadDir(dir, name string) (*Dataset, error) {
 	poiRows, err := readCSV(filepath.Join(dir, poisFile), 6)
 	if err != nil {

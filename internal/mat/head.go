@@ -8,20 +8,19 @@ package mat
 // own (no FMA), every sum is added in the reference body's order, and the
 // special cases (the clamps, NaN, ±0) take the reference body's branch.
 
-// ClampHi is the upper clamp of a prediction: Clamp01 maps a raw
-// prediction into [0, ClampHi] so that 1 − x̂ never reaches 0.
-const ClampHi = 1 - 1e-9
+// clampHi is the upper clamp of a prediction, so that 1 − x̂ never
+// reaches 0.
+const clampHi = 1 - 1e-9
 
-// Clamp01 limits v to [0, ClampHi] so the no-visit probability product in
+// Clamp01 limits v to [0, 1−1e-9] so the no-visit probability product in
 // the Hausdorff head stays in (0, 1]. Values outside the bounds have zero
 // gradient through the clamp; a NaN passes through.
 func Clamp01(v float64) float64 {
-	const hi = ClampHi
 	if v < 0 {
 		return 0
 	}
-	if v > hi {
-		return hi
+	if v > clampHi {
+		return clampHi
 	}
 	return v
 }
@@ -30,7 +29,7 @@ func Clamp01(v float64) float64 {
 // of raw predictions xhat, the visit probability p_j = 1 − Π_k (1 −
 // Clamp01(x̂_jk)) (Eq 10) and the partial products dpdx[j·K+k] = ∂p_j/∂x̂_jk =
 // Π_{k'≠k} (1 − Clamp01(x̂_jk')), which are 0 where the clamp saturates
-// (x̂ ≤ 0 or x̂ ≥ ClampHi). Each POI's products run over ascending k, its
+// (x̂ ≤ 0 or x̂ ≥ 1 − 1e-9). Each POI's products run over ascending k, its
 // suffix products over descending k. scratch holds at least 4·(3K+1)
 // elements.
 func VisitProbs(p, dpdx, xhat, scratch []float64) {

@@ -29,7 +29,7 @@ func visitProbsAccel(p, dpdx, xhat, scratch []float64, K int) int {
 	}
 	_ = scratch[4*(3*K+1)-1]
 	_ = dpdx[len(xhat)-1]
-	visitProbsAVX2(&p[0], &dpdx[0], &xhat[0], &scratch[0], K, n/4, ClampHi)
+	visitProbsAVX2(&p[0], &dpdx[0], &xhat[0], &scratch[0], K, n/4, clampHi)
 	return n
 }
 

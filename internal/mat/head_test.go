@@ -14,11 +14,11 @@ const (
 )
 
 // headSpecials are the values the head kernels branch on — the clamp bounds
-// 0 and ClampHi, the floor fMin and the values around them — followed by the
+// 0 and clampHi, the floor fMin and the values around them — followed by the
 // values no trained model holds but the kernels must still carry bit for
 // bit: signed zeros, infinities, NaN, subnormals.
 var headSpecials = append([]float64{
-	ClampHi, math.Nextafter(ClampHi, 0), math.Nextafter(ClampHi, 2), 1,
+	clampHi, math.Nextafter(clampHi, 0), math.Nextafter(clampHi, 2), 1,
 	testFloor, math.Nextafter(testFloor, 0), math.Nextafter(testFloor, 1), testFloor - 1, -1, 0.5,
 }, specials...)
 
@@ -63,9 +63,6 @@ func checkHeadKernels(t *testing.T, J, K, r int, next func() float64, floorAt0 b
 		floor = pr[0]*(rowA[0]*scale-1) + 1
 	}
 	term := 1 / floor
-	if floor == testFloor {
-		term = testFloorTerm
-	}
 	for _, pair := range [][2][]float64{{rowA, rowB}, {rowA, rowA}} {
 		dnA, dnB, invA, invB := fill(J), fill(J), fill(J), fill(J)
 		sA, sB := HarmonicSums(pr, pair[0], pair[1], dnA, dnB, invA, invB, scale, floor, term)
