@@ -38,7 +38,32 @@ func TestHausdorffHeadPinned(t *testing.T) {
 			if ri == 4 {
 				K = 12
 			}
-			hausdorffPinCase(h, J, K, r, int64(100*J+r))
+			hausdorffPinCase(h, J, K, r, int64(100*J+r), false)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[J] {
+			t.Errorf("J=%d: digest %s, want %s", J, got, want[J])
+		}
+	}
+}
+
+// TestHausdorffHeadPinnedWide is TestHausdorffHeadPinned over the shapes its
+// table leaves out: POI counts of several four-POI tiles with and without a
+// remainder (64, 131), slot counts of one, just past twelve and twice twelve
+// (1, 13, 24), and ranks of one, train-fit's ten and past sixteen (1, 10,
+// 17). Each case ends with an infinite entry in U3, so that one slot's
+// predictions are +Inf or −Inf, and NaN on the zero POI row. One digest per
+// POI count.
+func TestHausdorffHeadPinnedWide(t *testing.T) {
+	want := map[int]string{
+		64:  "3f517c92accda2e53b828ee56580e2a5692ee8177f25f92323e82c09b472d1ac",
+		131: "5926bfec928f9f7a2ab027fa1dac03c5631357d53af7fe642b5b984ceb865945",
+	}
+	for _, J := range []int{64, 131} {
+		h := sha256.New()
+		for _, K := range []int{1, 13, 24} {
+			for _, r := range []int{1, 10, 17} {
+				hausdorffPinCase(h, J, K, r, int64(1000*J+100*K+r), true)
+			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != want[J] {
 			t.Errorf("J=%d: digest %s, want %s", J, got, want[J])
@@ -49,7 +74,10 @@ func TestHausdorffHeadPinned(t *testing.T) {
 // hausdorffPinCase writes the head's outputs on one seeded J-POI, K-slot,
 // rank-r model into h, for every combination of entropy weights, α,
 // gradients and worker count, and then once more with a NaN prediction.
-func hausdorffPinCase(h hash.Hash, J, K, r int, seed int64) {
+// With inf it then runs twice more with U3[K/2][r/2] = +Inf: first with the
+// last POI row zero (its slot-K/2 prediction is 0·Inf = NaN), then with that
+// row's entry at 1, so that only infinite predictions remain.
+func hausdorffPinCase(h hash.Hash, J, K, r int, seed int64, inf bool) {
 	word := func(v float64) { h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))) }
 	rng := rand.New(rand.NewSource(seed))
 
@@ -149,4 +177,15 @@ func hausdorffPinCase(h hash.Hash, J, K, r int, seed int64) {
 	for _, alpha := range []float64{-1, -2} {
 		run(entropyW, alpha, true, 1)
 	}
+	if !inf {
+		return
+	}
+	m.U1.Set(4, r/2, 0.5)
+	m.U3.Set(K/2, r/2, math.Inf(1))
+	fmt.Fprintf(h, "inf")
+	run(entropyW, -1, true, 1)
+	run(nil, -2, true, 2)
+	m.U2.Set(J-1, r/2, 1)
+	run(entropyW, -1, true, 1)
+	run(nil, -2, true, 2)
 }
