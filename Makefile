@@ -90,6 +90,7 @@ fuzz:
 	@# minimizer would otherwise spend up to a minute on the first new input.
 	$(GO) test -run '^$$' -fuzz FuzzReadFramed -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBinary -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDecodeJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeShipment -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadSeqState -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/baselines
 	@# The drift stream `tcss replay` reads, and the dataset directory

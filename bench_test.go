@@ -180,15 +180,13 @@ func BenchmarkHausdorffLossWorkers(b *testing.B) {
 }
 
 // BenchmarkScoreSlab measures the slab GEMM scoring kernel: one full J×K
-// prediction slice per iteration (the unit of work of the Hausdorff head and
-// the batch scorers).
+// prediction slice per iteration.
 func BenchmarkScoreSlab(b *testing.B) {
 	_, m := benchInstance(b)
 	out := make([]float64, m.J*m.K)
-	scratch := make([]float64, 2*m.Rank)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ScoreSlabScratch(i%m.I, out, scratch)
+		m.ScoreSlab(i%m.I, out)
 	}
 }
 

@@ -128,15 +128,14 @@ func (h *Hausdorff) invDMax() float64 {
 // can sweep its whole user shard without allocating. Sized for one (J, K, r)
 // model shape.
 type hausdorffScratch struct {
-	xhat  []float64    // J*K raw predictions, slab layout [j*K+k]
+	w     []float64    // r slab weights h ⊙ U1ᵢ
 	dpdx  []float64    // J*K ∂p_j/∂x̂_k partial products
 	p     []float64    // J visit probabilities
 	dn    [2][]float64 // J shifted normalized distances d(j,j')/d_max − 1 to each of two friend POIs
 	f     []float64    // J term-2 operands (α ≠ −1)
 	finv  [2][]float64 // J reciprocals 1/f_j to each of two friend POIs (α = −1)
 	dLdp  []float64    // J loss-probability gradients
-	slab  []float64    // 2r slab-kernel scratch
-	probs []float64    // 4(3K+1) mat.VisitProbs scratch
+	probs []float64    // mat.SlabVisitProbs scratch
 	g     []float64    // max(r, K) mat.HeadChainRule scratch
 	ks    []int        // K mat.HeadChainRule slot offsets
 	hk    *mat.Matrix  // K×r chain-rule factor H = Cᵀ·U2
@@ -146,15 +145,14 @@ type hausdorffScratch struct {
 func newHausdorffScratch(m *Model) *hausdorffScratch {
 	J, K, r := m.J, m.K, m.Rank
 	return &hausdorffScratch{
-		xhat:  make([]float64, J*K),
+		w:     make([]float64, r),
 		dpdx:  make([]float64, J*K),
 		p:     make([]float64, J),
 		dn:    [2][]float64{make([]float64, J), make([]float64, J)},
 		f:     make([]float64, J),
 		finv:  [2][]float64{make([]float64, J), make([]float64, J)},
 		dLdp:  make([]float64, J),
-		slab:  make([]float64, 2*r),
-		probs: make([]float64, 4*(3*K+1)),
+		probs: make([]float64, mat.SlabVisitProbsScratch(K, r)),
 		g:     make([]float64, max(r, K)),
 		ks:    make([]int, K),
 		hk:    mat.New(K, r),
@@ -176,12 +174,14 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 	// and p→1 (distance 0).
 	const fMin = 1e-4
 
-	// Step 1: the full J×K prediction slice via the slab GEMM kernel, then
-	// visit probabilities p_j = 1 − Π_k (1−x̂) and the per-(j,k) partial
-	// products ∂p_j/∂X̂[i,j,k] = Π_{k'≠k}(1−X̂[i,j,k']).
-	xhat, dpdx, p := sc.xhat, sc.dpdx, sc.p
-	m.ScoreSlabScratch(i, xhat, sc.slab)
-	mat.VisitProbs(p, dpdx, xhat, sc.probs)
+	// Step 1: the J×K prediction slice X̂[i,·,·] = U2·diag(h ⊙ U1ᵢ)·U3ᵀ,
+	// scored four POIs at a time straight into the visit probabilities
+	// p_j = 1 − Π_k (1−x̂) and the per-(j,k) partial products
+	// ∂p_j/∂X̂[i,j,k] = Π_{k'≠k}(1−X̂[i,j,k']); the slice itself is never
+	// stored. Training models are float64, so the factors are read in place.
+	dpdx, p := sc.dpdx, sc.p
+	mat.HadamardInto(sc.w, m.H, m.U1.Row(i))
+	mat.SlabVisitProbs(p, dpdx, m.U2.Data, sc.w, m.U3.Data, sc.probs)
 
 	minD := h.minDistances(i)
 	dLdp := sc.dLdp

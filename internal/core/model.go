@@ -100,23 +100,15 @@ func (m *Model) Score(i, j, k int) float64 {
 // ScoreSlab fills out (length J·K, laid out as out[j*K+k]) with the raw
 // prediction slice X̂[i,·,·] of Eq (6), computed as the dense slab product
 // U2 · diag(h ⊙ U1ᵢ) · U3ᵀ instead of J·K scalar Predict calls. It allocates
-// a small rank-sized scratch; hot loops that score many users should use
-// ScoreSlabScratch with a reused buffer. mat.DotRows' four-way accumulation
-// regroups additions, so entries match Predict to O(machine epsilon), not
-// bit-for-bit.
+// a small rank-sized scratch. mat.DotRows' four-way accumulation regroups
+// additions, so entries match Predict to O(machine epsilon), not
+// bit-for-bit. The Hausdorff head's mat.SlabVisitProbs computes the same
+// sums without storing them.
 func (m *Model) ScoreSlab(i int, out []float64) {
-	m.ScoreSlabScratch(i, out, make([]float64, 2*m.Rank))
-}
-
-// ScoreSlabScratch is ScoreSlab with a caller-owned scratch buffer of length
-// at least 2·Rank, enabling allocation-free per-worker scoring.
-func (m *Model) ScoreSlabScratch(i int, out, scratch []float64) {
 	if len(out) != m.J*m.K {
 		panic(fmt.Sprintf("core: ScoreSlab out length %d, want %d", len(out), m.J*m.K))
 	}
-	if len(scratch) < 2*m.Rank {
-		panic(fmt.Sprintf("core: ScoreSlab scratch length %d, want >= %d", len(scratch), 2*m.Rank))
-	}
+	scratch := make([]float64, 2*m.Rank)
 	w := scratch[:m.Rank]
 	if m.Mode == StorageFloat64 {
 		mat.HadamardInto(w, m.H, m.U1.Row(i))

@@ -64,3 +64,52 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeJSON drives Decode's JSON branch — which every model file and
+// every training checkpoint goes through — with arbitrary documents behind a
+// valid JSONVersion frame. It must never panic, never allocate more than a
+// small multiple of its input, and whatever it accepts must re-encode, with
+// the training state it returned, to a file that decodes and re-encodes to
+// the same bytes.
+func FuzzDecodeJSON(f *testing.F) {
+	for _, file := range []string{"model_v4.json", "checkpoint_v4.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		_, payload, err := fault.ReadFramed(data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+
+	allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var framed bytes.Buffer
+		if err := fault.WriteFramedFixed(&framed, JSONVersion, payload); err != nil {
+			t.Fatal(err)
+		}
+		metrics.Read(allocated)
+		before := allocated[0].Value.Uint64()
+		m, info, err := Decode(framed.Bytes())
+		metrics.Read(allocated)
+		if grew, limit := allocated[0].Value.Uint64()-before, uint64(64*framed.Len()+1<<20); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", framed.Len(), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		var enc1, enc2 bytes.Buffer
+		if err := m.encode(&enc1, info.Generation, info.Train); err != nil {
+			t.Fatalf("accepted document does not re-encode: %v", err)
+		}
+		m2, info2, err := Decode(enc1.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded document does not decode: %v", err)
+		}
+		if err := m2.encode(&enc2, info2.Generation, info2.Train); err != nil || !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {
+			t.Fatalf("decode→encode is not a fixed point (err=%v)", err)
+		}
+	})
+}

@@ -1,12 +1,14 @@
 package mat
 
 // The four hot sweeps of the social-Hausdorff head (core.Hausdorff.userLoss,
-// Eq 10–13), one kernel each. Like DotRows, each has a Go reference body,
-// which runs on every platform without the assembly, on CPUs without AVX2
-// and on the remainders the assembly leaves, and on amd64 with AVX2 an
-// assembly body that computes the same bits: every product is rounded on its
-// own (no FMA), every sum is added in the reference body's order, and the
-// special cases (the clamps, NaN, ±0) take the reference body's branch.
+// Eq 10–13), one kernel each: the slab with its visit probabilities, the
+// term-2 forward and gradient sweeps, and the chain rule. Like DotRows, each
+// has a Go reference body, which runs on every platform without the
+// assembly, on CPUs without AVX2 and on the remainders the assembly leaves,
+// and on amd64 with AVX2 an assembly body that computes the same bits: every
+// product is rounded on its own (no FMA), every sum is added in the
+// reference body's order, and the special cases (the clamps, NaN, ±0) take
+// the reference body's branch.
 
 // clampHi is the upper clamp of a prediction, so that 1 − x̂ never
 // reaches 0.
@@ -25,28 +27,57 @@ func Clamp01(v float64) float64 {
 	return v
 }
 
-// VisitProbs sets, for each of the len(p) POIs of a row-major len(p)×K slab
-// of raw predictions xhat, the visit probability p_j = 1 − Π_k (1 −
-// Clamp01(x̂_jk)) (Eq 10) and the partial products dpdx[j·K+k] = ∂p_j/∂x̂_jk =
-// Π_{k'≠k} (1 − Clamp01(x̂_jk')), which are 0 where the clamp saturates
-// (x̂ ≤ 0 or x̂ ≥ 1 − 1e-9). Each POI's products run over ascending k, its
-// suffix products over descending k. scratch holds at least 4·(3K+1)
+// SlabVisitProbs scores the head's prediction slab X̂[i,·,·] of Eq (6) and
+// turns it into visit probabilities without storing it. For each of the
+// len(p) POIs j and each of the K = len(dpdx)/len(p) slots k,
+//
+//	x̂_jk = Σ_t (u2[j][t]·w[t])·u3[k][t]
+//
+// with u2 a row-major len(p)×r and u3 a K×r slab, r = len(w), every product
+// rounded on its own and the sum in DotRows' order; then p_j = 1 − Π_k (1 −
+// Clamp01(x̂_jk)) (Eq 10) and dpdx[j·K+k] = ∂p_j/∂x̂_jk = Π_{k'≠k} (1 −
+// Clamp01(x̂_jk')), which are 0 where the clamp saturates (x̂ ≤ 0 or x̂ ≥
+// 1 − 1e-9). Each POI's products run over ascending k, its suffix products
+// over descending k. scratch holds at least SlabVisitProbsScratch(K, r)
 // elements.
-func VisitProbs(p, dpdx, xhat, scratch []float64) {
-	J := len(p)
+//
+// The assembly body takes four POIs per register, one per lane, so x̂ needs
+// no horizontal sum and no gather; the only x̂ it holds is one 4×K tile.
+func SlabVisitProbs(p, dpdx, u2, w, u3, scratch []float64) {
+	J, r := len(p), len(w)
 	if J == 0 {
 		return
 	}
-	K := len(xhat) / J
+	K := len(dpdx) / J
 	done := 0
 	if J >= 4 {
-		done = visitProbsAccel(p, dpdx, xhat, scratch, K)
+		done = slabVisitProbsAccel(p, dpdx, u2, w, u3, scratch, K)
 	}
-	visitProbsGo(p[done:], dpdx[done*K:], xhat[done*K:], scratch[:K+1], scratch[K+1:2*K+1])
+	slabVisitProbsGo(p[done:], dpdx[done*K:], u2[done*r:], w, u3, scratch, K)
 }
 
-// visitProbsGo is VisitProbs' reference body; prefix and oneMinus are K+1
-// and K elements of scratch.
+// SlabVisitProbsScratch is the scratch length SlabVisitProbs needs at K
+// slots and rank r: the assembly body's four-lane copies of the scaled U2
+// tile, of u3 and of the per-slot factors, prefixes and clamp masks.
+func SlabVisitProbsScratch(K, r int) int { return 4 * (r*(K+1) + 3*K + 1) }
+
+// slabVisitProbsGo is SlabVisitProbs' reference body: per POI, the
+// MulDiagTSlice row that scored the slab, then visitProbsGo on that row.
+// It uses r + 3K + 1 elements of scratch.
+func slabVisitProbsGo(p, dpdx, u2, w, u3, scratch []float64, K int) {
+	r := len(w)
+	row, xhat := scratch[:r], scratch[r:r+K]
+	prefix, oneMinus := scratch[r+K:r+2*K+1], scratch[r+2*K+1:r+3*K+1]
+	for j := range p {
+		HadamardInto(row, u2[j*r:(j+1)*r], w)
+		dotRowsGo(xhat, row, u3)
+		visitProbsGo(p[j:j+1], dpdx[j*K:(j+1)*K], xhat, prefix, oneMinus)
+	}
+}
+
+// visitProbsGo is the probability half of slabVisitProbsGo: p_j and ∂p_j/∂x̂
+// for the POIs of the len(p)×K slab xhat; prefix and oneMinus are K+1 and K
+// elements of scratch.
 func visitProbsGo(p, dpdx, xhat, prefix, oneMinus []float64) {
 	K := len(oneMinus)
 	for j := range p {

@@ -6,7 +6,7 @@ package mat
 // elements.
 
 //go:noescape
-func visitProbsAVX2(p, dpdx, xhat, scratch *float64, K, groups int, hi float64)
+func slabVisitProbsAVX2(p, dpdx, u2, w, u3, scratch *float64, K, r, groups int, hi float64)
 
 //go:noescape
 func harmonicSumsAVX2(p, rowA, rowB, dnA, dnB, invA, invB *float64, n int, scale, floor, floorTerm float64) (sA, sB float64)
@@ -20,16 +20,16 @@ func harmonicGrad2AVX2(dl, dnA, invA, dnB, invB *float64, n int, wA, wB float64)
 //go:noescape
 func headChainRuleAVX2(du2, hk, q, dLdp, dpdx, u2, u3, h, u1, cv *float64, ks *int, J, K, r int)
 
-// visitProbsAccel runs VisitProbs' groups of four POIs through the assembly
-// body and returns how many POIs it took.
-func visitProbsAccel(p, dpdx, xhat, scratch []float64, K int) int {
-	n := len(p) &^ 3
-	if !useAVX2 || n == 0 || K == 0 {
+// slabVisitProbsAccel runs SlabVisitProbs' groups of four POIs through the
+// assembly body and returns how many POIs it took.
+func slabVisitProbsAccel(p, dpdx, u2, w, u3, scratch []float64, K int) int {
+	n, r := len(p)&^3, len(w)
+	if !useAVX2 || n == 0 || K == 0 || r == 0 {
 		return 0
 	}
-	_ = scratch[4*(3*K+1)-1]
-	_ = dpdx[len(xhat)-1]
-	visitProbsAVX2(&p[0], &dpdx[0], &xhat[0], &scratch[0], K, n/4, clampHi)
+	_ = scratch[SlabVisitProbsScratch(K, r)-1]
+	_, _, _ = dpdx[n*K-1], u2[n*r-1], u3[K*r-1]
+	slabVisitProbsAVX2(&p[0], &dpdx[0], &u2[0], &w[0], &u3[0], &scratch[0], K, r, n/4, clampHi)
 	return n
 }
 

@@ -52,69 +52,234 @@ DONE:                                 \
 	ADD (R10)(AX*1), T2, T2       \
 	ST T2, (R10)(AX*1)
 
-// func visitProbsAVX2(p, dpdx, xhat, scratch *float64, K, groups int, hi float64)
+// SLAB2(OFF, SA, SB) adds the products A[t]·u3[k][t] and A[t]·u3[k+1][t]
+// to slot k's accumulator SA and slot k+1's SB, for the t at byte offset
+// AX + OFF of A (CX) and of the slots' broadcasts (R13, BX); A is the first
+// factor, as DotRows puts w first. SLAB1 is the same for slot k alone.
+#define SLAB2(OFF, SA, SB) \
+	VMOVUPD OFF(CX)(AX*1), Y8      \
+	VMULPD OFF(R13)(AX*1), Y8, Y9  \
+	VADDPD Y9, SA, SA              \
+	VMULPD OFF(BX)(AX*1), Y8, Y10  \
+	VADDPD Y10, SB, SB
+
+#define SLAB1(OFF, SA) \
+	VMOVUPD OFF(CX)(AX*1), Y8      \
+	VMULPD OFF(R13)(AX*1), Y8, Y9  \
+	VADDPD Y9, SA, SA
+
+// SUM(S0, S1, S2, S3) leaves DotRows' (s0+s1)+(s2+s3) in S0.
+#define SUM(S0, S1, S2, S3) \
+	VADDPD S1, S0, S0              \
+	VADDPD S3, S2, S2              \
+	VADDPD S2, S0, S0
+
+// FORWARD(X, T1, T2, T3, OM, PRE) is the probability pass's forward step for
+// the slot whose x̂ is in X: it clamps x̂ with VMAXPD/VMINPD (their second
+// source is returned on NaN, so NaN passes through as in Clamp01), stores
+// om = 1 − clamp at OM(R11), extends the prefix product in Y15 and stores it
+// at PRE(R11)(R12*2), and stores the saturation mask at OM(R11)(R12*1).
+#define FORWARD(X, T1, T2, T3, OM, PRE) \
+	VMAXPD X, Y12, T1              \
+	VMINPD T1, Y13, T1             \
+	VSUBPD T1, Y14, T1             \
+	VMOVUPD T1, OM(R11)            \
+	VMULPD Y15, T1, Y15            \
+	VMOVUPD Y15, PRE(R11)(R12*2)   \
+	VCMPPD $0x12, Y12, X, T2       \
+	VCMPPD $0x1d, Y13, X, T3       \
+	VORPD T3, T2, T2               \
+	VMOVUPD T2, OM(R11)(R12*1)
+
+// func slabVisitProbsAVX2(p, dpdx, u2, w, u3, scratch *float64, K, r, groups int, hi float64)
 //
-// Four POIs per group, one per lane. The forward pass over ascending k
-// gathers x̂_jk of the four rows into Y0, clamps it with VMAXPD/VMINPD (their
-// second source is returned on NaN, so NaN passes through as in Clamp01),
-// and keeps om = 1 − clamp, the prefix product and the saturation mask in
-// scratch: om[k] at (R11), mask[k] at (R11)(R12*1), prefix[k] at
-// (R11)(R12*2), R12 = 32·K. The backward pass over descending k clears the
-// saturated lanes with VANDNPD (+0, as the reference stores) and scatters
-// the four ∂p/∂x̂ back to their rows.
-TEXT ·visitProbsAVX2(SB), NOSPLIT, $0-56
+// Four POIs per group, one per lane. scratch holds, in four-lane entries of
+// 32 bytes: A[t] = u2[j][t]·w[t] of the group's four rows (r entries, from
+// CX), every u3 element broadcast (K·r entries, from CX + 32r, walked by R13
+// one slot at a time), and then the probability pass's om[k] at (R11),
+// mask[k] at (R11)(R12*1) and prefix[k] at (R11)(R12*2), R12 = 32·K.
+//
+// Slot k's x̂ is DotRows' sum with the POIs in the lanes: s0…s3 over the
+// groups of four t, the tail into s0, then (s0+s1)+(s2+s3), so it needs no
+// horizontal sum. Two slots are summed per pass (Y0…Y3 and Y4…Y7), sharing
+// each A[t] load and overlapping their add chains; an odd last slot is summed
+// alone. Each x̂ goes straight into the forward step, in ascending k. The
+// backward pass over descending k clears the saturated lanes with VANDNPD
+// (+0, as the reference stores) and scatters the four ∂p/∂x̂ to their rows.
+TEXT ·slabVisitProbsAVX2(SB), NOSPLIT, $24-80
 	MOVQ p+0(FP), DI
-	MOVQ dpdx+8(FP), BX
-	MOVQ xhat+16(FP), SI
-	MOVQ scratch+24(FP), R11
-	MOVQ K+32(FP), CX
-	MOVQ groups+40(FP), DX
-	VBROADCASTSD hi+48(FP), Y13
+	MOVQ dpdx+8(FP), AX
+	MOVQ AX, drow-8(SP)
+	MOVQ u2+16(FP), SI
+	MOVQ groups+64(FP), AX
+	MOVQ AX, left-16(SP)
+	VBROADCASTSD hi+72(FP), Y13
 	MOVQ $0x3ff0000000000000, AX
 	MOVQ AX, X14
 	VBROADCASTSD X14, Y14         // 1
 	VXORPD Y12, Y12, Y12          // +0
-	MOVQ CX, R8
-	SHLQ $3, R8                   // row stride
-	LEAQ (R8)(R8*1), R9
-	LEAQ (R9)(R8*1), R10
-	MOVQ CX, R12
+
+	// Broadcast every u3 element once per call.
+	MOVQ u3+32(FP), BX
+	MOVQ scratch+40(FP), CX
+	MOVQ r+56(FP), AX
+	SHLQ $5, AX
+	ADDQ AX, CX
+	MOVQ K+48(FP), DX
+	IMULQ r+56(FP), DX
+
+svBroadcast:
+	VBROADCASTSD (BX), Y0
+	VMOVUPD Y0, (CX)
+	ADDQ $8, BX
+	ADDQ $32, CX
+	DECQ DX
+	JNZ svBroadcast
+	MOVQ CX, probs-24(SP)
+	MOVQ K+48(FP), R12
 	SHLQ $5, R12
 
-vpGroup:
+svGroup:
+	// A[t] for the group's four rows, gathered and scaled by w[t].
+	MOVQ r+56(FP), R8
+	SHLQ $3, R8                   // u2 row stride
+	LEAQ (R8)(R8*1), R9
+	LEAQ (R9)(R8*1), R10
+	MOVQ w+24(FP), DX
+	MOVQ scratch+40(FP), CX
+	MOVQ R8, R13
+	ANDQ $-16, R13                // the pairs of t
+	XORQ AX, AX
+	CMPQ AX, R13
+	JGE svScaleTail
+
+svScale:
+	LEAQ (SI)(AX*1), BX
+	VMOVUPD (BX), X0
+	VINSERTF128 $1, (BX)(R9*1), Y0, Y0   // rows 0 and 2 at t, t+1
+	VMOVUPD (BX)(R8*1), X1
+	VINSERTF128 $1, (BX)(R10*1), Y1, Y1  // rows 1 and 3
+	VBROADCASTF128 (DX)(AX*1), Y2        // w[t], w[t+1] in both halves
+	VMULPD Y2, Y0, Y0             // u2·w
+	VMULPD Y2, Y1, Y1
+	VUNPCKLPD Y1, Y0, Y3          // A[t]
+	VUNPCKHPD Y1, Y0, Y4          // A[t+1]
+	VMOVUPD Y3, (CX)(AX*4)
+	VMOVUPD Y4, 32(CX)(AX*4)
+	ADDQ $16, AX
+	CMPQ AX, R13
+	JLT svScale
+
+svScaleTail:
+	CMPQ AX, R8
+	JGE svScaled
+	LEAQ (SI)(AX*1), BX
+	VMOVSD (BX), X0
+	VMOVHPD (BX)(R8*1), X0, X0
+	VMOVSD (BX)(R9*1), X1
+	VMOVHPD (BX)(R10*1), X1, X1
+	VINSERTF128 $1, X1, Y0, Y0
+	VBROADCASTSD (DX)(AX*1), Y1
+	VMULPD Y1, Y0, Y0             // u2·w
+	VMOVUPD Y0, (CX)(AX*4)
+
+svScaled:
+	LEAQ (R8*4), R9               // 32r: A's length in bytes
+	MOVQ R9, R10
+	ANDQ $-128, R10               // the groups of four t
+	LEAQ (CX)(R9*1), R13          // slot 0's u3 broadcasts
+	MOVQ probs-24(SP), R11
 	VMOVAPD Y14, Y15              // prefix[0] = 1
 	VMOVUPD Y14, (R11)(R12*2)
-	MOVQ CX, AX
+	MOVQ K+48(FP), DX
 
-vpForward:
-	VMOVSD (SI), X0
-	VMOVHPD (SI)(R8*1), X0, X0
-	VMOVSD (SI)(R9*1), X1
-	VMOVHPD (SI)(R10*1), X1, X1
-	VINSERTF128 $1, X1, Y0, Y0
-	VMAXPD Y0, Y12, Y1            // (0 > x) ? 0 : x
-	VMINPD Y1, Y13, Y1            // (hi < c) ? hi : c
-	VSUBPD Y1, Y14, Y1            // om = 1 − clamp
-	VMOVUPD Y1, (R11)
-	VMULPD Y15, Y1, Y15           // prefix[k+1] = om·prefix[k]
-	VMOVUPD Y15, 32(R11)(R12*2)
-	VCMPPD $0x12, Y12, Y0, Y2     // x ≤ 0
-	VCMPPD $0x1d, Y13, Y0, Y3     // x ≥ hi
-	VORPD Y3, Y2, Y2
-	VMOVUPD Y2, (R11)(R12*1)
-	ADDQ $8, SI
-	ADDQ $8, BX
+svPair:
+	CMPQ DX, $2
+	JLT svSingle
+	LEAQ (R13)(R9*1), BX          // slot k+1's u3 broadcasts
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ AX, AX
+	CMPQ AX, R10
+	JGE svPairTail
+
+svPairStep:
+	SLAB2(0, Y0, Y4)
+	SLAB2(32, Y1, Y5)
+	SLAB2(64, Y2, Y6)
+	SLAB2(96, Y3, Y7)
+	ADDQ $128, AX
+	CMPQ AX, R10
+	JLT svPairStep
+
+svPairTail:
+	CMPQ AX, R9
+	JGE svPairSum
+	SLAB2(0, Y0, Y4)
+	ADDQ $32, AX
+	JMP svPairTail
+
+svPairSum:
+	SUM(Y0, Y1, Y2, Y3)
+	SUM(Y4, Y5, Y6, Y7)
+	LEAQ (BX)(R9*1), R13
+	FORWARD(Y0, Y1, Y2, Y3, 0, 32)
+	FORWARD(Y4, Y5, Y6, Y7, 32, 64)
+	ADDQ $64, R11
+	SUBQ $2, DX
+	JMP svPair
+
+svSingle:
+	TESTQ DX, DX
+	JZ svBackwardStart
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ AX, AX
+	CMPQ AX, R10
+	JGE svSingleTail
+
+svSingleStep:
+	SLAB1(0, Y0)
+	SLAB1(32, Y1)
+	SLAB1(64, Y2)
+	SLAB1(96, Y3)
+	ADDQ $128, AX
+	CMPQ AX, R10
+	JLT svSingleStep
+
+svSingleTail:
+	CMPQ AX, R9
+	JGE svSingleSum
+	SLAB1(0, Y0)
+	ADDQ $32, AX
+	JMP svSingleTail
+
+svSingleSum:
+	SUM(Y0, Y1, Y2, Y3)
+	FORWARD(Y0, Y1, Y2, Y3, 0, 32)
 	ADDQ $32, R11
-	DECQ AX
-	JNZ vpForward
 
+svBackwardStart:
 	VSUBPD Y15, Y14, Y0           // p = 1 − prefix[K]
 	VMOVUPD Y0, (DI)
 	VMOVAPD Y14, Y11              // suf = 1
-	MOVQ CX, AX
+	MOVQ K+48(FP), R8
+	SHLQ $3, R8                   // dpdx row stride
+	LEAQ (R8)(R8*1), R9
+	LEAQ (R9)(R8*1), R10
+	MOVQ drow-8(SP), BX
+	ADDQ R8, BX
+	MOVQ K+48(FP), AX
 
-vpBackward:
-	SUBQ $8, SI
+svBackward:
 	SUBQ $8, BX
 	SUBQ $32, R11
 	VMOVUPD (R11)(R12*2), Y0
@@ -128,13 +293,17 @@ vpBackward:
 	VMOVHPD X1, (BX)(R10*1)
 	VMULPD (R11), Y11, Y11        // suf·om[k]
 	DECQ AX
-	JNZ vpBackward
+	JNZ svBackward
 
 	ADDQ $32, DI
-	LEAQ (SI)(R8*4), SI
+	MOVQ drow-8(SP), BX
 	LEAQ (BX)(R8*4), BX
-	DECQ DX
-	JNZ vpGroup
+	MOVQ BX, drow-8(SP)
+	MOVQ r+56(FP), AX
+	SHLQ $5, AX
+	ADDQ AX, SI
+	DECQ left-16(SP)
+	JNZ svGroup
 	VZEROUPPER
 	RET
 

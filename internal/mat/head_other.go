@@ -5,7 +5,7 @@ package mat
 // The head kernels have no assembly bodies on this platform: every POI takes
 // the Go reference body.
 
-func visitProbsAccel(p, dpdx, xhat, scratch []float64, K int) int { return 0 }
+func slabVisitProbsAccel(p, dpdx, u2, w, u3, scratch []float64, K int) int { return 0 }
 
 func harmonicSumsAccel(p, rowA, rowB, dnA, dnB, invA, invB []float64, scale, floor, floorTerm float64) (done int, sA, sB float64) {
 	return 0, 0, 0

@@ -46,14 +46,31 @@ func checkHeadKernels(t *testing.T, J, K, r int, next func() float64, floorAt0 b
 		}
 	}
 
-	// The probability pass.
-	xhat := fill(J * K)
-	p, dpdx := make([]float64, J), make([]float64, J*K)
-	VisitProbs(p, dpdx, xhat, make([]float64, 4*(3*K+1)))
-	wp, wdpdx := make([]float64, J), make([]float64, J*K)
-	visitProbsGo(wp, wdpdx, xhat, make([]float64, K+1), make([]float64, K))
-	same("VisitProbs p", p, wp)
-	same("VisitProbs dpdx", dpdx, wdpdx)
+	// The slab and its probabilities: on drawn factors, then with w = 1 and
+	// u3 row k the unit vector of rank element k mod r, so that x̂_jk is
+	// u2[j][k mod r] itself (an infinite or NaN u2 row makes its zero
+	// products NaN) and the clamp bounds and special values reach the
+	// probability stage.
+	u2s, ws, u3s := fill(J*r), fill(r), fill(K*r)
+	for _, unit := range []bool{false, true} {
+		if unit {
+			for t := range ws {
+				ws[t] = 1
+			}
+			for k := 0; k < K; k++ {
+				for t := 0; t < r; t++ {
+					u3s[k*r+t] = 0
+				}
+				u3s[k*r+k%r] = 1
+			}
+		}
+		p, dpdx := fill(J), fill(J*K)
+		SlabVisitProbs(p, dpdx, u2s, ws, u3s, make([]float64, SlabVisitProbsScratch(K, r)))
+		wp, wdpdx := make([]float64, J), make([]float64, J*K)
+		slabVisitProbsGo(wp, wdpdx, u2s, ws, u3s, make([]float64, r+3*K+1), K)
+		same("SlabVisitProbs p", p, wp)
+		same("SlabVisitProbs dpdx", dpdx, wdpdx)
+	}
 
 	// Term 2, forward, for two friend POIs and for one passed twice.
 	pr, rowA, rowB := fill(J), fill(J), fill(J)
@@ -120,13 +137,13 @@ func headValues(rng *rand.Rand) func() float64 {
 }
 
 // TestHeadKernelsMatchReference sweeps POI counts 1…13 (every remainder of
-// the four-POI groups) and 37, slot counts 1…5 and 12, and ranks 1…18 (every
-// tail of the four-wide rank chunks).
+// the four-POI groups), 37 and 40, slot counts 1…5, 12, 13, 24 and 25, and
+// ranks 1…20 (every tail of the four-wide rank chunks).
 func TestHeadKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, J := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 37} {
-		for _, K := range []int{1, 2, 3, 4, 5, 12} {
-			for r := 1; r <= 18; r++ {
+	for _, J := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 37, 40} {
+		for _, K := range []int{1, 2, 3, 4, 5, 12, 13, 24, 25} {
+			for r := 1; r <= 20; r++ {
 				checkHeadKernels(t, J, K, r, headValues(rng), r%2 == 0)
 			}
 		}
@@ -134,7 +151,7 @@ func TestHeadKernelsMatchReference(t *testing.T) {
 }
 
 // FuzzHausdorffKernels holds every head kernel to its Go reference body bit
-// for bit. The first three bytes pick the shape (up to 40 POIs, 13 slots and
+// for bit. The first three bytes pick the shape (up to 40 POIs, 25 slots and
 // rank 20) and the fourth the floor; each further byte gives one value: a
 // special value below 0x40, otherwise the next eight bytes' float64 when they
 // remain. Once the bytes run out, values come from headValues seeded by the
@@ -147,7 +164,7 @@ func FuzzHausdorffKernels(f *testing.F) {
 		if len(data) < 4 {
 			return
 		}
-		J, K, r := 1+int(data[0]%40), 1+int(data[1]%13), 1+int(data[2]%20)
+		J, K, r := 1+int(data[0]%40), 1+int(data[1]%25), 1+int(data[2]%20)
 		floorAt0 := data[3]%2 == 1
 		src := data[4:]
 		fallback := headValues(rand.New(rand.NewSource(int64(len(data)))))
@@ -174,7 +191,9 @@ func FuzzHausdorffKernels(f *testing.F) {
 // BenchmarkHeadKernels times each head kernel at train-fit's shape (gowalla:
 // J = 800 POIs, K = 12 slots, rank 10) with about a third of the predictions
 // outside the clamp, dispatched ("kernel") and through the Go reference body
-// alone ("go"). The term-2 rows are one sweep over two friend POIs.
+// alone ("go"). The slab's w is 1 and its u3 rows are unit vectors, so each
+// prediction is a u2 entry drawn from [−0.3, 1.1]; the term-2 rows are one
+// sweep over two friend POIs.
 func BenchmarkHeadKernels(b *testing.B) {
 	const J, K, r = 800, 12, 10
 	rng := rand.New(rand.NewSource(1))
@@ -185,10 +204,16 @@ func BenchmarkHeadKernels(b *testing.B) {
 		}
 		return v
 	}
-	xhat := vals(J*K, -0.3, 1.1)
+	u2x, wx, u3x := vals(J*r, -0.3, 1.1), make([]float64, r), make([]float64, K*r)
+	for t := range wx {
+		wx[t] = 1
+	}
+	for k := 0; k < K; k++ {
+		u3x[k*r+k%r] = 1
+	}
 	p, dpdx := make([]float64, J), make([]float64, J*K)
-	probs, prefix, om := make([]float64, 4*(3*K+1)), make([]float64, K+1), make([]float64, K)
-	VisitProbs(p, dpdx, xhat, probs)
+	slab, slabGo := make([]float64, SlabVisitProbsScratch(K, r)), make([]float64, r+3*K+1)
+	SlabVisitProbs(p, dpdx, u2x, wx, u3x, slab)
 	rowA, rowB := vals(J, 0, 3000), vals(J, 0, 3000)
 	dnA, dnB, invA, invB := make([]float64, J), make([]float64, J), make([]float64, J), make([]float64, J)
 	HarmonicSums(p, rowA, rowB, dnA, dnB, invA, invB, 1.0/3000, testFloor, testFloorTerm)
@@ -196,14 +221,14 @@ func BenchmarkHeadKernels(b *testing.B) {
 	u2, u3, h, u1 := vals(J*r, -1, 1), vals(K*r, -1, 1), vals(r, 0, 1), vals(r, -1, 1)
 	du2, hk, q, g, ks := make([]float64, J*r), make([]float64, K*r), make([]float64, r), make([]float64, max(r, K)), make([]int, K)
 	const scale = 1.0 / 3000
-	b.Run("probs/kernel", func(b *testing.B) {
+	b.Run("slabprobs/kernel", func(b *testing.B) {
 		for range b.N {
-			VisitProbs(p, dpdx, xhat, probs)
+			SlabVisitProbs(p, dpdx, u2x, wx, u3x, slab)
 		}
 	})
-	b.Run("probs/go", func(b *testing.B) {
+	b.Run("slabprobs/go", func(b *testing.B) {
 		for range b.N {
-			visitProbsGo(p, dpdx, xhat, prefix, om)
+			slabVisitProbsGo(p, dpdx, u2x, wx, u3x, slabGo, K)
 		}
 	})
 	b.Run("term2/kernel", func(b *testing.B) {
