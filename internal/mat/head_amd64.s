@@ -54,19 +54,14 @@ DONE:                                 \
 
 // SLAB2(OFF, SA, SB) adds the products A[t]·u3[k][t] and A[t]·u3[k+1][t]
 // to slot k's accumulator SA and slot k+1's SB, for the t at byte offset
-// AX + OFF of A (CX) and of the slots' broadcasts (R13, BX); A is the first
-// factor, as DotRows puts w first. SLAB1 is the same for slot k alone.
+// AX + OFF of A (CX) and of the two slots' broadcasts (R13, BX); A is the
+// first factor, as DotRows puts w first.
 #define SLAB2(OFF, SA, SB) \
 	VMOVUPD OFF(CX)(AX*1), Y8      \
 	VMULPD OFF(R13)(AX*1), Y8, Y9  \
 	VADDPD Y9, SA, SA              \
 	VMULPD OFF(BX)(AX*1), Y8, Y10  \
 	VADDPD Y10, SB, SB
-
-#define SLAB1(OFF, SA) \
-	VMOVUPD OFF(CX)(AX*1), Y8      \
-	VMULPD OFF(R13)(AX*1), Y8, Y9  \
-	VADDPD Y9, SA, SA
 
 // SUM(S0, S1, S2, S3) leaves DotRows' (s0+s1)+(s2+s3) in S0.
 #define SUM(S0, S1, S2, S3) \
@@ -102,10 +97,11 @@ DONE:                                 \
 // Slot k's x̂ is DotRows' sum with the POIs in the lanes: s0…s3 over the
 // groups of four t, the tail into s0, then (s0+s1)+(s2+s3), so it needs no
 // horizontal sum. Two slots are summed per pass (Y0…Y3 and Y4…Y7), sharing
-// each A[t] load and overlapping their add chains; an odd last slot is summed
-// alone. Each x̂ goes straight into the forward step, in ascending k. The
-// backward pass over descending k clears the saturated lanes with VANDNPD
-// (+0, as the reference stores) and scatters the four ∂p/∂x̂ to their rows.
+// each A[t] load and overlapping their add chains; an odd last slot is
+// summed twice and kept once. Each x̂ goes straight into the forward step,
+// in ascending k. The backward pass over descending k clears the saturated
+// lanes with VANDNPD (+0, as the reference stores) and scatters the four
+// ∂p/∂x̂ to their rows.
 TEXT ·slabVisitProbsAVX2(SB), NOSPLIT, $24-80
 	MOVQ p+0(FP), DI
 	MOVQ dpdx+8(FP), AX
@@ -115,7 +111,7 @@ TEXT ·slabVisitProbsAVX2(SB), NOSPLIT, $24-80
 	MOVQ AX, left-16(SP)
 	VBROADCASTSD hi+72(FP), Y13
 	MOVQ $0x3ff0000000000000, AX
-	MOVQ AX, X14
+	VMOVQ AX, X14
 	VBROADCASTSD X14, Y14         // 1
 	VXORPD Y12, Y12, Y12          // +0
 
@@ -147,32 +143,9 @@ svGroup:
 	LEAQ (R9)(R8*1), R10
 	MOVQ w+24(FP), DX
 	MOVQ scratch+40(FP), CX
-	MOVQ R8, R13
-	ANDQ $-16, R13                // the pairs of t
 	XORQ AX, AX
-	CMPQ AX, R13
-	JGE svScaleTail
 
 svScale:
-	LEAQ (SI)(AX*1), BX
-	VMOVUPD (BX), X0
-	VINSERTF128 $1, (BX)(R9*1), Y0, Y0   // rows 0 and 2 at t, t+1
-	VMOVUPD (BX)(R8*1), X1
-	VINSERTF128 $1, (BX)(R10*1), Y1, Y1  // rows 1 and 3
-	VBROADCASTF128 (DX)(AX*1), Y2        // w[t], w[t+1] in both halves
-	VMULPD Y2, Y0, Y0             // u2·w
-	VMULPD Y2, Y1, Y1
-	VUNPCKLPD Y1, Y0, Y3          // A[t]
-	VUNPCKHPD Y1, Y0, Y4          // A[t+1]
-	VMOVUPD Y3, (CX)(AX*4)
-	VMOVUPD Y4, 32(CX)(AX*4)
-	ADDQ $16, AX
-	CMPQ AX, R13
-	JLT svScale
-
-svScaleTail:
-	CMPQ AX, R8
-	JGE svScaled
 	LEAQ (SI)(AX*1), BX
 	VMOVSD (BX), X0
 	VMOVHPD (BX)(R8*1), X0, X0
@@ -182,8 +155,10 @@ svScaleTail:
 	VBROADCASTSD (DX)(AX*1), Y1
 	VMULPD Y1, Y0, Y0             // u2·w
 	VMOVUPD Y0, (CX)(AX*4)
+	ADDQ $8, AX
+	CMPQ AX, R8
+	JLT svScale
 
-svScaled:
 	LEAQ (R8*4), R9               // 32r: A's length in bytes
 	MOVQ R9, R10
 	ANDQ $-128, R10               // the groups of four t
@@ -194,9 +169,14 @@ svScaled:
 	MOVQ K+48(FP), DX
 
 svPair:
-	CMPQ DX, $2
-	JLT svSingle
 	LEAQ (R13)(R9*1), BX          // slot k+1's u3 broadcasts
+	CMPQ DX, $1
+	JNE svPairSums
+	// An odd last slot is summed twice, so that no load runs past the
+	// broadcasts (what follows them in scratch can be shorter than a slot).
+	MOVQ R13, BX
+
+svPairSums:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -227,45 +207,15 @@ svPairTail:
 
 svPairSum:
 	SUM(Y0, Y1, Y2, Y3)
-	SUM(Y4, Y5, Y6, Y7)
-	LEAQ (BX)(R9*1), R13
 	FORWARD(Y0, Y1, Y2, Y3, 0, 32)
+	CMPQ DX, $1
+	JEQ svBackwardStart
+	SUM(Y4, Y5, Y6, Y7)
 	FORWARD(Y4, Y5, Y6, Y7, 32, 64)
+	LEAQ (BX)(R9*1), R13
 	ADDQ $64, R11
 	SUBQ $2, DX
-	JMP svPair
-
-svSingle:
-	TESTQ DX, DX
-	JZ svBackwardStart
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	XORQ AX, AX
-	CMPQ AX, R10
-	JGE svSingleTail
-
-svSingleStep:
-	SLAB1(0, Y0)
-	SLAB1(32, Y1)
-	SLAB1(64, Y2)
-	SLAB1(96, Y3)
-	ADDQ $128, AX
-	CMPQ AX, R10
-	JLT svSingleStep
-
-svSingleTail:
-	CMPQ AX, R9
-	JGE svSingleSum
-	SLAB1(0, Y0)
-	ADDQ $32, AX
-	JMP svSingleTail
-
-svSingleSum:
-	SUM(Y0, Y1, Y2, Y3)
-	FORWARD(Y0, Y1, Y2, Y3, 0, 32)
-	ADDQ $32, R11
+	JNZ svPair
 
 svBackwardStart:
 	VSUBPD Y15, Y14, Y0           // p = 1 − prefix[K]
@@ -275,8 +225,10 @@ svBackwardStart:
 	SHLQ $3, R8                   // dpdx row stride
 	LEAQ (R8)(R8*1), R9
 	LEAQ (R9)(R8*1), R10
+	MOVQ probs-24(SP), R11
+	LEAQ (R11)(R12*1), R11        // one past om[K−1]
 	MOVQ drow-8(SP), BX
-	ADDQ R8, BX
+	ADDQ R8, BX                   // one past row 0's last slot
 	MOVQ K+48(FP), AX
 
 svBackward:
@@ -296,8 +248,7 @@ svBackward:
 	JNZ svBackward
 
 	ADDQ $32, DI
-	MOVQ drow-8(SP), BX
-	LEAQ (BX)(R8*4), BX
+	LEAQ (BX)(R8*4), BX           // the next group's rows
 	MOVQ BX, drow-8(SP)
 	MOVQ r+56(FP), AX
 	SHLQ $5, AX
