@@ -42,7 +42,8 @@ func Clamp01(v float64) float64 {
 // elements.
 //
 // The assembly body takes four POIs per register, one per lane, so x̂ needs
-// no horizontal sum and no gather; the only x̂ it holds is one 4×K tile.
+// no horizontal sum and no gather, and what it holds of x̂ is one four-POI
+// tile's clamped factors, masks and prefix products.
 func SlabVisitProbs(p, dpdx, u2, w, u3, scratch []float64) {
 	J, r := len(p), len(w)
 	if J == 0 {
