@@ -42,39 +42,34 @@ func (c *CP) Fit(ctx *Context) error {
 	c.u3 = mat.Random(x.DimK, r, 0.1, rng)
 
 	for sweep := 0; sweep < c.Sweeps; sweep++ {
-		if err := c.updateMode(x, tensor.ModeUser); err != nil {
-			return err
-		}
-		if err := c.updateMode(x, tensor.ModePOI); err != nil {
-			return err
-		}
-		if err := c.updateMode(x, tensor.ModeTime); err != nil {
-			return err
+		for _, mode := range []tensor.Mode{tensor.ModeUser, tensor.ModePOI, tensor.ModeTime} {
+			if err := alsUpdate(c.Name(), x, mode, c.u1, c.u2, c.u3, c.Ridge); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-func (c *CP) updateMode(x *tensor.COO, mode tensor.Mode) error {
-	var target *mat.Matrix
-	var a, b *mat.Matrix
+// alsUpdate is the CP-ALS update of one mode's factor in place: that mode's
+// MTTKRP solved against the ridge-regularized Hadamard product of the other
+// two factors' Grams. model names the baseline in a solve error.
+func alsUpdate(model string, x *tensor.COO, mode tensor.Mode, u1, u2, u3 *mat.Matrix, ridge float64) error {
+	a, b, target := u2, u3, u1
 	switch mode {
-	case tensor.ModeUser:
-		a, b, target = c.u2, c.u3, c.u1
 	case tensor.ModePOI:
-		a, b, target = c.u1, c.u3, c.u2
+		a, b, target = u1, u3, u2
 	case tensor.ModeTime:
-		a, b, target = c.u1, c.u2, c.u3
+		a, b, target = u1, u2, u3
 	}
-	m := x.MTTKRP(mode, c.u1, c.u2, c.u3)
-	v := hadamardGram(a, b).AddRidge(c.Ridge)
+	m := x.MTTKRP(mode, u1, u2, u3)
+	v := hadamardGram(a, b).AddRidge(ridge)
 	sol, err := mat.SolveSPDMatrix(v, m.T())
 	if err != nil {
-		return fmt.Errorf("baselines: CP mode-%d solve: %w", mode, err)
+		return fmt.Errorf("baselines: %s mode-%d solve: %w", model, mode, err)
 	}
 	// sol is r×n; write back transposed.
-	st := sol.T()
-	copy(target.Data, st.Data)
+	copy(target.Data, sol.T().Data)
 	return nil
 }
 

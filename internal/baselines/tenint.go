@@ -52,11 +52,10 @@ func (t *TenInt) Fit(ctx *Context) error {
 		if err := t.updateUsers(ctx); err != nil {
 			return err
 		}
-		if err := t.updateMode(x, tensor.ModePOI); err != nil {
-			return err
-		}
-		if err := t.updateMode(x, tensor.ModeTime); err != nil {
-			return err
+		for _, mode := range []tensor.Mode{tensor.ModePOI, tensor.ModeTime} {
+			if err := alsUpdate(t.Name(), x, mode, t.u1, t.u2, t.u3, t.Ridge); err != nil {
+				return err
+			}
 		}
 	}
 	t.fit = true
@@ -93,27 +92,6 @@ func (t *TenInt) updateUsers(ctx *Context) error {
 		}
 		copy(t.u1.Row(u), sol)
 	}
-	return nil
-}
-
-// updateMode is the plain CP-ALS update for the POI and time modes.
-func (t *TenInt) updateMode(x *tensor.COO, mode tensor.Mode) error {
-	var a, b, target *mat.Matrix
-	switch mode {
-	case tensor.ModePOI:
-		a, b, target = t.u1, t.u3, t.u2
-	case tensor.ModeTime:
-		a, b, target = t.u1, t.u2, t.u3
-	default:
-		return fmt.Errorf("baselines: TenInt updateMode on mode %d", mode)
-	}
-	m := x.MTTKRP(mode, t.u1, t.u2, t.u3)
-	v := hadamardGram(a, b).AddRidge(t.Ridge)
-	sol, err := mat.SolveSPDMatrix(v, m.T())
-	if err != nil {
-		return fmt.Errorf("baselines: TenInt mode-%d solve: %w", mode, err)
-	}
-	copy(target.Data, sol.T().Data)
 	return nil
 }
 
