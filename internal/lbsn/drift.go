@@ -271,9 +271,9 @@ func GenerateDrift(cfg DriftConfig) (*Drift, error) {
 	return out, nil
 }
 
-// drawTaste draws a user's normalized category preference exactly as the
-// static generator does: squared uniforms, so most users have one or two
-// dominant categories.
+// drawTaste draws a user's normalized category preference, for the static
+// generator's users and the stream's arrivals alike: squared uniforms, so
+// most users have one or two dominant categories.
 func drawTaste(rng *rand.Rand) [numCategories]float64 {
 	var t [numCategories]float64
 	var sum float64

@@ -191,15 +191,7 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 	taste := make([][numCategories]float64, cfg.Users)
 	for u := range homeCluster {
 		homeCluster[u] = u * cfg.Clusters / cfg.Users
-		var sum float64
-		for c := range taste[u] {
-			w := math.Pow(rng.Float64(), 2) // skewed: most users have 1-2 dominant categories
-			taste[u][c] = w + 0.05
-			sum += taste[u][c]
-		}
-		for c := range taste[u] {
-			taste[u][c] /= sum
-		}
+		taste[u] = drawTaste(rng)
 	}
 
 	// 3. Social graph: small-world backbone + same-cluster homophily edges.
