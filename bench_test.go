@@ -154,7 +154,7 @@ func BenchmarkHausdorffLoss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		grads.Zero()
-		head.Loss(m, users, grads)
+		head.LossWorkers(m, users, grads, 0)
 	}
 }
 

@@ -50,13 +50,13 @@ func (c *CoSTCo) Fit(ctx *Context) error {
 	rng := train.NewRNG(ctx.Seed)
 	c.build([3]int{x.DimI, x.DimJ, x.DimK}, r, rng.Rand)
 
-	groups := layerGroups(train.GroupSet{
+	groups := layerGroups([]nn.Param{
 		{Name: "costco.w1", Value: c.w1, Grad: c.gw1},
 		{Name: "costco.b1", Value: c.b1, Grad: c.gb1},
 		{Name: "costco.w2", Value: c.w2, Grad: c.gw2},
 		{Name: "costco.b2", Value: c.b2, Grad: c.gb2},
 	}, c.emb[0], c.emb[1], c.emb[2], c.head)
-	if err := fitEngine(ctx, c.LR, groups, c.trainStep, rng); err != nil {
+	if err := fitEngine(ctx, c.LR, groups, entryBatches(x, c.trainStep), rng); err != nil {
 		return err
 	}
 	c.fit = true

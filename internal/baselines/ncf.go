@@ -46,7 +46,7 @@ func (n *NCF) Fit(ctx *Context) error {
 	}
 	rng := train.NewRNG(ctx.Seed)
 	n.build([3]int{x.DimI, x.DimJ, x.DimK}, r, rng.Rand)
-	if err := fitEngine(ctx, n.LR, layerGroups(nil, n.layers()...), n.trainStep, rng); err != nil {
+	if err := fitEngine(ctx, n.LR, layerGroups(nil, n.layers()...), entryBatches(x, n.trainStep), rng); err != nil {
 		return err
 	}
 	n.fit = true
@@ -183,7 +183,7 @@ func (n *NTM) Fit(ctx *Context) error {
 	n.w = nn.NewDense("ntm.gcp", r, 1, rng.Rand)
 
 	groups := layerGroups(nil, n.emb[0], n.emb[1], n.emb[2], n.mlp, n.w)
-	if err := fitEngine(ctx, n.LR, groups, n.trainStep, rng); err != nil {
+	if err := fitEngine(ctx, n.LR, groups, entryBatches(x, n.trainStep), rng); err != nil {
 		return err
 	}
 	n.fit = true

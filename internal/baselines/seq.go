@@ -8,7 +8,7 @@ import (
 
 	"tcss/internal/geo"
 	"tcss/internal/nn"
-	"tcss/internal/opt"
+	"tcss/internal/train"
 )
 
 // The sequential baselines (STRNN, STGN, STAN) model each user's
@@ -24,6 +24,27 @@ import (
 
 // seqLR is the Adam learning rate of all three sequential models.
 const seqLR = 0.01
+
+// trajectories is the mini-batch sweep of the sequential models: one example
+// per user with at least two visits, in user order, each its own batch, so
+// the optimizer steps once per trajectory on the gradients learn accumulated
+// over its steps. The models report no loss.
+func trajectories(seqs [][]Visit, learn func(user int, seq []Visit)) *train.MiniBatch {
+	var users []int
+	for i, seq := range seqs {
+		if len(seq) >= 2 {
+			users = append(users, i)
+		}
+	}
+	return &train.MiniBatch{
+		Examples: func(int, *rand.Rand) (int, error) { return len(users), nil },
+		Step: func(n int) float64 {
+			learn(users[n], seqs[users[n]])
+			return 0
+		},
+		BatchSize: 1,
+	}
+}
 
 // readout is the score every sequential model ends in, σ((a+b)·e): a is the
 // model's summary state (hidden state or attention context), b the embedding
@@ -75,7 +96,6 @@ type seqCell interface {
 	step(e, h, c []float64, dt, dd float64) (h2, c2 []float64, cache any)
 	backward(cache any, dH []float64) (dE []float64)
 	Params() []nn.Param
-	ZeroGrad()
 }
 
 // rnnCell is STRNN's recurrence: a vanilla RNN fed [e; Δt; Δd].
@@ -163,25 +183,19 @@ func (m *recurrent) Fit(ctx *Context) error {
 	if err := seqCheck(ctx); err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(ctx.Seed))
-	m.build(ctx.Train.DimI, ctx.Train.DimJ, ctx.Train.DimK, ctx.Rank, rng)
+	rng := train.NewRNG(ctx.Seed)
+	m.build(ctx.Train.DimI, ctx.Train.DimJ, ctx.Train.DimK, ctx.Rank, rng.Rand)
 	m.dist = ctx.Dist
-	optim := opt.NewAdam(seqLR, 0)
 	seqs := ctx.Sequences()
-	for epoch := 0; epoch < seqEpochs(ctx); epoch++ {
-		for _, seq := range seqs {
-			if len(seq) < 2 {
-				continue
-			}
-			m.roll(seq, func(h []float64, cache any, prev, cur Visit) {
-				dH := make([]float64, len(h))
-				pairStep(rng, m.embPOI, m.embTime, cur.TimeIndex, cur.POI, h, dH)
-				m.embPOI.Accumulate(prev.POI, m.cell.backward(cache, dH))
-			})
-			// One optimizer step per user trajectory (gradients accumulated
-			// across its steps).
-			nn.StepAll(optim, m.cell, m.embPOI, m.embTime)
-		}
+	groups := layerGroups(m.cell.Params(), m.embPOI, m.embTime)
+	if err := fitEngine(ctx, seqLR, groups, trajectories(seqs, func(_ int, seq []Visit) {
+		m.roll(seq, func(h []float64, cache any, prev, cur Visit) {
+			dH := make([]float64, len(h))
+			pairStep(rng.Rand, m.embPOI, m.embTime, cur.TimeIndex, cur.POI, h, dH)
+			m.embPOI.Accumulate(prev.POI, m.cell.backward(cache, dH))
+		})
+	}), rng); err != nil {
+		return err
 	}
 	m.finalH = make([][]float64, len(seqs))
 	for i, seq := range seqs {
@@ -262,37 +276,33 @@ func (s *STAN) Fit(ctx *Context) error {
 	if err := seqCheck(ctx); err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(ctx.Seed))
-	s.build(ctx.Train.DimI, ctx.Train.DimJ, ctx.Train.DimK, ctx.Rank, rng)
-	optim := opt.NewAdam(seqLR, 0)
+	rng := train.NewRNG(ctx.Seed)
+	s.build(ctx.Train.DimI, ctx.Train.DimJ, ctx.Train.DimK, ctx.Rank, rng.Rand)
 	seqs := ctx.Sequences()
-	for epoch := 0; epoch < seqEpochs(ctx); epoch++ {
-		for i, seq := range seqs {
-			if len(seq) < 2 {
-				continue
-			}
-			for t := 1; t < len(seq); t++ {
-				cur := seq[t]
-				out, cache := s.attend(i, cur.TimeIndex, seq[:t])
-				dOut := make([]float64, len(out))
-				pairStep(rng, s.embPOI, s.embUser, i, cur.POI, out, dOut)
-				dQ, dK, dV := s.attn.Backward(cache, dOut)
-				// Query = user + target-time embeddings.
-				s.embUser.Accumulate(i, dQ)
-				s.embTime.Accumulate(cur.TimeIndex, dQ)
-				// Memory vectors = visit POI + visit time embeddings; keys
-				// and values share them.
-				for v, visit := range seq[:t] {
-					dMem := make([]float64, len(out))
-					for d := range dMem {
-						dMem[d] = dK[v][d] + dV[v][d]
-					}
-					s.embPOI.Accumulate(visit.POI, dMem)
-					s.embTime.Accumulate(visit.TimeIndex, dMem)
+	groups := layerGroups(nil, s.embUser, s.embPOI, s.embTime)
+	if err := fitEngine(ctx, seqLR, groups, trajectories(seqs, func(i int, seq []Visit) {
+		for t := 1; t < len(seq); t++ {
+			cur := seq[t]
+			out, cache := s.attend(i, cur.TimeIndex, seq[:t])
+			dOut := make([]float64, len(out))
+			pairStep(rng.Rand, s.embPOI, s.embUser, i, cur.POI, out, dOut)
+			dQ, dK, dV := s.attn.Backward(cache, dOut)
+			// Query = user + target-time embeddings.
+			s.embUser.Accumulate(i, dQ)
+			s.embTime.Accumulate(cur.TimeIndex, dQ)
+			// Memory vectors = visit POI + visit time embeddings; keys and
+			// values share them.
+			for v, visit := range seq[:t] {
+				dMem := make([]float64, len(out))
+				for d := range dMem {
+					dMem[d] = dK[v][d] + dV[v][d]
 				}
+				s.embPOI.Accumulate(visit.POI, dMem)
+				s.embTime.Accumulate(visit.TimeIndex, dMem)
 			}
-			nn.StepAll(optim, s.embUser, s.embPOI, s.embTime)
 		}
+	}), rng); err != nil {
+		return err
 	}
 	s.seqs = seqs
 	s.ctxCache = make(map[int64][]float64)
@@ -360,12 +370,4 @@ func seqCheck(ctx *Context) error {
 		return fmt.Errorf("baselines: sequential model needs a POI distance matrix")
 	}
 	return nil
-}
-
-// seqEpochs is ctx.Epochs, or 10 when unset.
-func seqEpochs(ctx *Context) int {
-	if ctx.Epochs <= 0 {
-		return 10
-	}
-	return ctx.Epochs
 }

@@ -5,7 +5,7 @@
 //   - Gradients: a central-difference gradient checker that perturbs every
 //     element of every parameter group of a loss closure and reports the
 //     maximum relative error with per-tensor attribution. The TCSS loss heads
-//     (WholeDataLoss, NegSamplingLoss, Hausdorff.Loss), every internal/nn
+//     (WholeDataLoss, NegSamplingLoss, Hausdorff.LossWorkers), every internal/nn
 //     layer, and the gradient-trained baselines are wired against it in their
 //     packages' gradcheck tests.
 //

@@ -86,7 +86,7 @@ func TestGradcheckHausdorffNonHarmonicAlpha(t *testing.T) {
 	users := allUsers(m.I)
 	f := func() float64 {
 		g.Zero()
-		return head.Loss(m, users, g)
+		return head.LossWorkers(m, users, g, 0)
 	}
 	check.Assert(t, f, params, check.Options{})
 }
@@ -98,7 +98,7 @@ func TestGradcheckSelfHausdorffLoss(t *testing.T) {
 	users := allUsers(m.I)
 	f := func() float64 {
 		g.Zero()
-		return head.Loss(m, users, g)
+		return head.LossWorkers(m, users, g, 0)
 	}
 	check.Assert(t, f, params, check.Options{})
 }

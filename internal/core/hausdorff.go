@@ -8,6 +8,7 @@ import (
 	"tcss/internal/geo"
 	"tcss/internal/mat"
 	"tcss/internal/par"
+	"tcss/internal/train"
 )
 
 // Hausdorff evaluates the social Hausdorff distance loss head L1 (Eq 12-13):
@@ -319,16 +320,11 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 	return loss
 }
 
-// Loss computes the social Hausdorff head L1 = Σ_v d_WH (Eq 13) over the
-// given users (pass all users for the exact loss, a subsample for a
-// stochastic estimate) with the default worker count. When grads is non-nil
-// the gradient is accumulated into it.
-func (h *Hausdorff) Loss(m *Model, users []int, grads *Grads) float64 {
-	return h.LossWorkers(m, users, grads, 0)
-}
-
-// LossWorkers is Loss with an explicit worker count (<= 0 selects
-// par.DefaultWorkers). Users are split into contiguous shards; each worker
+// LossWorkers computes the social Hausdorff head L1 = Σ_v d_WH (Eq 13) over
+// the given users (pass all users for the exact loss, a subsample for a
+// stochastic estimate) on workers goroutines (<= 0 selects
+// par.DefaultWorkers). When grads is non-nil the gradient is accumulated
+// into it. Users are split into contiguous shards; each worker
 // reuses one scratch and, when grads is non-nil, accumulates into a private
 // gradient shard. Shard losses and gradients are combined in ascending shard
 // order, so the result is run-to-run reproducible at a fixed worker count
@@ -370,4 +366,25 @@ func (h *Hausdorff) LossWorkers(m *Model, users []int, grads *Grads, workers int
 		}
 	})
 	return total
+}
+
+// trainHead is the λ-weighted head the training engine composes: each epoch
+// it evaluates L1 over the users that users() names, scaled by the factor
+// users() returns with them (the full user count over a subsample's, 1 for
+// none), and adds λ·scale·∇L1 into grads.
+func (h *Hausdorff) trainHead(m *Model, grads *Grads, lambda float64, workers int, users func() ([]int, float64)) train.Head {
+	headGrads := NewGrads(m)
+	return train.Head{W: lambda, Loss: func(int) (float64, error) {
+		headGrads.Zero()
+		us, scale := users()
+		l1 := h.LossWorkers(m, us, headGrads, workers) * scale
+		w := lambda * scale
+		grads.DU1.AddInPlace(headGrads.DU1.Scale(w))
+		grads.DU2.AddInPlace(headGrads.DU2.Scale(w))
+		grads.DU3.AddInPlace(headGrads.DU3.Scale(w))
+		for t := range grads.DH {
+			grads.DH[t] += w * headGrads.DH[t]
+		}
+		return l1, nil
+	}}
 }

@@ -106,9 +106,9 @@ func TestHausdorffNumericalGrad(t *testing.T) {
 	h.EntropyW = []float64{1, 0.8, 0.6, 0.9}
 
 	users := []int{0, 1}
-	loss := func() float64 { return h.Loss(m, users, nil) }
+	loss := func() float64 { return h.LossWorkers(m, users, nil, 0) }
 	grads := NewGrads(m)
-	h.Loss(m, users, grads)
+	h.LossWorkers(m, users, grads, 0)
 
 	check := func(name string, params, analytic []float64) {
 		t.Helper()
@@ -185,7 +185,7 @@ func TestHausdorffParallelMatchesSerial(t *testing.T) {
 	for _, u := range users {
 		serial += h.userLoss(m, u, gSerial, newHausdorffScratch(m))
 	}
-	parallel := h.Loss(m, users, gParallel)
+	parallel := h.LossWorkers(m, users, gParallel, 0)
 	if math.Abs(serial-parallel) > 1e-9 {
 		t.Fatalf("parallel loss %g != serial %g", parallel, serial)
 	}

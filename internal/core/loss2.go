@@ -8,6 +8,7 @@ import (
 	"tcss/internal/mat"
 	"tcss/internal/par"
 	"tcss/internal/tensor"
+	"tcss/internal/train"
 )
 
 // Grads accumulates the gradient of the training loss with respect to every
@@ -24,6 +25,17 @@ func NewGrads(m *Model) *Grads {
 		DU2: mat.New(m.J, m.Rank),
 		DU3: mat.New(m.K, m.Rank),
 		DH:  make([]float64, m.Rank),
+	}
+}
+
+// groups pairs m's factors with their gradients in g as the training
+// engine's parameter groups.
+func (g *Grads) groups(m *Model) []train.Group {
+	return []train.Group{
+		{Name: "U1", Value: m.U1.Data, Grad: g.DU1.Data},
+		{Name: "U2", Value: m.U2.Data, Grad: g.DU2.Data},
+		{Name: "U3", Value: m.U3.Data, Grad: g.DU3.Data},
+		{Name: "h", Value: m.H, Grad: g.DH},
 	}
 }
 

@@ -121,15 +121,9 @@ func (m *Model) UpdateOnline(x *tensor.COO, newEntries []tensor.Entry, side *Sid
 
 	rng := train.NewRNG(cfg.Seed)
 	grads := NewGrads(m)
-	groups := train.GroupSet{
-		{Name: "U1", Value: m.U1.Data, Grad: grads.DU1.Data},
-		{Name: "U2", Value: m.U2.Data, Grad: grads.DU2.Data},
-		{Name: "U3", Value: m.U3.Data, Grad: grads.DU3.Data},
-		{Name: "h", Value: m.H, Grad: grads.DH},
-	}
 
 	// New positives pulled toward 1.
-	heads := []train.Head{train.HeadFunc{W: 1, F: func(int) (float64, error) {
+	heads := []train.Head{{W: 1, Loss: func(int) (float64, error) {
 		var loss float64
 		for _, e := range fresh {
 			pred := m.Predict(e.I, e.J, e.K)
@@ -140,7 +134,7 @@ func (m *Model) UpdateOnline(x *tensor.COO, newEntries []tensor.Entry, side *Sid
 		return loss, nil
 	}}}
 	// Sampled negatives keep the update from inflating everything.
-	heads = append(heads, train.HeadFunc{W: 1, F: func(int) (float64, error) {
+	heads = append(heads, train.Head{W: 1, Loss: func(int) (float64, error) {
 		n := int(cfg.NegPerNew * float64(len(fresh)))
 		negs, err := SampleNegatives(x, n, rng.Rand)
 		if err != nil {
@@ -155,21 +149,10 @@ func (m *Model) UpdateOnline(x *tensor.COO, newEntries []tensor.Entry, side *Sid
 		return loss, nil
 	}})
 	if head != nil {
-		headGrads := NewGrads(m)
-		heads = append(heads, train.HeadFunc{W: cfg.Lambda, F: func(int) (float64, error) {
-			headGrads.Zero()
-			l1 := head.Loss(m, users, headGrads)
-			grads.DU1.AddInPlace(headGrads.DU1.Scale(cfg.Lambda))
-			grads.DU2.AddInPlace(headGrads.DU2.Scale(cfg.Lambda))
-			grads.DU3.AddInPlace(headGrads.DU3.Scale(cfg.Lambda))
-			for t := range grads.DH {
-				grads.DH[t] += cfg.Lambda * headGrads.DH[t]
-			}
-			return l1, nil
-		}})
+		heads = append(heads, head.trainHead(m, grads, cfg.Lambda, 0, func() ([]int, float64) { return users, 1 }))
 	}
 
-	driver, err := train.New(groups, heads, nil, opt.NewAdam(cfg.LR, 0), rng, train.Config{Epochs: cfg.Epochs})
+	driver, err := train.New(grads.groups(m), heads, nil, opt.NewAdam(cfg.LR, 0), rng, train.Config{Epochs: cfg.Epochs})
 	if err != nil {
 		return 0, err
 	}

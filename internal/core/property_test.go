@@ -59,8 +59,8 @@ func TestHausdorffTranslationInvariance(t *testing.T) {
 		h1 := NewHausdorff(geo.NewDistanceMatrix(base), nil, friends)
 		h2 := NewHausdorff(geo.NewDistanceMatrix(shifted), nil, friends)
 		users := []int{0, 1}
-		l1 := h1.Loss(m, users, nil)
-		l2 := h2.Loss(m, users, nil)
+		l1 := h1.LossWorkers(m, users, nil, 0)
+		l2 := h2.LossWorkers(m, users, nil, 0)
 		return math.Abs(l1-l2) < 1e-6*(1+math.Abs(l1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

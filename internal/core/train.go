@@ -273,16 +273,9 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 	}
 
 	grads := NewGrads(m)
-	groups := train.GroupSet{
-		{Name: "U1", Value: m.U1.Data, Grad: grads.DU1.Data},
-		{Name: "U2", Value: m.U2.Data, Grad: grads.DU2.Data},
-		{Name: "U3", Value: m.U3.Data, Grad: grads.DU3.Data},
-		{Name: "h", Value: m.H, Grad: grads.DH},
-	}
-
 	// Head order matters for the RNG stream: L2 draws its negatives before
 	// L1 draws its user subsample, exactly as the pre-engine loop did.
-	heads := []train.Head{train.HeadFunc{W: 1, F: func(int) (float64, error) {
+	heads := []train.Head{{W: 1, Loss: func(int) (float64, error) {
 		if cfg.NegSampling {
 			n := int(cfg.NegPerPos * float64(x.NNZ()))
 			negs, err := SampleNegatives(x, n, rng.Rand)
@@ -295,34 +288,17 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 	}}}
 
 	if head != nil && cfg.Lambda > 0 {
-		headGrads := NewGrads(m)
-		subsample := cfg.UsersPerEpoch > 0 && cfg.UsersPerEpoch < m.I
 		allUsers := make([]int, m.I)
 		for i := range allUsers {
 			allUsers[i] = i
 		}
-		var permBuf []int
-		if subsample {
-			permBuf = make([]int, m.I)
+		users := func() ([]int, float64) { return allUsers, 1 }
+		if cfg.UsersPerEpoch > 0 && cfg.UsersPerEpoch < m.I {
+			permBuf := make([]int, m.I)
+			scale := float64(m.I) / float64(cfg.UsersPerEpoch)
+			users = func() ([]int, float64) { return permInto(rng.Rand, permBuf, m.I)[:cfg.UsersPerEpoch], scale }
 		}
-		heads = append(heads, train.HeadFunc{W: cfg.Lambda, F: func(int) (float64, error) {
-			headGrads.Zero()
-			users := allUsers
-			scale := 1.0
-			if subsample {
-				users = permInto(rng.Rand, permBuf, m.I)[:cfg.UsersPerEpoch]
-				scale = float64(m.I) / float64(cfg.UsersPerEpoch)
-			}
-			l1 := head.LossWorkers(m, users, headGrads, cfg.Workers) * scale
-			w := cfg.Lambda * scale
-			grads.DU1.AddInPlace(headGrads.DU1.Scale(w))
-			grads.DU2.AddInPlace(headGrads.DU2.Scale(w))
-			grads.DU3.AddInPlace(headGrads.DU3.Scale(w))
-			for t := range grads.DH {
-				grads.DH[t] += w * headGrads.DH[t]
-			}
-			return l1, nil
-		}})
+		heads = append(heads, head.trainHead(m, grads, cfg.Lambda, cfg.Workers, users))
 	}
 
 	tcfg := train.Config{
@@ -339,7 +315,7 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 			return m.SaveCheckpointRotate(cfg.FS, path, cfg.CheckpointKeep, &st)
 		}
 	}
-	driver, err := train.New(groups, heads, nil, opt.NewAdam(cfg.LR, cfg.WeightDecay), rng, tcfg)
+	driver, err := train.New(grads.groups(m), heads, nil, opt.NewAdam(cfg.LR, cfg.WeightDecay), rng, tcfg)
 	if err != nil {
 		return nil, err
 	}

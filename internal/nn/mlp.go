@@ -84,21 +84,3 @@ func (m *MLP) OutDim(inDim int) int {
 	}
 	return inDim
 }
-
-// StepAll applies one optimizer step to every parameter group of the layers
-// given, then zeroes their gradients. It is the shared tail of the
-// sequential baselines' training loops; a layer here is anything with
-// parameters, such as a recurrent cell, not only a feed-forward Layer.
-func StepAll(o interface {
-	Step(name string, params, grads []float64)
-}, layers ...interface {
-	Params() []Param
-	ZeroGrad()
-}) {
-	for _, l := range layers {
-		for _, p := range l.Params() {
-			o.Step(p.Name, p.Value, p.Grad)
-		}
-		l.ZeroGrad()
-	}
-}

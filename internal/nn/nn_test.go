@@ -249,35 +249,9 @@ func TestAttentionStability(t *testing.T) {
 	}
 }
 
-func TestStepAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	d := NewDense("d", 2, 2, rng)
-	x := []float64{1, 1}
-	y := d.Forward(x)
-	d.Backward(x, ones(len(y)))
-	before := make([]float64, len(d.W))
-	copy(before, d.W)
-	StepAll(fakeOpt{}, d)
-	var moved bool
-	for i := range d.W {
-		if d.W[i] != before[i] {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("StepAll must update parameters")
-	}
-	for _, g := range d.GradW {
-		if g != 0 {
-			t.Fatal("StepAll must zero gradients")
-		}
-	}
-}
-
-type fakeOpt struct{}
-
-func (fakeOpt) Step(name string, params, grads []float64) {
-	for i := range params {
-		params[i] -= 0.1 * grads[i]
-	}
+// ZeroGrad clears the gradient accumulators.
+func (c *RNNCell) ZeroGrad() {
+	zero(c.GradWx)
+	zero(c.GradWh)
+	zero(c.GradB)
 }

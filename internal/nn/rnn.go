@@ -99,10 +99,3 @@ func (c *RNNCell) Params() []Param {
 		{Name: c.name + ".b", Value: c.B, Grad: c.GradB},
 	}
 }
-
-// ZeroGrad clears the gradient accumulators.
-func (c *RNNCell) ZeroGrad() {
-	zero(c.GradWx)
-	zero(c.GradWh)
-	zero(c.GradB)
-}

@@ -193,15 +193,3 @@ func (c *STLSTMCell) Params() []Param {
 		{Name: c.name + ".bD", Value: c.BD, Grad: c.GradBD},
 	}
 }
-
-// ZeroGrad clears the gradient accumulators.
-func (c *STLSTMCell) ZeroGrad() {
-	zero(c.GradW)
-	zero(c.GradB)
-	zero(c.GradWxT)
-	zero(c.GradWtT)
-	zero(c.GradBT)
-	zero(c.GradWxD)
-	zero(c.GradWdD)
-	zero(c.GradBD)
-}

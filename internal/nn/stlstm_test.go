@@ -111,3 +111,15 @@ func TestSTLSTMForgetBiasAndZeroGrad(t *testing.T) {
 		}
 	}
 }
+
+// ZeroGrad clears the gradient accumulators.
+func (c *STLSTMCell) ZeroGrad() {
+	zero(c.GradW)
+	zero(c.GradB)
+	zero(c.GradWxT)
+	zero(c.GradWtT)
+	zero(c.GradBT)
+	zero(c.GradWxD)
+	zero(c.GradWdD)
+	zero(c.GradBD)
+}

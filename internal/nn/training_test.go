@@ -12,6 +12,17 @@ import (
 	"tcss/internal/opt"
 )
 
+// step applies one optimizer step to every parameter group of the layers,
+// then zeroes their gradients.
+func step(o *opt.Adam, layers ...Layer) {
+	for _, l := range layers {
+		for _, p := range l.Params() {
+			o.Step(p.Name, p.Value, p.Grad)
+		}
+		l.ZeroGrad()
+	}
+}
+
 // TestMLPLearnsXOR: the canonical non-linearly-separable task.
 func TestMLPLearnsXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -25,7 +36,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 			pred := SigmoidF(out[0])
 			m.Backward(x, []float64{pred - targets[s]})
 		}
-		StepAll(optim, m)
+		step(optim, m)
 	}
 	for s, x := range inputs {
 		pred := SigmoidF(m.Forward(x)[0])
@@ -147,7 +158,7 @@ func TestAttentionLearnsLookup(t *testing.T) {
 			keys.Accumulate(i, dK[i])
 			values.Accumulate(i, dV[i])
 		}
-		StepAll(optim, keys, values, query, head)
+		step(optim, keys, values, query, head)
 	}
 
 	correct := 0

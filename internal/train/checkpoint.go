@@ -62,7 +62,7 @@ func (d *Driver) Restore(st State, maxDraws uint64) error {
 // group's, or a step count without moments (or moments without one).
 func (d *Driver) checkMoments(st opt.State) error {
 	size := make(map[string]int)
-	for _, g := range d.model.Groups() {
+	for _, g := range d.groups {
 		size[g.Name] = len(g.Value)
 	}
 	names := make(map[string]struct{})

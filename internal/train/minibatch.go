@@ -1,45 +1,39 @@
 package train
 
-import (
-	"math/rand"
+import "math/rand"
 
-	"tcss/internal/tensor"
-)
-
-// MiniBatch is the example-level SGD regime of the neural baselines: each
-// epoch draws a labeled example set, shuffles it with the engine RNG, runs
-// Step (forward + backward, accumulating layer gradients) per example, and
-// lets the driver apply the optimizer every BatchSize examples — keeping the
-// per-example cost at the size of the touched rows rather than the whole
-// parameter set.
+// MiniBatch is the example-level SGD regime of the baselines: each epoch
+// lays out its examples, runs Step (forward + backward, accumulating layer
+// gradients) on each in turn, and lets the driver apply the optimizer every
+// BatchSize examples — keeping the per-example cost at the size of the
+// touched rows rather than the whole parameter set.
 type MiniBatch struct {
-	// Examples produces the epoch's labeled examples (typically the observed
-	// positives plus freshly sampled negatives). It runs before the shuffle
-	// and may consume rng; both uses are part of the checkpointed stream.
-	Examples func(epoch int, rng *rand.Rand) ([]tensor.Entry, error)
+	// Examples lays out the epoch's examples in the order Step is to see
+	// them and returns their count. It may consume rng (to sample negatives
+	// or shuffle); those draws are part of the checkpointed stream. The
+	// engine itself draws nothing.
+	Examples func(epoch int, rng *rand.Rand) (int, error)
 
-	// Step processes one example, accumulating parameter gradients, and
-	// returns the example's loss contribution.
-	Step func(e tensor.Entry) float64
+	// Step processes example i of the epoch's layout, accumulating parameter
+	// gradients, and returns the example's loss contribution.
+	Step func(i int) float64
 
 	// BatchSize is the gradient-accumulation window per optimizer step.
 	BatchSize int
 }
 
-// runBatchEpoch is one mini-batch epoch. The sequence — sample, shuffle,
-// per-example step with a partial trailing batch — reproduces the loop the
-// baselines used to hand-roll, so their pre-engine trajectories are preserved
-// bit for bit.
+// runBatchEpoch is one mini-batch epoch: lay out the examples, step each,
+// and apply the optimizer after every BatchSize-th example and after the
+// last (a partial trailing batch).
 func (d *Driver) runBatchEpoch(epoch int) (float64, error) {
-	batch, err := d.batch.Examples(epoch, d.rng.Rand)
+	n, err := d.batch.Examples(epoch, d.rng.Rand)
 	if err != nil {
 		return 0, err
 	}
-	d.rng.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
 	var total float64
-	for s, e := range batch {
-		total += d.batch.Step(e)
-		if (s+1)%d.batch.BatchSize == 0 || s == len(batch)-1 {
+	for s := 0; s < n; s++ {
+		total += d.batch.Step(s)
+		if (s+1)%d.batch.BatchSize == 0 || s == n-1 {
 			d.stepGroups()
 		}
 	}

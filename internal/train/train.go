@@ -1,20 +1,22 @@
-// Package train is the shared training engine behind every gradient-trained
-// model in this repository: the TCSS tensor-completion loss (core.Train), its
+// Package train is the one training loop behind every gradient-trained model
+// in this repository: the TCSS tensor-completion loss (core.Train), its
 // warm-start online updates (Model.UpdateOnline, and through it the serving
-// writer path), and the neural baselines (NCF, NTM, CoSTCo). Before the
-// engine existed each of those carried its own hand-rolled epoch loop; none
-// could checkpoint, resume, or share gradient clipping or callback logic.
+// writer path), the neural tensor baselines (NCF, NTM, CoSTCo) and the
+// sequential baselines (STRNN, STGN, STAN). Each of those composes a Driver;
+// none steps an optimizer itself.
 //
 // The engine separates three concerns:
 //
-//   - A model exposes its parameters as named flat float64 groups
-//     (Trainable/Group — the same shape internal/opt steps and internal/nn's
-//     Param already uses), so the driver can zero, clip and step them
-//     without knowing the model type.
+//   - A model exposes its parameters as named flat float64 groups ([]Group —
+//     the same shape internal/opt steps and internal/nn's Param already
+//     uses), so the driver can zero, clip and step them without knowing the
+//     model type.
 //   - The objective is a sum of weighted Heads (full-batch regime: the
 //     whole-data/negative-sampling L2 head plus the social Hausdorff L1
 //     head), or a MiniBatch specification (example-level SGD with gradient
-//     accumulation, the neural baselines' regime).
+//     accumulation, the baselines' regime). A MiniBatch's examples own their
+//     order: the engine steps them as Examples laid them out and draws
+//     nothing itself.
 //   - The Driver owns the epoch loop: gradient zeroing, head evaluation or
 //     batch sweeps, global gradient clipping, Adam steps at a fixed rate,
 //     epoch callbacks, and checkpoint/resume.
@@ -39,51 +41,16 @@ type Group struct {
 	Value, Grad []float64
 }
 
-// Trainable exposes a model's parameters to the driver. Groups must return
-// the same names, order, and backing slices on every call.
-type Trainable interface {
-	Groups() []Group
-	// ZeroGrad clears every gradient accumulator.
-	ZeroGrad()
-}
-
-// GroupSet is the simplest Trainable: a fixed, ordered list of groups.
-type GroupSet []Group
-
-// Groups implements Trainable.
-func (g GroupSet) Groups() []Group { return g }
-
-// ZeroGrad implements Trainable.
-func (g GroupSet) ZeroGrad() {
-	for _, gr := range g {
-		for i := range gr.Grad {
-			gr.Grad[i] = 0
-		}
-	}
-}
-
 // Head is one additive component of a full-batch training objective. Loss
 // evaluates the component at the given epoch and accumulates the gradient of
-// Weight()·loss into the trainable's gradient buffers; the driver reports
-// Σ Weight()·Loss() as the epoch loss. A head that subsamples or draws
-// negatives consumes the engine RNG it captured at composition time, so the
-// stream position is part of the checkpointed state.
-type Head interface {
-	Loss(epoch int) (float64, error)
-	Weight() float64
+// W·loss into the groups' gradient buffers; the driver reports Σ W·Loss as
+// the epoch loss. A head that subsamples or draws negatives consumes the
+// engine RNG it captured at composition time, so the stream position is part
+// of the checkpointed state.
+type Head struct {
+	W    float64
+	Loss func(epoch int) (float64, error)
 }
-
-// HeadFunc adapts a closure plus a constant weight to the Head interface.
-type HeadFunc struct {
-	F func(epoch int) (float64, error)
-	W float64
-}
-
-// Loss implements Head.
-func (h HeadFunc) Loss(epoch int) (float64, error) { return h.F(epoch) }
-
-// Weight implements Head.
-func (h HeadFunc) Weight() float64 { return h.W }
 
 // Config collects the loop-level knobs shared by every training run.
 type Config struct {
@@ -114,22 +81,24 @@ type Config struct {
 // Driver runs the epoch loop over one model. Construct with New, optionally
 // Restore a checkpointed state, then Run.
 type Driver struct {
-	cfg   Config
-	model Trainable
-	heads []Head
-	batch *MiniBatch
-	rng   *RNG
-	optim *opt.Adam
+	cfg    Config
+	groups []Group
+	heads  []Head
+	batch  *MiniBatch
+	rng    *RNG
+	optim  *opt.Adam
 
 	epoch int // completed epochs; the next epoch to run
 }
 
-// New builds a driver over the model with either a full-batch objective
-// (heads) or a mini-batch one (batch) — exactly one must be given. rng may
-// be nil when no component draws randomness.
-func New(model Trainable, heads []Head, batch *MiniBatch, optim *opt.Adam, rng *RNG, cfg Config) (*Driver, error) {
-	if model == nil {
-		return nil, fmt.Errorf("train: nil model")
+// New builds a driver over the parameter groups with either a full-batch
+// objective (heads) or a mini-batch one (batch) — exactly one must be given
+// — and zeroes the groups' gradients. The groups' names must be distinct;
+// their slices alias the model's storage. rng may be nil when no component
+// draws randomness.
+func New(groups []Group, heads []Head, batch *MiniBatch, optim *opt.Adam, rng *RNG, cfg Config) (*Driver, error) {
+	if len(groups) == 0 {
+		return nil, fmt.Errorf("train: no parameter groups")
 	}
 	if (len(heads) == 0) == (batch == nil) {
 		return nil, fmt.Errorf("train: exactly one of heads or batch must be set")
@@ -142,7 +111,7 @@ func New(model Trainable, heads []Head, batch *MiniBatch, optim *opt.Adam, rng *
 			return nil, fmt.Errorf("train: MiniBatch batch size must be positive, got %d", batch.BatchSize)
 		}
 		if rng == nil {
-			return nil, fmt.Errorf("train: MiniBatch regime needs an engine RNG for shuffling")
+			return nil, fmt.Errorf("train: MiniBatch regime needs an engine RNG for its examples")
 		}
 		if cfg.GradClip > 0 {
 			return nil, fmt.Errorf("train: GradClip is a full-batch feature")
@@ -155,7 +124,7 @@ func New(model Trainable, heads []Head, batch *MiniBatch, optim *opt.Adam, rng *
 		return nil, fmt.Errorf("train: nil optimizer")
 	}
 	seen := make(map[string]struct{})
-	for _, g := range model.Groups() {
+	for _, g := range groups {
 		if len(g.Value) != len(g.Grad) {
 			return nil, fmt.Errorf("train: group %q value/grad length mismatch %d vs %d", g.Name, len(g.Value), len(g.Grad))
 		}
@@ -164,12 +133,14 @@ func New(model Trainable, heads []Head, batch *MiniBatch, optim *opt.Adam, rng *
 		}
 		seen[g.Name] = struct{}{}
 	}
-	return &Driver{cfg: cfg, model: model, heads: heads, batch: batch, optim: optim, rng: rng}, nil
+	d := &Driver{cfg: cfg, groups: groups, heads: heads, batch: batch, optim: optim, rng: rng}
+	d.zeroGrad()
+	return d, nil
 }
 
 // Run executes epochs from the current position (0, or the restored epoch)
 // through cfg.Epochs. Each epoch: zero gradients, evaluate the objective
-// (heads, or a shuffled mini-batch sweep), clip, step the optimizer, invoke
+// (heads, or a mini-batch sweep), clip, step the optimizer, invoke
 // the callback, and checkpoint when due. On error the model holds the last
 // completed epoch's parameters.
 func (d *Driver) Run() error {
@@ -201,24 +172,23 @@ func (d *Driver) Run() error {
 // runHeadsEpoch is one full-batch epoch: a single optimizer step over the
 // summed weighted head gradients.
 func (d *Driver) runHeadsEpoch(epoch int) (float64, error) {
-	d.model.ZeroGrad()
+	d.zeroGrad()
 	var total float64
 	for _, h := range d.heads {
 		l, err := h.Loss(epoch)
 		if err != nil {
 			return 0, err
 		}
-		total += h.Weight() * l
+		total += h.W * l
 	}
-	groups := d.model.Groups()
 	if d.cfg.GradClip > 0 {
-		grads := make([][]float64, len(groups))
-		for i, g := range groups {
+		grads := make([][]float64, len(d.groups))
+		for i, g := range d.groups {
 			grads[i] = g.Grad
 		}
 		opt.ClipGradNorm(d.cfg.GradClip, grads...)
 	}
-	for _, g := range groups {
+	for _, g := range d.groups {
 		d.optim.Step(g.Name, g.Value, g.Grad)
 	}
 	return total, nil
@@ -240,8 +210,15 @@ func (d *Driver) checkpointDue() bool {
 // stepGroups applies one optimizer update to every group, then zeroes the
 // gradient accumulators — the shared tail of a gradient-accumulation batch.
 func (d *Driver) stepGroups() {
-	for _, g := range d.model.Groups() {
+	for _, g := range d.groups {
 		d.optim.Step(g.Name, g.Value, g.Grad)
 	}
-	d.model.ZeroGrad()
+	d.zeroGrad()
+}
+
+// zeroGrad clears every group's gradient accumulator.
+func (d *Driver) zeroGrad() {
+	for _, g := range d.groups {
+		clear(g.Grad)
+	}
 }

@@ -1,11 +1,12 @@
 package train
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tcss/internal/opt"
-	"tcss/internal/tensor"
 )
 
 // TestRNGStreamTransparent pins the property the whole refactor rests on: an
@@ -77,7 +78,7 @@ func TestRNGRestoreResumesStream(t *testing.T) {
 
 // quad is a 2-parameter toy model with loss Σ (p_i − target_i)².
 type quad struct {
-	GroupSet
+	groups []Group
 	target []float64
 }
 
@@ -85,14 +86,14 @@ func newQuad(init, target []float64) *quad {
 	p := append([]float64(nil), init...)
 	g := make([]float64, len(p))
 	return &quad{
-		GroupSet: GroupSet{{Name: "p", Value: p, Grad: g}},
-		target:   target,
+		groups: []Group{{Name: "p", Value: p, Grad: g}},
+		target: target,
 	}
 }
 
 func (q *quad) loss() float64 {
 	var l float64
-	p, g := q.GroupSet[0].Value, q.GroupSet[0].Grad
+	p, g := q.groups[0].Value, q.groups[0].Grad
 	for i := range p {
 		d := p[i] - q.target[i]
 		l += d * d
@@ -104,7 +105,7 @@ func (q *quad) loss() float64 {
 func TestDriverFullBatchConverges(t *testing.T) {
 	q := newQuad([]float64{4, -3}, []float64{1, 2})
 	var losses []float64
-	d, err := New(q, []Head{HeadFunc{W: 1, F: func(int) (float64, error) { return q.loss(), nil }}},
+	d, err := New(q.groups, []Head{{W: 1, Loss: func(int) (float64, error) { return q.loss(), nil }}},
 		nil, opt.NewAdam(0.2, 0), nil, Config{
 			Epochs:   120,
 			Callback: func(epoch int, loss float64) { losses = append(losses, loss) },
@@ -131,10 +132,10 @@ func TestDriverHeadWeights(t *testing.T) {
 	q := newQuad([]float64{1}, []float64{1})
 	var got float64
 	heads := []Head{
-		HeadFunc{W: 1, F: func(int) (float64, error) { return 2, nil }},
-		HeadFunc{W: 0.5, F: func(int) (float64, error) { return 4, nil }},
+		{W: 1, Loss: func(int) (float64, error) { return 2, nil }},
+		{W: 0.5, Loss: func(int) (float64, error) { return 4, nil }},
 	}
-	d, err := New(q, heads, nil, opt.NewAdam(0, 0), nil, Config{
+	d, err := New(q.groups, heads, nil, opt.NewAdam(0, 0), nil, Config{
 		Epochs:   1,
 		Callback: func(_ int, loss float64) { got = loss },
 	})
@@ -157,7 +158,7 @@ func TestDriverGradClip(t *testing.T) {
 	const epochs = 4
 	run := func(clip float64) []float64 {
 		q := newQuad([]float64{10, 3}, []float64{0, 0})
-		d, err := New(q, []Head{HeadFunc{W: 1, F: func(int) (float64, error) { return q.loss(), nil }}},
+		d, err := New(q.groups, []Head{{W: 1, Loss: func(int) (float64, error) { return q.loss(), nil }}},
 			nil, opt.NewAdam(1, 0), nil, Config{Epochs: epochs, GradClip: clip})
 		if err != nil {
 			t.Fatal(err)
@@ -165,7 +166,7 @@ func TestDriverGradClip(t *testing.T) {
 		if err := d.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return q.GroupSet[0].Value
+		return q.groups[0].Value
 	}
 
 	p := []float64{10, 3}
@@ -188,10 +189,10 @@ func TestDriverGradClip(t *testing.T) {
 
 func TestNewRejectsBadComposition(t *testing.T) {
 	q := newQuad([]float64{1}, []float64{0})
-	head := []Head{HeadFunc{W: 1, F: func(int) (float64, error) { return 0, nil }}}
+	head := []Head{{W: 1, Loss: func(int) (float64, error) { return 0, nil }}}
 	mb := &MiniBatch{
-		Examples:  func(int, *rand.Rand) ([]tensor.Entry, error) { return nil, nil },
-		Step:      func(tensor.Entry) float64 { return 0 },
+		Examples:  func(int, *rand.Rand) (int, error) { return 0, nil },
+		Step:      func(int) float64 { return 0 },
 		BatchSize: 1,
 	}
 	adam := opt.NewAdam(0.1, 0)
@@ -199,21 +200,23 @@ func TestNewRejectsBadComposition(t *testing.T) {
 		name string
 		fn   func() (*Driver, error)
 	}{
-		{"no objective", func() (*Driver, error) { return New(q, nil, nil, adam, nil, Config{Epochs: 1}) }},
-		{"both objectives", func() (*Driver, error) { return New(q, head, mb, adam, NewRNG(1), Config{Epochs: 1}) }},
-		{"nil model", func() (*Driver, error) { return New(nil, head, nil, adam, nil, Config{Epochs: 1}) }},
-		{"nil optimizer", func() (*Driver, error) { return New(q, head, nil, nil, nil, Config{Epochs: 1}) }},
-		{"negative epochs", func() (*Driver, error) { return New(q, head, nil, adam, nil, Config{Epochs: -1}) }},
-		{"batch without rng", func() (*Driver, error) { return New(q, nil, mb, adam, nil, Config{Epochs: 1}) }},
+		{"no objective", func() (*Driver, error) { return New(q.groups, nil, nil, adam, nil, Config{Epochs: 1}) }},
+		{"both objectives", func() (*Driver, error) { return New(q.groups, head, mb, adam, NewRNG(1), Config{Epochs: 1}) }},
+		{"no groups", func() (*Driver, error) { return New(nil, head, nil, adam, nil, Config{Epochs: 1}) }},
+		{"nil optimizer", func() (*Driver, error) { return New(q.groups, head, nil, nil, nil, Config{Epochs: 1}) }},
+		{"negative epochs", func() (*Driver, error) { return New(q.groups, head, nil, adam, nil, Config{Epochs: -1}) }},
+		{"batch without rng", func() (*Driver, error) { return New(q.groups, nil, mb, adam, nil, Config{Epochs: 1}) }},
 		{"batch with clip", func() (*Driver, error) {
-			return New(q, nil, mb, adam, NewRNG(1), Config{Epochs: 1, GradClip: 1})
+			return New(q.groups, nil, mb, adam, NewRNG(1), Config{Epochs: 1, GradClip: 1})
 		}},
 		{"zero batch size", func() (*Driver, error) {
-			return New(q, nil, &MiniBatch{Examples: mb.Examples, Step: mb.Step}, adam, NewRNG(1), Config{Epochs: 1})
+			return New(q.groups, nil, &MiniBatch{Examples: mb.Examples, Step: mb.Step}, adam, NewRNG(1), Config{Epochs: 1})
 		}},
 		{"duplicate group", func() (*Driver, error) {
-			dup := GroupSet{q.GroupSet[0], q.GroupSet[0]}
-			return New(dup, head, nil, adam, nil, Config{Epochs: 1})
+			return New([]Group{q.groups[0], q.groups[0]}, head, nil, adam, nil, Config{Epochs: 1})
+		}},
+		{"group length mismatch", func() (*Driver, error) {
+			return New([]Group{{Name: "p", Value: make([]float64, 2), Grad: make([]float64, 1)}}, head, nil, adam, nil, Config{Epochs: 1})
 		}},
 	}
 	for _, tc := range cases {
@@ -223,41 +226,64 @@ func TestNewRejectsBadComposition(t *testing.T) {
 	}
 }
 
+// TestNewZeroesGradients: gradients left in the groups before New do not
+// reach the first optimizer step.
+func TestNewZeroesGradients(t *testing.T) {
+	g := Group{Name: "w", Value: []float64{1}, Grad: []float64{7}}
+	if _, err := New([]Group{g}, []Head{{W: 1, Loss: func(int) (float64, error) { return 0, nil }}},
+		nil, opt.NewAdam(0.1, 0), nil, Config{Epochs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if g.Grad[0] != 0 {
+		t.Fatalf("New left gradient %g in place", g.Grad[0])
+	}
+}
+
+// example is one labeled point of the toy linear model below.
+type example struct {
+	i, j, k int
+	val     float64
+}
+
 // miniModel is a one-group linear model trained by per-example SGD, small
 // enough to compare the engine sweep against a hand-rolled loop bit for bit.
 type miniModel struct {
-	GroupSet
+	groups []Group
 }
 
 func newMiniModel() *miniModel {
-	return &miniModel{GroupSet{{Name: "w", Value: make([]float64, 3), Grad: make([]float64, 3)}}}
+	return &miniModel{[]Group{{Name: "w", Value: make([]float64, 3), Grad: make([]float64, 3)}}}
 }
 
-func (m *miniModel) step(e tensor.Entry) float64 {
-	w, g := m.GroupSet[0].Value, m.GroupSet[0].Grad
-	pred := w[0]*float64(e.I) + w[1]*float64(e.J) + w[2]*float64(e.K)
-	d := pred - e.Val
-	g[0] += 2 * d * float64(e.I)
-	g[1] += 2 * d * float64(e.J)
-	g[2] += 2 * d * float64(e.K)
+func (m *miniModel) step(e example) float64 {
+	w, g := m.groups[0].Value, m.groups[0].Grad
+	pred := w[0]*float64(e.i) + w[1]*float64(e.j) + w[2]*float64(e.k)
+	d := pred - e.val
+	g[0] += 2 * d * float64(e.i)
+	g[1] += 2 * d * float64(e.j)
+	g[2] += 2 * d * float64(e.k)
 	return d * d
 }
 
-func syntheticExamples(rng *rand.Rand, n int) []tensor.Entry {
-	out := make([]tensor.Entry, n)
+func syntheticExamples(rng *rand.Rand, n int) []example {
+	out := make([]example, n)
 	for i := range out {
-		e := tensor.Entry{I: rng.Intn(5), J: rng.Intn(5), K: rng.Intn(5)}
-		e.Val = 0.3*float64(e.I) - 0.2*float64(e.J) + 0.1*float64(e.K)
+		e := example{i: rng.Intn(5), j: rng.Intn(5), k: rng.Intn(5)}
+		e.val = 0.3*float64(e.i) - 0.2*float64(e.j) + 0.1*float64(e.k)
 		out[i] = e
 	}
 	return out
 }
 
-// TestMiniBatchMatchesHandRolledLoop runs the engine's mini-batch sweep and
-// the exact loop the baselines used to hand-roll, and demands bit-identical
-// parameters — the property that kept the baseline goldens unchanged.
+// TestMiniBatchMatchesHandRolledLoop runs the engine's mini-batch sweep, with
+// Examples sampling and shuffling for itself, against the loop the baselines
+// used to hand-roll, and demands bit-identical parameters — the property
+// that kept the baseline goldens unchanged.
 func TestMiniBatchMatchesHandRolledLoop(t *testing.T) {
 	const epochs, batchSize = 3, 4
+	shuffle := func(rng *rand.Rand, batch []example) {
+		rng.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
+	}
 
 	// Hand-rolled reference, as the pre-engine baselines wrote it.
 	ref := newMiniModel()
@@ -265,11 +291,11 @@ func TestMiniBatchMatchesHandRolledLoop(t *testing.T) {
 	refOpt := opt.NewAdam(0.05, 0)
 	for epoch := 0; epoch < epochs; epoch++ {
 		batch := syntheticExamples(refRNG, 13)
-		refRNG.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
+		shuffle(refRNG, batch)
 		for s, e := range batch {
 			ref.step(e)
 			if (s+1)%batchSize == 0 || s == len(batch)-1 {
-				g := ref.GroupSet[0]
+				g := ref.groups[0]
 				refOpt.Step(g.Name, g.Value, g.Grad)
 				for i := range g.Grad {
 					g.Grad[i] = 0
@@ -279,9 +305,14 @@ func TestMiniBatchMatchesHandRolledLoop(t *testing.T) {
 	}
 
 	m := newMiniModel()
-	d, err := New(m, nil, &MiniBatch{
-		Examples:  func(_ int, rng *rand.Rand) ([]tensor.Entry, error) { return syntheticExamples(rng, 13), nil },
-		Step:      m.step,
+	var batch []example
+	d, err := New(m.groups, nil, &MiniBatch{
+		Examples: func(_ int, rng *rand.Rand) (int, error) {
+			batch = syntheticExamples(rng, 13)
+			shuffle(rng, batch)
+			return len(batch), nil
+		},
+		Step:      func(i int) float64 { return m.step(batch[i]) },
 		BatchSize: batchSize,
 	}, opt.NewAdam(0.05, 0), NewRNG(5), Config{Epochs: epochs})
 	if err != nil {
@@ -290,10 +321,66 @@ func TestMiniBatchMatchesHandRolledLoop(t *testing.T) {
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range ref.GroupSet[0].Value {
-		if ref.GroupSet[0].Value[i] != m.GroupSet[0].Value[i] {
+	for i := range ref.groups[0].Value {
+		if ref.groups[0].Value[i] != m.groups[0].Value[i] {
 			t.Fatalf("engine diverged from hand-rolled loop at w[%d]: %v vs %v",
-				i, m.GroupSet[0].Value, ref.GroupSet[0].Value)
+				i, m.groups[0].Value, ref.groups[0].Value)
+		}
+	}
+}
+
+// TestMiniBatchKeepsExampleOrder: Step sees the examples in the order
+// Examples laid them out, the optimizer steps after every BatchSize-th
+// example and after the last, and the engine draws nothing from the RNG
+// beyond what Examples draws.
+func TestMiniBatchKeepsExampleOrder(t *testing.T) {
+	for _, tc := range []struct {
+		n, batchSize int
+		epoch        string // one epoch's trace: s<i> per Step, | per optimizer step, / at its end
+	}{
+		{7, 3, "s0 s1 s2 | s3 s4 s5 | s6 | /"},
+		{6, 3, "s0 s1 s2 | s3 s4 s5 | /"},
+		{3, 1, "s0 | s1 | s2 | /"},
+		{2, 5, "s0 s1 | /"},
+		{0, 2, "/"},
+	} {
+		// Every Step leaves a unit gradient, so each optimizer step moves w;
+		// the trace notes a step wherever w moved since the last event.
+		g := Group{Name: "w", Value: []float64{0}, Grad: []float64{0}}
+		var trace []string
+		last := g.Value[0]
+		event := func(e string) {
+			if g.Value[0] != last {
+				trace, last = append(trace, "|"), g.Value[0]
+			}
+			trace = append(trace, e)
+		}
+		rng := NewRNG(9)
+		var draws []uint64
+		d, err := New([]Group{g}, nil, &MiniBatch{
+			Examples: func(_ int, r *rand.Rand) (int, error) {
+				r.Int63()
+				draws = append(draws, rng.State().Draws)
+				return tc.n, nil
+			},
+			Step: func(i int) float64 {
+				event(fmt.Sprintf("s%d", i))
+				g.Grad[0] = 1
+				return 0
+			},
+			BatchSize: tc.batchSize,
+		}, opt.NewAdam(0.1, 0), rng, Config{Epochs: 2, Callback: func(int, float64) { event("/") }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := strings.Join(trace, " "), tc.epoch+" "+tc.epoch; got != want {
+			t.Errorf("n=%d batch=%d: trace %q, want %q", tc.n, tc.batchSize, got, want)
+		}
+		if len(draws) != 2 || draws[0] != 1 || draws[1] != 2 || rng.State().Draws != 2 {
+			t.Errorf("n=%d batch=%d: draws after each Examples %v, %d in all; want [1 2], 2", tc.n, tc.batchSize, draws, rng.State().Draws)
 		}
 	}
 }
@@ -301,7 +388,7 @@ func TestMiniBatchMatchesHandRolledLoop(t *testing.T) {
 // TestRestoreRejectsEpochBeyondRun refuses a state from past the configured
 // run's end.
 func TestRestoreRejectsEpochBeyondRun(t *testing.T) {
-	short, err := New(newMiniModel(), []Head{HeadFunc{W: 1, F: func(int) (float64, error) { return 0, nil }}},
+	short, err := New(newMiniModel().groups, []Head{{W: 1, Loss: func(int) (float64, error) { return 0, nil }}},
 		nil, opt.NewAdam(0.1, 0), NewRNG(1), Config{Epochs: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +403,7 @@ func TestRestoreRejectsEpochBeyondRun(t *testing.T) {
 func TestCheckpointCadence(t *testing.T) {
 	var saves []int
 	q := newQuad([]float64{1}, []float64{0})
-	d, err := New(q, []Head{HeadFunc{W: 1, F: func(int) (float64, error) { return q.loss(), nil }}},
+	d, err := New(q.groups, []Head{{W: 1, Loss: func(int) (float64, error) { return q.loss(), nil }}},
 		nil, opt.NewAdam(0.1, 0), nil, Config{
 			Epochs:          5,
 			CheckpointEvery: 2,
