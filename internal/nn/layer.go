@@ -6,9 +6,9 @@
 // implemented from scratch without any framework; every layer exposes its
 // parameters as named flat slices consumable by internal/opt's Adam.
 //
-// Layers operate on single examples ([]float64); the training loops in
-// internal/baselines batch by accumulating gradients across examples before
-// each optimizer step.
+// Layers operate on single examples ([]float64); the baselines train them
+// through internal/train, which batches by accumulating gradients across
+// examples before each optimizer step.
 package nn
 
 import (
