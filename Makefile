@@ -3,7 +3,7 @@ GO ?= go
 # Kernel micro-benchmarks for measuring while you work. The experiment
 # benchmarks (BenchmarkTable*, BenchmarkFig*) are much slower and run via
 # `make bench-all`; the repository's benchmark is `make benchmark`.
-KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)|BenchmarkDotRows|BenchmarkHeadKernels'
+KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)|BenchmarkDotRows|BenchmarkHeadKernels|BenchmarkGrowSideInfo'
 
 .PHONY: build test race vet fmt loc bench bench-all bench-test benchmark check gradcheck fuzz \
 	golden-update serve loadgen smoke
@@ -103,6 +103,9 @@ fuzz:
 	@# The sparse Gram rows the spectral initialization reads, bit for bit
 	@# against the dense accumulation they replaced.
 	$(GO) test -run '^$$' -fuzz FuzzGramOfUnfolding -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/tensor
+	@# The side-information fold, bit for bit against the map-based
+	@# reference fold, with and without an old base, across growth.
+	$(GO) test -run '^$$' -fuzz FuzzGrowSideInfo -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core
 	@# The one row-dot kernel: assembly and Go bodies against the reference
 	@# order, bit for bit, on special values.
 	$(GO) test -run '^$$' -fuzz FuzzDotRows -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mat

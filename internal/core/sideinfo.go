@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"tcss/internal/geo"
 	"tcss/internal/graph"
@@ -49,6 +48,13 @@ func BuildSideInfo(social *graph.Graph, dist *geo.DistanceMatrix, train *tensor.
 // still reference it — and carried-over rows share their slices with old
 // (copy-on-write at row granularity).
 //
+// The dirty rows' cells are counting-sorted into two flat buckets, users by
+// POI and POIs by user; a sorted bucket gives a POI's visit counts as its run
+// lengths and a user's own set after dropping repeats. Friend sets are
+// gathered through a stamp array over the POIs. Every row the fold emits is
+// a fresh, exactly sized slice — an empty one is [], not nil — that aliases
+// none of this scratch.
+//
 // social and dist must already cover train's dimensions (grow them first with
 // graph.AddVertices / geo.DistanceMatrix.Grown). dist is shared, not copied:
 // it holds only the coordinates and d_max, so a fold costs nothing
@@ -88,42 +94,62 @@ func GrowSideInfo(old *SideInfo, social *graph.Graph, dist *geo.DistanceMatrix, 
 		poiDirty[e.J] = true
 	}
 
-	// One pass over the training entries collects the inputs of exactly the
-	// dirty rows: per-POI visit multiplicities for entropy, per-user POI sets
-	// for the own lists.
-	visitCounts := make([]map[int]int, J) // POI -> user -> #time-units
-	ownSets := make([]map[int]struct{}, I)
-	for _, e := range train.Entries() {
+	// Two passes over the training entries bucket the cells of exactly the
+	// dirty rows: the first counts each bucket's end, the second fills each
+	// bucket from its end back. Afterwards POI j's users are
+	// byPOI[poiOff[j]:poiOff[j+1]], and user i's POIs are
+	// byUser[userOff[i]:userOff[i+1]].
+	entries := train.Entries()
+	poiOff, userOff := make([]int, J+1), make([]int, I+1)
+	for _, e := range entries {
 		if poiDirty[e.J] {
-			if visitCounts[e.J] == nil {
-				visitCounts[e.J] = make(map[int]int)
-			}
-			visitCounts[e.J][e.I]++
+			poiOff[e.J]++
 		}
 		if userDirty[e.I] {
-			if ownSets[e.I] == nil {
-				ownSets[e.I] = make(map[int]struct{})
-			}
-			ownSets[e.I][e.J] = struct{}{}
+			userOff[e.I]++
 		}
 	}
+	cumulate(poiOff)
+	cumulate(userOff)
+	byPOI, byUser := make([]int, poiOff[J]), make([]int, userOff[I])
+	for _, e := range entries {
+		if poiDirty[e.J] {
+			poiOff[e.J]--
+			byPOI[poiOff[e.J]] = e.I
+		}
+		if userDirty[e.I] {
+			userOff[e.I]--
+			byUser[userOff[e.I]] = e.J
+		}
+	}
+
+	// A POI's visit counts are the run lengths of its sorted users, sorted in
+	// turn: the entropy sum is order-sensitive at the ulp level. An unvisited
+	// POI has entropy 0, weight 1.
+	var visits []int
 	for j, dirty := range poiDirty {
 		if !dirty {
 			continue
 		}
-		visits := make([]int, 0, len(visitCounts[j]))
-		for _, c := range visitCounts[j] {
-			visits = append(visits, c)
+		users := byPOI[poiOff[j]:poiOff[j+1]]
+		slices.Sort(users)
+		visits = visits[:0]
+		for n := 0; n < len(users); {
+			run := n + 1
+			for run < len(users) && users[run] == users[n] {
+				run++
+			}
+			visits = append(visits, run-n)
+			n = run
 		}
-		// Map iteration order is randomized per process; the entropy sum is
-		// order-sensitive at the ulp level, so sort for reproducible models.
-		// An unvisited POI has entropy 0, weight 1.
-		sort.Ints(visits)
+		slices.Sort(visits)
 		side.EntropyW[j] = geo.EntropyWeight(geo.LocationEntropy(visits))
 	}
 	for i, dirty := range userDirty {
 		if dirty {
-			side.OwnPOIs[i] = sortedKeys(ownSets[i])
+			pois := byUser[userOff[i]:userOff[i+1]]
+			slices.Sort(pois)
+			side.OwnPOIs[i] = exactCopy(slices.Compact(pois))
 		}
 	}
 
@@ -141,28 +167,39 @@ func GrowSideInfo(old *SideInfo, social *graph.Graph, dist *geo.DistanceMatrix, 
 			}
 		}
 	}
+	seen := make([]int, J) // seen[j] == v+1: POI j is in v's friend set
+	var set []int
 	for v, dirty := range friendDirty {
 		if !dirty {
 			continue
 		}
-		set := make(map[int]struct{})
+		set = set[:0]
 		for _, f := range social.Neighbors(v) {
 			for _, j := range side.OwnPOIs[f] {
-				set[j] = struct{}{}
+				if seen[j] != v+1 {
+					seen[j] = v + 1
+					set = append(set, j)
+				}
 			}
 		}
-		side.FriendPOIs[v] = sortedKeys(set)
+		slices.Sort(set)
+		side.FriendPOIs[v] = exactCopy(set)
 	}
 	return side, nil
 }
 
-// sortedKeys lists a POI set in ascending order; an empty set gives [], not
-// nil.
-func sortedKeys(set map[int]struct{}) []int {
-	lst := make([]int, 0, len(set))
-	for j := range set {
-		lst = append(lst, j)
+// cumulate turns per-bucket counts into running totals in place, so that
+// off[k] is the end of bucket k.
+func cumulate(off []int) {
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
 	}
-	sort.Ints(lst)
-	return lst
+}
+
+// exactCopy returns a row of its own holding lst; an empty lst gives [], not
+// nil.
+func exactCopy(lst []int) []int {
+	row := make([]int, len(lst))
+	copy(row, lst)
+	return row
 }

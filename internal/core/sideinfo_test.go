@@ -4,9 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"tcss/internal/geo"
+	"tcss/internal/graph"
 	"tcss/internal/lbsn"
 	"tcss/internal/tensor"
 )
@@ -179,20 +181,259 @@ func requireSameSide(t *testing.T, what string, a, b *SideInfo) {
 	}
 }
 
-// BenchmarkBuildSideInfo times the all-rows fold on the gowalla preset's
-// training split, the fold an in-range observe runs.
-func BenchmarkBuildSideInfo(b *testing.B) {
-	ds := lbsn.MustPreset("gowalla", 1)
-	train, _ := ds.Tensor(lbsn.Month).Split(0.8, rand.New(rand.NewSource(1)))
-	dist := ds.Distances()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		var err error
-		if benchSide, err = BuildSideInfo(ds.Social, dist, train); err != nil {
-			b.Fatal(err)
+// refGrowSideInfo is the map-based fold GrowSideInfo replaced, kept as the
+// reference FuzzGrowSideInfo holds it to: one map per dirty POI, per dirty
+// user and per friend set, each listed in ascending order.
+func refGrowSideInfo(old *SideInfo, social *graph.Graph, dist *geo.DistanceMatrix, train *tensor.COO, touched []tensor.Entry) *SideInfo {
+	I, J := train.DimI, train.DimJ
+	side := &SideInfo{Dist: dist, EntropyW: make([]float64, J), OwnPOIs: make([][]int, I), FriendPOIs: make([][]int, I)}
+	var oldI, oldJ int
+	if old != nil {
+		oldI, oldJ = len(old.OwnPOIs), len(old.EntropyW)
+		copy(side.EntropyW, old.EntropyW)
+		copy(side.OwnPOIs, old.OwnPOIs)
+		copy(side.FriendPOIs, old.FriendPOIs)
+	}
+	userDirty := make([]bool, I)
+	poiDirty := make([]bool, J)
+	for i := oldI; i < I; i++ {
+		userDirty[i] = true
+	}
+	for j := oldJ; j < J; j++ {
+		poiDirty[j] = true
+	}
+	for _, e := range touched {
+		userDirty[e.I] = true
+		poiDirty[e.J] = true
+	}
+	// sortedKeys lists a POI set in ascending order; an empty set gives [],
+	// not nil.
+	sortedKeys := func(set map[int]struct{}) []int {
+		lst := make([]int, 0, len(set))
+		for j := range set {
+			lst = append(lst, j)
+		}
+		sort.Ints(lst)
+		return lst
+	}
+
+	visitCounts := make([]map[int]int, J) // POI -> user -> #time-units
+	ownSets := make([]map[int]struct{}, I)
+	for _, e := range train.Entries() {
+		if poiDirty[e.J] {
+			if visitCounts[e.J] == nil {
+				visitCounts[e.J] = make(map[int]int)
+			}
+			visitCounts[e.J][e.I]++
+		}
+		if userDirty[e.I] {
+			if ownSets[e.I] == nil {
+				ownSets[e.I] = make(map[int]struct{})
+			}
+			ownSets[e.I][e.J] = struct{}{}
+		}
+	}
+	for j, dirty := range poiDirty {
+		if !dirty {
+			continue
+		}
+		visits := make([]int, 0, len(visitCounts[j]))
+		for _, c := range visitCounts[j] {
+			visits = append(visits, c)
+		}
+		sort.Ints(visits)
+		side.EntropyW[j] = geo.EntropyWeight(geo.LocationEntropy(visits))
+	}
+	for i, dirty := range userDirty {
+		if dirty {
+			side.OwnPOIs[i] = sortedKeys(ownSets[i])
+		}
+	}
+
+	friendDirty := userDirty
+	if old != nil {
+		friendDirty = slices.Clone(userDirty)
+		for u, dirty := range userDirty {
+			if dirty {
+				for _, v := range social.Neighbors(u) {
+					friendDirty[v] = true
+				}
+			}
+		}
+	}
+	for v, dirty := range friendDirty {
+		if !dirty {
+			continue
+		}
+		set := make(map[int]struct{})
+		for _, f := range social.Neighbors(v) {
+			for _, j := range side.OwnPOIs[f] {
+				set[j] = struct{}{}
+			}
+		}
+		side.FriendPOIs[v] = sortedKeys(set)
+	}
+	return side
+}
+
+// FuzzGrowSideInfo holds the fold to refGrowSideInfo bit for bit, nil rows
+// included, on small worlds: with or without an old base, and with users,
+// POIs and friendships grown since it. It also checks that old is left as
+// it was and that the fold equals a fold of every row. Byte 0 sets I, 1 J,
+// 2 K (1 to 8), 3 how many users and 4 how many POIs are new since old
+// (0 to 2; bit 2 of byte 3 drops old), 5 the number of old friendships and 6
+// of old cells; then come those pairs and triples, one friendship per new
+// user, and the touched cells as (i, j, k, value) quadruples to the end, a
+// value byte below 32 deleting the cell.
+func FuzzGrowSideInfo(f *testing.F) {
+	f.Add([]byte{4, 5, 2, 1, 1, 3, 6, 0, 1, 1, 2, 2, 3, 0, 0, 0, 0, 1, 1, 1, 0, 0, 2, 1, 1, 3, 2, 1, 0, 1, 2, 4, 1, 0, 3, 4, 0, 40, 2, 2, 1, 9})
+	f.Add([]byte{3, 3, 1, 4, 0, 1, 4, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1, 0, 2, 2, 0, 0, 0, 0, 0})
+	f.Add([]byte{8, 8, 8, 2, 2, 6, 12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 7, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6, 0, 6, 1, 1, 0, 7, 2, 7, 0, 3, 2, 4, 0, 3, 2, 4, 5, 200, 7, 0, 1, 100})
+	f.Add([]byte{1, 1, 1, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 7 {
+			return
+		}
+		I0, J0, K := 1+int(data[0])%8, 1+int(data[1])%8, 1+int(data[2])%8
+		newI, newJ, withOld := int(data[3])%3, int(data[4])%3, data[3]&4 == 0
+		I, J := I0+newI, J0+newJ
+		nEdges, nCells := int(data[5])%16, int(data[6])%32
+		next := 7
+		draw := func(n int) int {
+			if next >= len(data) {
+				return 0
+			}
+			next++
+			return int(data[next-1]) % n
+		}
+
+		social := graph.New(I0)
+		for e := 0; e < nEdges; e++ {
+			if u, v := draw(I0), draw(I0); u != v {
+				social.AddEdge(u, v)
+			}
+		}
+		x := tensor.NewCOO(I0, J0, K)
+		for c := 0; c < nCells; c++ {
+			x.Set(draw(I0), draw(J0), draw(K), 1)
+		}
+		pts := make([]geo.Point, J)
+		for j := range pts {
+			pts[j] = geo.Point{Lat: 30 + 0.01*float64(j), Lon: -97}
+		}
+		var old, before *SideInfo
+		if withOld {
+			old = refGrowSideInfo(nil, social, geo.NewDistanceMatrix(pts[:J0]), x, nil)
+			before = cloneSide(old)
+		}
+
+		// Growth: each new user befriends one earlier user.
+		first := social.AddVertices(newI)
+		for u := first; u < I; u++ {
+			social.AddEdge(u, draw(u))
+		}
+		x.Grow(I, J, K)
+		var touched []tensor.Entry
+		for next+4 <= len(data) {
+			c := data[next:]
+			next += 4
+			e := tensor.Entry{I: int(c[0]) % I, J: int(c[1]) % J, K: int(c[2]) % K}
+			if c[3] >= 32 {
+				e.Val = 1
+			}
+			x.Set(e.I, e.J, e.K, e.Val)
+			touched = append(touched, e)
+		}
+
+		dist := geo.NewDistanceMatrix(pts)
+		got, err := GrowSideInfo(old, social, dist, x, touched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdenticalSide(t, "fold vs reference", got, refGrowSideInfo(old, social, dist, x, touched))
+		if withOld {
+			requireIdenticalSide(t, "old after the fold", old, before)
+		}
+		full, err := BuildSideInfo(social, dist, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdenticalSide(t, "fold vs every row", got, full)
+	})
+}
+
+// requireIdenticalSide is requireSameSide that also tells a nil row from an
+// empty one.
+func requireIdenticalSide(t *testing.T, what string, a, b *SideInfo) {
+	t.Helper()
+	requireSameSide(t, what, a, b)
+	for i := range a.OwnPOIs {
+		if (a.OwnPOIs[i] == nil) != (b.OwnPOIs[i] == nil) || (a.FriendPOIs[i] == nil) != (b.FriendPOIs[i] == nil) {
+			t.Fatalf("%s: user %d rows nil %v/%v, want %v/%v", what, i,
+				a.OwnPOIs[i] == nil, a.FriendPOIs[i] == nil, b.OwnPOIs[i] == nil, b.FriendPOIs[i] == nil)
 		}
 	}
 }
 
+// TestGrowSideInfoAllocs bounds a full fold of node-write's training tensor
+// (gowalla, monthly) to 4 objects per user plus a constant: the rows it
+// returns, one neighbour list per user and the scratch.
+func TestGrowSideInfoAllocs(t *testing.T) {
+	train, social, dist := sideBenchWorld()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := BuildSideInfo(social, dist, train); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bound := float64(4*train.DimI + 64); allocs > bound {
+		t.Fatalf("a full fold at I = %d allocates %v objects, bound %v", train.DimI, allocs, bound)
+	}
+}
+
+// BenchmarkGrowSideInfo times the fold at node-write's shape: every row
+// (full), and 8 new in-range cells folded onto the full fold (in-range).
+func BenchmarkGrowSideInfo(b *testing.B) {
+	train, social, dist := sideBenchWorld()
+	base, err := BuildSideInfo(social, dist, train)
+	if err != nil {
+		b.Fatal(err)
+	}
+	observed := train.Clone()
+	rng := rand.New(rand.NewSource(2))
+	var touched []tensor.Entry
+	for len(touched) < 8 {
+		e := tensor.Entry{I: rng.Intn(train.DimI), J: rng.Intn(train.DimJ), K: rng.Intn(train.DimK), Val: 1}
+		if !observed.Has(e.I, e.J, e.K) {
+			observed.Set(e.I, e.J, e.K, 1)
+			touched = append(touched, e)
+		}
+	}
+	for _, bc := range []struct {
+		name    string
+		old     *SideInfo
+		train   *tensor.COO
+		touched []tensor.Entry
+	}{
+		{"full", nil, train, nil},
+		{"in-range", base, observed, touched},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if benchSide, err = GrowSideInfo(bc.old, social, dist, bc.train, bc.touched); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 var benchSide *SideInfo
+
+// sideBenchWorld is node-write's training tensor: the gowalla preset at seed
+// 1, monthly, split 80/20, with its social graph and distances.
+func sideBenchWorld() (*tensor.COO, *graph.Graph, *geo.DistanceMatrix) {
+	ds := lbsn.MustPreset("gowalla", 1)
+	train, _ := ds.Tensor(lbsn.Month).Split(0.8, rand.New(rand.NewSource(1)))
+	return train, ds.Social, ds.Distances()
+}
