@@ -20,6 +20,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -42,12 +43,12 @@ var callerlessSeams = []string{"internal/check", "internal/cluster/clustertest",
 // callerless for what counts. A package's own tests do not count: code only
 // they call belongs in them.
 func TestNoCallerlessExports(t *testing.T) {
-	decls, err := callerless(".", callerlessSeams...)
+	c, err := rootModule()
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, d := range decls {
+	for _, d := range c.callerless() {
 		seen[d.key] = true
 		if _, ok := callerlessAllowed[d.key]; !ok && !d.used {
 			t.Errorf("%s (%s) has no caller outside its own package's tests: delete it or move it into the test that uses it", d.key, d.file)
@@ -131,12 +132,12 @@ func TestHelper(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	decls, err := callerless(root, "seam")
+	c, err := loadModule(root, "seam")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var flagged []string
-	for _, d := range decls {
+	for _, d := range c.callerless() {
 		if !d.used {
 			flagged = append(flagged, d.key)
 		}
@@ -147,25 +148,58 @@ func TestHelper(t *testing.T) {
 	}
 }
 
+// TestNoUnsetSettings keeps settings that only ever hold their default from
+// coming back as fields: every exported field of core.Config and
+// core.OnlineConfig must be written (assigned, incremented, addressed or
+// named as a composite-literal key) by a non-test file outside internal/core.
+// bench/ counts; examples/ does not. A value only DefaultConfig, a test or an
+// example sets is a named constant in core.
+func TestNoUnsetSettings(t *testing.T) {
+	c, err := rootModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := func(file string) bool {
+		rel, err := filepath.Rel(root, file)
+		if err != nil {
+			return false
+		}
+		rel = filepath.ToSlash(rel)
+		return !strings.HasPrefix(rel, "internal/core/") && !strings.HasPrefix(rel, "examples/")
+	}
+	core := c.pkgs["tcss/internal/core"]
+	if core == nil {
+		t.Fatal("tcss/internal/core was not loaded")
+	}
+	for _, name := range []string{"Config", "OnlineConfig"} {
+		st := core.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() && !slices.ContainsFunc(c.host.writes[f.Pos()], outside) {
+				t.Errorf("core.%s.%s is set by no non-test code outside internal/core: make it a constant", name, f.Name())
+			}
+		}
+	}
+}
+
+// rootModule is the repository's module, and bench/ beside it, loaded once
+// for the gates that read it.
+var rootModule = sync.OnceValues(func() (*callers, error) { return loadModule(".", callerlessSeams...) })
+
 // callerlessDecl is one declaration the gate checks.
 type callerlessDecl struct {
 	key, file string // package.[Receiver.]Name; the declaring file
 	used      bool
 }
 
-// callerless type-checks every package of the module at root and of every
+// loadModule type-checks every package of the module at root and of every
 // module nested under it, in `go list -deps` order, importing the standard
-// library through go/importer from the export data go list reports. It
-// returns every func and method, and every exported type, const and var,
-// declared in a non-test file of the root module (main functions aside), with
-// whether something uses it. A declaration is used when a non-test file of
-// any of the modules refers to that object outside the declaration itself
-// (a method's receiver does not count), including files that build
-// constraints exclude on the host GOOS/GOARCH. A method is also used when
-// such a file converts a value of its type to an interface that has the
-// method. For declarations in the seam directories, the same uses from
-// _test.go files of other directories count too.
-func callerless(root string, seams ...string) ([]callerlessDecl, error) {
+// library through go/importer from the export data go list reports, and
+// records what their files use and which struct fields they write.
+func loadModule(root string, seams ...string) (*callers, error) {
 	modules, err := nestedModules(root)
 	if err != nil {
 		return nil, err
@@ -197,23 +231,22 @@ func callerless(root string, seams ...string) ([]callerlessDecl, error) {
 		parsed: map[string]*ast.File{},
 		host:   newUsage(),
 		tests:  map[string]*usage{},
+		seams:  seams,
 	}
-	var mainModule string
-	var module []goPackage // the non-test module packages, each once, in dependency order
 	seen := map[string]bool{}
 	for _, p := range listed {
 		if p.Module == nil || p.ForTest != "" || strings.HasSuffix(p.ImportPath, ".test") || seen[p.ImportPath] {
 			continue
 		}
 		seen[p.ImportPath] = true
-		if p.Module.Main && mainModule == "" {
-			mainModule = p.Module.Path
+		if p.Module.Main && c.mainModule == "" {
+			c.mainModule = p.Module.Path
 		}
-		module = append(module, p)
+		c.module = append(c.module, p)
 	}
 
 	// Host build: every module package, checked strictly.
-	for _, p := range module {
+	for _, p := range c.module {
 		files, err := c.parse(p.Dir, p.GoFiles)
 		if err != nil {
 			return nil, err
@@ -229,7 +262,7 @@ func callerless(root string, seams ...string) ([]callerlessDecl, error) {
 	}
 	// Other platforms: each distinct set of non-test files that build
 	// constraints select for another GOOS/GOARCH.
-	for _, p := range module {
+	for _, p := range c.module {
 		host := strings.Join(p.GoFiles, " ")
 		sets := map[string]bool{host: true}
 		for _, ctxt := range otherPlatforms() {
@@ -261,9 +294,9 @@ func callerless(root string, seams ...string) ([]callerlessDecl, error) {
 	// imports it back may not match.
 	seamPaths := map[string]bool{}
 	for _, s := range seams {
-		seamPaths[mainModule+"/"+filepath.ToSlash(s)] = true
+		seamPaths[c.mainModule+"/"+filepath.ToSlash(s)] = true
 	}
-	for _, p := range module {
+	for _, p := range c.module {
 		if !slices.ContainsFunc(append(slices.Clone(p.TestImports), p.XTestImports...), func(s string) bool { return seamPaths[s] }) {
 			continue
 		}
@@ -302,12 +335,24 @@ func callerless(root string, seams ...string) ([]callerlessDecl, error) {
 	for _, u := range c.tests {
 		c.resolve(u)
 	}
+	return c, nil
+}
 
+// callerless returns every func and method, and every exported type, const
+// and var, declared in a non-test file of the root module (main functions
+// aside), with whether something uses it. A declaration is used when a
+// non-test file of any of the modules refers to that object outside the
+// declaration itself (a method's receiver does not count), including files
+// that build constraints exclude on the host GOOS/GOARCH. A method is also
+// used when such a file converts a value of its type to an interface that
+// has the method. For declarations in the seam directories, the same uses
+// from _test.go files of other directories count too.
+func (c *callers) callerless() []callerlessDecl {
 	// Each file was parsed once, so a declaring identifier's position is its
 	// object's position in every check that saw the file.
 	var decls []callerlessDecl
-	for _, p := range module {
-		if p.Module.Path != mainModule {
+	for _, p := range c.module {
+		if p.Module.Path != c.mainModule {
 			continue
 		}
 		for _, name := range append(slices.Clone(p.GoFiles), p.IgnoredGoFiles...) {
@@ -316,7 +361,7 @@ func callerless(root string, seams ...string) ([]callerlessDecl, error) {
 				continue // excluded on every platform checked, or a test
 			}
 			add := func(key string, id *ast.Ident) {
-				used := c.host.objs[id.Pos()] || c.seamUse(id.Pos(), p.Dir, seams)
+				used := c.host.objs[id.Pos()] || c.seamUse(id.Pos(), p.Dir)
 				decls = append(decls, callerlessDecl{key: p.Name + "." + key, file: filepath.Join(p.Dir, name), used: used})
 			}
 			for _, d := range f.Decls {
@@ -349,30 +394,35 @@ func callerless(root string, seams ...string) ([]callerlessDecl, error) {
 			}
 		}
 	}
-	return decls, nil
+	return decls
 }
 
 // callers holds the loader state and what the recorded uses reached.
 type callers struct {
-	fset   *token.FileSet
-	std    types.Importer
-	pkgs   map[string]*types.Package // module packages, host build
-	parsed map[string]*ast.File      // by path: each file is parsed once, so positions identify objects across checks
-	host   *usage                    // non-test files
-	tests  map[string]*usage         // _test.go files, by directory
+	fset       *token.FileSet
+	std        types.Importer
+	pkgs       map[string]*types.Package // module packages, host build
+	parsed     map[string]*ast.File      // by path: each file is parsed once, so positions identify objects across checks
+	host       *usage                    // non-test files
+	tests      map[string]*usage         // _test.go files, by directory
+	module     []goPackage               // the non-test module packages, each once, in dependency order
+	mainModule string
+	seams      []string
 }
 
 // usage is what one set of files reaches: the declarations it refers to (by
-// position), the concrete types it converts to interfaces and the
-// interfaces it asserts values to.
+// position), the concrete types it converts to interfaces, the interfaces
+// it asserts values to, and the files that write each struct field (by the
+// field's position).
 type usage struct {
 	objs      map[token.Pos]bool
 	converted map[string]types.Type
 	asserted  map[string]*types.Interface
+	writes    map[token.Pos][]string
 }
 
 func newUsage() *usage {
-	return &usage{map[token.Pos]bool{}, map[string]types.Type{}, map[string]*types.Interface{}}
+	return &usage{map[token.Pos]bool{}, map[string]types.Type{}, map[string]*types.Interface{}, map[token.Pos][]string{}}
 }
 
 func (c *callers) Import(path string) (*types.Package, error) {
@@ -388,8 +438,8 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // seamUse reports whether a test outside dir uses the declaration at pos,
 // when dir is a seam.
-func (c *callers) seamUse(pos token.Pos, dir string, seams []string) bool {
-	if !slices.ContainsFunc(seams, func(s string) bool { return strings.HasSuffix(dir, string(filepath.Separator)+filepath.FromSlash(s)) }) {
+func (c *callers) seamUse(pos token.Pos, dir string) bool {
+	if !slices.ContainsFunc(c.seams, func(s string) bool { return strings.HasSuffix(dir, string(filepath.Separator)+filepath.FromSlash(s)) }) {
 		return false
 	}
 	for d, u := range c.tests {
@@ -487,10 +537,11 @@ func (c *callers) parse(dir string, names []string) ([]*ast.File, error) {
 
 func (c *callers) check(path string, files []*ast.File, imp types.Importer, strict bool) (*types.Package, *types.Info, error) {
 	info := &types.Info{
-		Types:     map[ast.Expr]types.TypeAndValue{},
-		Defs:      map[*ast.Ident]types.Object{},
-		Uses:      map[*ast.Ident]types.Object{},
-		Instances: map[*ast.Ident]types.Instance{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Instances:  map[*ast.Ident]types.Instance{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: imp}
 	if !strict {
@@ -502,8 +553,10 @@ func (c *callers) check(path string, files []*ast.File, imp types.Importer, stri
 
 // record adds to u every object the top-level declarations of f refer to,
 // outside the declaration's own object and its receiver, the methods their
-// interface conversions reach, and the types they convert and assert to.
+// interface conversions reach, the types they convert and assert to, and
+// the struct fields f writes.
 func (c *callers) record(info *types.Info, f *ast.File, u *usage) {
+	c.recordWrites(info, f, u)
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
@@ -531,6 +584,46 @@ func (c *callers) record(info *types.Info, f *ast.File, u *usage) {
 			}
 		}
 	}
+}
+
+// recordWrites notes f as a writer of every struct field it assigns,
+// increments, takes the address of or names as a composite-literal key.
+func (c *callers) recordWrites(info *types.Info, f *ast.File, u *usage) {
+	file := c.fset.Position(f.Package).Filename
+	write := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			pos := v.Origin().Pos()
+			if !slices.Contains(u.writes[pos], file) {
+				u.writes[pos] = append(u.writes[pos], file)
+			}
+		}
+	}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				write(s.Obj())
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				target(l)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				target(n.X)
+			}
+		case *ast.KeyValueExpr:
+			if key, ok := n.Key.(*ast.Ident); ok {
+				write(info.Uses[key])
+			}
+		}
+		return true
+	})
 }
 
 // walk records into u what root refers to; sig is the signature its return

@@ -60,7 +60,6 @@ func TestGeographyPinned(t *testing.T) {
 	ocfg := tcss.DefaultOnlineConfig()
 	ocfg.Epochs = 3
 	ocfg.Seed = 2
-	ocfg.Lambda = 0.2
 	batch := tcss.ObserveBatch{
 		NewPOIs: []lbsn.POI{
 			{ID: J, Loc: geo.Point{Lat: 38.84, Lon: -77.30}, Category: lbsn.Food},

@@ -59,7 +59,7 @@ func TestGoldenTCSSVariants(t *testing.T) {
 		{"self", func(cfg *core.Config) { cfg.Variant = core.SelfHausdorff }},
 		{"no-l1", func(cfg *core.Config) { cfg.Variant = core.NoHausdorff; cfg.Lambda = 0 }},
 		{"zero-out", func(cfg *core.Config) { cfg.Variant = core.ZeroOut; cfg.Lambda = 0 }},
-		{"negsampling", func(cfg *core.Config) { cfg.NegSampling = true; cfg.NegPerPos = 1 }},
+		{"negsampling", func(cfg *core.Config) { cfg.NegSampling = true }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

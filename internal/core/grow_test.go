@@ -115,7 +115,7 @@ func TestUpdateOnlineGrows(t *testing.T) {
 	// UpdateOnline never grows: entries beyond the model fail with the typed
 	// sentinel and leave model and tensor alone. Growth is the observe
 	// transaction's step (TestObserveOpenGrowsEverythingTogether in tcss).
-	if _, err := m.UpdateOnline(fx.x, entries, fx.side, DefaultOnlineConfig()); !errors.Is(err, ErrOutOfRange) {
+	if _, err := m.UpdateOnline(fx.x, entries, DefaultOnlineConfig()); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("err = %v, want ErrOutOfRange", err)
 	}
 	if m.I != oldI || m.J != oldJ || fx.x.DimI != oldI || fx.x.DimJ != oldJ || fx.x.NNZ() != nnz {
@@ -145,7 +145,7 @@ func TestUpdateOnlineHonorsEntryWeight(t *testing.T) {
 	}
 	ocfg := DefaultOnlineConfig()
 	ocfg.Epochs = 1
-	if _, err := m.UpdateOnline(fx.x, []tensor.Entry{e}, nil, ocfg); err != nil {
+	if _, err := m.UpdateOnline(fx.x, []tensor.Entry{e}, ocfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := fx.x.At(e.I, e.J, e.K); got != 0.25 {
@@ -153,7 +153,7 @@ func TestUpdateOnlineHonorsEntryWeight(t *testing.T) {
 	}
 	// Non-positive weights are rejected with a clear error, not coerced.
 	bad := tensor.Entry{I: e.I, J: e.J, K: 1, Val: 0}
-	if _, err := m.UpdateOnline(fx.x, []tensor.Entry{bad}, nil, ocfg); err == nil {
+	if _, err := m.UpdateOnline(fx.x, []tensor.Entry{bad}, ocfg); err == nil {
 		t.Fatal("zero-weight entry must be rejected")
 	}
 }
@@ -179,7 +179,7 @@ func TestUpdateOnlineDecay(t *testing.T) {
 	ocfg := DefaultOnlineConfig()
 	ocfg.Epochs = 1
 	ocfg.DecayHalfLife = 2
-	if _, err := m.UpdateOnline(fx.x, []tensor.Entry{e}, nil, ocfg); err != nil {
+	if _, err := m.UpdateOnline(fx.x, []tensor.Entry{e}, ocfg); err != nil {
 		t.Fatal(err)
 	}
 	factor := math.Exp2(-1.0 / 2)
@@ -191,7 +191,7 @@ func TestUpdateOnlineDecay(t *testing.T) {
 	}
 	// Re-observing the decayed cell refreshes it to full weight.
 	refresh := tensor.Entry{I: old.I, J: old.J, K: old.K, Val: 1}
-	if _, err := m.UpdateOnline(fx.x, []tensor.Entry{refresh}, nil, ocfg); err != nil {
+	if _, err := m.UpdateOnline(fx.x, []tensor.Entry{refresh}, ocfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := fx.x.At(old.I, old.J, old.K); got != 1 {

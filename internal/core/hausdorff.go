@@ -30,7 +30,6 @@ type Hausdorff struct {
 	EntropyW   []float64 // e_j = exp(−E_j) per POI (Eq 11/12); nil disables weighting
 	FriendPOIs [][]int   // N(v) per user; empty slice skips the user
 	Alpha      float64   // smooth-minimum exponent, paper default −1
-	Epsilon    float64   // division guard, paper default 1e-6
 
 	// Per-user min-distance cache. minDOnce[i] guards minD[i], so concurrent
 	// workers hitting different users never contend on a shared lock (the
@@ -42,15 +41,16 @@ type Hausdorff struct {
 	rows      *distRows // the friend-POI rows the head reads
 }
 
-// NewHausdorff builds the loss head with the paper's default α = −1 and
-// ε = 1e-6. entropyW may be nil to disable location-entropy weighting.
+// NewHausdorff builds the loss head with the paper's default α = −1; its
+// division guard is the constant eps. entropyW may be nil to disable
+// location-entropy weighting.
 func NewHausdorff(dist *geo.DistanceMatrix, entropyW []float64, friendPOIs [][]int) *Hausdorff {
 	if entropyW != nil && len(entropyW) != dist.N {
 		panic(fmt.Sprintf("core: entropy weights %d vs %d POIs", len(entropyW), dist.N))
 	}
 	return &Hausdorff{
 		Dist: dist, EntropyW: entropyW, FriendPOIs: friendPOIs,
-		Alpha: -1, Epsilon: 1e-6, rows: newDistRows(dist),
+		Alpha: -1, rows: newDistRows(dist),
 	}
 }
 
@@ -196,7 +196,7 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 		sumA += p[j]
 		sumB += p[j] * h.entropy(j) * minD[j]
 	}
-	denom := sumA + h.Epsilon
+	denom := sumA + eps
 	loss := sumB / denom
 	if grads != nil {
 		inv2 := 1 / (denom * denom)

@@ -3,26 +3,28 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"tcss/internal/opt"
 	"tcss/internal/tensor"
 	"tcss/internal/train"
 )
 
+// The online update's settings no caller varies.
+const (
+	onlineLR   = 0.02 // Adam learning rate for the update
+	onlineWPos = 0.99 // class weights, as in training
+	onlineWNeg = 0.01
+	negPerNew  = 8 // sampled negatives per new check-in for contrast
+)
+
 // OnlineConfig controls incremental updates of an already-trained model when
 // new check-ins arrive, without retraining from scratch. Gradients reach the
-// rows of the new check-ins, of the sampled negatives, and of the batch's
-// users under the social head, plus the shared time factors and h; the
-// optimizer still steps every factor entry, so an epoch costs O(model), not
-// O(batch).
+// rows of the new check-ins and of the sampled negatives, plus the shared
+// time factors and h; the optimizer still steps every factor entry, so an
+// epoch costs O(model), not O(batch).
 type OnlineConfig struct {
-	Epochs     int     // update passes over the combined objective
-	LR         float64 // Adam learning rate for the update
-	WPos, WNeg float64 // class weights, as in training
-	Lambda     float64 // social head weight; 0 skips the head
-	NegPerNew  float64 // sampled negatives per new check-in for contrast
-	Seed       int64
+	Epochs int // update passes over the combined objective
+	Seed   int64
 
 	// RandomGrowth starts the rows that open-world growth appends uniform
 	// on [0, 1/√r), as RandomInit would, instead of warm-starting them from
@@ -48,17 +50,16 @@ const decayFloor = 0.05
 // DefaultOnlineConfig returns update hyperparameters matched to
 // DefaultConfig's training regime.
 func DefaultOnlineConfig() OnlineConfig {
-	return OnlineConfig{Epochs: 15, LR: 0.02, WPos: 0.99, WNeg: 0.01, Lambda: 0, NegPerNew: 8}
+	return OnlineConfig{Epochs: 15}
 }
 
 // UpdateOnline folds new observed entries into the model: the entries are
-// added to the training tensor, and the affected user rows are refined
-// against (a) the new positives, (b) sampled negatives for contrast, and
-// (c) the social Hausdorff head restricted to the affected users when side
-// information is given. The tensor x is modified in place (the new entries
-// are inserted, after time decay if configured); the returned count is the
-// number of genuinely new cells. Entry values are honoured as gradient
-// targets and stored weights — they must be positive.
+// added to the training tensor, and the factors are refined against (a) the
+// new positives and (b) sampled negatives for contrast. The tensor x is
+// modified in place (the new entries are inserted, after time decay if
+// configured); the returned count is the number of genuinely new cells.
+// Entry values are honoured as gradient targets and stored weights — they
+// must be positive.
 //
 // Entries beyond the model's dimensions fail with ErrOutOfRange: growth is
 // the caller's step (Model.Grow, tensor.COO.Grow) and happens before this
@@ -66,12 +67,11 @@ func DefaultOnlineConfig() OnlineConfig {
 //
 // The refinement is a warm-start run of the internal/train engine: the same
 // driver that powers offline training executes a short full-batch schedule
-// over three heads (fresh positives, sampled negatives, restricted social
-// head), starting from the model's current factors instead of a fresh
-// initialization.
-func (m *Model) UpdateOnline(x *tensor.COO, newEntries []tensor.Entry, side *SideInfo, cfg OnlineConfig) (int, error) {
-	if cfg.Epochs <= 0 || cfg.LR <= 0 {
-		return 0, fmt.Errorf("core: online update needs positive epochs and LR, got %d/%g", cfg.Epochs, cfg.LR)
+// over two heads (fresh positives, sampled negatives), starting from the
+// model's current factors instead of a fresh initialization.
+func (m *Model) UpdateOnline(x *tensor.COO, newEntries []tensor.Entry, cfg OnlineConfig) (int, error) {
+	if cfg.Epochs <= 0 {
+		return 0, fmt.Errorf("core: online update needs positive epochs, got %d", cfg.Epochs)
 	}
 	if m.Mode != StorageFloat64 {
 		return 0, fmt.Errorf("core: online update on %v storage (Decompress first, re-compact after): %w", m.Mode, ErrCompactModel)
@@ -89,7 +89,6 @@ func (m *Model) UpdateOnline(x *tensor.COO, newEntries []tensor.Entry, side *Sid
 		x.DecayScale(math.Exp2(-1/cfg.DecayHalfLife), decayFloor)
 	}
 	var fresh []tensor.Entry
-	affected := make(map[int]struct{})
 	for _, e := range newEntries {
 		if !x.Has(e.I, e.J, e.K) {
 			x.Set(e.I, e.J, e.K, e.Val)
@@ -98,61 +97,44 @@ func (m *Model) UpdateOnline(x *tensor.COO, newEntries []tensor.Entry, side *Sid
 			// A re-visit refreshes the decayed weight of the cell.
 			x.Set(e.I, e.J, e.K, e.Val)
 		}
-		affected[e.I] = struct{}{}
 	}
 	if len(fresh) == 0 {
 		return 0, nil
 	}
 
-	var head *Hausdorff
-	if side != nil && cfg.Lambda > 0 {
-		head = NewHausdorff(side.Dist, side.EntropyW, side.FriendPOIs)
-	}
-	users := make([]int, 0, len(affected))
-	for u := range affected {
-		// A side info that predates growth has no friend sets for the grown
-		// users; keep the head restricted to covered rows.
-		if head != nil && u >= len(side.FriendPOIs) {
-			continue
-		}
-		users = append(users, u)
-	}
-	sort.Ints(users)
-
 	rng := train.NewRNG(cfg.Seed)
 	grads := NewGrads(m)
 
-	// New positives pulled toward 1.
-	heads := []train.Head{{W: 1, Loss: func(int) (float64, error) {
-		var loss float64
-		for _, e := range fresh {
-			pred := m.Predict(e.I, e.J, e.K)
-			d := pred - e.Val
-			loss += cfg.WPos * d * d
-			m.accumEntryGrad(grads, e.I, e.J, e.K, 2*cfg.WPos*(pred-e.Val))
-		}
-		return loss, nil
-	}}}
-	// Sampled negatives keep the update from inflating everything.
-	heads = append(heads, train.Head{W: 1, Loss: func(int) (float64, error) {
-		n := int(cfg.NegPerNew * float64(len(fresh)))
-		negs, err := SampleNegatives(x, n, rng.Rand)
-		if err != nil {
-			return 0, err
-		}
-		var loss float64
-		for _, e := range negs {
-			pred := m.Predict(e.I, e.J, e.K)
-			loss += cfg.WNeg * pred * pred
-			m.accumEntryGrad(grads, e.I, e.J, e.K, 2*cfg.WNeg*pred)
-		}
-		return loss, nil
-	}})
-	if head != nil {
-		heads = append(heads, head.trainHead(m, grads, cfg.Lambda, 0, func() ([]int, float64) { return users, 1 }))
+	heads := []train.Head{
+		// New positives pulled toward 1.
+		{W: 1, Loss: func(int) (float64, error) {
+			var loss float64
+			for _, e := range fresh {
+				pred := m.Predict(e.I, e.J, e.K)
+				d := pred - e.Val
+				loss += onlineWPos * d * d
+				m.accumEntryGrad(grads, e.I, e.J, e.K, 2*onlineWPos*(pred-e.Val))
+			}
+			return loss, nil
+		}},
+		// Sampled negatives keep the update from inflating everything.
+		{W: 1, Loss: func(int) (float64, error) {
+			n := int(negPerNew * float64(len(fresh)))
+			negs, err := SampleNegatives(x, n, rng.Rand)
+			if err != nil {
+				return 0, err
+			}
+			var loss float64
+			for _, e := range negs {
+				pred := m.Predict(e.I, e.J, e.K)
+				loss += onlineWNeg * pred * pred
+				m.accumEntryGrad(grads, e.I, e.J, e.K, 2*onlineWNeg*pred)
+			}
+			return loss, nil
+		}},
 	}
 
-	driver, err := train.New(grads.groups(m), heads, nil, opt.NewAdam(cfg.LR, 0), rng, train.Config{Epochs: cfg.Epochs})
+	driver, err := train.New(grads.groups(m), heads, nil, opt.NewAdam(onlineLR, 0), rng, train.Config{Epochs: cfg.Epochs})
 	if err != nil {
 		return 0, err
 	}

@@ -31,7 +31,7 @@ func TestUpdateOnlineRaisesNewEntryScores(t *testing.T) {
 	}
 	ocfg := DefaultOnlineConfig()
 	ocfg.Seed = 1
-	added, err := m.UpdateOnline(fx.x, newEntries, fx.side, ocfg)
+	added, err := m.UpdateOnline(fx.x, newEntries, ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestUpdateOnlineIdempotentOnKnownEntries(t *testing.T) {
 	}
 	known := fx.x.Entries()[0]
 	snapshot := m.Clone()
-	added, err := m.UpdateOnline(fx.x, []tensor.Entry{known}, fx.side, DefaultOnlineConfig())
+	added, err := m.UpdateOnline(fx.x, []tensor.Entry{known}, DefaultOnlineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +79,17 @@ func TestUpdateOnlineValidation(t *testing.T) {
 	m := NewModel(fx.x.DimI, fx.x.DimJ, fx.x.DimK, 2)
 	bad := DefaultOnlineConfig()
 	bad.Epochs = 0
-	if _, err := m.UpdateOnline(fx.x, nil, nil, bad); err == nil {
+	if _, err := m.UpdateOnline(fx.x, nil, bad); err == nil {
 		t.Fatal("zero epochs must be rejected")
 	}
 	out := []tensor.Entry{{I: 999, J: 0, K: 0}}
-	if _, err := m.UpdateOnline(fx.x, out, nil, DefaultOnlineConfig()); err == nil {
+	if _, err := m.UpdateOnline(fx.x, out, DefaultOnlineConfig()); err == nil {
 		t.Fatal("out-of-range entry must be rejected")
 	}
 }
 
+// TestUpdateOnlineWithoutSideInfo: the update reads no side information, so
+// a model trained with the social head refines from the tensor alone.
 func TestUpdateOnlineWithoutSideInfo(t *testing.T) {
 	fx := newTrainFixture(33)
 	cfg := DefaultConfig()
@@ -100,7 +102,7 @@ func TestUpdateOnlineWithoutSideInfo(t *testing.T) {
 	if len(fx.test) == 0 {
 		t.Skip("no test entries")
 	}
-	if _, err := m.UpdateOnline(fx.x, fx.test[:1], nil, DefaultOnlineConfig()); err != nil {
-		t.Fatalf("nil side info must be allowed: %v", err)
+	if _, err := m.UpdateOnline(fx.x, fx.test[:1], DefaultOnlineConfig()); err != nil {
+		t.Fatalf("update without side info: %v", err)
 	}
 }

@@ -33,9 +33,7 @@ func TestConfigValidateTable(t *testing.T) {
 		{"zero wpos", func(c *Config) { c.WPos = 0 }, "weights"},
 		{"negative wneg", func(c *Config) { c.WNeg = -0.1 }, "weights"},
 		{"negative lambda", func(c *Config) { c.Lambda = -1 }, "lambda"},
-		{"negsampling without rate", func(c *Config) { c.NegSampling = true; c.NegPerPos = 0 }, "NegPerPos"},
 		{"negative users per epoch", func(c *Config) { c.UsersPerEpoch = -5 }, "UsersPerEpoch"},
-		{"negative sigma frac", func(c *Config) { c.ZeroOutSigmaFrac = -0.01 }, "ZeroOutSigmaFrac"},
 		{"negative workers", func(c *Config) { c.Workers = -3 }, "worker"},
 	}
 	for _, tc := range cases {
@@ -86,10 +84,8 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 // bit-identical to an uninterrupted run.
 func resumeCase(variant HausdorffVariant) Config {
 	cfg := Config{
-		Rank: 4, WPos: 0.99, WNeg: 0.01, Lambda: 5, Alpha: -1, Eps: 1e-6,
-		Epochs: 6, LR: 0.1, WeightDecay: 0.01,
-		Init: SpectralInit, Variant: variant,
-		NegPerPos: 1, ZeroOutSigmaFrac: 0.01,
+		Rank: 4, WPos: 0.99, WNeg: 0.01, Lambda: 5, Alpha: -1,
+		Epochs: 6, Init: SpectralInit, Variant: variant,
 		Workers: 1, Seed: 13,
 	}
 	if variant == NoHausdorff || variant == ZeroOut {
@@ -377,12 +373,11 @@ func TestOnlineUpdateMatchesEngine(t *testing.T) {
 	}
 	ocfg := DefaultOnlineConfig()
 	ocfg.Epochs = 4
-	ocfg.Lambda = 0.5
 
 	run := func() *Model {
 		mm := m.Clone()
 		x := fx.x.Clone()
-		if _, err := mm.UpdateOnline(x, fx.test[:3], fx.side, ocfg); err != nil {
+		if _, err := mm.UpdateOnline(x, fx.test[:3], ocfg); err != nil {
 			t.Fatal(err)
 		}
 		return mm

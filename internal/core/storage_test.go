@@ -319,7 +319,7 @@ func TestCompactUpdateOnlineRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cm.UpdateOnline(nil, nil, nil, DefaultOnlineConfig()); err == nil {
+	if _, err := cm.UpdateOnline(nil, nil, DefaultOnlineConfig()); err == nil {
 		t.Fatal("UpdateOnline accepted a compact model")
 	}
 }

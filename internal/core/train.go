@@ -46,38 +46,39 @@ func (v HausdorffVariant) String() string {
 	return fmt.Sprintf("variant(%d)", int(v))
 }
 
-// Config holds every training hyperparameter. DefaultConfig returns the
-// paper's defaults (§V-D).
+// The training settings no caller varies, fixed at the values DefaultConfig
+// documents.
+const (
+	eps              = 1e-6 // division guard ε of the Hausdorff head (paper: 1e-6)
+	trainLR          = 0.1  // Adam learning rate of the full-batch schedule
+	trainWeightDecay = 0.01 // Adam decoupled weight decay of the full-batch schedule
+	negPerPos        = 1    // negatives drawn per positive under NegSampling (paper: 1)
+	zeroOutSigmaFrac = 0.01 // zero-out threshold σ as a fraction of d_max (paper: 0.01)
+)
+
+// Config holds the training hyperparameters a caller chooses. DefaultConfig
+// returns the paper's defaults (§V-D).
 type Config struct {
 	Rank   int     // embedding length r (paper default 10)
 	WPos   float64 // positive entry weight w₊ (0.99)
 	WNeg   float64 // unlabeled entry weight w₋ (0.01)
 	Lambda float64 // social Hausdorff weight λ (0.1)
 	Alpha  float64 // smooth-minimum exponent α (−1)
-	Eps    float64 // division guard ε (1e-6)
 
-	Epochs      int
-	LR          float64 // Adam learning rate (0.001)
-	WeightDecay float64 // Adam decoupled weight decay (0.1)
-	GradClip    float64 // global gradient-norm clip; 0 disables
+	Epochs int
 
 	Init    InitMethod
 	Variant HausdorffVariant
 
 	// NegSampling switches L2 from the whole-data rewritten loss to the
-	// NCF-style sampled loss (Table II row "Negative sampling"); NegPerPos
-	// controls how many negatives are drawn per positive (paper: 1).
+	// NCF-style sampled loss (Table II row "Negative sampling"), drawing
+	// negPerPos negatives per positive.
 	NegSampling bool
-	NegPerPos   float64
 
 	// UsersPerEpoch stochastically subsamples users for the L1 head each
 	// epoch (0 = all users). The head's loss and gradient are rescaled by
 	// I/UsersPerEpoch so the expectation is unchanged.
 	UsersPerEpoch int
-
-	// ZeroOutSigmaFrac is the zero-out threshold as a fraction of d_max
-	// (paper: 0.01).
-	ZeroOutSigmaFrac float64
 
 	// DisableEntropy turns off the location-entropy weights e_j, isolating
 	// their contribution in ablation benches.
@@ -142,7 +143,8 @@ type Config struct {
 //
 //   - The paper trains mini-batched Adam at lr 1e-3 with weight decay 0.1;
 //     this implementation takes one full-batch step per epoch, so the
-//     equivalent settings are lr 0.1, weight decay 0.01 over ~250 epochs.
+//     equivalent settings are lr 0.1, weight decay 0.01 (the constants
+//     trainLR and trainWeightDecay) over ~250 epochs.
 //   - The paper's social Hausdorff head uses raw kilometre distances; this
 //     implementation normalizes distances by d_max (see Hausdorff), which
 //     rescales λ. λ = 5 here plays the role of the paper's λ = 0.1.
@@ -151,10 +153,8 @@ type Config struct {
 // α = −1, ε = 1e-6, spectral initialization, whole-data training.
 func DefaultConfig() Config {
 	return Config{
-		Rank: 10, WPos: 0.99, WNeg: 0.01, Lambda: 5, Alpha: -1, Eps: 1e-6,
-		Epochs: 250, LR: 0.1, WeightDecay: 0.01, GradClip: 0,
-		Init: SpectralInit, Variant: SocialHausdorff,
-		NegPerPos: 1, UsersPerEpoch: 0, ZeroOutSigmaFrac: 0.01,
+		Rank: 10, WPos: 0.99, WNeg: 0.01, Lambda: 5, Alpha: -1,
+		Epochs: 250, Init: SpectralInit, Variant: SocialHausdorff,
 	}
 }
 
@@ -172,14 +172,8 @@ func (c Config) Validate() error {
 	if c.Lambda < 0 {
 		return fmt.Errorf("core: lambda must be non-negative, got %g", c.Lambda)
 	}
-	if c.NegSampling && c.NegPerPos <= 0 {
-		return fmt.Errorf("core: NegPerPos must be positive with NegSampling, got %g", c.NegPerPos)
-	}
 	if c.UsersPerEpoch < 0 {
 		return fmt.Errorf("core: UsersPerEpoch must be non-negative, got %d", c.UsersPerEpoch)
-	}
-	if c.ZeroOutSigmaFrac < 0 {
-		return fmt.Errorf("core: ZeroOutSigmaFrac must be non-negative, got %g", c.ZeroOutSigmaFrac)
 	}
 	if c.CheckpointKeep < 0 {
 		return fmt.Errorf("core: CheckpointKeep must be non-negative, got %d", c.CheckpointKeep)
@@ -215,8 +209,8 @@ func permInto(rng *rand.Rand, buf []int, n int) []int {
 // Train is a composition over the internal/train engine: it builds the L2
 // head (whole-data or negative-sampling) and, for the social variants, the
 // weighted Hausdorff L1 head, exposes the factor matrices as named parameter
-// groups, and lets the engine drive epochs, clipping, Adam steps,
-// callbacks, and checkpoint/resume.
+// groups, and lets the engine drive epochs, Adam steps, callbacks, and
+// checkpoint/resume.
 func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -269,7 +263,6 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 		}
 		head = NewHausdorff(side.Dist, entropyW, sets)
 		head.Alpha = cfg.Alpha
-		head.Epsilon = cfg.Eps
 	}
 
 	grads := NewGrads(m)
@@ -277,7 +270,7 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 	// L1 draws its user subsample, exactly as the pre-engine loop did.
 	heads := []train.Head{{W: 1, Loss: func(int) (float64, error) {
 		if cfg.NegSampling {
-			n := int(cfg.NegPerPos * float64(x.NNZ()))
+			n := int(negPerPos * float64(x.NNZ()))
 			negs, err := SampleNegatives(x, n, rng.Rand)
 			if err != nil {
 				return 0, err
@@ -303,7 +296,6 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 
 	tcfg := train.Config{
 		Epochs:          cfg.Epochs,
-		GradClip:        cfg.GradClip,
 		CheckpointEvery: cfg.CheckpointEvery,
 	}
 	if cfg.EpochCallback != nil {
@@ -315,7 +307,7 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 			return m.SaveCheckpointRotate(cfg.FS, path, cfg.CheckpointKeep, &st)
 		}
 	}
-	driver, err := train.New(grads.groups(m), heads, nil, opt.NewAdam(cfg.LR, cfg.WeightDecay), rng, tcfg)
+	driver, err := train.New(grads.groups(m), heads, nil, opt.NewAdam(trainLR, trainWeightDecay), rng, tcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +321,7 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 	}
 
 	if cfg.Variant == ZeroOut {
-		m.ZeroOutFilter = buildZeroOutFilter(m, side, cfg.ZeroOutSigmaFrac, cfg.Workers)
+		m.ZeroOutFilter = buildZeroOutFilter(m, side, zeroOutSigmaFrac, cfg.Workers)
 	}
 	return m.ToStorage(cfg.Storage)
 }
@@ -342,7 +334,7 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 func drawCeiling(m *Model, x *tensor.COO, cfg Config, epochs int) uint64 {
 	var perEpoch uint64
 	if cfg.NegSampling {
-		perEpoch += 3 * uint64(negAttemptCap(int(cfg.NegPerPos*float64(x.NNZ()))))
+		perEpoch += 3 * uint64(negAttemptCap(int(negPerPos*float64(x.NNZ()))))
 	}
 	if cfg.UsersPerEpoch > 0 {
 		perEpoch += uint64(m.I)

@@ -243,7 +243,6 @@ func TestTrainConfigValidation(t *testing.T) {
 		func(c *Config) { c.Epochs = -1 },
 		func(c *Config) { c.WPos = 0 },
 		func(c *Config) { c.Lambda = -1 },
-		func(c *Config) { c.NegSampling = true; c.NegPerPos = 0 },
 	}
 	for n, mutate := range bad {
 		cfg := DefaultConfig()
@@ -266,12 +265,11 @@ func TestZeroOutFilterSemantics(t *testing.T) {
 	cfg.Epochs = 3
 	cfg.Rank = 3
 	cfg.Variant = ZeroOut
-	cfg.ZeroOutSigmaFrac = 0.05
 	m, err := Train(fx.x, fx.side, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigma := 0.05 * fx.side.Dist.DMax
+	sigma := zeroOutSigmaFrac * fx.side.Dist.DMax
 	for i := 0; i < m.I; i++ {
 		own := fx.side.OwnPOIs[i]
 		for j := 0; j < m.J; j++ {

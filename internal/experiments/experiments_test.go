@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"tcss/internal/core"
 	"tcss/internal/lbsn"
@@ -242,13 +243,24 @@ func TestMeasureLossTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt := MeasureLossTimings(inst, 4, 1)
-	if lt.Naive <= 0 || lt.NegSample <= 0 || lt.Rewritten <= 0 {
-		t.Fatalf("timings must be positive: %+v", lt)
+	// One timed call per side loses to any scheduler stall on a shared host,
+	// so each side keeps the fastest of several interleaved calls.
+	var naive, rewritten time.Duration
+	for run := 0; run < 7; run++ {
+		lt := MeasureLossTimings(inst, 4, 1)
+		if lt.Naive <= 0 || lt.NegSample <= 0 || lt.Rewritten <= 0 {
+			t.Fatalf("timings must be positive: %+v", lt)
+		}
+		if run == 0 || lt.Naive < naive {
+			naive = lt.Naive
+		}
+		if run == 0 || lt.Rewritten < rewritten {
+			rewritten = lt.Rewritten
+		}
 	}
 	// The rewritten loss must beat the naive triple loop even at tiny scale.
-	if lt.Rewritten >= lt.Naive {
-		t.Fatalf("rewritten loss (%v) must be faster than naive (%v)", lt.Rewritten, lt.Naive)
+	if rewritten >= naive {
+		t.Fatalf("rewritten loss (%v) must be faster than naive (%v)", rewritten, naive)
 	}
 }
 

@@ -6,14 +6,14 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is a simple undirected graph over vertices 0..N-1 with no self-loops
 // or parallel edges. The zero Graph is unusable; construct with New.
 type Graph struct {
 	n   int
-	adj []map[int]struct{}
+	adj [][]int // per vertex, its neighbours in ascending order
 }
 
 // New returns an empty graph on n vertices.
@@ -21,11 +21,7 @@ func New(n int) *Graph {
 	if n <= 0 {
 		panic(fmt.Sprintf("graph: invalid vertex count %d", n))
 	}
-	adj := make([]map[int]struct{}, n)
-	for i := range adj {
-		adj[i] = make(map[int]struct{})
-	}
-	return &Graph{n: n, adj: adj}
+	return &Graph{n: n, adj: make([][]int, n)}
 }
 
 // N returns the number of vertices.
@@ -39,15 +35,31 @@ func (g *Graph) AddEdge(u, v int) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop on vertex %d", u))
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
+	g.adj[u] = insertSorted(g.adj[u], v)
+	g.adj[v] = insertSorted(g.adj[v], u)
+}
+
+// insertSorted adds v to the ascending row unless it is already there.
+func insertSorted(row []int, v int) []int {
+	if i, found := slices.BinarySearch(row, v); !found {
+		row = slices.Insert(row, i, v)
+	}
+	return row
+}
+
+// deleteSorted removes v from the ascending row if it is there.
+func deleteSorted(row []int, v int) []int {
+	if i, found := slices.BinarySearch(row, v); found {
+		row = slices.Delete(row, i, i+1)
+	}
+	return row
 }
 
 // HasEdge reports whether {u, v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
 	g.checkVertex(u)
 	g.checkVertex(v)
-	_, ok := g.adj[u][v]
+	_, ok := slices.BinarySearch(g.adj[u], v)
 	return ok
 }
 
@@ -55,8 +67,8 @@ func (g *Graph) HasEdge(u, v int) bool {
 func (g *Graph) RemoveEdge(u, v int) {
 	g.checkVertex(u)
 	g.checkVertex(v)
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
+	g.adj[u] = deleteSorted(g.adj[u], v)
+	g.adj[v] = deleteSorted(g.adj[v], u)
 }
 
 func (g *Graph) checkVertex(v int) {
@@ -71,15 +83,12 @@ func (g *Graph) Degree(v int) int {
 	return len(g.adj[v])
 }
 
-// Neighbors returns the sorted neighbour list of v.
+// Neighbors returns the neighbours of v in ascending order. The slice is the
+// graph's own row: it is read-only, and valid until the next edge change at
+// v. A caller that reorders it works on a slices.Clone.
 func (g *Graph) Neighbors(v int) []int {
 	g.checkVertex(v)
-	out := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
+	return g.adj[v]
 }
 
 // EdgeCount returns the number of undirected edges.
@@ -95,18 +104,12 @@ func (g *Graph) EdgeCount() int {
 func (g *Graph) Edges() [][2]int {
 	var out [][2]int
 	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
+		for _, v := range g.adj[u] {
 			if u < v {
 				out = append(out, [2]int{u, v})
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
 	return out
 }
 

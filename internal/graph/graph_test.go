@@ -153,3 +153,24 @@ func TestAverageDegree(t *testing.T) {
 		t.Fatalf("AverageDegree = %g, want 1", got)
 	}
 }
+
+// TestNeighborsAllocatesNothing: Neighbors hands out the stored sorted row,
+// so the side-information fold's per-user neighbour reads cost no
+// allocation.
+func TestNeighborsAllocatesNothing(t *testing.T) {
+	g := WattsStrogatz(50, 6, 0.3, rand.New(rand.NewSource(4)))
+	var sum int
+	allocs := testing.AllocsPerRun(20, func() {
+		for v := 0; v < g.N(); v++ {
+			for _, u := range g.Neighbors(v) {
+				sum += u
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Neighbors allocated %.0f times per sweep, want 0", allocs)
+	}
+	if sum == 0 {
+		t.Fatal("the graph has no edges")
+	}
+}

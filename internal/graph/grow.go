@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -14,9 +15,7 @@ func (g *Graph) AddVertices(k int) int {
 		panic(fmt.Sprintf("graph: cannot add %d vertices", k))
 	}
 	first := g.n
-	for i := 0; i < k; i++ {
-		g.adj = append(g.adj, make(map[int]struct{}))
-	}
+	g.adj = append(g.adj, make([][]int, k)...)
 	g.n += k
 	return first
 }
@@ -25,9 +24,7 @@ func (g *Graph) AddVertices(k int) int {
 func (g *Graph) Clone() *Graph {
 	out := New(g.n)
 	for v, nbrs := range g.adj {
-		for u := range nbrs {
-			out.adj[v][u] = struct{}{}
-		}
+		out.adj[v] = slices.Clone(nbrs)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"tcss/internal/geo"
 	"tcss/internal/graph"
@@ -298,7 +299,7 @@ func sampleDriftPOI(u int, social *graph.Graph, byUser [][]CheckIn, closed []boo
 	}
 	w := func(j int) float64 { return weight(u, j) }
 	if base.FriendAdoption > 0 && rng.Float64() < base.FriendAdoption {
-		friends := social.Neighbors(u)
+		friends := slices.Clone(social.Neighbors(u))
 		rng.Shuffle(len(friends), func(a, b int) { friends[a], friends[b] = friends[b], friends[a] })
 		for _, f := range friends {
 			if len(byUser[f]) == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"tcss/internal/geo"
 	"tcss/internal/graph"
@@ -236,7 +237,7 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 		// own taste). Exact copies are the minority, as in real LBSNs where
 		// friends co-locate in neighbourhoods more than in exact venues.
 		if cfg.FriendAdoption > 0 && rng.Float64() < cfg.FriendAdoption {
-			friends := social.Neighbors(u)
+			friends := slices.Clone(social.Neighbors(u))
 			rng.Shuffle(len(friends), func(a, b int) { friends[a], friends[b] = friends[b], friends[a] })
 			for _, f := range friends {
 				if len(byUser[f]) == 0 {

@@ -1,9 +1,8 @@
 // Package opt implements the one optimizer every gradient-trained model in
 // this repository uses: Adam with decoupled weight decay (AdamW) at a fixed
-// learning rate, plus global gradient-norm clipping. Parameters are flat
-// float64 slices grouped by name; the optimizer keeps per-group moment state
-// keyed on the group name, so the caller just calls Step with the same names
-// every iteration.
+// learning rate. Parameters are flat float64 slices grouped by name; the
+// optimizer keeps per-group moment state keyed on the group name, so the
+// caller just calls Step with the same names every iteration.
 package opt
 
 import (
@@ -115,27 +114,4 @@ func checkLens(name string, params, grads []float64) {
 	if len(params) != len(grads) {
 		panic(fmt.Sprintf("opt: group %q params/grads length mismatch %d vs %d", name, len(params), len(grads)))
 	}
-}
-
-// ClipGradNorm scales all gradient groups in place so their joint Euclidean
-// norm is at most maxNorm, and returns the pre-clip norm. It is a no-op when
-// the norm is already within bounds or maxNorm <= 0.
-func ClipGradNorm(maxNorm float64, groups ...[]float64) float64 {
-	var sq float64
-	for _, g := range groups {
-		for _, x := range g {
-			sq += x * x
-		}
-	}
-	norm := math.Sqrt(sq)
-	if maxNorm <= 0 || norm <= maxNorm || norm == 0 {
-		return norm
-	}
-	scale := maxNorm / norm
-	for _, g := range groups {
-		for i := range g {
-			g[i] *= scale
-		}
-	}
-	return norm
 }

@@ -61,30 +61,6 @@ func TestStepPanicsOnLengthMismatch(t *testing.T) {
 	NewAdam(0.1, 0).Step("x", []float64{1, 2}, []float64{1})
 }
 
-func TestClipGradNorm(t *testing.T) {
-	g1 := []float64{3, 0}
-	g2 := []float64{0, 4}
-	norm := ClipGradNorm(1, g1, g2) // joint norm 5 -> scale 1/5
-	if math.Abs(norm-5) > 1e-12 {
-		t.Fatalf("pre-clip norm = %g, want 5", norm)
-	}
-	if math.Abs(g1[0]-0.6) > 1e-12 || math.Abs(g2[1]-0.8) > 1e-12 {
-		t.Fatalf("clipped grads wrong: %v %v", g1, g2)
-	}
-	// Already small: unchanged.
-	g := []float64{0.1}
-	ClipGradNorm(1, g)
-	if g[0] != 0.1 {
-		t.Fatal("small gradient must not be clipped")
-	}
-	// maxNorm <= 0 disables clipping.
-	g = []float64{10}
-	ClipGradNorm(0, g)
-	if g[0] != 10 {
-		t.Fatal("maxNorm=0 must disable clipping")
-	}
-}
-
 // TestAdamStateRoundTrip checkpoints an Adam mid-run and verifies that a
 // fresh optimizer importing the state continues bit-identically to the
 // original, while a run restarted without the state diverges.

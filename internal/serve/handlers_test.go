@@ -629,21 +629,18 @@ func TestMetricsDocumentShape(t *testing.T) {
 }
 
 // TestOnlineOptionsAllOrNothing: an all-zero Options.Online means the
-// defaults; one that sets anything must carry its own Epochs and LR, because
+// defaults; one that sets anything must carry its own Epochs, because
 // replacing a partly filled struct with the defaults whole would boot the
-// three literals below with decay off, no head and seed 0.
+// three literals below with decay off, random growth off and seed 0.
 func TestOnlineOptionsAllOrNothing(t *testing.T) {
-	noLR := quickOnline()
-	noLR.LR = 0
 	rec := fitRecommender(t, 21) // a rejected New never touches it
 	for _, tc := range []struct {
 		online tcss.OnlineConfig
 		field  string
 	}{
 		{tcss.OnlineConfig{DecayHalfLife: 8}, "Online.Epochs"},
-		{tcss.OnlineConfig{Lambda: 0.1}, "Online.Epochs"},
+		{tcss.OnlineConfig{RandomGrowth: true}, "Online.Epochs"},
 		{tcss.OnlineConfig{Seed: 7}, "Online.Epochs"},
-		{noLR, "Online.LR"},
 	} {
 		srv, err := New(rec, Options{Online: tc.online})
 		if err == nil {

@@ -170,17 +170,12 @@ func DefaultOptions() Options {
 // Validate rejects option combinations that withDefaults cannot repair.
 // Non-positive values generally mean "use the default", so Validate only
 // flags a partly filled Online: the all-zero struct means "use the
-// defaults", but one that sets, say, only DecayHalfLife has no usable Epochs
-// or LR, and replacing it whole would silently drop what the caller did set.
-// New calls Validate before applying defaults.
+// defaults", but one that sets, say, only DecayHalfLife has no usable
+// Epochs, and replacing it whole would silently drop what the caller did
+// set. New calls Validate before applying defaults.
 func (o Options) Validate() error {
-	if o.Online != (tcss.OnlineConfig{}) {
-		if o.Online.Epochs <= 0 {
-			return fmt.Errorf("serve: Options.Online is set but Online.Epochs is %d; start from tcss.DefaultOnlineConfig()", o.Online.Epochs)
-		}
-		if o.Online.LR <= 0 {
-			return fmt.Errorf("serve: Options.Online is set but Online.LR is %v; start from tcss.DefaultOnlineConfig()", o.Online.LR)
-		}
+	if o.Online != (tcss.OnlineConfig{}) && o.Online.Epochs <= 0 {
+		return fmt.Errorf("serve: Options.Online is set but Online.Epochs is %d; start from tcss.DefaultOnlineConfig()", o.Online.Epochs)
 	}
 	return nil
 }

@@ -9,8 +9,8 @@
 //
 //   - A model exposes its parameters as named flat float64 groups ([]Group —
 //     the same shape internal/opt steps and internal/nn's Param already
-//     uses), so the driver can zero, clip and step them without knowing the
-//     model type.
+//     uses), so the driver can zero and step them without knowing the model
+//     type.
 //   - The objective is a sum of weighted Heads (full-batch regime: the
 //     whole-data/negative-sampling L2 head plus the social Hausdorff L1
 //     head), or a MiniBatch specification (example-level SGD with gradient
@@ -18,8 +18,8 @@
 //     order: the engine steps them as Examples laid them out and draws
 //     nothing itself.
 //   - The Driver owns the epoch loop: gradient zeroing, head evaluation or
-//     batch sweeps, global gradient clipping, Adam steps at a fixed rate,
-//     epoch callbacks, and checkpoint/resume.
+//     batch sweeps, Adam steps at a fixed rate, epoch callbacks, and
+//     checkpoint/resume.
 //
 // Checkpointing records the optimizer moment state, the RNG stream position,
 // and the number of completed epochs (State); the parameter groups travel in
@@ -57,11 +57,6 @@ type Config struct {
 	// Epochs is the total epoch count of the run; a resumed driver continues
 	// from its restored epoch up to this total.
 	Epochs int
-
-	// GradClip, when positive, rescales the joint gradient of all groups to
-	// this Euclidean norm bound before each optimizer step (full-batch
-	// regime only; the mini-batch baselines never clipped).
-	GradClip float64
 
 	// Callback, when non-nil, observes every completed epoch with its total
 	// weighted loss.
@@ -113,9 +108,6 @@ func New(groups []Group, heads []Head, batch *MiniBatch, optim *opt.Adam, rng *R
 		if rng == nil {
 			return nil, fmt.Errorf("train: MiniBatch regime needs an engine RNG for its examples")
 		}
-		if cfg.GradClip > 0 {
-			return nil, fmt.Errorf("train: GradClip is a full-batch feature")
-		}
 	}
 	if cfg.Epochs < 0 {
 		return nil, fmt.Errorf("train: epochs must be non-negative, got %d", cfg.Epochs)
@@ -140,8 +132,8 @@ func New(groups []Group, heads []Head, batch *MiniBatch, optim *opt.Adam, rng *R
 
 // Run executes epochs from the current position (0, or the restored epoch)
 // through cfg.Epochs. Each epoch: zero gradients, evaluate the objective
-// (heads, or a mini-batch sweep), clip, step the optimizer, invoke
-// the callback, and checkpoint when due. On error the model holds the last
+// (heads, or a mini-batch sweep), step the optimizer, invoke the callback,
+// and checkpoint when due. On error the model holds the last
 // completed epoch's parameters.
 func (d *Driver) Run() error {
 	for d.epoch < d.cfg.Epochs {
@@ -180,13 +172,6 @@ func (d *Driver) runHeadsEpoch(epoch int) (float64, error) {
 			return 0, err
 		}
 		total += h.W * l
-	}
-	if d.cfg.GradClip > 0 {
-		grads := make([][]float64, len(d.groups))
-		for i, g := range d.groups {
-			grads[i] = g.Grad
-		}
-		opt.ClipGradNorm(d.cfg.GradClip, grads...)
 	}
 	for _, g := range d.groups {
 		d.optim.Step(g.Name, g.Value, g.Grad)

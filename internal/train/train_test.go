@@ -150,43 +150,6 @@ func TestDriverHeadWeights(t *testing.T) {
 	}
 }
 
-// TestDriverGradClip verifies the driver clips the joint norm across groups
-// before stepping, matching hand-rolled Adam steps on the clipped gradient.
-// Adam's first step does not depend on the gradient's scale, so the run takes
-// several: clipping every gradient to norm 1 changes the later ones.
-func TestDriverGradClip(t *testing.T) {
-	const epochs = 4
-	run := func(clip float64) []float64 {
-		q := newQuad([]float64{10, 3}, []float64{0, 0})
-		d, err := New(q.groups, []Head{{W: 1, Loss: func(int) (float64, error) { return q.loss(), nil }}},
-			nil, opt.NewAdam(1, 0), nil, Config{Epochs: epochs, GradClip: clip})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return q.groups[0].Value
-	}
-
-	p := []float64{10, 3}
-	ref := opt.NewAdam(1, 0)
-	for e := 0; e < epochs; e++ {
-		g := []float64{2 * p[0], 2 * p[1]}
-		opt.ClipGradNorm(1, g)
-		ref.Step("p", p, g)
-	}
-	clipped, unclipped := run(1), run(0)
-	for i := range p {
-		if clipped[i] != p[i] {
-			t.Fatalf("clipped run ended at %v, hand-rolled at %v", clipped, p)
-		}
-	}
-	if clipped[0] == unclipped[0] && clipped[1] == unclipped[1] {
-		t.Fatal("clipping left the trajectory unchanged")
-	}
-}
-
 func TestNewRejectsBadComposition(t *testing.T) {
 	q := newQuad([]float64{1}, []float64{0})
 	head := []Head{{W: 1, Loss: func(int) (float64, error) { return 0, nil }}}
@@ -206,9 +169,6 @@ func TestNewRejectsBadComposition(t *testing.T) {
 		{"nil optimizer", func() (*Driver, error) { return New(q.groups, head, nil, nil, nil, Config{Epochs: 1}) }},
 		{"negative epochs", func() (*Driver, error) { return New(q.groups, head, nil, adam, nil, Config{Epochs: -1}) }},
 		{"batch without rng", func() (*Driver, error) { return New(q.groups, nil, mb, adam, nil, Config{Epochs: 1}) }},
-		{"batch with clip", func() (*Driver, error) {
-			return New(q.groups, nil, mb, adam, NewRNG(1), Config{Epochs: 1, GradClip: 1})
-		}},
 		{"zero batch size", func() (*Driver, error) {
 			return New(q.groups, nil, &MiniBatch{Examples: mb.Examples, Step: mb.Step}, adam, NewRNG(1), Config{Epochs: 1})
 		}},

@@ -102,16 +102,7 @@ func (r *Recommender) ObserveOpen(batch ObserveBatch, cfg OnlineConfig) (int, er
 	for n, c := range batch.CheckIns {
 		entries[n] = tensor.Entry{I: c.User, J: c.POI, K: r.Gran.Index(c), Val: 1}
 	}
-	// The social head (when enabled) needs side info covering the grown
-	// dimensions before the update, so arrivals are regularized toward their
-	// friends' POIs from their very first gradient step.
-	side := r.Side
-	if grow && cfg.Lambda > 0 {
-		if side, err = foldSide(r.Side, ds, train, entries); err != nil {
-			return 0, err
-		}
-	}
-	added, err := model.UpdateOnline(train, entries, side, cfg)
+	added, err := model.UpdateOnline(train, entries, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -128,7 +119,8 @@ func (r *Recommender) ObserveOpen(batch ObserveBatch, cfg OnlineConfig) (int, er
 	if grow && cfg.DecayHalfLife == 0 {
 		base = r.Side
 	}
-	if side, err = foldSide(base, ds, train, entries); err != nil {
+	side, err := foldSide(base, ds, train, entries)
+	if err != nil {
 		return 0, fmt.Errorf("%w: refolding side info: %v", ErrObserveReverted, err)
 	}
 	if model, err = model.ToStorage(mode); err != nil {

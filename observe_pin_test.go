@@ -33,15 +33,13 @@ func TestObservePinned(t *testing.T) {
 	cases := []struct {
 		name     string
 		storage  StorageMode
-		lambda   float64
 		halfLife float64
 		want     string
 	}{
-		{"f64", StorageFloat64, 0, 0, "f1293c82cc5e4f4851f7f5fc0a32f762cee339b17a56738a4e015721e169802f"},
-		{"f64-lambda", StorageFloat64, 0.2, 0, "960b55b73b87a52619a1563fd31d9b1686e069cc9031923adccc9580e8d2ad83"},
-		{"f64-decay", StorageFloat64, 0, 0.4, "b9eed75305c81c743d2cf5732907ea641344e8f633497240145a478651b9c69c"},
-		{"f32", core.StorageFloat32, 0, 0, "e279a0511b2ec70f4b97b083b1f6a3e39d04c659d3022faa9a29ed251293e6ab"},
-		{"int8-decay", core.StorageInt8, 0, 1, "9245b86e7a5acc34ffb542ee59323ba73129b080428efbf55c78e4b879f2181c"},
+		{"f64", StorageFloat64, 0, "f1293c82cc5e4f4851f7f5fc0a32f762cee339b17a56738a4e015721e169802f"},
+		{"f64-decay", StorageFloat64, 0.4, "b9eed75305c81c743d2cf5732907ea641344e8f633497240145a478651b9c69c"},
+		{"f32", core.StorageFloat32, 0, "e279a0511b2ec70f4b97b083b1f6a3e39d04c659d3022faa9a29ed251293e6ab"},
+		{"int8-decay", core.StorageInt8, 1, "9245b86e7a5acc34ffb542ee59323ba73129b080428efbf55c78e4b879f2181c"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,7 +54,6 @@ func TestObservePinned(t *testing.T) {
 			ocfg := DefaultOnlineConfig()
 			ocfg.Epochs = 4
 			ocfg.Seed = 9
-			ocfg.Lambda = tc.lambda
 			ocfg.DecayHalfLife = tc.halfLife
 
 			h := sha256.New()
