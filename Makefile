@@ -3,9 +3,9 @@ GO ?= go
 # Kernel micro-benchmarks for measuring while you work. The experiment
 # benchmarks (BenchmarkTable*, BenchmarkFig*) are much slower and run via
 # `make bench-all`; the repository's benchmark is `make benchmark`.
-KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)|BenchmarkDotRows|BenchmarkHeadKernels|BenchmarkGrowSideInfo'
+KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)|BenchmarkDotRows|BenchmarkHeadKernels|BenchmarkAdamStep|BenchmarkGrowSideInfo'
 
-.PHONY: build test race vet fmt loc bench bench-all bench-test benchmark check gradcheck fuzz \
+.PHONY: build test purego race vet fmt loc bench bench-all bench-test benchmark check gradcheck fuzz \
 	golden-update serve loadgen smoke
 
 build:
@@ -13,6 +13,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The pins and goldens again with every assembly body left out (the purego
+# tag selects internal/mat's Go reference bodies on amd64 too), so the
+# portable path is held to the same bits, not only compiled.
+purego:
+	$(GO) test -tags purego -count=1 -run 'Pinned|Golden' ./...
 
 # Race-detector pass over the library packages, including the worker-count
 # invariance tests and the Workers=8 short training run, and over the
@@ -112,6 +118,9 @@ fuzz:
 	@# The social-Hausdorff head's kernels, the same way, at every shape
 	@# remainder and at the clamp bounds.
 	$(GO) test -run '^$$' -fuzz FuzzHausdorffKernels -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mat
+	@# The Adam step every trainer takes, the same way, on special values
+	@# and at arbitrary hyperparameters.
+	$(GO) test -run '^$$' -fuzz FuzzAdamStep -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mat
 
 # Re-record the golden trajectories after an INTENDED change to training math.
 golden-update:
@@ -140,4 +149,4 @@ smoke:
 %-smoke:
 	bash scripts/smoke.sh $* $(SMOKE_DIR)
 
-check: build fmt vet test bench-test race gradcheck fuzz
+check: build fmt vet test purego bench-test race gradcheck fuzz

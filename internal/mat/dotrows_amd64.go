@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 package mat
 
 import "unsafe"

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 package mat
 
 // The head kernels' assembly bodies (head_amd64.s). Each takes the leading

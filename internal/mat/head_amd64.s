@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // The social-Hausdorff head's assembly bodies (head.go has the reference

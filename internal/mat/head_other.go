@@ -1,8 +1,8 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package mat
 
-// The head kernels have no assembly bodies on this platform: every POI takes
+// The head kernels have no assembly bodies in this build: every POI takes
 // the Go reference body.
 
 func slabVisitProbsAccel(p, dpdx, u2, w, u3, scratch []float64, K int) int { return 0 }

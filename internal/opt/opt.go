@@ -8,6 +8,8 @@ package opt
 import (
 	"fmt"
 	"math"
+
+	"tcss/internal/mat"
 )
 
 // State is the serializable moment state of Adam, keyed by parameter group
@@ -65,7 +67,10 @@ func NewAdam(lr, weightDecay float64) *Adam {
 	}
 }
 
-// Step applies one Adam update with bias correction and decoupled decay.
+// Step applies one Adam update with bias correction and decoupled decay
+// (mat.AdamStep). It panics, naming the group and before any write, when
+// grads or the group's moments (as Import left them) are not as long as
+// params.
 func (a *Adam) Step(name string, params, grads []float64) {
 	checkLens(name, params, grads)
 	m, v := a.m[name], a.v[name]
@@ -74,17 +79,14 @@ func (a *Adam) Step(name string, params, grads []float64) {
 		v = make([]float64, len(params))
 		a.m[name], a.v[name] = m, v
 	}
+	if len(m) != len(params) || len(v) != len(params) {
+		panic(fmt.Sprintf("opt: group %q has %d params but moments m/v of %d/%d", name, len(params), len(m), len(v)))
+	}
 	a.steps[name]++
 	t := float64(a.steps[name])
 	c1 := 1 - math.Pow(a.Beta1, t)
 	c2 := 1 - math.Pow(a.Beta2, t)
-	for i, g := range grads {
-		m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-		v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-		mHat := m[i] / c1
-		vHat := v[i] / c2
-		params[i] -= a.LR * (mHat/(math.Sqrt(vHat)+a.Eps) + a.WeightDecay*params[i])
-	}
+	mat.AdamStep(params, grads, m, v, a.Beta1, a.Beta2, c1, c2, a.LR, a.Eps, a.WeightDecay)
 }
 
 // Export returns a deep copy of the per-group step counts and

@@ -2,6 +2,8 @@ package opt
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -59,6 +61,34 @@ func TestStepPanicsOnLengthMismatch(t *testing.T) {
 		}
 	}()
 	NewAdam(0.1, 0).Step("x", []float64{1, 2}, []float64{1})
+}
+
+// TestAdamStepRejectsShortMoments imports moments shorter than the group
+// they are stepped with (Import checks m against v, not against params,
+// which it does not see) and checks that Step panics naming the group
+// before it writes to the params, the moments or the step count.
+func TestAdamStepRejectsShortMoments(t *testing.T) {
+	a := NewAdam(0.1, 0.1)
+	st := State{Algo: "adam", Steps: map[string]int{"w": 3},
+		M: map[string][]float64{"w": {0.5, -0.5}}, V: map[string][]float64{"w": {0.25, 0.25}}}
+	if err := a.Import(st); err != nil {
+		t.Fatal(err)
+	}
+	params := []float64{1, 2, 3, 4, 5}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"w"`) {
+			t.Fatalf("Step with short moments: panic %q, want one naming group \"w\"", msg)
+		}
+		if !slices.Equal(params, []float64{1, 2, 3, 4, 5}) {
+			t.Fatalf("Step wrote params before panicking: %v", params)
+		}
+		after := a.Export()
+		if !slices.Equal(after.M["w"], st.M["w"]) || !slices.Equal(after.V["w"], st.V["w"]) || after.Steps["w"] != 3 {
+			t.Fatalf("Step changed the state before panicking: %+v", after)
+		}
+	}()
+	a.Step("w", params, []float64{1, 1, 1, 1, 1})
 }
 
 // TestAdamStateRoundTrip checkpoints an Adam mid-run and verifies that a
