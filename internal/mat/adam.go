@@ -34,8 +34,8 @@ func AdamStep(params, grads, m, v []float64, beta1, beta2, c1, c2, lr, eps, wd f
 	adamStepGo(params[done:], grads[done:], m[done:], v[done:], beta1, beta2, c1, c2, lr, eps, wd)
 }
 
-// adamStepGo is AdamStep's reference body, the loop opt.Adam.Step ran
-// before the kernel existed.
+// adamStepGo is AdamStep's reference body, whose bits the assembly body
+// must reproduce.
 func adamStepGo(params, grads, m, v []float64, beta1, beta2, c1, c2, lr, eps, wd float64) {
 	for i, g := range grads {
 		m[i] = beta1*m[i] + (1-beta1)*g

@@ -4,8 +4,9 @@ package mat
 
 import "unsafe"
 
-// useAVX2 is whether DotRows may run its assembly bodies: the CPU has AVX2
-// and the operating system saves the YMM registers across context switches.
+// useAVX2 is whether the package's assembly bodies (DotRows, the head
+// kernels, AdamStep) may run: the CPU has AVX2 and the operating system
+// saves the YMM registers across context switches.
 var useAVX2 = detectAVX2()
 
 func detectAVX2() bool {
