@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"tcss/internal/geo"
@@ -49,11 +50,13 @@ func BuildSideInfo(social *graph.Graph, dist *geo.DistanceMatrix, train *tensor.
 // (copy-on-write at row granularity).
 //
 // The dirty rows' cells are counting-sorted into two flat buckets, users by
-// POI and POIs by user; a sorted bucket gives a POI's visit counts as its run
-// lengths and a user's own set after dropping repeats. Friend sets are
-// gathered through a stamp array over the POIs. Every row the fold emits is
-// a fresh, exactly sized slice — an empty one is [], not nil — that aliases
-// none of this scratch.
+// POI and POIs by user, and nothing is sorted by comparison after that. A
+// POI's bucket is counted per user, and the counts are listed in ascending
+// order by a counting pass over 1…K. A user's own set is its bucket set as
+// bits in one word array over the POIs, drained in ascending order; a friend
+// set is the friends' own rows set into the same words. Every row the fold
+// emits is a fresh, exactly sized slice — an empty one is [], not nil — that
+// aliases none of this scratch.
 //
 // social and dist must already cover train's dimensions (grow them first with
 // graph.AddVertices / geo.DistanceMatrix.Grown). dist is shared, not copied:
@@ -123,33 +126,49 @@ func GrowSideInfo(old *SideInfo, social *graph.Graph, dist *geo.DistanceMatrix, 
 		}
 	}
 
-	// A POI's visit counts are the run lengths of its sorted users, sorted in
-	// turn: the entropy sum is order-sensitive at the ulp level. An unvisited
-	// POI has entropy 0, weight 1.
+	// A POI's visit counts are counted per user, then listed in ascending
+	// order by a counting pass over 1…K (cells are unique, so a user visits a
+	// POI in at most K time units): the entropy sum is order-sensitive at the
+	// ulp level. An unvisited POI has entropy 0, weight 1.
+	perUser := make([]int, I)            // visits of the current POI by each user
+	ofCount := make([]int, train.DimK+1) // ofCount[c]: users with c visits
 	var visits []int
 	for j, dirty := range poiDirty {
 		if !dirty {
 			continue
 		}
 		users := byPOI[poiOff[j]:poiOff[j+1]]
-		slices.Sort(users)
-		visits = visits[:0]
-		for n := 0; n < len(users); {
-			run := n + 1
-			for run < len(users) && users[run] == users[n] {
-				run++
-			}
-			visits = append(visits, run-n)
-			n = run
+		for _, u := range users {
+			perUser[u]++
 		}
-		slices.Sort(visits)
+		most := 0
+		for _, u := range users {
+			if c := perUser[u]; c > 0 { // a user's first cell here; the reset skips the rest
+				ofCount[c]++
+				most = max(most, c)
+				perUser[u] = 0
+			}
+		}
+		visits = visits[:0]
+		for c := 1; c <= most; c++ {
+			for ; ofCount[c] > 0; ofCount[c]-- {
+				visits = append(visits, c)
+			}
+		}
 		side.EntropyW[j] = geo.EntropyWeight(geo.LocationEntropy(visits))
 	}
+
+	// Own and friend sets are gathered as bits over the POIs and drained in
+	// ascending order, which drops repeats and sorts in one pass.
+	set := make(poiBits, (J+63)/64)
+	var row []int
 	for i, dirty := range userDirty {
 		if dirty {
-			pois := byUser[userOff[i]:userOff[i+1]]
-			slices.Sort(pois)
-			side.OwnPOIs[i] = exactCopy(slices.Compact(pois))
+			for _, j := range byUser[userOff[i]:userOff[i+1]] {
+				set.add(j)
+			}
+			row = set.drain(row)
+			side.OwnPOIs[i] = exactCopy(row)
 		}
 	}
 
@@ -167,23 +186,17 @@ func GrowSideInfo(old *SideInfo, social *graph.Graph, dist *geo.DistanceMatrix, 
 			}
 		}
 	}
-	seen := make([]int, J) // seen[j] == v+1: POI j is in v's friend set
-	var set []int
 	for v, dirty := range friendDirty {
 		if !dirty {
 			continue
 		}
-		set = set[:0]
 		for _, f := range social.Neighbors(v) {
 			for _, j := range side.OwnPOIs[f] {
-				if seen[j] != v+1 {
-					seen[j] = v + 1
-					set = append(set, j)
-				}
+				set.add(j)
 			}
 		}
-		slices.Sort(set)
-		side.FriendPOIs[v] = exactCopy(set)
+		row = set.drain(row)
+		side.FriendPOIs[v] = exactCopy(row)
 	}
 	return side, nil
 }
@@ -194,6 +207,24 @@ func cumulate(off []int) {
 	for k := 1; k < len(off); k++ {
 		off[k] += off[k-1]
 	}
+}
+
+// poiBits is a set of POIs, one bit each.
+type poiBits []uint64
+
+func (s poiBits) add(j int) { s[j>>6] |= 1 << (j & 63) }
+
+// drain lists the members in ascending order into dst[:0] and empties the
+// set, reading every word once.
+func (s poiBits) drain(dst []int) []int {
+	dst = dst[:0]
+	for w, b := range s {
+		for ; b != 0; b &= b - 1 {
+			dst = append(dst, w<<6|bits.TrailingZeros64(b))
+		}
+		s[w] = 0
+	}
+	return dst
 }
 
 // exactCopy returns a row of its own holding lst; an empty lst gives [], not

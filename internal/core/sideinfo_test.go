@@ -279,22 +279,37 @@ func refGrowSideInfo(old *SideInfo, social *graph.Graph, dist *geo.DistanceMatri
 // FuzzGrowSideInfo holds the fold to refGrowSideInfo bit for bit, nil rows
 // included, on small worlds: with or without an old base, and with users,
 // POIs and friendships grown since it. It also checks that old is left as
-// it was and that the fold equals a fold of every row. Byte 0 sets I, 1 J,
-// 2 K (1 to 8), 3 how many users and 4 how many POIs are new since old
-// (0 to 2; bit 2 of byte 3 drops old), 5 the number of old friendships and 6
-// of old cells; then come those pairs and triples, one friendship per new
-// user, and the touched cells as (i, j, k, value) quadruples to the end, a
-// value byte below 32 deleting the cell.
+// it was and that the fold equals a fold of every row. Byte 0 sets I (1 to
+// 8), 1 J (1 to 160, so POI sets span up to three 64-bit words), 2 K (1 to
+// 8), 3 how many users and 4 how many POIs are new since old (0 to 2; bit 2
+// of byte 3 drops old), 5 the number of old friendships and 6 of old cells;
+// then come those pairs and triples, one friendship per new user, and the
+// touched cells as (i, j, k, value) quadruples to the end, a value byte
+// below 32 deleting the cell.
 func FuzzGrowSideInfo(f *testing.F) {
 	f.Add([]byte{4, 5, 2, 1, 1, 3, 6, 0, 1, 1, 2, 2, 3, 0, 0, 0, 0, 1, 1, 1, 0, 0, 2, 1, 1, 3, 2, 1, 0, 1, 2, 4, 1, 0, 3, 4, 0, 40, 2, 2, 1, 9})
 	f.Add([]byte{3, 3, 1, 4, 0, 1, 4, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1, 0, 2, 2, 0, 0, 0, 0, 0})
 	f.Add([]byte{8, 8, 8, 2, 2, 6, 12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 7, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6, 0, 6, 1, 1, 0, 7, 2, 7, 0, 3, 2, 4, 0, 3, 2, 4, 5, 200, 7, 0, 1, 100})
 	f.Add([]byte{1, 1, 1, 0, 0, 0, 0})
+	// At the word edges: J = 63 and 64 with no growth, 65 grown from 63 and
+	// 129 grown from 127, the cells on the last POIs of each word.
+	f.Add([]byte{5, 62, 3, 1, 0, 4, 10, 0, 1, 1, 2, 2, 3, 3, 4,
+		0, 62, 0, 0, 61, 1, 1, 0, 0, 1, 62, 1, 1, 62, 2, 2, 31, 0, 3, 62, 3, 4, 1, 0, 5, 60, 0, 0, 62, 2,
+		5, 6, 62, 1, 40, 0, 62, 0, 0, 2, 33, 3, 99})
+	f.Add([]byte{5, 63, 3, 4, 0, 4, 8, 0, 1, 1, 2, 2, 3, 3, 4,
+		0, 63, 0, 1, 63, 1, 1, 0, 2, 2, 62, 0, 3, 63, 1, 4, 32, 2, 5, 63, 0, 0, 1, 1,
+		4, 4, 63, 2, 50, 1, 63, 1, 0})
+	f.Add([]byte{5, 62, 3, 1, 2, 4, 8, 0, 1, 1, 2, 2, 3, 3, 4,
+		0, 62, 0, 1, 62, 1, 1, 0, 2, 2, 61, 0, 3, 62, 1, 4, 32, 2, 5, 62, 0, 0, 1, 1,
+		2, 6, 64, 0, 40, 0, 63, 1, 90, 1, 64, 2, 33, 1, 62, 1, 0})
+	f.Add([]byte{6, 126, 4, 2, 5, 5, 9, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5,
+		0, 126, 0, 1, 126, 1, 1, 63, 2, 2, 64, 3, 3, 127, 0, 4, 0, 1, 5, 126, 2, 0, 63, 3, 2, 64, 0,
+		0, 4, 7, 128, 0, 60, 6, 127, 3, 70, 0, 128, 1, 33, 2, 64, 3, 5, 3, 126, 2, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 7 {
 			return
 		}
-		I0, J0, K := 1+int(data[0])%8, 1+int(data[1])%8, 1+int(data[2])%8
+		I0, J0, K := 1+int(data[0])%8, 1+int(data[1])%160, 1+int(data[2])%8
 		newI, newJ, withOld := int(data[3])%3, int(data[4])%3, data[3]&4 == 0
 		I, J := I0+newI, J0+newJ
 		nEdges, nCells := int(data[5])%16, int(data[6])%32
@@ -391,7 +406,9 @@ func TestGrowSideInfoAllocs(t *testing.T) {
 }
 
 // BenchmarkGrowSideInfo times the fold at node-write's shape: every row
-// (full), and 8 new in-range cells folded onto the full fold (in-range).
+// (full), 8 new in-range cells folded onto the full fold (in-range), and
+// every row after 9 600 more cells, node-write's history at the end of a run
+// (full-history).
 func BenchmarkGrowSideInfo(b *testing.B) {
 	train, social, dist := sideBenchWorld()
 	base, err := BuildSideInfo(social, dist, train)
@@ -399,15 +416,9 @@ func BenchmarkGrowSideInfo(b *testing.B) {
 		b.Fatal(err)
 	}
 	observed := train.Clone()
-	rng := rand.New(rand.NewSource(2))
-	var touched []tensor.Entry
-	for len(touched) < 8 {
-		e := tensor.Entry{I: rng.Intn(train.DimI), J: rng.Intn(train.DimJ), K: rng.Intn(train.DimK), Val: 1}
-		if !observed.Has(e.I, e.J, e.K) {
-			observed.Set(e.I, e.J, e.K, 1)
-			touched = append(touched, e)
-		}
-	}
+	touched := addRandomCells(observed, 8, 2)
+	history := train.Clone()
+	addRandomCells(history, 9600, 3)
 	for _, bc := range []struct {
 		name    string
 		old     *SideInfo
@@ -416,6 +427,7 @@ func BenchmarkGrowSideInfo(b *testing.B) {
 	}{
 		{"full", nil, train, nil},
 		{"in-range", base, observed, touched},
+		{"full-history", nil, history, nil},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -429,6 +441,21 @@ func BenchmarkGrowSideInfo(b *testing.B) {
 }
 
 var benchSide *SideInfo
+
+// addRandomCells sets n cells of x that were unobserved, drawn from a
+// generator seeded with seed, and returns them.
+func addRandomCells(x *tensor.COO, n int, seed int64) []tensor.Entry {
+	rng := rand.New(rand.NewSource(seed))
+	var added []tensor.Entry
+	for len(added) < n {
+		e := tensor.Entry{I: rng.Intn(x.DimI), J: rng.Intn(x.DimJ), K: rng.Intn(x.DimK), Val: 1}
+		if !x.Has(e.I, e.J, e.K) {
+			x.Set(e.I, e.J, e.K, 1)
+			added = append(added, e)
+		}
+	}
+	return added
+}
 
 // sideBenchWorld is node-write's training tensor: the gowalla preset at seed
 // 1, monthly, split 80/20, with its social graph and distances.
