@@ -34,9 +34,12 @@ const DeadlineBudgetHeader = wire.DeadlineBudgetHeader
 type GatewayOptions struct {
 	// Vnodes is the ring's virtual-node count per shard (DefaultVnodes if 0).
 	Vnodes int
-	// Client issues all backend requests; http.DefaultClient when nil. Hung
-	// backends are bounded by the per-hop deadlines the gateway derives from
-	// each request's budget, not by a client-wide timeout.
+	// Client issues all backend requests. When nil the gateway makes its own
+	// over a clone of http.DefaultTransport that keeps backendIdleConns idle
+	// connections per backend (http.DefaultClient keeps two, so concurrent
+	// reads would dial a fresh connection for most hops). Hung backends are
+	// bounded by the per-hop deadlines the gateway derives from each
+	// request's budget, not by a client-wide timeout.
 	Client *http.Client
 	// ReadBudget is the total deadline budget of a read that arrives without
 	// an X-Deadline-Budget header (2s when zero). The budget spans every
@@ -129,6 +132,11 @@ type Gateway struct {
 	gens map[string]uint64    // endpoint base URL -> last generation seen
 }
 
+// backendIdleConns is how many idle connections the default backend client
+// keeps per endpoint: above the reads a gateway has in flight to one node, so
+// those reads reuse connections instead of opening one each.
+const backendIdleConns = 64
+
 // NewGateway builds a gateway over the given shard sets. Ring placement uses
 // only shard names, so every gateway and shard configured with the same names
 // agrees on ownership regardless of listing order.
@@ -145,7 +153,9 @@ func NewGateway(sets []ShardSet, opts GatewayOptions) (*Gateway, error) {
 		return nil, err
 	}
 	if opts.Client == nil {
-		opts.Client = http.DefaultClient
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = backendIdleConns
+		opts.Client = &http.Client{Transport: tr}
 	}
 	if opts.ReadBudget <= 0 {
 		opts.ReadBudget = 2 * time.Second

@@ -1,6 +1,11 @@
 package cluster
 
 import (
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -93,3 +98,72 @@ func (g *Gateway) downLen() int {
 // test file of package cluster, it is visible to the cluster_test chaos
 // tests.
 func (r *Replicator) PrimaryGeneration() uint64 { return r.primaryGen.Load() }
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// TestGatewayReusesBackendConnections sends 200 rounds of 8 concurrent reads
+// through a gateway built with a nil Client to one backend, which answers a
+// round only once all 8 hops have arrived, and bounds the connections the
+// backend accepts. A client that keeps two idle connections per host closes
+// six at the end of each round and dials six anew at the start of the next.
+func TestGatewayReusesBackendConnections(t *testing.T) {
+	const readers, rounds = 8, 200
+	var mu sync.Mutex
+	arrived, release := 0, make(chan struct{})
+	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		wait := release
+		if arrived++; arrived == readers {
+			close(release)
+			arrived, release = 0, make(chan struct{})
+		}
+		mu.Unlock()
+		<-wait
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{}`))
+	}))
+	ln := &countingListener{Listener: backend.Listener}
+	backend.Listener = ln
+	backend.Start()
+	defer backend.Close()
+
+	g, err := NewGateway([]ShardSet{{Name: "s0", Primary: backend.URL}}, GatewayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.opts.Client.CloseIdleConnections()
+	codes := make([]int, readers)
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for c := range codes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/recommend?user=1&t=0", nil))
+				codes[c] = rec.Code
+			}()
+		}
+		wg.Wait()
+		for _, code := range codes {
+			if code != http.StatusOK {
+				t.Fatalf("round %d: a read through the gateway answered %d", round, code)
+			}
+		}
+	}
+	if got := ln.accepted.Load(); got > 2*readers {
+		t.Fatalf("the backend accepted %d connections for %d reads, want at most %d", got, readers*rounds, 2*readers)
+	}
+}
